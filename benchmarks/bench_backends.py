@@ -1,0 +1,209 @@
+"""In-process execution backends against their reference, one case per backend.
+
+Each case times one scheduler run under a *baseline* and a *candidate*
+backend on a random unconstrained instance (every pair feasible, the worst
+case), checks that schedules, utilities, counters and the raw score matrix
+are bit-identical, and asserts the candidate's wall-clock speedup:
+
+* ``scalar-batch`` — HOR with ``k = |T|`` (a full run *is* the initial
+  round, pure score-evaluation throughput): the vectorised ``batch`` backend
+  against the per-pair ``scalar`` reference, ≥3× at ``small``;
+* ``batch-parallel`` — the same HOR round with the event axis cut into
+  64-event chunks that the ``parallel`` backend's thread pool shards (the
+  chunk kernel releases the GIL), ≥1.5× over ``batch`` at ``small``;
+* ``batch-process`` — TOP (one full score-matrix evaluation plus a top-k
+  selection) with ``score_matrix``'s per-interval columns sharded across the
+  ``process`` backend's shared-memory pool, ≥1.3× over ``batch`` at
+  ``small``.
+
+The pooled cases run every core (at least 2 workers) and enforce their floor
+only on a machine with at least two CPUs — on one core a pool degenerates to
+serial execution plus dispatch overhead.  At ``tiny`` their instances are too
+small for a pool to beat its own dispatch overhead, so only equivalence is
+asserted.  The cluster backend has its own benchmark
+(``bench_cluster_backend.py``): it starts workers and compares wire protocols.
+
+Scales (``REPRO_BENCH_SCALE``; events × intervals × users):
+
+* ``tiny`` — 120 × 12 × 60 (scalar-batch) or 120 × 12 × 200 (CI quick mode);
+* ``small`` — 500 × 50 × 200 or 500 × 50 × 2000 (the acceptance sizes,
+  default);
+* ``default`` — 900 × 90 × 400 or 900 × 90 × 4000.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple, Type
+
+import numpy as np
+import pytest
+
+from repro.algorithms.base import BaseScheduler
+from repro.algorithms.hor import HorScheduler
+from repro.algorithms.top import TopScheduler
+from repro.core.execution import ExecutionConfig
+from repro.core.instance import SESInstance
+from repro.core.scoring import ScoringEngine
+
+from benchmarks.conftest import persist_rows, run_once
+
+#: Per scale: (num_events, num_intervals, num_users, minimum speedup or None).
+Scales = Dict[str, Tuple[int, int, int, Optional[float]]]
+
+
+@dataclass(frozen=True)
+class BackendCase:
+    """One candidate backend timed against its baseline."""
+
+    baseline: str
+    candidate: str
+    scheduler: Type[BaseScheduler]
+    seed: int
+    #: Events per vectorised pass (``None`` keeps the library default).
+    chunk_size: Optional[int]
+    #: Whether the candidate fans out over a pool (workers + ≥2-CPU guard).
+    pooled: bool
+    scales: Scales
+
+
+CASES: Dict[str, BackendCase] = {
+    "scalar-batch": BackendCase(
+        "scalar", "batch", HorScheduler, seed=7, chunk_size=None, pooled=False,
+        scales={
+            "tiny": (120, 12, 60, 2.0),
+            "small": (500, 50, 200, 3.0),
+            "default": (900, 90, 400, 3.0),
+        },
+    ),
+    "batch-parallel": BackendCase(
+        "batch", "parallel", HorScheduler, seed=11, chunk_size=64, pooled=True,
+        scales={
+            "tiny": (120, 12, 200, None),
+            "small": (500, 50, 2000, 1.5),
+            "default": (900, 90, 4000, 1.5),
+        },
+    ),
+    "batch-process": BackendCase(
+        "batch", "process", TopScheduler, seed=13, chunk_size=64, pooled=True,
+        scales={
+            "tiny": (120, 12, 200, None),
+            "small": (500, 50, 2000, 1.3),
+            "default": (900, 90, 4000, 1.3),
+        },
+    ),
+}
+
+
+def build_instance(
+    seed: int, num_events: int, num_intervals: int, num_users: int
+) -> SESInstance:
+    rng = np.random.default_rng(seed)
+    return SESInstance.from_arrays(
+        interest=rng.random((num_users, num_events)),
+        activity=rng.random((num_users, num_intervals)),
+        name=f"backends-{num_events}x{num_intervals}x{num_users}",
+    )
+
+
+def workers_for_run() -> int:
+    """Worker count of the pooled candidates: every core, at least 2."""
+    return max(2, os.cpu_count() or 1)
+
+
+def execution_for(case: BackendCase, backend: str) -> ExecutionConfig:
+    return ExecutionConfig(
+        backend=backend,
+        chunk_size=case.chunk_size,
+        workers=workers_for_run() if case.pooled else None,
+    )
+
+
+def time_run(case: BackendCase, instance: SESInstance, backend: str, repetitions: int = 1):
+    """Best-of-N timing of one ``k = |T|`` run of the case's scheduler.
+
+    The minimum over repetitions is the standard robust estimator on noisy
+    shared machines — every source of interference only ever adds time.
+    """
+    best_elapsed, result = float("inf"), None
+    for _ in range(repetitions):
+        scheduler = case.scheduler(instance, execution=execution_for(case, backend))
+        started = time.perf_counter()
+        result = scheduler.schedule(instance.num_intervals)
+        best_elapsed = min(best_elapsed, time.perf_counter() - started)
+    return best_elapsed, result
+
+
+def compare_backends(case_id: str, scale: str):
+    case = CASES[case_id]
+    num_events, num_intervals, num_users, _ = case.scales[scale]
+    backends = (case.baseline, case.candidate)
+    # Warm-up on a minute instance so one-time costs (pool creation, lazy
+    # imports, allocator warm-up) don't pollute the first timed backend.
+    warmup = build_instance(case.seed, 10, 3, 8)
+    for backend in backends:
+        time_run(case, warmup, backend)
+    instance = build_instance(case.seed, num_events, num_intervals, num_users)
+    rows, results, timings = [], {}, {}
+    for backend in backends:
+        elapsed, result = time_run(case, instance, backend, repetitions=3)
+        results[backend] = result
+        timings[backend] = elapsed
+        rows.append(
+            {
+                "scale": scale,
+                "case": case_id,
+                "backend": backend,
+                "workers": result.workers,
+                "events": num_events,
+                "intervals": num_intervals,
+                "users": num_users,
+                "time_sec": round(elapsed, 4),
+                "utility": round(result.utility, 4),
+                "score_computations": result.score_computations,
+            }
+        )
+    # Ratios come from the raw timings — rounding is for display only.
+    for row in rows:
+        row[f"speedup_vs_{case.baseline}"] = round(
+            timings[case.baseline] / max(timings[row["backend"]], 1e-9), 2
+        )
+    speedup = timings[case.baseline] / max(timings[case.candidate], 1e-9)
+
+    # Bit-identity of the raw score matrices, on the benchmark instance itself.
+    matrices = []
+    for backend in backends:
+        engine = ScoringEngine(instance, execution=execution_for(case, backend))
+        matrices.append(engine.score_matrix(count=False))
+        engine.close()
+    identical = bool(np.array_equal(*matrices))
+    return rows, results, speedup, identical
+
+
+@pytest.mark.parametrize("case_id", list(CASES))
+def test_backend_speedup(benchmark, bench_scale, results_dir, case_id):
+    case = CASES[case_id]
+    scale = bench_scale if bench_scale in case.scales else "small"
+    rows, results, speedup, identical = run_once(benchmark, compare_backends, case_id, scale)
+    text = persist_rows(f"backends_{case_id}", rows, results_dir)
+    print("\n" + text)
+    print(
+        f"{case.candidate} speedup over {case.baseline}: {speedup:.2f}x "
+        f"({os.cpu_count()} CPUs)"
+    )
+
+    # The backends must be observationally identical …
+    baseline, candidate = results[case.baseline], results[case.candidate]
+    assert identical, f"{case.candidate} score matrix is not bit-identical to {case.baseline}"
+    assert baseline.schedule.as_dict() == candidate.schedule.as_dict()
+    assert baseline.utility == candidate.utility
+    assert baseline.counters == candidate.counters
+    # … and actually faster where the hardware allows it.
+    minimum = case.scales[scale][3]
+    if minimum is not None and (not case.pooled or (os.cpu_count() or 1) >= 2):
+        assert speedup >= minimum, (
+            f"{case.candidate} backend speedup {speedup:.2f}x below the {minimum}x "
+            f"floor over {case.baseline} at scale {scale!r} on {os.cpu_count()} CPUs"
+        )

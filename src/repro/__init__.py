@@ -51,19 +51,6 @@ from repro.core.execution import (
 from repro.core.instance import SESInstance
 from repro.core.schedule import Assignment, Schedule
 from repro.core.scoring import DEFAULT_BACKEND, ScoringEngine
-
-
-def __getattr__(name: str):
-    """Registry-backed ``SCORING_BACKENDS`` / ``BULK_BACKENDS`` re-exports.
-
-    Resolved on access (not snapshotted at import), so custom backends added
-    through :func:`register_backend` appear here too.
-    """
-    if name in ("SCORING_BACKENDS", "BULK_BACKENDS"):
-        from repro.core import execution
-
-        return getattr(execution, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from repro.algorithms.base import SchedulerResult
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.algorithms.alg import AlgScheduler
@@ -102,8 +89,6 @@ __all__ = [
     "available_plans",
     "register_backend",
     "register_plan",
-    "SCORING_BACKENDS",
-    "BULK_BACKENDS",
     "DEFAULT_BACKEND",
     "SchedulerResult",
     "available_schedulers",

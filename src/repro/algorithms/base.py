@@ -22,12 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.constraints import ConstraintChecker
 from repro.core.counters import ComputationCounter
 from repro.core.errors import SolverError
-from repro.core.execution import (
-    DEFAULT_BACKEND,
-    DEFAULT_PLAN,
-    ExecutionConfig,
-    merge_legacy_execution,
-)
+from repro.core.execution import DEFAULT_BACKEND, DEFAULT_PLAN, ExecutionConfig
 from repro.core.instance import SESInstance
 from repro.core.schedule import Schedule
 from repro.core.storage import DEFAULT_STORAGE
@@ -267,11 +262,6 @@ class BaseScheduler(ABC):
         per-row reductions are independent of block composition, a provider
         that patches only stale rows/columns stays bit-identical to a cold
         :meth:`~repro.core.scoring.ScoringEngine.score_matrix` call.
-    backend, chunk_size, workers:
-        .. deprecated:: PR 4
-           Legacy loose knobs, folded into ``execution`` with a
-           :class:`DeprecationWarning`.  Passing them together with
-           ``execution`` raises.
     """
 
     #: Registry name; subclasses override.
@@ -286,23 +276,13 @@ class BaseScheduler(ABC):
         execution: Optional[ExecutionConfig] = None,
         locked: Optional[Tuple[Tuple[int, int], ...]] = None,
         warm_grid: Optional[object] = None,
-        backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self._instance = instance
         self._counter = counter if counter is not None else ComputationCounter()
         if self._counter.num_users == 0:
             self._counter.num_users = instance.num_users
         self._seed = seed
-        execution = merge_legacy_execution(
-            execution,
-            backend=backend,
-            chunk_size=chunk_size,
-            workers=workers,
-            owner=type(self).__name__,
-        )
-        self._execution = execution.resolve(instance.num_users)
+        self._execution = (execution or ExecutionConfig()).resolve(instance.num_users)
         self._locked = self._validate_locked(locked)
         self._warm_grid = warm_grid
         self._engine: Optional[ScoringEngine] = None

@@ -20,7 +20,7 @@ from repro.algorithms.rand import RandScheduler
 from repro.algorithms.top import TopScheduler
 from repro.core.counters import ComputationCounter
 from repro.core.errors import SolverError
-from repro.core.execution import ExecutionConfig, merge_legacy_execution
+from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
 
 _REGISTRY: Dict[str, Type[BaseScheduler]] = {
@@ -86,9 +86,6 @@ def run_scheduler(
     counter: Optional[ComputationCounter] = None,
     execution: Optional[ExecutionConfig] = None,
     locked: Optional[Sequence[Tuple[int, int]]] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> SchedulerResult:
     """Instantiate and run a scheduler by name (one-call convenience helper).
 
@@ -96,17 +93,8 @@ def run_scheduler(
     (:class:`~repro.core.execution.ExecutionConfig`; ``None`` uses the library
     defaults).  ``locked`` pins assignments ``(event_index, interval_index)``
     into the schedule before the algorithm runs (see
-    :class:`~repro.algorithms.base.BaseScheduler`).  The legacy ``backend=`` /
-    ``chunk_size=`` / ``workers=`` keyword arguments still work but are
-    deprecated.
+    :class:`~repro.algorithms.base.BaseScheduler`).
     """
-    execution = merge_legacy_execution(
-        execution,
-        backend=backend,
-        chunk_size=chunk_size,
-        workers=workers,
-        owner="run_scheduler",
-    )
     scheduler_cls = get_scheduler(name)
     scheduler = scheduler_cls(
         instance,

@@ -8,23 +8,14 @@ terms, so duplicate rows mean duplicate arithmetic: if ``|U|`` users collapse
 to ``P`` distinct patterns, a block evaluation only needs ``P`` genuine
 columns and a cheap expansion.
 
-This module is the block-decomposition subsystem:
-
-* :func:`mine_interest_structure` finds the exact user equivalence classes —
-  users whose µ rows, σ rows and competing-interest rows are all identical —
-  via the chunked lexsort partition refinement of :mod:`repro.core.patterns`
-  (re-exported here).  Equivalent users receive identical per-user terms from
-  every kernel under *every* schedule: identical µ rows imply identical
-  scheduled sums forever, so the classes never need re-mining as the
-  schedule grows.
-* :func:`greedy_dense_blocks` optionally groups the classes further into
-  (near-)maximal dense blocks — bicliques of user classes × events in the
-  style of BBK's maximal-biclique enumeration (see PAPERS.md): classes with
-  identical candidate sets form exact maximal bicliques, and a greedy absorb
-  pass extends each event set with every class whose candidate set contains
-  it.  The blocks are an analysis artefact (reported through
-  :meth:`BlockedPlan.stats` and the block-decomposition benchmark); the
-  scoring fast path needs only the equivalence classes.
+This module is the block-decomposition subsystem.
+:func:`mine_interest_structure` finds the exact user equivalence classes —
+users whose µ rows, σ rows and competing-interest rows are all identical —
+via the chunked lexsort partition refinement of :mod:`repro.core.patterns`
+(re-exported here).  Equivalent users receive identical per-user terms from
+every kernel under *every* schedule: identical µ rows imply identical
+scheduled sums forever, so the classes never need re-mining as the schedule
+grows.
 
 The structure feeds two consumers: the engine's structural per-interval Φ
 bound (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`, one
@@ -44,7 +35,7 @@ combination.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -74,83 +65,6 @@ def mine_interest_structure(
     event_rows = build_event_rows(instance.interest.store, values)
     chunk = resolve_chunk_size(chunk_size, instance.num_users)
     return mine_structure(event_rows, sigma, comp, chunk)
-
-
-# --------------------------------------------------------------------------- #
-# BBK-style greedy dense blocks (optional, analysis artefact)
-# --------------------------------------------------------------------------- #
-class InterestBlock:
-    """One dense block: user classes fully interested in a common event set."""
-
-    __slots__ = ("classes", "events", "num_users")
-
-    def __init__(
-        self, classes: Tuple[int, ...], events: Tuple[int, ...], num_users: int
-    ) -> None:
-        self.classes = classes
-        self.events = events
-        self.num_users = num_users
-
-    @property
-    def area(self) -> int:
-        """Covered (user, event) cells — all of them non-zero by construction."""
-        return self.num_users * len(self.events)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"InterestBlock(classes={len(self.classes)}, "
-            f"events={len(self.events)}, users={self.num_users})"
-        )
-
-
-def greedy_dense_blocks(
-    instance: SESInstance,
-    structure: Optional[InterestStructure] = None,
-    *,
-    min_events: int = 1,
-) -> List[InterestBlock]:
-    """Group pattern classes into (near-)maximal dense bicliques, greedily.
-
-    Classes with identical candidate sets (the events their users are
-    interested in) form *exact* maximal bicliques; a greedy absorb pass in
-    BBK's spirit then extends each block's user side with every class whose
-    candidate set contains the block's event set — the result is a biclique
-    with a maximal user side for its event set.  Blocks are returned largest
-    covered area first; classes with fewer than ``min_events`` candidate
-    events are skipped.  Quadratic in the number of *distinct* candidate
-    sets (not users), which the mining already collapsed.
-    """
-    if structure is None:
-        structure = mine_interest_structure(instance)
-    store = instance.interest.store
-    signatures: List[frozenset] = []
-    for representative in structure.representatives:
-        row = store.row(int(representative))
-        signatures.append(frozenset(np.flatnonzero(row > 0.0).tolist()))
-
-    by_signature: Dict[frozenset, List[int]] = {}
-    for class_index, signature in enumerate(signatures):
-        if len(signature) < min_events:
-            continue
-        by_signature.setdefault(signature, []).append(class_index)
-
-    blocks: List[InterestBlock] = []
-    for signature in by_signature:
-        members = [
-            class_index
-            for class_index, candidate in enumerate(signatures)
-            if candidate >= signature
-        ]
-        covered = int(structure.counts[np.asarray(members, dtype=np.intp)].sum())
-        blocks.append(
-            InterestBlock(
-                classes=tuple(members),
-                events=tuple(sorted(signature)),
-                num_users=covered,
-            )
-        )
-    blocks.sort(key=lambda block: (-block.area, block.events))
-    return blocks
 
 
 # --------------------------------------------------------------------------- #
@@ -271,9 +185,7 @@ execution._BUILTIN_PLAN_NAMES.add(BlockedPlan.name)
 
 __all__ = [
     "BlockedPlan",
-    "InterestBlock",
     "InterestStructure",
-    "greedy_dense_blocks",
     "mine_interest_structure",
     "mine_structure",
 ]

@@ -3,9 +3,8 @@
 A stdlib-only (``ast`` + ``tokenize``) static-analysis pass that proves the
 ROADMAP's source-level invariants *before* any test runs: determinism of the
 core layers, the stdlib+NumPy dependency policy, lock discipline in the
-distributed layer, no deprecated execution-kwarg shims at internal call
-sites, counter discipline, and docstring/registry sync.  The design mirrors
-the execution layer one-to-one:
+distributed layer, counter discipline, and docstring/registry sync.  The
+design mirrors the execution layer one-to-one:
 
 * :class:`~repro.analysis.staticcheck.registry.Rule` +
   :func:`~repro.analysis.staticcheck.registry.register_rule` — a name

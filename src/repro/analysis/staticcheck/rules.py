@@ -8,8 +8,6 @@ suites can only catch *after* it breaks something:
 * ``broad-except`` — no silent error swallowing without a documented reason;
 * ``lock-discipline`` — shared state in the distributed layer is mutated
   under its lock, everywhere;
-* ``no-deprecated-shims`` — internal call sites use ``ExecutionConfig``, not
-  the pre-PR-4 loose kwargs;
 * ``counter-discipline`` — the paper's computation counters advance only
   through the canonical ``count_*`` helpers, so totals stay backend-exact;
 * ``no-mutable-default`` — the classic shared-default-object trap;
@@ -468,65 +466,6 @@ class LockDisciplineRule(Rule):
 
 
 @register_rule
-class NoDeprecatedShimsRule(Rule):
-    """Internal call sites must use ``ExecutionConfig``, not the legacy kwargs.
-
-    The ``backend=`` / ``chunk_size=`` / ``workers=`` loose knobs on the
-    scheduler/engine/harness entry points are ``DeprecationWarning`` shims
-    kept for external callers; inside the tree every call passes one
-    ``execution=ExecutionConfig(...)``.  The CI ``-W error::DeprecationWarning``
-    test leg proves the same property dynamically.
-    """
-
-    id = "no-deprecated-shims"
-    summary = (
-        "internal calls to the engine/scheduler/harness entry points pass "
-        "execution=ExecutionConfig(...), never the legacy "
-        "backend=/chunk_size=/workers= kwargs"
-    )
-    path_prefixes = ("src/repro/",)
-
-    LEGACY_KWARGS = frozenset({"backend", "chunk_size", "workers"})
-    SHIM_CALLEES = frozenset(
-        {
-            "ScoringEngine",
-            "BaseScheduler",
-            "run_algorithms",
-            "run_experiment_point",
-            "run_scheduler",
-            "scheduler_cls",
-        }
-    )
-
-    def _is_shim_entry_point(self, callee: Optional[str]) -> bool:
-        if callee is None:
-            return False
-        tail = callee.rsplit(".", 1)[-1]
-        return tail in self.SHIM_CALLEES or tail.endswith("Scheduler")
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not self._is_shim_entry_point(dotted_name(node.func)):
-                continue
-            legacy = sorted(
-                keyword.arg
-                for keyword in node.keywords
-                if keyword.arg in self.LEGACY_KWARGS
-            )
-            if legacy:
-                yield self.finding(
-                    context,
-                    node,
-                    f"deprecated execution kwargs {', '.join(legacy)} passed to "
-                    f"{dotted_name(node.func)}(); pass "
-                    "execution=ExecutionConfig(...) instead (the shims warn "
-                    "and will be removed)",
-                )
-
-
-@register_rule
 class CounterDisciplineRule(Rule):
     """Counter totals advance only through the canonical helpers.
 
@@ -861,7 +800,6 @@ __all__ = [
     "IMPORT_LAYERS",
     "ImportsPolicyRule",
     "LockDisciplineRule",
-    "NoDeprecatedShimsRule",
     "NoMutableDefaultRule",
     "NoNondeterminismRule",
     "WaiverDisciplineRule",

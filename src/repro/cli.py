@@ -382,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tools", "benchmarks"],
-        help="files/directories to scan (default: src tools benchmarks, "
+        default=["src", "tools", "benchmarks", "perfbench"],
+        help="files/directories to scan (default: src tools benchmarks perfbench, "
         "resolved from the current directory)",
     )
     lint.add_argument(

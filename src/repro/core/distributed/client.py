@@ -213,8 +213,11 @@ class ClusterBackend(ProcessBackend):
     def __init__(self, config: ExecutionConfig) -> None:
         super().__init__(config)
         self._links: Optional[List[_WorkerLink]] = None
-        self._fingerprint: Optional[str] = None
-        self._payload: Optional[Dict[str, object]] = None
+        #: ``(fingerprint, payload)``, built once by the first lane that
+        #: needs it and published as one tuple under ``_lock``: concurrent
+        #: lanes must never see a payload without its fingerprint.
+        self._ship: Optional[Tuple[str, Dict[str, object]]] = None
+        self._lock = threading.Lock()
         self._call_tokens = itertools.count()
         #: Per-address dispatch counters.  Keyed by address — not by link —
         #: so they survive reconnects and remain readable after close().
@@ -234,7 +237,7 @@ class ClusterBackend(ProcessBackend):
     # Instance shipping
     # ------------------------------------------------------------------ #
     def _instance_payload(self) -> Tuple[str, Dict[str, object]]:
-        """The instance ship payload, plus its fingerprint (computed once).
+        """The instance fingerprint and ship payload (computed once, thread-safe).
 
         Shaped by the instance's storage (see the protocol module): dense
         storage ships the precomputed event-major rows (``"arrays"``, exactly
@@ -243,29 +246,32 @@ class ClusterBackend(ProcessBackend):
         (``"file"``), fingerprinted by the file's bytes — chunk-read, never
         materialised — with :meth:`_csr_payload` as the byte-ship fallback
         when the worker answers :data:`ERROR_FILE_UNAVAILABLE`.
+
+        Lanes call this concurrently, and hashing a large buffer releases the
+        GIL, so the pair is built under ``_lock`` and published in one
+        assignment; the other lanes wait for it rather than hash again.
         """
-        if self._payload is None:
-            engine = self.engine
-            backing_file = engine.instance.backing_file
-            if engine._store.is_file_backed and backing_file is not None:
-                self._payload = {"kind": "file", "path": backing_file}
-                self._fingerprint = file_fingerprint(backing_file)
-            elif isinstance(engine._event_rows, DenseEventRows):
-                mu_rows, value_mu_rows = engine._event_rows.arrays
-                arrays = {
-                    "mu_rows": mu_rows,
-                    "value_mu_rows": value_mu_rows,
-                    "comp": np.ascontiguousarray(engine._comp),
-                    "sigma": np.ascontiguousarray(engine._sigma),
-                }
-                self._payload = {"kind": "arrays", "arrays": arrays}
-                self._fingerprint = instance_fingerprint(arrays)
-            else:
-                self._payload = self._csr_payload()
-                self._fingerprint = instance_fingerprint(
-                    self._payload["arrays"]  # type: ignore[arg-type]
-                )
-        return self._fingerprint, self._payload  # type: ignore[return-value]
+        with self._lock:
+            if self._ship is None:
+                self._ship = self._build_ship()
+            return self._ship
+
+    def _build_ship(self) -> Tuple[str, Dict[str, object]]:
+        engine = self.engine
+        backing_file = engine.instance.backing_file
+        if engine._store.is_file_backed and backing_file is not None:
+            return file_fingerprint(backing_file), {"kind": "file", "path": backing_file}
+        if isinstance(engine._event_rows, DenseEventRows):
+            mu_rows, value_mu_rows = engine._event_rows.arrays
+            arrays = {
+                "mu_rows": mu_rows,
+                "value_mu_rows": value_mu_rows,
+                "comp": np.ascontiguousarray(engine._comp),
+                "sigma": np.ascontiguousarray(engine._sigma),
+            }
+            return instance_fingerprint(arrays), {"kind": "arrays", "arrays": arrays}
+        payload = self._csr_payload()
+        return instance_fingerprint(payload["arrays"]), payload  # type: ignore[arg-type]
 
     def _csr_payload(self) -> Dict[str, object]:
         """The byte-ship form of a sparse/mmap instance (CSR arrays + statics)."""

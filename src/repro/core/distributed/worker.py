@@ -61,6 +61,11 @@ from repro.core.distributed.protocol import (
 )
 from repro.core.errors import DatasetError, InstanceValidationError, SolverError
 
+#: Ops whose first argument is the instance fingerprint keying the cache.
+_FINGERPRINT_OPS = frozenset(
+    {OP_HAS_INSTANCE, OP_PUT_INSTANCE, OP_SCORE_COLUMN, OP_SCORE_COLUMNS}
+)
+
 
 class FileUnavailableError(SolverError):
     """A ``{"kind": "file"}`` instance ship named a file this worker cannot map.
@@ -321,6 +326,12 @@ class WorkerServer:
                 "bytes_served": bytes_served,
             }
             return (STATUS_OK, payload), False
+        if op in _FINGERPRINT_OPS and not (
+            len(request) > 1 and isinstance(request[1], str)
+        ):
+            # The fingerprint keys the instance cache; anything but a str
+            # (e.g. None) could alias an unrelated instance's record.
+            return (STATUS_ERROR, f"malformed request: {op!r} needs a str fingerprint"), False
         if op == OP_HAS_INSTANCE:
             (fingerprint,) = request[1:]
             return (STATUS_OK, fingerprint in self._cache), False

@@ -53,7 +53,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -439,38 +438,6 @@ class ExecutionConfig:
     def create_plan(self) -> "ScoringPlan":
         """Instantiate the selected scoring plan (expects a resolved config)."""
         return get_plan(resolve_plan(self.plan, self.backend))()
-
-
-def merge_legacy_execution(
-    execution: Optional[ExecutionConfig],
-    *,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
-    owner: str = "this call",
-) -> ExecutionConfig:
-    """Fold the pre-ExecutionConfig loose kwargs into a config (deprecation shim).
-
-    The ``backend=`` / ``chunk_size=`` / ``workers=`` keyword arguments that
-    predate the execution layer keep working everywhere they used to, but emit
-    a :class:`DeprecationWarning`; passing them *together with* ``execution=``
-    is ambiguous and raises.  Call sites pass their own name as ``owner`` so
-    the warning points at the right API.
-    """
-    if backend is None and chunk_size is None and workers is None:
-        return execution if execution is not None else ExecutionConfig()
-    if execution is not None:
-        raise SolverError(
-            f"{owner} received both execution= and the legacy backend=/chunk_size=/"
-            "workers= arguments; pass every knob through execution=ExecutionConfig(...)"
-        )
-    warnings.warn(
-        f"passing backend=/chunk_size=/workers= to {owner} is deprecated; "
-        "pass execution=ExecutionConfig(backend=..., chunk_size=..., workers=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionConfig(backend=backend, chunk_size=chunk_size, workers=workers)
 
 
 # --------------------------------------------------------------------------- #
@@ -1273,21 +1240,6 @@ for _builtin in (ScalarBackend, BatchBackend, ThreadBackend, ProcessBackend, Clu
 del _builtin
 
 
-def __getattr__(name: str):
-    """Registry-backed views of the classic backend-name tuples.
-
-    ``SCORING_BACKENDS`` and ``BULK_BACKENDS`` predate the registry; they stay
-    importable (from here and from :mod:`repro.core.scoring`) and always
-    reflect the *current* registry contents, including custom backends
-    registered through :func:`register_backend`.
-    """
-    if name == "SCORING_BACKENDS":
-        return available_backends()
-    if name == "BULK_BACKENDS":
-        return tuple(n for n, cls in _BACKEND_REGISTRY.items() if cls.is_bulk)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DEFAULT_BACKEND",
     "DEFAULT_CHUNK_ELEMENTS",
@@ -1306,7 +1258,6 @@ __all__ = [
     "backend_catalog",
     "get_backend",
     "get_plan",
-    "merge_legacy_execution",
     "plan_catalog",
     "register_backend",
     "register_plan",
@@ -1321,6 +1272,4 @@ __all__ = [
     "resolve_workers",
     "resolve_workers_addr",
     "score_block_kernel",
-    "SCORING_BACKENDS",
-    "BULK_BACKENDS",
 ]

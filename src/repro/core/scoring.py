@@ -68,7 +68,6 @@ from repro.core.execution import (  # noqa: F401  (re-exported compatibility sur
     ExecutionBackend,
     ExecutionConfig,
     _guarded_divide,
-    merge_legacy_execution,
     resolve_backend,
     resolve_chunk_size,
     resolve_workers,
@@ -118,21 +117,6 @@ def build_event_rows(store: InterestStore, values: np.ndarray) -> EventRowSource
     return StoreEventRows(store, values)
 
 
-def __getattr__(name: str):
-    """Keep ``SCORING_BACKENDS`` / ``BULK_BACKENDS`` importable from here.
-
-    The tuples live in :mod:`repro.core.execution` now and are registry-backed
-    (custom backends registered via
-    :func:`~repro.core.execution.register_backend` appear automatically);
-    importing them from this module keeps working.
-    """
-    if name in ("SCORING_BACKENDS", "BULK_BACKENDS"):
-        from repro.core import execution
-
-        return getattr(execution, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class ScoringEngine:
     """Incremental evaluator of interval utilities and assignment scores.
 
@@ -159,11 +143,6 @@ class ScoringEngine:
         execution backend and its knobs (``None`` selects the library
         defaults).  Only affects how :meth:`interval_scores` /
         :meth:`score_matrix` compute their results — never the values.
-    backend, chunk_size, workers:
-        .. deprecated:: PR 4
-           Legacy loose knobs, folded into ``execution`` with a
-           :class:`DeprecationWarning`.  Passing them together with
-           ``execution`` raises.
     """
 
     def __init__(
@@ -172,22 +151,12 @@ class ScoringEngine:
         counter: Optional[ComputationCounter] = None,
         *,
         execution: Optional[ExecutionConfig] = None,
-        backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self._instance = instance
         self._counter = counter if counter is not None else ComputationCounter()
         if self._counter.num_users == 0:
             self._counter.num_users = instance.num_users
-        execution = merge_legacy_execution(
-            execution,
-            backend=backend,
-            chunk_size=chunk_size,
-            workers=workers,
-            owner="ScoringEngine",
-        )
-        self._execution = execution.resolve(instance.num_users)
+        self._execution = (execution or ExecutionConfig()).resolve(instance.num_users)
         self._backend_impl = self._execution.create_backend().bind(self)
 
         self._store = instance.interest.store

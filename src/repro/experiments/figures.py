@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algorithms.registry import PAPER_METHODS
 from repro.core.errors import ExperimentError
-from repro.core.execution import ExecutionConfig, merge_legacy_execution
+from repro.core.execution import ExecutionConfig
 from repro.experiments.harness import run_experiment_point
 from repro.experiments.metrics import MetricRecord, series_by_algorithm
 
@@ -195,9 +195,6 @@ def fig5(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 5: utility, computations and time as k grows.
 
@@ -207,9 +204,6 @@ def fig5(
     catches up with HOR.  A k larger than |E| simply schedules every candidate
     event (the paper's k = 500 with |E| = 300 behaves the same way).
     """
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="fig5"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="fig5",
@@ -253,14 +247,8 @@ def fig6(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 6: utility and time as |T| grows (k and |E| at their defaults)."""
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="fig6"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="fig6",
@@ -304,14 +292,8 @@ def fig7(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 7: utility and time as |E| grows (k < |T|, so HOR-I ≡ HOR)."""
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="fig7"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="fig7",
@@ -357,14 +339,8 @@ def fig8(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 8: time as |U| grows, for |T| = 3k/2 (panel a) and |T| ≈ 0.65k (panel b)."""
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="fig8"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="fig8",
@@ -422,14 +398,8 @@ def fig9(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 9: utility and time as the number of event locations varies (|T| ≈ 0.65k)."""
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="fig9"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="fig9",
@@ -481,14 +451,8 @@ def fig10a(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 10a: execution time in the horizontal algorithms' worst case (k mod |T| = 1)."""
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="fig10a"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="fig10a",
@@ -532,14 +496,8 @@ def fig10b(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 10b: assignments examined by ALG vs INC while varying k, |T| and |E|."""
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="fig10b"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="fig10b",
@@ -606,14 +564,8 @@ def ext_competing(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """§4.1 (omitted plot): effect of the number of competing events per interval."""
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="ext_competing"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="ext_competing",
@@ -656,14 +608,8 @@ def ext_resources(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> FigureResult:
     """§4.1 (omitted plot): effect of the organiser's available resources θ."""
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="ext_resources"
-    )
     resolved = get_scale(scale)
     result = FigureResult(
         figure_id="ext_resources",

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.algorithms.base import SchedulerResult
 from repro.algorithms.registry import PAPER_METHODS, get_scheduler
 from repro.core.errors import ExperimentError
-from repro.core.execution import ExecutionConfig, merge_legacy_execution
+from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
 from repro.core.validation import validate_solution
 from repro.datasets.builders import build_dataset
@@ -56,9 +56,6 @@ def run_algorithms(
     seed: Optional[int] = 0,
     validate: bool = True,
     execution: Optional[ExecutionConfig] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
     results: Optional[List[SchedulerResult]] = None,
 ) -> List[MetricRecord]:
     """Run a set of algorithms on one instance and return one record per run.
@@ -79,22 +76,11 @@ def run_algorithms(
         only differ in wall-clock time; the backend and worker count actually
         used are recorded in every record's params, so figure runs can
         compare backends.
-    backend, chunk_size, workers:
-        .. deprecated:: PR 4
-           Legacy loose knobs, folded into ``execution`` with a
-           :class:`DeprecationWarning`.
     results:
         Optional sink: when given, the full :class:`SchedulerResult` of every
         run is appended to it (same order as the returned records).  The CLI
         uses this to print schedules without re-running the schedulers.
     """
-    execution = merge_legacy_execution(
-        execution,
-        backend=backend,
-        chunk_size=chunk_size,
-        workers=workers,
-        owner="run_algorithms",
-    )
     names = list(algorithms) if algorithms is not None else list(PAPER_METHODS)
     if not names:
         raise ExperimentError("at least one algorithm name is required")
@@ -138,27 +124,16 @@ def run_experiment_point(
     seed: Optional[int] = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> List[MetricRecord]:
     """Build a named dataset and run the algorithms on it (one sweep point).
 
     ``params`` is stored on every record (it is the x-axis annotation of the
     figures); ``dataset_overrides`` are forwarded to the dataset builder;
-    ``execution`` to every scheduler (the loose ``backend``/``chunk_size``/
-    ``workers`` knobs are deprecated shims).  ``storage`` converts the built
+    ``execution`` to every scheduler.  ``storage`` converts the built
     instance to the named interest-matrix storage first (see
     :func:`apply_storage`); the storage actually used lands in every record's
     ``params["storage"]``.
     """
-    execution = merge_legacy_execution(
-        execution,
-        backend=backend,
-        chunk_size=chunk_size,
-        workers=workers,
-        owner="run_experiment_point",
-    )
     merged_params: Dict[str, object] = dict(params or {})
     merged_params.setdefault("k", k)
     with contextlib.ExitStack() as stack:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.execution import ExecutionConfig, merge_legacy_execution
+from repro.core.execution import ExecutionConfig
 from repro.experiments.figures import ALL_DATASETS, ExperimentScale, get_scale
 from repro.experiments.harness import run_experiment_point
 from repro.experiments.metrics import MetricRecord, group_records
@@ -74,9 +74,6 @@ def summary_sweep(
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-    backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
     utility_tolerance: float = 1e-9,
 ) -> SummaryStatistics:
     """Run the summary grid and compute the §4.2.8 aggregates.
@@ -87,9 +84,6 @@ def summary_sweep(
     to the named interest-matrix storage first (results are storage-invariant,
     so the aggregates are unchanged).
     """
-    execution = merge_legacy_execution(
-        execution, backend=backend, chunk_size=chunk_size, workers=workers, owner="summary_sweep"
-    )
     resolved = get_scale(scale)
     k = resolved.default_k
     regimes: List[Tuple[str, int, int]] = [

@@ -15,8 +15,8 @@ import pytest
 
 from repro.algorithms.registry import run_scheduler
 from repro.core.counters import ComputationCounter
-from repro.core.execution import ExecutionConfig
-from repro.core.scoring import SCORING_BACKENDS, ScoringEngine
+from repro.core.execution import ExecutionConfig, available_backends
+from repro.core.scoring import ScoringEngine
 
 from tests.conftest import make_random_instance
 
@@ -37,10 +37,10 @@ def test_counters_identical_across_backends(algorithm, config):
     instance = make_random_instance(**config)
     k = min(instance.num_events, 2 * instance.num_intervals)  # multi-round for HOR
     snapshots = {}
-    for backend in SCORING_BACKENDS:
+    for backend in available_backends():
         result = run_scheduler(algorithm, instance, k, execution=ExecutionConfig(backend=backend, workers=2))
         snapshots[backend] = result.counters
-    for backend in SCORING_BACKENDS[1:]:
+    for backend in available_backends()[1:]:
         assert snapshots["scalar"] == snapshots[backend], backend
     # The counters must actually have recorded work, or the comparison is vacuous.
     assert snapshots["batch"]["score_computations"] > 0
@@ -50,7 +50,7 @@ def test_counters_identical_across_backends(algorithm, config):
     assert snapshots["batch"]["assignments_generated"] > 0
 
 
-@pytest.mark.parametrize("backend", SCORING_BACKENDS)
+@pytest.mark.parametrize("backend", available_backends())
 def test_bulk_counting_matches_per_pair_counting(backend):
     """count_scores(n) must equal n count_score() calls, byte for byte."""
     instance = make_random_instance(seed=54, num_users=20, num_events=8, num_intervals=3)
@@ -72,13 +72,13 @@ def test_bulk_counting_matches_per_pair_counting(backend):
 def test_initial_vs_update_split_is_backend_invariant():
     instance = make_random_instance(seed=55, num_users=25, num_events=12, num_intervals=4)
     splits = {}
-    for backend in SCORING_BACKENDS:
+    for backend in available_backends():
         result = run_scheduler("INC", instance, 6, execution=ExecutionConfig(backend=backend, workers=2))
         splits[backend] = (
             result.counters["initial_computations"],
             result.counters["update_computations"],
         )
-    for backend in SCORING_BACKENDS[1:]:
+    for backend in available_backends()[1:]:
         assert splits["scalar"] == splits[backend], backend
     initial, _ = splits["batch"]
     assert initial == instance.num_events * instance.num_intervals

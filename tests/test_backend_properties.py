@@ -16,8 +16,7 @@ import pytest
 
 from repro.algorithms.registry import run_scheduler
 from repro.core.instance import SESInstance
-from repro.core.execution import ExecutionConfig
-from repro.core.scoring import SCORING_BACKENDS
+from repro.core.execution import ExecutionConfig, available_backends
 
 from tests.conftest import make_random_instance
 
@@ -44,7 +43,7 @@ RANDOM_SEEDS = [60, 61, 62, 63, 64]
 TIE_SEEDS = [70, 71, 72, 73, 74]
 
 
-@pytest.mark.parametrize("backend", SCORING_BACKENDS)
+@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("pair", EQUIVALENT_PAIRS, ids=lambda p: f"{p[0]}≡{p[1]}")
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_proposition_equivalences_on_random_instances(backend, pair, seed):
@@ -59,7 +58,7 @@ def test_proposition_equivalences_on_random_instances(backend, pair, seed):
     assert abs(result_first.utility - result_second.utility) <= TOLERANCE
 
 
-@pytest.mark.parametrize("backend", SCORING_BACKENDS)
+@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("pair", EQUIVALENT_PAIRS, ids=lambda p: f"{p[0]}≡{p[1]}")
 @pytest.mark.parametrize("seed", TIE_SEEDS)
 def test_proposition_equivalences_on_tie_heavy_instances(backend, pair, seed):
@@ -80,7 +79,7 @@ def test_tie_breaks_are_backend_invariant(seed):
     for algorithm in ("ALG", "INC", "HOR", "HOR-I", "TOP"):
         results = {
             backend: run_scheduler(algorithm, instance, k, execution=ExecutionConfig(backend=backend))
-            for backend in SCORING_BACKENDS
+            for backend in available_backends()
         }
         assert (
             results["scalar"].schedule.as_dict() == results["batch"].schedule.as_dict()

@@ -26,11 +26,7 @@ from tests.conftest import make_random_instance
 from repro.algorithms.hor_i import HorIScheduler
 from repro.algorithms.inc import IncScheduler
 from repro.algorithms.registry import run_scheduler
-from repro.analysis.blocks import (
-    BlockedPlan,
-    greedy_dense_blocks,
-    mine_interest_structure,
-)
+from repro.analysis.blocks import BlockedPlan, mine_interest_structure
 from repro.core.errors import SolverError
 from repro.core.execution import (
     ExecutionConfig,
@@ -368,39 +364,3 @@ class TestPlanRegistry:
             unregister_plan("tracing-test")
         with pytest.raises(SolverError, match="unknown scoring plan"):
             get_plan("tracing-test")
-
-
-# --------------------------------------------------------------------------- #
-# Greedy dense blocks (analysis artefact)
-# --------------------------------------------------------------------------- #
-class TestGreedyDenseBlocks:
-    def test_blocks_are_dense_and_sorted(self):
-        instance = duplicate_heavy_instance(num_users=200, num_patterns=12)
-        structure = mine_interest_structure(instance)
-        blocks = greedy_dense_blocks(instance, structure)
-        assert blocks, "no dense blocks mined from a duplicate-heavy instance"
-        areas = [block.area for block in blocks]
-        assert areas == sorted(areas, reverse=True)
-        store = instance.interest.store
-        for block in blocks[:5]:
-            events = set(block.events)
-            covered = 0
-            for class_index in block.classes:
-                representative = int(structure.representatives[class_index])
-                candidate = set(
-                    np.flatnonzero(store.row(representative) > 0.0).tolist()
-                )
-                # Density: every class in the block is interested in every
-                # block event.
-                assert events <= candidate
-                covered += int(structure.counts[class_index])
-            assert covered == block.num_users
-
-    def test_min_events_filters_sparse_classes(self):
-        instance = duplicate_heavy_instance(num_users=200, num_patterns=12)
-        unfiltered = greedy_dense_blocks(instance, min_events=1)
-        filtered = greedy_dense_blocks(
-            instance, min_events=instance.num_events + 1
-        )
-        assert len(filtered) <= len(unfiltered)
-        assert filtered == []

@@ -25,6 +25,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+import time
+from multiprocessing.connection import Client
 
 import numpy as np
 import pytest
@@ -36,6 +39,17 @@ from repro.core.distributed import (
     ClusterWorkerWarning,
     DEFAULT_CLUSTER_KEY,
     start_local_worker,
+)
+from repro.core.distributed import client as cluster_client
+from repro.core.distributed.protocol import (
+    OP_HAS_INSTANCE,
+    OP_PUT_INSTANCE,
+    OP_SCORE_COLUMNS,
+    OP_SHUTDOWN,
+    STATUS_ERROR,
+    STATUS_OK,
+    authkey_bytes,
+    parse_worker_address,
 )
 from repro.core.errors import SolverError
 from repro.core.execution import (
@@ -222,7 +236,7 @@ class TestEngineBitIdentity:
 # Failure tolerance
 # --------------------------------------------------------------------------- #
 class TestFailureTolerance:
-    def test_killed_worker_redispatches_to_survivor(self):
+    def test_killed_worker_redispatches_to_survivor(self, monkeypatch):
         first, second = start_local_worker(), start_local_worker()
         instance = make_random_instance(
             seed=220, num_users=30, num_events=18, num_intervals=6, num_competing=4
@@ -240,6 +254,25 @@ class TestFailureTolerance:
                 cluster.score_matrix(count=False), batch.score_matrix(count=False)
             )
             first.kill()
+            # Hold the survivor's sends until the dead link has failed:
+            # otherwise a fast survivor (or the local ship overlap) can drain
+            # the queue before the dead worker's lane ever uses its link.
+            dead_link_failed = threading.Event()
+            send_batch = ClusterBackend._send_batch
+            discard_link = ClusterBackend._discard_link
+
+            def gated_send(backend, state, link, batch):
+                if link.address == second.address:
+                    dead_link_failed.wait(timeout=30.0)
+                send_batch(backend, state, link, batch)
+
+            def observed_discard(backend, state, link, inflight, error):
+                discard_link(backend, state, link, inflight, error)
+                if link.address == first.address:
+                    dead_link_failed.set()
+
+            monkeypatch.setattr(ClusterBackend, "_send_batch", gated_send)
+            monkeypatch.setattr(ClusterBackend, "_discard_link", observed_discard)
             with pytest.warns(ClusterWorkerWarning, match="re-dispatching"):
                 resumed = cluster.score_matrix(count=False)
             assert np.array_equal(resumed, batch.score_matrix(count=False))
@@ -423,6 +456,70 @@ class TestFailureTolerance:
 
 
 # --------------------------------------------------------------------------- #
+# Instance fingerprints: the cache key must always travel with its payload
+# --------------------------------------------------------------------------- #
+class TestInstanceFingerprint:
+    def test_slow_fingerprint_never_scores_a_stale_instance(self, monkeypatch):
+        """Lanes racing the first fingerprint of each instance stay exact.
+
+        Hashing a large buffer releases the GIL, so a second lane can ask for
+        the ship payload while the first is still fingerprinting it.  The
+        sleep widens that window: every instance must still be scored
+        against its own matrices, never against an earlier same-shape one.
+        """
+        fingerprint = cluster_client.instance_fingerprint
+
+        def slow_fingerprint(arrays):
+            time.sleep(0.3)
+            return fingerprint(arrays)
+
+        monkeypatch.setattr(cluster_client, "instance_fingerprint", slow_fingerprint)
+        handles = [start_local_worker(), start_local_worker()]
+        try:
+            for seed in range(240, 244):
+                instance = make_random_instance(
+                    seed=seed, num_users=30, num_events=20, num_intervals=8
+                )
+                batch = ScoringEngine(
+                    instance, execution=ExecutionConfig(backend="batch", chunk_size=4)
+                )
+                cluster = ScoringEngine(instance, execution=_config(handles, chunk_size=4))
+                try:
+                    assert np.array_equal(
+                        cluster.score_matrix(count=False), batch.score_matrix(count=False)
+                    ), f"instance {seed} scored against a stale worker record"
+                finally:
+                    cluster.close()
+        finally:
+            for handle in handles:
+                handle.stop()
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            (OP_HAS_INSTANCE, None),
+            (OP_PUT_INSTANCE, None, {"kind": "file", "path": "/nonexistent.npz"}),
+            (OP_SCORE_COLUMNS, None, ()),
+            (OP_HAS_INSTANCE,),
+        ],
+        ids=["has", "put", "score", "missing"],
+    )
+    def test_worker_refuses_a_non_str_fingerprint(self, worker_pair, request_):
+        host, port = parse_worker_address(worker_pair[0].address)
+        connection = Client((host, port), authkey=authkey_bytes(None))
+        try:
+            connection.send(request_)
+            status, reply = connection.recv()
+            assert status == STATUS_ERROR
+            assert "fingerprint" in reply
+            # The link survives a refused request.
+            connection.send((OP_HAS_INSTANCE, "no-such-fingerprint"))
+            assert connection.recv() == (STATUS_OK, False)
+        finally:
+            connection.close()
+
+
+# --------------------------------------------------------------------------- #
 # Scheduler-level equivalence (schedules, utilities, counters)
 # --------------------------------------------------------------------------- #
 class TestSchedulerEquivalence:
@@ -551,15 +648,6 @@ class TestCliCluster:
                 )
             finally:
                 cluster.close()
-            from multiprocessing.connection import Client
-
-            from repro.core.distributed.protocol import (
-                OP_SHUTDOWN,
-                STATUS_OK,
-                authkey_bytes,
-                parse_worker_address,
-            )
-
             host, port = parse_worker_address(address)
             connection = Client((host, port), authkey=authkey_bytes(None))
             try:

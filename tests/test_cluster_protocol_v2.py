@@ -95,16 +95,20 @@ class _ThreadWorker(WorkerServer):
 
     ``delay`` sleeps before every score request (a slow machine);
     ``die_after`` drops the connection mid-run after that many served score
-    batches (a crash — once; reconnections serve normally);
+    batches (a crash — once; reconnections serve normally) and then sets
+    ``died``; ``gate`` holds every score request until that event is set
+    (bounded, so a broken script fails instead of hanging);
     ``break_scores`` answers every batch with a non-healable error payload.
     """
 
     def __init__(self, *, delay: float = 0.0, die_after=None, break_scores=False,
-                 port: int = 0) -> None:
+                 gate=None, port: int = 0) -> None:
         super().__init__(port=port)
         self.delay = delay
         self.die_after = die_after
         self.break_scores = break_scores
+        self.gate = gate
+        self.died = threading.Event()
         self.served_batches = 0
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
@@ -116,11 +120,14 @@ class _ThreadWorker(WorkerServer):
         ):
             if self.break_scores:
                 return (STATUS_ERROR, "injected-failure"), False
+            if self.gate is not None:
+                self.gate.wait(timeout=30.0)
             if self.delay:
                 time.sleep(self.delay)
             self.served_batches += 1
             if self.die_after is not None and self.served_batches > self.die_after:
                 self.die_after = None  # die once; reconnections serve normally
+                self.died.set()
                 raise SystemExit  # escapes the per-request handler: drops the link
         return super()._dispatch(request, selection)
 
@@ -463,14 +470,13 @@ class TestFailureModel:
         assert sorted(tuple(batch) for batch in state.pending) == [(0, 1, 2), (3, 4, 5)]
 
     def test_worker_death_mid_call_redispatches_and_stays_bit_identical(self):
-        # die_after=1: the lane pipelines two batches up front, so the worker
-        # always answers the first and drops the link on the second —
-        # deterministic death with a batch in flight.  The survivor is slowed
-        # too: with a zero-delay survivor the pending pool can drain before
-        # the mortal lane finishes its connect handshake, leaving the mortal
-        # worker a single batch and nothing in flight to die on.
-        mortal = _ThreadWorker(delay=0.005, die_after=1)
-        survivor = _ThreadWorker(delay=0.005)
+        # die_after=1: the worker answers its first batch and drops the link
+        # on the second.  The survivor serves nothing until that death, so
+        # it holds at most its in-flight window and the local ship overlap
+        # stops at the lanes' pipeline floor: the mortal lane always gets the
+        # two batches it needs to die on, however the threads are scheduled.
+        mortal = _ThreadWorker(die_after=1)
+        survivor = _ThreadWorker(gate=mortal.died)
         instance = make_random_instance(
             seed=607, num_users=12, num_events=10, num_intervals=30
         )

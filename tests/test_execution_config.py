@@ -4,14 +4,17 @@ The backend strategies' numerical behaviour is locked down by the equivalence
 suites; these tests cover the layer's *surface* — ``ExecutionConfig``
 resolution rules, the name→class registry and its ``register_backend()``
 extension hook (a new backend must be selectable everywhere by name with no
-further plumbing), and the CLI-facing catalogue.
+further plumbing), the CLI-facing catalogue, and the single ``execution=``
+entry path every public runner takes.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from repro.algorithms.registry import run_scheduler
+from repro.algorithms.registry import get_scheduler, run_scheduler
 from repro.cli import main
 from repro.core.errors import SolverError
 from repro.core.execution import (
@@ -25,9 +28,46 @@ from repro.core.execution import (
     resolve_backend,
     unregister_backend,
 )
-from repro.core.scoring import BULK_BACKENDS, SCORING_BACKENDS, ScoringEngine
+from repro.core.scoring import ScoringEngine
+from repro.experiments import figures
+from repro.experiments.harness import run_algorithms, run_experiment_point
+from repro.experiments.sweeps import summary_sweep
 
 from tests.conftest import make_random_instance
+
+
+#: Every public entry point that builds a scoring engine, with a call that
+#: reaches argument binding.  ``execution`` is their only execution knob.
+ENTRY_POINTS = {
+    "ScoringEngine": (ScoringEngine, lambda f, inst, **kw: f(inst, **kw)),
+    "BaseScheduler": (get_scheduler("ALG"), lambda f, inst, **kw: f(inst, **kw)),
+    "run_scheduler": (run_scheduler, lambda f, inst, **kw: f("ALG", inst, 2, **kw)),
+    "run_algorithms": (run_algorithms, lambda f, inst, **kw: f(inst, 2, **kw)),
+    "run_experiment_point": (
+        run_experiment_point,
+        lambda f, inst, **kw: f("unf", k=2, experiment_id="x", **kw),
+    ),
+    "summary_sweep": (summary_sweep, lambda f, inst, **kw: f("tiny", **kw)),
+    **{
+        name: (getattr(figures, name), lambda f, inst, **kw: f("tiny", **kw))
+        for name in (
+            "fig5", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b",
+            "ext_competing", "ext_resources",
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_takes_execution_config_only(name):
+    target, call = ENTRY_POINTS[name]
+    param = inspect.signature(target).parameters["execution"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY
+    assert param.default is None
+    instance = make_random_instance(num_users=10, num_events=3, num_intervals=2, seed=0)
+    for knob, value in (("backend", "batch"), ("chunk_size", 8), ("workers", 2)):
+        with pytest.raises(TypeError, match=knob):
+            call(target, instance, **{knob: value})
 
 
 class TestConfigResolution:
@@ -78,9 +118,8 @@ class TestConfigResolution:
 class TestRegistry:
     def test_builtins_registered_in_order(self):
         assert available_backends() == ("scalar", "batch", "parallel", "process", "cluster")
-        # The compatibility tuples are registry-backed views.
-        assert SCORING_BACKENDS == ("scalar", "batch", "parallel", "process", "cluster")
-        assert BULK_BACKENDS == ("batch", "parallel", "process", "cluster")
+        bulk = tuple(name for name in available_backends() if get_backend(name).is_bulk)
+        assert bulk == ("batch", "parallel", "process", "cluster")
 
     def test_get_backend_unknown_is_friendly(self):
         with pytest.raises(SolverError) as excinfo:
@@ -113,14 +152,7 @@ class TestRegistry:
         try:
             assert "custom-split" in available_backends()
             assert resolve_backend("custom-split") == "custom-split"
-            import repro
-            from repro.core import execution
-
-            assert "custom-split" in execution.SCORING_BACKENDS
-            assert "custom-split" in execution.BULK_BACKENDS
-            # The package-level re-exports are registry-backed views too.
-            assert "custom-split" in repro.SCORING_BACKENDS
-            assert "custom-split" in repro.BULK_BACKENDS
+            assert get_backend("custom-split").is_bulk
 
             instance = make_random_instance(
                 seed=131, num_users=20, num_events=12, num_intervals=3

@@ -23,10 +23,9 @@ import pytest
 from repro.algorithms.registry import run_scheduler
 from repro.core.counters import ComputationCounter
 from repro.core.errors import SolverError
-from repro.core.execution import ExecutionConfig
+from repro.core.execution import ExecutionConfig, available_backends
 from repro.core.scoring import (
     DEFAULT_CHUNK_ELEMENTS,
-    SCORING_BACKENDS,
     ScoringEngine,
     resolve_chunk_size,
 )
@@ -77,7 +76,7 @@ class TestRoundLevelEquivalence:
     """INC ≡ ALG and HOR-I ≡ HOR under every backend, counters backend-invariant."""
 
     @pytest.mark.parametrize("case", CASE_IDS)
-    @pytest.mark.parametrize("backend", SCORING_BACKENDS)
+    @pytest.mark.parametrize("backend", available_backends())
     def test_inc_matches_alg(self, case, backend):
         alg = _run_pair("ALG", case, backend=backend)
         inc = _run_pair("INC", case, backend=backend)
@@ -85,7 +84,7 @@ class TestRoundLevelEquivalence:
         assert inc.utility == alg.utility
 
     @pytest.mark.parametrize("case", CASE_IDS)
-    @pytest.mark.parametrize("backend", SCORING_BACKENDS)
+    @pytest.mark.parametrize("backend", available_backends())
     def test_hor_i_matches_hor(self, case, backend):
         hor = _run_pair("HOR", case, backend=backend)
         hor_i = _run_pair("HOR-I", case, backend=backend)
@@ -96,7 +95,7 @@ class TestRoundLevelEquivalence:
     @pytest.mark.parametrize("algorithm", ["INC", "HOR-I"])
     def test_counters_identical_across_backends(self, case, algorithm):
         scalar = _run_pair(algorithm, case, backend="scalar")
-        for backend in SCORING_BACKENDS[1:]:
+        for backend in available_backends()[1:]:
             bulk = _run_pair(algorithm, case, backend=backend, workers=2)
             assert bulk.schedule.as_dict() == scalar.schedule.as_dict(), backend
             assert bulk.utility == scalar.utility, backend
@@ -116,7 +115,7 @@ class TestRoundLevelEquivalence:
     def test_update_phase_is_exercised(self, algorithm):
         """The multi-round case must actually hit the refresh paths, or the
         equivalence assertions above are vacuous."""
-        for backend in SCORING_BACKENDS:
+        for backend in available_backends():
             result = _run_pair(algorithm, "multi_round", backend=backend)
             assert result.counters["update_computations"] > 0
 
@@ -124,7 +123,7 @@ class TestRoundLevelEquivalence:
 class TestRefreshScoresApi:
     """The engine's bulk stale-refresh entry point."""
 
-    @pytest.mark.parametrize("backend", SCORING_BACKENDS)
+    @pytest.mark.parametrize("backend", available_backends())
     def test_matches_per_pair_scores(self, backend):
         instance = make_random_instance(seed=80, num_events=12, num_intervals=4)
         engine = ScoringEngine(instance, execution=ExecutionConfig(backend=backend))
@@ -193,7 +192,7 @@ class TestResultPlumbing:
     """Backend provenance on results and records (the harness satellites)."""
 
     def test_summary_includes_backend(self, small_instance):
-        for backend in SCORING_BACKENDS:
+        for backend in available_backends():
             result = run_scheduler("TOP", small_instance, 3, execution=ExecutionConfig(backend=backend))
             assert result.backend == backend
             assert result.summary()["backend"] == backend

@@ -24,13 +24,8 @@ import pytest
 from repro.algorithms.registry import run_scheduler
 from repro.cli import main
 from repro.core.errors import SolverError
-from repro.core.execution import ExecutionConfig
-from repro.core.scoring import (
-    BULK_BACKENDS,
-    SCORING_BACKENDS,
-    ScoringEngine,
-    resolve_workers,
-)
+from repro.core.execution import ExecutionConfig, available_backends, get_backend
+from repro.core.scoring import ScoringEngine, resolve_workers
 from repro.experiments.harness import run_algorithms
 from repro.experiments.metrics import MetricRecord
 
@@ -108,7 +103,7 @@ class TestEngineBitIdentity:
     def test_counter_totals_match_batch(self):
         instance = make_random_instance(seed=93, num_users=12, num_events=9, num_intervals=3)
         totals = {}
-        for backend in BULK_BACKENDS:
+        for backend in (b for b in available_backends() if get_backend(b).is_bulk):
             engine = ScoringEngine(instance, execution=ExecutionConfig(backend=backend, chunk_size=2, workers=WORKERS))
             engine.score_matrix(initial=True)
             engine.interval_scores(0, [1, 2, 3], initial=False)
@@ -210,9 +205,9 @@ class TestSchedulerEquivalence:
                 k,
                 execution=ExecutionConfig(backend=backend, chunk_size=3, workers=WORKERS),
             )
-            for backend in SCORING_BACKENDS
+            for backend in available_backends()
         }
-        for backend in BULK_BACKENDS:
+        for backend in (b for b in results if get_backend(b).is_bulk):
             assert (
                 results[backend].schedule.as_dict() == results["scalar"].schedule.as_dict()
             ), backend

@@ -23,8 +23,8 @@ import pytest
 from repro.algorithms.registry import run_scheduler
 from repro.core.errors import SolverError
 from repro.core.instance import SESInstance
-from repro.core.execution import ExecutionConfig
-from repro.core.scoring import DEFAULT_BACKEND, SCORING_BACKENDS, ScoringEngine
+from repro.core.execution import ExecutionConfig, available_backends
+from repro.core.scoring import DEFAULT_BACKEND, ScoringEngine
 
 from tests.conftest import make_random_instance
 
@@ -156,10 +156,10 @@ def test_schedulers_identical_across_backends(algorithm, config):
     k = min(instance.num_events, instance.num_intervals + 2)
     results = {
         backend: run_scheduler(algorithm, instance, k, execution=ExecutionConfig(backend=backend, workers=2))
-        for backend in SCORING_BACKENDS
+        for backend in available_backends()
     }
     scalar = results["scalar"]
-    for backend in SCORING_BACKENDS[1:]:
+    for backend in available_backends()[1:]:
         other = results[backend]
         assert scalar.schedule.as_dict() == other.schedule.as_dict(), backend
         assert abs(scalar.utility - other.utility) <= TOLERANCE, backend
@@ -179,7 +179,7 @@ def test_backend_selection_surface():
 
 def test_score_matrix_counts_one_score_per_pair():
     instance = make_random_instance(seed=41, num_users=12, num_events=6, num_intervals=3)
-    for backend in SCORING_BACKENDS:
+    for backend in available_backends():
         engine = ScoringEngine(instance, execution=ExecutionConfig(backend=backend))
         engine.score_matrix(initial=True)
         counter = engine.counter
@@ -215,7 +215,7 @@ def _zero_denominator_instance() -> SESInstance:
     return SESInstance.from_arrays(interest=interest, activity=activity, name="zero-denominator")
 
 
-@pytest.mark.parametrize("backend", SCORING_BACKENDS)
+@pytest.mark.parametrize("backend", available_backends())
 def test_zero_denominator_users_contribute_zero(backend):
     instance = _zero_denominator_instance()
     engine = ScoringEngine(instance, execution=ExecutionConfig(backend=backend))
@@ -254,7 +254,7 @@ def test_zero_denominator_instance_schedules_identically(algorithm):
     instance = _zero_denominator_instance()
     results = {
         backend: run_scheduler(algorithm, instance, 2, execution=ExecutionConfig(backend=backend))
-        for backend in SCORING_BACKENDS
+        for backend in available_backends()
     }
     assert results["scalar"].schedule.as_dict() == results["batch"].schedule.as_dict()
     assert abs(results["scalar"].utility - results["batch"].utility) <= TOLERANCE

@@ -5,8 +5,8 @@ Every rule is exercised through paired good/bad fixture snippets under
 ``# lintpath: <relative path>`` header naming where the snippet virtually
 lives, so the path-scoped rules see realistic project layouts without the
 fixtures polluting the real tree.  The meta-test at the bottom holds the
-repository itself to its own standard: ``repro lint src tools benchmarks``
-must be clean, with at most 10 justified waivers.
+repository itself to its own standard: ``repro lint src tools benchmarks
+perfbench`` must be clean, with at most 10 justified waivers.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "staticcheck"
+REPO_LINT_PATHS = [REPO_ROOT / name for name in ("src", "tools", "benchmarks", "perfbench")]
 
 EXPECTED_RULES = (
     "no-nondeterminism",
     "imports-policy",
     "broad-except",
     "lock-discipline",
-    "no-deprecated-shims",
     "counter-discipline",
     "no-mutable-default",
     "docstring-backend-sync",
@@ -106,8 +106,8 @@ class TestFixtures:
         assert not missing, f"rules without fixtures: {sorted(missing)}"
 
     def test_bad_fixture_counts(self, tmp_path):
-        """Spot-check multiplicity: the shim fixture has exactly 4 call sites."""
-        report = lint_fixture(tmp_path, FIXTURES / "no-deprecated-shims" / "bad.py")
+        """Spot-check multiplicity: one finding per mutable default, not per function."""
+        report = lint_fixture(tmp_path, FIXTURES / "no-mutable-default" / "bad.py")
         assert len(report.findings) == 4
 
     def test_out_of_scope_placement_is_ignored(self, tmp_path):
@@ -311,19 +311,13 @@ class TestRepoIsClean:
     """The meta-test: the repository passes its own static analysis."""
 
     def test_repo_lints_clean(self):
-        report = run_lint(
-            [REPO_ROOT / "src", REPO_ROOT / "tools", REPO_ROOT / "benchmarks"],
-            root=REPO_ROOT,
-        )
+        report = run_lint(REPO_LINT_PATHS, root=REPO_ROOT)
         assert report.clean, "repo lint regressed:\n" + format_report(report)
         assert report.files_scanned > 50
 
     def test_repo_waiver_budget(self):
         """Waivers are an escape hatch, not a lifestyle: at most 10, all justified."""
-        report = run_lint(
-            [REPO_ROOT / "src", REPO_ROOT / "tools", REPO_ROOT / "benchmarks"],
-            root=REPO_ROOT,
-        )
+        report = run_lint(REPO_LINT_PATHS, root=REPO_ROOT)
         assert report.waivers <= 10, f"{report.waivers} waivers exceed the budget of 10"
 
     def test_repo_lint_via_cli_default_paths(self, capsys, monkeypatch):
