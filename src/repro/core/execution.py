@@ -1086,7 +1086,10 @@ class ScoringPlan:
 
     Subclasses implement :meth:`batch_block` against the engine's static and
     scheduled state; :meth:`prepare` runs once at bind time for per-instance
-    precomputation (structure mining).  Engines reach the plan through
+    precomputation (structure mining).  A plan may also supply the event-row
+    source the in-process bulk path iterates (:meth:`event_rows`), in which
+    case :meth:`batch_block` receives that source's blocks.  Engines reach
+    the plan through :meth:`ScoringEngine._select_event_rows` and
     :meth:`ScoringEngine._batch_block`, so the backends need no plan
     awareness at all.
     """
@@ -1133,6 +1136,25 @@ class ScoringPlan:
         mining twice.  ``None`` (the default) makes the engine mine lazily
         on first use — the miner is deterministic, so both routes yield the
         same decomposition and identical bound values.
+        """
+        return None
+
+    def pattern_matrix(self) -> Optional[np.ndarray]:
+        """The plan's cached ``(|E|, P)`` representative µ matrix, if any.
+
+        Shared with the structural Φ bound the same way as
+        :meth:`mined_structure`: the engine takes it instead of gathering
+        its own copy in a store pass.  ``None`` (the default) makes the
+        engine build it lazily under the same memory rule.
+        """
+        return None
+
+    def event_rows(self) -> Optional[EventRowSource]:
+        """The event-row source of the in-process bulk path (``None``: the engine's).
+
+        The process and cluster backends' remote workers always read the
+        engine's full rows; only in-process block evaluations — which run
+        :meth:`batch_block` — iterate the source returned here.
         """
         return None
 

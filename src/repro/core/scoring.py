@@ -117,6 +117,30 @@ def build_event_rows(store: InterestStore, values: np.ndarray) -> EventRowSource
     return StoreEventRows(store, values)
 
 
+def build_pattern_matrix(
+    event_rows: EventRowSource, structure: InterestStructure, chunk_size: int
+) -> Optional[np.ndarray]:
+    """The ``(|E|, P)`` matrix of representative µ columns, or ``None`` past the budget.
+
+    One streamed pass over ``event_rows`` (blocks of at most ``chunk_size``
+    events) gathers each block's representative columns.  The matrix is
+    only materialised while ``|E| · P`` fits
+    :data:`~repro.core.execution.DEFAULT_CHUNK_ELEMENTS` — the library's one
+    memory rule for it, a function of instance shape alone, so whether it
+    exists never depends on backend, storage or plan.
+    """
+    num_events = event_rows.num_rows
+    if structure.num_classes * num_events > DEFAULT_CHUNK_ELEMENTS:
+        return None
+    pattern_mu = np.empty((num_events, structure.num_classes), dtype=np.float64)
+    step = max(1, chunk_size)
+    for start in range(0, num_events, step):
+        stop = min(start + step, num_events)
+        mu_rows, _ = event_rows.block(start, stop)
+        pattern_mu[start:stop] = mu_rows[:, structure.representatives]
+    return pattern_mu
+
+
 class ScoringEngine:
     """Incremental evaluator of interval utilities and assignment scores.
 
@@ -445,10 +469,17 @@ class ScoringEngine:
         return self.interval_scores(interval_index, event_indices, initial=False, count=count)
 
     def _select_event_rows(self, events: Optional[np.ndarray]) -> EventRowSource:
-        """The event-major row source for a selection (``None`` = all events)."""
+        """The event-major row source for a selection (``None`` = all events).
+
+        The active plan's source when it supplies one (the ``blocked`` plan's
+        pattern-space rows), otherwise the engine's full rows.
+        """
+        source = self._plan_impl.event_rows()
+        if source is None:
+            source = self._event_rows
         if events is None:
-            return self._event_rows
-        return self._event_rows.select(events)
+            return source
+        return source.select(events)
 
     def _batch_block(
         self, interval_index: int, mu_rows: np.ndarray, value_mu_rows: np.ndarray
@@ -512,55 +543,58 @@ class ScoringEngine:
         return float(self._score_noise_tol[interval_index])
 
     def _ensure_bound_statics(self) -> None:
-        """Static inputs of :meth:`interval_score_bound` (one streamed pass, lazy).
+        """Static inputs of :meth:`interval_score_bound` (at most one streamed pass, lazy).
 
-        Per-user statics: ``max_value_mu[u] = max_e value_e · µ_{u,e}`` caps
-        the value-weighted interest any single candidate event can add for
-        user ``u``; ``max_value[u] = max {value_e : µ_{u,e} > 0}`` caps the
-        per-user attendance value outright.  Both are exact maxima (max is
-        rounding free), streamed over event blocks under the chunk-size
-        memory guard, so they are identical across backends, storages and
-        chunkings.
+        Per-user statics: ``max_value[u] = max {value_e : µ_{u,e} > 0}`` caps
+        the per-user attendance value outright; the per-user fallback tier
+        also needs ``max_value_mu[u] = max_e value_e · µ_{u,e}``, the
+        value-weighted interest any single candidate event can add for user
+        ``u``.  Both are exact maxima (max is rounding free), so they are
+        identical across backends, storages and chunkings.
 
         Structural statics: the interest-pattern equivalence classes
-        (:func:`~repro.core.patterns.mine_structure`, reused from the active
-        plan when it already mined them) and the ``(|E|, P)`` pattern matrix
-        of ``value·µ`` representative columns, which turn the bound's
-        per-user event maximum into a *per-event* sum over patterns — far
-        tighter (see :meth:`interval_score_bound`).  The pattern matrix is
-        only materialised while ``|E| · P`` fits the library's chunk memory
-        budget; past it the bound falls back to the per-user cap, a
-        deterministic rule (it depends only on instance shape), so bound
-        values never depend on backend, storage or plan.
+        (:func:`~repro.core.patterns.mine_structure`) and the ``(|E|, P)``
+        pattern matrix of representative µ columns
+        (:func:`build_pattern_matrix`), both reused from the active plan when
+        it already has them.  The matrix turns the bound's per-user event
+        maximum into a *per-event* sum over patterns — far tighter (see
+        :meth:`interval_score_bound`) — and yields ``max_value`` without a
+        store pass: equivalent users share their µ row, so the per-pattern
+        maximum expanded by class label is the per-user one.  Past the
+        matrix's memory budget the bound falls back to the per-user cap,
+        streamed over the store; the rule depends only on instance shape, so
+        bound values never depend on backend, storage or plan.
         """
         if self._bound_ready:
             return
-        num_users = self._instance.num_users
-        num_events = self._instance.num_events
-        max_value_mu = np.zeros(num_users, dtype=np.float64)
-        max_value = np.zeros(num_users, dtype=np.float64)
+        chunk_size = self._execution.chunk_size
         source = self._event_rows
         if source is None:
             source = build_event_rows(self._store, self._values)
         structure = self._plan_impl.mined_structure()
         if structure is None:
-            structure = mine_structure(
-                source, self._sigma, self._comp, self._execution.chunk_size
-            )
-        pattern_mu: Optional[np.ndarray] = None
-        if structure.num_classes * num_events <= DEFAULT_CHUNK_ELEMENTS:
-            pattern_mu = np.empty((num_events, structure.num_classes), dtype=np.float64)
-        step = max(1, self._execution.chunk_size)
-        for start in range(0, num_events, step):
-            stop = min(start + step, num_events)
-            mu_rows, value_mu_rows = source.block(start, stop)
-            np.maximum(max_value_mu, value_mu_rows.max(axis=0), out=max_value_mu)
-            block_values = np.where(
-                mu_rows > 0.0, self._values[start:stop, np.newaxis], 0.0
-            )
-            np.maximum(max_value, block_values.max(axis=0), out=max_value)
-            if pattern_mu is not None:
-                pattern_mu[start:stop] = mu_rows[:, structure.representatives]
+            structure = mine_structure(source, self._sigma, self._comp, chunk_size)
+        pattern_mu = self._plan_impl.pattern_matrix()
+        if pattern_mu is None:
+            pattern_mu = build_pattern_matrix(source, structure, chunk_size)
+        max_value_mu: Optional[np.ndarray] = None
+        if pattern_mu is not None:
+            pattern_values = np.where(pattern_mu > 0.0, self._values[:, np.newaxis], 0.0)
+            max_value = pattern_values.max(axis=0, initial=0.0)[structure.labels]
+        else:
+            num_users = self._instance.num_users
+            num_events = self._instance.num_events
+            max_value_mu = np.zeros(num_users, dtype=np.float64)
+            max_value = np.zeros(num_users, dtype=np.float64)
+            step = max(1, chunk_size)
+            for start in range(0, num_events, step):
+                stop = min(start + step, num_events)
+                mu_rows, value_mu_rows = source.block(start, stop)
+                np.maximum(max_value_mu, value_mu_rows.max(axis=0), out=max_value_mu)
+                block_values = np.where(
+                    mu_rows > 0.0, self._values[start:stop, np.newaxis], 0.0
+                )
+                np.maximum(max_value, block_values.max(axis=0), out=max_value)
         self._bound_max_value_mu = max_value_mu
         self._bound_max_value = max_value
         self._bound_structure = structure

@@ -9,7 +9,9 @@ Four contracts of the structure-exploiting scoring work:
 * **The blocked plan is bit-identical** — schedules, utilities, scores and
   counter totals match the ``direct`` reference, including on instances
   large enough that NumPy's pairwise-summation tree would expose a
-  wrong-layout expansion (the regression behind the ``take()`` gather);
+  wrong-layout expansion (the regression behind the ``take()`` gather), on
+  every storage, and with the pattern matrix cached or streamed; once the
+  engine is built it densifies no store block;
 * **The structural Φ bound is sound** — it never under-estimates the best
   score of its interval, under a fresh engine and after assignments, so the
   INC/HOR-I interval skips cannot change one scheduled assignment;
@@ -26,7 +28,7 @@ from tests.conftest import make_random_instance
 from repro.algorithms.hor_i import HorIScheduler
 from repro.algorithms.inc import IncScheduler
 from repro.algorithms.registry import run_scheduler
-from repro.analysis.blocks import BlockedPlan, mine_interest_structure
+from repro.analysis.blocks import BlockedPlan, PatternEventRows, mine_interest_structure
 from repro.core.errors import SolverError
 from repro.core.execution import (
     ExecutionConfig,
@@ -38,7 +40,13 @@ from repro.core.execution import (
     unregister_plan,
 )
 from repro.core.instance import SESInstance
-from repro.core.scoring import ScoringEngine, build_static_arrays
+from repro.core.scoring import (
+    ScoringEngine,
+    build_event_rows,
+    build_pattern_matrix,
+    build_static_arrays,
+)
+from repro.core.storage import StoreEventRows
 
 SCHEDULERS = ("ALG", "INC", "HOR", "HOR-I", "TOP")
 
@@ -90,6 +98,12 @@ def execution_for(plan: str, backend: str = "batch") -> ExecutionConfig:
     return ExecutionConfig(backend=backend, plan=plan, chunk_size=7)
 
 
+def convert(instance: SESInstance, storage: str, directory) -> SESInstance:
+    """The instance under ``storage`` (mmap spills into ``directory``)."""
+    kwargs = {"directory": directory} if storage == "mmap" else {}
+    return instance.with_storage(storage, **kwargs)
+
+
 # --------------------------------------------------------------------------- #
 # Mining
 # --------------------------------------------------------------------------- #
@@ -134,8 +148,7 @@ class TestMining:
     def test_mining_is_storage_invariant(self, storage, tmp_path):
         instance = duplicate_heavy_instance()
         reference = mine_interest_structure(instance)
-        kwargs = {"directory": tmp_path} if storage == "mmap" else {}
-        converted = instance.with_storage(storage, **kwargs)
+        converted = convert(instance, storage, tmp_path)
         mined = mine_interest_structure(converted)
         assert np.array_equal(mined.labels, reference.labels)
 
@@ -198,19 +211,129 @@ class TestBlockedPlanExactness:
         assert direct.plan == "direct"
 
     @pytest.mark.parametrize("storage", ["sparse", "mmap"])
-    def test_blocked_plan_bit_identical_across_storages(self, storage, tmp_path):
+    @pytest.mark.parametrize("backend", ["batch", "parallel"])
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_blocked_plan_bit_identical_across_storages(
+        self, scheduler, backend, storage, tmp_path
+    ):
+        """Blocked on sparse/mmap equals direct on dense storage."""
         instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
-        kwargs = {"directory": tmp_path} if storage == "mmap" else {}
-        converted = instance.with_storage(storage, **kwargs)
+        converted = convert(instance, storage, tmp_path)
         dense_direct = run_scheduler(
-            "HOR", instance, 4, execution=execution_for("direct")
+            scheduler, instance, 4, execution=execution_for("direct", backend)
         )
         other_blocked = run_scheduler(
-            "HOR", converted, 4, execution=execution_for("blocked")
+            scheduler, converted, 4, execution=execution_for("blocked", backend)
         )
         assert other_blocked.schedule.as_dict() == dense_direct.schedule.as_dict()
         assert other_blocked.utility == dense_direct.utility
         assert other_blocked.counters == dense_direct.counters
+
+    def test_interval_scores_with_unsorted_selector_on_mmap(self, tmp_path):
+        """The INC/HOR-I refresh path: an explicit, unsorted event subset."""
+        instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
+        mmap_blocked = ScoringEngine(
+            convert(instance, "mmap", tmp_path), execution=execution_for("blocked")
+        )
+        dense_direct = ScoringEngine(instance, execution=execution_for("direct"))
+        selector = [17, 3, 29, 0, 11, 8, 22, 5, 14, 26, 1]
+        for engine in (mmap_blocked, dense_direct):
+            engine.apply(4, 0)
+            engine.apply(9, 2)
+        for interval_index in range(instance.num_intervals):
+            expected = dense_direct.interval_scores(interval_index, selector, count=False)
+            assert np.array_equal(
+                mmap_blocked.interval_scores(interval_index, selector, count=False),
+                expected,
+            )
+            assert np.array_equal(
+                mmap_blocked.refresh_scores(interval_index, selector, count=False),
+                expected,
+            )
+
+    @pytest.mark.parametrize("storage", ["dense", "mmap"])
+    def test_over_budget_pattern_matrix_streams_store_blocks(
+        self, storage, tmp_path, monkeypatch
+    ):
+        """Past the memory budget the plan gathers per block — same results."""
+        from repro.core import scoring
+
+        instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
+        num_classes = mine_interest_structure(instance).num_classes
+        monkeypatch.setattr(
+            scoring, "DEFAULT_CHUNK_ELEMENTS", instance.num_events * num_classes - 1
+        )
+        converted = convert(instance, storage, tmp_path)
+        engine = ScoringEngine(converted, execution=execution_for("blocked"))
+        plan = engine.scoring_plan
+        assert plan.pattern_matrix() is None
+        assert plan.event_rows() is not None
+        direct = ScoringEngine(instance, execution=execution_for("direct"))
+        assert np.array_equal(
+            engine.score_matrix(count=False), direct.score_matrix(count=False)
+        )
+        # The Φ bound falls back to its per-user tier under either plan, so
+        # INC/HOR-I counters (interval skips included) still match.
+        for scheduler in ("INC", "HOR-I", "TOP"):
+            blocked = run_scheduler(
+                scheduler, converted, 4, execution=execution_for("blocked")
+            )
+            reference = run_scheduler(
+                scheduler, instance, 4, execution=execution_for("direct")
+            )
+            assert blocked.schedule.as_dict() == reference.schedule.as_dict()
+            assert blocked.utility == reference.utility
+            assert blocked.counters == reference.counters
+
+    def test_mmap_blocked_densifies_no_store_block_after_construction(
+        self, tmp_path, monkeypatch
+    ):
+        """Bulk scoring and the Φ bound read the cached pattern matrix only."""
+        instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
+        engine = ScoringEngine(
+            convert(instance, "mmap", tmp_path), execution=execution_for("blocked")
+        )
+        densified = []
+        original = StoreEventRows.block
+
+        def counting_block(self, start, stop):
+            densified.append((start, stop))
+            return original(self, start, stop)
+
+        monkeypatch.setattr(StoreEventRows, "block", counting_block)
+        engine.score_matrix(count=False)
+        engine.interval_scores(1, count=False)
+        engine.interval_scores(2, [9, 1, 5], count=False)
+        engine.interval_score_bound(0)
+        engine.apply(3, 0)
+        engine.refresh_scores(0, [7, 2], count=False)
+        assert densified == []
+
+    def test_pattern_rows_match_full_rows_representative_columns(self, tmp_path):
+        """Cached and streamed pattern rows hold the full rows' elements."""
+        instance = duplicate_heavy_instance(num_users=200, num_patterns=10)
+        mmap_instance = convert(instance, "mmap", tmp_path)
+        comp, sigma, values, _ = build_static_arrays(mmap_instance)
+        full = build_event_rows(mmap_instance.interest.store, values)
+        structure = mine_interest_structure(mmap_instance)
+        reps = structure.representatives
+        cached = PatternEventRows(
+            build_pattern_matrix(full, structure, 4), full, reps, values
+        )
+        streamed = PatternEventRows(None, full, reps, values)
+        selector = np.array([12, 0, 7, 7, 21])
+        for source, expected in (
+            (cached, full),
+            (streamed, full),
+            (cached.select(selector), full.select(selector)),
+            (streamed.select(selector), full.select(selector)),
+        ):
+            assert source.num_rows == expected.num_rows
+            for start, stop in ((0, 3), (2, source.num_rows)):
+                mu_rows, value_mu_rows = source.block(start, stop)
+                full_mu, full_value_mu = expected.block(start, stop)
+                assert np.array_equal(mu_rows, full_mu[:, reps])
+                assert np.array_equal(value_mu_rows, full_value_mu[:, reps])
 
     def test_degenerate_structure_falls_back_to_direct(self):
         """All-distinct users: the plan detects the identity decomposition."""
