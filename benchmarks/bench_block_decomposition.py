@@ -20,11 +20,12 @@ Two measurements:
   block.  The speedup floor below is asserted on the dense rows at the
   ``small``/``default`` scales; the mmap rows are bit-identity checks with
   their timings reported, not gated.
-* **Φ bound tightening** — INC and HOR-I with the structural per-interval
-  bound on (the default) vs. off.  The bound is sound, so schedules and
-  utilities are identical; the measured win is the drop in score
-  computations plus the ``phi_bound_interval_skips`` counter showing whole
-  intervals skipped without evaluation.
+* **Φ bound tightening** — INC with the structural per-interval bound on
+  (the default) vs. off, with the wall-clock of each.  The bound is sound,
+  so schedules and utilities are identical; the measured win is the drop
+  in score computations plus the ``phi_bound_interval_skips`` counter
+  showing whole intervals skipped without evaluation.  (HOR-I does not
+  consult the bound.)
 
 Scales (``REPRO_BENCH_SCALE``), as
 ``(num_users, num_patterns, num_events, num_intervals, k, min_speedup)``:
@@ -48,7 +49,6 @@ import time
 
 import numpy as np
 
-from repro.algorithms.hor_i import HorIScheduler
 from repro.algorithms.inc import IncScheduler
 from repro.algorithms.top import TopScheduler
 from repro.analysis.blocks import mine_interest_structure
@@ -169,47 +169,39 @@ def compare_plans(scale: str):
     reference = matrices["dense", "direct"]
     identical = all(np.array_equal(reference, matrix) for matrix in matrices.values())
 
-    # Φ bound tightening: INC / HOR-I with the structural interval bound on
-    # (default) vs off, on the same duplicate-heavy instance.
-    bound_rows = []
-    for name, cls in (("INC", IncScheduler), ("HOR-I", HorIScheduler)):
-        per_mode = {}
-        for bounded in (False, True):
-            scheduler = cls(
-                instance,
-                execution=execution_for("blocked"),
-                use_interval_bounds=bounded,
-            )
-            started = time.perf_counter()
-            result = scheduler.schedule(k)
-            per_mode[bounded] = (time.perf_counter() - started, result)
-        (off_sec, off_result), (on_sec, on_result) = per_mode[False], per_mode[True]
-        assert on_result.schedule.as_dict() == off_result.schedule.as_dict()
-        assert on_result.utility == off_result.utility
-        computations_off = off_result.score_computations
-        computations_on = on_result.score_computations
-        bound_rows.append(
-            {
-                "scale": scale,
-                "scheduler": name,
-                "k": k,
-                "time_off_sec": round(off_sec, 4),
-                "time_on_sec": round(on_sec, 4),
-                "score_computations_off": computations_off,
-                "score_computations_on": computations_on,
-                "computations_saved_pct": round(
-                    100.0 * (1.0 - computations_on / max(computations_off, 1)), 1
-                ),
-                # ``bump()``ed counters live under the ``extra.`` prefix of
-                # the snapshot.
-                "interval_skips": on_result.counters.get(
-                    "extra.phi_bound_interval_skips", 0
-                ),
-                "bound_evaluations": on_result.counters.get(
-                    "extra.phi_bound_evaluations", 0
-                ),
-            }
+    # Φ bound tightening: INC with the structural interval bound on (default)
+    # vs off, on the same duplicate-heavy instance.
+    per_mode = {}
+    for bounded in (False, True):
+        scheduler = IncScheduler(
+            instance, execution=execution_for("blocked"), use_interval_bounds=bounded
         )
+        started = time.perf_counter()
+        result = scheduler.schedule(k)
+        per_mode[bounded] = (time.perf_counter() - started, result)
+    (off_sec, off_result), (on_sec, on_result) = per_mode[False], per_mode[True]
+    assert on_result.schedule.as_dict() == off_result.schedule.as_dict()
+    assert on_result.utility == off_result.utility
+    computations_off = off_result.score_computations
+    computations_on = on_result.score_computations
+    bound_rows = [
+        {
+            "scale": scale,
+            "scheduler": "INC",
+            "k": k,
+            "time_off_sec": round(off_sec, 4),
+            "time_on_sec": round(on_sec, 4),
+            "score_computations_off": computations_off,
+            "score_computations_on": computations_on,
+            "computations_saved_pct": round(
+                100.0 * (1.0 - computations_on / max(computations_off, 1)), 1
+            ),
+            # ``bump()``ed counters live under the ``extra.`` prefix of the
+            # snapshot.
+            "interval_skips": on_result.counters.get("extra.phi_bound_interval_skips", 0),
+            "bound_evaluations": on_result.counters.get("extra.phi_bound_evaluations", 0),
+        }
+    ]
 
     stats = {
         "num_classes": structure.num_classes,

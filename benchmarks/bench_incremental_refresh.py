@@ -17,6 +17,10 @@ Both backends must produce identical schedules, utilities and counters —
 the benchmark asserts it — so the ratio of the differences is a pure
 wall-clock comparison of the refresh implementation.
 
+INC runs with ``use_interval_bounds=False``: on this unstructured instance
+its structural Φ bound soundly skips every refresh walk, which would leave
+no refresh work to time.
+
 Scales (``REPRO_BENCH_SCALE``):
 
 * ``tiny``  — 120 events × 12 intervals × 60 users (CI quick mode);
@@ -36,6 +40,10 @@ from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
 
 from benchmarks.conftest import persist_rows, run_once
+
+#: Scheduler options per algorithm: INC's structural bound is off so that
+#: its refresh walks run (the bound skips all of them on this instance).
+OPTIONS = {"INC": {"use_interval_bounds": False}, "HOR-I": {}}
 
 #: (num_events, num_intervals, num_users, minimum accepted refresh speedup).
 REFRESH_SCALES = {
@@ -59,7 +67,7 @@ def time_run(algorithm: str, instance: SESInstance, k: int, backend: str, repeti
     best_elapsed, result = float("inf"), None
     for _ in range(repetitions):
         scheduler = get_scheduler(algorithm)(
-            instance, execution=ExecutionConfig(backend=backend)
+            instance, execution=ExecutionConfig(backend=backend), **OPTIONS[algorithm]
         )
         started = time.perf_counter()
         result = scheduler.schedule(k)

@@ -34,17 +34,13 @@ replaces the former ``pop(0)`` + ``bisect.insort`` bookkeeping (O(n) per
 dropped head, quadratic over a run) with a cursor over the sorted list plus a
 heap of freshly resolved entries, merged back once per call.
 
-During the selection phase the engine's *structural* per-interval bound
-(:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`) provides an
-extra pruning layer on top of the stale-score bounds: an open interval whose
-structural bound is safely below the best candidate found so far in the
-sweep cannot produce a better top, so its lazy head resolution is skipped
-outright.  The bound is sound and identical across scoring backends,
-storage tiers and scoring plans, so schedules, utilities, scores and
-counter totals remain bit-identical across those axes — only the number of
-score recomputations drops.  Construct the scheduler with
-``use_interval_bounds=False`` to disable the structural check (the
-benchmark baseline).
+Pruning uses the stale scores only, as in the paper.  The engine's
+structural per-interval Φ bound
+(:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`), which INC
+consults, is not used here: on every instance measured it never saved a
+score computation in HOR-I's selection sweep, while evaluating it (and
+mining the structure behind it) took over a third of HOR-I's time on an
+unstructured instance.
 """
 
 from __future__ import annotations
@@ -60,14 +56,6 @@ class HorIScheduler(BaseScheduler):
     """Horizontal Assignment with Incremental Updating (HOR-I)."""
 
     name = "HOR-I"
-
-    def __init__(self, *args, use_interval_bounds: bool = True, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Apply the engine's structural per-interval score bound to skip the
-        #: lazy head resolution of hopeless intervals during selection.
-        #: Sound, so the schedule is unchanged; disabling it only serves as
-        #: the benchmark baseline.
-        self._use_interval_bounds = bool(use_interval_bounds)
 
     def _run(self, k: int) -> Schedule:
         instance = self.instance
@@ -107,22 +95,6 @@ class HorIScheduler(BaseScheduler):
                 best_interval = -1
                 for interval_index in range(num_intervals):
                     if closed[interval_index]:
-                        continue
-                    if (
-                        best is not None
-                        and self._use_interval_bounds
-                        and self.engine.interval_score_bound(interval_index)
-                        < best.score
-                        - 4.0 * self.engine.score_noise_tolerance(interval_index)
-                    ):
-                        # Structural bound caps every fresh score in this
-                        # interval, so its top — exact once resolved — cannot
-                        # beat the sweep's current best.  The 4× noise margin
-                        # keeps every potential tie candidate inside the
-                        # resolved set, so the tie-break (and the schedule)
-                        # is unchanged; only the lazy resolution work is
-                        # saved.
-                        counter.bump("phi_bound_interval_skips")
                         continue
                     entry = self._interval_top(interval_index, lists, schedule)
                     if entry is None:

@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, User
 from repro.core.errors import InstanceValidationError
 from repro.core.interest import InterestMatrix
+from repro.core.storage import require_unit_interval
 
 
 @dataclass
@@ -124,11 +125,7 @@ class SESInstance:
                 f"activity matrix shape {self.activity.shape} does not match "
                 f"({num_users} users, {num_intervals} intervals)"
             )
-        if self.activity.size and (self.activity.min() < 0.0 or self.activity.max() > 1.0):
-            raise InstanceValidationError(
-                "activity probabilities must lie in [0, 1]; found values in "
-                f"[{self.activity.min():.4f}, {self.activity.max():.4f}]"
-            )
+        require_unit_interval(self.activity, "activity probabilities")
 
         interval_ids = {interval.id for interval in self.intervals}
         for comp in self.competing_events:

@@ -25,6 +25,7 @@ from repro.core.storage import (
     InterestStore,
     SparseStore,
     convert_store,
+    require_unit_interval,
 )
 
 
@@ -54,11 +55,7 @@ class InterestMatrix:
             raise InstanceValidationError(
                 f"interest matrix must be 2-dimensional, got shape {array.shape}"
             )
-        if array.size and (np.min(array) < 0.0 or np.max(array) > 1.0):
-            raise InstanceValidationError(
-                "interest values must lie in [0, 1]; found values in "
-                f"[{np.min(array):.4f}, {np.max(array):.4f}]"
-            )
+        require_unit_interval(array, "interest values")
         self._store = DenseStore(array)
 
     # ------------------------------------------------------------------ #
@@ -188,11 +185,7 @@ class InterestMatrix:
             raise InstanceValidationError(
                 f"item index {items[first]} outside [0, {num_items})"
             )
-        if values.size and (np.min(values) < 0.0 or np.max(values) > 1.0):
-            raise InstanceValidationError(
-                "interest values must lie in [0, 1]; found values in "
-                f"[{np.min(values):.4f}, {np.max(values):.4f}]"
-            )
+        require_unit_interval(values, "interest values")
         return type(self).from_store(self._store.with_updates(users, items, values))
 
     def with_appended_item(self, column: np.ndarray) -> "InterestMatrix":
@@ -203,11 +196,7 @@ class InterestMatrix:
                 f"appended column has {column.shape[0]} entries, expected "
                 f"{self.num_users} (one per user)"
             )
-        if column.size and (np.min(column) < 0.0 or np.max(column) > 1.0):
-            raise InstanceValidationError(
-                "interest values must lie in [0, 1]; found values in "
-                f"[{np.min(column):.4f}, {np.max(column):.4f}]"
-            )
+        require_unit_interval(column, "interest values")
         return type(self).from_store(self._store.with_appended_item(column))
 
     def without_item(self, item_index: int) -> "InterestMatrix":

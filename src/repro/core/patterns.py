@@ -7,10 +7,10 @@ attendance terms of equivalent users coincide element for element.  Mining
 the classes once per instance therefore yields a decomposition that never
 needs refreshing as the schedule grows.
 
-This module is the storage-agnostic mining primitive: chunked NumPy lexsort
-partition refinement over the event-major row blocks (never materialising
-more than one block, so million-user instances stay inside the engine's
-chunk-size memory envelope).  Two consumers build on it:
+This module is the storage-agnostic mining primitive: chunked partition
+refinement by one byte-wise row sort per event-major row block (never
+materialising more than one block, so million-user instances stay inside
+the engine's chunk-size memory envelope).  Two consumers build on it:
 
 * the scoring engine's structural per-interval Φ bound
   (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`) — one
@@ -87,24 +87,29 @@ def _refine_labels(labels: np.ndarray, block: np.ndarray) -> np.ndarray:
     ``block`` has one row per attribute (an event's µ column, an interval's σ
     or competing-interest column) and one column per user; two users stay in
     the same class iff they already were *and* agree on every row of the
-    block.  One :func:`numpy.lexsort` over ``rows + 1`` keys per call — the
-    partition-refinement work is proportional to the block, never to the full
-    attribute set.
+    block.  Each user becomes one fixed-width byte record — its current label
+    followed by its block column — and one byte-wise row sort
+    (:func:`numpy.argsort` over the records viewed as ``np.void``) brings
+    equal records together; each run of equal records is one refined class.
+    The label is part of the record, so refinement only ever splits classes,
+    never merges them.  Work and memory per call are proportional to the
+    block (the records plus one sorted copy), never to the full attribute
+    set.  Byte equality is float equality here because ``+ 0.0`` folds
+    ``-0.0`` into ``0.0`` and the instance validators reject NaN.
     """
     if labels.size == 0 or block.shape[0] == 0:
         return labels
-    # lexsort sorts by the *last* key first: current labels are the primary
-    # key so refinement only ever splits classes, never merges them.
-    keys = np.vstack((block[::-1], labels[np.newaxis, :].astype(np.float64)))
-    order = np.lexsort(keys)
-    sorted_keys = keys[:, order]
+    records = np.empty((labels.size, 1 + block.shape[0]), dtype=np.float64)
+    records[:, 0] = labels
+    np.add(block.T, 0.0, out=records[:, 1:])
+    keys = records.view(np.dtype((np.void, records.itemsize * records.shape[1]))).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
     boundary = np.empty(order.size, dtype=bool)
     boundary[0] = True
-    if order.size > 1:
-        boundary[1:] = np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0)
-    compact = np.cumsum(boundary) - 1
+    boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
     refined = np.empty_like(labels)
-    refined[order] = compact
+    refined[order] = np.cumsum(boundary) - 1
     return refined
 
 

@@ -630,8 +630,8 @@ class ScoringEngine:
 
         Unlike the stale scores the incremental schedulers prune against
         (frozen at computation time), this bound *tightens* as the interval's
-        schedule grows — INC and HOR-I use it to skip entire interval walks
-        whose ceiling is already below Φ.  The bound depends only on engine
+        schedule grows — INC uses it to skip entire interval walks whose
+        ceiling is already below Φ.  The bound depends only on engine
         state and the deterministic mined structure, so skip decisions — and
         therefore counter totals — are identical across backends, storages
         and plans.  Callers must leave a floating-point margin (a few

@@ -326,6 +326,21 @@ class DenseStore(InterestStore):
         return float(np.count_nonzero(self._values > threshold) / self._values.size)
 
 
+def require_unit_interval(values: np.ndarray, what: str) -> None:
+    """Raise unless every entry of ``values`` is a number in ``[0, 1]``.
+
+    NaN fails the check: ``np.min``/``np.max`` propagate it and every
+    comparison with it is false.  ``what`` names the values in the message.
+    """
+    if values.size == 0:
+        return
+    low, high = float(np.min(values)), float(np.max(values))
+    if not 0.0 <= low <= high <= 1.0:
+        raise InstanceValidationError(
+            f"{what} must lie in [0, 1]; found values in [{low:.4f}, {high:.4f}]"
+        )
+
+
 def _validate_csr(
     shape: Tuple[int, int],
     indptr: np.ndarray,
@@ -362,12 +377,7 @@ def _validate_csr(
             raise InstanceValidationError(
                 f"CSR user indices must lie in [0, {num_users})"
             )
-        low, high = float(np.min(data)), float(np.max(data))
-        if low < 0.0 or high > 1.0:
-            raise InstanceValidationError(
-                "interest values must lie in [0, 1]; found values in "
-                f"[{low:.4f}, {high:.4f}]"
-            )
+        require_unit_interval(data, "interest values")
 
 
 class SparseStore(InterestStore):
@@ -952,6 +962,7 @@ __all__ = [
     "DEFAULT_DENSE_CAPACITY",
     "dense_capacity_limit",
     "ensure_dense_capacity",
+    "require_unit_interval",
     "InterestStore",
     "DenseStore",
     "SparseStore",

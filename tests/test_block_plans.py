@@ -13,8 +13,9 @@ Four contracts of the structure-exploiting scoring work:
   every storage, and with the pattern matrix cached or streamed; once the
   engine is built it densifies no store block;
 * **The structural Φ bound is sound** — it never under-estimates the best
-  score of its interval, under a fresh engine and after assignments, so the
-  INC/HOR-I interval skips cannot change one scheduled assignment;
+  score of its interval, under a fresh engine and after assignments, so
+  INC's interval skips cannot change one scheduled assignment; HOR-I never
+  consults it;
 * **The plan registry behaves like the backend registry** — registration,
   lookup, catalogue, builtin protection and non-bulk pinning.
 """
@@ -25,7 +26,6 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_instance
-from repro.algorithms.hor_i import HorIScheduler
 from repro.algorithms.inc import IncScheduler
 from repro.algorithms.registry import run_scheduler
 from repro.analysis.blocks import BlockedPlan, PatternEventRows, mine_interest_structure
@@ -39,14 +39,16 @@ from repro.core.execution import (
     resolve_plan,
     unregister_plan,
 )
+from repro.core import scoring
 from repro.core.instance import SESInstance
+from repro.core.patterns import mine_structure
 from repro.core.scoring import (
     ScoringEngine,
     build_event_rows,
     build_pattern_matrix,
     build_static_arrays,
 )
-from repro.core.storage import StoreEventRows
+from repro.core.storage import DenseEventRows, StoreEventRows
 
 SCHEDULERS = ("ALG", "INC", "HOR", "HOR-I", "TOP")
 
@@ -94,6 +96,44 @@ def brute_force_labels(instance: SESInstance) -> np.ndarray:
     return labels
 
 
+def reference_labels(mu: np.ndarray, sigma: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """First-occurrence class labels from ``np.unique`` over whole user rows.
+
+    ``np.unique(axis=0)`` compares rows as floats, so ``-0.0 == 0.0`` here
+    independently of the miner's byte-wise records.
+    """
+    rows = np.hstack((mu, sigma, comp))
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.intp)
+    return rank[inverse.reshape(-1)]
+
+
+def mining_case(name: str):
+    """``(µ, σ, comp)`` user-major arrays of one named mining corner case."""
+    rng = np.random.default_rng(5)
+    if name == "signed-zero":
+        mu = np.zeros((6, 5))
+        mu[1::2] = -0.0  # users 1, 3, 5 differ from 0, 2, 4 only by sign bits
+        mu[4, 2] = 0.5
+        sigma = np.full((6, 3), 0.5)
+        sigma[3, 1] = -0.0  # users 3 and 5 share σ up to the sign of zero
+        sigma[5, 1] = 0.0
+        return mu, sigma, np.zeros((6, 2))
+    if name == "exact-ties":
+        # Few distinct values on every axis: many users tie on whole rows.
+        return (
+            rng.integers(0, 2, (40, 7)) * 0.5,
+            rng.integers(0, 2, (40, 3)) * 0.25,
+            rng.integers(0, 2, (40, 2)) * 0.5,
+        )
+    if name == "single-user":
+        return rng.random((1, 7)), rng.random((1, 3)), rng.random((1, 2))
+    if name == "no-users":
+        return np.empty((0, 7)), np.empty((0, 3)), np.empty((0, 2))
+    return rng.random((30, 7)), rng.random((30, 3)), rng.random((30, 2))
+
+
 def execution_for(plan: str, backend: str = "batch") -> ExecutionConfig:
     return ExecutionConfig(backend=backend, plan=plan, chunk_size=7)
 
@@ -120,6 +160,24 @@ class TestMining:
         assert np.array_equal(structure.labels, brute_force_labels(instance))
         # Continuous random rows: every user is its own class.
         assert structure.num_classes == instance.num_users
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "case", ["signed-zero", "exact-ties", "single-user", "no-users", "distinct"]
+    )
+    def test_mining_matches_whole_row_reference(self, case, chunk_size):
+        mu, sigma, comp = mining_case(case)
+        rows = np.ascontiguousarray(mu.T)
+        structure = mine_structure(DenseEventRows(rows, rows), sigma, comp, chunk_size)
+        expected = reference_labels(mu, sigma, comp)
+        assert np.array_equal(structure.labels, expected)
+        assert np.array_equal(
+            structure.counts, np.bincount(expected, minlength=structure.num_classes)
+        )
+        first = [int(np.flatnonzero(expected == c)[0]) for c in range(structure.num_classes)]
+        assert structure.representatives.tolist() == first
+        if case == "signed-zero":
+            assert structure.labels.tolist() == [0, 0, 0, 1, 2, 1]
 
     def test_counts_and_representatives_are_consistent(self):
         instance = duplicate_heavy_instance()
@@ -392,29 +450,41 @@ class TestStructuralBound:
 
     def test_bounds_do_not_change_schedules(self):
         instance = duplicate_heavy_instance()
-        for cls in (IncScheduler, HorIScheduler):
-            results = {}
-            for bounded in (False, True):
-                scheduler = cls(
-                    instance,
-                    execution=execution_for("direct"),
-                    use_interval_bounds=bounded,
-                )
-                results[bounded] = scheduler.schedule(4)
-            assert (
-                results[True].schedule.as_dict() == results[False].schedule.as_dict()
+        results = {}
+        for bounded in (False, True):
+            scheduler = IncScheduler(
+                instance,
+                execution=execution_for("direct"),
+                use_interval_bounds=bounded,
             )
-            assert results[True].utility == results[False].utility
-            # The bound can only remove evaluations.
-            assert (
-                results[True].score_computations
-                <= results[False].score_computations
-            )
-            # The unbounded run never consults the bound.
-            assert (
-                results[False].counters.get("extra.phi_bound_interval_skips", 0)
-                == 0
-            )
+            results[bounded] = scheduler.schedule(4)
+        assert results[True].schedule.as_dict() == results[False].schedule.as_dict()
+        assert results[True].utility == results[False].utility
+        # The bound can only remove evaluations.
+        assert results[True].score_computations <= results[False].score_computations
+        # The unbounded run never consults the bound.
+        assert results[False].counters.get("extra.phi_bound_interval_skips", 0) == 0
+
+    @pytest.mark.parametrize("plan", ["direct", "blocked"])
+    @pytest.mark.parametrize("storage", ["dense", "mmap"])
+    def test_hor_i_never_consults_the_bound(self, storage, plan, tmp_path, monkeypatch):
+        """HOR-I prunes with stale scores only: no bound, no bound-side mining."""
+        instance = convert(
+            duplicate_heavy_instance(num_users=300, num_patterns=15), storage, tmp_path
+        )
+        k = 2 * instance.num_intervals + 1  # three rounds: refresh and lazy tops run
+        reference = run_scheduler("HOR", instance, k, execution=execution_for(plan))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("HOR-I consulted the structural Φ bound")
+
+        monkeypatch.setattr(ScoringEngine, "interval_score_bound", refuse)
+        monkeypatch.setattr(scoring, "mine_structure", refuse)
+        result = run_scheduler("HOR-I", instance, k, execution=execution_for(plan))
+        assert result.schedule.as_dict() == reference.schedule.as_dict()
+        assert result.utility == reference.utility
+        assert result.counters.get("extra.phi_bound_evaluations", 0) == 0
+        assert result.counters.get("extra.phi_bound_interval_skips", 0) == 0
 
     def test_bound_actually_prunes_on_skewed_instance(self):
         instance = duplicate_heavy_instance(num_users=900, num_patterns=40)

@@ -84,6 +84,24 @@ class TestValidation:
         with pytest.raises(InstanceValidationError, match="activity probabilities"):
             SESInstance(**kwargs)
 
+    def test_nan_activity_rejected(self):
+        kwargs = _minimal_kwargs()
+        kwargs["activity"] = np.full((3, 2), 0.5)
+        kwargs["activity"][1, 0] = np.nan
+        with pytest.raises(InstanceValidationError, match="activity probabilities"):
+            SESInstance(**kwargs)
+
+    @pytest.mark.parametrize("matrix", ["interest", "competing_interest"])
+    def test_nan_interest_rejected_from_arrays(self, matrix):
+        arrays = {
+            "interest": np.array([[0.4, 0.1], [0.2, 0.3]]),
+            "activity": np.full((2, 2), 0.5),
+            "competing_interest": np.array([[0.6], [0.7]]),
+        }
+        arrays[matrix][0, 0] = np.nan
+        with pytest.raises(InstanceValidationError, match="interest values"):
+            SESInstance.from_arrays(**arrays, competing_interval_indices=[0])
+
     def test_competing_event_unknown_interval_rejected(self):
         kwargs = _minimal_kwargs()
         kwargs["competing_events"] = [CompetingEvent(id="c0", interval_id="missing")]

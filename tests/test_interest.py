@@ -26,6 +26,23 @@ class TestConstruction:
         with pytest.raises(InstanceValidationError, match=r"\[0, 1\]"):
             InterestMatrix(np.array([[-0.1]]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(InstanceValidationError, match=r"\[0, 1\]"):
+            InterestMatrix(np.array([[np.nan, 0.1], [0.2, 0.3]]))
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_from_entries_rejects_nan(self, storage):
+        with pytest.raises(InstanceValidationError, match=r"\[0, 1\]"):
+            InterestMatrix.from_entries(2, 2, [(0, 1, np.nan)], storage=storage)
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_updates_reject_nan(self, storage):
+        matrix = InterestMatrix(np.array([[0.1, 0.9], [0.5, 0.0]])).with_storage(storage)
+        with pytest.raises(InstanceValidationError, match=r"\[0, 1\]"):
+            matrix.with_entries([(0, 1, 0.4), (1, 0, np.nan)])
+        with pytest.raises(InstanceValidationError, match=r"\[0, 1\]"):
+            matrix.with_appended_item(np.array([0.5, np.nan]))
+
     def test_rejects_wrong_dimensionality(self):
         with pytest.raises(InstanceValidationError, match="2-dimensional"):
             InterestMatrix(np.array([0.1, 0.2]))

@@ -35,6 +35,7 @@ from repro.core.distributed.protocol import (
     authkey_bytes,
     parse_worker_address,
 )
+from repro.core.entities import Event
 from repro.core.errors import SolverError
 from repro.service import (
     ServiceClient,
@@ -42,7 +43,12 @@ from repro.service import (
     mutation_to_dict,
     start_local_service,
 )
-from repro.service.session import LockAssignment, SetIntervalCapacity, UpdateInterest
+from repro.service.session import (
+    AddEvent,
+    LockAssignment,
+    SetIntervalCapacity,
+    UpdateInterest,
+)
 from tests.conftest import make_random_instance
 
 
@@ -127,6 +133,24 @@ class TestRejectedBatches:
             after = client.session_status(session_id)
             assert after == before  # atomic reject: no partial state, no stats drift
             assert client.resolve(session_id, 5)["scheduled"] >= 0
+
+    @pytest.mark.parametrize("kind", ["add-event", "update-interest"])
+    def test_nan_interest_rejected(self, service, instance, kind):
+        if kind == "add-event":
+            column = [0.5] * instance.num_users
+            column[3] = float("nan")
+            mutation = AddEvent(
+                event=Event(id="e-new", location="loc-new"), interest=tuple(column)
+            )
+        else:
+            mutation = UpdateInterest(user_id="u0", values={"e0": float("nan")})
+        with ServiceClient(service.address) as client:
+            session_id = client.load_instance(instance)
+            client.resolve(session_id, 5)
+            before = client.session_status(session_id)
+            with pytest.raises(SolverError, match=r"\[0, 1\]"):
+                client.mutate(session_id, [mutation])
+            assert client.session_status(session_id) == before
 
     def test_lock_on_full_interval_rejected(self, service, instance):
         events = [event.id for event in instance.events]
