@@ -131,7 +131,7 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="events per vectorised pass of the bulk backends (memory guard; "
-        "default bounds one temporary at ~64 MB regardless of instance size)",
+        "default bounds one block at ~64 MB regardless of instance size)",
     )
     subparser.add_argument(
         "--workers",

@@ -19,8 +19,24 @@ position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
+
+
+def _check_number(
+    owner: str, name: str, value: float, *, non_negative: bool = True, finite: bool = True
+) -> None:
+    """Raise ``ValueError`` unless ``value`` is a number meeting the requirements.
+
+    NaN never passes: a bare ``value < 0`` check would let it through, and
+    one NaN weight or value turns every utility it touches into NaN.
+    """
+    if math.isnan(value) or (finite and math.isinf(value)) or (non_negative and value < 0):
+        requirement = " and ".join(
+            word for word, wanted in (("finite", finite), (">= 0", non_negative)) if wanted
+        )
+        raise ValueError(f"{owner}: {name} must be {requirement}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,13 +74,10 @@ class Event:
     tags: Tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.required_resources < 0:
-            raise ValueError(
-                f"event {self.id!r}: required_resources must be >= 0, "
-                f"got {self.required_resources}"
-            )
-        if self.value < 0:
-            raise ValueError(f"event {self.id!r}: value must be >= 0, got {self.value}")
+        owner = f"event {self.id!r}"
+        _check_number(owner, "required_resources", self.required_resources)
+        _check_number(owner, "value", self.value)
+        _check_number(owner, "cost", self.cost, non_negative=False)
 
 
 @dataclass(frozen=True)
@@ -133,8 +146,7 @@ class User:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"user {self.id!r}: weight must be >= 0, got {self.weight}")
+        _check_number(f"user {self.id!r}", "weight", self.weight)
 
 
 @dataclass(frozen=True)
@@ -145,8 +157,10 @@ class Organizer:
     available_resources: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.available_resources < 0:
-            raise ValueError(
-                f"organizer {self.name!r}: available_resources must be >= 0, "
-                f"got {self.available_resources}"
-            )
+        # ``inf`` (the default) means unbounded resources.
+        _check_number(
+            f"organizer {self.name!r}",
+            "available_resources",
+            self.available_resources,
+            finite=False,
+        )

@@ -83,9 +83,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scoring imports us)
 DEFAULT_BACKEND: str = "batch"
 
 #: Memory budget of one bulk evaluation, in matrix *elements* (events × users).
-#: The default chunk size is this budget divided by ``|U|``, which caps every
-#: batched temporary at ~64 MB of float64 regardless of instance size.
+#: The default chunk size is this budget divided by ``|U|``: it bounds the
+#: store blocks a sparse or mmap source densifies at once (~64 MB of float64
+#: each) and the subset selections of a score-matrix call.  The kernel's own
+#: temporaries are far smaller, see :data:`KERNEL_TILE_ELEMENTS`.
 DEFAULT_CHUNK_ELEMENTS: int = 8_000_000
+
+#: Row-tile budget of :func:`score_block_kernel`, in matrix elements.  Each
+#: tile of ``max(1, budget // |U|)`` event rows runs through two scratch
+#: buffers of at most this size (512 KiB of float64 each), which stay in L2
+#: cache between the kernel's passes.  On a 2-vCPU x86 VM, budgets from 2¹⁴
+#: to 2¹⁶ scored a 180 × 3,000 block equally fast on one thread, but the
+#: ``parallel`` backend ran ~1.5× faster at 2¹⁶ than at 2¹⁴: every extra tile
+#: is another round of GIL hand-offs between its threads' ufunc calls.
+KERNEL_TILE_ELEMENTS: int = 1 << 16
 
 #: Scoring plan used when none is requested explicitly (see :class:`ScoringPlan`).
 DEFAULT_PLAN: str = "direct"
@@ -109,19 +120,49 @@ def score_block_kernel(
     to the scheduled sums first, competing sums last; value·µ added to the
     value sums before the σ product), and each row's per-user reduction is
     independent of every other row's.
+
+    The block is walked in row tiles of :data:`KERNEL_TILE_ELEMENTS` elements.
+    Every tile is computed in place in two C-contiguous scratch buffers
+    allocated once per call, so the temporaries stay cache-sized whatever the
+    block size, and each row still reduces one contiguous row with NumPy's
+    pairwise sum.  The divide is unguarded when it can be: µ ≥ 0 and IEEE
+    rounding is monotone, so ``fl(C + fl(S + µ)) ≥ fl(C + S)`` for every
+    element; if ``C + S > 0`` for every user, no denominator of the interval
+    can be zero.  Otherwise non-positive (or NaN) denominators are zeroed
+    after the divide, which is :func:`_guarded_divide`'s result.
     """
-    denominator = comp_column + (scheduled + mu_rows)
-    numerator = sigma_column * (scheduled_value + value_mu_rows)
-    contributions = _guarded_divide(numerator, denominator)
-    return contributions.sum(axis=1) - utility
+    num_rows, num_users = mu_rows.shape
+    step = max(1, KERNEL_TILE_ELEMENTS // max(1, num_users))
+    comp_column = np.ascontiguousarray(comp_column)
+    sigma_column = np.ascontiguousarray(sigma_column)
+    guard = not np.all(comp_column + scheduled > 0.0)
+    tile_rows = min(step, num_rows)
+    denominator = np.empty((tile_rows, num_users), dtype=np.float64)
+    contributions = np.empty((tile_rows, num_users), dtype=np.float64)
+    scores = np.empty(num_rows, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, num_rows, step):
+            stop = min(start + step, num_rows)
+            den = denominator[: stop - start]
+            out = contributions[: stop - start]
+            np.add(scheduled, mu_rows[start:stop], out=den)
+            np.add(comp_column, den, out=den)
+            np.add(scheduled_value, value_mu_rows[start:stop], out=out)
+            np.multiply(sigma_column, out, out=out)
+            np.divide(out, den, out=out)
+            if guard:
+                out[~(den > 0.0)] = 0.0
+            out.sum(axis=1, out=scores[start:stop])
+    scores -= utility
+    return scores
 
 
 def _guarded_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     """Elementwise ``numerator / denominator`` with zeros where the denominator is not positive.
 
-    This is the library's single division guard: every per-user attendance
-    term — scalar, batched or computed in a worker process — goes through it,
-    so a user whose competing + scheduled interest sums to zero contributes
+    This is the division guard of every per-user attendance term outside
+    :func:`score_block_kernel` (which zeroes the same elements in place), so
+    a user whose competing + scheduled interest sums to zero contributes
     exactly 0.0 on every code path.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,7 +192,7 @@ def resolve_backend(backend: Optional[str]) -> str:
 def resolve_chunk_size(chunk_size: Optional[int], num_users: int) -> int:
     """Validate the event-axis chunk size (``None`` derives it from the memory budget).
 
-    The automatic default keeps one batched temporary at
+    The automatic default keeps one event block at
     :data:`DEFAULT_CHUNK_ELEMENTS` elements: ``max(1, budget // |U|)`` events
     per chunk.  An explicit value is the number of events evaluated per
     vectorised pass and must be a positive integer.
@@ -1265,6 +1306,7 @@ del _builtin
 __all__ = [
     "DEFAULT_BACKEND",
     "DEFAULT_CHUNK_ELEMENTS",
+    "KERNEL_TILE_ELEMENTS",
     "DEFAULT_PLAN",
     "ExecutionBackend",
     "ExecutionConfig",

@@ -1,8 +1,13 @@
 """Unit tests for the problem entities (repro.core.entities)."""
 
+import numpy as np
 import pytest
 
 from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, User
+from repro.core.instance import SESInstance
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestEvent:
@@ -20,6 +25,15 @@ class TestEvent:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError, match="value"):
             Event(id="e1", location="stage", value=-0.5)
+
+    @pytest.mark.parametrize("field", ["required_resources", "value", "cost"])
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_numbers_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            Event(id="e1", location="stage", **{field: bad})
+
+    def test_negative_cost_allowed(self):
+        assert Event(id="e1", location="stage", cost=-2.0).cost == -2.0
 
     def test_is_frozen(self):
         event = Event(id="e1", location="stage")
@@ -70,6 +84,21 @@ class TestUser:
     def test_zero_weight_allowed(self):
         assert User(id="u1", weight=0.0).weight == 0.0
 
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weight"):
+            User(id="u1", weight=bad)
+
+    def test_nan_weight_rejected_when_building_an_instance(self):
+        """One NaN weight would make every utility NaN (and ALG != INC)."""
+        with pytest.raises(ValueError, match="weight"):
+            SESInstance.from_arrays(
+                interest=np.full((3, 2), 0.5),
+                activity=np.full((3, 1), 0.5),
+                locations=["a", "b"],
+                user_weights=[1.0, NAN, 1.0],
+            )
+
 
 class TestOrganizer:
     def test_default_is_unbounded(self):
@@ -78,6 +107,13 @@ class TestOrganizer:
     def test_negative_resources_rejected(self):
         with pytest.raises(ValueError, match="available_resources"):
             Organizer(available_resources=-3.0)
+
+    def test_nan_resources_rejected(self):
+        with pytest.raises(ValueError, match="available_resources"):
+            Organizer(available_resources=NAN)
+
+    def test_explicit_infinite_resources_allowed(self):
+        assert Organizer(available_resources=INF).available_resources == INF
 
     def test_named_organizer(self):
         organizer = Organizer(name="acme", available_resources=10.0)

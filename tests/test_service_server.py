@@ -152,6 +152,27 @@ class TestRejectedBatches:
                 client.mutate(session_id, [mutation])
             assert client.session_status(session_id) == before
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("value", float("nan")), ("required_resources", float("nan")), ("cost", float("inf"))],
+    )
+    def test_non_finite_event_number_rejected(self, service, instance, field, bad):
+        """A NaN event value used to be accepted and turn the next utility into NaN."""
+        event = {"id": "e-new", "location": "loc-new", field: bad}
+        payload = {
+            "op": "add-event",
+            "event": event,
+            "interest": [0.5] * instance.num_users,
+        }
+        with ServiceClient(service.address) as client:
+            session_id = client.load_instance(instance)
+            utility = client.resolve(session_id, 5)["utility"]
+            before = client.session_status(session_id)
+            with pytest.raises(SolverError, match=field):
+                client.mutate(session_id, [payload])
+            assert client.session_status(session_id) == before
+            assert client.resolve(session_id, 5)["utility"] == utility
+
     def test_lock_on_full_interval_rejected(self, service, instance):
         events = [event.id for event in instance.events]
         # Two events on distinct locations so only capacity can reject.
