@@ -10,15 +10,11 @@ are bit-identical, and asserts the candidate's wall-clock speedup:
   against the per-pair ``scalar`` reference, ≥3× at ``small``;
 * ``batch-parallel`` — the same HOR round with the event axis cut into
   64-event chunks that the ``parallel`` backend's thread pool shards (the
-  chunk kernel releases the GIL), ≥1.5× over ``batch`` at ``small``;
-* ``batch-process`` — TOP (one full score-matrix evaluation plus a top-k
-  selection) with ``score_matrix``'s per-interval columns sharded across the
-  ``process`` backend's shared-memory pool, ≥1.3× over ``batch`` at
-  ``small``.
+  chunk kernel releases the GIL), ≥1.5× over ``batch`` at ``small``.
 
-The pooled cases run every core (at least 2 workers) and enforce their floor
+The pooled case runs every core (at least 2 workers) and enforces its floor
 only on a machine with at least two CPUs — on one core a pool degenerates to
-serial execution plus dispatch overhead.  At ``tiny`` their instances are too
+serial execution plus dispatch overhead.  At ``tiny`` its instance is too
 small for a pool to beat its own dispatch overhead, so only equivalence is
 asserted.  The cluster backend has its own benchmark
 (``bench_cluster_backend.py``): it starts workers and compares wire protocols.
@@ -43,7 +39,6 @@ import pytest
 
 from repro.algorithms.base import BaseScheduler
 from repro.algorithms.hor import HorScheduler
-from repro.algorithms.top import TopScheduler
 from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
 from repro.core.scoring import ScoringEngine
@@ -84,14 +79,6 @@ CASES: Dict[str, BackendCase] = {
             "tiny": (120, 12, 200, None),
             "small": (500, 50, 2000, 1.5),
             "default": (900, 90, 4000, 1.5),
-        },
-    ),
-    "batch-process": BackendCase(
-        "batch", "process", TopScheduler, seed=13, chunk_size=64, pooled=True,
-        scales={
-            "tiny": (120, 12, 200, None),
-            "small": (500, 50, 2000, 1.3),
-            "default": (900, 90, 4000, 1.3),
         },
     ),
 }

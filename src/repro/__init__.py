@@ -14,7 +14,7 @@ Top-level re-exports cover the public API most users need:
 * :class:`~repro.core.execution.ExecutionConfig` and
   :func:`~repro.core.execution.register_backend` — the execution layer: one
   config object selecting a registered backend strategy (``scalar``,
-  ``batch``, ``parallel``, ``process``, ``cluster``) and its knobs;
+  ``batch``, ``parallel``, ``cluster``) and its knobs;
   :func:`~repro.core.execution.available_backends` lists the registry.
 * :func:`~repro.algorithms.registry.get_scheduler` and the scheduler classes
   (:class:`~repro.algorithms.alg.AlgScheduler`, :class:`~repro.algorithms.inc.IncScheduler`,

@@ -60,7 +60,7 @@ class SchedulerResult:
         Algorithm-specific diagnostics (e.g. number of rounds for HOR).
     backend:
         Name of the execution backend the run used (``"scalar"``,
-        ``"batch"``, ``"parallel"``, ``"process"``, …) — recorded so harness
+        ``"batch"``, ``"parallel"``, ``"cluster"``, …) — recorded so harness
         tables can tell backend rows apart.
     storage:
         Registry name of the instance's interest-matrix storage the run used
@@ -383,8 +383,8 @@ class BaseScheduler(ABC):
             # so the snapshot stays valid after the connections are gone.
             backend_stats = self._engine.execution_backend.stats()
         finally:
-            # Release the pooled backends' workers (and the process backend's
-            # shared-memory block) deterministically — the engine stays usable
+            # Release the pooled backends' workers (and the cluster backend's
+            # connections) deterministically — the engine stays usable
             # (a later bulk call recreates the pool), but cleanup must not
             # depend on GC reaching __del__.
             self._engine.close()
@@ -464,8 +464,8 @@ class BaseScheduler(ABC):
         """The full |E|×|T| score matrix, counted as generated assignments.
 
         One :meth:`~repro.core.scoring.ScoringEngine.score_matrix` call under
-        the active backend (the process backend shards its columns across the
-        pool); every (event, interval) pair is recorded as one generated
+        the active backend (the cluster backend shards its columns across
+        remote workers); every (event, interval) pair is recorded as one generated
         assignment and one score computation, as in per-pair generation.
 
         When a warm-grid provider was supplied it is consulted first (for the
@@ -494,7 +494,7 @@ class BaseScheduler(ABC):
 
         Scores are obtained from the engine's bulk API: the full-grid default
         goes through one :meth:`~repro.core.scoring.ScoringEngine.score_matrix`
-        call (which the process backend shards per-interval across its pool),
+        call (which the cluster backend shards per-interval across its workers),
         while the restricted per-round case makes one
         :meth:`~repro.core.scoring.ScoringEngine.interval_scores` call per
         interval.  Either way the counter records one score computation per

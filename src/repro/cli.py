@@ -95,9 +95,8 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help="execution backend: 'batch' (the default) evaluates whole "
         "intervals in vectorised NumPy passes, 'parallel' dispatches the "
-        "batched event blocks to a thread pool, 'process' shards "
-        "score-matrix columns across a shared-memory process pool, "
-        "'cluster' shards them across remote workers (see --cluster), "
+        "batched event blocks to a thread pool, 'cluster' shards "
+        "score-matrix columns across remote workers (see --cluster), "
         "'scalar' scores one (event, interval) pair at a time (identical "
         "results, different speed); recorded in the output rows.  "
         f"Registered backends: {', '.join(available_backends())} "
@@ -138,8 +137,9 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker fan-out of the pooled backends — threads for 'parallel', "
-        "processes for 'process' (default: the machine's CPU count; 1 "
-        "degrades to the serial batch path; ignored by the other backends)",
+        "dispatch lanes for 'cluster' (default: the machine's CPU count, or "
+        "the number of --cluster addresses; 1 degrades to the serial batch "
+        "path; ignored by the other backends)",
     )
     subparser.add_argument(
         "--cluster",

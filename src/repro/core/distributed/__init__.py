@@ -1,24 +1,22 @@
 """Distributed ("cluster") execution — scoring sharded across machines.
 
-This package scales the execution layer past one host.  The natural RPC unit
-was established by the in-process ``process`` backend: one *per-interval
-column task* — interval index plus two per-user scheduled-sum vectors in, one
-score column out.  Here those units travel over TCP instead of a pool queue,
-grouped into pipelined batches (protocol v2) so a dispatch round-trip is paid
+This package scales the execution layer past one host.  Its RPC unit is one
+*per-interval column task* — interval index plus two per-user scheduled-sum
+vectors in, one score column out.  Those units travel over TCP, grouped into
+pipelined batches (protocol v2) so a dispatch round-trip is paid
 per batch rather than per column:
 
 * :mod:`~repro.core.distributed.protocol` — the wire protocol (operations,
   the :class:`~repro.core.distributed.protocol.ColumnTask` unit, instance
   fingerprints, addresses, authentication keys);
 * :mod:`~repro.core.distributed.cache` — the worker-side LRU of static
-  instance matrices (shipped once per fingerprint, the TCP analogue of the
-  process backend's publish-once shared memory);
+  instance matrices (shipped once per fingerprint);
 * :mod:`~repro.core.distributed.worker` — the worker server
   (``repro worker serve``) plus :func:`start_local_worker` for spawning
   localhost workers in tests/benchmarks/examples;
 * :mod:`~repro.core.distributed.client` — the
   :class:`~repro.core.distributed.client.ClusterBackend` strategy, registered
-  as ``"cluster"`` alongside ``scalar``/``batch``/``parallel``/``process``;
+  as ``"cluster"`` alongside ``scalar``/``batch``/``parallel``;
 * :mod:`~repro.core.distributed.health` — read-only fleet probing behind
   ``repro cluster health`` (reachability, authentication, protocol version,
   uptime and served-work counters via the status op).

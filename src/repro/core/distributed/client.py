@@ -2,18 +2,16 @@
 
 :class:`ClusterBackend` shards :meth:`ScoringEngine.score_matrix`'s
 per-interval column tasks across remote worker processes
-(:mod:`repro.core.distributed.worker`) over TCP.  It is the fifth registered
-strategy and the first network boundary in the codebase; the design mirrors
-the in-process ``process`` backend one level up:
+(:mod:`repro.core.distributed.worker`) over TCP.  It is the only network
+boundary in the codebase:
 
 * the static instance data ships to each worker **once per instance
-  fingerprint** (the TCP analogue of publish-once shared memory) and is
-  cached worker-side across calls, runs and clients.  The ship payload is
-  shaped by the instance's storage (protocol v3): dense instances ship the
-  precomputed event-major rows, sparse instances the much smaller CSR
-  arrays, and a memory-mapped instance whose backing NPZ the worker can see
-  ships **only the file path** — zero-copy NPZ shipping, with a transparent
-  fallback to byte shipping when the worker answers
+  fingerprint** and is cached worker-side across calls, runs and clients.
+  The ship payload is shaped by the instance's storage (protocol v3): dense
+  instances ship the precomputed event-major rows, sparse instances the much
+  smaller CSR arrays, and a memory-mapped instance whose backing NPZ the
+  worker can see ships **only the file path** — zero-copy NPZ shipping, with
+  a transparent fallback to byte shipping when the worker answers
   :data:`~repro.core.distributed.protocol.ERROR_FILE_UNAVAILABLE`;
 * tasks move in **batches** (protocol v2): one
   :data:`~repro.core.distributed.protocol.OP_SCORE_COLUMNS` request carries
@@ -58,7 +56,7 @@ into :meth:`SchedulerResult.summary`.
 
 **Degradation.**  With no workers configured
 (:attr:`~repro.core.execution.ExecutionConfig.workers_addr` unset) the backend
-behaves exactly like the in-process ``process`` backend it subclasses, so
+behaves exactly like the serial ``batch`` backend it subclasses, so
 ``backend="cluster"`` is safe to hard-code in configs that only sometimes run
 with remote workers.
 """
@@ -101,7 +99,7 @@ from repro.core.distributed.protocol import (
     parse_worker_address,
 )
 from repro.core.errors import SolverError
-from repro.core.execution import BatchBackend, ExecutionConfig, ProcessBackend
+from repro.core.execution import BatchBackend, ExecutionConfig
 from repro.core.storage import DenseEventRows, as_sparse
 
 #: Exceptions that mean "this worker (or its link) is gone" — the batch is
@@ -192,7 +190,7 @@ class _CallState:
         self.warned: Set[str] = set()
 
 
-class ClusterBackend(ProcessBackend):
+class ClusterBackend(BatchBackend):
     """Distributed strategy: score-matrix columns sharded across TCP workers.
 
     Selected with ``ExecutionConfig(backend="cluster",
@@ -200,14 +198,14 @@ class ClusterBackend(ProcessBackend):
     ``repro worker serve``.  Single-interval bulk calls
     (:meth:`~ScoringEngine.interval_scores`, the incremental refresh path) use
     the local serial batch kernel — shipping one column's work over TCP cannot
-    beat computing it in place.  With no ``workers_addr`` the backend degrades
-    to the inherited in-process ``process`` behaviour.
+    beat computing it in place.  With no ``workers_addr`` (or a call with at
+    most one interval or no rows) the backend runs the inherited serial
+    ``batch`` path.
     """
 
     name = "cluster"
     is_bulk = True
     uses_workers = True
-    uses_processes = True
     uses_cluster = True
 
     def __init__(self, config: ExecutionConfig) -> None:
@@ -468,13 +466,10 @@ class ClusterBackend(ProcessBackend):
         engine = self.engine
         num_intervals = engine.instance.num_intervals
         num_rows = engine.instance.num_events if selector is None else int(selector.size)
-        if not self._config.workers_addr:
-            # Degraded mode: no cluster configured — the inherited in-process
-            # process backend (which itself degrades to serial batch when it
-            # cannot pay off).
+        if not self._config.workers_addr or num_intervals <= 1 or num_rows == 0:
+            # Degraded mode (no cluster configured) or nothing worth shipping:
+            # the inherited serial batch path.
             return super().score_matrix(selector)
-        if num_intervals <= 1 or num_rows == 0:
-            return self._local_matrix(selector)
         if self._links is None:
             self._links = []
         else:
@@ -752,15 +747,6 @@ class ClusterBackend(ProcessBackend):
             stacklevel=3,
         )
 
-    def _local_matrix(self, selector: Optional[np.ndarray]) -> np.ndarray:
-        """The serial in-process batch computation (the local fallback path).
-
-        Explicitly the grandparent's implementation: ``super()`` would hit
-        :class:`ProcessBackend`, which spins up a local pool — not wanted
-        when a *configured* cluster is merely unreachable.
-        """
-        return BatchBackend.score_matrix(self, selector)
-
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
@@ -791,7 +777,7 @@ class ClusterBackend(ProcessBackend):
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Close the worker connections (workers keep running) and any local pool."""
+        """Close the worker connections (workers keep running)."""
         if self._links is not None:
             for link in self._links:
                 link.close()

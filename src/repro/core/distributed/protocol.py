@@ -15,9 +15,7 @@ module defines everything both sides must agree on:
   instance fingerprints and served-work counters (tasks and score bytes), so
   an operator can audit a fleet without disturbing its caches;
 * the **task unit** (:class:`ColumnTask`): one per-interval score column —
-  interval index plus the interval's two per-user scheduled-sum vectors —
-  which is the same RPC unit the in-process ``process`` backend dispatches to
-  its pool;
+  interval index plus the interval's two per-user scheduled-sum vectors;
 * the **batch sizing rule** (:func:`derive_task_batch`): protocol v2 moves
   tasks in batches of ``ceil(|T| / (lanes * TASK_OVERSUBSCRIBE))`` columns
   (clamped to :data:`MAX_TASK_BATCH`), and the client keeps
@@ -27,8 +25,7 @@ module defines everything both sides must agree on:
 * the **instance fingerprint** (:func:`instance_fingerprint` for shipped
   arrays, :func:`file_fingerprint` for a shared backing file): a content hash
   of the static instance data.  An instance ships to a worker **once per
-  fingerprint** (mirroring the process backend's publish-once shared-memory
-  model) and is cached worker-side, so repeated runs on the same instance —
+  fingerprint** and is cached worker-side, so repeated runs on the same instance —
   and every task of every run — stream only a few KB each;
 * address (:func:`parse_worker_address`) and authkey
   (:func:`authkey_bytes`) handling.
@@ -164,7 +161,7 @@ class ColumnTask:
 
     The static instance matrices live worker-side (shipped once per
     fingerprint), so a task carries only the engine's *mutable* per-interval
-    state — exactly the payload of the process backend's pool tasks:
+    state:
 
     Attributes
     ----------

@@ -7,8 +7,7 @@ matrices of the instances it has been sent (see
 single-column :data:`~repro.core.distributed.protocol.OP_SCORE_COLUMN`) by
 running the library's single bit-identity-critical kernel
 (:func:`~repro.core.execution.score_block_kernel`) over each interval column —
-exactly what the in-process ``process`` backend's pool workers do, with a
-socket in place of shared memory.
+exactly what the in-process batch path runs per event block.
 
 One worker computes one column at a time (the kernel is a NumPy pass that
 holds the CPU); parallelism comes from running **several workers** — on one

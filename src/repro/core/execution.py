@@ -14,20 +14,14 @@ are computed (never *what* they are):
     per vectorised NumPy pass, chunked along the event axis;
   - ``"parallel"`` (:class:`ThreadBackend`) — the batch backend's event-axis
     chunks dispatched to a thread pool (the chunk kernel releases the GIL);
-  - ``"process"`` (:class:`ProcessBackend`) — :meth:`ScoringEngine.score_matrix`'s
-    per-interval columns sharded across a ``multiprocessing`` pool, with the
-    static instance matrices published once through POSIX shared memory so the
-    workers never re-pickle them;
   - ``"cluster"`` (:class:`~repro.core.distributed.client.ClusterBackend`) —
-    the same per-interval column tasks sharded across **remote** worker
-    processes over TCP (``repro worker serve``), with the static matrices
-    shipped once per instance fingerprint and cached worker-side.
+    :meth:`ScoringEngine.score_matrix`'s per-interval columns sharded across
+    **remote** worker processes over TCP (``repro worker serve``), with the
+    static matrices shipped once per instance fingerprint and cached
+    worker-side.
 
 * ``chunk_size`` — events per vectorised pass (the ~64 MB memory guard);
-* ``workers`` — fan-out of the pooled backends (threads or processes);
-* ``start_method`` — the ``multiprocessing`` start method of the process
-  backend (``"fork"`` where available, with full ``"spawn"`` /
-  ``"forkserver"`` support);
+* ``workers`` — fan-out of the pooled backends (threads or remote lanes);
 * ``workers_addr`` / ``cluster_key`` — the cluster backend's remote worker
   addresses and shared authentication secret;
 * ``task_batch`` — columns per cluster wire batch (``None`` auto-derives
@@ -43,20 +37,15 @@ one-module change.
 (or dispatches whole per-interval columns), and every event row's per-user
 reduction is independent of the others, so schedules, utilities, scores and
 counter totals are bit-identical across backends — serial, threaded or
-multi-process, whatever the split.
+remote, whatever the split.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 import os
-import sys
-import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -67,14 +56,7 @@ from repro.core.distributed.protocol import (
     parse_worker_address,
 )
 from repro.core.errors import SolverError
-from repro.core.storage import (
-    DenseEventRows,
-    EventRowSource,
-    MmapStore,
-    SparseStore,
-    StoreEventRows,
-    as_sparse,
-)
+from repro.core.storage import EventRowSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scoring imports us)
     from repro.core.scoring import ScoringEngine
@@ -114,7 +96,7 @@ def score_block_kernel(
     """Assignment scores of one block of event rows at one interval (Eq. 4).
 
     This is the **single** bit-identity-critical kernel of the library: the
-    engine's in-process batch path and the process backend's workers both call
+    engine's in-process batch path and the cluster backend's workers both call
     it, so the scoring arithmetic cannot diverge between them.  The
     per-element operation order matches the scalar reference exactly (µ added
     to the scheduled sums first, competing sums last; value·µ added to the
@@ -214,77 +196,29 @@ def resolve_workers(
     The automatic default is the machine's CPU count (at least 1) — except for
     a cluster run with configured worker addresses, where it is the number of
     remote workers (one dispatch lane per worker).  An explicit value must be
-    a positive integer; ``1`` makes the in-process pooled backends degrade to
-    the serial batch path.
+    a positive integer; ``1`` makes the ``parallel`` backend degrade to the
+    serial batch path.
 
     When ``backend`` is given and its strategy does not fan out
-    (:attr:`ExecutionBackend.uses_workers` is false), the resolved count is
-    pinned to 1 (after validation): the serial backends never fan out, and
-    recording the machine's CPU count for them would make otherwise-identical
+    (:attr:`ExecutionBackend.uses_workers` is false) — or is distributed but
+    has no worker addresses, so it runs the serial batch path — the resolved
+    count is pinned to 1 (after validation): a serial run never fans out, and
+    recording the machine's CPU count for it would make otherwise-identical
     runs look different across machines in the harness tables.
     """
     if workers is not None and (
         not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
     ):
         raise SolverError(f"workers must be a positive integer or None, got {workers!r}")
-    if backend is not None and not get_backend(resolve_backend(backend)).uses_workers:
-        return 1
+    if backend is not None:
+        strategy = get_backend(resolve_backend(backend))
+        if not strategy.uses_workers or (strategy.uses_cluster and not workers_addr):
+            return 1
     if workers is None:
         if workers_addr:
             return len(workers_addr)
         return max(1, os.cpu_count() or 1)
     return workers
-
-
-def resolve_start_method(start_method: Optional[str], backend: Optional[str] = None) -> Optional[str]:
-    """Validate the process backend's ``multiprocessing`` start method.
-
-    ``None`` means *auto*: the method is picked when the pool is actually
-    created — ``"fork"`` where the platform offers it **and** the process is
-    still single-threaded (cheap, inherits the warmed-up interpreter), a
-    fork-safe method (``"forkserver"``, else ``"spawn"``) otherwise, because
-    forking a multi-threaded process can inherit locks mid-acquisition and
-    deadlock the child.  See :func:`_auto_start_method`.  Backends that do
-    not spawn processes (:attr:`ExecutionBackend.uses_processes` is false)
-    also resolve to ``None`` — the knob does not apply to them.
-    """
-    supported = multiprocessing.get_all_start_methods()
-    if start_method is not None and start_method not in supported:
-        raise SolverError(
-            f"unknown start method {start_method!r}; available: {', '.join(supported)}"
-        )
-    if backend is not None and not get_backend(resolve_backend(backend)).uses_processes:
-        return None
-    return start_method
-
-
-def _auto_start_method() -> str:
-    """The start method used when none was requested explicitly.
-
-    ``fork`` is ~10× cheaper than the alternatives (no fresh interpreter, no
-    re-imports), but it is only safe while this process has exactly one
-    thread: a fork taken while another thread holds a lock (a thread-pool
-    queue, an import lock, …) leaves that lock permanently held in the child.
-    The thread count is checked at *pool-creation* time, so a single-threaded
-    CLI / benchmark run gets the fast path even though the library also
-    offers a thread backend.  The check sees Python threads only — an
-    embedding process with *native* threads (a BLAS build without atfork
-    handlers, grpc, …) should pin ``start_method="forkserver"`` or
-    ``"spawn"`` explicitly.  The fast path is further limited to Linux:
-    on macOS forking is unsafe regardless of Python threads (system
-    frameworks abort in forked children — the reason CPython switched the
-    platform default to spawn).
-    """
-    supported = multiprocessing.get_all_start_methods()
-    if (
-        "fork" in supported
-        and sys.platform.startswith("linux")
-        and threading.active_count() == 1
-    ):
-        return "fork"
-    if "forkserver" in supported:
-        return "forkserver"
-    return "spawn"
 
 
 def resolve_workers_addr(
@@ -398,24 +332,17 @@ class ExecutionConfig:
         Events per vectorised pass of the bulk backends (the memory guard);
         ``None`` derives ``max(1, DEFAULT_CHUNK_ELEMENTS // |U|)``.
     workers:
-        Fan-out of the pooled backends (threads for ``"parallel"``, processes
-        for ``"process"``); ``None`` selects the machine's CPU count.  Pinned
-        to 1 for backends that do not fan out.
-    start_method:
-        ``multiprocessing`` start method of the ``"process"`` backend
-        (``"fork"``/``"spawn"``/``"forkserver"``); ``None`` means *auto* —
-        ``"fork"`` on Linux while the process has no other Python threads, a
-        fork-safe method otherwise (see :func:`_auto_start_method`; pin
-        ``"forkserver"``/``"spawn"`` explicitly when the host process carries
-        *native* threads the check cannot see).  ``None`` for every other
-        backend.
+        Fan-out of the pooled backends (threads for ``"parallel"``, dispatch
+        lanes for ``"cluster"``); ``None`` selects the machine's CPU count.
+        Pinned to 1 for backends that do not fan out.
     workers_addr:
         Remote worker addresses of the ``"cluster"`` backend — an iterable of
         ``"host:port"`` strings (or one comma-separated string); start the
         workers with ``repro worker serve``.  ``None``/empty makes the cluster
-        backend degrade to the in-process ``"process"`` strategy; resolves to
-        the empty tuple for every non-distributed backend.  When set, the
-        automatic ``workers`` default becomes the number of remote workers.
+        backend degrade to the serial in-process ``"batch"`` strategy (and
+        pins ``workers`` to 1); resolves to the empty tuple for every
+        non-distributed backend.  When set, the automatic ``workers`` default
+        becomes the number of remote workers.
     cluster_key:
         Shared secret of the cluster connections' HMAC handshake; ``None``
         selects :data:`~repro.core.distributed.protocol.DEFAULT_CLUSTER_KEY`
@@ -442,7 +369,6 @@ class ExecutionConfig:
     backend: Optional[str] = None
     chunk_size: Optional[int] = None
     workers: Optional[int] = None
-    start_method: Optional[str] = None
     workers_addr: Optional[Tuple[str, ...]] = None
     cluster_key: Optional[str] = None
     task_batch: Optional[int] = None
@@ -460,7 +386,6 @@ class ExecutionConfig:
             backend=backend,
             chunk_size=resolve_chunk_size(self.chunk_size, num_users),
             workers=resolve_workers(self.workers, backend, workers_addr),
-            start_method=resolve_start_method(self.start_method, backend),
             workers_addr=workers_addr,
             cluster_key=resolve_cluster_key(self.cluster_key, backend),
             task_batch=resolve_task_batch(self.task_batch, backend),
@@ -505,8 +430,6 @@ class ExecutionBackend:
     uses_workers:
         Whether the strategy fans out across a worker pool (drives the
         ``workers`` knob's resolution).
-    uses_processes:
-        Whether the pool is made of OS processes (drives ``start_method``).
     uses_cluster:
         Whether the strategy dispatches to remote workers over the network
         (drives the ``workers_addr`` / ``cluster_key`` knobs' resolution).
@@ -515,7 +438,6 @@ class ExecutionBackend:
     name: str = "abstract"
     is_bulk: bool = False
     uses_workers: bool = False
-    uses_processes: bool = False
     uses_cluster: bool = False
 
     def __init__(self, config: ExecutionConfig) -> None:
@@ -711,321 +633,6 @@ class ThreadBackend(BatchBackend):
 
 
 # --------------------------------------------------------------------------- #
-# The shared-memory process backend
-# --------------------------------------------------------------------------- #
-#: Worker-process view of the shared instance matrices, populated once per
-#: worker by :func:`_process_worker_init` (the pool initializer).
-_WORKER_SHM: Optional[shared_memory.SharedMemory] = None
-_WORKER_ARRAYS: Dict[str, np.ndarray] = {}
-
-#: Worker-side event-row source rebuilt from the published layout: zero-copy
-#: views over the shared dense rows, a CSR store over the shared arrays, or a
-#: memory-mapped view of the instance's backing file (see
-#: :meth:`ProcessBackend._ensure_pool`).
-_WORKER_ROWS: Optional[EventRowSource] = None
-
-#: Per-worker cache of the last subset selection: ``(call token, selected row
-#: source)``.  One ``score_matrix`` call dispatches |T| tasks with the same
-#: selector; caching by the parent's call token makes each worker build the
-#: selected source (for dense rows, a fancy-indexed copy) once per call
-#: instead of once per task.
-_WORKER_SELECTION: Tuple[Optional[int], Optional[EventRowSource]] = (None, None)
-
-
-def _export_shared_arrays(
-    arrays: Dict[str, np.ndarray],
-) -> Tuple[shared_memory.SharedMemory, Dict[str, object]]:
-    """Copy the given arrays into one shared-memory block and describe its layout.
-
-    Returns the owning :class:`~multiprocessing.shared_memory.SharedMemory`
-    (the caller unlinks it on close) and a picklable layout descriptor the
-    workers use to rebuild zero-copy views.
-    """
-    total = sum(int(array.nbytes) for array in arrays.values())
-    block = shared_memory.SharedMemory(create=True, size=max(1, total))
-    entries: List[Tuple[str, Tuple[int, ...], str, int]] = []
-    offset = 0
-    for key, array in arrays.items():
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf, offset=offset)
-        view[...] = array
-        entries.append((key, tuple(array.shape), array.dtype.str, offset))
-        offset += int(array.nbytes)
-    return block, {"name": block.name, "entries": entries}
-
-
-def _attach_shared_block(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing shared block *without* registering it for cleanup.
-
-    The parent owns the block's lifetime (it unlinks on close).  A plain
-    attach would also register the segment with the resource tracker on
-    behalf of this worker, making the tracker either warn about a "leaked"
-    segment or — under fork, where the tracker process is shared — drop the
-    parent's registration.  Python 3.13 has ``track=False`` for exactly this;
-    on older versions the attach runs with registration suppressed.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # pragma: no cover - Python < 3.13
-        pass
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-def _build_worker_rows(layout: Dict[str, object]) -> EventRowSource:
-    """Rebuild the event-row source described by the pool's layout descriptor.
-
-    ``"dense"`` wraps zero-copy views over the shared µ / value·µ rows
-    (today's behaviour, bit-for-bit); ``"sparse"`` rebuilds the event-major
-    CSR over the shared arrays (structure already validated parent-side);
-    ``"file"`` maps the instance's backing NPZ in place, so nothing but the
-    small static arrays ever crossed the process boundary.
-    """
-    kind = layout.get("kind", "dense")
-    if kind == "dense":
-        return DenseEventRows(_WORKER_ARRAYS["mu_rows"], _WORKER_ARRAYS["value_mu_rows"])
-    if kind == "sparse":
-        store = SparseStore(
-            tuple(layout["shape"]),  # type: ignore[arg-type]
-            _WORKER_ARRAYS["csr_indptr"],
-            _WORKER_ARRAYS["csr_indices"],
-            _WORKER_ARRAYS["csr_data"],
-            validate=False,
-        )
-        return StoreEventRows(store, _WORKER_ARRAYS["values"])
-    store = MmapStore.open(layout["path"], prefix=layout["prefix"])  # type: ignore[arg-type]
-    return StoreEventRows(store, _WORKER_ARRAYS["values"])
-
-
-def _process_worker_init(layout: Dict[str, object]) -> None:
-    """Pool initializer: attach the shared block and rebuild the array views."""
-    global _WORKER_SHM, _WORKER_ROWS, _WORKER_SELECTION
-    block = _attach_shared_block(layout["name"])  # type: ignore[index,arg-type]
-    _WORKER_SHM = block
-    _WORKER_ARRAYS.clear()
-    for key, shape, dtype, offset in layout["entries"]:  # type: ignore[union-attr]
-        _WORKER_ARRAYS[key] = np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=block.buf, offset=offset
-        )
-    _WORKER_ROWS = _build_worker_rows(layout)
-    _WORKER_SELECTION = (None, None)
-
-
-def _worker_selected_rows(
-    token: int, selector: Optional[np.ndarray]
-) -> EventRowSource:
-    """The (possibly subset-selected) event-row source for one score-matrix call."""
-    global _WORKER_SELECTION
-    if selector is None:
-        return _WORKER_ROWS
-    cached_token, source = _WORKER_SELECTION
-    if cached_token != token:
-        source = _WORKER_ROWS.select(selector)
-        _WORKER_SELECTION = (token, source)
-    return source
-
-
-def _process_interval_scores(
-    task: Tuple[int, int, Optional[np.ndarray], np.ndarray, np.ndarray, float, int],
-) -> Tuple[int, np.ndarray]:
-    """Worker kernel: one interval's score column against the shared matrices.
-
-    Runs the same :func:`score_block_kernel` as the in-process batch path,
-    with the event axis chunked under the same memory guard — every block's
-    rows reduce independently, so the returned column is bit-identical to the
-    serial batch path regardless of where it was computed.
-    """
-    interval_index, token, selector, scheduled, scheduled_value, utility, step = task
-    source = _worker_selected_rows(token, selector)
-    comp_column = _WORKER_ARRAYS["comp"][:, interval_index]
-    sigma_column = _WORKER_ARRAYS["sigma"][:, interval_index]
-    num_rows = source.num_rows
-    scores = np.empty(num_rows, dtype=np.float64)
-    for start in range(0, num_rows, step):
-        stop = min(start + step, num_rows)
-        mu_rows, value_mu_rows = source.block(start, stop)
-        scores[start:stop] = score_block_kernel(
-            mu_rows,
-            value_mu_rows,
-            comp_column,
-            sigma_column,
-            scheduled,
-            scheduled_value,
-            utility,
-        )
-    return interval_index, scores
-
-
-class ProcessBackend(BatchBackend):
-    """Multi-process strategy: score-matrix columns sharded across a process pool.
-
-    :meth:`score_matrix` dispatches one task per interval to a
-    ``multiprocessing`` pool.  The static instance matrices are published
-    **once** through a single shared-memory block when the pool starts,
-    shaped by the instance's storage: the ``"dense"`` storage ships the
-    event-major µ and value·µ rows plus competing sums and σ (today's
-    behaviour); the ``"sparse"`` storage ships the CSR arrays instead and
-    workers densify blocks on demand; a file-backed (``"mmap"``) storage
-    ships no matrix at all — workers map the instance's backing NPZ in place
-    (see :meth:`_shared_layout`).  Workers map the block zero-copy, so a task
-    ships only its interval index and the interval's per-user scheduled sums
-    (a few KB).  Subset calls additionally carry the event selector; each
-    worker materialises the selected row source once per score-matrix call
-    (cached by call token), not once per task.  Single-interval bulk calls
-    (:meth:`~ScoringEngine.interval_scores`, the incremental refresh path) use
-    the inherited serial batch kernel — identical values either way.
-
-    The pool is created lazily, reused across calls, and shut down
-    deterministically by :meth:`close` (which also unlinks the shared block);
-    ``workers=1`` never creates a pool at all.  The start method defaults to
-    ``fork`` where the platform offers it *and* the process is still
-    single-threaded, falling back to a fork-safe method otherwise; ``spawn``
-    and ``forkserver`` are fully supported via
-    :attr:`ExecutionConfig.start_method` (the worker entry points live at
-    module level, so they import cleanly in fresh interpreters).
-    """
-
-    name = "process"
-    is_bulk = True
-    uses_workers = True
-    uses_processes = True
-
-    def __init__(self, config: ExecutionConfig) -> None:
-        super().__init__(config)
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        self._call_tokens = itertools.count()
-
-    def score_matrix(self, selector: Optional[np.ndarray]) -> np.ndarray:
-        engine = self.engine
-        num_intervals = engine.instance.num_intervals
-        num_rows = engine.instance.num_events if selector is None else int(selector.size)
-        if self._config.workers <= 1 or num_intervals <= 1 or num_rows == 0:
-            return super().score_matrix(selector)
-        executor = self._ensure_pool()
-        step = self._config.chunk_size
-        token = next(self._call_tokens)
-        matrix = np.empty((num_rows, num_intervals), dtype=np.float64)
-        futures = [
-            executor.submit(
-                _process_interval_scores,
-                (
-                    interval_index,
-                    token,
-                    selector,
-                    engine._scheduled_interest[interval_index],
-                    engine._scheduled_value_interest[interval_index],
-                    float(engine._interval_utility[interval_index]),
-                    step,
-                ),
-            )
-            for interval_index in range(num_intervals)
-        ]
-        for future in futures:
-            interval_index, scores = future.result()
-            matrix[:, interval_index] = scores
-        return matrix
-
-    def _shared_layout(self) -> Tuple[shared_memory.SharedMemory, Dict[str, object]]:
-        """Publish the engine's static arrays, shaped by the instance storage.
-
-        Dense storage ships the precomputed event-major µ / value·µ rows
-        exactly as it always has.  Sparse storage ships the (much smaller)
-        CSR arrays instead — the workers densify blocks on demand.  A
-        file-backed (mmap) storage ships no matrix at all: the layout carries
-        the backing file's path and the workers map it in place, so the only
-        shared copies are the per-interval competing/σ matrices.
-        """
-        engine = self.engine
-        statics = {
-            "comp": np.ascontiguousarray(engine._comp),
-            "sigma": np.ascontiguousarray(engine._sigma),
-        }
-        rows = engine._event_rows
-        if isinstance(rows, DenseEventRows):
-            mu_rows, value_mu_rows = rows.arrays
-            block, layout = _export_shared_arrays(
-                {"mu_rows": mu_rows, "value_mu_rows": value_mu_rows, **statics}
-            )
-            layout["kind"] = "dense"
-            return block, layout
-        store = engine._store
-        values = np.ascontiguousarray(engine._values)
-        if store.is_file_backed:
-            block, layout = _export_shared_arrays({**statics, "values": values})
-            layout["kind"] = "file"
-            layout["path"] = store.path
-            layout["prefix"] = store.prefix
-            return block, layout
-        indptr, indices, data = as_sparse(store).csr_arrays
-        block, layout = _export_shared_arrays(
-            {
-                **statics,
-                "values": values,
-                "csr_indptr": np.ascontiguousarray(indptr, dtype=np.int64),
-                "csr_indices": np.ascontiguousarray(indices, dtype=np.int64),
-                "csr_data": np.ascontiguousarray(data, dtype=np.float64),
-            }
-        )
-        layout["kind"] = "sparse"
-        layout["shape"] = tuple(store.shape)
-        return block, layout
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The lazily-created, reused process pool (publishes the shared block)."""
-        if self._executor is None:
-            block, layout = self._shared_layout()
-            start_method = self._config.start_method or _auto_start_method()
-            context = multiprocessing.get_context(start_method)
-            if start_method == "forkserver":
-                # Preload this module into the server so the workers it forks
-                # inherit the imports instead of re-importing per pool (a
-                # no-op once the server is running).
-                # Preloading is a pure optimisation: a ValueError (bad module
-                # list) or RuntimeError (server already running on some
-                # versions) must not fail the pool — the workers just
-                # re-import per process.  Anything else is a real bug and
-                # propagates.
-                try:  # pragma: no cover - depends on server state
-                    context.set_forkserver_preload(["repro.core.execution"])
-                except (ValueError, RuntimeError):
-                    pass
-            try:
-                executor = ProcessPoolExecutor(
-                    max_workers=self._config.workers,
-                    mp_context=context,
-                    initializer=_process_worker_init,
-                    initargs=(layout,),
-                )
-            except BaseException:
-                # Pool creation failed after the block was published — release
-                # the segment now instead of leaking it until process exit.
-                block.close()
-                block.unlink()
-                raise
-            self._shm = block
-            self._executor = executor
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            self._shm = None
-
-
-# --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
 _BACKEND_REGISTRY: Dict[str, Type[ExecutionBackend]] = {}
@@ -1083,8 +690,7 @@ def backend_catalog() -> List[Dict[str, object]]:
     """One row per registered backend with its resolved defaults.
 
     Used by the CLI's ``backends`` sub-command / ``--list-backends`` flag; the
-    ``workers`` / ``start_method`` columns show what ``None`` resolves to on
-    *this* machine.
+    ``workers`` column shows what ``None`` resolves to on *this* machine.
     """
     rows: List[Dict[str, object]] = []
     for name, cls in _BACKEND_REGISTRY.items():
@@ -1092,18 +698,13 @@ def backend_catalog() -> List[Dict[str, object]]:
             {
                 "backend": name + (" (default)" if name == DEFAULT_BACKEND else ""),
                 "bulk": "yes" if cls.is_bulk else "no",
-                "pool": "remote workers" if cls.uses_cluster else (
-                    "processes" if cls.uses_processes else (
-                        "threads" if cls.uses_workers else "-"
-                    )
-                ),
+                "pool": "remote workers" if cls.uses_cluster
+                else "threads" if cls.uses_workers
+                else "-",
                 "workers": "len(workers_addr)" if cls.uses_cluster
                 else resolve_workers(None, name),
                 "chunk_size": f"auto ({DEFAULT_CHUNK_ELEMENTS:,} elements / |U|)"
                 if cls.is_bulk
-                else "-",
-                "start_method": f"auto ({_auto_start_method()} now)"
-                if cls.uses_processes
                 else "-",
                 "description": cls.describe(),
             }
@@ -1118,7 +719,7 @@ class ScoringPlan:
     """One traversal strategy of the in-process block kernel, bound to an engine.
 
     Where an :class:`ExecutionBackend` decides *where* blocks are evaluated
-    (serial, threads, processes, remote workers), a plan decides *how* the
+    (serial, threads, remote workers), a plan decides *how* the
     in-process kernel traverses one block — e.g. the ``blocked`` plan of
     :mod:`repro.analysis.blocks` computes each distinct user interest pattern
     once and expands the per-pattern contributions by multiplicity.  Every
@@ -1193,8 +794,8 @@ class ScoringPlan:
     def event_rows(self) -> Optional[EventRowSource]:
         """The event-row source of the in-process bulk path (``None``: the engine's).
 
-        The process and cluster backends' remote workers always read the
-        engine's full rows; only in-process block evaluations — which run
+        The cluster backend's remote workers always read the engine's full
+        rows; only in-process block evaluations — which run
         :meth:`batch_block` — iterate the source returned here.
         """
         return None
@@ -1293,11 +894,11 @@ _BUILTIN_PLAN_NAMES.add(DirectPlan.name)
 # The cluster strategy lives in its own package (it is the one-module
 # addition the registry was built for) but registers here with the other
 # built-ins so it is selectable everywhere by name.  The import is deferred
-# to the bottom of this module: ClusterBackend subclasses ProcessBackend, so
+# to the bottom of this module: ClusterBackend subclasses BatchBackend, so
 # everything it needs is already defined.
 from repro.core.distributed.client import ClusterBackend  # noqa: E402
 
-for _builtin in (ScalarBackend, BatchBackend, ThreadBackend, ProcessBackend, ClusterBackend):
+for _builtin in (ScalarBackend, BatchBackend, ThreadBackend, ClusterBackend):
     register_backend(_builtin)
     _BUILTIN_BACKEND_NAMES.add(_builtin.name)
 del _builtin
@@ -1313,7 +914,6 @@ __all__ = [
     "ScalarBackend",
     "BatchBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "ClusterBackend",
     "ScoringPlan",
     "DirectPlan",
@@ -1331,7 +931,6 @@ __all__ = [
     "resolve_chunk_size",
     "resolve_cluster_key",
     "resolve_plan",
-    "resolve_start_method",
     "resolve_task_batch",
     "resolve_workers",
     "resolve_workers_addr",

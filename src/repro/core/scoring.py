@@ -24,11 +24,10 @@ exactly.
 selects one of the registered :class:`~repro.core.execution.ExecutionBackend`
 strategies — ``"scalar"`` (the per-pair reference), ``"batch"`` (the default:
 whole candidate blocks per vectorised NumPy pass), ``"parallel"`` (the batch
-blocks dispatched to a GIL-releasing thread pool), ``"process"`` (the score
-matrix's per-interval columns sharded across a shared-memory process pool) or
-``"cluster"`` (the same column tasks batched and sharded across remote TCP
-workers) — plus the ``chunk_size`` / ``workers`` / ``start_method`` /
-``workers_addr`` / ``cluster_key`` / ``task_batch`` knobs.  All backends
+blocks dispatched to a GIL-releasing thread pool) or ``"cluster"`` (the
+score matrix's per-interval columns batched and sharded across remote TCP
+workers) — plus the ``chunk_size`` / ``workers`` / ``workers_addr`` /
+``cluster_key`` / ``task_batch`` knobs.  All backends
 perform the same elementary operations in the same order per (user, event)
 element, so their scores agree bit-for-bit among the bulk strategies (and to
 machine precision with the scalar reference), and all report one score
@@ -261,7 +260,7 @@ class ScoringEngine:
         """Name of the active execution backend.
 
         One of the registered strategies — ``"scalar"``, ``"batch"``,
-        ``"parallel"``, ``"process"``, ``"cluster"``, or any custom backend
+        ``"parallel"``, ``"cluster"``, or any custom backend
         added through :func:`~repro.core.execution.register_backend`.
         """
         return self._execution.backend
@@ -292,7 +291,7 @@ class ScoringEngine:
         return self._execution.workers
 
     def close(self) -> None:
-        """Release the backend's pools / shared memory (safe to call repeatedly)."""
+        """Release the backend's pools / connections (safe to call repeatedly)."""
         self._backend_impl.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
@@ -490,7 +489,7 @@ class ScoringEngine:
         (:class:`~repro.core.execution.ScoringPlan`): the ``direct`` reference
         runs the library's single bit-identity-critical kernel
         (:func:`~repro.core.execution.score_block_kernel` — also run by the
-        process backend's workers) over every user column, whose per-element
+        cluster backend's workers) over every user column, whose per-element
         operation order matches :meth:`_pair_score` exactly; the ``blocked``
         plan of :mod:`repro.analysis.blocks` computes each distinct interest
         pattern once and expands by multiplicity before the same per-row
@@ -513,8 +512,8 @@ class ScoringEngine:
         current engine state (``event_indices`` defaults to all events).
         Counts one score computation per (event, interval) pair.  The active
         backend decides how the matrix is assembled — per pair, per vectorised
-        column, or with the columns sharded across a process pool — without
-        changing a result bit.
+        column, with event blocks sharded across threads or with the columns
+        sharded across remote workers — without changing a result bit.
         """
         if event_indices is None:
             selector = None

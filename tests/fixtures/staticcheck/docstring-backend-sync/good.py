@@ -3,7 +3,7 @@
 
 
 def dispatch(engine):
-    """Shard the matrix like the 'process' backend, falling back to
+    """Shard the matrix like the 'parallel' backend, falling back to
     backend="batch" when no pool is available; prose mentioning a custom
     backend without quoting a name is also fine."""
     return engine

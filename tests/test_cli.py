@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.execution import available_backends
 
 
 class TestParser:
@@ -151,6 +152,21 @@ class TestSolveBackendFlags:
         )
         assert code == 2
         assert "chunk_size" in capsys.readouterr().err
+
+    def test_unknown_backend_reports_available_names(self, capsys):
+        code = main(
+            [
+                "solve", "--dataset", "Unf", "-k", "2",
+                "--users", "10", "--events", "5", "--intervals", "2",
+                "--algorithms", "TOP",
+                "--backend", "warp-drive",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "warp-drive" in err
+        for name in available_backends():
+            assert name in err
 
 
 class TestExperimentCommand:

@@ -108,7 +108,7 @@ class TestConfigResolution:
 
     def test_knobs_do_not_apply_to_in_process_backends(self):
         assert resolve_workers_addr(("h:1",), "batch") == ()
-        assert resolve_cluster_key("secret", "process") is None
+        assert resolve_cluster_key("secret", "parallel") is None
         assert resolve_cluster_key(None, "cluster") == DEFAULT_CLUSTER_KEY
         assert resolve_cluster_key("secret", "cluster") == "secret"
         with pytest.raises(SolverError):
@@ -125,10 +125,19 @@ class TestConfigResolution:
         # Idempotent, like every other knob.
         assert resolved.resolve(10) == resolved
 
+    def test_no_addresses_records_one_worker(self):
+        """Without workers_addr the cluster backend runs serial batch, so it
+        must record workers=1 — not the machine's CPU count."""
+        assert ExecutionConfig(backend="cluster").resolve(10).workers == 1
+        assert resolve_workers(4, "cluster") == 1
+        instance = make_random_instance(seed=215, num_users=8, num_events=4, num_intervals=2)
+        result = run_scheduler("TOP", instance, 2, execution=ExecutionConfig(backend="cluster"))
+        assert result.summary()["workers"] == 1
+
     def test_registry_wiring(self):
         assert get_backend("cluster") is ClusterBackend
         assert ClusterBackend.is_bulk and ClusterBackend.uses_workers
-        assert ClusterBackend.uses_processes and ClusterBackend.uses_cluster
+        assert ClusterBackend.uses_cluster
         resolved = ExecutionConfig(backend="batch", workers_addr=("h:1",)).resolve(10)
         assert resolved.workers_addr == ()
         assert resolved.cluster_key is None

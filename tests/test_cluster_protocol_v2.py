@@ -21,15 +21,12 @@ behaviours the v1-era suite (``test_cluster_backend.py``) could not express:
 
 The deterministic failure/elasticity scenarios host :class:`WorkerServer`
 subclasses on in-process threads (slow, broken or mortal on cue); the
-equivalence tests use real spawned worker processes, honouring the
-``REPRO_TEST_BACKEND`` / ``REPRO_TEST_WORKERS`` CI knobs like the process
-backend's suite.
+equivalence tests use two real spawned worker processes.
 """
 
 from __future__ import annotations
 
 import collections
-import os
 import signal
 import socket
 import threading
@@ -60,11 +57,11 @@ from repro.experiments.metrics import MetricRecord
 
 from tests.conftest import make_random_instance
 
-#: Backend under test — the CI cluster leg pins it, mirroring the process leg.
-BACKEND = os.environ.get("REPRO_TEST_BACKEND", "cluster")
+#: Backend under test.
+BACKEND = "cluster"
 
-#: Spawned worker count of the equivalence runs (at least 2: real fan-out).
-WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "0") or 2))
+#: Spawned worker count of the equivalence runs (2: real fan-out).
+WORKERS = 2
 
 TOLERANCE = 1e-12
 
@@ -184,7 +181,7 @@ class TestBatchSizing:
         assert resolve_task_batch(4, "cluster") == 4
         # The knob does not apply to in-process backends.
         assert resolve_task_batch(4, "batch") is None
-        assert resolve_task_batch(4, "process") is None
+        assert resolve_task_batch(4, "parallel") is None
         for bad in (0, -1, 2.5, "8", True):
             with pytest.raises(SolverError):
                 resolve_task_batch(bad, "cluster")

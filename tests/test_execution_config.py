@@ -76,10 +76,9 @@ class TestConfigResolution:
         assert resolved.backend == DEFAULT_BACKEND
         assert resolved.chunk_size >= 1
         assert resolved.workers == 1  # batch never fans out
-        assert resolved.start_method is None
 
     def test_resolution_is_idempotent(self):
-        config = ExecutionConfig(backend="process", chunk_size=7, workers=3)
+        config = ExecutionConfig(backend="parallel", chunk_size=7, workers=3)
         once = config.resolve(num_users=50)
         assert once.resolve(num_users=50) == once
 
@@ -87,14 +86,14 @@ class TestConfigResolution:
         with pytest.raises(SolverError) as excinfo:
             ExecutionConfig(backend="gpu").resolve(num_users=10)
         message = str(excinfo.value)
-        for name in ("scalar", "batch", "parallel", "process"):
+        for name in available_backends():
             assert name in message
 
     def test_is_bulk(self):
         assert not ExecutionConfig(backend="scalar").is_bulk
         assert ExecutionConfig(backend="batch").is_bulk
         assert ExecutionConfig(backend="parallel").is_bulk
-        assert ExecutionConfig(backend="process").is_bulk
+        assert ExecutionConfig(backend="cluster").is_bulk
         assert ExecutionConfig().is_bulk  # the default is a bulk backend
 
     def test_invalid_knobs_rejected(self):
@@ -102,8 +101,6 @@ class TestConfigResolution:
             ExecutionConfig(chunk_size=0).resolve(num_users=10)
         with pytest.raises(SolverError):
             ExecutionConfig(workers=-1).resolve(num_users=10)
-        with pytest.raises(SolverError):
-            ExecutionConfig(backend="process", start_method="nope").resolve(num_users=10)
 
     def test_engine_exposes_resolved_config(self):
         instance = make_random_instance(seed=130, num_users=10, num_events=6, num_intervals=2)
@@ -117,9 +114,9 @@ class TestConfigResolution:
 
 class TestRegistry:
     def test_builtins_registered_in_order(self):
-        assert available_backends() == ("scalar", "batch", "parallel", "process", "cluster")
+        assert available_backends() == ("scalar", "batch", "parallel", "cluster")
         bulk = tuple(name for name in available_backends() if get_backend(name).is_bulk)
-        assert bulk == ("batch", "parallel", "process", "cluster")
+        assert bulk == ("batch", "parallel", "cluster")
 
     def test_get_backend_unknown_is_friendly(self):
         with pytest.raises(SolverError) as excinfo:

@@ -8,15 +8,9 @@ per-user reduction is independent of the others, so the results must be
 precision) — regardless of worker count, chunk size or block split.  These
 tests pin that down, along with the ``workers`` knob's resolution rules and
 its plumbing through schedulers, results, records and the CLI.
-
-The worker count used by the equivalence tests can be raised from the
-environment (``REPRO_TEST_WORKERS``) — CI runs a second leg with 2 workers so
-the pool genuinely fans out even when the default resolution would pick 1.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -31,12 +25,9 @@ from repro.experiments.metrics import MetricRecord
 
 from tests.conftest import make_random_instance
 
-#: Worker count of the equivalence runs.  Defaults to the library's own
-#: resolution (the CPU count — 1 on a single-core box, where the pool
-#: degrades to the serial batch path); CI's dedicated leg pins it to 2 via
-#: ``REPRO_TEST_WORKERS`` so the pool genuinely fans out there regardless of
-#: the runner's core count.
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "0")) or resolve_workers(None)
+#: Worker count of the equivalence runs: 2, so the pool genuinely fans out
+#: even on a single-core machine (where the automatic resolution picks 1).
+WORKERS = 2
 
 #: Every scheduler wired onto the bulk scoring API.
 PARALLEL_SCHEDULERS = ["ALG", "INC", "HOR", "HOR-I", "TOP", "INC-U", "ALG-O"]
@@ -78,6 +69,10 @@ class TestEngineBitIdentity:
         batch = ScoringEngine(instance, execution=ExecutionConfig(backend="batch", chunk_size=4))
         parallel = ScoringEngine(instance, execution=ExecutionConfig(backend="parallel", chunk_size=4, workers=WORKERS))
         subset = [1, 4, 7, 9, 13, 19, 0, 5]
+        assert np.array_equal(
+            parallel.score_matrix(subset, count=False),
+            batch.score_matrix(subset, count=False),
+        )
         for interval_index in range(instance.num_intervals):
             assert np.array_equal(
                 parallel.interval_scores(interval_index, count=False),
@@ -167,6 +162,18 @@ class TestWorkersKnob:
         engine.close()
         assert engine.execution_backend._executor is None
         engine.close()  # idempotent
+
+    def test_dropping_the_engine_releases_pool_promptly(self):
+        """The engine↔backend link is weak: refcounting alone must free the
+        engine (running its __del__, which shuts the pool down) — no waiting
+        for the cycle collector."""
+        instance = make_random_instance(seed=103, num_users=20, num_events=16, num_intervals=3)
+        engine = ScoringEngine(instance, execution=ExecutionConfig(backend="parallel", chunk_size=4, workers=2))
+        engine.score_matrix(count=False)
+        impl = engine.execution_backend
+        assert impl._executor is not None
+        del engine
+        assert impl._executor is None
 
     def test_serial_backends_never_create_a_pool(self):
         """The serial strategies do not even have an executor slot."""

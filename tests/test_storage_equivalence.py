@@ -154,27 +154,22 @@ class TestSchedulerEquivalence:
             assert results[name].storage == name
             assert results[name].summary()["storage"] == name
 
-    @pytest.mark.parametrize(
-        "backend_config",
-        [
-            {"backend": "parallel", "workers": 2},
-            {"backend": "process", "workers": 2},
-        ],
-        ids=["parallel", "process"],
-    )
-    def test_worker_backends_storage_invariant(self, tmp_path, backend_config):
+    def test_parallel_backend_storage_invariant(self, tmp_path):
         variants = storage_variants(
             tmp_path, seed=311, num_users=40, num_events=12, num_intervals=4
         )
         reference = run_scheduler("ALG", variants["dense"], 5)
         for name in STORAGES:
             result = run_scheduler(
-                "ALG", variants[name], 5, execution=ExecutionConfig(**backend_config)
+                "ALG",
+                variants[name],
+                5,
+                execution=ExecutionConfig(backend="parallel", workers=2),
             )
             assert result.schedule.as_dict() == reference.schedule.as_dict()
             assert result.utility == reference.utility
             assert result.storage == name
-            assert result.backend == backend_config["backend"]
+            assert result.backend == "parallel"
 
 
 # --------------------------------------------------------------------------- #
