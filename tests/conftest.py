@@ -13,12 +13,13 @@ import atexit
 import os
 import shutil
 import tempfile
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import pytest
 
 from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, User
+from repro.core.execution import ExecutionConfig, available_backends
 from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
 
@@ -46,6 +47,50 @@ def _apply_test_plan(monkeypatch):
 
         monkeypatch.setattr(execution, "DEFAULT_PLAN", TEST_PLAN)
     yield
+
+
+#: Fanned-out runs of the pooled backends, checked by the backend-invariance
+#: suites next to every registered backend name.  By name alone neither pool
+#: is guaranteed to fan out: ``parallel`` resolves to one thread on a
+#: single-core machine, and ``cluster`` without ``workers_addr`` runs serial
+#: batch in-process.  ``parallel-2`` pins two threads; ``cluster-2`` dispatches
+#: to the two live localhost workers of the ``local_cluster`` fixture.
+FANOUT_VARIANTS = ("parallel-2", "cluster-2")
+
+
+def execution_variants() -> Tuple[str, ...]:
+    """Every registered backend name, then the :data:`FANOUT_VARIANTS`."""
+    return available_backends() + FANOUT_VARIANTS
+
+
+@pytest.fixture(scope="session")
+def local_cluster():
+    """Addresses of two localhost cluster workers shared by the whole run."""
+    from repro.core.distributed import start_local_worker
+
+    handles = [start_local_worker(), start_local_worker()]
+    yield tuple(handle.address for handle in handles)
+    for handle in handles:
+        handle.stop()
+
+
+@pytest.fixture
+def execution_for(request):
+    """Build the :class:`ExecutionConfig` of an :func:`execution_variants` name.
+
+    Extra keyword knobs (``chunk_size``, ...) are passed through.  The cluster
+    workers are only started by the first test that asks for ``cluster-2``.
+    """
+
+    def build(variant: str, **knobs) -> ExecutionConfig:
+        if variant == "parallel-2":
+            return ExecutionConfig(backend="parallel", workers=2, **knobs)
+        if variant == "cluster-2":
+            addresses = request.getfixturevalue("local_cluster")
+            return ExecutionConfig(backend="cluster", workers_addr=addresses, **knobs)
+        return ExecutionConfig(backend=variant, **knobs)
+
+    return build
 
 
 def apply_test_storage(instance: SESInstance) -> SESInstance:

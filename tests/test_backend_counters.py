@@ -18,7 +18,7 @@ from repro.core.counters import ComputationCounter
 from repro.core.execution import ExecutionConfig, available_backends
 from repro.core.scoring import ScoringEngine
 
-from tests.conftest import make_random_instance
+from tests.conftest import execution_variants, make_random_instance
 
 COUNTER_ALGORITHMS = ["ALG", "INC", "HOR", "HOR-I", "TOP", "INC-U", "ALG-O"]
 
@@ -50,14 +50,14 @@ def test_counters_identical_across_backends(algorithm, config):
     assert snapshots["batch"]["assignments_generated"] > 0
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_bulk_counting_matches_per_pair_counting(backend):
+@pytest.mark.parametrize("variant", execution_variants())
+def test_bulk_counting_matches_per_pair_counting(variant, execution_for):
     """count_scores(n) must equal n count_score() calls, byte for byte."""
     instance = make_random_instance(seed=54, num_users=20, num_events=8, num_intervals=3)
     bulk = ComputationCounter(num_users=instance.num_users)
     per_pair = ComputationCounter(num_users=instance.num_users)
 
-    engine = ScoringEngine(instance, counter=bulk, execution=ExecutionConfig(backend=backend))
+    engine = ScoringEngine(instance, counter=bulk, execution=execution_for(variant))
     engine.interval_scores(0, initial=True)
     engine.interval_scores(1, initial=False)
 

@@ -1,4 +1,7 @@
-"""The paper's equivalence propositions, checked under both scoring backends.
+"""The paper's equivalence propositions, checked under every scoring backend.
+
+Each registered backend runs by name, and the pooled ones also run genuinely
+fanned out (the ``parallel-2`` / ``cluster-2`` variants of ``conftest.py``).
 
 Proposition 3: INC selects exactly the assignments ALG selects (same schedule,
 same utility).  Proposition 6: HOR-I returns exactly HOR's schedule.  Both
@@ -18,7 +21,7 @@ from repro.algorithms.registry import run_scheduler
 from repro.core.instance import SESInstance
 from repro.core.execution import ExecutionConfig, available_backends
 
-from tests.conftest import make_random_instance
+from tests.conftest import execution_variants, make_random_instance
 
 TOLERANCE = 1e-12
 
@@ -43,30 +46,30 @@ RANDOM_SEEDS = [60, 61, 62, 63, 64]
 TIE_SEEDS = [70, 71, 72, 73, 74]
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("variant", execution_variants())
 @pytest.mark.parametrize("pair", EQUIVALENT_PAIRS, ids=lambda p: f"{p[0]}≡{p[1]}")
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
-def test_proposition_equivalences_on_random_instances(backend, pair, seed):
+def test_proposition_equivalences_on_random_instances(variant, pair, seed, execution_for):
     first, second = pair
     instance = make_random_instance(
         seed=seed, num_users=40, num_events=14, num_intervals=5, num_competing=6
     )
     k = min(instance.num_events, instance.num_intervals + 3)
-    result_first = run_scheduler(first, instance, k, execution=ExecutionConfig(backend=backend))
-    result_second = run_scheduler(second, instance, k, execution=ExecutionConfig(backend=backend))
+    result_first = run_scheduler(first, instance, k, execution=execution_for(variant))
+    result_second = run_scheduler(second, instance, k, execution=execution_for(variant))
     assert result_first.schedule.as_dict() == result_second.schedule.as_dict()
     assert abs(result_first.utility - result_second.utility) <= TOLERANCE
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("variant", execution_variants())
 @pytest.mark.parametrize("pair", EQUIVALENT_PAIRS, ids=lambda p: f"{p[0]}≡{p[1]}")
 @pytest.mark.parametrize("seed", TIE_SEEDS)
-def test_proposition_equivalences_on_tie_heavy_instances(backend, pair, seed):
+def test_proposition_equivalences_on_tie_heavy_instances(variant, pair, seed, execution_for):
     first, second = pair
     instance = _tie_heavy_instance(seed)
     k = min(instance.num_events, instance.num_intervals + 2)
-    result_first = run_scheduler(first, instance, k, execution=ExecutionConfig(backend=backend))
-    result_second = run_scheduler(second, instance, k, execution=ExecutionConfig(backend=backend))
+    result_first = run_scheduler(first, instance, k, execution=execution_for(variant))
+    result_second = run_scheduler(second, instance, k, execution=execution_for(variant))
     assert result_first.schedule.as_dict() == result_second.schedule.as_dict()
     assert abs(result_first.utility - result_second.utility) <= TOLERANCE
 

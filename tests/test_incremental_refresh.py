@@ -29,7 +29,7 @@ from repro.core.scoring import (
     ScoringEngine,
     resolve_chunk_size,
 )
-from tests.conftest import make_random_instance
+from tests.conftest import execution_variants, make_random_instance
 
 
 def _zero_interest_instance():
@@ -65,10 +65,10 @@ REFRESH_CASES = {
 CASE_IDS = sorted(REFRESH_CASES)
 
 
-def _run_pair(algorithm, case, **execution_kwargs):
+def _run_pair(algorithm, case, execution=None, **execution_kwargs):
     factory, k = REFRESH_CASES[case]
     return run_scheduler(
-        algorithm, factory(), k, execution=ExecutionConfig(**execution_kwargs)
+        algorithm, factory(), k, execution=execution or ExecutionConfig(**execution_kwargs)
     )
 
 
@@ -76,18 +76,18 @@ class TestRoundLevelEquivalence:
     """INC ≡ ALG and HOR-I ≡ HOR under every backend, counters backend-invariant."""
 
     @pytest.mark.parametrize("case", CASE_IDS)
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_inc_matches_alg(self, case, backend):
-        alg = _run_pair("ALG", case, backend=backend)
-        inc = _run_pair("INC", case, backend=backend)
+    @pytest.mark.parametrize("variant", execution_variants())
+    def test_inc_matches_alg(self, case, variant, execution_for):
+        alg = _run_pair("ALG", case, execution_for(variant))
+        inc = _run_pair("INC", case, execution_for(variant))
         assert inc.schedule.as_dict() == alg.schedule.as_dict()
         assert inc.utility == alg.utility
 
     @pytest.mark.parametrize("case", CASE_IDS)
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_hor_i_matches_hor(self, case, backend):
-        hor = _run_pair("HOR", case, backend=backend)
-        hor_i = _run_pair("HOR-I", case, backend=backend)
+    @pytest.mark.parametrize("variant", execution_variants())
+    def test_hor_i_matches_hor(self, case, variant, execution_for):
+        hor = _run_pair("HOR", case, execution_for(variant))
+        hor_i = _run_pair("HOR-I", case, execution_for(variant))
         assert hor_i.schedule.as_dict() == hor.schedule.as_dict()
         assert hor_i.utility == hor.utility
 
@@ -123,10 +123,10 @@ class TestRoundLevelEquivalence:
 class TestRefreshScoresApi:
     """The engine's bulk stale-refresh entry point."""
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_matches_per_pair_scores(self, backend):
+    @pytest.mark.parametrize("variant", execution_variants())
+    def test_matches_per_pair_scores(self, variant, execution_for):
         instance = make_random_instance(seed=80, num_events=12, num_intervals=4)
-        engine = ScoringEngine(instance, execution=ExecutionConfig(backend=backend))
+        engine = ScoringEngine(instance, execution=execution_for(variant))
         engine.apply(0, 1)
         engine.apply(3, 1)
         events = [1, 2, 5, 9, 11]

@@ -26,7 +26,7 @@ from repro.core.instance import SESInstance
 from repro.core.execution import ExecutionConfig, available_backends
 from repro.core.scoring import DEFAULT_BACKEND, ScoringEngine
 
-from tests.conftest import make_random_instance
+from tests.conftest import FANOUT_VARIANTS, execution_variants, make_random_instance
 
 TOLERANCE = 1e-12
 
@@ -190,6 +190,25 @@ def test_score_matrix_counts_one_score_per_pair():
         assert counter.update_computations == 0
 
 
+@pytest.mark.parametrize("variant", FANOUT_VARIANTS)
+def test_fanout_variants_really_fan_out(variant, execution_for):
+    """The suites' fan-out variants must shard work over two lanes, or their
+    bit-identity checks would only re-run the serial batch path."""
+    instance = make_random_instance(seed=42, num_users=12, num_events=6, num_intervals=4)
+    engine = ScoringEngine(instance, execution=execution_for(variant))
+    try:
+        assert engine.execution.workers == 2
+        engine.score_matrix(count=False)
+        impl = engine.execution_backend
+        if variant == "cluster-2":
+            assert len(impl.stats()["workers"]) == 2
+            assert impl.stats()["tasks"] == instance.num_intervals
+        else:
+            assert impl._executor is not None
+    finally:
+        engine.close()
+
+
 # --------------------------------------------------------------------------- #
 # Division-guard regression: users whose competing + scheduled interest is
 # zero must contribute exactly 0.0 — identically on both backends.
@@ -215,10 +234,10 @@ def _zero_denominator_instance() -> SESInstance:
     return SESInstance.from_arrays(interest=interest, activity=activity, name="zero-denominator")
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_zero_denominator_users_contribute_zero(backend):
+@pytest.mark.parametrize("variant", execution_variants())
+def test_zero_denominator_users_contribute_zero(variant, execution_for):
     instance = _zero_denominator_instance()
-    engine = ScoringEngine(instance, execution=ExecutionConfig(backend=backend))
+    engine = ScoringEngine(instance, execution=execution_for(variant))
 
     matrix = engine.score_matrix(count=False)
     assert np.all(np.isfinite(matrix))
