@@ -6,8 +6,11 @@ Claims being reproduced:
 2. HOR matches ALG's utility in most experiments (the paper reports > 70 %),
    with small relative gaps otherwise.
 3. The contributed methods perform (at most) the computations of ALG —
-   roughly half in the paper's larger setting — and are correspondingly
-   faster.
+   roughly half in the paper's larger setting.  The paper's "correspondingly
+   faster" rests on these counter ratios here: ALG's scan is vectorised, so
+   its wall time no longer tracks its search space, and INC is slower than
+   ALG on the perfbench ``unf-dense`` solve.  The "ALG / X wall time" rows
+   are reported, not asserted.
 """
 
 from repro.experiments.sweeps import summary_sweep

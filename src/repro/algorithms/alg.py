@@ -12,12 +12,21 @@ computes the assignment score of every (event, interval) pair, then repeats
 
 Step 1 examines the full assignment table on every iteration and step 3
 recomputes an interval's scores from scratch — the two costs INC/HOR/HOR-I
-are designed to avoid.
+are designed to avoid.  The counters record exactly those costs (every
+remaining assignment is one examined entry per scan, every refreshed pair one
+score computation): they are the paper's cost model.
+
+The implementation runs that scan as array operations over the ``(|E|, |T|)``
+score grid.  An ``alive`` mask holds the remaining assignments (including
+ones that are infeasible but not yet dropped, which the scan still examines),
+a ``feasible`` mask holds :meth:`~repro.core.constraints.ConstraintChecker.feasible_events`
+per interval, and one ``argmax`` over the masked grid picks the selection: the
+first maximum in row-major order is the library tie-break.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import numpy as np
 
 from repro.algorithms.base import BaseScheduler
 from repro.core.schedule import Schedule
@@ -29,64 +38,51 @@ class AlgScheduler(BaseScheduler):
     name = "ALG"
 
     def _run(self, k: int) -> Schedule:
-        instance = self.instance
         engine = self.engine
         checker = self.checker
         counter = self.counter
         schedule = self._start_schedule()
+        num_intervals = self.instance.num_intervals
 
-        # Initial generation: the full |E|×|T| score matrix in one bulk call.
-        score_grid = self._initial_score_grid()
-        scores: Dict[Tuple[int, int], float] = {
-            (event_index, interval_index): float(score_grid[event_index, interval_index])
-            for event_index in range(instance.num_events)
-            for interval_index in range(instance.num_intervals)
-            if not schedule.is_scheduled(event_index)
-        }
+        # Initial generation: the full |E|×|T| score matrix in one bulk call,
+        # copied because the scan writes refreshed scores into it.
+        grid = np.array(self._initial_score_grid(), dtype=np.float64)
+        alive = np.ones(grid.shape, dtype=bool)
+        alive[list(schedule.scheduled_events())] = False
+        feasible = np.column_stack([checker.feasible_events(t) for t in range(num_intervals)])
+        remaining = int(alive.sum())
 
         iterations = 0
         while len(schedule) < k:
             iterations += 1
-            best: Optional[Tuple[float, int, int]] = None
             # Examine every remaining assignment to find the top valid one.
-            for (event_index, interval_index), score in scores.items():
-                counter.count_examined()
-                if not checker.is_feasible(event_index, interval_index):
-                    continue
-                candidate = (score, event_index, interval_index)
-                if best is None or self._beats(candidate, best):
-                    best = candidate
-            if best is None:
+            counter.count_examined(remaining)
+            valid = alive & feasible
+            if not valid.any():
                 break
-
-            score, event_index, interval_index = best
-            self._select_assignment(schedule, event_index, interval_index, score)
+            best = int(np.argmax(np.where(valid, grid, -np.inf)))
+            event_index, interval_index = divmod(best, num_intervals)
+            self._select_assignment(
+                schedule, event_index, interval_index, float(grid[event_index, interval_index])
+            )
 
             # Drop every assignment that refers to the selected event.
-            for other_interval in range(instance.num_intervals):
-                scores.pop((event_index, other_interval), None)
+            remaining -= int(alive[event_index].sum())
+            alive[event_index] = False
 
             # Update: recompute the scores of the selected interval from scratch
             # (one batched evaluation of every surviving event of the interval).
-            stale_pairs = [pair for pair in scores if pair[1] == interval_index]
-            refresh_events = []
-            for pair in stale_pairs:
-                counter.count_examined()
-                if not checker.is_feasible(pair[0], interval_index):
-                    del scores[pair]
-                    continue
-                refresh_events.append(pair[0])
-            if refresh_events:
-                refreshed = engine.interval_scores(interval_index, refresh_events)
-                for refreshed_event, score in zip(refresh_events, refreshed):
-                    scores[(refreshed_event, interval_index)] = float(score)
+            stale_events = np.flatnonzero(alive[:, interval_index])
+            counter.count_examined(len(stale_events))
+            feasible[:, interval_index] = checker.feasible_events(interval_index)
+            keep = feasible[stale_events, interval_index]
+            alive[stale_events[~keep], interval_index] = False
+            remaining -= len(stale_events) - int(keep.sum())
+            refresh_events = stale_events[keep]
+            if len(refresh_events):
+                grid[refresh_events, interval_index] = engine.interval_scores(
+                    interval_index, refresh_events
+                )
 
         self.note("iterations", iterations)
         return schedule
-
-    @staticmethod
-    def _beats(candidate: Tuple[float, int, int], incumbent: Tuple[float, int, int]) -> bool:
-        """Library-wide tie-break: larger score, then smaller event, then smaller interval."""
-        candidate_key = (-candidate[0], candidate[1], candidate[2])
-        incumbent_key = (-incumbent[0], incumbent[1], incumbent[2])
-        return candidate_key < incumbent_key

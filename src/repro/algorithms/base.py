@@ -19,6 +19,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.constraints import ConstraintChecker
 from repro.core.counters import ComputationCounter
 from repro.core.errors import SolverError
@@ -514,11 +516,9 @@ class BaseScheduler(ABC):
                 ]
                 per_interval[interval_index].sort(key=AssignmentEntry.sort_key)
             return per_interval
-        candidate_events = [
-            event_index
-            for event_index in range(num_events)
-            if schedule is None or not schedule.is_scheduled(event_index)
-        ]
+        unscheduled = np.ones(num_events, dtype=bool)
+        if schedule is not None:
+            unscheduled[list(schedule.scheduled_events())] = False
         # A warm-grid provider covers the initial generation: a per-interval
         # bulk call scores a subset of one full-grid column with the same
         # per-row kernel reduction, so slicing the provided grid returns the
@@ -527,11 +527,8 @@ class BaseScheduler(ABC):
         if initial and self._warm_grid is not None:
             warm = self._warm_grid.grid(self.engine)
         for interval_index in range(num_intervals):
-            events = [
-                event_index
-                for event_index in candidate_events
-                if self.checker.is_feasible(event_index, interval_index)
-            ]
+            feasible = self.checker.feasible_events(interval_index)
+            events = np.flatnonzero(feasible & unscheduled).tolist()
             if not events:
                 continue
             if warm is not None:

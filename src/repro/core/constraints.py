@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.errors import InfeasibleAssignmentError
 from repro.core.instance import SESInstance
 from repro.core.schedule import Schedule
@@ -31,6 +33,11 @@ class ConstraintChecker:
     dataclasses, and offers both schedule-based checks (recomputed from the
     schedule) and state-based checks (maintained incrementally via
     :meth:`commit`) — the latter are what the schedulers use.
+
+    Next to the per-pair :meth:`is_feasible` it keeps array twins of the
+    same state — integer location codes, a ``(|T|, L)`` used-location mask
+    and a resource vector — so that :meth:`feasible_events` answers one
+    interval for every event at once with the same float arithmetic.
     """
 
     def __init__(self, instance: SESInstance) -> None:
@@ -43,6 +50,13 @@ class ConstraintChecker:
         self._used_locations: list[set[str]] = [set() for _ in range(num_intervals)]
         self._used_resources: list[float] = [0.0] * num_intervals
         self._used_counts: list[int] = [0] * num_intervals
+        codes: dict[str, int] = {}
+        self._location_codes = np.array(
+            [codes.setdefault(location, len(codes)) for location in self._locations],
+            dtype=np.intp,
+        )
+        self._resource_array = np.asarray(self._resources, dtype=np.float64)
+        self._used_location_mask = np.zeros((num_intervals, max(len(codes), 1)), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Incremental state
@@ -53,6 +67,7 @@ class ConstraintChecker:
             used.clear()
         self._used_resources = [0.0] * self._instance.num_intervals
         self._used_counts = [0] * self._instance.num_intervals
+        self._used_location_mask[:] = False
 
     def commit(self, event_index: int, interval_index: int) -> None:
         """Record that ``event_index`` has been scheduled at ``interval_index``.
@@ -69,12 +84,14 @@ class ConstraintChecker:
                 "the location, resources or capacity constraint"
             )
         self._used_locations[interval_index].add(self._locations[event_index])
+        self._used_location_mask[interval_index, self._location_codes[event_index]] = True
         self._used_resources[interval_index] += self._resources[event_index]
         self._used_counts[interval_index] += 1
 
     def release(self, event_index: int, interval_index: int) -> None:
         """Undo a previous :meth:`commit` (used by the exact solver's backtracking)."""
         self._used_locations[interval_index].discard(self._locations[event_index])
+        self._used_location_mask[interval_index, self._location_codes[event_index]] = False
         self._used_resources[interval_index] -= self._resources[event_index]
         if self._used_resources[interval_index] < 0:
             self._used_resources[interval_index] = 0.0
@@ -93,6 +110,21 @@ class ConstraintChecker:
             return False
         needed = self._used_resources[interval_index] + self._resources[event_index]
         return needed <= self._theta + 1e-12
+
+    def feasible_events(self, interval_index: int) -> np.ndarray:
+        """:meth:`is_feasible` of every event at one interval, as a bool vector.
+
+        Entry ``e`` equals ``is_feasible(e, interval_index)``: the resource
+        test adds each event's requirement to the same commit-order
+        accumulator with the same ``<= θ + 1e-12`` comparison.  Scheduled
+        events are not masked out — validity is the caller's concern.
+        """
+        capacity = self._capacities[interval_index]
+        if capacity is not None and self._used_counts[interval_index] >= capacity:
+            return np.zeros(len(self._locations), dtype=bool)
+        needed = self._used_resources[interval_index] + self._resource_array
+        free = ~self._used_location_mask[interval_index, self._location_codes]
+        return free & (needed <= self._theta + 1e-12)
 
     def remaining_resources(self, interval_index: int) -> float:
         """Resources still available in an interval."""

@@ -10,6 +10,7 @@ algorithms' selections.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -107,6 +108,15 @@ def apply_test_storage(instance: SESInstance) -> SESInstance:
         atexit.register(shutil.rmtree, directory, ignore_errors=True)
         return instance.with_storage("mmap", directory=directory)
     return instance.with_storage(TEST_STORAGE)
+
+
+def with_capacities(instance: SESInstance, capacities) -> SESInstance:
+    """``instance`` with interval ``t`` capped at ``capacities[t]`` events (``None``: uncapped)."""
+    intervals = [
+        dataclasses.replace(interval, capacity=capacity)
+        for interval, capacity in zip(instance.intervals, capacities)
+    ]
+    return dataclasses.replace(instance, intervals=intervals)
 
 
 def make_random_instance(
