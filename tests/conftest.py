@@ -9,12 +9,8 @@ algorithms' selections.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
-import os
-import shutil
-import tempfile
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 import pytest
@@ -23,32 +19,7 @@ from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, 
 from repro.core.execution import ExecutionConfig, available_backends
 from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
-
-#: Interest-matrix storage every helper-built instance is converted to.  CI
-#: sets ``REPRO_TEST_STORAGE=sparse`` / ``mmap`` to run the equivalence
-#: suites once per storage (the same pattern as ``REPRO_TEST_BACKEND``);
-#: unset, instances keep the default ``dense`` storage.
-TEST_STORAGE = os.environ.get("REPRO_TEST_STORAGE", "")
-
-#: Scoring plan every engine defaults to for the whole suite.  CI sets
-#: ``REPRO_TEST_PLAN=blocked`` to run the equivalence suites once per plan
-#: (the same pattern as ``REPRO_TEST_STORAGE``); unset, the library default
-#: (``direct``) applies.  Implemented by patching
-#: :data:`repro.core.execution.DEFAULT_PLAN`, which ``resolve_plan`` consults
-#: at resolution time — explicit ``plan=`` pins in individual tests still
-#: win, and non-bulk backends still pin to ``direct``.
-TEST_PLAN = os.environ.get("REPRO_TEST_PLAN", "")
-
-
-@pytest.fixture(autouse=True)
-def _apply_test_plan(monkeypatch):
-    """Route every engine through the suite-wide ``REPRO_TEST_PLAN`` plan."""
-    if TEST_PLAN:
-        from repro.core import execution
-
-        monkeypatch.setattr(execution, "DEFAULT_PLAN", TEST_PLAN)
-    yield
-
+from repro.core.scoring import ScoringEngine
 
 #: Fanned-out runs of the pooled backends, checked by the backend-invariance
 #: suites next to every registered backend name.  By name alone neither pool
@@ -94,22 +65,6 @@ def execution_for(request):
     return build
 
 
-def apply_test_storage(instance: SESInstance) -> SESInstance:
-    """Convert an instance to the suite-wide ``REPRO_TEST_STORAGE`` storage.
-
-    The ``mmap`` storage spills to a per-instance temporary directory removed
-    at interpreter exit (the backing NPZ must outlive every engine that maps
-    it, so per-test cleanup would be too eager).
-    """
-    if not TEST_STORAGE or instance.storage == TEST_STORAGE:
-        return instance
-    if TEST_STORAGE == "mmap":
-        directory = tempfile.mkdtemp(prefix="ses-repro-test-mmap-")
-        atexit.register(shutil.rmtree, directory, ignore_errors=True)
-        return instance.with_storage("mmap", directory=directory)
-    return instance.with_storage(TEST_STORAGE)
-
-
 def with_capacities(instance: SESInstance, capacities) -> SESInstance:
     """``instance`` with interval ``t`` capped at ``capacities[t]`` events (``None``: uncapped)."""
     intervals = [
@@ -130,19 +85,39 @@ def make_random_instance(
     resource_high: float = 5.0,
     seed: int = 0,
     interest_scale: float = 1.0,
+    interest_levels: int = 0,
+    users_per_pattern: int = 1,
+    capacities=None,
     user_weights=None,
     event_values=None,
     event_costs=None,
 ) -> SESInstance:
-    """Build a random instance with interesting (binding) constraints."""
+    """Build a random instance with interesting (binding) constraints.
+
+    ``interest_levels > 0`` quantises interest to that many evenly spaced
+    values, so equal event columns (and exact score ties) become likely.
+    ``users_per_pattern > 1`` makes the users duplicate-heavy: every user
+    copies the rows (µ, σ, comp and weight) of one of the first
+    ``|U| // users_per_pattern`` users, the structure the ``blocked`` plan
+    compresses.  The defaults draw every user independently.
+    ``capacities`` caps the intervals as in :func:`with_capacities`.
+    """
     rng = np.random.default_rng(seed)
-    interest = rng.random((num_users, num_events)) * interest_scale
+    interest = rng.random((num_users, num_events))
+    if interest_levels:
+        interest = np.floor(interest * interest_levels) / interest_levels
+    interest = interest * interest_scale
     activity = rng.random((num_users, num_intervals))
     competing = rng.random((num_users, num_competing))
     competing_intervals = rng.integers(0, num_intervals, num_competing)
     locations = [f"loc{index % num_locations}" for index in range(num_events)]
     required = rng.uniform(1.0, resource_high, num_events)
-    return apply_test_storage(SESInstance.from_arrays(
+    if users_per_pattern > 1:
+        copy = rng.integers(0, max(1, num_users // users_per_pattern), num_users)
+        interest, activity, competing = interest[copy], activity[copy], competing[copy]
+        if user_weights is not None:
+            user_weights = np.asarray(user_weights)[copy]
+    instance = SESInstance.from_arrays(
         interest=interest,
         activity=activity,
         competing_interest=competing,
@@ -154,7 +129,110 @@ def make_random_instance(
         event_values=event_values,
         event_costs=event_costs,
         name=f"random-{seed}",
-    ))
+    )
+    return instance if capacities is None else with_capacities(instance, capacities)
+
+
+def duplicate_heavy_instance(
+    num_users: int = 600,
+    num_patterns: int = 25,
+    num_events: int = 30,
+    num_intervals: int = 6,
+    seed: int = 7,
+) -> SESInstance:
+    """Users drawn from a small pool of full (µ, σ, comp) row patterns.
+
+    Activity decays across intervals so the structural Φ bound has skewed
+    intervals to prune (under uniform activity no sound bound dominates Φ).
+    """
+    rng = np.random.default_rng(seed)
+    decay = np.geomspace(1.0, 0.1, num_intervals)
+    pattern_interest = rng.random((num_patterns, num_events))
+    pattern_activity = rng.random((num_patterns, num_intervals)) * decay
+    pattern_competing = rng.random((num_patterns, 4))
+    assignment = rng.integers(0, num_patterns, num_users)
+    return SESInstance.from_arrays(
+        interest=pattern_interest[assignment],
+        activity=pattern_activity[assignment],
+        competing_interest=pattern_competing[assignment],
+        competing_interval_indices=[idx % num_intervals for idx in range(4)],
+        name=f"dup-{num_users}-p{num_patterns}",
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Storage × scoring-plan layouts of the equivalence suites
+# --------------------------------------------------------------------------- #
+#: Every interest-storage × scoring-plan layout, named ``"<storage>-<plan>"``.
+LAYOUTS = (
+    "dense-direct",
+    "sparse-direct",
+    "mmap-direct",
+    "dense-blocked",
+    "sparse-blocked",
+    "mmap-blocked",
+)
+
+#: Each axis value once: every storage on the direct plan, then the blocked
+#: plan on dense storage.  The default of the ``layout`` fixture, for suites
+#: that multiply every case by the backends; the storage-equivalence suite
+#: crosses all of :data:`LAYOUTS` against the dense, direct reference.
+AXIS_LAYOUTS = ("dense-direct", "sparse-direct", "mmap-direct", "dense-blocked")
+
+
+def convert_storage(instance: SESInstance, storage: str, directory=None) -> SESInstance:
+    """``instance`` under ``storage`` (``mmap`` spills into ``directory``)."""
+    if storage == "mmap":
+        return instance.with_storage("mmap", directory=directory)
+    return instance.with_storage(storage)
+
+
+@dataclasses.dataclass(frozen=True)
+class Layout:
+    """One storage × plan configuration: converts instances, builds configs."""
+
+    storage: str
+    plan: str
+    tmp_path_factory: pytest.TempPathFactory
+
+    def execution(self, **knobs) -> ExecutionConfig:
+        """An :class:`ExecutionConfig` on this layout's plan (``knobs`` pass through)."""
+        return ExecutionConfig(plan=self.plan, **knobs)
+
+    def convert(self, instance: SESInstance) -> SESInstance:
+        """``instance`` under this layout's storage.
+
+        Under the blocked plan this fails unless the plan really evaluates
+        class blocks: on all-distinct users it falls back to the direct
+        layout, and a blocked case would silently compare direct to itself.
+        """
+        directory = self.tmp_path_factory.mktemp("mmap") if self.storage == "mmap" else None
+        converted = convert_storage(instance, self.storage, directory)
+        if self.plan == "blocked":
+            engine = ScoringEngine(converted, execution=self.execution())
+            try:
+                engine.interval_scores(0, count=False)
+                assert engine.scoring_plan.stats()["blocks_evaluated"] > 0
+            finally:
+                engine.close()
+        return converted
+
+    def instance(self, **config) -> SESInstance:
+        """:func:`make_random_instance` under this layout.
+
+        Blocked layouts default to four users per pattern, so the plan has
+        classes to compress.
+        """
+        if self.plan == "blocked":
+            config.setdefault("users_per_pattern", 4)
+        return self.convert(make_random_instance(**config))
+
+
+@pytest.fixture(params=AXIS_LAYOUTS)
+def layout(request, tmp_path_factory) -> Layout:
+    """Each :data:`AXIS_LAYOUTS` entry in turn (pick others with ``indirect=True``)."""
+    storage, plan = request.param.split("-")
+    return Layout(storage, plan, tmp_path_factory)
 
 
 def make_running_example() -> SESInstance:
@@ -248,11 +326,11 @@ def unconstrained_instance() -> SESInstance:
     """A random instance with no binding location/resource constraints."""
     rng = np.random.default_rng(3)
     num_users, num_events, num_intervals = 40, 10, 4
-    return apply_test_storage(SESInstance.from_arrays(
+    return SESInstance.from_arrays(
         interest=rng.random((num_users, num_events)),
         activity=rng.random((num_users, num_intervals)),
         name="unconstrained",
-    ))
+    )
 
 
 def pytest_configure(config):  # noqa: D103 - standard pytest hook

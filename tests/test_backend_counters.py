@@ -6,7 +6,9 @@ per (event, interval) pair regardless of how the scores are physically
 computed.  These tests assert that every counter ``ComputationCounter``
 snapshot is *exactly* identical between backends for ALG, INC, HOR and HOR-I
 (plus the TOP baseline and the two ablations that ride on the same bulk API),
-so the Fig. 10 reproductions are backend-independent.
+so the Fig. 10 reproductions are backend-independent.  Each check runs once
+per ``layout`` fixture value: every storage on the direct plan, and the
+blocked plan (see ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import pytest
 
 from repro.algorithms.registry import run_scheduler
 from repro.core.counters import ComputationCounter
-from repro.core.execution import ExecutionConfig, available_backends
+from repro.core.execution import available_backends
 from repro.core.scoring import ScoringEngine
 
-from tests.conftest import execution_variants, make_random_instance
+from tests.conftest import execution_variants
 
 COUNTER_ALGORITHMS = ["ALG", "INC", "HOR", "HOR-I", "TOP", "INC-U", "ALG-O"]
 
@@ -33,12 +35,14 @@ INSTANCE_CONFIGS = [
 
 @pytest.mark.parametrize("algorithm", COUNTER_ALGORITHMS)
 @pytest.mark.parametrize("config", INSTANCE_CONFIGS, ids=lambda c: f"seed{c['seed']}")
-def test_counters_identical_across_backends(algorithm, config):
-    instance = make_random_instance(**config)
+def test_counters_identical_across_backends(algorithm, config, layout):
+    instance = layout.instance(**config)
     k = min(instance.num_events, 2 * instance.num_intervals)  # multi-round for HOR
     snapshots = {}
     for backend in available_backends():
-        result = run_scheduler(algorithm, instance, k, execution=ExecutionConfig(backend=backend, workers=2))
+        result = run_scheduler(
+            algorithm, instance, k, execution=layout.execution(backend=backend, workers=2)
+        )
         snapshots[backend] = result.counters
     for backend in available_backends()[1:]:
         assert snapshots["scalar"] == snapshots[backend], backend
@@ -51,13 +55,15 @@ def test_counters_identical_across_backends(algorithm, config):
 
 
 @pytest.mark.parametrize("variant", execution_variants())
-def test_bulk_counting_matches_per_pair_counting(variant, execution_for):
+def test_bulk_counting_matches_per_pair_counting(variant, execution_for, layout):
     """count_scores(n) must equal n count_score() calls, byte for byte."""
-    instance = make_random_instance(seed=54, num_users=20, num_events=8, num_intervals=3)
+    instance = layout.instance(seed=54, num_users=20, num_events=8, num_intervals=3)
     bulk = ComputationCounter(num_users=instance.num_users)
     per_pair = ComputationCounter(num_users=instance.num_users)
 
-    engine = ScoringEngine(instance, counter=bulk, execution=execution_for(variant))
+    engine = ScoringEngine(
+        instance, counter=bulk, execution=execution_for(variant, plan=layout.plan)
+    )
     engine.interval_scores(0, initial=True)
     engine.interval_scores(1, initial=False)
 
@@ -69,11 +75,13 @@ def test_bulk_counting_matches_per_pair_counting(variant, execution_for):
     assert bulk.snapshot() == per_pair.snapshot()
 
 
-def test_initial_vs_update_split_is_backend_invariant():
-    instance = make_random_instance(seed=55, num_users=25, num_events=12, num_intervals=4)
+def test_initial_vs_update_split_is_backend_invariant(layout):
+    instance = layout.instance(seed=55, num_users=25, num_events=12, num_intervals=4)
     splits = {}
     for backend in available_backends():
-        result = run_scheduler("INC", instance, 6, execution=ExecutionConfig(backend=backend, workers=2))
+        result = run_scheduler(
+            "INC", instance, 6, execution=layout.execution(backend=backend, workers=2)
+        )
         splits[backend] = (
             result.counters["initial_computations"],
             result.counters["update_computations"],

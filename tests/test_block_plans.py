@@ -25,7 +25,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.conftest import make_random_instance
+from tests.conftest import (
+    Layout,
+    convert_storage,
+    duplicate_heavy_instance,
+    make_random_instance,
+)
 from repro.algorithms.inc import IncScheduler
 from repro.algorithms.registry import run_scheduler
 from repro.analysis.blocks import BlockedPlan, PatternEventRows, mine_interest_structure
@@ -51,33 +56,6 @@ from repro.core.scoring import (
 from repro.core.storage import DenseEventRows, StoreEventRows
 
 SCHEDULERS = ("ALG", "INC", "HOR", "HOR-I", "TOP")
-
-
-def duplicate_heavy_instance(
-    num_users: int = 600,
-    num_patterns: int = 25,
-    num_events: int = 30,
-    num_intervals: int = 6,
-    seed: int = 7,
-) -> SESInstance:
-    """Users drawn from a small pool of full (µ, σ, comp) row patterns.
-
-    Activity decays across intervals so the structural Φ bound has skewed
-    intervals to prune (under uniform activity no sound bound dominates Φ).
-    """
-    rng = np.random.default_rng(seed)
-    decay = np.geomspace(1.0, 0.1, num_intervals)
-    pattern_interest = rng.random((num_patterns, num_events))
-    pattern_activity = rng.random((num_patterns, num_intervals)) * decay
-    pattern_competing = rng.random((num_patterns, 4))
-    assignment = rng.integers(0, num_patterns, num_users)
-    return SESInstance.from_arrays(
-        interest=pattern_interest[assignment],
-        activity=pattern_activity[assignment],
-        competing_interest=pattern_competing[assignment],
-        competing_interval_indices=[idx % num_intervals for idx in range(4)],
-        name=f"dup-{num_users}-p{num_patterns}",
-    )
 
 
 def brute_force_labels(instance: SESInstance) -> np.ndarray:
@@ -136,12 +114,6 @@ def mining_case(name: str):
 
 def execution_for(plan: str, backend: str = "batch") -> ExecutionConfig:
     return ExecutionConfig(backend=backend, plan=plan, chunk_size=7)
-
-
-def convert(instance: SESInstance, storage: str, directory) -> SESInstance:
-    """The instance under ``storage`` (mmap spills into ``directory``)."""
-    kwargs = {"directory": directory} if storage == "mmap" else {}
-    return instance.with_storage(storage, **kwargs)
 
 
 # --------------------------------------------------------------------------- #
@@ -206,7 +178,7 @@ class TestMining:
     def test_mining_is_storage_invariant(self, storage, tmp_path):
         instance = duplicate_heavy_instance()
         reference = mine_interest_structure(instance)
-        converted = convert(instance, storage, tmp_path)
+        converted = convert_storage(instance, storage, tmp_path)
         mined = mine_interest_structure(converted)
         assert np.array_equal(mined.labels, reference.labels)
 
@@ -276,7 +248,7 @@ class TestBlockedPlanExactness:
     ):
         """Blocked on sparse/mmap equals direct on dense storage."""
         instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
-        converted = convert(instance, storage, tmp_path)
+        converted = convert_storage(instance, storage, tmp_path)
         dense_direct = run_scheduler(
             scheduler, instance, 4, execution=execution_for("direct", backend)
         )
@@ -291,7 +263,7 @@ class TestBlockedPlanExactness:
         """The INC/HOR-I refresh path: an explicit, unsorted event subset."""
         instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
         mmap_blocked = ScoringEngine(
-            convert(instance, "mmap", tmp_path), execution=execution_for("blocked")
+            convert_storage(instance, "mmap", tmp_path), execution=execution_for("blocked")
         )
         dense_direct = ScoringEngine(instance, execution=execution_for("direct"))
         selector = [17, 3, 29, 0, 11, 8, 22, 5, 14, 26, 1]
@@ -321,7 +293,7 @@ class TestBlockedPlanExactness:
         monkeypatch.setattr(
             scoring, "DEFAULT_CHUNK_ELEMENTS", instance.num_events * num_classes - 1
         )
-        converted = convert(instance, storage, tmp_path)
+        converted = convert_storage(instance, storage, tmp_path)
         engine = ScoringEngine(converted, execution=execution_for("blocked"))
         plan = engine.scoring_plan
         assert plan.pattern_matrix() is None
@@ -349,7 +321,7 @@ class TestBlockedPlanExactness:
         """Bulk scoring and the Φ bound read the cached pattern matrix only."""
         instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
         engine = ScoringEngine(
-            convert(instance, "mmap", tmp_path), execution=execution_for("blocked")
+            convert_storage(instance, "mmap", tmp_path), execution=execution_for("blocked")
         )
         densified = []
         original = StoreEventRows.block
@@ -370,7 +342,7 @@ class TestBlockedPlanExactness:
     def test_pattern_rows_match_full_rows_representative_columns(self, tmp_path):
         """Cached and streamed pattern rows hold the full rows' elements."""
         instance = duplicate_heavy_instance(num_users=200, num_patterns=10)
-        mmap_instance = convert(instance, "mmap", tmp_path)
+        mmap_instance = convert_storage(instance, "mmap", tmp_path)
         comp, sigma, values, _ = build_static_arrays(mmap_instance)
         full = build_event_rows(mmap_instance.interest.store, values)
         structure = mine_interest_structure(mmap_instance)
@@ -403,6 +375,13 @@ class TestBlockedPlanExactness:
         assert np.array_equal(
             engine.score_matrix(count=False), direct.score_matrix(count=False)
         )
+
+    def test_blocked_layouts_refuse_the_degenerate_fallback(self, tmp_path_factory):
+        """The equivalence suites' blocked cases cannot silently run direct."""
+        layout = Layout("dense", "blocked", tmp_path_factory)
+        with pytest.raises(AssertionError):
+            layout.convert(make_random_instance(seed=3))
+        layout.instance(seed=3)  # duplicate-heavy users: accepted
 
     def test_plan_is_recorded_in_result_and_summary(self):
         instance = duplicate_heavy_instance(num_users=120, num_patterns=8)
@@ -469,7 +448,7 @@ class TestStructuralBound:
     @pytest.mark.parametrize("storage", ["dense", "mmap"])
     def test_hor_i_never_consults_the_bound(self, storage, plan, tmp_path, monkeypatch):
         """HOR-I prunes with stale scores only: no bound, no bound-side mining."""
-        instance = convert(
+        instance = convert_storage(
             duplicate_heavy_instance(num_users=300, num_patterns=15), storage, tmp_path
         )
         k = 2 * instance.num_intervals + 1  # three rounds: refresh and lazy tops run
@@ -507,11 +486,7 @@ class TestPlanRegistry:
             get_plan("nope")
 
     def test_resolve_plan_defaults_and_pinning(self):
-        # Read the default through the module: ``None`` resolves against the
-        # *live* global, which the REPRO_TEST_PLAN fixture may have swapped.
-        from repro.core import execution
-
-        assert resolve_plan(None) == execution.DEFAULT_PLAN
+        assert resolve_plan(None) == "direct"
         assert resolve_plan("blocked") == "blocked"
         # Non-bulk backends never run the in-process block kernel.
         assert resolve_plan("blocked", backend="scalar") == "direct"

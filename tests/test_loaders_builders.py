@@ -36,12 +36,9 @@ class TestLoaders:
         """
         from repro.core.instance import SESInstance
 
-        # Pinned to dense whatever REPRO_TEST_STORAGE is: only a dense
-        # instance saves the dense payload this test inspects (sparse and
-        # mmap instances save CSR members instead).
         instance = make_random_instance(
             seed=7, num_users=12, num_events=7, num_intervals=3, num_competing=4
-        ).with_storage("dense")
+        )
         path = save_instance(instance, tmp_path / "instance.npz")
 
         seen = {}

@@ -13,6 +13,10 @@ path on ~20 randomized instances spanning different ``|U|``, ``|E|``, ``|T|``,
 * the shared division guard zeroes users whose competing + scheduled interest
   sums to zero on both paths (the regression for the formerly inlined,
   per-call-site guard).
+
+Every check that depends on the interest storage or the scoring plan runs
+once per ``layout`` fixture value: every storage on the direct plan, and the
+blocked plan (see ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -111,11 +115,13 @@ def _apply_prefix(instance: SESInstance, engines, seed: int) -> None:
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: f"seed{c['seed']}")
-def test_score_matrix_matches_scalar_reference(config):
-    instance = make_random_instance(**config)
-    scalar = ScoringEngine(instance, execution=ExecutionConfig(backend="scalar"))
-    batch = ScoringEngine(instance, execution=ExecutionConfig(backend="batch"))
-    parallel = ScoringEngine(instance, execution=ExecutionConfig(backend="parallel", workers=2))
+def test_score_matrix_matches_scalar_reference(config, layout):
+    instance = layout.instance(**config)
+    scalar = ScoringEngine(instance, execution=layout.execution(backend="scalar"))
+    batch = ScoringEngine(instance, execution=layout.execution(backend="batch"))
+    parallel = ScoringEngine(
+        instance, execution=layout.execution(backend="parallel", workers=2)
+    )
 
     reference = _scalar_reference_matrix(scalar)
     assert np.allclose(batch.score_matrix(count=False), reference, atol=TOLERANCE, rtol=0.0)
@@ -132,10 +138,10 @@ def test_score_matrix_matches_scalar_reference(config):
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS[:6], ids=lambda c: f"seed{c['seed']}")
-def test_interval_scores_subset_matches_scalar(config):
-    instance = make_random_instance(**config)
-    scalar = ScoringEngine(instance, execution=ExecutionConfig(backend="scalar"))
-    batch = ScoringEngine(instance, execution=ExecutionConfig(backend="batch"))
+def test_interval_scores_subset_matches_scalar(config, layout):
+    instance = layout.instance(**config)
+    scalar = ScoringEngine(instance, execution=layout.execution(backend="scalar"))
+    batch = ScoringEngine(instance, execution=layout.execution(backend="batch"))
     rng = np.random.default_rng(config["seed"])
     subset = list(
         rng.choice(instance.num_events, size=max(1, instance.num_events // 2), replace=False)
@@ -151,11 +157,13 @@ def test_interval_scores_subset_matches_scalar(config):
 
 @pytest.mark.parametrize("algorithm", BATCHED_SCHEDULERS)
 @pytest.mark.parametrize("config", ALL_CONFIGS[::2], ids=lambda c: f"seed{c['seed']}")
-def test_schedulers_identical_across_backends(algorithm, config):
-    instance = make_random_instance(**config)
+def test_schedulers_identical_across_backends(algorithm, config, layout):
+    instance = layout.instance(**config)
     k = min(instance.num_events, instance.num_intervals + 2)
     results = {
-        backend: run_scheduler(algorithm, instance, k, execution=ExecutionConfig(backend=backend, workers=2))
+        backend: run_scheduler(
+            algorithm, instance, k, execution=layout.execution(backend=backend, workers=2)
+        )
         for backend in available_backends()
     }
     scalar = results["scalar"]
@@ -177,10 +185,10 @@ def test_backend_selection_surface():
         run_scheduler("HOR", instance, 2, execution=ExecutionConfig(backend="nope"))
 
 
-def test_score_matrix_counts_one_score_per_pair():
-    instance = make_random_instance(seed=41, num_users=12, num_events=6, num_intervals=3)
+def test_score_matrix_counts_one_score_per_pair(layout):
+    instance = layout.instance(seed=41, num_users=12, num_events=6, num_intervals=3)
     for backend in available_backends():
-        engine = ScoringEngine(instance, execution=ExecutionConfig(backend=backend))
+        engine = ScoringEngine(instance, execution=layout.execution(backend=backend))
         engine.score_matrix(initial=True)
         counter = engine.counter
         pairs = instance.num_events * instance.num_intervals
@@ -213,10 +221,17 @@ def test_fanout_variants_really_fan_out(variant, execution_for):
 # Division-guard regression: users whose competing + scheduled interest is
 # zero must contribute exactly 0.0 — identically on both backends.
 # --------------------------------------------------------------------------- #
+#: Users of the zero-denominator instance, as indices into its three
+#: distinct rows: user 0 is the zero-interest user, and the repeats give the
+#: blocked plan classes to compress.
+ZERO_DENOMINATOR_USERS = [0, 1, 2, 2, 0, 1, 0]
+
+
 def _zero_denominator_instance() -> SESInstance:
-    # User 0 has zero interest in every candidate event and there are no
-    # competing events, so its denominator is 0 for every assignment until an
-    # event it cares about is scheduled — which never happens.
+    # User 0 (and every copy of it) has zero interest in every candidate
+    # event and there are no competing events, so its denominator is 0 for
+    # every assignment until an event it cares about is scheduled — which
+    # never happens.
     interest = np.array(
         [
             [0.0, 0.0, 0.0],
@@ -231,23 +246,28 @@ def _zero_denominator_instance() -> SESInstance:
             [0.6, 0.4],
         ]
     )
-    return SESInstance.from_arrays(interest=interest, activity=activity, name="zero-denominator")
+    return SESInstance.from_arrays(
+        interest=interest[ZERO_DENOMINATOR_USERS],
+        activity=activity[ZERO_DENOMINATOR_USERS],
+        name="zero-denominator",
+    )
 
 
 @pytest.mark.parametrize("variant", execution_variants())
-def test_zero_denominator_users_contribute_zero(variant, execution_for):
-    instance = _zero_denominator_instance()
-    engine = ScoringEngine(instance, execution=execution_for(variant))
+def test_zero_denominator_users_contribute_zero(variant, execution_for, layout):
+    instance = layout.convert(_zero_denominator_instance())
+    engine = ScoringEngine(instance, execution=execution_for(variant, plan=layout.plan))
 
     matrix = engine.score_matrix(count=False)
     assert np.all(np.isfinite(matrix))
-    # User 0 contributes nothing, so each initial score is the sum over the
-    # remaining users of σ_u^t (µ/µ cancels against an empty interval).
+    # Zero-interest users contribute nothing, so each initial score is the
+    # sum over the other users of σ_u^t (µ/µ cancels against an empty
+    # interval).
     for event_index in range(instance.num_events):
         for interval_index in range(instance.num_intervals):
             expected = sum(
                 instance.activity[user, interval_index]
-                for user in (1, 2)
+                for user in range(instance.num_users)
                 if interest_of(instance, user, event_index) > 0.0
             )
             assert abs(matrix[event_index, interval_index] - expected) <= TOLERANCE
@@ -269,10 +289,12 @@ def interest_of(instance: SESInstance, user: int, event: int) -> float:
 
 
 @pytest.mark.parametrize("algorithm", ["ALG", "INC", "HOR", "HOR-I", "TOP"])
-def test_zero_denominator_instance_schedules_identically(algorithm):
-    instance = _zero_denominator_instance()
+def test_zero_denominator_instance_schedules_identically(algorithm, layout):
+    instance = layout.convert(_zero_denominator_instance())
     results = {
-        backend: run_scheduler(algorithm, instance, 2, execution=ExecutionConfig(backend=backend))
+        backend: run_scheduler(
+            algorithm, instance, 2, execution=layout.execution(backend=backend)
+        )
         for backend in available_backends()
     }
     assert results["scalar"].schedule.as_dict() == results["batch"].schedule.as_dict()

@@ -16,18 +16,14 @@ property-testing way:
   algorithm, and the result is cross-checked cell-by-cell against a cold
   solve plus a fresh :class:`~repro.core.scoring.ScoringEngine` grid.
 
-The suite honours the suite-wide equivalence knobs: ``REPRO_TEST_BACKEND``
-selects the scoring backend the session (and the cold reference) run under,
-while ``REPRO_TEST_STORAGE`` / ``REPRO_TEST_PLAN`` are applied by
-``tests/conftest.py`` to every helper-built instance / engine — so CI can
-run the same sequences once per backend × storage × plan.
+Every test runs once per :data:`CONFIGURATIONS` entry — a storage × plan
+``layout`` (``tests/conftest.py``) plus the backend knobs the session and
+the cold reference share.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -48,19 +44,27 @@ from repro.service import (
     UnlockAssignment,
     UpdateInterest,
 )
-from tests.conftest import make_random_instance
 
-#: Scoring backend of both the session and the cold reference (CI pins it
-#: via ``REPRO_TEST_BACKEND``; unset runs the library default).  The pooled
-#: backends honour ``REPRO_TEST_WORKERS`` like the other equivalence suites.
-BACKEND = os.environ.get("REPRO_TEST_BACKEND", "")
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "0")) or None
+#: ``(layout, backend knobs)`` the whole suite runs under: the library
+#: default, two ``parallel`` threads, sparse storage, and mmap storage on the
+#: blocked plan (whose instances get duplicate-heavy users).
+CONFIGURATIONS = [
+    pytest.param("dense-direct", {}, id="dense-direct-batch"),
+    pytest.param(
+        "dense-direct", {"backend": "parallel", "workers": 2}, id="dense-direct-parallel2"
+    ),
+    pytest.param("sparse-direct", {}, id="sparse-direct-batch"),
+    pytest.param("mmap-blocked", {}, id="mmap-blocked-batch"),
+]
 
-EXECUTION: Optional[ExecutionConfig] = (
-    ExecutionConfig(backend=BACKEND or None, workers=WORKERS)
-    if BACKEND or WORKERS
-    else None
-)
+pytestmark = pytest.mark.parametrize("layout, knobs", CONFIGURATIONS, indirect=["layout"])
+
+
+@pytest.fixture
+def execution(layout, knobs) -> ExecutionConfig:
+    """The execution config of both the session and the cold reference."""
+    return layout.execution(**knobs)
+
 
 #: Algorithms the replay rotates through (every grid-consuming scheduler).
 ALGORITHMS = ("INC", "ALG", "HOR", "HOR-I", "TOP")
@@ -88,7 +92,7 @@ def interest_pool(num_users: int) -> np.ndarray:
     return derive_interest_matrix(network, topics, rng=rng)
 
 
-def cold_solve(session: SchedulingSession, k: int, algorithm: str, seed: int):
+def cold_solve(session: SchedulingSession, k: int, algorithm: str, seed: int, execution):
     """A cold one-shot solve of the session's current instance and locks."""
     instance = session.instance()
     locked = sorted(
@@ -96,14 +100,14 @@ def cold_solve(session: SchedulingSession, k: int, algorithm: str, seed: int):
         for event_id, interval_id in session.locks().items()
     )
     return run_scheduler(
-        algorithm, instance, k, seed=seed, execution=EXECUTION, locked=locked
+        algorithm, instance, k, seed=seed, execution=execution, locked=locked
     )
 
 
-def cold_initial_grid(session: SchedulingSession) -> np.ndarray:
+def cold_initial_grid(session: SchedulingSession, execution) -> np.ndarray:
     """The initial |E| × |T| grid a fresh engine computes after the locks."""
     instance = session.instance()
-    engine = ScoringEngine(instance, execution=EXECUTION)
+    engine = ScoringEngine(instance, execution=execution)
     try:
         for event_id, interval_id in sorted(session.locks().items()):
             engine.apply(
@@ -114,16 +118,16 @@ def cold_initial_grid(session: SchedulingSession) -> np.ndarray:
         engine.close()
 
 
-def assert_resolve_matches_cold(session, k, algorithm, seed):
+def assert_resolve_matches_cold(session, k, algorithm, seed, execution):
     """One warm resolve must be bit-identical to one cold solve."""
     warm = session.resolve(k, algorithm=algorithm)
-    cold = cold_solve(session, k, algorithm, seed)
+    cold = cold_solve(session, k, algorithm, seed, execution)
     assert warm.schedule.as_dict() == cold.schedule.as_dict()
     assert warm.utility == cold.utility
     assert warm.net_utility == cold.net_utility
     grid = session.baseline_grid()
     if grid is not None:
-        assert np.array_equal(grid, cold_initial_grid(session))
+        assert np.array_equal(grid, cold_initial_grid(session, execution))
     return warm
 
 
@@ -181,19 +185,19 @@ class TestRandomizedReplay:
     """Seeded mutation sequences: warm resolves ≡ cold solves throughout."""
 
     @pytest.mark.parametrize("seed", [101, 202, 303])
-    def test_replay_matches_cold(self, seed):
-        instance = make_random_instance(
+    def test_replay_matches_cold(self, seed, layout, execution):
+        instance = layout.instance(
             seed=seed, num_users=40, num_events=10, num_intervals=4, num_competing=6
         )
         session = SchedulingSession(
-            instance, algorithm="INC", seed=seed, execution=EXECUTION
+            instance, algorithm="INC", seed=seed, execution=execution
         )
         pool = interest_pool(40)
         rng = np.random.default_rng(seed)
         fresh_ids = iter(range(1000))
         applied = rejected = resolves = 0
         # A cold first resolve anchors the baseline grid the warm path patches.
-        assert_resolve_matches_cold(session, 6, "INC", seed)
+        assert_resolve_matches_cold(session, 6, "INC", seed, execution)
         for step in range(14):
             mutation = random_mutation(rng, session, pool, fresh_ids)
             try:
@@ -207,16 +211,16 @@ class TestRandomizedReplay:
             if step % 2 == 1:
                 algorithm = ALGORITHMS[resolves % len(ALGORITHMS)]
                 resolves += 1
-                assert_resolve_matches_cold(session, 6, algorithm, seed)
+                assert_resolve_matches_cold(session, 6, algorithm, seed, execution)
         assert applied >= 5  # the trace must carry real mutation traffic
         snapshot = session.stats.snapshot()
         assert snapshot["mutation_batches"] == applied
         assert snapshot["resolves_total"] == resolves + 1
 
-    def test_batched_mutations_match_cold(self):
+    def test_batched_mutations_match_cold(self, layout, execution):
         """Multi-mutation atomic batches reach the same state as cold."""
-        instance = make_random_instance(seed=5, num_users=30, num_events=8, num_intervals=4)
-        session = SchedulingSession(instance, seed=5, execution=EXECUTION)
+        instance = layout.instance(seed=5, num_users=30, num_events=8, num_intervals=4)
+        session = SchedulingSession(instance, seed=5, execution=execution)
         pool = interest_pool(30)
         session.resolve(5)
         events = [event.id for event in instance.events]
@@ -230,15 +234,15 @@ class TestRandomizedReplay:
             ]
         )
         for algorithm in ALGORITHMS:
-            assert_resolve_matches_cold(session, 5, algorithm, 5)
+            assert_resolve_matches_cold(session, 5, algorithm, 5, execution)
 
 
 class TestStructuralMutations:
     """Add/remove events keep the cached grid aligned with the instance."""
 
-    def test_add_then_resolve_matches_cold(self):
-        instance = make_random_instance(seed=21, num_users=40, num_events=9, num_intervals=4)
-        session = SchedulingSession(instance, seed=21, execution=EXECUTION)
+    def test_add_then_resolve_matches_cold(self, layout, execution):
+        instance = layout.instance(seed=21, num_users=40, num_events=9, num_intervals=4)
+        session = SchedulingSession(instance, seed=21, execution=execution)
         pool = interest_pool(40)
         session.resolve(5)
         session.apply(
@@ -249,13 +253,13 @@ class TestStructuralMutations:
                 )
             ]
         )
-        warm = assert_resolve_matches_cold(session, 5, "INC", 21)
+        warm = assert_resolve_matches_cold(session, 5, "INC", 21, execution)
         assert warm.service["warm"] is True
 
-    def test_add_then_remove_restores_cold_schedule(self):
+    def test_add_then_remove_restores_cold_schedule(self, layout, execution):
         """Adding and removing an event must land back on the original result."""
-        instance = make_random_instance(seed=22, num_users=40, num_events=9, num_intervals=4)
-        session = SchedulingSession(instance, seed=22, execution=EXECUTION)
+        instance = layout.instance(seed=22, num_users=40, num_events=9, num_intervals=4)
+        session = SchedulingSession(instance, seed=22, execution=execution)
         pool = interest_pool(40)
         original = session.resolve(5)
         session.apply(
@@ -268,7 +272,7 @@ class TestStructuralMutations:
         )
         session.resolve(5)
         session.apply([RemoveEvent(event_id="x0")])
-        roundtrip = assert_resolve_matches_cold(session, 5, "INC", 22)
+        roundtrip = assert_resolve_matches_cold(session, 5, "INC", 22, execution)
         assert roundtrip.schedule.as_dict() == original.schedule.as_dict()
         assert roundtrip.utility == original.utility
 
@@ -276,24 +280,24 @@ class TestStructuralMutations:
 class TestNonGridAlgorithms:
     """RAND / EXACT resolve through the session with identical results."""
 
-    def test_rand_and_exact_match_cold(self):
-        instance = make_random_instance(
+    def test_rand_and_exact_match_cold(self, layout, execution):
+        instance = layout.instance(
             seed=7, num_users=20, num_events=5, num_intervals=2, num_competing=4
         )
-        session = SchedulingSession(instance, seed=11, execution=EXECUTION)
+        session = SchedulingSession(instance, seed=11, execution=execution)
         events = [event.id for event in instance.events]
         session.apply([LockAssignment(event_id=events[0], interval_id="t0")])
         for algorithm in ("RAND", "EXACT"):
             warm = session.resolve(2, algorithm=algorithm)
-            cold = cold_solve(session, 2, algorithm, 11)
+            cold = cold_solve(session, 2, algorithm, 11, execution)
             assert warm.schedule.as_dict() == cold.schedule.as_dict()
             assert warm.utility == cold.utility
 
 
 class TestAtomicityAndSavedWork:
-    def test_rejected_batch_leaves_session_unchanged(self):
-        instance = make_random_instance(seed=31, num_users=30, num_events=8, num_intervals=4)
-        session = SchedulingSession(instance, seed=31, execution=EXECUTION)
+    def test_rejected_batch_leaves_session_unchanged(self, layout, execution):
+        instance = layout.instance(seed=31, num_users=30, num_events=8, num_intervals=4)
+        session = SchedulingSession(instance, seed=31, execution=execution)
         session.resolve(5)
         before_status = session.status()
         before_schedule = session.last_schedule()
@@ -309,18 +313,18 @@ class TestAtomicityAndSavedWork:
             )
         assert session.status() == before_status
         assert session.last_schedule() == before_schedule
-        assert_resolve_matches_cold(session, 5, "INC", 31)
+        assert_resolve_matches_cold(session, 5, "INC", 31, execution)
 
-    def test_warm_resolve_saves_work(self):
-        instance = make_random_instance(seed=41, num_users=50, num_events=12, num_intervals=5)
-        session = SchedulingSession(instance, seed=41, execution=EXECUTION)
+    def test_warm_resolve_saves_work(self, layout, execution):
+        instance = layout.instance(seed=41, num_users=50, num_events=12, num_intervals=5)
+        session = SchedulingSession(instance, seed=41, execution=execution)
         first = session.resolve(6)
         assert first.service["warm"] is False
         assert first.service["scores_saved"] == 0
         users = [user.id for user in instance.users]
         events = [event.id for event in instance.events]
         session.apply([UpdateInterest(user_id=users[0], values={events[0]: 0.5})])
-        second = assert_resolve_matches_cold(session, 6, "INC", 41)
+        second = assert_resolve_matches_cold(session, 6, "INC", 41, execution)
         assert second.service["warm"] is True
         # One stale row out of twelve: most of the grid must be reused.
         assert second.service["scores_saved"] > second.service["scores_recomputed"]

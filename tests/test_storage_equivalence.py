@@ -8,11 +8,14 @@ storages, across backends, and across the cluster wire.  These tests pin
 that down:
 
 * engine-level ``score_matrix`` / ``interval_scores`` equality under every
-  storage (including against a mutated schedule state);
-* scheduler-level equality (schedule, utility, counters) across
-  storage × backend combinations, with the storage recorded on the result;
-* cluster legs against real spawned workers, one per storage — the mmap leg
-  ships only the backing-file path (protocol v3's ``"file"`` payload);
+  storage × plan layout (including against a mutated schedule state);
+* scheduler-level equality (schedule, utility, counters) with the dense,
+  direct reference under every layout and backend, with the storage and plan
+  recorded on the result — on adversarial corners too: a single user,
+  all-zero µ, exact score ties and a capacity-1 interval filled by a lock;
+* cluster runs against the suite's live localhost workers, per layout — the
+  mmap layouts ship only the backing-file path (protocol v3's ``"file"``
+  payload);
 * the no-filesystem-visibility fallback: a worker that cannot map the
   shipped path answers ``ERROR_FILE_UNAVAILABLE`` and the client re-ships
   the instance bytes under the same fingerprint, bit-identically;
@@ -20,9 +23,9 @@ that down:
   must not change the digest), file fingerprints, and
   ``build_instance_record`` over every payload kind.
 
-Run the whole suite under ``REPRO_TEST_STORAGE=sparse`` / ``mmap`` to push
-every helper-built instance in every *other* test file through the same
-checks (the CI matrix does).
+The ``layout`` fixture (``tests/conftest.py``) enumerates the storage × plan
+layouts; every blocked layout runs on duplicate-heavy users and asserts the
+plan really evaluated class blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import run_scheduler
-from repro.core.distributed import start_local_worker
 from repro.core.distributed import protocol
 from repro.core.distributed.protocol import (
     ColumnTask,
@@ -53,150 +55,197 @@ from repro.core.execution import ExecutionConfig
 from repro.core.instance_io import spill_instance
 from repro.core.scoring import ScoringEngine, build_event_rows, build_static_arrays
 from repro.core.storage import DenseEventRows, MmapStore, StoreEventRows, as_sparse
-from tests.conftest import make_random_instance
+from tests.conftest import LAYOUTS, make_random_instance
 
-STORAGES = ("dense", "sparse", "mmap")
 SCHEDULERS = ["ALG", "INC", "HOR", "TOP"]
 
+#: Every layout but the dense, direct reference itself.
+OTHER_LAYOUTS = pytest.mark.parametrize("layout", LAYOUTS[1:], indirect=True)
 
-def storage_variants(tmp_path, **kwargs):
-    """The same logical instance under every built-in storage."""
-    dense = make_random_instance(**kwargs).with_storage("dense")
-    return {
-        "dense": dense,
-        "sparse": dense.with_storage("sparse"),
-        "mmap": dense.with_storage("mmap", directory=tmp_path / "mmap"),
-    }
+#: Adversarial corners of the scheduler-equivalence test: the instance config
+#: and the locked ``(event, interval)`` pairs.
+CORNERS = {
+    "random": (dict(seed=310, num_users=50, num_events=16, num_intervals=5), ()),
+    "single-user": (dict(seed=311, num_users=1, num_events=10, num_intervals=4), ()),
+    "zero-interest": (
+        dict(seed=312, num_users=24, num_events=10, num_intervals=4, interest_scale=0.0),
+        (),
+    ),
+    # Two user patterns and two interest levels: at most four distinct event
+    # columns among twelve events, so scores tie exactly.
+    "exact-ties": (
+        dict(
+            seed=313,
+            num_users=8,
+            num_events=12,
+            num_intervals=4,
+            users_per_pattern=4,
+            interest_levels=2,
+        ),
+        (),
+    ),
+    # Interval t0 holds one event, and a lock fills it before the run.
+    "full-interval": (
+        dict(
+            seed=314,
+            num_users=24,
+            num_events=10,
+            num_intervals=4,
+            capacities=[1, None, None, None],
+        ),
+        ((2, 0),),
+    ),
+}
+
+#: Every layout × corner; a single user leaves the blocked plan nothing to
+#: compress (its degenerate fallback has its own test in test_block_plans).
+CORNER_CASES = [
+    pytest.param(layout, corner, id=f"{layout}-{corner}")
+    for layout in LAYOUTS
+    for corner in CORNERS
+    if not (corner == "single-user" and layout.endswith("-blocked"))
+]
 
 
 # --------------------------------------------------------------------------- #
 # Engine-level bit-identity
 # --------------------------------------------------------------------------- #
 class TestEngineEquivalence:
+    @OTHER_LAYOUTS
     @pytest.mark.parametrize("chunk_size", [1, 5, None])
-    def test_score_matrix_bit_identical(self, tmp_path, chunk_size):
-        variants = storage_variants(
-            tmp_path, seed=300, num_users=40, num_events=18, num_intervals=5
+    def test_score_matrix_bit_identical(self, layout, chunk_size):
+        instance = layout.instance(
+            seed=300, num_users=40, num_events=18, num_intervals=5
         )
-        engines = {
-            name: ScoringEngine(
-                instance, execution=ExecutionConfig(chunk_size=chunk_size)
-            )
-            for name, instance in variants.items()
-        }
-        reference = engines["dense"].score_matrix(count=False)
-        for name in ("sparse", "mmap"):
-            assert np.array_equal(engines[name].score_matrix(count=False), reference)
+        reference = ScoringEngine(
+            instance.with_storage("dense"),
+            execution=ExecutionConfig(chunk_size=chunk_size),
+        )
+        engine = ScoringEngine(instance, execution=layout.execution(chunk_size=chunk_size))
+        assert np.array_equal(
+            engine.score_matrix(count=False), reference.score_matrix(count=False)
+        )
         # ... and against a non-empty schedule state.
-        for engine in engines.values():
-            engine.apply(3, 1)
-            engine.apply(9, 2)
-        reference = engines["dense"].score_matrix(count=False)
-        for name in ("sparse", "mmap"):
-            assert np.array_equal(engines[name].score_matrix(count=False), reference)
-
-    def test_interval_scores_and_subsets_bit_identical(self, tmp_path):
-        variants = storage_variants(
-            tmp_path, seed=301, num_users=30, num_events=14, num_intervals=4
+        for each in (reference, engine):
+            each.apply(3, 1)
+            each.apply(9, 2)
+        assert np.array_equal(
+            engine.score_matrix(count=False), reference.score_matrix(count=False)
         )
-        engines = {
-            name: ScoringEngine(instance, execution=ExecutionConfig(chunk_size=3))
-            for name, instance in variants.items()
-        }
+
+    @OTHER_LAYOUTS
+    def test_interval_scores_and_subsets_bit_identical(self, layout):
+        instance = layout.instance(
+            seed=301, num_users=30, num_events=14, num_intervals=4
+        )
+        reference = ScoringEngine(
+            instance.with_storage("dense"), execution=ExecutionConfig(chunk_size=3)
+        )
+        engine = ScoringEngine(instance, execution=layout.execution(chunk_size=3))
         subset = [11, 2, 7, 2, 0]
         for interval_index in range(4):
-            full = engines["dense"].interval_scores(interval_index, count=False)
-            picked = engines["dense"].interval_scores(
-                interval_index, subset, count=False
+            assert np.array_equal(
+                engine.interval_scores(interval_index, count=False),
+                reference.interval_scores(interval_index, count=False),
             )
-            for name in ("sparse", "mmap"):
-                assert np.array_equal(
-                    engines[name].interval_scores(interval_index, count=False), full
-                )
-                assert np.array_equal(
-                    engines[name].interval_scores(interval_index, subset, count=False),
-                    picked,
-                )
+            assert np.array_equal(
+                engine.interval_scores(interval_index, subset, count=False),
+                reference.interval_scores(interval_index, subset, count=False),
+            )
 
-    def test_counters_are_storage_invariant(self, tmp_path):
-        variants = storage_variants(
-            tmp_path, seed=302, num_users=20, num_events=10, num_intervals=3
+    @OTHER_LAYOUTS
+    def test_counters_are_storage_invariant(self, layout):
+        instance = layout.instance(
+            seed=302, num_users=20, num_events=10, num_intervals=3
         )
-        snapshots = {}
-        for name, instance in variants.items():
-            engine = ScoringEngine(instance, execution=ExecutionConfig(chunk_size=4))
+        snapshots = []
+        for each, execution in (
+            (instance.with_storage("dense"), ExecutionConfig(chunk_size=4)),
+            (instance, layout.execution(chunk_size=4)),
+        ):
+            engine = ScoringEngine(each, execution=execution)
             engine.score_matrix(initial=True)
             engine.interval_scores(1, [0, 3, 5], initial=False)
-            snapshots[name] = engine.counter.snapshot()
-        assert snapshots["sparse"] == snapshots["dense"]
-        assert snapshots["mmap"] == snapshots["dense"]
+            snapshots.append(engine.counter.snapshot())
+        assert snapshots[1] == snapshots[0]
 
 
 # --------------------------------------------------------------------------- #
-# Scheduler-level equality across storage x backend
+# Scheduler-level equality across storage x plan x backend
 # --------------------------------------------------------------------------- #
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_batch_schedulers_storage_invariant(self, tmp_path, scheduler):
-        variants = storage_variants(
-            tmp_path, seed=310, num_users=50, num_events=16, num_intervals=5
+    @pytest.mark.parametrize("layout, corner", CORNER_CASES, indirect=["layout"])
+    def test_batch_schedulers_storage_invariant(self, layout, corner, scheduler):
+        config, locked = CORNERS[corner]
+        instance = layout.instance(**config)
+        reference = run_scheduler(
+            scheduler, instance.with_storage("dense"), 6, locked=locked
         )
-        results = {
-            name: run_scheduler(scheduler, instance, 6)
-            for name, instance in variants.items()
-        }
-        for name in ("sparse", "mmap"):
-            assert (
-                results[name].schedule.as_dict() == results["dense"].schedule.as_dict()
-            )
-            assert results[name].utility == results["dense"].utility
-            assert results[name].counters == results["dense"].counters
-            assert results[name].storage == name
-            assert results[name].summary()["storage"] == name
-
-    def test_parallel_backend_storage_invariant(self, tmp_path):
-        variants = storage_variants(
-            tmp_path, seed=311, num_users=40, num_events=12, num_intervals=4
+        result = run_scheduler(
+            scheduler, instance, 6, execution=layout.execution(), locked=locked
         )
-        reference = run_scheduler("ALG", variants["dense"], 5)
-        for name in STORAGES:
-            result = run_scheduler(
-                "ALG",
-                variants[name],
-                5,
-                execution=ExecutionConfig(backend="parallel", workers=2),
-            )
-            assert result.schedule.as_dict() == reference.schedule.as_dict()
-            assert result.utility == reference.utility
-            assert result.storage == name
-            assert result.backend == "parallel"
-
-
-# --------------------------------------------------------------------------- #
-# Cluster legs: one spawned worker per storage, plus the file fallback
-# --------------------------------------------------------------------------- #
-class TestClusterEquivalence:
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_cluster_bit_identical_per_storage(self, tmp_path, storage):
-        instance = storage_variants(
-            tmp_path, seed=320, num_users=30, num_events=15, num_intervals=4
-        )[storage]
-        reference = run_scheduler("ALG", instance, 5)
-        worker = start_local_worker()
-        try:
-            result = run_scheduler(
-                "ALG",
-                instance,
-                5,
-                execution=ExecutionConfig(
-                    backend="cluster", chunk_size=4, workers_addr=(worker.address,)
-                ),
-            )
-        finally:
-            worker.stop()
         assert result.schedule.as_dict() == reference.schedule.as_dict()
         assert result.utility == reference.utility
-        assert result.storage == storage
+        assert result.counters == reference.counters
+        assert set(locked) <= set(result.schedule.as_dict().items())
+        assert result.storage == layout.storage
+        assert result.summary()["storage"] == layout.storage
+        assert result.plan == layout.plan
+
+    def test_exact_ties_corner_ties(self):
+        """The exact-ties corner must really produce tied initial scores."""
+        config, _ = CORNERS["exact-ties"]
+        instance = make_random_instance(**config)
+        grid = ScoringEngine(instance).score_matrix(count=False)
+        assert np.unique(grid[:, 0]).size < instance.num_events
+
+    def test_full_interval_corner_is_full(self):
+        """The full-interval corner's lock must leave no room in t0."""
+        config, locked = CORNERS["full-interval"]
+        result = run_scheduler("ALG", make_random_instance(**config), 6, locked=locked)
+        schedule = result.schedule.as_dict()
+        assert [event for event, interval in schedule.items() if interval == 0] == [2]
+
+    @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
+    def test_parallel_backend_storage_invariant(self, layout):
+        instance = layout.instance(
+            seed=311, num_users=40, num_events=12, num_intervals=4
+        )
+        reference = run_scheduler("ALG", instance.with_storage("dense"), 5)
+        result = run_scheduler(
+            "ALG",
+            instance,
+            5,
+            execution=layout.execution(backend="parallel", workers=2),
+        )
+        assert result.schedule.as_dict() == reference.schedule.as_dict()
+        assert result.utility == reference.utility
+        assert result.storage == layout.storage
+        assert result.backend == "parallel"
+
+
+# --------------------------------------------------------------------------- #
+# Cluster runs on the live localhost workers, plus the file fallback
+# --------------------------------------------------------------------------- #
+class TestClusterEquivalence:
+    @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
+    def test_cluster_bit_identical_per_storage(self, layout, local_cluster):
+        instance = layout.instance(
+            seed=320, num_users=30, num_events=15, num_intervals=4
+        )
+        reference = run_scheduler("ALG", instance.with_storage("dense"), 5)
+        result = run_scheduler(
+            "ALG",
+            instance,
+            5,
+            execution=layout.execution(
+                backend="cluster", chunk_size=4, workers_addr=local_cluster
+            ),
+        )
+        assert result.schedule.as_dict() == reference.schedule.as_dict()
+        assert result.utility == reference.utility
+        assert result.storage == layout.storage
 
     def _threaded_worker(self):
         """A worker served in *this* process, so monkeypatches reach it."""
