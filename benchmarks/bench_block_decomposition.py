@@ -17,15 +17,20 @@ Two measurements:
   so the per-block arithmetic shrinks from ``|U|`` columns to
   ``num_classes`` columns; on mmap it also reads its ``(|E|, P)`` pattern
   rows from a matrix cached at bind time instead of densifying every store
-  block.  The speedup floor below is asserted on the dense rows at the
-  ``small``/``default`` scales; the mmap rows are bit-identity checks with
-  their timings reported, not gated.
+  block.  Each timed repetition runs on a fresh ``dataclasses.replace``
+  copy of the instance, whose structure memo starts empty, so the timing
+  includes mining like a first solve; ``time_memo_sec`` reports the same
+  run on an instance whose structure is already memoised (what every
+  later scheduler on one instance pays).  The speedup floor below is
+  asserted on the cold dense rows at the ``small``/``default`` scales; the
+  mmap rows are bit-identity checks with their timings reported, not
+  gated.
 * **Φ bound tightening** — INC with the structural per-interval bound on
   (the default) vs. off, with the wall-clock of each.  The bound is sound,
   so schedules and utilities are identical; the measured win is the drop
   in score computations plus the ``phi_bound_interval_skips`` counter
   showing whole intervals skipped without evaluation.  (HOR-I does not
-  consult the bound.)
+  consult the bound.)  Both modes run on fresh copies too.
 
 Scales (``REPRO_BENCH_SCALE``), as
 ``(num_users, num_patterns, num_events, num_intervals, k, min_speedup)``:
@@ -44,6 +49,7 @@ timings and counter deltas.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 import time
 
@@ -112,14 +118,24 @@ def execution_for(plan: str) -> ExecutionConfig:
 
 
 def time_top_run(instance: SESInstance, plan: str):
-    """Best-of-N timing of a full TOP run (k = |T|) under one scoring plan."""
-    best_elapsed, result = float("inf"), None
-    for _ in range(REPETITIONS):
-        scheduler = TopScheduler(instance, execution=execution_for(plan))
-        started = time.perf_counter()
-        result = scheduler.schedule(instance.num_intervals)
-        best_elapsed = min(best_elapsed, time.perf_counter() - started)
-    return best_elapsed, result
+    """Best-of-N timings of a full TOP run (k = |T|) under one scoring plan.
+
+    Returns ``(cold, memoised, result)``.  Every cold repetition runs on a
+    fresh ``dataclasses.replace`` copy (empty structure memo), so it pays
+    for mining as a first solve does; the memoised repetitions re-run the
+    last copy, whose structure the blocked plan has mined by then.
+    """
+    timings = {"cold": float("inf"), "memoised": float("inf")}
+    result = None
+    for mode in timings:
+        for _ in range(REPETITIONS):
+            if mode == "cold":
+                target = dataclasses.replace(instance)
+            scheduler = TopScheduler(target, execution=execution_for(plan))
+            started = time.perf_counter()
+            result = scheduler.schedule(instance.num_intervals)
+            timings[mode] = min(timings[mode], time.perf_counter() - started)
+    return timings["cold"], timings["memoised"], result
 
 
 def compare_plans(scale: str):
@@ -140,7 +156,7 @@ def compare_plans(scale: str):
         )
         for storage, stored in storages:
             for plan in ("direct", "blocked"):
-                elapsed, result = time_top_run(stored, plan)
+                elapsed, memoised, result = time_top_run(stored, plan)
                 results[storage, plan] = result
                 timings[storage, plan] = elapsed
                 rows.append(
@@ -154,6 +170,7 @@ def compare_plans(scale: str):
                         "events": num_events,
                         "intervals": num_intervals,
                         "time_sec": round(elapsed, 4),
+                        "time_memo_sec": round(memoised, 4),
                         "utility": round(result.utility, 4),
                         "score_computations": result.score_computations,
                         "speedup_vs_direct": round(
@@ -174,7 +191,9 @@ def compare_plans(scale: str):
     per_mode = {}
     for bounded in (False, True):
         scheduler = IncScheduler(
-            instance, execution=execution_for("blocked"), use_interval_bounds=bounded
+            dataclasses.replace(instance),
+            execution=execution_for("blocked"),
+            use_interval_bounds=bounded,
         )
         started = time.perf_counter()
         result = scheduler.schedule(k)

@@ -14,7 +14,14 @@ Two numbers make "heavy traffic" concrete:
 * **saved-work ratio** — the session's cumulative ``scores_saved`` over
   ``scores_recomputed``.  A ratio above 1 means the warm path reused more of
   the cached score grid than it recomputed, i.e. incremental re-solves beat
-  cold solves on aggregate score work (the benchmark asserts it).
+  cold solves on aggregate score work (the benchmark asserts it);
+* **wall-clock ratio** — the same comparison in seconds.  At every
+  :data:`COLD_EVERY`-th resolve (the first included) a *cold twin* session
+  loads the starting instance, receives every mutation the main session
+  accepted so far in one batch and resolves once, cold; the ratio is the
+  median over those pairs of cold resolve seconds over warm resolve
+  seconds (above 1: the warm path is faster).  The twin must return the
+  warm resolve's schedule (asserted).
 
 Scales (``REPRO_BENCH_SCALE``):
 
@@ -53,6 +60,9 @@ SERVE_SCALES = {
     "small": (60, 10, 150, 250, 5, 180),
     "default": (120, 12, 300, 620, 5, 500),
 }
+
+#: A cold twin resolve is timed at every this-many-th warm resolve.
+COLD_EVERY = 5
 
 #: Mutation mix of the generator (weights sum to 1): interest refreshes
 #: dominate, with lock/unlock churn and occasional structural edits.
@@ -147,6 +157,7 @@ def run_load(scale: str):
     rng = np.random.default_rng(23)
     trace = TraceGenerator(rng, num_events, num_intervals, num_users)
     resolve_latencies, mutate_latencies, query_latencies = [], [], []
+    accepted, cold_ratios, twin_mismatches, twin_seconds = [], [], 0, 0.0
     rejected = 0
     handle = start_local_service("127.0.0.1", 0)
     started = time.perf_counter()
@@ -166,18 +177,31 @@ def run_load(scale: str):
                     trace.forget(mutation)
                 else:
                     trace.record(mutation)
+                    accepted.append(mutation)
                 mutate_latencies.append(time.perf_counter() - begin)
                 if (step + 1) % period == 0:
                     begin = time.perf_counter()
-                    client.resolve(session_id, num_intervals)
+                    warm = client.resolve(session_id, num_intervals)
                     resolve_latencies.append(time.perf_counter() - begin)
                     begin = time.perf_counter()
                     client.get_schedule(session_id)
                     query_latencies.append(time.perf_counter() - begin)
+                    if len(resolve_latencies) % COLD_EVERY == 1:
+                        twin_started = time.perf_counter()
+                        twin = client.load_instance(instance, algorithm="INC", seed=17)
+                        if accepted:
+                            client.mutate(twin, accepted)
+                        begin = time.perf_counter()
+                        cold = client.resolve(twin, num_intervals)
+                        cold_ratios.append(
+                            (time.perf_counter() - begin) / resolve_latencies[-1]
+                        )
+                        twin_mismatches += cold["schedule"] != warm["schedule"]
+                        twin_seconds += time.perf_counter() - twin_started
             status = client.session_status(session_id)
     finally:
         handle.stop()
-    elapsed = time.perf_counter() - started
+    elapsed = time.perf_counter() - started - twin_seconds
     stats = status["stats"]
     saved_ratio = stats["scores_saved"] / max(stats["scores_recomputed"], 1)
     return {
@@ -187,6 +211,9 @@ def run_load(scale: str):
         "elapsed": elapsed,
         "stats": stats,
         "saved_ratio": saved_ratio,
+        "wall_clock_ratio": float(np.median(cold_ratios)),
+        "cold_samples": len(cold_ratios),
+        "twin_mismatches": twin_mismatches,
         "resolve": latency_summary(resolve_latencies),
         "mutate": latency_summary(mutate_latencies),
         "query": latency_summary(query_latencies),
@@ -220,7 +247,9 @@ def test_serve_load(benchmark, bench_scale, results_dir):
     print(
         f"applied {stats['mutations_applied']} mutations "
         f"({outcome['rejected']} rejected), {stats['resolves_total']} resolves "
-        f"({stats['warm_resolves']} warm), saved-work ratio {outcome['saved_ratio']:.2f}"
+        f"({stats['warm_resolves']} warm), saved-work ratio {outcome['saved_ratio']:.2f}, "
+        f"cold/warm resolve wall-clock ratio {outcome['wall_clock_ratio']:.2f} "
+        f"(median of {outcome['cold_samples']} pairs)"
     )
     write_result(
         "serve_load",
@@ -234,7 +263,12 @@ def test_serve_load(benchmark, bench_scale, results_dir):
         },
         counters=stats,
         rows=rows,
-        extra={"saved_work_ratio": outcome["saved_ratio"], "rejected": outcome["rejected"]},
+        extra={
+            "saved_work_ratio": outcome["saved_ratio"],
+            "wall_clock_ratio": outcome["wall_clock_ratio"],
+            "cold_samples": outcome["cold_samples"],
+            "rejected": outcome["rejected"],
+        },
     )
 
     # The trace must be real traffic, mostly served warm, and the warm path
@@ -242,3 +276,5 @@ def test_serve_load(benchmark, bench_scale, results_dir):
     assert stats["mutations_applied"] >= min_applied
     assert stats["warm_resolves"] >= stats["resolves_total"] - 1
     assert outcome["saved_ratio"] > 1.0
+    # A cold resolve of the same state returns the warm resolve's schedule.
+    assert outcome["twin_mismatches"] == 0

@@ -15,7 +15,11 @@ via the chunked lexsort partition refinement of :mod:`repro.core.patterns`
 (re-exported here).  Equivalent users receive identical per-user terms from
 every kernel under *every* schedule: identical µ rows imply identical
 scheduled sums forever, so the classes never need re-mining as the schedule
-grows.
+grows.  :func:`mine_interest_structure` always mines afresh; the engine and
+the plan below read the classes through
+:func:`repro.core.scoring.instance_structure`, which mines each instance at
+most once and keeps the result on the instance, so the schedulers of one
+instance share a single mine.
 
 The structure feeds two consumers: the engine's structural per-interval Φ
 bound (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`, one
@@ -31,12 +35,14 @@ the same order — scores, schedules, utilities and counters stay
 bit-identical to the ``direct`` reference across every backend × storage
 combination.
 
-The plan reads its kernel inputs in pattern space too.  At bind time it
-builds one ``(|E|, P)`` matrix of representative µ columns (cached while
-``|E| · P`` fits the chunk memory budget) and serves the in-process bulk
-path's event rows from it (:class:`PatternEventRows`), so after engine
-construction no score pass densifies a ``(block, |U|)`` store block again;
-the engine's Φ bound shares the same matrix.  Past the budget the same row
+The plan reads its kernel inputs in pattern space too.  At bind time each
+engine's plan builds one ``(|E|, P)`` matrix of representative µ columns
+(cached while ``|E| · P`` fits the chunk memory budget) and serves the
+in-process bulk path's event rows from it (:class:`PatternEventRows`), so
+after engine construction no score pass densifies a ``(block, |U|)`` store
+block again; the engine's Φ bound shares the same matrix.  The matrix (up
+to the full chunk budget in size) stays per engine; only the O(|U|)
+structure is kept on the instance.  Past the budget the same row
 source streams each store block and gathers the representative columns.
 """
 
@@ -57,6 +63,7 @@ from repro.core.scoring import (
     build_event_rows,
     build_pattern_matrix,
     build_static_arrays,
+    instance_structure,
 )
 from repro.core.storage import EventRowSource
 
@@ -67,13 +74,15 @@ from repro.core.storage import EventRowSource
 def mine_interest_structure(
     instance: SESInstance, *, chunk_size: Optional[int] = None
 ) -> InterestStructure:
-    """Mine the exact user equivalence classes of one instance.
+    """Mine the exact user equivalence classes of one instance, afresh.
 
     Streams the interest matrix event block by event block (each block at
     most ``chunk_size`` events — ``None`` derives the engine's default from
     the memory budget), then refines by the σ and competing-interest rows.
     Works unchanged over every registered storage: the event-row source
-    densifies sparse and mmap stores one block at a time.
+    densifies sparse and mmap stores one block at a time.  Never reads or
+    fills the instance's memo (:func:`~repro.core.scoring.instance_structure`),
+    so every call really mines with the ``chunk_size`` it is given.
     """
     comp, sigma, values, _ = build_static_arrays(instance)
     event_rows = build_event_rows(instance.interest.store, values)
@@ -141,10 +150,12 @@ class PatternEventRows(EventRowSource):
 class BlockedPlan(ScoringPlan):
     """Blocked plan: one kernel column per distinct interest pattern, expanded by multiplicity.
 
-    :meth:`prepare` mines the instance's equivalence classes once at engine
-    bind time and builds the ``(|E|, P)`` pattern matrix of representative
-    µ columns (:func:`~repro.core.scoring.build_pattern_matrix`; cached only
-    while ``|E| · P`` fits the chunk memory budget).  The plan supplies the
+    :meth:`prepare` takes the instance's equivalence classes at engine bind
+    time (:func:`~repro.core.scoring.instance_structure`: mined by the first
+    engine on the instance, kept on it for the rest) and builds the engine's
+    ``(|E|, P)`` pattern matrix of representative µ columns
+    (:func:`~repro.core.scoring.build_pattern_matrix`; cached only while
+    ``|E| · P`` fits the chunk memory budget).  The plan supplies the
     in-process bulk path's event rows (:class:`PatternEventRows`), so
     :meth:`batch_block` receives ``(block, P)`` pattern rows — served from
     the cached matrix, or streamed from the store and gathered per block
@@ -178,12 +189,12 @@ class BlockedPlan(ScoringPlan):
         self._columns_saved = 0
 
     def prepare(self, engine: ScoringEngine) -> None:
-        """Mine the equivalence classes and build the pattern-space row source."""
+        """Take the instance's equivalence classes and build the pattern-space row source."""
         event_rows = engine._event_rows
         if event_rows is None:
             event_rows = build_event_rows(engine._store, engine._values)
-        structure = mine_structure(
-            event_rows, engine._sigma, engine._comp, engine.chunk_size
+        structure = instance_structure(
+            engine.instance, event_rows, engine._sigma, engine._comp, engine.chunk_size
         )
         self._structure = structure
         self._degenerate = structure.num_classes >= structure.num_users
@@ -199,10 +210,6 @@ class BlockedPlan(ScoringPlan):
         """The mined decomposition (available after the plan is bound)."""
         if self._structure is None:
             raise SolverError("the blocked plan has not been bound to an engine yet")
-        return self._structure
-
-    def mined_structure(self) -> Optional[InterestStructure]:
-        """Share the decomposition with the engine's structural Φ bound."""
         return self._structure
 
     def pattern_matrix(self) -> Optional[np.ndarray]:

@@ -727,10 +727,11 @@ class ScoringPlan:
     the per-user contributions and their reduction order may not change.
 
     Subclasses implement :meth:`batch_block` against the engine's static and
-    scheduled state; :meth:`prepare` runs once at bind time for per-instance
-    precomputation (structure mining).  A plan may also supply the event-row
-    source the in-process bulk path iterates (:meth:`event_rows`), in which
-    case :meth:`batch_block` receives that source's blocks.  Engines reach
+    scheduled state; :meth:`prepare` runs once at bind time for per-engine
+    precomputation (the ``blocked`` plan's pattern matrix).  A plan may also
+    supply the event-row source the in-process bulk path iterates
+    (:meth:`event_rows`), in which case :meth:`batch_block` receives that
+    source's blocks.  Engines reach
     the plan through :meth:`ScoringEngine._select_event_rows` and
     :meth:`ScoringEngine._batch_block`, so the backends need no plan
     awareness at all.
@@ -768,26 +769,14 @@ class ScoringPlan:
         """Structure counters of this plan (empty for the direct reference)."""
         return {}
 
-    def mined_structure(self):
-        """The plan's mined :class:`~repro.core.patterns.InterestStructure`, if any.
-
-        The engine's structural Φ bound
-        (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`)
-        needs the same equivalence classes the ``blocked`` plan mines;
-        returning them here lets the engine reuse the plan's pass instead of
-        mining twice.  ``None`` (the default) makes the engine mine lazily
-        on first use — the miner is deterministic, so both routes yield the
-        same decomposition and identical bound values.
-        """
-        return None
-
     def pattern_matrix(self) -> Optional[np.ndarray]:
         """The plan's cached ``(|E|, P)`` representative µ matrix, if any.
 
-        Shared with the structural Φ bound the same way as
-        :meth:`mined_structure`: the engine takes it instead of gathering
-        its own copy in a store pass.  ``None`` (the default) makes the
-        engine build it lazily under the same memory rule.
+        Shared with the engine's structural Φ bound
+        (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`):
+        the engine takes it instead of gathering its own copy in a store
+        pass.  ``None`` (the default) makes the engine build it lazily under
+        the same memory rule.
         """
         return None
 

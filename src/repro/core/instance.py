@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, 
 from repro.core.errors import InstanceValidationError
 from repro.core.interest import InterestMatrix
 from repro.core.storage import require_unit_interval
+
+if TYPE_CHECKING:
+    from repro.core.patterns import InterestStructure
 
 
 @dataclass
@@ -60,6 +63,22 @@ class SESInstance:
         Human-readable dataset name (used in experiment reports).
     metadata:
         Free-form provenance information stored by dataset generators.
+
+    Notes
+    -----
+    The instance's interest structure (the user equivalence classes of
+    :mod:`repro.core.patterns`) is mined at most once per instance, by the
+    first scoring engine that needs it (any engine under the ``blocked``
+    plan, INC's structural Φ bound under ``direct``), and kept beside the
+    data (:func:`repro.core.scoring.instance_structure`).  From then on the
+    arrays it was mined from are read-only: the interest store's arrays
+    (the dense µ array, or the CSR arrays), :attr:`activity`,
+    :attr:`user_weights` and :attr:`competing_sums`, together with the
+    structure's own ``labels`` / ``representatives`` / ``counts``.  An
+    in-place write after that raises :class:`ValueError` instead of mixing
+    fresh values with stale classes; edit the arrays before solving, or
+    build a new instance (``dataclasses.replace``, :meth:`with_storage` and
+    every constructor start with no structure).
     """
 
     events: List[Event]
@@ -87,6 +106,9 @@ class SESInstance:
         self._user_index = {user.id: idx for idx, user in enumerate(self.users)}
         self._competing_by_interval = self._group_competing_by_interval()
         self._competing_sums = self._compute_competing_sums()
+        #: The mined interest structure, filled on first use by
+        #: repro.core.scoring.instance_structure.
+        self._interest_structure: Optional["InterestStructure"] = None
         self._user_weights = np.array([user.weight for user in self.users], dtype=np.float64)
 
     # ------------------------------------------------------------------ #
@@ -205,7 +227,10 @@ class SESInstance:
 
     @property
     def competing_sums(self) -> np.ndarray:
-        """Per-user, per-interval competing-interest sums (read-only view)."""
+        """Per-user, per-interval competing-interest sums.
+
+        Read-only once the interest structure is mined (see the class notes).
+        """
         return self._competing_sums
 
     @property
@@ -242,7 +267,10 @@ class SESInstance:
 
     @property
     def user_weights(self) -> np.ndarray:
-        """Per-user weights (all ones in the paper's formulation)."""
+        """Per-user weights (all ones in the paper's formulation).
+
+        Read-only once the interest structure is mined (see the class notes).
+        """
         return self._user_weights
 
     def event_index(self, event_id: str) -> int:

@@ -236,10 +236,13 @@ class InterestMatrix:
     def values(self) -> np.ndarray:
         """The matrix as a ``(num_users, num_items)`` float64 array.
 
-        For the ``"dense"`` storage this is the underlying array itself
-        (read/write, exactly as before); sparse and mmap stores materialise a
-        dense copy, which is capacity-guarded — use :attr:`store` for
-        streaming access to large instances.
+        For the ``"dense"`` storage this is the underlying array itself:
+        read/write until an instance holding this matrix has its interest
+        structure mined (see :class:`~repro.core.instance.SESInstance`),
+        read-only from then on, so in-place edits belong before the first
+        solve.  Sparse and mmap stores
+        materialise a dense copy, which is capacity-guarded — use
+        :attr:`store` for streaming access to large instances.
         """
         return self._store.to_dense()
 

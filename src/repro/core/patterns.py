@@ -5,12 +5,15 @@ indistinguishable to every scoring kernel under *every* schedule: identical µ
 rows imply identical per-interval scheduled sums forever, so the per-user
 attendance terms of equivalent users coincide element for element.  Mining
 the classes once per instance therefore yields a decomposition that never
-needs refreshing as the schedule grows.
+needs refreshing as the schedule grows — and the scoring engine keeps it on
+the instance (:func:`repro.core.scoring.instance_structure`), so every
+engine and scheduler run on one instance shares a single mine.
 
-This module is the storage-agnostic mining primitive: chunked partition
-refinement by one byte-wise row sort per event-major row block (never
-materialising more than one block, so million-user instances stay inside
-the engine's chunk-size memory envelope).  Two consumers build on it:
+This module is the storage-agnostic, uncached mining primitive: chunked
+partition refinement by one byte-wise row sort per event-major row block
+(never materialising more than one block, so million-user instances stay
+inside the engine's chunk-size memory envelope).  Two consumers share the
+memoised result:
 
 * the scoring engine's structural per-interval Φ bound
   (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`) — one

@@ -80,6 +80,7 @@ from repro.core.storage import (
     DenseStore,
     EventRowSource,
     InterestStore,
+    SparseStore,
     StoreEventRows,
 )
 
@@ -114,6 +115,48 @@ def build_event_rows(store: InterestStore, values: np.ndarray) -> EventRowSource
         mu_rows = np.ascontiguousarray(store.to_dense().T)
         return DenseEventRows(mu_rows, values[:, np.newaxis] * mu_rows)
     return StoreEventRows(store, values)
+
+
+def instance_structure(
+    instance: SESInstance,
+    event_rows: EventRowSource,
+    sigma: np.ndarray,
+    comp: np.ndarray,
+    chunk_size: int,
+) -> InterestStructure:
+    """The instance's interest structure, mined at most once per instance.
+
+    The first call mines ``event_rows`` / ``sigma`` / ``comp`` (the
+    instance's own kernel inputs) with :func:`mine_structure` and keeps the
+    result on the instance; later calls — every engine of every scheduler
+    run on the same instance — return it unmined.  Labels do not depend on
+    ``chunk_size``, so one memo serves every execution config.  Filling the
+    memo marks the arrays the structure was mined from, and the structure's
+    own arrays, read-only (the contract documented on
+    :class:`~repro.core.instance.SESInstance`), so an in-place edit cannot
+    leave the memo stale.  A new instance (``dataclasses.replace``,
+    ``with_storage``, a service rebuild) starts with an empty memo.
+    """
+    structure = instance._interest_structure
+    if structure is None:
+        structure = mine_structure(event_rows, sigma, comp, chunk_size)
+        frozen = [
+            instance.activity,
+            instance.user_weights,
+            instance.competing_sums,
+            structure.labels,
+            structure.representatives,
+            structure.counts,
+        ]
+        store = instance.interest.store
+        if isinstance(store, DenseStore):
+            frozen.append(store.values)
+        elif isinstance(store, SparseStore):
+            frozen.extend(store.csr_arrays)
+        for array in frozen:
+            array.setflags(write=False)
+        instance._interest_structure = structure
+    return structure
 
 
 def build_pattern_matrix(
@@ -551,11 +594,11 @@ class ScoringEngine:
         ``u``.  Both are exact maxima (max is rounding free), so they are
         identical across backends, storages and chunkings.
 
-        Structural statics: the interest-pattern equivalence classes
-        (:func:`~repro.core.patterns.mine_structure`) and the ``(|E|, P)``
-        pattern matrix of representative µ columns
-        (:func:`build_pattern_matrix`), both reused from the active plan when
-        it already has them.  The matrix turns the bound's per-user event
+        Structural statics: the instance's interest-pattern equivalence
+        classes (:func:`instance_structure`, mined at most once per
+        instance) and the ``(|E|, P)`` pattern matrix of representative µ
+        columns (:func:`build_pattern_matrix`), reused from the active plan
+        when it already has one.  The matrix turns the bound's per-user event
         maximum into a *per-event* sum over patterns — far tighter (see
         :meth:`interval_score_bound`) — and yields ``max_value`` without a
         store pass: equivalent users share their µ row, so the per-pattern
@@ -570,9 +613,9 @@ class ScoringEngine:
         source = self._event_rows
         if source is None:
             source = build_event_rows(self._store, self._values)
-        structure = self._plan_impl.mined_structure()
-        if structure is None:
-            structure = mine_structure(source, self._sigma, self._comp, chunk_size)
+        structure = instance_structure(
+            self._instance, source, self._sigma, self._comp, chunk_size
+        )
         pattern_mu = self._plan_impl.pattern_matrix()
         if pattern_mu is None:
             pattern_mu = build_pattern_matrix(source, structure, chunk_size)

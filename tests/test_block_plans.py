@@ -1,6 +1,6 @@
 """Block decomposition and scoring plans: mining, exactness, bounds, registry.
 
-Four contracts of the structure-exploiting scoring work:
+Five contracts of the structure-exploiting scoring work:
 
 * **Mining is exact** — the equivalence classes of
   :func:`repro.analysis.blocks.mine_interest_structure` match a brute-force
@@ -16,16 +16,24 @@ Four contracts of the structure-exploiting scoring work:
   score of its interval, under a fresh engine and after assignments, so
   INC's interval skips cannot change one scheduled assignment; HOR-I never
   consults it;
+* **Each instance is mined once** — the structure memoised on the instance
+  equals a fresh mine on every layout, memoised runs equal cold ones, the
+  five schedulers of one instance share one mine (only INC mines under
+  ``direct``), copies mine their own, and the mined-from arrays turn
+  read-only;
 * **The plan registry behaves like the backend registry** — registration,
   lookup, catalogue, builtin protection and non-bulk pinning.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tests.conftest import (
+    LAYOUTS,
     Layout,
     convert_storage,
     duplicate_heavy_instance,
@@ -453,6 +461,9 @@ class TestStructuralBound:
         )
         k = 2 * instance.num_intervals + 1  # three rounds: refresh and lazy tops run
         reference = run_scheduler("HOR", instance, k, execution=execution_for(plan))
+        # Under direct, HOR mined nothing, so the refused miner below guards
+        # HOR-I itself; under blocked, HOR's plan already filled the memo.
+        assert (instance._interest_structure is None) == (plan == "direct")
 
         def refuse(*args, **kwargs):
             raise AssertionError("HOR-I consulted the structural Φ bound")
@@ -472,6 +483,113 @@ class TestStructuralBound:
         ).schedule(4)
         assert result.counters.get("extra.phi_bound_evaluations", 0) > 0
         assert result.counters.get("extra.phi_bound_interval_skips", 0) > 0
+
+
+# --------------------------------------------------------------------------- #
+# The per-instance structure memo
+# --------------------------------------------------------------------------- #
+def count_mines(monkeypatch) -> list:
+    """Record every real mine behind :func:`repro.core.scoring.instance_structure`."""
+    mines = []
+    original = scoring.mine_structure
+
+    def counting(*args, **kwargs):
+        mines.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, "mine_structure", counting)
+    return mines
+
+
+def assert_same_structure(left, right) -> None:
+    assert np.array_equal(left.labels, right.labels)
+    assert np.array_equal(left.representatives, right.representatives)
+    assert np.array_equal(left.counts, right.counts)
+
+
+class TestInstanceStructureMemo:
+    @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
+    def test_memo_equals_a_fresh_mine(self, layout):
+        instance = layout.instance(seed=81, num_users=48, num_events=12, num_intervals=4)
+        run_scheduler("INC", instance, 6, execution=layout.execution())
+        memo = instance._interest_structure
+        assert memo is not None
+        comp, sigma, values, _ = build_static_arrays(instance)
+        fresh = mine_structure(
+            build_event_rows(instance.interest.store, values), sigma, comp, 5
+        )
+        assert_same_structure(memo, fresh)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
+    def test_memoised_run_equals_cold_run(self, layout, scheduler):
+        instance = layout.instance(seed=82, num_users=48, num_events=12, num_intervals=4)
+        runs = [
+            run_scheduler(scheduler, target, 7, execution=layout.execution())
+            for target in (instance, instance, dataclasses.replace(instance))
+        ]
+        assert instance._interest_structure is not None or layout.plan == "direct"
+        first = runs[0]
+        for other in runs[1:]:
+            assert other.schedule.as_dict() == first.schedule.as_dict()
+            assert other.utility == first.utility
+            assert other.counters == first.counters
+
+    @pytest.mark.parametrize("plan", ["direct", "blocked"])
+    @pytest.mark.parametrize("storage", ["dense", "mmap"])
+    def test_schedulers_of_one_instance_mine_once(
+        self, storage, plan, tmp_path, monkeypatch
+    ):
+        """Blocked: every engine needs classes, one mine.  Direct: INC's bound only."""
+        instance = convert_storage(
+            duplicate_heavy_instance(num_users=300, num_patterns=15), storage, tmp_path
+        )
+        mines = count_mines(monkeypatch)
+        after = {}
+        for scheduler in SCHEDULERS:
+            run_scheduler(scheduler, instance, 8, execution=execution_for(plan))
+            after[scheduler] = len(mines)
+        if plan == "blocked":
+            assert after == dict.fromkeys(SCHEDULERS, 1)
+        else:
+            assert after == {"ALG": 0, "INC": 1, "HOR": 1, "HOR-I": 1, "TOP": 1}
+
+    def test_copies_mine_their_own_equal_structure(self, monkeypatch):
+        instance = duplicate_heavy_instance(num_users=200, num_patterns=12)
+        mines = count_mines(monkeypatch)
+        run_scheduler("TOP", instance, 5, execution=execution_for("blocked"))
+        original = instance._interest_structure
+        for copy in (dataclasses.replace(instance), instance.with_storage("sparse")):
+            assert copy._interest_structure is None
+            before = len(mines)
+            run_scheduler("TOP", copy, 5, execution=execution_for("blocked"))
+            assert len(mines) == before + 1
+            assert copy._interest_structure is not original
+            assert_same_structure(copy._interest_structure, original)
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_in_place_write_after_a_solve_raises(self, storage):
+        instance = convert_storage(make_random_instance(seed=83), storage)
+        writable = instance.interest.values if storage == "dense" else None
+        if writable is not None:
+            writable[0, 0] = 0.5  # before any solve: allowed
+        run_scheduler("INC", instance, 4, execution=execution_for("direct"))
+        structure = instance._interest_structure
+        targets = [
+            instance.activity,
+            instance.user_weights,
+            instance.competing_sums,
+            structure.labels,
+            structure.representatives,
+            structure.counts,
+        ]
+        if storage == "dense":
+            targets.append(instance.interest.values)
+        else:
+            targets.extend(instance.interest.store.csr_arrays)
+        for array in targets:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 # --------------------------------------------------------------------------- #
