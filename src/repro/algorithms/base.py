@@ -81,11 +81,8 @@ class SchedulerResult:
         The cluster backend's dispatch counters
         (:meth:`~repro.core.execution.ExecutionBackend.stats`): per-address
         tasks / batches / round-trips / bytes, plus the locally-computed
-        column count.  Empty for in-process runs.
-    task_batch:
-        The resolved :attr:`~repro.core.execution.ExecutionConfig.task_batch`
-        knob of a cluster run (``None`` means the batch size was auto-derived
-        per call; also ``None`` for in-process runs).
+        column count and the wire batch size of the last dispatch.  Empty for
+        in-process runs.
     plan:
         Registry name of the scoring plan the run used (``"direct"``,
         ``"blocked"``, …) — recorded so harness tables can tell plan rows
@@ -110,7 +107,6 @@ class SchedulerResult:
     workers: int = 1
     cluster: Tuple[str, ...] = ()
     cluster_stats: Dict[str, object] = field(default_factory=dict)
-    task_batch: Optional[int] = None
     storage: str = DEFAULT_STORAGE
     plan: str = DEFAULT_PLAN
     service: Dict[str, object] = field(default_factory=dict)
@@ -141,8 +137,8 @@ class SchedulerResult:
         In-process runs report ``"-"``.  Cluster runs report a mapping with
         the worker addresses plus the per-run dispatch totals (tasks served
         remotely, wire batches, round-trips, bytes each way, columns computed
-        locally), so harness tables and the benchmark JSON expose shipping
-        overhead next to compute time.
+        locally, the wire batch size the run used), so harness tables and the
+        benchmark JSON expose shipping overhead next to compute time.
         """
         if not self.cluster:
             return "-"
@@ -154,6 +150,7 @@ class SchedulerResult:
             "bytes_sent",
             "bytes_received",
             "local_columns",
+            "task_batch",
         ):
             if key in self.cluster_stats:
                 cell[key] = self.cluster_stats[key]
@@ -168,11 +165,6 @@ class SchedulerResult:
             "plan": self.plan,
             "workers": self.workers,
             "cluster": self._cluster_summary(),
-            "task_batch": (
-                (self.task_batch if self.task_batch is not None else "auto")
-                if self.cluster
-                else "-"
-            ),
             "k": self.k,
             "scheduled": self.num_scheduled,
             "utility": self.utility,
@@ -403,7 +395,6 @@ class BaseScheduler(ABC):
             workers=self._execution.workers,
             cluster=self._execution.workers_addr or (),
             cluster_stats=backend_stats if self._execution.workers_addr else {},
-            task_batch=self._execution.task_batch,
             storage=self._instance.storage,
             plan=self._execution.plan,
         )

@@ -155,14 +155,6 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         help="shared authentication secret of the cluster connections "
         "(must match the workers'; default: the library key)",
     )
-    subparser.add_argument(
-        "--task-batch",
-        type=int,
-        default=None,
-        help="columns per cluster dispatch batch (default: auto-derived as "
-        "ceil(intervals / (lanes * 4)), capped at 64; 1 reproduces the "
-        "per-column v1 wire behaviour; ignored by in-process backends)",
-    )
 
 
 def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
@@ -197,7 +189,6 @@ def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
         workers=args.workers,
         workers_addr=cluster,
         cluster_key=getattr(args, "cluster_key", None),
-        task_batch=getattr(args, "task_batch", None),
     )
 
 

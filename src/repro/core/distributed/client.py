@@ -15,8 +15,8 @@ boundary in the codebase:
   :data:`~repro.core.distributed.protocol.ERROR_FILE_UNAVAILABLE`;
 * tasks move in **batches** (protocol v2): one
   :data:`~repro.core.distributed.protocol.OP_SCORE_COLUMNS` request carries
-  ``ceil(|T| / (lanes * TASK_OVERSUBSCRIBE))`` columns (clamped; overridable
-  via :attr:`~repro.core.execution.ExecutionConfig.task_batch`), and each
+  ``ceil(|T| / (lanes * TASK_OVERSUBSCRIBE))`` columns (clamped to
+  :data:`~repro.core.distributed.protocol.MAX_TASK_BATCH`), and each
   link keeps :data:`~repro.core.distributed.protocol.PIPELINE_DEPTH` batches
   in flight, so the worker prefetches the next batch from its socket buffer
   instead of idling one wire round-trip per column;
@@ -76,6 +76,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.distributed import protocol
 from repro.core.distributed.protocol import (
     ERROR_FILE_UNAVAILABLE,
     ERROR_UNKNOWN_INSTANCE,
@@ -84,7 +85,6 @@ from repro.core.distributed.protocol import (
     OP_PING,
     OP_PUT_INSTANCE,
     OP_SCORE_COLUMNS,
-    PIPELINE_DEPTH,
     PROTOCOL_VERSION,
     RECONNECT_BACKOFF_BASE,
     RECONNECT_BACKOFF_MAX,
@@ -226,10 +226,6 @@ class ClusterBackend(BatchBackend):
         #: deadline — exponential within a call, reset at every call start.
         self._backoff: Dict[str, float] = {}
         self._retry_at: Dict[str, float] = {}
-        #: Batches kept in flight per link.  The benchmark pins this to 1
-        #: (together with ``task_batch=1``) to measure the v1 per-column
-        #: dispatch this protocol replaced.
-        self._pipeline_depth = PIPELINE_DEPTH
 
     # ------------------------------------------------------------------ #
     # Instance shipping
@@ -496,7 +492,7 @@ class ClusterBackend(BatchBackend):
             for interval_index in range(num_intervals)
         }
         num_lanes = min(max(1, self._config.workers), len(self._config.workers_addr))
-        batch_size = derive_task_batch(num_intervals, num_lanes, self._config.task_batch)
+        batch_size = derive_task_batch(num_intervals, num_lanes)
         self._last_task_batch = batch_size
         pending: Deque[List[int]] = collections.deque(
             list(range(start, min(start + batch_size, num_intervals)))
@@ -516,7 +512,7 @@ class ClusterBackend(BatchBackend):
         # the queue — but leave enough batches to fill every lane's pipeline,
         # so a fast local CPU never starves the remote dispatch on small
         # instances.
-        floor = num_lanes * max(1, self._pipeline_depth)
+        floor = num_lanes * max(1, protocol.PIPELINE_DEPTH)
         while not state.serving.is_set():
             with state.lock:
                 if len(state.pending) <= floor:
@@ -601,7 +597,7 @@ class ClusterBackend(BatchBackend):
         to its batch.  Link failures re-queue the window — re-split across
         the survivors — and propagate so the lane can dial a replacement.
         """
-        depth = max(1, self._pipeline_depth)
+        depth = max(1, protocol.PIPELINE_DEPTH)
         inflight: Deque[List[int]] = collections.deque()
         heals = 0
         try:

@@ -8,7 +8,7 @@ module defines everything both sides must agree on:
 
 * the **operations** a client may request (:data:`OP_PING`,
   :data:`OP_STATUS`, :data:`OP_HAS_INSTANCE`, :data:`OP_PUT_INSTANCE`,
-  :data:`OP_SCORE_COLUMN`, :data:`OP_SCORE_COLUMNS`, :data:`OP_SHUTDOWN`) and
+  :data:`OP_SCORE_COLUMNS`, :data:`OP_SHUTDOWN`) and
   the two response statuses (:data:`STATUS_OK`, :data:`STATUS_ERROR`).
   :data:`OP_STATUS` is the introspection op behind ``repro cluster health``:
   its reply carries the worker's protocol version, pid, uptime, cached
@@ -27,8 +27,8 @@ module defines everything both sides must agree on:
   of the static instance data.  An instance ships to a worker **once per
   fingerprint** and is cached worker-side, so repeated runs on the same instance —
   and every task of every run — stream only a few KB each;
-* address (:func:`parse_worker_address`) and authkey
-  (:func:`authkey_bytes`) handling.
+* address (:func:`parse_worker_address`), bind-host
+  (:func:`is_loopback_host`) and authkey (:func:`authkey_bytes`) handling.
 
 Every request is a tuple ``(op, *payload)`` and every response a pair
 ``(status, payload)``.  Protocol v3 made :data:`OP_PUT_INSTANCE`'s payload a
@@ -46,17 +46,18 @@ kind-dispatched dict shaped by the instance's storage:
   the path answers :data:`ERROR_FILE_UNAVAILABLE` and the client falls back
   to shipping the CSR bytes under the same fingerprint.
 
-Responses to :data:`OP_SCORE_COLUMN` carry ``(interval_index, scores)``;
-responses to :data:`OP_SCORE_COLUMNS` carry a tuple of such pairs, one per
-task of the batch, in task order.  The well-known error payload
-:data:`ERROR_UNKNOWN_INSTANCE` tells the client the worker evicted (or never
-had) the fingerprint, and the client re-ships the instance and retries — a
-worker restart is therefore invisible apart from the one-off reshipping cost.
+Responses to :data:`OP_SCORE_COLUMNS` carry a tuple of
+``(interval_index, scores)`` pairs, one per task of the batch, in task order.
+The well-known error payload :data:`ERROR_UNKNOWN_INSTANCE` tells the client
+the worker evicted (or never had) the fingerprint, and the client re-ships the
+instance and retries — a worker restart is therefore invisible apart from the
+one-off reshipping cost.
 """
 
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -86,7 +87,6 @@ OP_PING = "ping"
 OP_STATUS = "status"
 OP_HAS_INSTANCE = "has-instance"
 OP_PUT_INSTANCE = "put-instance"
-OP_SCORE_COLUMN = "score-column"
 OP_SCORE_COLUMNS = "score-columns"
 OP_SHUTDOWN = "shutdown"
 
@@ -197,9 +197,7 @@ class ColumnTask:
     step: int
 
 
-def derive_task_batch(
-    num_intervals: int, lanes: int, task_batch: Optional[int] = None
-) -> int:
+def derive_task_batch(num_intervals: int, lanes: int) -> int:
     """Columns per :data:`OP_SCORE_COLUMNS` batch for one ``score_matrix`` call.
 
     The automatic size spreads the intervals over
@@ -207,14 +205,9 @@ def derive_task_batch(
     re-balancing against each other (and against worker death), while each
     batch still amortises one round-trip over many columns:
     ``ceil(num_intervals / (lanes * TASK_OVERSUBSCRIBE))`` clamped to
-    ``[1, MAX_TASK_BATCH]``.  An explicit ``task_batch`` (the
-    :attr:`~repro.core.execution.ExecutionConfig.task_batch` knob) bypasses
-    the derivation and is clamped only to ``[1, num_intervals]`` —
-    ``task_batch=1`` reproduces v1's per-column dispatch unit.
+    ``[1, MAX_TASK_BATCH]``.
     """
     num_intervals = max(1, int(num_intervals))
-    if task_batch is not None:
-        return max(1, min(int(task_batch), num_intervals))
     lanes = max(1, int(lanes))
     derived = -(-num_intervals // (lanes * TASK_OVERSUBSCRIBE))
     return max(1, min(derived, MAX_TASK_BATCH))
@@ -235,6 +228,21 @@ def parse_worker_address(address: str) -> Tuple[str, int]:
     if not host or not (0 < port < 65536):
         raise SolverError(f"invalid worker address {address!r}")
     return host, port
+
+
+def is_loopback_host(host: str) -> bool:
+    """Whether a bind host stays on this machine.
+
+    Only ``localhost`` and IP literals in a loopback range (``127.0.0.0/8``,
+    ``::1``) qualify.  Any other name is refused, even one that merely starts
+    with ``127.`` (``127.example.com`` resolves wherever its DNS says).
+    """
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
 
 
 def format_worker_address(host: str, port: int) -> str:
@@ -305,7 +313,6 @@ __all__ = [
     "OP_STATUS",
     "OP_HAS_INSTANCE",
     "OP_PUT_INSTANCE",
-    "OP_SCORE_COLUMN",
     "OP_SCORE_COLUMNS",
     "OP_SHUTDOWN",
     "OP_LOAD_INSTANCE",
@@ -329,6 +336,7 @@ __all__ = [
     "ColumnTask",
     "derive_task_batch",
     "parse_worker_address",
+    "is_loopback_host",
     "format_worker_address",
     "authkey_bytes",
     "instance_fingerprint",

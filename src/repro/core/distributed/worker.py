@@ -3,8 +3,7 @@
 A worker is one OS process that listens on a TCP address, caches the static
 matrices of the instances it has been sent (see
 :class:`~repro.core.distributed.cache.InstanceCache`) and answers
-:data:`~repro.core.distributed.protocol.OP_SCORE_COLUMNS` batches (and the
-single-column :data:`~repro.core.distributed.protocol.OP_SCORE_COLUMN`) by
+:data:`~repro.core.distributed.protocol.OP_SCORE_COLUMNS` batches by
 running the library's single bit-identity-critical kernel
 (:func:`~repro.core.execution.score_block_kernel`) over each interval column —
 exactly what the in-process batch path runs per event block.
@@ -45,7 +44,6 @@ from repro.core.distributed.protocol import (
     OP_HAS_INSTANCE,
     OP_PING,
     OP_PUT_INSTANCE,
-    OP_SCORE_COLUMN,
     OP_SCORE_COLUMNS,
     OP_SHUTDOWN,
     OP_STATUS,
@@ -56,14 +54,13 @@ from repro.core.distributed.protocol import (
     ColumnTask,
     authkey_bytes,
     format_worker_address,
+    is_loopback_host,
     parse_worker_address,
 )
 from repro.core.errors import DatasetError, InstanceValidationError, SolverError
 
 #: Ops whose first argument is the instance fingerprint keying the cache.
-_FINGERPRINT_OPS = frozenset(
-    {OP_HAS_INSTANCE, OP_PUT_INSTANCE, OP_SCORE_COLUMN, OP_SCORE_COLUMNS}
-)
+_FINGERPRINT_OPS = frozenset({OP_HAS_INSTANCE, OP_PUT_INSTANCE, OP_SCORE_COLUMNS})
 
 
 class FileUnavailableError(SolverError):
@@ -164,11 +161,6 @@ def score_column(record: Dict[str, object], task: ColumnTask, rows) -> np.ndarra
     return scores
 
 
-def _is_loopback(host: str) -> bool:
-    """Whether a bind host stays on this machine (loopback / localhost)."""
-    return host == "localhost" or host == "::1" or host.startswith("127.")
-
-
 class WorkerServer:
     """One cluster worker: a TCP listener over an instance cache.
 
@@ -197,7 +189,7 @@ class WorkerServer:
         cluster_key: Optional[str] = None,
         capacity: int = DEFAULT_CACHE_CAPACITY,
     ) -> None:
-        if cluster_key is None and not _is_loopback(host):
+        if cluster_key is None and not is_loopback_host(host):
             raise SolverError(
                 f"refusing to bind cluster worker to non-loopback {host!r} with "
                 "the default (public) cluster key: authenticated peers can send "
@@ -344,21 +336,10 @@ class WorkerServer:
                 return (STATUS_ERROR, ERROR_FILE_UNAVAILABLE), False
             self._cache.put(fingerprint, record)
             return (STATUS_OK, True), False
-        if op == OP_SCORE_COLUMN:
-            fingerprint, task = request[1:]
-            record = self._cache.get(fingerprint)
-            if record is None:
-                return (STATUS_ERROR, ERROR_UNKNOWN_INSTANCE), False
-            rows = self._selected_rows(record, task, selection)
-            if rows is None:
-                return (STATUS_ERROR, ERROR_UNKNOWN_SELECTION), False
-            scores = score_column(record, task, rows)
-            self._count_served(1, scores.nbytes)
-            return (STATUS_OK, (task.interval_index, scores)), False
         if op == OP_SCORE_COLUMNS:
-            # Protocol v2: one request carries a whole batch of column tasks
-            # and one reply carries every column, in task order — same kernel,
-            # same chunking, one round-trip.  The batch fails as a unit (the
+            # One request carries a whole batch of column tasks and one reply
+            # carries every column, in task order — same kernel, same
+            # chunking, one round-trip.  The batch fails as a unit (the
             # client re-sends it after healing), so the instance/selection
             # checks run before any column is computed.
             fingerprint, batch = request[1:]

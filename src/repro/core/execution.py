@@ -23,10 +23,7 @@ are computed (never *what* they are):
 * ``chunk_size`` — events per vectorised pass (the ~64 MB memory guard);
 * ``workers`` — fan-out of the pooled backends (threads or remote lanes);
 * ``workers_addr`` / ``cluster_key`` — the cluster backend's remote worker
-  addresses and shared authentication secret;
-* ``task_batch`` — columns per cluster wire batch (``None`` auto-derives
-  ``ceil(|T| / (lanes * TASK_OVERSUBSCRIBE))``, clamped — see
-  :func:`~repro.core.distributed.protocol.derive_task_batch`).
+  addresses and shared authentication secret.
 
 Custom strategies plug in through :func:`register_backend`; everything else —
 engine, schedulers, harness, figures, CLI — talks to the layer only through
@@ -245,30 +242,6 @@ def resolve_workers_addr(
     return normalized
 
 
-def resolve_task_batch(
-    task_batch: Optional[int], backend: Optional[str] = None
-) -> Optional[int]:
-    """Validate the cluster backend's wire batch size (``None`` means auto).
-
-    ``None`` keeps the per-call automatic derivation
-    (:func:`~repro.core.distributed.protocol.derive_task_batch` — the size
-    depends on the instance's interval count, so it cannot be fixed at config
-    time).  An explicit value must be a positive integer; ``1`` reproduces the
-    v1 per-column dispatch unit.  Backends that are not distributed
-    (:attr:`ExecutionBackend.uses_cluster` is false) resolve to ``None`` —
-    the knob does not apply to them.
-    """
-    if task_batch is not None and (
-        not isinstance(task_batch, int) or isinstance(task_batch, bool) or task_batch < 1
-    ):
-        raise SolverError(
-            f"task_batch must be a positive integer or None, got {task_batch!r}"
-        )
-    if backend is not None and not get_backend(resolve_backend(backend)).uses_cluster:
-        return None
-    return task_batch
-
-
 def resolve_plan(plan: Optional[str], backend: Optional[str] = None) -> str:
     """Validate a scoring-plan name (``None`` means :data:`DEFAULT_PLAN`).
 
@@ -348,14 +321,6 @@ class ExecutionConfig:
         selects :data:`~repro.core.distributed.protocol.DEFAULT_CLUSTER_KEY`
         for cluster backends (``None`` for every other backend).  Client and
         workers must agree on it.
-    task_batch:
-        Columns per wire batch of the ``"cluster"`` backend's ``score_matrix``
-        dispatch.  ``None`` (the default) auto-derives
-        ``ceil(|T| / (lanes * TASK_OVERSUBSCRIBE))``, clamped — see
-        :func:`~repro.core.distributed.protocol.derive_task_batch`; ``1``
-        reproduces the v1 per-column round-trips.  ``None`` for every
-        non-distributed backend.  Never changes a result bit — only the wire
-        traffic shape.
     plan:
         Scoring-plan name (see :func:`available_plans`); ``None`` selects
         :data:`DEFAULT_PLAN`.  A plan decides how the in-process bulk kernel
@@ -371,7 +336,6 @@ class ExecutionConfig:
     workers: Optional[int] = None
     workers_addr: Optional[Tuple[str, ...]] = None
     cluster_key: Optional[str] = None
-    task_batch: Optional[int] = None
     plan: Optional[str] = None
 
     def resolve(self, num_users: int) -> "ExecutionConfig":
@@ -388,7 +352,6 @@ class ExecutionConfig:
             workers=resolve_workers(self.workers, backend, workers_addr),
             workers_addr=workers_addr,
             cluster_key=resolve_cluster_key(self.cluster_key, backend),
-            task_batch=resolve_task_batch(self.task_batch, backend),
             plan=resolve_plan(self.plan, backend),
         )
 
@@ -920,7 +883,6 @@ __all__ = [
     "resolve_chunk_size",
     "resolve_cluster_key",
     "resolve_plan",
-    "resolve_task_batch",
     "resolve_workers",
     "resolve_workers_addr",
     "score_block_kernel",

@@ -27,12 +27,11 @@ whole candidate blocks per vectorised NumPy pass), ``"parallel"`` (the batch
 blocks dispatched to a GIL-releasing thread pool) or ``"cluster"`` (the
 score matrix's per-interval columns batched and sharded across remote TCP
 workers) — plus the ``chunk_size`` / ``workers`` / ``workers_addr`` /
-``cluster_key`` / ``task_batch`` knobs.  All backends
-perform the same elementary operations in the same order per (user, event)
-element, so their scores agree bit-for-bit among the bulk strategies (and to
-machine precision with the scalar reference), and all report one score
-computation (``|U|`` user computations) per (event, interval) pair to the
-counter — the paper's metric is backend-independent by construction.
+``cluster_key`` knobs.  All backends perform the same elementary operations
+in the same order per (user, event) element, so their scores agree
+bit-for-bit among the bulk strategies (and to machine precision with the
+scalar reference), and all report one score computation (``|U|`` user
+computations) per (event, interval) pair to the counter — the paper's metric is backend-independent by construction.
 
 Two facilities support the incremental schedulers and large instances:
 

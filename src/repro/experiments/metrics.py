@@ -50,10 +50,9 @@ class MetricRecord:
         ``params["storage"]`` and the resolved worker count under
         ``params["plan"]`` and ``params["workers"]`` (unless the caller
         already set them), so rows of different backends / storages / scoring
-        plans / fan-outs can be grouped and compared in figure tables.  A distributed run additionally records its remote worker
-        addresses under ``params["cluster"]`` and its wire batch size under
-        ``params["task_batch"]`` (``"auto"`` when the size was auto-derived;
-        in-process runs omit both keys).
+        plans / fan-outs can be grouped and compared in figure tables.  A
+        distributed run additionally records its remote worker addresses
+        under ``params["cluster"]`` (in-process runs omit the key).
         """
         merged_params = dict(params or {})
         merged_params.setdefault("backend", result.backend)
@@ -62,10 +61,6 @@ class MetricRecord:
         merged_params.setdefault("workers", result.workers)
         if result.cluster:
             merged_params.setdefault("cluster", ",".join(result.cluster))
-            merged_params.setdefault(
-                "task_batch",
-                result.task_batch if result.task_batch is not None else "auto",
-            )
         return cls(
             experiment_id=experiment_id,
             dataset=dataset,

@@ -47,17 +47,13 @@ from repro.core.distributed.protocol import (
     STATUS_OK,
     authkey_bytes,
     format_worker_address,
+    is_loopback_host,
     parse_worker_address,
 )
 from repro.core.errors import SolverError
 from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
 from repro.service.session import SchedulingSession, mutation_from_dict
-
-
-def _is_loopback(host: str) -> bool:
-    """Whether a bind host stays on this machine (loopback / localhost)."""
-    return host == "localhost" or host == "::1" or host.startswith("127.")
 
 
 class ServiceServer:
@@ -87,7 +83,7 @@ class ServiceServer:
         cluster_key: Optional[str] = None,
         execution: Optional[ExecutionConfig] = None,
     ) -> None:
-        if cluster_key is None and not _is_loopback(host):
+        if cluster_key is None and not is_loopback_host(host):
             raise SolverError(
                 f"refusing to bind the scheduling service to non-loopback {host!r} "
                 "with the default (public) cluster key: authenticated peers can "

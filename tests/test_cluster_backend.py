@@ -400,11 +400,31 @@ class TestFailureTolerance:
             if replacement is not None:
                 replacement.stop()
 
+    @pytest.mark.parametrize(
+        "host, loopback",
+        [
+            ("localhost", True),
+            ("127.0.0.1", True),
+            ("127.0.0.2", True),
+            ("::1", True),
+            ("127.example.com", False),
+            ("0.0.0.0", False),
+            ("10.0.0.5", False),
+        ],
+    )
+    def test_loopback_host_check(self, host, loopback):
+        from repro.core.distributed.protocol import is_loopback_host
+
+        assert is_loopback_host(host) is loopback
+
     def test_non_loopback_bind_requires_explicit_key(self):
         from repro.core.distributed.worker import WorkerServer
 
-        with pytest.raises(SolverError, match="cluster-key|cluster_key"):
-            WorkerServer("0.0.0.0", 0)
+        # A DNS name that merely starts with "127." is not loopback; the
+        # refusal happens before bind, so no lookup is made.
+        for host in ("0.0.0.0", "127.example.com"):
+            with pytest.raises(SolverError, match="cluster-key|cluster_key"):
+                WorkerServer(host, 0)
         server = WorkerServer("0.0.0.0", 0, cluster_key="explicit-secret")
         server.stop()
 
@@ -569,19 +589,17 @@ class TestSchedulerEquivalence:
         cluster_cell = result.summary()["cluster"]
         assert cluster_cell["workers"] == ",".join(addresses)
         assert cluster_cell["tasks"] + cluster_cell["local_columns"] > 0
-        assert result.summary()["task_batch"] == "auto"
+        assert "task_batch" not in result.summary()
         record = MetricRecord.from_result(result, experiment_id="x", dataset="d")
         assert record.params["backend"] == "cluster"
         assert record.params["cluster"] == ",".join(addresses)
-        assert record.params["task_batch"] == "auto"
+        assert "task_batch" not in record.params
         # In-process runs must not grow a cluster param.
         local = run_scheduler("ALG", instance, 3, execution=ExecutionConfig(backend="batch"))
         assert local.cluster == ()
         assert local.summary()["cluster"] == "-"
-        assert local.summary()["task_batch"] == "-"
         local_record = MetricRecord.from_result(local, experiment_id="x", dataset="d")
         assert "cluster" not in local_record.params
-        assert "task_batch" not in local_record.params
 
     def test_harness_forwards_execution(self, worker_pair):
         instance = make_random_instance(seed=227, num_users=15, num_events=8, num_intervals=3)

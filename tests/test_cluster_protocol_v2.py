@@ -5,13 +5,13 @@ batched, pipelined batches (:data:`OP_SCORE_COLUMNS`), with reconnection
 backoff and mid-run re-discovery on the client.  These tests pin down the v2
 behaviours the v1-era suite (``test_cluster_backend.py``) could not express:
 
-* the **batch sizing rule** (:func:`derive_task_batch`) and the
-  ``task_batch`` knob's resolution / CLI plumbing;
+* the **batch sizing rule** (:func:`derive_task_batch`): the batch size is
+  always derived from |T| and the lane count, never configured;
 * **version-mismatch rejection**: a v1-speaking peer fails the handshake with
   a clear :class:`SolverError` — never a hang, never a wrong result;
 * **batched equivalence**: schedules, utilities, scores and counters are
-  bit-identical to the serial batch path for every batch size, including the
-  ``task_batch=1`` shape that reproduces v1's per-column dispatch unit;
+  bit-identical to the serial batch path for every derived batch size —
+  single columns, an intermediate size and the :data:`MAX_TASK_BATCH` clamp;
 * **elasticity**: a worker started mid-run on a configured address joins an
   in-flight ``score_matrix`` call via re-discovery; an explicit ``workers=N``
   caps dispatch *lanes* but never slices the candidate worker set;
@@ -27,6 +27,8 @@ equivalence tests use two real spawned worker processes.
 from __future__ import annotations
 
 import collections
+import dataclasses
+import importlib
 import signal
 import socket
 import threading
@@ -35,13 +37,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.algorithms.base import SchedulerResult
 from repro.algorithms.registry import run_scheduler
 from repro.cli import main
-from repro.core.distributed import ClusterWorkerWarning, start_local_worker
+from repro.core.distributed import ClusterWorkerWarning, protocol, start_local_worker
 from repro.core.distributed.client import ClusterBackend, _CallState, _WorkerLink
 from repro.core.distributed.protocol import (
     MAX_TASK_BATCH,
-    OP_SCORE_COLUMN,
     OP_SCORE_COLUMNS,
     PIPELINE_DEPTH,
     STATUS_ERROR,
@@ -51,7 +53,7 @@ from repro.core.distributed.protocol import (
 )
 from repro.core.distributed.worker import WorkerServer
 from repro.core.errors import SolverError
-from repro.core.execution import ExecutionConfig, resolve_task_batch
+from repro.core.execution import ExecutionConfig
 from repro.core.scoring import ScoringEngine
 from repro.experiments.metrics import MetricRecord
 
@@ -64,6 +66,14 @@ BACKEND = "cluster"
 WORKERS = 2
 
 TOLERANCE = 1e-12
+
+#: Interval counts whose derived batch size over two lanes is one column,
+#: an intermediate size and the MAX_TASK_BATCH clamp.  The clamped shape
+#: cuts 40 batches, so the timing-based scenarios have as many wire
+#: round-trips as per-column dispatch of 40 intervals would.
+SINGLE_COLUMN_INTERVALS = 2 * TASK_OVERSUBSCRIBE
+MID_INTERVALS = 17
+CLAMPED_INTERVALS = 40 * MAX_TASK_BATCH
 
 
 @pytest.fixture(scope="module")
@@ -111,10 +121,7 @@ class _ThreadWorker(WorkerServer):
         self._thread.start()
 
     def _dispatch(self, request, selection):
-        if isinstance(request, tuple) and request and request[0] in (
-            OP_SCORE_COLUMN,
-            OP_SCORE_COLUMNS,
-        ):
+        if isinstance(request, tuple) and request and request[0] == OP_SCORE_COLUMNS:
             if self.break_scores:
                 return (STATUS_ERROR, "injected-failure"), False
             if self.gate is not None:
@@ -154,7 +161,7 @@ def _batch_matrix(instance, **kwargs) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# Batch sizing: derivation, config resolution, CLI plumbing
+# Batch sizing: derived from the instance shape, never configured
 # --------------------------------------------------------------------------- #
 class TestBatchSizing:
     def test_auto_derivation_spreads_over_lanes(self):
@@ -168,57 +175,37 @@ class TestBatchSizing:
             for lanes in (1, 2, 3, 8):
                 assert 1 <= derive_task_batch(intervals, lanes) <= MAX_TASK_BATCH
 
-    def test_explicit_override_clamps_to_intervals_only(self):
-        assert derive_task_batch(100, 2, task_batch=7) == 7
-        # The explicit knob may exceed MAX_TASK_BATCH …
-        assert derive_task_batch(500, 2, task_batch=200) == 200
-        # … but never the interval count, and never drops below 1.
-        assert derive_task_batch(5, 2, task_batch=200) == 5
-        assert derive_task_batch(5, 2, task_batch=1) == 1
+    def test_test_shapes_cover_every_sizing_regime(self):
+        assert derive_task_batch(SINGLE_COLUMN_INTERVALS, WORKERS) == 1
+        assert 1 < derive_task_batch(MID_INTERVALS, WORKERS) < MAX_TASK_BATCH
+        assert derive_task_batch(CLAMPED_INTERVALS, WORKERS) == MAX_TASK_BATCH
 
-    def test_resolve_task_batch_validation(self):
-        assert resolve_task_batch(None) is None
-        assert resolve_task_batch(4, "cluster") == 4
-        # The knob does not apply to in-process backends.
-        assert resolve_task_batch(4, "batch") is None
-        assert resolve_task_batch(4, "parallel") is None
-        for bad in (0, -1, 2.5, "8", True):
-            with pytest.raises(SolverError):
-                resolve_task_batch(bad, "cluster")
+    def test_batch_size_is_not_configurable(self):
+        with pytest.raises(TypeError):
+            ExecutionConfig(task_batch=2)
+        # No v3 client ever sent the per-column op, so the version stays.
+        assert protocol.PROTOCOL_VERSION == 3
+        for module, name in (
+            ("repro.core.execution", "resolve_task_batch"),
+            ("repro.core.distributed.protocol", "OP_SCORE_COLUMN"),
+        ):
+            assert not hasattr(importlib.import_module(module), name), name
+        config = ExecutionConfig(backend="cluster", workers_addr=("h:1",)).resolve(10)
+        assert not hasattr(ClusterBackend(config), "_pipeline_depth")
+        assert "task_batch" not in {f.name for f in dataclasses.fields(SchedulerResult)}
 
-    def test_config_resolution_keeps_auto_as_none(self):
-        resolved = ExecutionConfig(
-            backend="cluster", workers_addr=("h:1",), task_batch=6
-        ).resolve(10)
-        assert resolved.task_batch == 6
-        assert resolved.resolve(10) == resolved  # idempotent, like every knob
-        auto = ExecutionConfig(backend="cluster", workers_addr=("h:1",)).resolve(10)
-        assert auto.task_batch is None  # derived per call from the interval count
-
-    def test_cli_flag_reaches_the_backend(self, worker_pool, capsys):
-        addresses = ",".join(handle.address for handle in worker_pool)
-        code = main(
-            [
-                "solve", "--dataset", "Unf", "-k", "3",
-                "--users", "15", "--events", "8", "--intervals", "4",
-                "--algorithms", "ALG",
-                "--cluster", addresses, "--task-batch", "2",
-            ]
-        )
-        assert code == 0
-        assert "ALG" in capsys.readouterr().out
-
-    def test_cli_rejects_bad_task_batch(self, capsys):
-        code = main(
-            [
-                "solve", "--dataset", "Unf", "-k", "2",
-                "--users", "10", "--events", "5", "--intervals", "2",
-                "--algorithms", "TOP",
-                "--backend", "cluster", "--task-batch", "0",
-            ]
-        )
-        assert code == 2
-        assert "task_batch" in capsys.readouterr().err
+    def test_cli_rejects_the_retired_task_batch_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "solve", "--dataset", "Unf", "-k", "2",
+                    "--users", "10", "--events", "5", "--intervals", "2",
+                    "--algorithms", "TOP",
+                    "--backend", "cluster", "--task-batch", "2",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --task-batch" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
@@ -270,16 +257,18 @@ class TestVersionMismatch:
 # Batched equivalence (bit-identity across batch sizes)
 # --------------------------------------------------------------------------- #
 class TestBatchedEquivalence:
-    @pytest.mark.parametrize("task_batch", [None, 1, 3, 64])
+    @pytest.mark.parametrize(
+        "num_intervals",
+        [SINGLE_COLUMN_INTERVALS, MID_INTERVALS, 100, CLAMPED_INTERVALS],
+    )
     def test_score_matrix_bit_identical_for_every_batch_size(
-        self, worker_pool, task_batch
+        self, worker_pool, num_intervals
     ):
         instance = make_random_instance(
-            seed=602, num_users=30, num_events=20, num_intervals=17, num_competing=4
+            seed=602, num_users=30, num_events=20, num_intervals=num_intervals,
+            num_competing=4,
         )
-        cluster = ScoringEngine(
-            instance, execution=_config(worker_pool, chunk_size=4, task_batch=task_batch)
-        )
+        cluster = ScoringEngine(instance, execution=_config(worker_pool, chunk_size=4))
         try:
             assert np.array_equal(
                 cluster.score_matrix(count=False),
@@ -293,9 +282,7 @@ class TestBatchedEquivalence:
                 ).score_matrix(subset, count=False),
             )
             stats = cluster.execution_backend.stats()
-            expected = derive_task_batch(
-                instance.num_intervals, cluster.workers, task_batch
-            )
+            expected = derive_task_batch(instance.num_intervals, cluster.workers)
             assert stats["task_batch"] == expected
             # Remote batches respect the wire batch size.
             assert all(
@@ -307,35 +294,37 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("algorithm", ["ALG", "INC", "HOR", "TOP"])
     def test_schedules_and_counters_identical_to_batch(self, worker_pool, algorithm):
-        instance = make_random_instance(
-            seed=603, num_users=25, num_events=16, num_intervals=9, num_competing=3
-        )
-        k = min(instance.num_events, 2 * instance.num_intervals)
-        batch = run_scheduler(
-            algorithm, instance, k, execution=ExecutionConfig(backend="batch", chunk_size=3)
-        )
-        for task_batch in (None, 1, 4):
-            remote = run_scheduler(
+        # 8, 9 and 33 intervals derive batches of 1, 2 and 5 columns.
+        for num_intervals in (SINGLE_COLUMN_INTERVALS, 9, 33):
+            instance = make_random_instance(
+                seed=603, num_users=25, num_events=16, num_intervals=num_intervals,
+                num_competing=3,
+            )
+            k = min(instance.num_events, 2 * instance.num_intervals)
+            batch = run_scheduler(
                 algorithm, instance, k,
-                execution=_config(worker_pool, chunk_size=3, task_batch=task_batch),
+                execution=ExecutionConfig(backend="batch", chunk_size=3),
+            )
+            remote = run_scheduler(
+                algorithm, instance, k, execution=_config(worker_pool, chunk_size=3)
             )
             assert remote.schedule.as_dict() == batch.schedule.as_dict()
             assert remote.utility == batch.utility  # bit-identical, not just close
             assert remote.counters == batch.counters
 
-    def test_task_batch_recorded_in_summary_and_record(self, worker_pool):
-        instance = make_random_instance(seed=604, num_users=15, num_events=8, num_intervals=5)
-        result = run_scheduler(
-            "ALG", instance, 3, execution=_config(worker_pool, task_batch=2)
+    def test_used_batch_size_recorded_in_summary(self, worker_pool):
+        instance = make_random_instance(
+            seed=604, num_users=15, num_events=8, num_intervals=MID_INTERVALS
         )
-        assert result.task_batch == 2
-        assert result.summary()["task_batch"] == 2
+        result = run_scheduler("ALG", instance, 3, execution=_config(worker_pool))
         summary_cluster = result.summary()["cluster"]
+        assert summary_cluster["task_batch"] == derive_task_batch(MID_INTERVALS, WORKERS)
         assert summary_cluster["tasks"] + summary_cluster["local_columns"] > 0
         assert summary_cluster["round_trips"] > 0
         assert summary_cluster["bytes_sent"] > 0
+        assert "task_batch" not in result.summary()
         record = MetricRecord.from_result(result, experiment_id="x", dataset="d")
-        assert record.params["task_batch"] == 2
+        assert "task_batch" not in record.params
 
 
 # --------------------------------------------------------------------------- #
@@ -355,7 +344,7 @@ class TestElasticity:
 
         starter = threading.Thread(target=start_late_worker, daemon=True)
         instance = make_random_instance(
-            seed=605, num_users=10, num_events=8, num_intervals=40
+            seed=605, num_users=10, num_events=8, num_intervals=CLAMPED_INTERVALS
         )
         engine = ScoringEngine(
             instance,
@@ -363,7 +352,6 @@ class TestElasticity:
                 backend="cluster",
                 chunk_size=4,
                 workers_addr=(slow.address, late_address),
-                task_batch=1,
             ),
         )
         try:
@@ -400,7 +388,7 @@ class TestElasticity:
         slow_b = _ThreadWorker(delay=0.02)
         spare_c = _ThreadWorker()
         instance = make_random_instance(
-            seed=606, num_users=10, num_events=8, num_intervals=40
+            seed=606, num_users=10, num_events=8, num_intervals=CLAMPED_INTERVALS
         )
         engine = ScoringEngine(
             instance,
@@ -409,7 +397,6 @@ class TestElasticity:
                 chunk_size=4,
                 workers=2,
                 workers_addr=(real.address, slow_b.address, spare_c.address),
-                task_batch=1,
             ),
         )
         try:
@@ -472,10 +459,11 @@ class TestFailureModel:
         # it holds at most its in-flight window and the local ship overlap
         # stops at the lanes' pipeline floor: the mortal lane always gets the
         # two batches it needs to die on, however the threads are scheduled.
+        # 16 intervals over two lanes derive 8 batches of 2 columns.
         mortal = _ThreadWorker(die_after=1)
         survivor = _ThreadWorker(gate=mortal.died)
         instance = make_random_instance(
-            seed=607, num_users=12, num_events=10, num_intervals=30
+            seed=607, num_users=12, num_events=10, num_intervals=16
         )
         engine = ScoringEngine(
             instance,
@@ -483,7 +471,6 @@ class TestFailureModel:
                 backend="cluster",
                 chunk_size=4,
                 workers_addr=(mortal.address, survivor.address),
-                task_batch=2,
             ),
         )
         try:
@@ -500,7 +487,7 @@ class TestFailureModel:
         broken = _ThreadWorker(break_scores=True)
         slow = _ThreadWorker(delay=0.05)
         instance = make_random_instance(
-            seed=608, num_users=10, num_events=8, num_intervals=40
+            seed=608, num_users=10, num_events=8, num_intervals=CLAMPED_INTERVALS
         )
         engine = ScoringEngine(
             instance,
@@ -508,7 +495,6 @@ class TestFailureModel:
                 backend="cluster",
                 chunk_size=4,
                 workers_addr=(broken.address, slow.address),
-                task_batch=1,
             ),
         )
         try:
@@ -516,10 +502,10 @@ class TestFailureModel:
                 engine.score_matrix(count=False)
             stats = engine.execution_backend.stats()
             # The broken worker produced nothing; the slow lane stopped after
-            # at most its in-flight window instead of draining all 40 columns.
+            # at most its in-flight window instead of draining all 40 batches.
             assert stats["workers"].get(broken.address, {}).get("tasks", 0) == 0
-            slow_tasks = stats["workers"].get(slow.address, {}).get("tasks", 0)
-            assert slow_tasks <= 2 * PIPELINE_DEPTH + 1
+            slow_batches = stats["workers"].get(slow.address, {}).get("batches", 0)
+            assert slow_batches <= 2 * PIPELINE_DEPTH + 1
         finally:
             engine.close()
             broken.shutdown()

@@ -170,7 +170,7 @@ class TestCliReference:
         documented = set(re.findall(r"`(--[\w-]+)`", section))
         execution_flags = {
             "--backend", "--plan", "--storage", "--chunk-size", "--workers",
-            "--cluster", "--cluster-key", "--task-batch",
+            "--cluster", "--cluster-key",
         }
         parser_flags = set(_backend_flags())
         missing_from_parser = execution_flags - parser_flags

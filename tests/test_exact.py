@@ -6,10 +6,11 @@ import pytest
 from repro.algorithms.alg import AlgScheduler
 from repro.algorithms.exact import ExactScheduler, optimum
 from repro.algorithms.hor import HorScheduler
+from repro.algorithms.registry import run_scheduler
 from repro.core.constraints import is_schedule_feasible
 from repro.core.errors import SolverError
 from repro.core.instance import SESInstance
-from tests.conftest import make_random_instance
+from tests.conftest import LAYOUTS, make_random_instance
 
 
 def tiny_instance(seed: int = 0, num_events: int = 5, num_intervals: int = 3) -> SESInstance:
@@ -82,3 +83,26 @@ class TestExactSolver:
         instance = tiny_instance(seed=4, num_events=4, num_intervals=2)
         solver = ExactScheduler(instance)
         assert solver.optimal_utility(2) == pytest.approx(optimum(instance, 2), rel=1e-9)
+
+
+class TestExactOracle:
+    """EXACT as the differential oracle of every storage × plan layout."""
+
+    GREEDY = ("ALG", "INC", "HOR", "HOR-I", "TOP")
+
+    @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_is_layout_invariant_and_bounds_every_greedy(self, layout, seed):
+        instance = layout.instance(
+            seed=seed, num_users=8, num_events=6, num_intervals=3
+        )
+        k = 3
+        reference = run_scheduler("EXACT", instance.with_storage("dense"), k)
+        exact = run_scheduler("EXACT", instance, k, execution=layout.execution())
+        assert exact.schedule.as_dict() == reference.schedule.as_dict()
+        assert exact.utility.hex() == reference.utility.hex()
+        assert exact.counters == reference.counters
+        for name in self.GREEDY:
+            greedy = run_scheduler(name, instance, k, execution=layout.execution())
+            assert greedy.utility <= exact.utility + 1e-9, name
+

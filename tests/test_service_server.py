@@ -265,8 +265,9 @@ class TestAuthAndShutdown:
             assert client.load_instance(instance).startswith("s")
 
     def test_non_loopback_default_key_refused(self):
-        with pytest.raises(SolverError, match="refusing to bind"):
-            ServiceServer("0.0.0.0", 0)
+        for host in ("0.0.0.0", "127.example.com"):
+            with pytest.raises(SolverError, match="refusing to bind"):
+                ServiceServer(host, 0)
 
     def test_closed_client_raises_cleanly(self, service):
         client = ServiceClient(service.address)
