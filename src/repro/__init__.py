@@ -11,11 +11,11 @@ Top-level re-exports cover the public API most users need:
 * :class:`~repro.core.instance.SESInstance` — the problem instance container.
 * :class:`~repro.core.schedule.Schedule` — an event-to-interval assignment set.
 * :class:`~repro.core.scoring.ScoringEngine` — the Luce-choice attendance model.
-* :class:`~repro.core.execution.ExecutionConfig` and
-  :func:`~repro.core.execution.register_backend` — the execution layer: one
-  config object selecting a registered backend strategy (``scalar``,
-  ``batch``, ``parallel``, ``cluster``) and its knobs;
-  :func:`~repro.core.execution.available_backends` lists the registry.
+* :class:`~repro.core.execution.ExecutionConfig` — the execution layer: one
+  config object selecting a backend strategy (``scalar``, ``batch``,
+  ``parallel``, ``cluster``), a scoring plan (``direct``, ``blocked``) and
+  their knobs; :func:`~repro.core.execution.available_backends` and
+  :func:`~repro.core.execution.available_plans` list the fixed tables.
 * :func:`~repro.algorithms.registry.get_scheduler` and the scheduler classes
   (:class:`~repro.algorithms.alg.AlgScheduler`, :class:`~repro.algorithms.inc.IncScheduler`,
   :class:`~repro.algorithms.hor.HorScheduler`, :class:`~repro.algorithms.hor_i.HorIScheduler`,
@@ -45,8 +45,6 @@ from repro.core.execution import (
     ScoringPlan,
     available_backends,
     available_plans,
-    register_backend,
-    register_plan,
 )
 from repro.core.instance import SESInstance
 from repro.core.schedule import Assignment, Schedule
@@ -60,11 +58,6 @@ from repro.algorithms.hor_i import HorIScheduler
 from repro.algorithms.top import TopScheduler
 from repro.algorithms.rand import RandScheduler
 from repro.algorithms.exact import ExactScheduler
-
-# Importing the analysis module registers the "blocked" scoring plan, so any
-# `repro.*` import (which initialises this package first) makes it selectable
-# by name everywhere — mirroring how the cluster backend registers itself.
-import repro.analysis.blocks  # noqa: E402,F401  (registration side effect)
 
 __all__ = [
     "__version__",
@@ -87,8 +80,6 @@ __all__ = [
     "ScoringPlan",
     "available_backends",
     "available_plans",
-    "register_backend",
-    "register_plan",
     "DEFAULT_BACKEND",
     "SchedulerResult",
     "available_schedulers",

@@ -1,4 +1,4 @@
-"""Name-based registry of the available schedulers.
+"""Fixed name table of the available schedulers.
 
 The experiment harness, the CLI and downstream users refer to algorithms by
 the names the paper uses (``"ALG"``, ``"INC"``, ``"HOR"``, ``"HOR-I"``,
@@ -61,20 +61,6 @@ def get_scheduler(name: str) -> Type[BaseScheduler]:
         raise SolverError(
             f"unknown scheduler {name!r}; available: {', '.join(available_schedulers())}"
         ) from None
-
-
-def register_scheduler(cls: Type[BaseScheduler], *, replace: bool = False) -> Type[BaseScheduler]:
-    """Register a custom scheduler class (usable as a decorator).
-
-    Raises
-    ------
-    SolverError
-        If a scheduler with the same name exists and ``replace`` is False.
-    """
-    if not replace and cls.name in _REGISTRY:
-        raise SolverError(f"a scheduler named {cls.name!r} is already registered")
-    _REGISTRY[cls.name] = cls
-    return cls
 
 
 def run_scheduler(

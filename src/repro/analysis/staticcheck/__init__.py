@@ -4,11 +4,11 @@ A stdlib-only (``ast`` + ``tokenize``) static-analysis pass that proves the
 ROADMAP's source-level invariants *before* any test runs: determinism of the
 core layers, the stdlib+NumPy dependency policy, lock discipline in the
 distributed layer, counter discipline, and docstring/registry sync.  The
-design mirrors the execution layer one-to-one:
+design follows the execution layer:
 
 * :class:`~repro.analysis.staticcheck.registry.Rule` +
   :func:`~repro.analysis.staticcheck.registry.register_rule` — a name
-  registry of rule strategies (the lint twin of ``register_backend()``);
+  registry of rule strategies;
 * :func:`~repro.analysis.staticcheck.walker.run_lint` — the file/package
   walker shared by the ``repro lint`` CLI, the CI gate and the tests;
 * per-line ``# staticcheck: allow(<rule>) -- justification`` waivers

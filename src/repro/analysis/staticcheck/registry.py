@@ -1,8 +1,8 @@
-"""The rule registry (the lint analogue of ``register_backend()``).
+"""The rule registry.
 
-Rules are classes registered by id; :func:`register_rule` mirrors
-:func:`repro.core.execution.register_backend` exactly — same decorator shape,
-same duplicate-name guard, same "one-module change adds a rule" property.
+Rules are classes registered by id through the :func:`register_rule`
+decorator, with a duplicate-name guard: adding a rule is a one-module
+change.
 ``repro lint`` runs whatever the registry holds, the ``--rules`` flag selects
 by id, and ``docs/STATIC_ANALYSIS.md``'s rule table is drift-checked against
 :func:`available_rules` by ``tests/test_docs_sync.py``.
@@ -105,8 +105,7 @@ def register_rule(cls: Type[Rule], *, replace_existing: bool = False) -> Type[Ru
 
     After registration the rule runs on every ``repro lint`` invocation and
     is selectable by id through ``--rules``; adding a rule is a one-module
-    change, exactly like adding an execution backend through
-    :func:`repro.core.execution.register_backend`.
+    change.
 
     Raises
     ------

@@ -13,9 +13,9 @@ suites can only catch *after* it breaks something:
 * ``no-mutable-default`` — the classic shared-default-object trap;
 * ``docstring-backend-sync`` / ``docstring-storage-sync`` /
   ``docstring-plan-sync`` — names quoted in docstrings must exist in the
-  matching live registry (``register_backend()`` / ``register_store()`` /
-  ``register_plan()``), all three parameterisations of one
-  :class:`RegistrySyncRule` scan;
+  matching fixed name table (``available_backends()`` /
+  ``available_stores()`` / ``available_plans()``), all three
+  parameterisations of one :class:`RegistrySyncRule` scan;
 * ``waiver-discipline`` — every waiver names a registered rule and carries a
   justification.
 
@@ -622,7 +622,7 @@ class RegistrySyncRule(Rule):
     #: ("backend"), used in finding messages.
     entity: str = ""
     #: Noun of the registry entry ("backend", "store", "plan") — may differ
-    #: from :attr:`entity` ("storage" vs ``register_store()``'s "store").
+    #: from :attr:`entity` ("storage" vs the store table's "store").
     registry_entity: str = ""
     #: Regex fragment matching the axis noun *after* a quoted name
     #: (``\`\`name\`\` backend``); defaults to :attr:`keyword`.
@@ -667,9 +667,10 @@ class RegistrySyncRule(Rule):
                         context,
                         line,
                         f"docstring mentions a {name!r} {self.entity} but the "
-                        f"live registry has no such {self.registry_entity} "
-                        f"(registered: {', '.join(sorted(registered))}); fix "
-                        f"the docstring or register the {self.registry_entity}",
+                        f"{self.registry_entity} table has no such entry "
+                        f"(available: {', '.join(sorted(registered))}); fix "
+                        f"the docstring or add the {self.registry_entity} to "
+                        f"its table",
                     )
 
 
@@ -685,8 +686,8 @@ class DocstringBackendSyncRule(RegistrySyncRule):
 
     id = "docstring-backend-sync"
     summary = (
-        "backend names mentioned in docstrings exist in the live "
-        "register_backend() registry"
+        "backend names mentioned in docstrings exist in the "
+        "available_backends() table"
     )
     entity = "backend"
     registry_entity = "backend"
@@ -704,14 +705,14 @@ class DocstringStorageSyncRule(RegistrySyncRule):
 
     The sibling of :class:`DocstringBackendSyncRule` for the instance-storage
     axis: the docs subsystem drift-checks the ARCHITECTURE storage table, and
-    this rule closes the same loop for docstrings that name a ``register_store()``
+    this rule closes the same loop for docstrings that name a store-table
     entry — a renamed store would otherwise linger in prose forever.
     """
 
     id = "docstring-storage-sync"
     summary = (
-        "storage names mentioned in docstrings exist in the live "
-        "register_store() registry"
+        "storage names mentioned in docstrings exist in the "
+        "available_stores() table"
     )
     entity = "storage"
     registry_entity = "store"
@@ -729,15 +730,15 @@ class DocstringPlanSyncRule(RegistrySyncRule):
     """Scoring-plan names quoted in docstrings must exist in the live registry.
 
     The third axis of the same invariant: docstrings naming a
-    ``register_plan()`` entry (``\\`\\`blocked\\`\\` plan``, ``plan="direct"``)
+    plan-table entry (``\\`\\`blocked\\`\\` plan``, ``plan="direct"``)
     must track the live plan registry, mirroring the backend and storage
     sync rules above.
     """
 
     id = "docstring-plan-sync"
     summary = (
-        "scoring-plan names mentioned in docstrings exist in the live "
-        "register_plan() registry"
+        "scoring-plan names mentioned in docstrings exist in the "
+        "available_plans() table"
     )
     entity = "plan"
     registry_entity = "plan"

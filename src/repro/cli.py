@@ -12,8 +12,8 @@ Sub-commands
     Regenerate one of the paper's figures at a chosen scale and print its
     tables.
 ``backends``
-    List the registered execution backends with their resolved defaults on
-    this machine (also available as the top-level ``--list-backends`` flag).
+    List the execution backends with their resolved defaults on this
+    machine, then the scoring plans.
 ``worker``
     Cluster worker management: ``worker serve`` runs one scoring worker of
     the distributed ``cluster`` backend on this machine (point clients at it
@@ -71,24 +71,12 @@ from repro.experiments.harness import apply_storage, run_algorithms
 from repro.experiments.sweeps import summary_sweep
 
 
-class _ListBackendsAction(argparse.Action):
-    """``--list-backends``: print the backend catalogue and exit (like ``--version``)."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(format_table(backend_catalog()))
-        parser.exit(0)
-
-
 def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
     """Attach the execution-backend flags shared by ``solve`` and ``experiment``.
 
-    ``--backend`` deliberately has no argparse ``choices``: the registry can
-    grow at runtime (``repro.core.execution.register_backend``), so validation
-    happens in the execution layer, which reports the currently-available
-    names on an unknown backend.
+    ``--backend`` deliberately has no argparse ``choices``: validation happens
+    in the execution layer, so an unknown backend fails with the same
+    message, naming the available backends, from the CLI as from the library.
     """
     subparser.add_argument(
         "--backend",
@@ -195,8 +183,8 @@ def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
 def _storage_from_args(args: argparse.Namespace) -> Optional[str]:
     """The validated ``--storage`` name (``None`` keeps each instance's own).
 
-    Like ``--backend``, the name is checked against the live store registry
-    here so a typo fails fast — before any dataset is generated or loaded —
+    Like ``--backend``, the name is checked against the store table here so a
+    typo fails fast — before any dataset is generated or loaded —
     with the currently-available names in the message.
     """
     storage = getattr(args, "storage", None)
@@ -235,12 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Social Event Scheduling (SES) reproduction toolkit",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--list-backends",
-        action=_ListBackendsAction,
-        help="list the registered execution backends with their resolved "
-        "defaults on this machine, then exit",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     generate = subparsers.add_parser("generate", help="generate a dataset instance")

@@ -11,7 +11,7 @@ paper's evaluation (:mod:`repro.core.counters`).
 
 from repro.core.counters import ComputationCounter
 from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, User
-from repro.core.execution import ExecutionBackend, ExecutionConfig, register_backend
+from repro.core.execution import ExecutionBackend, ExecutionConfig
 from repro.core.errors import (
     InfeasibleAssignmentError,
     InstanceValidationError,
@@ -41,5 +41,4 @@ __all__ = [
     "ScoringEngine",
     "ExecutionBackend",
     "ExecutionConfig",
-    "register_backend",
 ]

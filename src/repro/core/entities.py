@@ -20,8 +20,9 @@ position.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 
 def _check_number(
@@ -164,3 +165,28 @@ class Organizer:
             self.available_resources,
             finite=False,
         )
+
+
+def decode_capacity(value: object) -> Optional[int]:
+    """An interval capacity read from a payload, without coercion.
+
+    ``None`` stays ``None``; integers, NumPy integers included (pickled wire
+    payloads carry them), pass through :func:`operator.index`.  Booleans,
+    floats and strings raise ``ValueError`` instead of being truncated or
+    parsed.  The range (``≥ 1``) is :class:`TimeInterval`'s own check.
+    """
+    if value is None:
+        return None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"capacity must be an integer or None, got {value!r}")
+
+
+def decode_tags(value: Iterable[str]) -> Tuple[str, ...]:
+    """A tag tuple read from a payload; a bare string is rejected, not split into characters."""
+    if isinstance(value, str):
+        raise ValueError(f"tags must be a list of strings, not the string {value!r}")
+    return tuple(value)

@@ -25,10 +25,10 @@ are computed (never *what* they are):
 * ``workers_addr`` / ``cluster_key`` — the cluster backend's remote worker
   addresses and shared authentication secret.
 
-Custom strategies plug in through :func:`register_backend`; everything else —
+The backends and the scoring plans are fixed name tables built at the bottom
+of this module; adding one is an edit to its table.  Everything else —
 engine, schedulers, harness, figures, CLI — talks to the layer only through
-:class:`ExecutionConfig` and the strategy interface, so adding a backend is a
-one-module change.
+:class:`ExecutionConfig` and the strategy interface.
 
 **The invariant every backend must keep:** sharding splits only the event axis
 (or dispatches whole per-interval columns), and every event row's per-user
@@ -246,8 +246,8 @@ def resolve_plan(plan: Optional[str], backend: Optional[str] = None) -> str:
     """Validate a scoring-plan name (``None`` means :data:`DEFAULT_PLAN`).
 
     A plan decides how the in-process bulk kernel traverses one event block
-    (see :class:`ScoringPlan`) — never what the scores are: every registered
-    exact plan is bit-identical to the ``direct`` reference.  Backends whose
+    (see :class:`ScoringPlan`) — never what the scores are: every exact
+    plan is bit-identical to the ``direct`` reference.  Backends whose
     evaluations never run the in-process block kernel
     (:attr:`ExecutionBackend.is_bulk` is false) pin the plan to ``"direct"``
     — the knob does not apply to them.
@@ -325,7 +325,7 @@ class ExecutionConfig:
         Scoring-plan name (see :func:`available_plans`); ``None`` selects
         :data:`DEFAULT_PLAN`.  A plan decides how the in-process bulk kernel
         traverses one event block — e.g. the ``blocked`` plan of
-        :mod:`repro.analysis.blocks` computes each distinct interest pattern
+        :mod:`repro.core.blocked` computes each distinct interest pattern
         once and expands by multiplicity.  Exact plans never change a result
         bit — only the arithmetic's traversal.  Pinned to ``"direct"`` for
         non-bulk backends.
@@ -384,7 +384,7 @@ class ExecutionBackend:
     Class attributes
     ----------------
     name:
-        Registry name (``"scalar"``, ``"batch"``, …).
+        Table name (``"scalar"``, ``"batch"``, …).
     is_bulk:
         Whether the strategy's bulk entry points evaluate whole event blocks
         at once (the incremental schedulers use this to decide whether
@@ -596,51 +596,15 @@ class ThreadBackend(BatchBackend):
 
 
 # --------------------------------------------------------------------------- #
-# Registry
+# Backend table (``_BACKEND_REGISTRY`` is built at the bottom of the module)
 # --------------------------------------------------------------------------- #
-_BACKEND_REGISTRY: Dict[str, Type[ExecutionBackend]] = {}
-
-
-def register_backend(
-    cls: Type[ExecutionBackend], *, replace_existing: bool = False
-) -> Type[ExecutionBackend]:
-    """Register an execution-backend strategy class (usable as a decorator).
-
-    After registration the backend is selectable everywhere by its
-    :attr:`~ExecutionBackend.name` — ``ExecutionConfig(backend=cls.name)``,
-    the scheduler/engine constructors, the harness, the CLI's ``--backend``
-    flag — with no further plumbing: adding a backend is a one-module change.
-
-    Raises
-    ------
-    SolverError
-        If a backend with the same name exists and ``replace_existing`` is
-        False.
-    """
-    if not replace_existing and cls.name in _BACKEND_REGISTRY:
-        raise SolverError(f"an execution backend named {cls.name!r} is already registered")
-    _BACKEND_REGISTRY[cls.name] = cls
-    return cls
-
-
-#: Names of the backends this module registers itself (populated at import).
-_BUILTIN_BACKEND_NAMES: set = set()
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (primarily for tests of custom backends)."""
-    if name in _BUILTIN_BACKEND_NAMES:
-        raise SolverError(f"the built-in backend {name!r} cannot be unregistered")
-    _BACKEND_REGISTRY.pop(name, None)
-
-
 def available_backends() -> Tuple[str, ...]:
-    """Names of every registered backend, in registration order."""
+    """Names of every backend, in table order."""
     return tuple(_BACKEND_REGISTRY)
 
 
 def get_backend(name: str) -> Type[ExecutionBackend]:
-    """Return the strategy class registered under ``name``."""
+    """Return the strategy class named ``name``."""
     try:
         return _BACKEND_REGISTRY[name]
     except KeyError:
@@ -650,10 +614,10 @@ def get_backend(name: str) -> Type[ExecutionBackend]:
 
 
 def backend_catalog() -> List[Dict[str, object]]:
-    """One row per registered backend with its resolved defaults.
+    """One row per backend with its resolved defaults.
 
-    Used by the CLI's ``backends`` sub-command / ``--list-backends`` flag; the
-    ``workers`` column shows what ``None`` resolves to on *this* machine.
+    Used by the CLI's ``backends`` sub-command; the ``workers`` column shows
+    what ``None`` resolves to on *this* machine.
     """
     rows: List[Dict[str, object]] = []
     for name, cls in _BACKEND_REGISTRY.items():
@@ -684,7 +648,7 @@ class ScoringPlan:
     Where an :class:`ExecutionBackend` decides *where* blocks are evaluated
     (serial, threads, remote workers), a plan decides *how* the
     in-process kernel traverses one block — e.g. the ``blocked`` plan of
-    :mod:`repro.analysis.blocks` computes each distinct user interest pattern
+    :mod:`repro.core.blocked` computes each distinct user interest pattern
     once and expands the per-pattern contributions by multiplicity.  Every
     exact plan must produce scores bit-identical to the ``direct`` reference:
     the per-user contributions and their reduction order may not change.
@@ -779,47 +743,13 @@ class DirectPlan(ScoringPlan):
         )
 
 
-_PLAN_REGISTRY: Dict[str, Type[ScoringPlan]] = {}
-
-
-def register_plan(cls: Type[ScoringPlan], *, replace_existing: bool = False) -> Type[ScoringPlan]:
-    """Register a scoring-plan class (usable as a decorator).
-
-    After registration the plan is selectable everywhere by its
-    :attr:`~ScoringPlan.name` — ``ExecutionConfig(plan=cls.name)``, the
-    scheduler/engine constructors, the harness, the CLI's ``--plan`` flag —
-    with no further plumbing, exactly like :func:`register_backend`.
-
-    Raises
-    ------
-    SolverError
-        If a plan with the same name exists and ``replace_existing`` is False.
-    """
-    if not replace_existing and cls.name in _PLAN_REGISTRY:
-        raise SolverError(f"a scoring plan named {cls.name!r} is already registered")
-    _PLAN_REGISTRY[cls.name] = cls
-    return cls
-
-
-#: Names of the plans the library registers itself (the ``blocked`` plan of
-#: :mod:`repro.analysis.blocks` adds itself here at import).
-_BUILTIN_PLAN_NAMES: set = set()
-
-
-def unregister_plan(name: str) -> None:
-    """Remove a registered plan (primarily for tests of custom plans)."""
-    if name in _BUILTIN_PLAN_NAMES:
-        raise SolverError(f"the built-in plan {name!r} cannot be unregistered")
-    _PLAN_REGISTRY.pop(name, None)
-
-
 def available_plans() -> Tuple[str, ...]:
-    """Names of every registered scoring plan, in registration order."""
+    """Names of every scoring plan, in table order."""
     return tuple(_PLAN_REGISTRY)
 
 
 def get_plan(name: str) -> Type[ScoringPlan]:
-    """Return the plan class registered under ``name``."""
+    """Return the plan class named ``name``."""
     try:
         return _PLAN_REGISTRY[name]
     except KeyError:
@@ -829,7 +759,7 @@ def get_plan(name: str) -> Type[ScoringPlan]:
 
 
 def plan_catalog() -> List[Dict[str, object]]:
-    """One row per registered scoring plan (CLI / docs listings)."""
+    """One row per scoring plan (CLI / docs listings)."""
     return [
         {
             "plan": name + (" (default)" if name == DEFAULT_PLAN else ""),
@@ -839,21 +769,24 @@ def plan_catalog() -> List[Dict[str, object]]:
     ]
 
 
-register_plan(DirectPlan)
-_BUILTIN_PLAN_NAMES.add(DirectPlan.name)
-
-
-# The cluster strategy lives in its own package (it is the one-module
-# addition the registry was built for) but registers here with the other
-# built-ins so it is selectable everywhere by name.  The import is deferred
-# to the bottom of this module: ClusterBackend subclasses BatchBackend, so
-# everything it needs is already defined.
+# The cluster strategy and the blocked plan live in their own modules but are
+# listed here with the other built-ins.  Both imports are deferred to the
+# bottom of this module: ClusterBackend subclasses BatchBackend, and the
+# blocked plan imports repro.core.scoring, which imports names from here.
 from repro.core.distributed.client import ClusterBackend  # noqa: E402
+from repro.core.blocked import BlockedPlan  # noqa: E402
 
-for _builtin in (ScalarBackend, BatchBackend, ThreadBackend, ClusterBackend):
-    register_backend(_builtin)
-    _BUILTIN_BACKEND_NAMES.add(_builtin.name)
-del _builtin
+_BACKEND_REGISTRY: Dict[str, Type[ExecutionBackend]] = {
+    ScalarBackend.name: ScalarBackend,
+    BatchBackend.name: BatchBackend,
+    ThreadBackend.name: ThreadBackend,
+    ClusterBackend.name: ClusterBackend,
+}
+
+_PLAN_REGISTRY: Dict[str, Type[ScoringPlan]] = {
+    DirectPlan.name: DirectPlan,
+    BlockedPlan.name: BlockedPlan,
+}
 
 
 __all__ = [
@@ -869,16 +802,13 @@ __all__ = [
     "ClusterBackend",
     "ScoringPlan",
     "DirectPlan",
+    "BlockedPlan",
     "available_backends",
     "available_plans",
     "backend_catalog",
     "get_backend",
     "get_plan",
     "plan_catalog",
-    "register_backend",
-    "register_plan",
-    "unregister_backend",
-    "unregister_plan",
     "resolve_backend",
     "resolve_chunk_size",
     "resolve_cluster_key",

@@ -25,7 +25,15 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, User
+from repro.core.entities import (
+    CompetingEvent,
+    Event,
+    Organizer,
+    TimeInterval,
+    User,
+    decode_capacity,
+    decode_tags,
+)
 from repro.core.errors import InstanceValidationError
 from repro.core.interest import InterestMatrix
 from repro.core.storage import require_unit_interval
@@ -401,7 +409,7 @@ class SESInstance:
                 required_resources=float(item.get("required_resources", 0.0)),
                 value=float(item.get("value", 1.0)),
                 cost=float(item.get("cost", 0.0)),
-                tags=tuple(item.get("tags", ())),
+                tags=decode_tags(item.get("tags", ())),
             )
             for item in payload["events"]  # type: ignore[index]
         ]
@@ -411,11 +419,7 @@ class SESInstance:
                 label=str(item.get("label", "")),
                 start=item.get("start"),
                 end=item.get("end"),
-                capacity=(
-                    None
-                    if item.get("capacity") is None
-                    else int(item["capacity"])
-                ),
+                capacity=decode_capacity(item.get("capacity")),
             )
             for item in payload["intervals"]  # type: ignore[index]
         ]
@@ -423,7 +427,7 @@ class SESInstance:
             CompetingEvent(
                 id=str(item["id"]),
                 interval_id=str(item["interval_id"]),
-                tags=tuple(item.get("tags", ())),
+                tags=decode_tags(item.get("tags", ())),
             )
             for item in payload["competing_events"]  # type: ignore[index]
         ]

@@ -18,9 +18,10 @@ memoised result:
 * the scoring engine's structural per-interval Φ bound
   (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`) — one
   genuine term per pattern instead of one per user;
-* the ``blocked`` scoring plan of :mod:`repro.analysis.blocks`, which
-  re-exports this module's public names as part of the block-decomposition
-  subsystem.
+* the ``blocked`` scoring plan of :mod:`repro.core.blocked`.
+
+:mod:`repro.analysis.blocks` re-exports this module's public names as part
+of the block-decomposition subsystem.
 """
 
 from __future__ import annotations

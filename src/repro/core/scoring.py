@@ -21,7 +21,7 @@ exactly.
 
 *How* bulk evaluations run is delegated to the execution layer
 (:mod:`repro.core.execution`): an :class:`~repro.core.execution.ExecutionConfig`
-selects one of the registered :class:`~repro.core.execution.ExecutionBackend`
+selects one of the :class:`~repro.core.execution.ExecutionBackend`
 strategies — ``"scalar"`` (the per-pair reference), ``"batch"`` (the default:
 whole candidate blocks per vectorised NumPy pass), ``"parallel"`` (the batch
 blocks dispatched to a GIL-releasing thread pool) or ``"cluster"`` (the
@@ -301,9 +301,8 @@ class ScoringEngine:
     def backend(self) -> str:
         """Name of the active execution backend.
 
-        One of the registered strategies — ``"scalar"``, ``"batch"``,
-        ``"parallel"``, ``"cluster"``, or any custom backend
-        added through :func:`~repro.core.execution.register_backend`.
+        One of ``"scalar"``, ``"batch"``, ``"parallel"`` or ``"cluster"``
+        (:func:`~repro.core.execution.available_backends`).
         """
         return self._execution.backend
 
@@ -533,7 +532,7 @@ class ScoringEngine:
         (:func:`~repro.core.execution.score_block_kernel` — also run by the
         cluster backend's workers) over every user column, whose per-element
         operation order matches :meth:`_pair_score` exactly; the ``blocked``
-        plan of :mod:`repro.analysis.blocks` computes each distinct interest
+        plan of :mod:`repro.core.blocked` computes each distinct interest
         pattern once and expands by multiplicity before the same per-row
         reduction, so each element — and the reduction order — stays
         bit-identical to the scalar path under every plan.

@@ -1,4 +1,4 @@
-"""Pluggable storage for interest matrices: dense, CSR-sparse and memory-mapped.
+"""Storage strategies for interest matrices: dense, CSR-sparse and memory-mapped.
 
 The paper's EBSN setting produces interest matrices that are overwhelmingly
 zero at realistic scale — a 10⁶-user × 10³-event instance is 8 GB as a dense
@@ -13,13 +13,13 @@ module turns the representation into a strategy:
   into an uncompressed ``.npz`` on disk, streaming blocks without ever
   materialising the matrix: the ``"mmap"`` storage.
 
-Stores register by name through :func:`register_store`, mirroring the
-execution layer's ``register_backend()`` registry, so external code can plug
-in new representations.  The scoring kernels consume stores through
-:class:`EventRowSource`, which yields event-major row blocks; sparse and
-mmap stores densify one block at a time (bounded by the engine's chunk
-size), feed the *same* kernel as the dense path and therefore produce
-bit-identical scores, utilities, schedules and counters.
+The three stores form a fixed name table (:func:`get_store`,
+:func:`available_stores`); adding one is an edit to that table.  The
+scoring kernels consume stores through :class:`EventRowSource`, which
+yields event-major row blocks; sparse and mmap stores densify one block at
+a time (bounded by the engine's chunk size), feed the *same* kernel as the
+dense path and therefore produce bit-identical scores, utilities,
+schedules and counters.
 
 ``CSR`` here is always event-major: row ``e`` of the CSR holds the non-zero
 ``µ(u, e)`` entries of event ``e`` over users, because the scoring kernels
@@ -763,46 +763,17 @@ def csr_members(store: InterestStore, *, prefix: str = "interest") -> Dict[str, 
 
 
 # --------------------------------------------------------------------------- #
-# Store registry (mirrors the execution layer's register_backend())
+# Store table
 # --------------------------------------------------------------------------- #
-_STORE_REGISTRY: Dict[str, Type[InterestStore]] = {}
-
-#: Built-in storage names protected from unregistration.
-_BUILTIN_STORE_NAMES = ("dense", "sparse", "mmap")
-
-
-def register_store(store_class: Type[InterestStore], *, replace_existing: bool = False):
-    """Register an :class:`InterestStore` subclass under its ``name``.
-
-    Mirrors ``register_backend()``: duplicate names raise unless
-    ``replace_existing=True``, and the class is returned so the function can
-    be used as a decorator.
-    """
-    name = getattr(store_class, "name", "")
-    if not name or not isinstance(name, str):
-        raise SolverError(
-            f"store class {store_class!r} must define a non-empty string 'name'"
-        )
-    if name in _STORE_REGISTRY and not replace_existing:
-        raise SolverError(
-            f"storage {name!r} is already registered; pass replace_existing=True "
-            "to override it"
-        )
-    _STORE_REGISTRY[name] = store_class
-    return store_class
-
-
-def unregister_store(name: str) -> None:
-    """Remove a non-built-in storage from the registry."""
-    if name in _BUILTIN_STORE_NAMES:
-        raise SolverError(f"built-in storage {name!r} cannot be unregistered")
-    if name not in _STORE_REGISTRY:
-        raise SolverError(f"storage {name!r} is not registered")
-    del _STORE_REGISTRY[name]
+_STORE_REGISTRY: Dict[str, Type[InterestStore]] = {
+    DenseStore.name: DenseStore,
+    SparseStore.name: SparseStore,
+    MmapStore.name: MmapStore,
+}
 
 
 def available_stores() -> List[str]:
-    """Registered storage names, in registration order."""
+    """Storage names, in table order."""
     return list(_STORE_REGISTRY)
 
 
@@ -816,13 +787,8 @@ def get_store(name: str) -> Type[InterestStore]:
 
 
 def store_catalog() -> Dict[str, str]:
-    """``{name: description}`` for every registered storage."""
+    """``{name: description}`` for every storage."""
     return {name: cls.description for name, cls in _STORE_REGISTRY.items()}
-
-
-register_store(DenseStore)
-register_store(SparseStore)
-register_store(MmapStore)
 
 
 def convert_store(
@@ -846,14 +812,13 @@ def convert_store(
             *(np.array(arr) for arr in store.csr_arrays),
             validate=False,
         )
-    if target is MmapStore:
-        if path is None:
-            raise InstanceValidationError(
-                "converting to the 'mmap' storage needs a path to spill the "
-                "matrix to"
-            )
-        return MmapStore.spill(store, path)
-    return target.from_dense(store.to_dense(), path=path)
+    # MmapStore is the last entry of the store table.
+    if path is None:
+        raise InstanceValidationError(
+            "converting to the 'mmap' storage needs a path to spill the "
+            "matrix to"
+        )
+    return MmapStore.spill(store, path)
 
 
 # --------------------------------------------------------------------------- #
@@ -970,8 +935,6 @@ __all__ = [
     "as_sparse",
     "csr_members",
     "map_npz_member",
-    "register_store",
-    "unregister_store",
     "available_stores",
     "get_store",
     "store_catalog",

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.algorithms.registry import get_scheduler
 from repro.core.counters import ComputationCounter
-from repro.core.entities import Event, TimeInterval
+from repro.core.entities import Event, TimeInterval, decode_capacity, decode_tags
 from repro.core.errors import InstanceValidationError, SolverError
 from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
@@ -183,7 +183,7 @@ def mutation_from_dict(payload: Mapping[str, object]) -> Mutation:
                 required_resources=float(item.get("required_resources", 0.0)),
                 value=float(item.get("value", 1.0)),
                 cost=float(item.get("cost", 0.0)),
-                tags=tuple(item.get("tags", ())),
+                tags=decode_tags(item.get("tags", ())),
             )
             return AddEvent(
                 event=event,
@@ -204,10 +204,9 @@ def mutation_from_dict(payload: Mapping[str, object]) -> Mutation:
         if op == "unlock":
             return UnlockAssignment(event_id=str(payload["event_id"]))
         if op == "set-capacity":
-            capacity = payload["capacity"]
             return SetIntervalCapacity(
                 interval_id=str(payload["interval_id"]),
-                capacity=None if capacity is None else int(capacity),
+                capacity=decode_capacity(payload["capacity"]),
             )
     except (KeyError, TypeError, ValueError) as error:
         raise MutationError(f"malformed {op!r} mutation: {error}") from error
@@ -530,6 +529,12 @@ class SchedulingSession:
         index = scratch.interval_ids.get(mutation.interval_id)
         if index is None:
             raise MutationError(f"unknown interval id: {mutation.interval_id!r}")
+        # TimeInterval validates the capacity's type and range, so a bad
+        # value is reported as such before the locked-count check reads it.
+        try:
+            interval = dataclasses.replace(scratch.intervals[index], capacity=mutation.capacity)
+        except ValueError as error:
+            raise MutationError(str(error)) from error
         locked_here = sum(
             1 for interval_id in scratch.locks.values() if interval_id == mutation.interval_id
         )
@@ -538,12 +543,7 @@ class SchedulingSession:
                 f"cannot set capacity {mutation.capacity} on {mutation.interval_id!r}: "
                 f"{locked_here} events are already locked there"
             )
-        try:
-            scratch.intervals[index] = dataclasses.replace(
-                scratch.intervals[index], capacity=mutation.capacity
-            )
-        except ValueError as error:
-            raise MutationError(str(error)) from error
+        scratch.intervals[index] = interval
         scratch.instance_dirty = True
 
     def _commit(self, scratch: _Scratch, batch_size: int) -> Dict[str, int]:

@@ -1,4 +1,4 @@
-"""Block decomposition and scoring plans: mining, exactness, bounds, registry.
+"""Block decomposition and scoring plans: mining, exactness, bounds, plan table.
 
 Five contracts of the structure-exploiting scoring work:
 
@@ -21,16 +21,23 @@ Five contracts of the structure-exploiting scoring work:
   five schedulers of one instance share one mine (only INC mines under
   ``direct``), copies mine their own, and the mined-from arrays turn
   read-only;
-* **The plan registry behaves like the backend registry** — registration,
-  lookup, catalogue, builtin protection and non-bulk pinning.
+* **The plan table behaves like the backend table** — fixed names in
+  order, lookup, catalogue and non-bulk pinning.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from tests.conftest import (
     LAYOUTS,
@@ -48,9 +55,7 @@ from repro.core.execution import (
     available_plans,
     get_plan,
     plan_catalog,
-    register_plan,
     resolve_plan,
-    unregister_plan,
 )
 from repro.core import scoring
 from repro.core.instance import SESInstance
@@ -612,41 +617,43 @@ class TestPlanRegistry:
         with pytest.raises(SolverError, match="unknown scoring plan"):
             resolve_plan("nope")
 
-    def test_builtin_plans_cannot_be_unregistered(self):
-        for name in ("direct", "blocked"):
-            with pytest.raises(SolverError, match="built-in plan"):
-                unregister_plan(name)
-            assert name in available_plans()
-
-    def test_duplicate_registration_is_rejected(self):
-        with pytest.raises(SolverError, match="already registered"):
-            register_plan(BlockedPlan)
-
     def test_plan_catalog_marks_the_default(self):
         catalog = plan_catalog()
         names = [row["plan"] for row in catalog]
         assert any(name.endswith("(default)") for name in names)
         assert all(row["description"] for row in catalog)
 
-    def test_custom_plan_end_to_end(self):
-        """A registered plan is selectable everywhere by name, like backends."""
+    def test_core_resolves_blocked_plan_without_analysis(self):
+        """``repro.core`` owns the ``blocked`` plan: no import of ``repro.analysis`` needed."""
+        script = textwrap.dedent(
+            """
+            import sys
 
-        class TracingPlan(get_plan("direct")):
-            name = "tracing-test"
+            import numpy as np
 
-        register_plan(TracingPlan)
-        try:
-            instance = duplicate_heavy_instance(num_users=120, num_patterns=8)
-            custom = run_scheduler(
-                "TOP", instance, 3, execution=execution_for("tracing-test")
+            import repro.core.execution
+            from repro.core.execution import ExecutionConfig
+            from repro.core.instance import SESInstance
+            from repro.core.scoring import ScoringEngine
+
+            rng = np.random.default_rng(0)
+            patterns = rng.random((4, 6))
+            instance = SESInstance.from_arrays(
+                interest=np.repeat(patterns, 5, axis=0),
+                activity=np.repeat(rng.random((4, 3)), 5, axis=0),
             )
-            direct = run_scheduler(
-                "TOP", instance, 3, execution=execution_for("direct")
-            )
-            assert custom.schedule.as_dict() == direct.schedule.as_dict()
-            assert custom.utility == direct.utility
-            assert custom.plan == "tracing-test"
-        finally:
-            unregister_plan("tracing-test")
-        with pytest.raises(SolverError, match="unknown scoring plan"):
-            get_plan("tracing-test")
+            engine = ScoringEngine(instance, execution=ExecutionConfig(plan="blocked"))
+            assert engine.plan == "blocked"
+            assert engine.score_matrix().shape == (6, 3)
+            assert engine.scoring_plan.stats()["num_classes"] == 4
+            assert "repro.analysis.blocks" not in sys.modules, "repro.analysis.blocks was loaded"
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        # The analysis module re-exports the very class the core table holds.
+        assert BlockedPlan is get_plan("blocked")

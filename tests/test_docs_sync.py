@@ -2,17 +2,15 @@
 
 The docs subsystem promises the same reproducibility discipline as the
 equivalence suites: what the documentation *lists* is checked against what
-the code *registers*.  Concretely:
+the code *defines*.  Concretely:
 
 * the backend tables in ``README.md`` and ``docs/ARCHITECTURE.md`` must name
-  **exactly** the backends in the live ``register_backend()`` registry — no
-  missing backend, no phantom row;
+  **exactly** the backends of ``available_backends()`` — no missing backend,
+  no phantom row;
 * the instance-storage table in ``docs/ARCHITECTURE.md`` must name exactly
-  the stores in the live ``register_store()`` registry, in registration
-  order;
+  the stores of ``available_stores()``, in table order;
 * the scoring-plan tables in ``README.md`` and ``docs/ARCHITECTURE.md`` must
-  name exactly the plans in the live ``register_plan()`` registry, in
-  registration order;
+  name exactly the plans of ``available_plans()``, in table order;
 * every CLI sub-command built by :func:`repro.cli.build_parser` must appear
   in the README's command reference (and vice versa), and the shared
   execution flags named there must all exist on the parser (and vice versa);
@@ -79,7 +77,7 @@ class TestBackendTables:
         names = _table_names(section)
         assert names, "README's execution-backends section lost its table"
         assert sorted(names) == sorted(available_backends()), (
-            "README backend table drifted from the register_backend() registry"
+            "README backend table drifted from available_backends()"
         )
 
     def test_architecture_decision_table_matches_registry(self):
@@ -115,7 +113,7 @@ class TestStorageTable:
         assert names, "docs/ARCHITECTURE.md lost its instance-storage table"
         assert names == list(available_stores()), (
             "docs/ARCHITECTURE.md storage table drifted from the "
-            f"register_store() registry: documented={names}, "
+            f"store table: documented={names}, "
             f"actual={list(available_stores())}"
         )
 
@@ -134,8 +132,8 @@ class TestPlanTables:
             names = _table_names(_section(path.read_text(encoding="utf-8"), heading))
             assert names, f"{path.name} lost its scoring-plan table"
             assert names == expected, (
-                f"{path.name} plan table drifted from the register_plan() "
-                f"registry: documented={names}, actual={expected}"
+                f"{path.name} plan table drifted from available_plans(): "
+                f"documented={names}, actual={expected}"
             )
 
 

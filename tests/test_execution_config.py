@@ -1,11 +1,10 @@
-"""The execution layer itself: config resolution, the registry, the catalogue.
+"""The execution layer itself: config resolution, the backend table, the catalogue.
 
 The backend strategies' numerical behaviour is locked down by the equivalence
 suites; these tests cover the layer's *surface* — ``ExecutionConfig``
-resolution rules, the name→class registry and its ``register_backend()``
-extension hook (a new backend must be selectable everywhere by name with no
-further plumbing), the CLI-facing catalogue, and the single ``execution=``
-entry path every public runner takes.
+resolution rules, the fixed name→class backend table, the CLI-facing
+catalogue, and the single ``execution=`` entry path every public runner
+takes.
 """
 
 from __future__ import annotations
@@ -19,14 +18,10 @@ from repro.cli import main
 from repro.core.errors import SolverError
 from repro.core.execution import (
     DEFAULT_BACKEND,
-    BatchBackend,
     ExecutionConfig,
     available_backends,
     backend_catalog,
     get_backend,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
 )
 from repro.core.scoring import ScoringEngine
 from repro.experiments import figures
@@ -123,52 +118,6 @@ class TestRegistry:
             get_backend("nope")
         assert "batch" in str(excinfo.value)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(SolverError):
-            register_backend(BatchBackend)
-
-    def test_builtin_cannot_be_unregistered(self):
-        with pytest.raises(SolverError):
-            unregister_backend("batch")
-
-    def test_custom_backend_is_selectable_everywhere_by_name(self):
-        """register_backend() is the whole integration — no other plumbing."""
-
-        class EveryOtherRowBackend(BatchBackend):
-            """A silly custom split: odd rows first, then even rows."""
-
-            name = "custom-split"
-
-            def _run_blocks(self, interval_index, source, bounds, scores):
-                for start, stop in list(bounds[1::2]) + list(bounds[::2]):
-                    scores[start:stop] = self.engine._batch_block(
-                        interval_index, *source.block(start, stop)
-                    )
-
-        register_backend(EveryOtherRowBackend)
-        try:
-            assert "custom-split" in available_backends()
-            assert resolve_backend("custom-split") == "custom-split"
-            assert get_backend("custom-split").is_bulk
-
-            instance = make_random_instance(
-                seed=131, num_users=20, num_events=12, num_intervals=3
-            )
-            reference = run_scheduler(
-                "INC", instance, 5, execution=ExecutionConfig(backend="batch", chunk_size=2)
-            )
-            custom = run_scheduler(
-                "INC", instance, 5, execution=ExecutionConfig(backend="custom-split", chunk_size=2)
-            )
-            assert custom.schedule.as_dict() == reference.schedule.as_dict()
-            assert custom.utility == reference.utility
-            assert custom.counters == reference.counters
-            assert custom.backend == "custom-split"
-        finally:
-            unregister_backend("custom-split")
-        assert "custom-split" not in available_backends()
-
-
 class TestCatalogue:
     def test_catalog_covers_every_backend(self):
         rows = backend_catalog()
@@ -181,14 +130,6 @@ class TestCatalogue:
 
     def test_cli_backends_subcommand(self, capsys):
         assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in available_backends():
-            assert name in out
-
-    def test_cli_list_backends_flag(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--list-backends"])
-        assert excinfo.value.code == 0
         out = capsys.readouterr().out
         for name in available_backends():
             assert name in out

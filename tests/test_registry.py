@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.algorithms.base import AssignmentEntry, BaseScheduler, better_candidate
+from repro.algorithms.base import AssignmentEntry, better_candidate
 from repro.algorithms.registry import (
     CONTRIBUTED_METHODS,
     PAPER_METHODS,
     available_schedulers,
     get_scheduler,
-    register_scheduler,
     run_scheduler,
 )
 from repro.core.counters import ComputationCounter
 from repro.core.errors import SolverError
-from repro.core.schedule import Schedule
 
 
 class TestRegistry:
@@ -42,33 +40,6 @@ class TestRegistry:
         result = run_scheduler("TOP", small_instance, 3)
         assert result.algorithm == "TOP"
         assert result.num_scheduled == 3
-
-    def test_register_custom_scheduler(self, small_instance):
-        class FirstFitScheduler(BaseScheduler):
-            name = "FIRST-FIT"
-
-            def _run(self, k):
-                schedule = Schedule()
-                for event_index in range(min(k, self.instance.num_events)):
-                    if self.checker.is_feasible(event_index, 0):
-                        self._select_assignment(
-                            schedule, event_index, 0,
-                            self.engine.assignment_score(event_index, 0),
-                        )
-                return schedule
-
-        try:
-            register_scheduler(FirstFitScheduler)
-            assert "FIRST-FIT" in available_schedulers()
-            result = run_scheduler("FIRST-FIT", small_instance, 2)
-            assert result.num_scheduled >= 1
-            with pytest.raises(SolverError, match="already registered"):
-                register_scheduler(FirstFitScheduler)
-            register_scheduler(FirstFitScheduler, replace=True)
-        finally:
-            from repro.algorithms import registry
-
-            registry._REGISTRY.pop("FIRST-FIT", None)
 
 
 class TestSchedulerResult:

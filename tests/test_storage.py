@@ -1,10 +1,10 @@
-"""Unit tests for the pluggable interest-store layer.
+"""Unit tests for the interest-store layer.
 
 Everything in :mod:`repro.core.storage` promises one invariant: a store is
 *only* a layout — every accessor returns exactly the values of the logical
 dense matrix.  These tests pin that invariant down store by store
 (dense / sparse / mmap), plus the pieces around it: the dense capacity
-guard, the store registry (the ``register_backend()`` mirror), the
+guard, the fixed store table (names, order, lookup errors), the
 ``EventRowSource`` blocks the scoring kernels consume, the vectorised
 ``InterestMatrix.from_entries`` (duplicate and bounds semantics), and the
 NPZ round-trips of :mod:`repro.core.instance_io` including the
@@ -43,9 +43,7 @@ from repro.core.storage import (
     ensure_dense_capacity,
     get_store,
     map_npz_member,
-    register_store,
     store_catalog,
-    unregister_store,
 )
 from tests.conftest import make_random_instance
 
@@ -338,42 +336,6 @@ class TestStoreRegistry:
             SolverError, match="unknown storage 'bogus'; available: dense, sparse, mmap"
         ):
             get_store("bogus")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(SolverError, match="already registered"):
-            register_store(DenseStore)
-
-    def test_nameless_class_rejected(self):
-        class Anonymous(DenseStore):
-            name = ""
-
-        with pytest.raises(SolverError, match="non-empty string 'name'"):
-            register_store(Anonymous)
-
-    @pytest.mark.parametrize("name", ["dense", "sparse", "mmap"])
-    def test_builtins_cannot_be_unregistered(self, name):
-        with pytest.raises(SolverError, match="built-in"):
-            unregister_store(name)
-
-    def test_unknown_unregistration_rejected(self):
-        with pytest.raises(SolverError, match="not registered"):
-            unregister_store("ghost")
-
-    def test_custom_store_lifecycle(self):
-        class MirrorStore(DenseStore):
-            name = "mirror"
-            description = "dense clone used by the registry test"
-
-        try:
-            assert register_store(MirrorStore) is MirrorStore
-            assert "mirror" in available_stores()
-            values = reference_matrix(seed=9)
-            converted = convert_store(SparseStore.from_dense(values), "mirror")
-            assert isinstance(converted, MirrorStore)
-            assert np.array_equal(converted.to_dense(), values)
-        finally:
-            unregister_store("mirror")
-        assert "mirror" not in available_stores()
 
 
 # --------------------------------------------------------------------------- #
