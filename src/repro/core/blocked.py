@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core import scoring
 from repro.core.errors import SolverError
-from repro.core.execution import ScoringPlan, _guarded_divide, score_block_kernel
+from repro.core.execution import ScoringPlan, _guarded_divide, direct_block_scores
 from repro.core.patterns import InterestStructure
 from repro.core.storage import EventRowSource
 
@@ -53,7 +53,8 @@ class PatternEventRows(EventRowSource):
     representative columns.  value·µ is computed per block as
     ``values[:, None] * mu_rows`` — the elementwise product
     :class:`~repro.core.storage.StoreEventRows` and the dense precompute
-    form, so every element equals the full rows' representative element.
+    form, so every element equals the full rows' representative element —
+    or, when the full-row source has unit values, the µ block itself.
     """
 
     __slots__ = ("_pattern_mu", "_rows", "_representatives", "_event_values")
@@ -74,11 +75,17 @@ class PatternEventRows(EventRowSource):
     def num_rows(self) -> int:
         return int(self._event_values.shape[0])
 
+    @property
+    def unit_values(self) -> bool:
+        return self._rows.unit_values
+
     def block(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
         if self._pattern_mu is not None:
             mu_rows = self._pattern_mu[start:stop]
         else:
             mu_rows = self._rows.block(start, stop)[0][:, self._representatives]
+        if self._rows.unit_values:
+            return mu_rows, mu_rows
         return mu_rows, self._event_values[start:stop, np.newaxis] * mu_rows
 
     def select(self, indices: np.ndarray) -> "PatternEventRows":
@@ -178,26 +185,21 @@ class BlockedPlan(ScoringPlan):
         if self._degenerate:
             # No duplicate patterns: the expansion would be an identity
             # permutation, so run the reference kernel on the full rows.
-            return score_block_kernel(
-                mu_rows,
-                value_mu_rows,
-                engine._comp[:, interval_index],
-                engine._sigma[:, interval_index],
-                engine._scheduled_interest[interval_index],
-                engine._scheduled_value_interest[interval_index],
-                engine._interval_utility[interval_index],
-            )
+            return direct_block_scores(engine, interval_index, mu_rows, value_mu_rows)
         structure = self._structure
         reps = structure.representatives
         # Reference arithmetic on the (block, P) pattern rows — the same
         # per-element operation order as score_block_kernel, on columns
-        # whose values equal every member user's column.
-        denominator = engine._comp[reps, interval_index] + (
-            engine._scheduled_interest[interval_index][reps] + mu_rows
-        )
-        numerator = engine._sigma[reps, interval_index] * (
-            engine._scheduled_value_interest[interval_index][reps] + value_mu_rows
-        )
+        # whose values equal every member user's column.  Under unit values
+        # V + value·µ is S + µ bit for bit, so one sum feeds both sides.
+        summed = engine._scheduled_interest[interval_index][reps] + mu_rows
+        if value_mu_rows is mu_rows:
+            numerator = engine._sigma[reps, interval_index] * summed
+        else:
+            numerator = engine._sigma[reps, interval_index] * (
+                engine._scheduled_value_interest[interval_index][reps] + value_mu_rows
+            )
+        denominator = engine._comp[reps, interval_index] + summed
         contributions = _guarded_divide(numerator, denominator)
         # Expand by multiplicity *before* the reduction: the (block, |U|)
         # matrix equals the direct kernel's element for element.  take()

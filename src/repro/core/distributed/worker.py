@@ -93,6 +93,8 @@ def build_instance_record(payload) -> Dict[str, object]:
     if kind == "arrays":
         arrays = payload["arrays"]
         return {
+            # Unit event values ship µ under both names as one pickled
+            # object; unpickling keeps the identity the row source reads.
             "rows": DenseEventRows(arrays["mu_rows"], arrays["value_mu_rows"]),
             "comp": arrays["comp"],
             "sigma": arrays["sigma"],
@@ -138,7 +140,10 @@ def score_column(record: Dict[str, object], task: ColumnTask, rows) -> np.ndarra
     in-process batch path, chunked along the event axis with the task's step
     — sparse and memory-mapped row sources densify one block at a time — so
     the returned column is bit-identical to the serial batch computation
-    regardless of which machine (or storage) produced it.
+    regardless of which machine (or storage) produced it.  A record whose
+    row source has unit event values takes the kernel's unit path; the
+    task's scheduled sums are always passed (the wire carries no applied
+    count, so the empty-interval path stays in-process).
     """
     from repro.core.execution import score_block_kernel
 
@@ -151,7 +156,7 @@ def score_column(record: Dict[str, object], task: ColumnTask, rows) -> np.ndarra
         mu_rows, value_mu_rows = rows.block(start, stop)
         scores[start:stop] = score_block_kernel(
             mu_rows,
-            value_mu_rows,
+            None if value_mu_rows is mu_rows else value_mu_rows,
             comp_column,
             sigma_column,
             task.scheduled,

@@ -20,9 +20,10 @@ position.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 
 def _check_number(
@@ -185,8 +186,60 @@ def decode_capacity(value: object) -> Optional[int]:
     raise ValueError(f"capacity must be an integer or None, got {value!r}")
 
 
+def decode_real(value: object, what: str) -> float:
+    """A real number read from a payload, without coercion.
+
+    Python and NumPy integers and floats pass through ``float``; booleans
+    (``True`` is an ``int``) and strings raise ``ValueError`` instead of
+    being read as ``1.0`` or parsed.  ``what`` names the field in the
+    message; range checks stay with the entity that owns the field.
+    """
+    # float and int first: the abstract numbers.Real check is the slow one,
+    # and only NumPy scalars other than float64 need it.
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
+def decode_reals(values: Iterable[object], what: str) -> Tuple[float, ...]:
+    """:func:`decode_real` over a sequence (an ``add-event``'s ``|U|`` interest values).
+
+    A sequence of plain floats — what the wire carries — is checked by type
+    in one C-level pass; anything else is decoded element by element, so a
+    single string or boolean is rejected with its own message.
+    """
+    items = tuple(values)
+    if set(map(type, items)) <= {float}:
+        return items
+    return tuple(decode_real(value, what) for value in items)
+
+
+def decode_optional_real(value: object, what: str) -> Optional[float]:
+    """:func:`decode_real`, with ``None`` passed through."""
+    return None if value is None else decode_real(value, what)
+
+
 def decode_tags(value: Iterable[str]) -> Tuple[str, ...]:
     """A tag tuple read from a payload; a bare string is rejected, not split into characters."""
     if isinstance(value, str):
         raise ValueError(f"tags must be a list of strings, not the string {value!r}")
     return tuple(value)
+
+
+def decode_event(item: Mapping[str, object]) -> Event:
+    """An :class:`Event` read from its payload dict (instance files and ``add-event``).
+
+    ``id`` and ``location`` are read as strings; the numeric fields go
+    through :func:`decode_real`, so ``"0.5"`` or ``True`` is rejected rather
+    than coerced.
+    """
+    return Event(
+        id=str(item["id"]),
+        location=str(item["location"]),
+        required_resources=decode_real(
+            item.get("required_resources", 0.0), "required_resources"
+        ),
+        value=decode_real(item.get("value", 1.0), "value"),
+        cost=decode_real(item.get("cost", 0.0), "cost"),
+        tags=decode_tags(item.get("tags", ())),
+    )

@@ -83,11 +83,11 @@ DEFAULT_PLAN: str = "direct"
 
 def score_block_kernel(
     mu_rows: np.ndarray,
-    value_mu_rows: np.ndarray,
+    value_mu_rows: Optional[np.ndarray],
     comp_column: np.ndarray,
     sigma_column: np.ndarray,
-    scheduled: np.ndarray,
-    scheduled_value: np.ndarray,
+    scheduled: Optional[np.ndarray],
+    scheduled_value: Optional[np.ndarray],
     utility: float,
 ) -> np.ndarray:
     """Assignment scores of one block of event rows at one interval (Eq. 4).
@@ -99,6 +99,31 @@ def score_block_kernel(
     to the scheduled sums first, competing sums last; value·µ added to the
     value sums before the σ product), and each row's per-user reduction is
     independent of every other row's.
+
+    Two structural facts, passed as ``None`` rather than inspected per call,
+    let the kernel skip arithmetic whose result it already has, bit for bit:
+
+    * ``value_mu_rows is None`` — every event value is 1.0 (the paper's own
+      model).  Then ``value·µ`` is ``µ`` and the value sums ``V`` are the
+      scheduled sums ``S`` (``1.0·x == x`` for every float), so one
+      ``S + µ`` feeds both the numerator and the denominator and
+      ``scheduled_value`` is ignored.
+    * ``scheduled is None`` — nothing is scheduled at the interval, so
+      ``S`` and ``V`` are all ``0.0`` and ``0.0 + µ`` is ``µ``: exact for
+      every float but ``-0.0``, which the row sources fold into ``0.0``
+      before µ reaches this kernel (see
+      :class:`~repro.core.storage.EventRowSource`).  ``value·µ`` can still
+      be ``-0.0`` (a ``-0.0`` event value), so the valued path keeps its
+      ``value·µ + 0.0``.  ``scheduled_value`` is ignored.
+
+    Elementwise passes per tile (plus the row sum):
+
+    ============  ==========================  ==========================
+    values        interval has events         empty interval
+    ============  ==========================  ==========================
+    valued        5: S+µ, C+·, V+vµ, σ·, ÷    4: C+µ, vµ+0, σ·, ÷
+    unit (1.0)    4: S+µ, σ·, C+·, ÷          3: C+µ, σ·µ, ÷
+    ============  ==========================  ==========================
 
     The block is walked in row tiles of :data:`KERNEL_TILE_ELEMENTS` elements.
     Every tile is computed in place in two C-contiguous scratch buffers
@@ -114,7 +139,10 @@ def score_block_kernel(
     step = max(1, KERNEL_TILE_ELEMENTS // max(1, num_users))
     comp_column = np.ascontiguousarray(comp_column)
     sigma_column = np.ascontiguousarray(sigma_column)
-    guard = not np.all(comp_column + scheduled > 0.0)
+    if scheduled is None:
+        guard = not np.all(comp_column > 0.0)
+    else:
+        guard = not np.all(comp_column + scheduled > 0.0)
     tile_rows = min(step, num_rows)
     denominator = np.empty((tile_rows, num_users), dtype=np.float64)
     contributions = np.empty((tile_rows, num_users), dtype=np.float64)
@@ -124,16 +152,58 @@ def score_block_kernel(
             stop = min(start + step, num_rows)
             den = denominator[: stop - start]
             out = contributions[: stop - start]
-            np.add(scheduled, mu_rows[start:stop], out=den)
-            np.add(comp_column, den, out=den)
-            np.add(scheduled_value, value_mu_rows[start:stop], out=out)
-            np.multiply(sigma_column, out, out=out)
+            mu = mu_rows[start:stop]
+            if scheduled is None:
+                np.add(comp_column, mu, out=den)
+                if value_mu_rows is None:
+                    np.multiply(sigma_column, mu, out=out)
+                else:
+                    np.add(value_mu_rows[start:stop], 0.0, out=out)
+                    np.multiply(sigma_column, out, out=out)
+            else:
+                np.add(scheduled, mu, out=den)
+                if value_mu_rows is None:
+                    np.multiply(sigma_column, den, out=out)
+                else:
+                    np.add(scheduled_value, value_mu_rows[start:stop], out=out)
+                    np.multiply(sigma_column, out, out=out)
+                np.add(comp_column, den, out=den)
             np.divide(out, den, out=out)
             if guard:
                 out[~(den > 0.0)] = 0.0
             out.sum(axis=1, out=scores[start:stop])
     scores -= utility
     return scores
+
+
+def direct_block_scores(
+    engine: "ScoringEngine",
+    interval_index: int,
+    mu_rows: np.ndarray,
+    value_mu_rows: np.ndarray,
+) -> np.ndarray:
+    """:func:`score_block_kernel` over every user column against the engine's state.
+
+    Both structural facts come from state the callers already hold, never
+    from the arrays' contents: a row source with unit event values serves
+    ``mu_rows`` itself as ``value_mu_rows`` (passed on as ``None``), and an
+    interval the engine has applied nothing to (its per-interval applied
+    count) is passed as ``scheduled=None``.
+    """
+    if engine._interval_events[interval_index]:
+        scheduled = engine._scheduled_interest[interval_index]
+        scheduled_value = engine._scheduled_value_interest[interval_index]
+    else:
+        scheduled = scheduled_value = None
+    return score_block_kernel(
+        mu_rows,
+        None if value_mu_rows is mu_rows else value_mu_rows,
+        engine._comp[:, interval_index],
+        engine._sigma[:, interval_index],
+        scheduled,
+        scheduled_value,
+        engine._interval_utility[interval_index],
+    )
 
 
 def _guarded_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -689,7 +759,11 @@ class ScoringPlan:
     def batch_block(
         self, interval_index: int, mu_rows: np.ndarray, value_mu_rows: np.ndarray
     ) -> np.ndarray:
-        """Scores of one block of event rows at one interval (Eq. 4)."""
+        """Scores of one block of event rows at one interval (Eq. 4).
+
+        ``value_mu_rows`` is ``mu_rows`` itself under unit event values (see
+        :class:`~repro.core.storage.EventRowSource`).
+        """
         raise NotImplementedError
 
     def stats(self) -> Dict[str, object]:
@@ -731,16 +805,7 @@ class DirectPlan(ScoringPlan):
     def batch_block(
         self, interval_index: int, mu_rows: np.ndarray, value_mu_rows: np.ndarray
     ) -> np.ndarray:
-        engine = self.engine
-        return score_block_kernel(
-            mu_rows,
-            value_mu_rows,
-            engine._comp[:, interval_index],
-            engine._sigma[:, interval_index],
-            engine._scheduled_interest[interval_index],
-            engine._scheduled_value_interest[interval_index],
-            engine._interval_utility[interval_index],
-        )
+        return direct_block_scores(self.engine, interval_index, mu_rows, value_mu_rows)
 
 
 def available_plans() -> Tuple[str, ...]:
@@ -815,5 +880,6 @@ __all__ = [
     "resolve_plan",
     "resolve_workers",
     "resolve_workers_addr",
+    "direct_block_scores",
     "score_block_kernel",
 ]

@@ -32,6 +32,8 @@ from repro.core.entities import (
     TimeInterval,
     User,
     decode_capacity,
+    decode_event,
+    decode_optional_real,
     decode_tags,
 )
 from repro.core.errors import InstanceValidationError
@@ -402,23 +404,13 @@ class SESInstance:
             name=str(organizer_payload.get("name", "organizer")),
             available_resources=float(organizer_payload.get("available_resources", float("inf"))),
         )
-        events = [
-            Event(
-                id=str(item["id"]),
-                location=str(item["location"]),
-                required_resources=float(item.get("required_resources", 0.0)),
-                value=float(item.get("value", 1.0)),
-                cost=float(item.get("cost", 0.0)),
-                tags=decode_tags(item.get("tags", ())),
-            )
-            for item in payload["events"]  # type: ignore[index]
-        ]
+        events = [decode_event(item) for item in payload["events"]]  # type: ignore[index]
         intervals = [
             TimeInterval(
                 id=str(item["id"]),
                 label=str(item.get("label", "")),
-                start=item.get("start"),
-                end=item.get("end"),
+                start=decode_optional_real(item.get("start"), "interval start"),
+                end=decode_optional_real(item.get("end"), "interval end"),
                 capacity=decode_capacity(item.get("capacity")),
             )
             for item in payload["intervals"]  # type: ignore[index]

@@ -81,6 +81,7 @@ from repro.core.storage import (
     InterestStore,
     SparseStore,
     StoreEventRows,
+    unit_values,
 )
 
 
@@ -103,15 +104,22 @@ def build_static_arrays(instance: SESInstance):
 def build_event_rows(store: InterestStore, values: np.ndarray) -> EventRowSource:
     """The event-major row source the bulk strategies iterate.
 
-    A dense store precomputes the contiguous ``µ.T`` and ``value·µ.T``
-    matrices once (today's behaviour, served as zero-copy views); sparse and
-    mmap stores densify one event block at a time through
+    A dense store precomputes the contiguous ``µ.T`` matrix once, with
+    ``-0.0`` folded into ``0.0`` in the same copy, plus ``value·µ.T`` unless
+    every event value is 1.0 (:func:`~repro.core.storage.unit_values`: then
+    µ.T serves as both and the source holds one matrix), served as
+    zero-copy views.  Sparse and mmap stores densify one event block at a
+    time through
     :class:`~repro.core.storage.StoreEventRows`, computing ``value·µ`` per
     block — elementwise-identical to the dense precompute, so every backend
     stays bit-identical across storages.
     """
     if isinstance(store, DenseStore):
-        mu_rows = np.ascontiguousarray(store.to_dense().T)
+        dense = store.to_dense()
+        mu_rows = np.empty((dense.shape[1], dense.shape[0]), dtype=np.float64)
+        np.add(dense.T, 0.0, out=mu_rows)
+        if unit_values(values):
+            return DenseEventRows(mu_rows, mu_rows)
         return DenseEventRows(mu_rows, values[:, np.newaxis] * mu_rows)
     return StoreEventRows(store, values)
 
@@ -190,8 +198,11 @@ class ScoringEngine:
     * ``comp[:, t]`` — the per-user competing-interest sums (static),
     * ``A[t]`` — the per-user sums of interest over events currently scheduled
       at ``t`` (updated by :meth:`apply`),
-    * ``V[t]`` — the value-weighted variant of ``A[t]`` (identical when all
-      event values are 1.0),
+    * ``V[t]`` — the value-weighted variant of ``A[t]``; when every event
+      value is 1.0 it is bit for bit ``A[t]``, so the engine holds one array
+      for both (``_scheduled_value_interest is _scheduled_interest``),
+    * the number of events applied at ``t`` (an empty interval takes the
+      kernel's ``scheduled=None`` path),
     * the interval's current utility.
 
     Every call to :meth:`assignment_score` costs one pass over the users and
@@ -254,7 +265,14 @@ class ScoringEngine:
         num_intervals = instance.num_intervals
         num_users = instance.num_users
         self._scheduled_interest = np.zeros((num_intervals, num_users), dtype=np.float64)
-        self._scheduled_value_interest = np.zeros((num_intervals, num_users), dtype=np.float64)
+        if unit_values(self._values):
+            # V[t] = Σ 1.0·µ is A[t] bit for bit: one array serves both.
+            self._scheduled_value_interest = self._scheduled_interest
+        else:
+            self._scheduled_value_interest = np.zeros(
+                (num_intervals, num_users), dtype=np.float64
+            )
+        self._interval_events = [0] * num_intervals
         self._interval_utility = np.zeros(num_intervals, dtype=np.float64)
         self._applied_cost = 0.0
         self._events_applied: Dict[int, int] = {}
@@ -348,6 +366,7 @@ class ScoringEngine:
         """Forget every applied assignment (counters are *not* reset)."""
         self._scheduled_interest.fill(0.0)
         self._scheduled_value_interest.fill(0.0)
+        self._interval_events = [0] * self._instance.num_intervals
         self._interval_utility.fill(0.0)
         self._applied_cost = 0.0
         self._events_applied.clear()
@@ -379,7 +398,9 @@ class ScoringEngine:
             score = self.assignment_score(event_index, interval_index)
         column = self._mu_column(event_index)
         self._scheduled_interest[interval_index] += column
-        self._scheduled_value_interest[interval_index] += self._values[event_index] * column
+        if self._scheduled_value_interest is not self._scheduled_interest:
+            self._scheduled_value_interest[interval_index] += self._values[event_index] * column
+        self._interval_events[interval_index] += 1
         self._interval_utility[interval_index] += score
         self._applied_cost += self._costs[event_index]
         self._events_applied[event_index] = interval_index

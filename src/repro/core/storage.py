@@ -203,11 +203,15 @@ class InterestStore:
         raise NotImplementedError
 
     def item_rows(self, start: int, stop: int) -> np.ndarray:
-        """Dense event-major block ``µ.T[start:stop]`` of shape ``(stop-start, num_users)``."""
+        """Dense event-major block ``µ.T[start:stop]`` of shape ``(stop-start, num_users)``.
+
+        A new C-contiguous array (never a view of the store), so callers may
+        write to it.
+        """
         raise NotImplementedError
 
     def item_rows_at(self, item_indices: np.ndarray) -> np.ndarray:
-        """Dense event-major gather ``µ.T[item_indices]``."""
+        """Dense event-major gather ``µ.T[item_indices]`` (a new array, like :meth:`item_rows`)."""
         raise NotImplementedError
 
     def row(self, user_index: int) -> np.ndarray:
@@ -278,7 +282,7 @@ class DenseStore(InterestStore):
         return self._values[:, np.asarray(item_indices, dtype=np.int64)]
 
     def item_rows(self, start: int, stop: int) -> np.ndarray:
-        return np.ascontiguousarray(self._values.T[start:stop])
+        return np.array(self._values.T[start:stop], order="C")
 
     def item_rows_at(self, item_indices: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(self._values.T[np.asarray(item_indices, dtype=np.int64)])
@@ -824,15 +828,33 @@ def convert_store(
 # --------------------------------------------------------------------------- #
 # Event-major row sources consumed by the scoring kernels
 # --------------------------------------------------------------------------- #
+def unit_values(event_values: np.ndarray) -> bool:
+    """Whether every event value is exactly ``1.0`` (the paper's model, no §2.1 values).
+
+    Then ``value·µ`` is ``µ`` bit for bit (``1.0·x == x`` for every float),
+    so the row sources serve the µ block itself as the value·µ block and
+    the engine keeps one scheduled-sum array for ``A[t]`` and ``V[t]``.
+    Always decided on the *full* value vector: a selection of unit-valued
+    rows of a valued instance still gets its own value·µ block.
+    """
+    return bool(np.all(np.asarray(event_values) == 1.0))
+
+
 class EventRowSource:
     """Chunked provider of event-major ``(µ.T, value·µ.T)`` row blocks.
 
     The scoring kernels iterate events in blocks; a row source yields, for
     rows ``[start, stop)``, the pair ``(mu_rows, value_mu_rows)`` where
-    ``value_mu_rows[r] = value(event_r) * mu_rows[r]``.  The dense engine
-    precomputes both matrices once and serves views; sparse and mmap stores
-    densify one block at a time, so peak memory is bounded by the chunk size
-    regardless of the instance size.
+    ``value_mu_rows[r] = value(event_r) * mu_rows[r]``.  When every event
+    value of the instance is exactly 1.0 (:attr:`unit_values`) the product
+    would be ``mu_rows`` bit for bit, and ``value_mu_rows`` *is*
+    ``mu_rows`` — the same object, which the kernel callers read as the
+    unit-value fact without inspecting an element.  µ enters a row source
+    with ``-0.0`` folded into ``0.0`` (``µ + 0.0``, exact for every other
+    value), so a kernel may drop the ``0.0 + µ`` of an empty interval
+    without changing a sign.  The dense engine precomputes the matrices once
+    and serves views; sparse and mmap stores densify one block at a time, so
+    peak memory is bounded by the chunk size regardless of the instance size.
     """
 
     #: Whether blocks are zero-copy views over precomputed dense arrays.
@@ -840,6 +862,11 @@ class EventRowSource:
 
     @property
     def num_rows(self) -> int:
+        raise NotImplementedError
+
+    @property
+    def unit_values(self) -> bool:
+        """Whether :meth:`block` serves ``mu_rows`` itself as value·µ (every event value is 1.0)."""
         raise NotImplementedError
 
     def block(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -852,7 +879,11 @@ class EventRowSource:
 
 
 class DenseEventRows(EventRowSource):
-    """Zero-copy views over precomputed dense ``mu_rows`` / ``value_mu_rows``."""
+    """Zero-copy views over precomputed dense ``mu_rows`` / ``value_mu_rows``.
+
+    Under unit event values ``value_mu_rows`` is ``mu_rows`` itself: the
+    source holds one ``(|E|, |U|)`` matrix, and :meth:`select` copies once.
+    """
 
     __slots__ = ("_mu_rows", "_value_mu_rows")
 
@@ -867,26 +898,37 @@ class DenseEventRows(EventRowSource):
         return int(self._mu_rows.shape[0])
 
     @property
+    def unit_values(self) -> bool:
+        return self._value_mu_rows is self._mu_rows
+
+    @property
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The full backing pair ``(mu_rows, value_mu_rows)``."""
         return self._mu_rows, self._value_mu_rows
 
     def block(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self._mu_rows[start:stop], self._value_mu_rows[start:stop]
+        mu_rows = self._mu_rows[start:stop]
+        if self.unit_values:
+            return mu_rows, mu_rows
+        return mu_rows, self._value_mu_rows[start:stop]
 
     def select(self, indices: np.ndarray) -> "DenseEventRows":
-        return DenseEventRows(self._mu_rows[indices], self._value_mu_rows[indices])
+        mu_rows = self._mu_rows[indices]
+        if self.unit_values:
+            return DenseEventRows(mu_rows, mu_rows)
+        return DenseEventRows(mu_rows, self._value_mu_rows[indices])
 
 
 class StoreEventRows(EventRowSource):
     """Blocks densified on demand from a sparse or memory-mapped store.
 
+    Each densified block has ``-0.0`` folded into ``0.0`` in place, and
     ``value_mu_rows`` is computed per block as ``values[:, None] * mu_rows``
-    — elementwise-identical to the dense engine's precompute-then-slice, so
-    scores stay bit-identical.
+    (the block itself under unit values) — elementwise-identical to the
+    dense engine's precompute-then-slice, so scores stay bit-identical.
     """
 
-    __slots__ = ("_store", "_event_values", "_indices")
+    __slots__ = ("_store", "_event_values", "_indices", "_unit_values")
 
     def __init__(
         self,
@@ -897,12 +939,17 @@ class StoreEventRows(EventRowSource):
         self._store = store
         self._event_values = np.asarray(event_values, dtype=np.float64)
         self._indices = None if indices is None else np.asarray(indices, dtype=np.int64)
+        self._unit_values = unit_values(self._event_values)
 
     @property
     def num_rows(self) -> int:
         if self._indices is None:
             return self._store.num_items
         return int(self._indices.shape[0])
+
+    @property
+    def unit_values(self) -> bool:
+        return self._unit_values
 
     def block(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
         if self._indices is None:
@@ -912,6 +959,9 @@ class StoreEventRows(EventRowSource):
             selected = self._indices[start:stop]
             mu_rows = self._store.item_rows_at(selected)
             values = self._event_values[selected]
+        np.add(mu_rows, 0.0, out=mu_rows)
+        if self._unit_values:
+            return mu_rows, mu_rows
         return mu_rows, values[:, np.newaxis] * mu_rows
 
     def select(self, indices: np.ndarray) -> "StoreEventRows":
@@ -939,6 +989,7 @@ __all__ = [
     "get_store",
     "store_catalog",
     "convert_store",
+    "unit_values",
     "EventRowSource",
     "DenseEventRows",
     "StoreEventRows",

@@ -54,7 +54,14 @@ import numpy as np
 
 from repro.algorithms.registry import get_scheduler
 from repro.core.counters import ComputationCounter
-from repro.core.entities import Event, TimeInterval, decode_capacity, decode_tags
+from repro.core.entities import (
+    Event,
+    TimeInterval,
+    decode_capacity,
+    decode_event,
+    decode_real,
+    decode_reals,
+)
 from repro.core.errors import InstanceValidationError, SolverError
 from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
@@ -176,25 +183,19 @@ def mutation_from_dict(payload: Mapping[str, object]) -> Mutation:
     op = payload["op"]
     try:
         if op == "add-event":
-            item = payload["event"]
-            event = Event(
-                id=str(item["id"]),
-                location=str(item["location"]),
-                required_resources=float(item.get("required_resources", 0.0)),
-                value=float(item.get("value", 1.0)),
-                cost=float(item.get("cost", 0.0)),
-                tags=decode_tags(item.get("tags", ())),
-            )
             return AddEvent(
-                event=event,
-                interest=tuple(float(value) for value in payload["interest"]),
+                event=decode_event(payload["event"]),
+                interest=decode_reals(payload["interest"], "interest"),
             )
         if op == "remove-event":
             return RemoveEvent(event_id=str(payload["event_id"]))
         if op == "update-interest":
             return UpdateInterest(
                 user_id=str(payload["user_id"]),
-                values={str(key): float(value) for key, value in payload["values"].items()},
+                values={
+                    str(key): decode_real(value, f"interest of {key!r}")
+                    for key, value in payload["values"].items()
+                },
             )
         if op == "lock":
             return LockAssignment(

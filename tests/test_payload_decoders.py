@@ -1,16 +1,20 @@
-"""Strict decoding of capacities and tags in the service and instance payloads.
+"""Strict decoding of capacities, tags and numbers in the service and instance payloads.
 
 Both decoders — :func:`repro.service.mutation_from_dict` (the ``mutate``
 wire op) and :meth:`repro.core.instance.SESInstance.from_dict` (JSON and NPZ
-instances) — read an interval capacity with :func:`operator.index` and a tag
-list as a sequence of strings.  A float capacity is rejected rather than
-truncated, a boolean or a numeric string rather than converted, and a bare
-string of tags rather than split into characters; NumPy integers, which
-pickled wire payloads carry, still decode.  Every service-side rejection
-leaves the session's ``status()`` unchanged.
+instances) — read an interval capacity with :func:`operator.index`, a tag
+list as a sequence of strings and every real-valued field (interest values,
+event value / cost / resources, interval start / end) with
+:func:`repro.core.entities.decode_real`.  A float capacity is rejected
+rather than truncated, a boolean or a numeric string rather than converted,
+and a bare string of tags rather than split into characters; NumPy integers
+and floats, which pickled wire payloads carry, still decode.  Every
+service-side rejection leaves the session's ``status()`` unchanged.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -124,4 +128,121 @@ class TestInstanceDecoder:
         payload = instance.to_dict()
         payload[entry][0]["tags"] = "abc"
         with pytest.raises(ValueError, match="tags must be a list of strings"):
+            SESInstance.from_dict(payload)
+
+
+# --------------------------------------------------------------------------- #
+# Real numbers: interest values, event numbers, interval anchors
+# --------------------------------------------------------------------------- #
+#: Number payloads both decoders must reject instead of coercing.
+BAD_REALS = [
+    pytest.param("0.5", id="numeric-string"),
+    pytest.param(True, id="bool"),
+    pytest.param(np.bool_(True), id="numpy-bool"),
+    pytest.param([0.5], id="list"),
+]
+
+#: Real numbers in [0, 1] that decode, NumPy scalars included.
+GOOD_REALS = [
+    pytest.param(1, id="int"),
+    pytest.param(0.5, id="float"),
+    pytest.param(np.float64(0.25), id="numpy-float64"),
+    pytest.param(np.float32(0.5), id="numpy-float32"),
+    pytest.param(np.int64(0), id="numpy-int"),
+]
+
+
+def update_interest_payload(instance: SESInstance, value) -> dict:
+    return {
+        "op": "update-interest",
+        "user_id": instance.users[0].id,
+        "values": {instance.events[0].id: 0.25, instance.events[1].id: value},
+    }
+
+
+def add_valued_event_payload(instance: SESInstance, value, field: str) -> dict:
+    payload = {
+        "op": "add-event",
+        "event": {"id": "new-event", "location": "L0"},
+        "interest": [0.5] * instance.num_users,
+    }
+    if field == "interest":
+        payload["interest"][-1] = value
+    else:
+        payload["event"][field] = value
+    return payload
+
+
+#: Every real-valued field of the ``mutate`` payloads, as a payload builder.
+MUTATION_REAL_FIELDS = {
+    "update-interest": update_interest_payload,
+    "add-event.interest": functools.partial(add_valued_event_payload, field="interest"),
+    "add-event.value": functools.partial(add_valued_event_payload, field="value"),
+    "add-event.cost": functools.partial(add_valued_event_payload, field="cost"),
+    "add-event.required_resources": functools.partial(
+        add_valued_event_payload, field="required_resources"
+    ),
+}
+
+
+class TestMutationRealDecoder:
+    @pytest.mark.parametrize("field", sorted(MUTATION_REAL_FIELDS))
+    @pytest.mark.parametrize("value", BAD_REALS)
+    def test_coercible_number_is_rejected(self, session, instance, field, value):
+        before = session.status()
+        with pytest.raises(MutationError, match="must be a real number"):
+            session.apply([mutation_from_dict(MUTATION_REAL_FIELDS[field](instance, value))])
+        assert session.status() == before
+
+    @pytest.mark.parametrize("field", sorted(MUTATION_REAL_FIELDS))
+    @pytest.mark.parametrize("value", GOOD_REALS)
+    def test_real_number_decodes_as_float(self, session, instance, field, value):
+        mutation = mutation_from_dict(MUTATION_REAL_FIELDS[field](instance, value))
+        if field == "update-interest":
+            decoded = mutation.values[instance.events[1].id]
+        elif field == "add-event.interest":
+            decoded = mutation.interest[-1]
+        else:
+            decoded = getattr(mutation.event, field.split(".")[1])
+        assert decoded == float(value) and type(decoded) is float
+        session.apply([mutation])
+
+
+class TestInstanceRealDecoder:
+    @pytest.mark.parametrize("field", ["start", "end"])
+    @pytest.mark.parametrize("value", BAD_REALS)
+    def test_coercible_interval_anchor_is_rejected(self, instance, field, value):
+        payload = instance.to_dict()
+        payload["intervals"][0][field] = value
+        with pytest.raises(ValueError, match=f"interval {field} must be a real number"):
+            SESInstance.from_dict(payload)
+
+    def test_numeric_string_anchors_are_not_compared_as_strings(self, instance):
+        """``"9"`` / ``"10"`` are rejected as non-numbers, never compared as strings."""
+        payload = instance.to_dict()
+        payload["intervals"][0].update(start="9", end="10")
+        with pytest.raises(ValueError, match="interval start must be a real number"):
+            SESInstance.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(9, 10), (9.5, 11.25), (np.int64(1), np.float64(2.5)), (None, 4), (None, None)],
+        ids=["int", "float", "numpy", "open-start", "unanchored"],
+    )
+    def test_real_interval_anchors_decode_as_floats(self, instance, start, end):
+        payload = instance.to_dict()
+        payload["intervals"][0].update(start=start, end=end)
+        interval = SESInstance.from_dict(payload).intervals[0]
+        for decoded, given in ((interval.start, start), (interval.end, end)):
+            if given is None:
+                assert decoded is None
+            else:
+                assert decoded == float(given) and type(decoded) is float
+
+    @pytest.mark.parametrize("field", ["value", "cost", "required_resources"])
+    @pytest.mark.parametrize("value", BAD_REALS)
+    def test_coercible_event_number_is_rejected(self, instance, field, value):
+        payload = instance.to_dict()
+        payload["events"][0][field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
             SESInstance.from_dict(payload)

@@ -32,6 +32,7 @@ from repro.algorithms.registry import run_scheduler
 from repro.core.entities import Event
 from repro.core.execution import ExecutionConfig
 from repro.core.scoring import ScoringEngine
+from repro.core.storage import unit_values
 from repro.ebsn.generator import EBSNConfig, generate_network, sample_event_topics
 from repro.ebsn.interest_model import derive_interest_matrix
 from repro.service import (
@@ -275,6 +276,37 @@ class TestStructuralMutations:
         roundtrip = assert_resolve_matches_cold(session, 5, "INC", 22, execution)
         assert roundtrip.schedule.as_dict() == original.schedule.as_dict()
         assert roundtrip.utility == original.utility
+
+
+    def test_valued_event_round_trip_switches_kernel_path(self, layout, execution):
+        """A value-2.0 event moves the instance off unit values and back.
+
+        The engine takes the general kernel path while the event exists and
+        the unit-value path before and after; every resolve on the way
+        matches a cold solve, and the round trip lands on the original result.
+        """
+        instance = layout.instance(seed=23, num_users=40, num_events=9, num_intervals=4)
+        session = SchedulingSession(instance, seed=23, execution=execution)
+        pool = interest_pool(40)
+        original = assert_resolve_matches_cold(session, 5, "INC", 23, execution)
+        session.apply(
+            [
+                AddEvent(
+                    event=Event(id="x0", location="loc2", required_resources=1.0, value=2.0),
+                    interest=tuple(float(v) for v in pool[:, 7]),
+                )
+            ]
+        )
+        assert not unit_values(session.instance().event_values())
+        for algorithm in ALGORITHMS:
+            assert_resolve_matches_cold(session, 5, algorithm, 23, execution)
+        session.apply([RemoveEvent(event_id="x0")])
+        assert unit_values(session.instance().event_values())
+        for algorithm in ALGORITHMS:
+            roundtrip = assert_resolve_matches_cold(session, 5, algorithm, 23, execution)
+            if algorithm == "INC":
+                assert roundtrip.schedule.as_dict() == original.schedule.as_dict()
+                assert roundtrip.utility == original.utility
 
 
 class TestNonGridAlgorithms:

@@ -44,7 +44,9 @@ from repro.core.storage import (
     get_store,
     map_npz_member,
     store_catalog,
+    unit_values,
 )
+from repro.core.scoring import build_event_rows
 from tests.conftest import make_random_instance
 
 
@@ -413,6 +415,53 @@ class TestEventRowSources:
             nested = selected.select(np.array([3, 1]))
             nested_mu, _ = nested.block(0, 2)
             assert np.array_equal(nested_mu, mu_rows[[0, 2]])
+
+    @pytest.mark.parametrize("valued", [False, True], ids=["unit-values", "event-values"])
+    def test_negative_zero_is_folded_where_mu_enters(self, valued, tmp_path):
+        """Every bulk row source serves µ with ``-0.0`` read as ``0.0``.
+
+        The kernel's empty-interval path drops the reference's ``0.0 + µ``,
+        which is exact only on such µ.  The sparse store is built from
+        coordinates, so its CSR holds explicit ``-0.0`` entries.
+        """
+        values = reference_matrix(seed=17, shape=(9, 6))
+        values[:, 2] = -0.0
+        values[::2, 4] = -0.0
+        event_values = np.linspace(0.5, 2.0, 6) if valued else np.ones(6)
+        users, items = np.nonzero(np.ones_like(values))
+        sparse = SparseStore.from_coo(9, 6, users, items, values[users, items])
+        assert np.signbit(sparse.csr_arrays[2]).any()
+        sources = [
+            build_event_rows(DenseStore(values), event_values),
+            build_event_rows(sparse, event_values),
+            build_event_rows(
+                MmapStore.spill(sparse, str(tmp_path / "negzero.npz")), event_values
+            ),
+        ]
+        for rows in sources:
+            assert rows.unit_values is not valued
+            for source in (rows, rows.select(np.array([4, 2, 0]))):
+                mu_rows, value_mu_rows = source.block(0, source.num_rows)
+                assert not np.signbit(mu_rows).any()
+                assert (value_mu_rows is mu_rows) is not valued
+            mu_rows, _ = rows.block(0, 6)
+            assert np.array_equal(mu_rows, values.T)
+
+    def test_unit_values_are_decided_on_the_full_vector(self, tmp_path):
+        """A selection of unit-valued rows of a valued instance keeps its product."""
+        values = reference_matrix(seed=18, shape=(7, 5))
+        event_values = np.array([1.0, 1.0, 2.0, 1.0, 1.0])
+        assert unit_values(np.ones(5)) and unit_values(np.ones(0))
+        assert not unit_values(event_values)
+        for rows in (
+            build_event_rows(DenseStore(values), event_values),
+            StoreEventRows(SparseStore.from_dense(values), event_values),
+        ):
+            selected = rows.select(np.array([0, 1, 3]))
+            assert not selected.unit_values
+            mu_rows, value_mu_rows = selected.block(0, 3)
+            assert value_mu_rows is not mu_rows
+            assert np.array_equal(value_mu_rows, mu_rows)
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,9 @@ that down:
 * scheduler-level equality (schedule, utility, counters) with the dense,
   direct reference under every layout and backend, with the storage and plan
   recorded on the result — on adversarial corners too: a single user,
-  all-zero µ, exact score ties and a capacity-1 interval filled by a lock;
+  all-zero µ, exact score ties, a capacity-1 interval filled by a lock and
+  §2.1 event values (the valued corner also runs under every backend,
+  ``parallel-2`` and ``cluster-2`` included);
 * cluster runs against the suite's live localhost workers, per layout — the
   mmap layouts ship only the backing-file path (protocol v3's ``"file"``
   payload);
@@ -31,6 +33,7 @@ plan really evaluated class blocks.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import threading
 
 import numpy as np
@@ -55,7 +58,7 @@ from repro.core.execution import ExecutionConfig
 from repro.core.instance_io import spill_instance
 from repro.core.scoring import ScoringEngine, build_event_rows, build_static_arrays
 from repro.core.storage import DenseEventRows, MmapStore, StoreEventRows, as_sparse
-from tests.conftest import LAYOUTS, make_random_instance
+from tests.conftest import LAYOUTS, execution_variants, make_random_instance
 
 SCHEDULERS = ["ALG", "INC", "HOR", "TOP"]
 
@@ -94,6 +97,18 @@ CORNERS = {
             capacities=[1, None, None, None],
         ),
         ((2, 0),),
+    ),
+    # §2.1 event values: the kernel's general (valued) path, which the
+    # paper's unit-value instances elsewhere in the suite never take.
+    "event-values": (
+        dict(
+            seed=315,
+            num_users=24,
+            num_events=12,
+            num_intervals=4,
+            event_values=list(np.linspace(0.5, 2.0, 12)),
+        ),
+        (),
     ),
 }
 
@@ -206,6 +221,21 @@ class TestSchedulerEquivalence:
         result = run_scheduler("ALG", make_random_instance(**config), 6, locked=locked)
         schedule = result.schedule.as_dict()
         assert [event for event, interval in schedule.items() if interval == 0] == [2]
+
+    @pytest.mark.parametrize("variant", execution_variants())
+    @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
+    def test_event_values_corner_under_every_backend(self, layout, variant, execution_for):
+        """The valued kernel path under every layout × backend, fan-out included."""
+        config, locked = CORNERS["event-values"]
+        instance = layout.instance(**config)
+        execution = execution_for(variant, plan=layout.plan)
+        for scheduler in ("ALG", "HOR-I"):
+            reference = run_scheduler(scheduler, instance.with_storage("dense"), 6)
+            result = run_scheduler(scheduler, instance, 6, execution=execution)
+            assert result.schedule.as_dict() == reference.schedule.as_dict()
+            assert result.utility == reference.utility
+            assert result.net_utility == reference.net_utility
+            assert result.counters == reference.counters
 
     @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
     def test_parallel_backend_storage_invariant(self, layout):
@@ -393,6 +423,27 @@ class TestProtocolV3:
         got_mu, got_value = record["rows"].block(0, rows.num_rows)
         assert np.array_equal(got_mu, mu_rows)
         assert np.array_equal(got_value, value_mu_rows)
+
+    def test_arrays_kind_keeps_unit_values_across_the_wire(self):
+        """Unit values ship µ once, and the worker's record reads them back as unit."""
+        instance = make_random_instance(seed=332, num_users=15, num_events=8)
+        comp, sigma, values, rows = self._record_arrays(instance.with_storage("dense"))
+        mu_rows, value_mu_rows = rows.arrays
+        assert value_mu_rows is mu_rows
+        payload = {
+            "kind": "arrays",
+            "arrays": {
+                "mu_rows": mu_rows,
+                "value_mu_rows": value_mu_rows,
+                "comp": comp,
+                "sigma": sigma,
+            },
+        }
+        wire = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(wire) < mu_rows.nbytes + comp.nbytes + sigma.nbytes + 1024
+        record = build_instance_record(pickle.loads(wire))
+        assert record["rows"].unit_values
+        assert np.array_equal(record["rows"].arrays[0], mu_rows)
 
     def test_build_instance_record_csr_kind_matches_dense(self, tmp_path):
         instance = make_random_instance(seed=331, num_users=15, num_events=8).with_storage(
