@@ -9,9 +9,6 @@ the candidate's wall-clock speedup:
 * ``scalar-batch`` — HOR with ``k = |T|`` (a full run *is* the initial
   round, pure score-evaluation throughput): the vectorised ``batch`` backend
   against the per-pair ``scalar`` reference, ≥3× at ``small``;
-* ``batch-parallel`` — the same HOR round with the event axis cut into
-  64-event chunks that the ``parallel`` backend's thread pool shards (the
-  chunk kernel releases the GIL), ≥1.5× over ``batch`` at ``small``;
 * ``batch-cluster`` — TOP (one full score matrix plus a top-k selection)
   with its columns sharded over two localhost workers
   (:func:`~repro.core.distributed.start_local_worker`, the processes
@@ -22,16 +19,16 @@ the candidate's wall-clock speedup:
   one column per request and one request in flight
   (``cluster/per-column``), ≥1.5× at ``small``.
 
-The pooled cases enforce their floors only on a machine with at least two
-CPUs — on one core a pool (or two worker processes) degenerates to serial
+The cluster cases enforce their floors only on a machine with at least two
+CPUs — on one core two worker processes degenerate to serial
 execution plus dispatch overhead.  At ``tiny`` their instances are too small
 to beat that overhead, so only equivalence is asserted.  The cluster legs'
 rows carry the client's wire counters of the last timed run.
 
 Scales (``REPRO_BENCH_SCALE``; events × intervals × users):
 
-* ``tiny`` — 120 × 12 × 60 (scalar-batch), 120 × 12 × 200 (batch-parallel,
-  batch-cluster) or 50 × 400 × 50 (cluster-per-column) — the CI quick mode;
+* ``tiny`` — 120 × 12 × 60 (scalar-batch), 120 × 12 × 200 (batch-cluster)
+  or 50 × 400 × 50 (cluster-per-column) — the CI quick mode;
 * ``small`` — 500 × 50 × 200, 500 × 50 × 2000 or 50 × 2000 × 50 (the
   acceptance sizes, default);
 * ``default`` — 900 × 90 × 400, 900 × 90 × 4000 or 80 × 4000 × 80.
@@ -91,30 +88,20 @@ class BackendCase:
     seed: int
     #: Events per vectorised pass (``None`` keeps the library default).
     chunk_size: Optional[int]
-    #: Whether the candidate fans out over a pool (workers + ≥2-CPU guard).
-    pooled: bool
     scales: Scales
 
 
 CASES: Dict[str, BackendCase] = {
     "scalar-batch": BackendCase(
-        "scalar", "batch", HorScheduler, seed=7, chunk_size=None, pooled=False,
+        "scalar", "batch", HorScheduler, seed=7, chunk_size=None,
         scales={
             "tiny": (120, 12, 60, 2.0),
             "small": (500, 50, 200, 3.0),
             "default": (900, 90, 400, 3.0),
         },
     ),
-    "batch-parallel": BackendCase(
-        "batch", "parallel", HorScheduler, seed=11, chunk_size=64, pooled=True,
-        scales={
-            "tiny": (120, 12, 200, None),
-            "small": (500, 50, 2000, 1.5),
-            "default": (900, 90, 4000, 1.5),
-        },
-    ),
     "batch-cluster": BackendCase(
-        "batch", "cluster", TopScheduler, seed=13, chunk_size=64, pooled=True,
+        "batch", "cluster", TopScheduler, seed=13, chunk_size=64,
         scales={
             "tiny": (120, 12, 200, None),
             "small": (500, 50, 2000, 1.3),
@@ -122,7 +109,7 @@ CASES: Dict[str, BackendCase] = {
         },
     ),
     "cluster-per-column": BackendCase(
-        "cluster/per-column", "cluster", None, seed=13, chunk_size=64, pooled=True,
+        "cluster/per-column", "cluster", None, seed=13, chunk_size=64,
         scales={
             "tiny": (50, 400, 50, None),
             "small": (50, 2000, 50, 1.5),
@@ -147,19 +134,12 @@ def backend_of(leg: str) -> str:
     return leg.split("/")[0]
 
 
-def workers_for_run() -> int:
-    """Worker count of the thread-pooled candidates: every core, at least 2."""
-    return max(2, os.cpu_count() or 1)
-
-
 def execution_for(case: BackendCase, leg: str, addresses: Sequence[str]) -> ExecutionConfig:
     backend = backend_of(leg)
-    cluster = backend == "cluster"
     return ExecutionConfig(
         backend=backend,
         chunk_size=case.chunk_size,
-        workers=workers_for_run() if case.pooled and not cluster else None,
-        workers_addr=tuple(addresses) if cluster else None,
+        workers_addr=tuple(addresses) if backend == "cluster" else None,
     )
 
 
@@ -222,9 +202,9 @@ def compare_backends(case_id: str, scale: str):
     workers = [start_local_worker() for _ in range(CLUSTER_WORKERS if clustered else 0)]
     addresses = [worker.address for worker in workers]
     try:
-        # Warm-up on a minute instance so one-time costs (pool creation,
-        # connection handshakes, lazy imports, allocator warm-up) don't
-        # pollute the first timed leg.
+        # Warm-up on a minute instance so one-time costs (connection
+        # handshakes, lazy imports, allocator warm-up) don't pollute the
+        # first timed leg.
         warmup = build_instance(case.seed, 10, 3, 8)
         for leg in legs:
             time_run(case, warmup, leg, addresses)
@@ -291,7 +271,8 @@ def test_backend_speedup(benchmark, bench_scale, results_dir, case_id):
         assert baseline.counters == candidate.counters
     # … and the candidate actually faster where the hardware allows it.
     minimum = case.scales[scale][3]
-    if minimum is not None and (not case.pooled or (os.cpu_count() or 1) >= 2):
+    clustered = backend_of(case.candidate) == "cluster"
+    if minimum is not None and (not clustered or (os.cpu_count() or 1) >= 2):
         assert speedup >= minimum, (
             f"{case.candidate} speedup {speedup:.2f}x below the {minimum}x "
             f"floor over {case.baseline} at scale {scale!r} on {os.cpu_count()} CPUs"

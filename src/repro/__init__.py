@@ -13,7 +13,7 @@ Top-level re-exports cover the public API most users need:
 * :class:`~repro.core.scoring.ScoringEngine` — the Luce-choice attendance model.
 * :class:`~repro.core.execution.ExecutionConfig` — the execution layer: one
   config object selecting a backend strategy (``scalar``, ``batch``,
-  ``parallel``, ``cluster``), a scoring plan (``direct``, ``blocked``) and
+  ``cluster``), a scoring plan (``direct``, ``blocked``) and
   their knobs; :func:`~repro.core.execution.available_backends` and
   :func:`~repro.core.execution.available_plans` list the fixed tables.
 * :func:`~repro.algorithms.registry.get_scheduler` and the scheduler classes

@@ -62,7 +62,7 @@ class SchedulerResult:
         Algorithm-specific diagnostics (e.g. number of rounds for HOR).
     backend:
         Name of the execution backend the run used (``"scalar"``,
-        ``"batch"``, ``"parallel"``, ``"cluster"``, …) — recorded so harness
+        ``"batch"``, ``"cluster"``) — recorded so harness
         tables can tell backend rows apart.
     storage:
         Registry name of the instance's interest-matrix storage the run used
@@ -71,8 +71,8 @@ class SchedulerResult:
         bit-identical schedules and counters; only footprint and speed
         differ.
     workers:
-        The resolved worker count of the run's engine (1 unless a pooled
-        backend was asked to fan out).
+        The resolved worker count of the run's engine: the dispatch lanes
+        of a cluster run with worker addresses, 1 for every serial run.
     cluster:
         The remote worker addresses of a ``cluster``-backend run (the empty
         tuple for in-process runs) — recorded so harness tables can tell a
@@ -338,7 +338,7 @@ class BaseScheduler(ABC):
 
     @property
     def workers(self) -> int:
-        """Worker count of the pooled backends (1 for the serial backends)."""
+        """Dispatch lanes of a cluster run (1 for every serial run)."""
         return self._execution.workers
 
     def schedule(self, k: int) -> SchedulerResult:
@@ -377,10 +377,9 @@ class BaseScheduler(ABC):
             # so the snapshot stays valid after the connections are gone.
             backend_stats = self._engine.execution_backend.stats()
         finally:
-            # Release the pooled backends' workers (and the cluster backend's
-            # connections) deterministically — the engine stays usable
-            # (a later bulk call recreates the pool), but cleanup must not
-            # depend on GC reaching __del__.
+            # Release the cluster backend's connections deterministically —
+            # the engine stays usable (a later bulk call reconnects), but
+            # cleanup must not depend on GC reaching __del__.
             self._engine.close()
         return SchedulerResult(
             algorithm=self.name,

@@ -82,8 +82,7 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         help="execution backend: 'batch' (the default) evaluates whole "
-        "intervals in vectorised NumPy passes, 'parallel' dispatches the "
-        "batched event blocks to a thread pool, 'cluster' shards "
+        "intervals in vectorised NumPy passes, 'cluster' shards "
         "score-matrix columns across remote workers (see --cluster), "
         "'scalar' scores one (event, interval) pair at a time (identical "
         "results, different speed); recorded in the output rows.  "
@@ -124,10 +123,9 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker fan-out of the pooled backends — threads for 'parallel', "
-        "dispatch lanes for 'cluster' (default: the machine's CPU count, or "
-        "the number of --cluster addresses; 1 degrades to the serial batch "
-        "path; ignored by the other backends)",
+        help="cap on the cluster backend's concurrent dispatch lanes "
+        "(default and maximum: the number of --cluster addresses; a run "
+        "without addresses, and every other backend, records 1)",
     )
     subparser.add_argument(
         "--cluster",

@@ -129,8 +129,8 @@ class BlockedPlan(ScoringPlan):
     to the direct kernel.
 
     Thread-safe by construction: the mined arrays and the pattern matrix
-    are read-only after :meth:`prepare`, so the ``parallel`` backend can
-    call :meth:`batch_block` concurrently; only the stats counters take a
+    are read-only after :meth:`prepare`, so concurrent :meth:`batch_block`
+    calls on one engine share them safely; only the stats counters take a
     lock.
     """
 

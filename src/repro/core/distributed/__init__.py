@@ -16,7 +16,7 @@ per batch rather than per column:
   localhost workers in tests/benchmarks/examples;
 * :mod:`~repro.core.distributed.client` — the
   :class:`~repro.core.distributed.client.ClusterBackend` strategy, registered
-  as ``"cluster"`` alongside ``scalar``/``batch``/``parallel``;
+  as ``"cluster"`` alongside ``scalar``/``batch``;
 * :mod:`~repro.core.distributed.health` — read-only fleet probing behind
   ``repro cluster health`` (reachability, authentication, protocol version,
   uptime and served-work counters via the status op).

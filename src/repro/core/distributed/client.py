@@ -25,8 +25,9 @@ boundary in the codebase:
   chunking as the serial batch path, so results are **bit-identical** to every
   other backend regardless of which machine computed which column.
 
-**Dispatch.**  ``score_matrix`` runs one *lane* thread per ``workers`` (capped
-by the number of configured addresses — the knob caps concurrency, never the
+**Dispatch.**  ``score_matrix`` runs one *lane* thread per resolved
+``workers`` (which :func:`~repro.core.execution.resolve_workers` clamps to
+the number of configured addresses — the knob caps concurrency, never the
 candidate worker set).  A lane acquires an idle live link, or dials a
 configured address that has none; connecting and instance shipping happen
 inside the lane, and while no link is serving yet the main thread computes
@@ -205,7 +206,6 @@ class ClusterBackend(BatchBackend):
 
     name = "cluster"
     is_bulk = True
-    uses_workers = True
     uses_cluster = True
 
     def __init__(self, config: ExecutionConfig) -> None:
@@ -491,7 +491,7 @@ class ClusterBackend(BatchBackend):
             )
             for interval_index in range(num_intervals)
         }
-        num_lanes = min(max(1, self._config.workers), len(self._config.workers_addr))
+        num_lanes = self._config.workers
         batch_size = derive_task_batch(num_intervals, num_lanes)
         self._last_task_batch = batch_size
         pending: Deque[List[int]] = collections.deque(

@@ -12,8 +12,6 @@ are computed (never *what* they are):
     pass over the users per (event, interval) pair;
   - ``"batch"`` (:class:`BatchBackend`, the default) — whole candidate blocks
     per vectorised NumPy pass, chunked along the event axis;
-  - ``"parallel"`` (:class:`ThreadBackend`) — the batch backend's event-axis
-    chunks dispatched to a thread pool (the chunk kernel releases the GIL);
   - ``"cluster"`` (:class:`~repro.core.distributed.client.ClusterBackend`) —
     :meth:`ScoringEngine.score_matrix`'s per-interval columns sharded across
     **remote** worker processes over TCP (``repro worker serve``), with the
@@ -21,7 +19,7 @@ are computed (never *what* they are):
     worker-side.
 
 * ``chunk_size`` — events per vectorised pass (the ~64 MB memory guard);
-* ``workers`` — fan-out of the pooled backends (threads or remote lanes);
+* ``workers`` — the cluster backend's cap on concurrent dispatch lanes;
 * ``workers_addr`` / ``cluster_key`` — the cluster backend's remote worker
   addresses and shared authentication secret.
 
@@ -33,15 +31,13 @@ engine, schedulers, harness, figures, CLI — talks to the layer only through
 **The invariant every backend must keep:** sharding splits only the event axis
 (or dispatches whole per-interval columns), and every event row's per-user
 reduction is independent of the others, so schedules, utilities, scores and
-counter totals are bit-identical across backends — serial, threaded or
-remote, whatever the split.
+counter totals are bit-identical across backends — serial or remote,
+whatever the split.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
@@ -72,9 +68,8 @@ DEFAULT_CHUNK_ELEMENTS: int = 8_000_000
 #: tile of ``max(1, budget // |U|)`` event rows runs through two scratch
 #: buffers of at most this size (512 KiB of float64 each), which stay in L2
 #: cache between the kernel's passes.  On a 2-vCPU x86 VM, budgets from 2¹⁴
-#: to 2¹⁶ scored a 180 × 3,000 block equally fast on one thread, but the
-#: ``parallel`` backend ran ~1.5× faster at 2¹⁶ than at 2¹⁴: every extra tile
-#: is another round of GIL hand-offs between its threads' ufunc calls.
+#: to 2¹⁶ scored a 180 × 3,000 block equally fast; the largest of them cuts
+#: a block into the fewest tiles.
 KERNEL_TILE_ELEMENTS: int = 1 << 16
 
 #: Scoring plan used when none is requested explicitly (see :class:`ScoringPlan`).
@@ -258,34 +253,27 @@ def resolve_workers(
     backend: Optional[str] = None,
     workers_addr: Optional[Tuple[str, ...]] = None,
 ) -> int:
-    """Validate the pooled backends' worker count (``None`` means auto).
+    """Validate the cluster backend's dispatch-lane count (``None`` means auto).
 
-    The automatic default is the machine's CPU count (at least 1) — except for
-    a cluster run with configured worker addresses, where it is the number of
-    remote workers (one dispatch lane per worker).  An explicit value must be
-    a positive integer; ``1`` makes the ``parallel`` backend degrade to the
-    serial batch path.
-
-    When ``backend`` is given and its strategy does not fan out
-    (:attr:`ExecutionBackend.uses_workers` is false) — or is distributed but
-    has no worker addresses, so it runs the serial batch path — the resolved
-    count is pinned to 1 (after validation): a serial run never fans out, and
-    recording the machine's CPU count for it would make otherwise-identical
-    runs look different across machines in the harness tables.
+    A cluster run with configured worker addresses runs one dispatch lane per
+    remote worker at most, so the count resolves to ``len(workers_addr)``,
+    or to an explicit value below that.  Every other run is serial and
+    resolves to 1: the in-process backends (``backend`` given and not
+    :attr:`ExecutionBackend.uses_cluster`) and a run without worker
+    addresses.  An explicit value must be a positive integer, whether or
+    not it applies; the resolved count is what the run records, so it never
+    exceeds the lanes that actually run.
     """
     if workers is not None and (
         not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
     ):
         raise SolverError(f"workers must be a positive integer or None, got {workers!r}")
-    if backend is not None:
-        strategy = get_backend(resolve_backend(backend))
-        if not strategy.uses_workers or (strategy.uses_cluster and not workers_addr):
-            return 1
-    if workers is None:
-        if workers_addr:
-            return len(workers_addr)
-        return max(1, os.cpu_count() or 1)
-    return workers
+    lanes = len(workers_addr or ())
+    if lanes == 0 or (
+        backend is not None and not get_backend(resolve_backend(backend)).uses_cluster
+    ):
+        return 1
+    return lanes if workers is None else min(workers, lanes)
 
 
 def resolve_workers_addr(
@@ -375,17 +363,16 @@ class ExecutionConfig:
         Events per vectorised pass of the bulk backends (the memory guard);
         ``None`` derives ``max(1, DEFAULT_CHUNK_ELEMENTS // |U|)``.
     workers:
-        Fan-out of the pooled backends (threads for ``"parallel"``, dispatch
-        lanes for ``"cluster"``); ``None`` selects the machine's CPU count.
-        Pinned to 1 for backends that do not fan out.
+        Cap on the ``"cluster"`` backend's concurrent dispatch lanes;
+        ``None`` selects one lane per remote worker.  Clamped to
+        ``len(workers_addr)`` and pinned to 1 for every serial run.
     workers_addr:
         Remote worker addresses of the ``"cluster"`` backend — an iterable of
         ``"host:port"`` strings (or one comma-separated string); start the
         workers with ``repro worker serve``.  ``None``/empty makes the cluster
         backend degrade to the serial in-process ``"batch"`` strategy (and
         pins ``workers`` to 1); resolves to the empty tuple for every
-        non-distributed backend.  When set, the automatic ``workers`` default
-        becomes the number of remote workers.
+        non-distributed backend.
     cluster_key:
         Shared secret of the cluster connections' HMAC handshake; ``None``
         selects :data:`~repro.core.distributed.protocol.DEFAULT_CLUSTER_KEY`
@@ -460,17 +447,14 @@ class ExecutionBackend:
         at once (the incremental schedulers use this to decide whether
         speculative bulk refresh pays off, and the engine uses it to decide
         whether to precompute event-major rows).
-    uses_workers:
-        Whether the strategy fans out across a worker pool (drives the
-        ``workers`` knob's resolution).
     uses_cluster:
         Whether the strategy dispatches to remote workers over the network
-        (drives the ``workers_addr`` / ``cluster_key`` knobs' resolution).
+        (drives the ``workers`` / ``workers_addr`` / ``cluster_key`` knobs'
+        resolution).
     """
 
     name: str = "abstract"
     is_bulk: bool = False
-    uses_workers: bool = False
     uses_cluster: bool = False
 
     def __init__(self, config: ExecutionConfig) -> None:
@@ -482,8 +466,8 @@ class ExecutionBackend:
 
         The reference is weak — the engine owns the backend, not the other
         way round — so dropping the last engine reference frees it promptly
-        (its ``__del__`` closes this backend's pools) instead of waiting for
-        the cycle collector.
+        (its ``__del__`` closes this backend's connections) instead of
+        waiting for the cycle collector.
         """
         self._engine_ref = weakref.ref(engine)
         return self
@@ -519,7 +503,7 @@ class ExecutionBackend:
 
     # -- lifecycle -------------------------------------------------------- #
     def close(self) -> None:
-        """Release pools / shared resources (safe to call repeatedly)."""
+        """Release connections / shared resources (safe to call repeatedly)."""
 
     @classmethod
     def describe(cls) -> str:
@@ -576,93 +560,26 @@ class BatchBackend(ExecutionBackend):
             matrix[:, interval_index] = self._sharded_scores(interval_index, source)
         return matrix
 
-    def _block_step(self, num_rows: int) -> int:
-        """Rows per block of one bulk evaluation (the memory guard)."""
-        return self._config.chunk_size
-
     def _sharded_scores(self, interval_index: int, source: EventRowSource) -> np.ndarray:
         """One interval's scores, computed block by block.
 
-        The event axis is processed in blocks of at most :meth:`_block_step`
-        rows, so the temporaries stay bounded on huge instances — for sparse
-        and memory-mapped storages each block is densified on demand and
-        dropped after its pass.  Each row's reduction is independent of the
-        others, so any block decomposition — serial or pooled, whatever the
-        split or storage — produces bit-identical scores.
+        The event axis is processed in blocks of at most ``chunk_size`` rows,
+        so the temporaries stay bounded on huge instances — for sparse and
+        memory-mapped storages each block is densified on demand and dropped
+        after its pass.  Each row's reduction is independent of the others,
+        so any block decomposition, whatever the split or storage, produces
+        bit-identical scores.
         """
         engine = self.engine
         num_rows = source.num_rows
-        step = self._block_step(num_rows)
+        step = self._config.chunk_size
         if num_rows <= step:
             return engine._batch_block(interval_index, *source.block(0, num_rows))
-        bounds = [(start, min(start + step, num_rows)) for start in range(0, num_rows, step)]
         scores = np.empty(num_rows, dtype=np.float64)
-        self._run_blocks(interval_index, source, bounds, scores)
+        for start in range(0, num_rows, step):
+            stop = min(start + step, num_rows)
+            scores[start:stop] = engine._batch_block(interval_index, *source.block(start, stop))
         return scores
-
-    def _run_blocks(
-        self,
-        interval_index: int,
-        source: EventRowSource,
-        bounds: List[Tuple[int, int]],
-        scores: np.ndarray,
-    ) -> None:
-        """Evaluate the blocks serially (pooled subclasses override)."""
-        engine = self.engine
-        for start, stop in bounds:
-            scores[start:stop] = engine._batch_block(
-                interval_index, *source.block(start, stop)
-            )
-
-
-class ThreadBackend(BatchBackend):
-    """Sharded strategy: the batch blocks dispatched to a GIL-releasing thread pool."""
-
-    name = "parallel"
-    is_bulk = True
-    uses_workers = True
-
-    def __init__(self, config: ExecutionConfig) -> None:
-        super().__init__(config)
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def _block_step(self, num_rows: int) -> int:
-        step = self._config.chunk_size
-        if self._config.workers > 1 and num_rows > 1:
-            # Split into enough blocks to keep every worker busy while still
-            # honouring the chunk-size memory bound per block.
-            step = max(1, min(step, -(-num_rows // self._config.workers)))
-        return step
-
-    def _run_blocks(self, interval_index, source, bounds, scores) -> None:
-        if self._config.workers <= 1 or len(bounds) <= 1:
-            super()._run_blocks(interval_index, source, bounds, scores)
-            return
-        engine = self.engine
-        executor = self._ensure_executor()
-
-        def run_block(start: int, stop: int) -> np.ndarray:
-            # The block materialisation runs inside the worker thread too, so
-            # sparse/mmap densification overlaps across the pool alongside
-            # the GIL-releasing kernel.
-            return engine._batch_block(interval_index, *source.block(start, stop))
-
-        futures = [executor.submit(run_block, start, stop) for start, stop in bounds]
-        for (start, stop), future in zip(bounds, futures):
-            scores[start:stop] = future.result()
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        """The lazily-created, reused worker pool."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._config.workers, thread_name_prefix="ses-score"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
 
 # --------------------------------------------------------------------------- #
@@ -687,7 +604,7 @@ def backend_catalog() -> List[Dict[str, object]]:
     """One row per backend with its resolved defaults.
 
     Used by the CLI's ``backends`` sub-command; the ``workers`` column shows
-    what ``None`` resolves to on *this* machine.
+    what ``None`` resolves to.
     """
     rows: List[Dict[str, object]] = []
     for name, cls in _BACKEND_REGISTRY.items():
@@ -695,11 +612,8 @@ def backend_catalog() -> List[Dict[str, object]]:
             {
                 "backend": name + (" (default)" if name == DEFAULT_BACKEND else ""),
                 "bulk": "yes" if cls.is_bulk else "no",
-                "pool": "remote workers" if cls.uses_cluster
-                else "threads" if cls.uses_workers
-                else "-",
-                "workers": "len(workers_addr)" if cls.uses_cluster
-                else resolve_workers(None, name),
+                "pool": "remote workers" if cls.uses_cluster else "-",
+                "workers": "len(workers_addr)" if cls.uses_cluster else 1,
                 "chunk_size": f"auto ({DEFAULT_CHUNK_ELEMENTS:,} elements / |U|)"
                 if cls.is_bulk
                 else "-",
@@ -716,7 +630,7 @@ class ScoringPlan:
     """One traversal strategy of the in-process block kernel, bound to an engine.
 
     Where an :class:`ExecutionBackend` decides *where* blocks are evaluated
-    (serial, threads, remote workers), a plan decides *how* the
+    (serially in process or on remote workers), a plan decides *how* the
     in-process kernel traverses one block — e.g. the ``blocked`` plan of
     :mod:`repro.core.blocked` computes each distinct user interest pattern
     once and expands the per-pattern contributions by multiplicity.  Every
@@ -844,7 +758,6 @@ from repro.core.blocked import BlockedPlan  # noqa: E402
 _BACKEND_REGISTRY: Dict[str, Type[ExecutionBackend]] = {
     ScalarBackend.name: ScalarBackend,
     BatchBackend.name: BatchBackend,
-    ThreadBackend.name: ThreadBackend,
     ClusterBackend.name: ClusterBackend,
 }
 
@@ -863,7 +776,6 @@ __all__ = [
     "ExecutionConfig",
     "ScalarBackend",
     "BatchBackend",
-    "ThreadBackend",
     "ClusterBackend",
     "ScoringPlan",
     "DirectPlan",

@@ -34,6 +34,7 @@ from repro.core.entities import (
     decode_capacity,
     decode_event,
     decode_optional_real,
+    decode_real,
     decode_tags,
 )
 from repro.core.errors import InstanceValidationError
@@ -402,7 +403,10 @@ class SESInstance:
         organizer_payload = payload.get("organizer", {}) or {}
         organizer = Organizer(
             name=str(organizer_payload.get("name", "organizer")),
-            available_resources=float(organizer_payload.get("available_resources", float("inf"))),
+            available_resources=decode_real(
+                organizer_payload.get("available_resources", float("inf")),
+                "available_resources",
+            ),
         )
         events = [decode_event(item) for item in payload["events"]]  # type: ignore[index]
         intervals = [
@@ -424,7 +428,7 @@ class SESInstance:
             for item in payload["competing_events"]  # type: ignore[index]
         ]
         users = [
-            User(id=str(item["id"]), weight=float(item.get("weight", 1.0)))
+            User(id=str(item["id"]), weight=decode_real(item.get("weight", 1.0), "user weight"))
             for item in payload["users"]  # type: ignore[index]
         ]
         num_users = len(users)

@@ -23,8 +23,7 @@ exactly.
 (:mod:`repro.core.execution`): an :class:`~repro.core.execution.ExecutionConfig`
 selects one of the :class:`~repro.core.execution.ExecutionBackend`
 strategies — ``"scalar"`` (the per-pair reference), ``"batch"`` (the default:
-whole candidate blocks per vectorised NumPy pass), ``"parallel"`` (the batch
-blocks dispatched to a GIL-releasing thread pool) or ``"cluster"`` (the
+whole candidate blocks per vectorised NumPy pass) or ``"cluster"`` (the
 score matrix's per-interval columns batched and sharded across remote TCP
 workers) — plus the ``chunk_size`` / ``workers`` / ``workers_addr`` /
 ``cluster_key`` knobs.  All backends perform the same elementary operations
@@ -319,7 +318,7 @@ class ScoringEngine:
     def backend(self) -> str:
         """Name of the active execution backend.
 
-        One of ``"scalar"``, ``"batch"``, ``"parallel"`` or ``"cluster"``
+        One of ``"scalar"``, ``"batch"`` or ``"cluster"``
         (:func:`~repro.core.execution.available_backends`).
         """
         return self._execution.backend
@@ -346,11 +345,11 @@ class ScoringEngine:
 
     @property
     def workers(self) -> int:
-        """Worker count of the pooled backends (1 for the serial backends)."""
+        """Dispatch lanes of a cluster run (1 for every serial run)."""
         return self._execution.workers
 
     def close(self) -> None:
-        """Release the backend's pools / connections (safe to call repeatedly)."""
+        """Release the backend's connections (safe to call repeatedly)."""
         self._backend_impl.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent

@@ -21,18 +21,25 @@ from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
 from repro.core.scoring import ScoringEngine
 
-#: Fanned-out runs of the pooled backends, checked by the backend-invariance
-#: suites next to every registered backend name.  By name alone neither pool
-#: is guaranteed to fan out: ``parallel`` resolves to one thread on a
-#: single-core machine, and ``cluster`` without ``workers_addr`` runs serial
-#: batch in-process.  ``parallel-2`` pins two threads; ``cluster-2`` dispatches
-#: to the two live localhost workers of the ``local_cluster`` fixture.
-FANOUT_VARIANTS = ("parallel-2", "cluster-2")
+#: Fanned-out runs, checked by the backend-invariance suites next to every
+#: registered backend name.  By name alone ``cluster`` does not fan out:
+#: without ``workers_addr`` it runs serial batch in-process.  ``cluster-2``
+#: dispatches to the two live localhost workers of the ``local_cluster``
+#: fixture.
+FANOUT_VARIANTS = ("cluster-2",)
+
+#: Serial ``batch`` runs at a forced block size, checked by the same suites.
+#: The default ``chunk_size`` fits the suites' small instances in one block,
+#: so without these no invariance suite would walk the event axis in more
+#: than one block: ``batch-chunk1`` gives every event row its own block and
+#: ``batch-chunk3`` leaves a ragged last block on most instance sizes.
+BLOCK_VARIANTS = {"batch-chunk1": 1, "batch-chunk3": 3}
 
 
 def execution_variants() -> Tuple[str, ...]:
-    """Every registered backend name, then the :data:`FANOUT_VARIANTS`."""
-    return available_backends() + FANOUT_VARIANTS
+    """Every registered backend name, the :data:`BLOCK_VARIANTS`, then the
+    :data:`FANOUT_VARIANTS`."""
+    return available_backends() + tuple(BLOCK_VARIANTS) + FANOUT_VARIANTS
 
 
 @pytest.fixture(scope="session")
@@ -55,11 +62,11 @@ def execution_for(request):
     """
 
     def build(variant: str, **knobs) -> ExecutionConfig:
-        if variant == "parallel-2":
-            return ExecutionConfig(backend="parallel", workers=2, **knobs)
         if variant == "cluster-2":
             addresses = request.getfixturevalue("local_cluster")
             return ExecutionConfig(backend="cluster", workers_addr=addresses, **knobs)
+        if variant in BLOCK_VARIANTS:
+            return ExecutionConfig(backend="batch", chunk_size=BLOCK_VARIANTS[variant], **knobs)
         return ExecutionConfig(backend=variant, **knobs)
 
     return build

@@ -3,7 +3,7 @@
 
 
 def dispatch(engine):
-    """Shard the matrix like the 'parallel' backend, falling back to
-    backend="batch" when no pool is available; prose mentioning a custom
+    """Shard the matrix like the 'cluster' backend, falling back to
+    backend="batch" when no worker is reachable; prose mentioning a custom
     backend without quoting a name is also fine."""
     return engine

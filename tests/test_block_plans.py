@@ -125,8 +125,8 @@ def mining_case(name: str):
     return rng.random((30, 7)), rng.random((30, 3)), rng.random((30, 2))
 
 
-def execution_for(plan: str, backend: str = "batch") -> ExecutionConfig:
-    return ExecutionConfig(backend=backend, plan=plan, chunk_size=7)
+def execution_for(plan: str) -> ExecutionConfig:
+    return ExecutionConfig(plan=plan, chunk_size=7)
 
 
 # --------------------------------------------------------------------------- #
@@ -236,14 +236,11 @@ class TestBlockedPlanExactness:
             direct.score_matrix(count=False), blocked.score_matrix(count=False)
         )
 
-    @pytest.mark.parametrize("backend", ["batch", "parallel"])
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_schedulers_bit_identical_across_plans(self, scheduler, backend):
+    def test_schedulers_bit_identical_across_plans(self, scheduler):
         instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
         results = {
-            plan: run_scheduler(
-                scheduler, instance, 4, execution=execution_for(plan, backend)
-            )
+            plan: run_scheduler(scheduler, instance, 4, execution=execution_for(plan))
             for plan in ("direct", "blocked")
         }
         direct, blocked = results["direct"], results["blocked"]
@@ -254,19 +251,14 @@ class TestBlockedPlanExactness:
         assert direct.plan == "direct"
 
     @pytest.mark.parametrize("storage", ["sparse", "mmap"])
-    @pytest.mark.parametrize("backend", ["batch", "parallel"])
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_blocked_plan_bit_identical_across_storages(
-        self, scheduler, backend, storage, tmp_path
-    ):
+    def test_blocked_plan_bit_identical_across_storages(self, scheduler, storage, tmp_path):
         """Blocked on sparse/mmap equals direct on dense storage."""
         instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
         converted = convert_storage(instance, storage, tmp_path)
-        dense_direct = run_scheduler(
-            scheduler, instance, 4, execution=execution_for("direct", backend)
-        )
+        dense_direct = run_scheduler(scheduler, instance, 4, execution=execution_for("direct"))
         other_blocked = run_scheduler(
-            scheduler, converted, 4, execution=execution_for("blocked", backend)
+            scheduler, converted, 4, execution=execution_for("blocked")
         )
         assert other_blocked.schedule.as_dict() == dense_direct.schedule.as_dict()
         assert other_blocked.utility == dense_direct.utility

@@ -108,7 +108,7 @@ class TestConfigResolution:
 
     def test_knobs_do_not_apply_to_in_process_backends(self):
         assert resolve_workers_addr(("h:1",), "batch") == ()
-        assert resolve_cluster_key("secret", "parallel") is None
+        assert resolve_cluster_key("secret", "batch") is None
         assert resolve_cluster_key(None, "cluster") == DEFAULT_CLUSTER_KEY
         assert resolve_cluster_key("secret", "cluster") == "secret"
         with pytest.raises(SolverError):
@@ -118,6 +118,7 @@ class TestConfigResolution:
         addresses = ("h:1", "h:2", "h:3")
         assert resolve_workers(None, "cluster", addresses) == 3
         assert resolve_workers(2, "cluster", addresses) == 2
+        assert resolve_workers(None, None, addresses) == 3
         resolved = ExecutionConfig(backend="cluster", workers_addr=addresses).resolve(10)
         assert resolved.workers == 3
         assert resolved.workers_addr == addresses
@@ -125,9 +126,17 @@ class TestConfigResolution:
         # Idempotent, like every other knob.
         assert resolved.resolve(10) == resolved
 
+    def test_workers_clamped_to_the_cluster_size(self):
+        """A cap above the number of addresses resolves to the lanes that run."""
+        addresses = ("h:1", "h:2")
+        assert resolve_workers(8, "cluster", addresses) == 2
+        resolved = ExecutionConfig(backend="cluster", workers=8, workers_addr=addresses).resolve(10)
+        assert resolved.workers == 2
+        assert resolved.resolve(10) == resolved
+
     def test_no_addresses_records_one_worker(self):
         """Without workers_addr the cluster backend runs serial batch, so it
-        must record workers=1 — not the machine's CPU count."""
+        must record workers=1 — not the requested lane cap."""
         assert ExecutionConfig(backend="cluster").resolve(10).workers == 1
         assert resolve_workers(4, "cluster") == 1
         instance = make_random_instance(seed=215, num_users=8, num_events=4, num_intervals=2)
@@ -136,8 +145,7 @@ class TestConfigResolution:
 
     def test_registry_wiring(self):
         assert get_backend("cluster") is ClusterBackend
-        assert ClusterBackend.is_bulk and ClusterBackend.uses_workers
-        assert ClusterBackend.uses_cluster
+        assert ClusterBackend.is_bulk and ClusterBackend.uses_cluster
         resolved = ExecutionConfig(backend="batch", workers_addr=("h:1",)).resolve(10)
         assert resolved.workers_addr == ()
         assert resolved.cluster_key is None
@@ -239,6 +247,32 @@ class TestEngineBitIdentity:
             assert cluster.execution_backend._links is None
         finally:
             cluster.close()
+
+
+# --------------------------------------------------------------------------- #
+# Connection lifecycle
+# --------------------------------------------------------------------------- #
+class TestLifecycle:
+    def test_scheduler_closes_backend_after_run(self, worker_pair):
+        """schedule() closes the worker connections itself, not through GC."""
+        from repro.algorithms.hor import HorScheduler
+
+        instance = make_random_instance(seed=102, num_users=20, num_events=16, num_intervals=3)
+        scheduler = HorScheduler(instance, execution=_config(worker_pair, chunk_size=4))
+        scheduler.schedule(3)
+        assert scheduler.engine.execution_backend._links is None
+
+    def test_dropping_the_engine_closes_links_promptly(self, worker_pair):
+        """The engine↔backend link is weak: refcounting alone frees the
+        engine (running its __del__, which closes the connections) — no
+        waiting for the cycle collector."""
+        instance = make_random_instance(seed=103, num_users=20, num_events=16, num_intervals=3)
+        engine = ScoringEngine(instance, execution=_config(worker_pair, chunk_size=4))
+        engine.score_matrix(count=False)
+        impl = engine.execution_backend
+        assert impl._links
+        del engine
+        assert impl._links is None
 
 
 # --------------------------------------------------------------------------- #
@@ -447,6 +481,15 @@ class TestFailureTolerance:
         finally:
             cluster.close()
 
+    def test_recorded_workers_never_exceed_the_lanes(self, worker_pair):
+        """workers=8 on two addresses runs two lanes — and records two."""
+        instance = make_random_instance(seed=232, num_users=15, num_events=8, num_intervals=4)
+        result = run_scheduler("ALG", instance, 3, execution=_config(worker_pair, workers=8))
+        assert result.workers == 2
+        assert len(result.summary()["cluster"]["workers"].split(",")) == 2
+        record = MetricRecord.from_result(result, experiment_id="x", dataset="d")
+        assert record.params["workers"] == 2
+
     def test_subset_selector_ships_once_per_call(self, worker_pair):
         """Later tasks of a subset call reference the cached selection; the
         results stay bit-identical to batch across repeated subset calls."""
@@ -585,6 +628,7 @@ class TestSchedulerEquivalence:
         addresses = tuple(handle.address for handle in worker_pair)
         assert result.backend == "cluster"
         assert result.workers == len(addresses)
+        assert result.summary()["workers"] == len(addresses)
         assert result.cluster == addresses
         cluster_cell = result.summary()["cluster"]
         assert cluster_cell["workers"] == ",".join(addresses)
@@ -592,6 +636,7 @@ class TestSchedulerEquivalence:
         assert "task_batch" not in result.summary()
         record = MetricRecord.from_result(result, experiment_id="x", dataset="d")
         assert record.params["backend"] == "cluster"
+        assert record.params["workers"] == len(addresses)
         assert record.params["cluster"] == ",".join(addresses)
         assert "task_batch" not in record.params
         # In-process runs must not grow a cluster param.
@@ -613,6 +658,8 @@ class TestSchedulerEquivalence:
         )
         assert [result.algorithm for result in sink] == ["ALG", "TOP"]
         assert all(record.params["backend"] == "cluster" for record in records)
+        assert all(record.params["workers"] == 2 for record in records)
+        assert all(result.workers == 2 for result in sink)
         addresses = ",".join(handle.address for handle in worker_pair)
         assert all(record.params["cluster"] == addresses for record in records)
 

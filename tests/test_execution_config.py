@@ -22,6 +22,7 @@ from repro.core.execution import (
     available_backends,
     backend_catalog,
     get_backend,
+    resolve_workers,
 )
 from repro.core.scoring import ScoringEngine
 from repro.experiments import figures
@@ -73,7 +74,9 @@ class TestConfigResolution:
         assert resolved.workers == 1  # batch never fans out
 
     def test_resolution_is_idempotent(self):
-        config = ExecutionConfig(backend="parallel", chunk_size=7, workers=3)
+        config = ExecutionConfig(
+            backend="cluster", chunk_size=7, workers=3, workers_addr=("h:1", "h:2")
+        )
         once = config.resolve(num_users=50)
         assert once.resolve(num_users=50) == once
 
@@ -87,7 +90,6 @@ class TestConfigResolution:
     def test_is_bulk(self):
         assert not ExecutionConfig(backend="scalar").is_bulk
         assert ExecutionConfig(backend="batch").is_bulk
-        assert ExecutionConfig(backend="parallel").is_bulk
         assert ExecutionConfig(backend="cluster").is_bulk
         assert ExecutionConfig().is_bulk  # the default is a bulk backend
 
@@ -109,14 +111,65 @@ class TestConfigResolution:
 
 class TestRegistry:
     def test_builtins_registered_in_order(self):
-        assert available_backends() == ("scalar", "batch", "parallel", "cluster")
+        assert available_backends() == ("scalar", "batch", "cluster")
         bulk = tuple(name for name in available_backends() if get_backend(name).is_bulk)
-        assert bulk == ("batch", "parallel", "cluster")
+        assert bulk == ("batch", "cluster")
 
     def test_get_backend_unknown_is_friendly(self):
         with pytest.raises(SolverError) as excinfo:
             get_backend("nope")
         assert "batch" in str(excinfo.value)
+
+    def test_retired_thread_backend_is_unknown(self):
+        with pytest.raises(SolverError) as excinfo:
+            ExecutionConfig(backend="parallel").resolve(num_users=10)
+        assert "available: scalar, batch, cluster" in str(excinfo.value)
+
+
+class TestWorkersKnob:
+    """``workers`` caps the cluster's dispatch lanes; every serial run records 1."""
+
+    def test_serial_runs_record_one_worker(self):
+        """Serial runs record workers=1 whatever was asked, so identical runs
+        look identical in the harness tables."""
+        assert resolve_workers(None) == 1
+        assert resolve_workers(8) == 1  # no worker addresses: nothing fans out
+        assert resolve_workers(None, "batch") == 1
+        assert resolve_workers(8, "scalar") == 1
+        assert resolve_workers(8, "batch", ("h:1", "h:2")) == 1
+        with pytest.raises(SolverError):
+            resolve_workers(0, "batch")  # validation still applies when pinned
+        instance = make_random_instance(seed=101, num_users=8, num_events=4, num_intervals=2)
+        for backend in available_backends():
+            result = run_scheduler(
+                "TOP", instance, 2, execution=ExecutionConfig(backend=backend, workers=8)
+            )
+            assert result.workers == 1, backend
+            assert result.summary()["workers"] == 1, backend
+
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "four"])
+    def test_resolve_rejects_non_positive(self, bad):
+        with pytest.raises(SolverError):
+            resolve_workers(bad)
+        for backend in available_backends():
+            with pytest.raises(SolverError, match="workers"):
+                ExecutionConfig(backend=backend, workers=bad).resolve(num_users=10)
+
+    def test_invalid_workers_rejected_by_scheduler(self):
+        instance = make_random_instance(seed=94, num_users=8, num_events=4, num_intervals=2)
+        with pytest.raises(SolverError, match="workers"):
+            run_scheduler("TOP", instance, 2, execution=ExecutionConfig(workers=0))
+
+    def test_cli_reports_invalid_workers(self, capsys):
+        code = main(
+            [
+                "solve", "--dataset", "Unf", "-k", "2",
+                "--users", "10", "--events", "5", "--intervals", "2",
+                "--algorithms", "TOP", "--workers", "0",
+            ]
+        )
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
 
 class TestCatalogue:
     def test_catalog_covers_every_backend(self):

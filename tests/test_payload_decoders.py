@@ -4,12 +4,14 @@ Both decoders — :func:`repro.service.mutation_from_dict` (the ``mutate``
 wire op) and :meth:`repro.core.instance.SESInstance.from_dict` (JSON and NPZ
 instances) — read an interval capacity with :func:`operator.index`, a tag
 list as a sequence of strings and every real-valued field (interest values,
-event value / cost / resources, interval start / end) with
-:func:`repro.core.entities.decode_real`.  A float capacity is rejected
-rather than truncated, a boolean or a numeric string rather than converted,
-and a bare string of tags rather than split into characters; NumPy integers
-and floats, which pickled wire payloads carry, still decode.  Every
-service-side rejection leaves the session's ``status()`` unchanged.
+event value / cost / resources, interval start / end, user weights, the
+organizer's resources) with :func:`repro.core.entities.decode_real`.  A
+float capacity is rejected rather than truncated, a boolean or a numeric
+string rather than converted, and a bare string of tags rather than split
+into characters; NumPy integers and floats, which pickled wire payloads
+carry, still decode.  The mutation decoder also takes ids only as strings
+and ``update-interest`` values only as a mapping.  Every service-side
+rejection leaves the session's ``status()`` unchanged.
 """
 
 from __future__ import annotations
@@ -246,3 +248,116 @@ class TestInstanceRealDecoder:
         payload["events"][0][field] = value
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             SESInstance.from_dict(payload)
+
+
+# --------------------------------------------------------------------------- #
+# Mutation ids and the update-interest mapping
+# --------------------------------------------------------------------------- #
+#: Id payloads the mutation decoder must reject instead of ``str()``-ing.
+BAD_IDS = [
+    pytest.param(None, id="none"),
+    pytest.param(["e1"], id="list"),
+    pytest.param(3, id="int"),
+]
+
+
+def id_payload(instance: SESInstance, field: str, bad) -> dict:
+    """A valid payload of ``field``'s op, with ``bad`` in place of that id."""
+    event, interval, user = instance.events[0].id, instance.intervals[0].id, instance.users[0].id
+    payloads = {
+        "remove-event": {"op": "remove-event", "event_id": event},
+        "lock": {"op": "lock", "event_id": event, "interval_id": interval},
+        "unlock": {"op": "unlock", "event_id": event},
+        "set-capacity": {"op": "set-capacity", "interval_id": interval, "capacity": 2},
+        "update-interest": {"op": "update-interest", "user_id": user, "values": {}},
+    }
+    op, key = field.split(".")
+    return {**payloads[op], key: bad}
+
+
+#: Every id field of the ``mutate`` payloads, as ``op.key``.
+ID_FIELDS = [
+    "remove-event.event_id",
+    "lock.event_id",
+    "lock.interval_id",
+    "unlock.event_id",
+    "set-capacity.interval_id",
+    "update-interest.user_id",
+]
+
+
+class TestMutationIdDecoder:
+    @pytest.mark.parametrize("field", ID_FIELDS)
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_non_string_id_is_rejected(self, session, instance, field, bad):
+        before = session.status()
+        with pytest.raises(MutationError, match="must be a string"):
+            session.apply([mutation_from_dict(id_payload(instance, field, bad))])
+        assert session.status() == before
+
+    @pytest.mark.parametrize("field", ["id", "location"])
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_non_string_added_event_id_is_rejected(self, session, instance, field, bad):
+        before = session.status()
+        payload = add_event_payload(instance, [])
+        payload["event"][field] = bad
+        with pytest.raises(MutationError, match="must be a string"):
+            session.apply([mutation_from_dict(payload)])
+        assert session.status() == before
+
+    @pytest.mark.parametrize("bad", [None, 3, ("e0",)], ids=repr)
+    def test_non_string_event_key_is_rejected(self, session, instance, bad):
+        before = session.status()
+        payload = {"op": "update-interest", "user_id": instance.users[0].id, "values": {bad: 0.5}}
+        with pytest.raises(MutationError, match="event id must be a string"):
+            session.apply([mutation_from_dict(payload)])
+        assert session.status() == before
+
+    @pytest.mark.parametrize("values", [[1, 2], None, "e0", 0.5], ids=repr)
+    def test_non_mapping_values_are_rejected(self, session, instance, values):
+        before = session.status()
+        payload = {"op": "update-interest", "user_id": instance.users[0].id, "values": values}
+        with pytest.raises(MutationError, match="values must be a mapping"):
+            session.apply([mutation_from_dict(payload)])
+        assert session.status() == before
+
+    def test_string_ids_round_trip(self, instance):
+        event, interval = instance.events[0].id, instance.intervals[0].id
+        mutation = mutation_from_dict({"op": "lock", "event_id": event, "interval_id": interval})
+        assert (mutation.event_id, mutation.interval_id) == (event, interval)
+
+
+# --------------------------------------------------------------------------- #
+# User weights and the organizer's resources
+# --------------------------------------------------------------------------- #
+class TestInstanceWeightDecoder:
+    @pytest.mark.parametrize("value", BAD_REALS + [pytest.param("2", id="integral-string")])
+    def test_coercible_user_weight_is_rejected(self, instance, value):
+        payload = instance.to_dict()
+        payload["users"][0]["weight"] = value
+        with pytest.raises(ValueError, match="user weight must be a real number"):
+            SESInstance.from_dict(payload)
+
+    @pytest.mark.parametrize("value", BAD_REALS)
+    def test_coercible_available_resources_are_rejected(self, instance, value):
+        payload = instance.to_dict()
+        payload["organizer"]["available_resources"] = value
+        with pytest.raises(ValueError, match="available_resources must be a real number"):
+            SESInstance.from_dict(payload)
+
+    @pytest.mark.parametrize("value", [2, 0.5, np.float64(1.5), np.int64(3)], ids=repr)
+    def test_real_weight_decodes_as_float(self, instance, value):
+        payload = instance.to_dict()
+        payload["users"][0]["weight"] = value
+        weight = SESInstance.from_dict(payload).users[0].weight
+        assert weight == float(value) and type(weight) is float
+
+    def test_defaults_and_round_trip(self, instance):
+        payload = instance.to_dict()
+        del payload["users"][0]["weight"]
+        del payload["organizer"]["available_resources"]
+        decoded = SESInstance.from_dict(payload)
+        assert decoded.users[0].weight == 1.0
+        assert decoded.organizer.available_resources == float("inf")
+        again = SESInstance.from_dict(decoded.to_dict())
+        assert again.to_dict() == decoded.to_dict()

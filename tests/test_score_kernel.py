@@ -239,11 +239,10 @@ def test_engine_passes_the_facts_from_its_own_state(plan, valued, monkeypatch):
     assert calls == [(unit, True), (unit, False), (unit, True), (unit, True)]
 
 
-@pytest.mark.parametrize("backend", ["batch", "parallel"])
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_solves_match_the_default_budget(scheduler, backend, monkeypatch):
+def test_solves_match_the_default_budget(scheduler, monkeypatch):
     instance = make_random_instance(seed=11, num_users=60, num_events=14, num_intervals=5)
-    config = ExecutionConfig(backend=backend, chunk_size=5)
+    config = ExecutionConfig(chunk_size=5)
     reference = run_scheduler(scheduler, instance, 6, execution=config)
     for budget in (1, 2 * 60 + 1):
         monkeypatch.setattr(execution, "KERNEL_TILE_ELEMENTS", budget)

@@ -30,7 +30,12 @@ from repro.core.instance import SESInstance
 from repro.core.execution import ExecutionConfig, available_backends
 from repro.core.scoring import DEFAULT_BACKEND, ScoringEngine
 
-from tests.conftest import FANOUT_VARIANTS, execution_variants, make_random_instance
+from tests.conftest import (
+    BLOCK_VARIANTS,
+    FANOUT_VARIANTS,
+    execution_variants,
+    make_random_instance,
+)
 
 TOLERANCE = 1e-12
 
@@ -119,22 +124,20 @@ def test_score_matrix_matches_scalar_reference(config, layout):
     instance = layout.instance(**config)
     scalar = ScoringEngine(instance, execution=layout.execution(backend="scalar"))
     batch = ScoringEngine(instance, execution=layout.execution(backend="batch"))
-    parallel = ScoringEngine(
-        instance, execution=layout.execution(backend="parallel", workers=2)
-    )
+    chunked = ScoringEngine(instance, execution=layout.execution(backend="batch", chunk_size=3))
 
     reference = _scalar_reference_matrix(scalar)
     assert np.allclose(batch.score_matrix(count=False), reference, atol=TOLERANCE, rtol=0.0)
     # The scalar backend's bulk API is the reference path itself, and the
-    # parallel backend runs the batch kernel block-by-block — bit-identical.
+    # batch kernel run block-by-block is bit-identical to one whole pass.
     assert np.array_equal(scalar.score_matrix(count=False), reference)
-    assert np.array_equal(parallel.score_matrix(count=False), batch.score_matrix(count=False))
+    assert np.array_equal(chunked.score_matrix(count=False), batch.score_matrix(count=False))
 
     # The equivalence must hold against a non-empty schedule state too.
-    _apply_prefix(instance, (scalar, batch, parallel), seed=config["seed"] + 1000)
+    _apply_prefix(instance, (scalar, batch, chunked), seed=config["seed"] + 1000)
     reference = _scalar_reference_matrix(scalar)
     assert np.allclose(batch.score_matrix(count=False), reference, atol=TOLERANCE, rtol=0.0)
-    assert np.array_equal(parallel.score_matrix(count=False), batch.score_matrix(count=False))
+    assert np.array_equal(chunked.score_matrix(count=False), batch.score_matrix(count=False))
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS[:6], ids=lambda c: f"seed{c['seed']}")
@@ -178,7 +181,7 @@ def test_backend_selection_surface():
     instance = make_random_instance(seed=40, num_users=10, num_events=5, num_intervals=2)
     assert ScoringEngine(instance).backend == DEFAULT_BACKEND
     assert ScoringEngine(instance, execution=ExecutionConfig(backend="scalar")).backend == "scalar"
-    assert ScoringEngine(instance, execution=ExecutionConfig(backend="parallel", workers=2)).backend == "parallel"
+    assert ScoringEngine(instance, execution=ExecutionConfig(backend="cluster")).backend == "cluster"
     with pytest.raises(SolverError):
         ScoringEngine(instance, execution=ExecutionConfig(backend="gpu"))
     with pytest.raises(SolverError):
@@ -207,14 +210,35 @@ def test_fanout_variants_really_fan_out(variant, execution_for):
     try:
         assert engine.execution.workers == 2
         engine.score_matrix(count=False)
-        impl = engine.execution_backend
-        if variant == "cluster-2":
-            assert len(impl.stats()["workers"]) == 2
-            assert impl.stats()["tasks"] == instance.num_intervals
-        else:
-            assert impl._executor is not None
+        stats = engine.execution_backend.stats()
+        assert len(stats["workers"]) == 2
+        assert stats["tasks"] == instance.num_intervals
     finally:
         engine.close()
+
+
+@pytest.mark.parametrize("variant", tuple(BLOCK_VARIANTS))
+def test_block_variants_really_split(variant, execution_for):
+    """The suites' block variants must walk each column in several blocks of
+    at most ``chunk_size`` rows, or they would only re-run the one-block path."""
+    instance = make_random_instance(seed=42, num_users=12, num_events=7, num_intervals=4)
+    engine = ScoringEngine(instance, execution=execution_for(variant))
+    chunk_size = BLOCK_VARIANTS[variant]
+    assert engine.execution.chunk_size == chunk_size
+    block_rows = []
+    run_block = engine._batch_block
+
+    def counting_block(interval_index, *block):
+        scores = run_block(interval_index, *block)
+        block_rows.append(len(scores))
+        return scores
+
+    engine._batch_block = counting_block
+    engine.score_matrix(count=False)
+    blocks_per_column = -(-instance.num_events // chunk_size)
+    assert len(block_rows) == blocks_per_column * instance.num_intervals
+    assert max(block_rows) == chunk_size
+    assert sum(block_rows) == instance.num_events * instance.num_intervals
 
 
 # --------------------------------------------------------------------------- #

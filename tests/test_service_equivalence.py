@@ -47,13 +47,11 @@ from repro.service import (
 )
 
 #: ``(layout, backend knobs)`` the whole suite runs under: the library
-#: default, two ``parallel`` threads, sparse storage, and mmap storage on the
-#: blocked plan (whose instances get duplicate-heavy users).
+#: default, the cluster backend on two localhost workers, sparse storage, and
+#: mmap storage on the blocked plan (whose instances get duplicate-heavy users).
 CONFIGURATIONS = [
     pytest.param("dense-direct", {}, id="dense-direct-batch"),
-    pytest.param(
-        "dense-direct", {"backend": "parallel", "workers": 2}, id="dense-direct-parallel2"
-    ),
+    pytest.param("dense-direct", {"backend": "cluster"}, id="dense-direct-cluster2"),
     pytest.param("sparse-direct", {}, id="sparse-direct-batch"),
     pytest.param("mmap-blocked", {}, id="mmap-blocked-batch"),
 ]
@@ -62,8 +60,14 @@ pytestmark = pytest.mark.parametrize("layout, knobs", CONFIGURATIONS, indirect=[
 
 
 @pytest.fixture
-def execution(layout, knobs) -> ExecutionConfig:
-    """The execution config of both the session and the cold reference."""
+def execution(request, layout, knobs) -> ExecutionConfig:
+    """The execution config of both the session and the cold reference.
+
+    A ``cluster`` configuration dispatches to the suite's two live
+    localhost workers (the ``local_cluster`` fixture).
+    """
+    if knobs.get("backend") == "cluster":
+        knobs = {**knobs, "workers_addr": request.getfixturevalue("local_cluster")}
     return layout.execution(**knobs)
 
 

@@ -6,7 +6,7 @@ Every rule is exercised through paired good/bad fixture snippets under
 lives, so the path-scoped rules see realistic project layouts without the
 fixtures polluting the real tree.  The meta-test at the bottom holds the
 repository itself to its own standard: ``repro lint src tools benchmarks
-perfbench`` must be clean, with at most 10 justified waivers.
+perfbench examples`` must be clean, with at most 10 justified waivers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "staticcheck"
-REPO_LINT_PATHS = [REPO_ROOT / name for name in ("src", "tools", "benchmarks", "perfbench")]
+REPO_LINT_PATHS = [
+    REPO_ROOT / name for name in ("src", "tools", "benchmarks", "perfbench", "examples")
+]
 
 EXPECTED_RULES = (
     "no-nondeterminism",

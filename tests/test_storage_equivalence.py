@@ -14,7 +14,7 @@ that down:
   recorded on the result — on adversarial corners too: a single user,
   all-zero µ, exact score ties, a capacity-1 interval filled by a lock and
   §2.1 event values (the valued corner also runs under every backend,
-  ``parallel-2`` and ``cluster-2`` included);
+  ``cluster-2`` included);
 * cluster runs against the suite's live localhost workers, per layout — the
   mmap layouts ship only the backing-file path (protocol v3's ``"file"``
   payload);
@@ -236,23 +236,6 @@ class TestSchedulerEquivalence:
             assert result.utility == reference.utility
             assert result.net_utility == reference.net_utility
             assert result.counters == reference.counters
-
-    @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
-    def test_parallel_backend_storage_invariant(self, layout):
-        instance = layout.instance(
-            seed=311, num_users=40, num_events=12, num_intervals=4
-        )
-        reference = run_scheduler("ALG", instance.with_storage("dense"), 5)
-        result = run_scheduler(
-            "ALG",
-            instance,
-            5,
-            execution=layout.execution(backend="parallel", workers=2),
-        )
-        assert result.schedule.as_dict() == reference.schedule.as_dict()
-        assert result.utility == reference.utility
-        assert result.storage == layout.storage
-        assert result.backend == "parallel"
 
 
 # --------------------------------------------------------------------------- #
