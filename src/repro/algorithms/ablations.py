@@ -29,9 +29,18 @@ selection is based on).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.algorithms.base import AssignmentEntry, BaseScheduler, better_candidate
+import numpy as np
+
+from repro.algorithms.base import (
+    BaseScheduler,
+    IntervalHeads,
+    Validity,
+    best_index,
+    better_candidate,
+    first_hit,
+)
 from repro.core.schedule import Schedule
 
 Candidate = Tuple[float, int, int]
@@ -45,60 +54,56 @@ class IncUpdatesOnlyScheduler(BaseScheduler):
     def _run(self, k: int) -> Schedule:
         instance = self.instance
         engine = self.engine
-        checker = self.checker
         counter = self.counter
         schedule = self._start_schedule()
 
+        # One flat table of every assignment, event-major (the scan order).
         score_grid = self._initial_score_grid()
-        entries: List[AssignmentEntry] = [
-            AssignmentEntry(event_index, interval_index, float(score_grid[event_index, interval_index]))
-            for event_index in range(instance.num_events)
-            for interval_index in range(instance.num_intervals)
-        ]
+        num_intervals = instance.num_intervals
+        events, intervals = np.divmod(np.arange(score_grid.size), num_intervals)
+        scores = np.array(score_grid, dtype=np.float64).ravel()
+        updated = np.ones(scores.size, dtype=bool)
+        validity = Validity(self.checker, num_intervals, schedule.scheduled_events())
 
         while len(schedule) < k:
             # Pass 1 (full scan, like ALG): the best *exact* valid score is the bound Φ.
-            phi: Optional[Candidate] = None
-            alive: List[AssignmentEntry] = []
-            for entry in entries:
-                counter.count_examined()
-                if schedule.is_scheduled(entry.event_index) or not checker.is_feasible(
-                    entry.event_index, entry.interval_index
-                ):
-                    continue
-                alive.append(entry)
-                if entry.updated:
-                    phi = better_candidate(
-                        phi, (entry.score, entry.event_index, entry.interval_index)
-                    )
-            entries = alive
+            counter.count_examined(scores.size)
+            alive = validity.mask[intervals, events]
+            events, intervals, scores, updated = (
+                events[alive], intervals[alive], scores[alive], updated[alive]
+            )
+            best = best_index(scores, events, updated)
+            phi: Optional[Candidate] = (
+                None if best < 0 else (float(scores[best]), int(events[best]), int(intervals[best]))
+            )
 
-            # Pass 2: refresh only the stale entries that could beat Φ.
-            best = phi
-            for entry in entries:
-                if entry.updated:
-                    continue
-                counter.count_examined()
-                if phi is not None and entry.score < phi[0]:
-                    continue  # stale score is an upper bound: cannot beat Φ
-                entry.score = engine.assignment_score(entry.event_index, entry.interval_index)
-                entry.updated = True
-                best = better_candidate(
-                    best, (entry.score, entry.event_index, entry.interval_index)
+            # Pass 2: refresh only the stale entries that could beat Φ (a
+            # stale score is an upper bound: one below Φ cannot beat it).
+            stale = ~updated
+            counter.count_examined(int(np.count_nonzero(stale)))
+            if phi is not None:
+                stale &= ~(scores < phi[0])
+            refreshed = np.flatnonzero(stale)
+            for interval_index in np.unique(intervals[refreshed]).tolist():
+                rows = refreshed[intervals[refreshed] == interval_index]
+                scores[rows] = engine.interval_scores(interval_index, events[rows])
+            updated[refreshed] = True
+            best = best_index(scores, events, stale)
+            if best >= 0:
+                phi = better_candidate(
+                    phi, (float(scores[best]), int(events[best]), int(intervals[best]))
                 )
-            if best is None:
+            if phi is None:
                 break
 
-            score, event_index, interval_index = best
+            score, event_index, interval_index = phi
             self._select_assignment(schedule, event_index, interval_index, score)
-            remaining: List[AssignmentEntry] = []
-            for entry in entries:
-                if entry.event_index == event_index:
-                    continue
-                if entry.interval_index == interval_index:
-                    entry.updated = False
-                remaining.append(entry)
-            entries = remaining
+            validity.commit(event_index, interval_index)
+            remaining = events != event_index
+            updated[intervals == interval_index] = False
+            events, intervals, scores, updated = (
+                events[remaining], intervals[remaining], scores[remaining], updated[remaining]
+            )
         return schedule
 
 
@@ -110,61 +115,53 @@ class AlgOrganizedScheduler(BaseScheduler):
     def _run(self, k: int) -> Schedule:
         instance = self.instance
         engine = self.engine
-        checker = self.checker
         counter = self.counter
         schedule = self._start_schedule()
+        num_intervals = instance.num_intervals
 
-        lists = self._generate_all_entries(initial=True)
+        heads = self._interval_heads(schedule)
         # Per-interval top valid entry (M_t); kept exact because updates are eager.
-        tops: List[Optional[Candidate]] = [
-            self._interval_top(lists[interval_index], schedule)
-            for interval_index in range(instance.num_intervals)
-        ]
+        top_score = np.zeros(num_intervals)
+        top_event = np.full(num_intervals, -1, dtype=np.intp)
+        for interval_index in range(num_intervals):
+            self._interval_top(heads, interval_index, top_score, top_event)
+        interval_range = np.arange(num_intervals)
 
         while len(schedule) < k:
-            best: Optional[Candidate] = None
-            for candidate in tops:
-                counter.count_examined()
-                best = better_candidate(best, candidate)
-            if best is None:
+            counter.count_examined(num_intervals)
+            best = best_index(top_score, top_event, top_event >= 0)
+            if best < 0:
                 break
-            score, event_index, interval_index = best
-            self._select_assignment(schedule, event_index, interval_index, score)
+            event_index = int(top_event[best])
+            self._select_assignment(schedule, event_index, best, float(top_score[best]))
+            heads.validity.commit(event_index, best)
 
             # Eagerly recompute the selected interval (exactly what ALG does) …
-            refreshed: List[AssignmentEntry] = []
-            for entry in lists[interval_index]:
-                counter.count_examined()
-                if entry.event_index == event_index or schedule.is_scheduled(entry.event_index):
-                    continue
-                if not checker.is_feasible(entry.event_index, interval_index):
-                    continue
-                entry.score = engine.assignment_score(entry.event_index, interval_index)
-                refreshed.append(entry)
-            refreshed.sort(key=AssignmentEntry.sort_key)
-            lists[interval_index] = refreshed
-            tops[interval_index] = self._interval_top(refreshed, schedule)
+            counter.count_examined(heads.size(best))
+            events = np.sort(heads.events[best][heads.valid(best)])
+            heads.fill(best, events, engine.interval_scores(best, events))
+            self._interval_top(heads, best, top_score, top_event)
 
             # … and repair the tops that referenced the now-scheduled event.
-            for other_interval in range(instance.num_intervals):
-                if other_interval == interval_index:
-                    continue
-                top = tops[other_interval]
-                if top is not None and top[1] == event_index:
-                    tops[other_interval] = self._interval_top(lists[other_interval], schedule)
+            repair = (top_event == event_index) & (interval_range != best)
+            for other_interval in np.flatnonzero(repair).tolist():
+                self._interval_top(heads, other_interval, top_score, top_event)
         return schedule
 
     def _interval_top(
-        self, entries: List[AssignmentEntry], schedule: Schedule
-    ) -> Optional[Candidate]:
-        for entry in entries:
-            self.counter.count_examined()
-            if schedule.is_scheduled(entry.event_index):
-                continue
-            if not self.checker.is_feasible(entry.event_index, entry.interval_index):
-                continue
-            return (entry.score, entry.event_index, entry.interval_index)
-        return None
+        self,
+        heads: IntervalHeads,
+        interval_index: int,
+        top_score: np.ndarray,
+        top_event: np.ndarray,
+    ) -> None:
+        position, examined = first_hit(heads.valid(interval_index))
+        self.counter.count_examined(examined)
+        if position < 0:
+            top_event[interval_index] = -1
+        else:
+            top_score[interval_index] = heads.scores[interval_index][position]
+            top_event[interval_index] = heads.events[interval_index][position]
 
 
 #: Ablation line-up used by the ablation benchmark.

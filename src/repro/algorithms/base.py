@@ -8,8 +8,9 @@ the helpers used by the concrete algorithms:
   smaller event index, then smaller interval index — so that the
   ALG/INC and HOR/HOR-I equivalence propositions of the paper hold exactly
   even in the presence of ties;
-* :class:`AssignmentEntry`, the mutable record the interval-organised
-  algorithms keep per (event, interval) pair.
+* :class:`IntervalHeads`, the array-backed per-interval candidate lists of
+  the interval-organised algorithms, with the :class:`Validity` mask they
+  test entries against and the Φ-cut refresh walk INC and HOR-I share.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,10 +31,20 @@ from repro.core.schedule import Schedule
 from repro.core.storage import DEFAULT_STORAGE
 from repro.core.scoring import ScoringEngine
 
-#: Number of stale scores fetched per speculative bulk-refresh call.  Small
-#: enough that a walk cut short by the Φ bound wastes little work, large
-#: enough to amortise the vectorised call overhead over many pairs.
+#: Most stale scores one bulk-refresh call fetches.  Each call is already cut
+#: at the walk's current Φ (only rows whose stale score can still reach it),
+#: so this cap only splits long runs of near-equal scores: small enough that
+#: a run cut short by a rising Φ wastes little work, large enough to amortise
+#: the vectorised call overhead over many pairs.
 REFRESH_BLOCK_SIZE = 64
+
+#: Most rows in the first Φ-cut block of a walk that starts without a bound
+#: (HOR-I's round-start refresh and head resolution); each further block of
+#: the walk may hold twice as many, up to :data:`REFRESH_BLOCK_SIZE`.  Such a
+#: walk's Φ is the head's fresh score, far below the stale scores behind it,
+#: and the next fresh scores raise it the most: its first blocks are the ones
+#: a rising Φ would cut short.
+FIRST_REFRESH_BLOCK = 8
 
 
 @dataclass
@@ -177,30 +188,6 @@ class SchedulerResult:
         }
 
 
-class AssignmentEntry:
-    """Mutable record of one candidate assignment used by INC/HOR/HOR-I.
-
-    ``score`` is the last computed score; ``updated`` says whether that score
-    reflects the current schedule (exact) or is a stale upper bound.
-    """
-
-    __slots__ = ("event_index", "interval_index", "score", "updated")
-
-    def __init__(self, event_index: int, interval_index: int, score: float, updated: bool = True):
-        self.event_index = event_index
-        self.interval_index = interval_index
-        self.score = score
-        self.updated = updated
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Descending-score, ascending-(event, interval) total order."""
-        return (-self.score, self.event_index, self.interval_index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = "+" if self.updated else "-"
-        return f"α(e{self.event_index}, t{self.interval_index})={self.score:.4f}{flag}"
-
-
 def better_candidate(
     first: Optional[Tuple[float, int, int]], second: Optional[Tuple[float, int, int]]
 ) -> Optional[Tuple[float, int, int]]:
@@ -217,6 +204,155 @@ def better_candidate(
     first_key = (-first[0], first[1], first[2])
     second_key = (-second[0], second[1], second[2])
     return first if first_key <= second_key else second
+
+
+def best_index(
+    scores: np.ndarray, events: np.ndarray, mask: Optional[np.ndarray] = None
+) -> int:
+    """Index of the best ``mask``-ed candidate under the library tie-break, or -1.
+
+    ``scores[i]``/``events[i]`` describe candidate ``i`` (``mask=None``: every
+    candidate); the best has the largest score, then the smallest event,
+    then the smallest index — the order of :func:`better_candidate` when
+    ``i`` is the interval index.
+    """
+    candidates = np.arange(scores.size) if mask is None else np.flatnonzero(mask)
+    if not candidates.size:
+        return -1
+    values = scores[candidates]
+    ties = candidates[values == values.max()]
+    return int(ties[np.argmin(events[ties])])
+
+
+def key_order(scores: np.ndarray, events: np.ndarray) -> np.ndarray:
+    """The permutation sorting candidates by the ``(−score, event)`` key.
+
+    A stable sort on the scores alone, which is exact unless two equal
+    scores end up out of event order; only then are the events consulted
+    (a two-key sort).
+    """
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    ties = ordered[1:] == ordered[:-1]
+    if ties.any():
+        ordered_events = events[order]
+        if (ties & (ordered_events[1:] < ordered_events[:-1])).any():
+            return np.lexsort((events, -scores))
+    return order
+
+
+def first_hit(mask: np.ndarray) -> Tuple[int, int]:
+    """``(position, examined)`` of the first ``mask``-ed entry of a list walk.
+
+    ``position`` is -1 when no entry qualifies; ``examined`` counts the
+    entries a front-to-back walk looks at (through the hit, or all).
+    """
+    if not mask.size:
+        return -1, 0
+    position = int(np.argmax(mask))
+    if not mask[position]:
+        return -1, mask.size
+    return position, position + 1
+
+
+class Validity:
+    """The ``(|T|, |E|)`` mask of currently *valid* assignments.
+
+    Entry ``[t, e]`` is ``True`` when event ``e`` is unscheduled and
+    feasible at interval ``t`` — :meth:`ConstraintChecker.feasible_events
+    <repro.core.constraints.ConstraintChecker.feasible_events>` of the row's
+    interval with the scheduled events' columns cleared.  A commit changes
+    one row (the interval's feasibility) and one column (the event), so
+    :meth:`commit` keeps the mask exact in two array writes.
+    """
+
+    def __init__(
+        self, checker: ConstraintChecker, num_intervals: int, scheduled: Iterable[int]
+    ) -> None:
+        self._checker = checker
+        self.mask = np.stack(
+            [checker.feasible_events(interval_index) for interval_index in range(num_intervals)]
+        )
+        self.unscheduled = np.ones(self.mask.shape[1], dtype=bool)
+        self.unscheduled[list(scheduled)] = False
+        self.mask &= self.unscheduled
+
+    def commit(self, event_index: int, interval_index: int) -> None:
+        """Record a commit the constraint checker has already applied."""
+        self.unscheduled[event_index] = False
+        self.mask[:, event_index] = False
+        self.mask[interval_index] = self._checker.feasible_events(interval_index) & self.unscheduled
+
+
+class IntervalHeads:
+    """Per-interval candidate lists of the interval-organised schedulers.
+
+    Interval ``t`` holds three parallel arrays — ``scores[t]`` (the last
+    computed score of each candidate), ``events[t]`` and ``updated[t]``
+    (whether that score reflects the interval's current state or is a stale
+    upper bound) — ordered by the shared ``(−score, event)`` key, the
+    library tie-break within one interval.  Validity is looked up in the
+    shared :class:`Validity` mask, so a walk tests a whole list in one
+    gather instead of one constraint check per entry.
+    """
+
+    def __init__(self, validity: Validity) -> None:
+        self.validity = validity
+        num_intervals = validity.mask.shape[0]
+        self.scores: List[np.ndarray] = [np.empty(0)] * num_intervals
+        self.events: List[np.ndarray] = [np.empty(0, dtype=np.intp)] * num_intervals
+        self.updated: List[np.ndarray] = [np.empty(0, dtype=bool)] * num_intervals
+
+    def fill(self, interval_index: int, events: np.ndarray, scores: np.ndarray) -> None:
+        """Set an interval's exact candidates (``events`` ascending) in key order."""
+        order = np.argsort(-scores, kind="stable")
+        self.scores[interval_index] = scores[order]
+        self.events[interval_index] = events[order]
+        self.updated[interval_index] = np.ones(order.size, dtype=bool)
+
+    def size(self, interval_index: int) -> int:
+        """Number of candidates left in an interval's list."""
+        return self.scores[interval_index].size
+
+    def valid(self, interval_index: int) -> np.ndarray:
+        """Validity of each candidate of an interval, in list order."""
+        return self.validity.mask[interval_index][self.events[interval_index]]
+
+    def keep(
+        self,
+        interval_index: int,
+        keep: np.ndarray,
+        scores: np.ndarray,
+        updated: np.ndarray,
+        *,
+        reorder: bool,
+    ) -> None:
+        """Replace an interval's list with its ``keep``-ed entries, re-sorted if ``reorder``.
+
+        ``keep`` is a mask over the current list; ``scores`` and ``updated``
+        are full-length replacements for the current arrays.
+        """
+        scores, events, updated = scores[keep], self.events[interval_index][keep], updated[keep]
+        if reorder:
+            order = key_order(scores, events)
+            scores, events, updated = scores[order], events[order], updated[order]
+        self.scores[interval_index] = scores
+        self.events[interval_index] = events
+        self.updated[interval_index] = updated
+
+    def drop_front(self, interval_index: int, count: int) -> None:
+        """Remove an interval's first ``count`` entries."""
+        if count:
+            self.scores[interval_index] = self.scores[interval_index][count:]
+            self.events[interval_index] = self.events[interval_index][count:]
+            self.updated[interval_index] = self.updated[interval_index][count:]
+
+    def drop_event(self, interval_index: int, event_index: int) -> None:
+        """Remove a just-selected event; every remaining score becomes stale."""
+        keep = self.events[interval_index] != event_index
+        self.scores[interval_index] = self.scores[interval_index][keep]
+        self.events[interval_index] = self.events[interval_index][keep]
+        self.updated[interval_index] = np.zeros(int(keep.sum()), dtype=bool)
 
 
 class BaseScheduler(ABC):
@@ -371,7 +507,7 @@ class BaseScheduler(ABC):
             elapsed = time.perf_counter() - started
 
             utility = self._engine.evaluate_schedule(schedule)
-            net_utility = self._engine.evaluate_schedule(schedule, include_costs=True)
+            net_utility = utility - self._engine.schedule_cost(schedule)
             # Snapshot the backend's dispatch counters before close() — the
             # cluster backend keys them by worker address (not link objects),
             # so the snapshot stays valid after the connections are gone.
@@ -475,14 +611,14 @@ class BaseScheduler(ABC):
         self._counter.count_generated(int(grid.size))
         return grid
 
-    def _generate_all_entries(
-        self, *, initial: bool = True, only_valid: bool = False, schedule: Optional[Schedule] = None
-    ) -> List[List[AssignmentEntry]]:
+    def _interval_heads(
+        self, schedule: Schedule, *, initial: bool = True, only_valid: bool = False
+    ) -> IntervalHeads:
         """Compute scores for every (event, interval) pair, grouped per interval.
 
         ``only_valid`` restricts generation to assignments that are currently
         valid (event unscheduled and feasible) — HOR's per-round regeneration —
-        while the default generates everything (ALG/INC initialisation).
+        while the default generates everything (INC/ALG-O initialisation).
 
         Scores are obtained from the engine's bulk API: the full-grid default
         goes through one :meth:`~repro.core.scoring.ScoringEngine.score_matrix`
@@ -492,23 +628,17 @@ class BaseScheduler(ABC):
         interval.  Either way the counter records one score computation per
         generated (event, interval) pair, and the scores are identical —
         both paths run the same per-interval kernel of the active backend.
+        Each interval's list is ordered by one stable sort of its column.
         """
         num_intervals = self._instance.num_intervals
         num_events = self._instance.num_events
-        per_interval: List[List[AssignmentEntry]] = [[] for _ in range(num_intervals)]
+        heads = IntervalHeads(Validity(self.checker, num_intervals, schedule.scheduled_events()))
         if not only_valid:
             grid = self._initial_score_grid(initial=initial)
+            events = np.arange(num_events)
             for interval_index in range(num_intervals):
-                column = grid[:, interval_index]
-                per_interval[interval_index] = [
-                    AssignmentEntry(event_index, interval_index, float(column[event_index]))
-                    for event_index in range(num_events)
-                ]
-                per_interval[interval_index].sort(key=AssignmentEntry.sort_key)
-            return per_interval
-        unscheduled = np.ones(num_events, dtype=bool)
-        if schedule is not None:
-            unscheduled[list(schedule.scheduled_events())] = False
+                heads.fill(interval_index, events, grid[:, interval_index])
+            return heads
         # A warm-grid provider covers the initial generation: a per-interval
         # bulk call scores a subset of one full-grid column with the same
         # per-row kernel reduction, so slicing the provided grid returns the
@@ -517,67 +647,148 @@ class BaseScheduler(ABC):
         if initial and self._warm_grid is not None:
             warm = self._warm_grid.grid(self.engine)
         for interval_index in range(num_intervals):
-            feasible = self.checker.feasible_events(interval_index)
-            events = np.flatnonzero(feasible & unscheduled).tolist()
-            if not events:
+            events = np.flatnonzero(heads.validity.mask[interval_index])
+            if not events.size:
                 continue
             if warm is not None:
                 scores = warm[events, interval_index]
             else:
                 # Passing None lets the engine score its precomputed full
                 # event set without materialising a per-interval index copy.
-                selector = None if len(events) == num_events else events
+                selector = None if events.size == num_events else events
                 scores = self.engine.interval_scores(interval_index, selector, initial=initial)
-            self._counter.count_generated(len(events))
-            per_interval[interval_index] = [
-                AssignmentEntry(event_index, interval_index, float(score))
-                for event_index, score in zip(events, scores)
-            ]
-        for entries in per_interval:
-            entries.sort(key=AssignmentEntry.sort_key)
-        return per_interval
+            self._counter.count_generated(int(events.size))
+            heads.fill(interval_index, events, np.asarray(scores, dtype=np.float64))
+        return heads
 
-    def _stale_score_fetcher(self, interval_index: int, pending: List[int]):
-        """A ``fetch(event_index) -> float`` closure resolving stale scores in bulk.
+    def _fetch_scores(self, interval_index: int, events: np.ndarray) -> np.ndarray:
+        """Exact current scores of ``events`` at one interval, *not* counted.
 
-        ``pending`` is the (speculative) list of stale, currently-valid events
-        the caller's refresh walk *may* recompute at ``interval_index``, in
-        walk order.  Under the bulk strategies their exact scores are fetched
-        from :meth:`~repro.core.scoring.ScoringEngine.refresh_scores` in
-        blocks of :data:`REFRESH_BLOCK_SIZE` with ``count=False``; each score
-        the walk actually consumes is then counted as one update computation.
-        A speculatively fetched score the walk never consumes is discarded
-        without ever being observed by the algorithm, so schedules, utilities
-        and every counter total stay bit-identical to the scalar reference,
-        which computes (and counts) one pair at a time.
-
-        Under the scalar backend — or on a cache miss — ``fetch`` degrades to
-        one :meth:`~repro.core.scoring.ScoringEngine.assignment_score` call,
-        i.e. exactly the reference behaviour.
+        One :meth:`~repro.core.scoring.ScoringEngine.refresh_scores` call with
+        ``count=False``: the incremental walks fetch stale rows in blocks and
+        count one update computation per row they consume (see
+        :meth:`_refresh_walk`), so a row fetched but never consumed leaves
+        every counter as the one-pair-at-a-time walk of the paper would.
         """
-        engine = self.engine
-        counter = self._counter
-        if not engine.is_bulk or not pending:
-            def fetch_scalar(event_index: int) -> float:
-                return engine.assignment_score(event_index, interval_index)
+        return self.engine.refresh_scores(interval_index, events, count=False)
 
-            return fetch_scalar
+    def _refresh_walk(
+        self,
+        heads: IntervalHeads,
+        interval_index: int,
+        phi: Optional[float],
+        *,
+        stale_stops: bool,
+    ) -> Optional[Tuple[float, int]]:
+        """Refresh the stale entries of one interval that could beat the bound Φ.
 
-        cache: Dict[int, float] = {}
+        The walk goes down the interval's list from the top with a running
+        bound Φ (``phi`` on entry; ``None`` when no bound is known yet):
+        invalid entries are dropped, a stale valid entry is recomputed, and
+        every valid entry's exact score raises Φ.  The walk stops at the
+        first entry whose (stale) score is below Φ minus the engine's
+        per-score floating-point noise bound — stale scores are upper bounds
+        only up to rounding, see
+        :meth:`~repro.core.scoring.ScoringEngine.score_noise_tolerance` — and
+        every deeper entry is below that cut as well.  INC stops at any such
+        entry; with ``stale_stops`` (HOR-I) only a stale one stops the walk.
+
+        The walk runs over array windows.  Without a bound the first valid
+        entry is fetched alone.  After that each window ends at the Φ cut,
+        found with one ``searchsorted`` on the sorted scores, and its stale
+        valid entries are fetched in one :meth:`_fetch_scores` call of at
+        most :data:`REFRESH_BLOCK_SIZE` rows (a walk that began without a
+        bound starts at :data:`FIRST_REFRESH_BLOCK` rows and doubles).  A
+        running maximum over the window then finds where the sequential walk
+        would stop.  Φ only rises, so the cut only moves up, and a fetched row
+        goes unconsumed only when a score fresh in the same window raised Φ
+        past it.
+
+        Counts every entry the walk looks at (through the stop) and one
+        update computation per consumed row.  Returns the best walked valid
+        ``(score, event)`` by the library tie-break, or ``None``.
+        """
+        scores = heads.scores[interval_index]
+        events = heads.events[interval_index]
+        updated = heads.updated[interval_index]
+        size = scores.size
+        tolerance = self.engine.score_noise_tolerance(interval_index)
+        keys = -scores
+        # INC's walk cannot pass the cut of its incoming bound (Φ only rises
+        # and it stops there), so only that prefix is looked up.
+        horizon = size
+        if phi is not None and not stale_stops:
+            horizon = min(size, int(keys.searchsorted(tolerance - phi, side="right")) + 1)
+        valid = heads.validity.mask[interval_index][events[:horizon]]
+        stale = valid & ~updated[:horizon]
+        # The exact score of every valid entry once fetched; -inf marks invalid.
+        exact = np.where(valid, scores[:horizon], -np.inf)
         position = 0
+        stop = size
+        limit = REFRESH_BLOCK_SIZE if phi is not None else FIRST_REFRESH_BLOCK
+        while position < horizon:
+            if phi is None:
+                first = position + int(valid[position:].argmax())
+                if not valid[first]:
+                    break
+                if stale[first]:
+                    exact[first] = self._fetch_scores(interval_index, events[first : first + 1])[0]
+                phi = float(exact[first])
+                position = first + 1
+                continue
+            cut = max(position, int(keys.searchsorted(tolerance - phi, side="right")))
+            block = position + stale[position:cut].nonzero()[0]
+            end = cut
+            if block.size > limit:
+                block = block[:limit]
+                end = int(block[-1]) + 1
+            if block.size:
+                exact[block] = self._fetch_scores(interval_index, events[block])
+                limit = min(2 * limit, REFRESH_BLOCK_SIZE)
+            if end > position:
+                window = exact[position:end]
+                highest = float(window.max())
+                if highest > phi:
+                    # A score above Φ raises the cut inside the window: find
+                    # the first entry below the running Φ minus the noise.
+                    prior = np.maximum.accumulate(np.concatenate(([phi], window[:-1])))
+                    stops = scores[position:end] < prior - tolerance
+                    if stale_stops:
+                        stops &= ~updated[position:end]
+                    first_stop = int(stops.argmax())
+                    if stops[first_stop]:
+                        stop = position + first_stop
+                        break
+                    phi = highest
+                position = end
+            if end == cut:
+                # Everything from the cut on is below it: INC stops right
+                # there, HOR-I at the first stale entry (exact ones pass).
+                if cut < size:
+                    if not stale_stops:
+                        stop = cut
+                    else:
+                        rest = (~updated[cut:]).nonzero()[0]
+                        stop = cut + int(rest[0]) if rest.size else size
+                break
 
-        def fetch(event_index: int) -> float:
-            nonlocal position
-            score = cache.pop(event_index, None)
-            while score is None and position < len(pending):
-                block = pending[position : position + REFRESH_BLOCK_SIZE]
-                position += len(block)
-                values = engine.refresh_scores(interval_index, block, count=False)
-                cache.update(zip(block, (float(value) for value in values)))
-                score = cache.pop(event_index, None)
-            if score is None:
-                return engine.assignment_score(event_index, interval_index)
-            counter.count_score(initial=False)
-            return score
-
-        return fetch
+        walked = valid[:stop].nonzero()[0]
+        consumed = int(np.count_nonzero(stale[:stop]))
+        if consumed:
+            self._counter.count_scores(consumed, initial=False)
+        self._counter.count_examined(stop + 1 if stop < size else size)
+        fresh = exact[walked]
+        if consumed or walked.size < min(stop, horizon):
+            # Walked invalid entries are dropped; walked valid ones are exact.
+            new_scores = scores.copy()
+            new_scores[walked] = fresh
+            new_updated = updated.copy()
+            new_updated[walked] = True
+            kept = np.ones(size, dtype=bool)
+            kept[:stop] = valid[:stop]
+            heads.keep(interval_index, kept, new_scores, new_updated, reorder=consumed > 0)
+        if not walked.size:
+            return None
+        # Smallest (−score, event) key among the walked valid entries.
+        key = min(zip((-fresh).tolist(), events[walked].tolist()))
+        return -key[0], key[1]

@@ -18,9 +18,9 @@ difference of 0.008 % otherwise.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import numpy as np
 
-from repro.algorithms.base import AssignmentEntry, BaseScheduler
+from repro.algorithms.base import BaseScheduler, IntervalHeads, best_index, first_hit
 from repro.core.schedule import Schedule
 
 
@@ -43,33 +43,36 @@ class HorScheduler(BaseScheduler):
 
             # Recompute the scores of every valid assignment for this round
             # (one batched evaluation per interval over its feasible events).
-            lists = self._generate_all_entries(
-                initial=initial_round, only_valid=True, schedule=schedule
-            )
+            heads = self._interval_heads(schedule, initial=initial_round, only_valid=True)
+            unscheduled = heads.validity.unscheduled
 
             # M: per-interval cursor into the sorted list (the interval's current top).
-            cursors = [0] * num_intervals
+            cursors = np.zeros(num_intervals, dtype=np.intp)
+            top_score = np.zeros(num_intervals)
+            top_event = np.full(num_intervals, -1, dtype=np.intp)
+            for interval_index in range(num_intervals):
+                if heads.size(interval_index):
+                    top_score[interval_index] = heads.scores[interval_index][0]
+                    top_event[interval_index] = heads.events[interval_index][0]
             # Intervals that already received an event this round are closed.
-            closed = [False] * num_intervals
+            closed = np.zeros(num_intervals, dtype=bool)
 
             selected_this_round = 0
             while len(schedule) < k:
-                best: Optional[AssignmentEntry] = None
-                best_interval = -1
-                for interval_index in range(num_intervals):
-                    if closed[interval_index]:
-                        continue
-                    entry = self._advance_cursor(lists, cursors, interval_index, schedule)
-                    if entry is None:
-                        continue
-                    counter.count_examined()
-                    if best is None or entry.sort_key() < best.sort_key():
-                        best = entry
-                        best_interval = interval_index
-                if best is None:
+                # Only an open interval whose top event was just scheduled
+                # elsewhere moves its cursor; every other top is unchanged.
+                taken = ~closed & (top_event >= 0) & ~unscheduled[top_event]
+                for interval_index in np.flatnonzero(taken).tolist():
+                    self._advance_cursor(heads, cursors, interval_index, top_score, top_event)
+                has_top = ~closed & (top_event >= 0)
+                counter.count_examined(int(np.count_nonzero(has_top)))
+                best = best_index(top_score, top_event, has_top)
+                if best < 0:
                     break
-                self._select_assignment(schedule, best.event_index, best_interval, best.score)
-                closed[best_interval] = True
+                event_index = int(top_event[best])
+                self._select_assignment(schedule, event_index, best, float(top_score[best]))
+                heads.validity.commit(event_index, best)
+                closed[best] = True
                 selected_this_round += 1
 
             if selected_this_round == 0:
@@ -80,24 +83,27 @@ class HorScheduler(BaseScheduler):
 
     def _advance_cursor(
         self,
-        lists: List[List[AssignmentEntry]],
-        cursors: List[int],
+        heads: IntervalHeads,
+        cursors: np.ndarray,
         interval_index: int,
-        schedule: Schedule,
-    ) -> Optional[AssignmentEntry]:
+        top_score: np.ndarray,
+        top_event: np.ndarray,
+    ) -> None:
         """Move the interval's cursor past entries whose event got scheduled.
 
         Entries were generated as feasible at the start of the round and the
         interval has not received a new event since (otherwise it would be
         closed), so only the "event already scheduled" condition can
-        invalidate them mid-round.
+        invalidate them mid-round.  Each skipped entry counts as examined.
         """
-        entries = lists[interval_index]
-        position = cursors[interval_index]
-        while position < len(entries) and schedule.is_scheduled(entries[position].event_index):
-            self.counter.count_examined()
-            position += 1
-        cursors[interval_index] = position
-        if position >= len(entries):
-            return None
-        return entries[position]
+        start = int(cursors[interval_index])
+        events = heads.events[interval_index][start:]
+        offset, _ = first_hit(heads.validity.unscheduled[events])
+        skipped = events.size if offset < 0 else offset
+        self.counter.count_examined(skipped)
+        cursors[interval_index] = start + skipped
+        if offset < 0:
+            top_event[interval_index] = -1
+        else:
+            top_score[interval_index] = heads.scores[interval_index][start + offset]
+            top_event[interval_index] = events[offset]

@@ -22,17 +22,19 @@ bound pruning never hides an assignment that HOR would have chosen — while
 performing at most as many score computations.  When ``k ≤ |T|`` only one
 round is needed and HOR-I degenerates to HOR.
 
-Under the batch scoring backend both incremental paths are batched: the
-round-start refresh collects the stale prefix its walk can reach and resolves
-it through the engine's bulk
-:meth:`~repro.core.scoring.ScoringEngine.refresh_scores` API, and the lazy
-head resolution of :meth:`HorIScheduler._interval_top` fetches the run of
-stale heads in blocks instead of one score per head.  Both count one update
-computation per score the walk actually consumes, so schedules, utilities and
-counters stay bit-identical to the scalar reference.  ``_interval_top`` also
-replaces the former ``pop(0)`` + ``bisect.insort`` bookkeeping (O(n) per
-dropped head, quadratic over a run) with a cursor over the sorted list plus a
-heap of freshly resolved entries, merged back once per call.
+Both incremental paths run on array-backed lists
+(:class:`~repro.algorithms.base.IntervalHeads`).  The round-start refresh is
+the walk INC uses (:meth:`~repro.algorithms.base.BaseScheduler._refresh_walk`,
+stopping only at stale entries).  It starts without a bound, so it fetches
+the first valid entry alone and then blocks of stale rows cut at the running
+Φ, growing from :data:`~repro.algorithms.base.FIRST_REFRESH_BLOCK` rows.
+The lazy head resolution of :meth:`HorIScheduler._interval_top` skips
+invalid heads with one ``argmax`` and fetches runs of stale heads the same
+way, cut at the best score resolved so far.  Both count one update
+computation per score consumed, so schedules, utilities and counters stay
+identical to the one-entry-at-a-time walk under every backend.  Within a
+round an open interval's top changes only when its event is scheduled
+elsewhere, so the selection sweep resolves only those tops again.
 
 Pruning uses the stale scores only, as in the paper.  The engine's
 structural per-interval Φ bound
@@ -45,10 +47,17 @@ unstructured instance.
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from repro.algorithms.base import AssignmentEntry, BaseScheduler
+import numpy as np
+
+from repro.algorithms.base import (
+    FIRST_REFRESH_BLOCK,
+    REFRESH_BLOCK_SIZE,
+    BaseScheduler,
+    IntervalHeads,
+    best_index,
+)
 from repro.core.schedule import Schedule
 
 
@@ -63,61 +72,56 @@ class HorIScheduler(BaseScheduler):
         schedule = self._start_schedule()
 
         num_intervals = instance.num_intervals
-        lists: List[List[AssignmentEntry]] = [[] for _ in range(num_intervals)]
+        heads: Optional[IntervalHeads] = None
         # has_stale[i]: interval i contains entries whose score predates its last change.
-        has_stale = [False] * num_intervals
+        has_stale = np.zeros(num_intervals, dtype=bool)
+        top_score = np.zeros(num_intervals)
+        top_event = np.full(num_intervals, -1, dtype=np.intp)
 
         rounds = 0
         while len(schedule) < k:
             rounds += 1
 
-            if rounds == 1:
+            if heads is None:
                 # First round: generate and score every valid assignment (like
                 # HOR) — one batched evaluation per interval.
-                lists = self._generate_all_entries(
-                    initial=True, only_valid=True, schedule=schedule
-                )
+                heads = self._interval_heads(schedule, only_valid=True)
             else:
                 # Later rounds: refresh only the intervals whose scores went stale,
                 # and within them only the entries that can still be the top.
-                for interval_index in range(num_intervals):
-                    if has_stale[interval_index]:
-                        self._refresh_interval(interval_index, lists, schedule)
-                        has_stale[interval_index] = any(
-                            not entry.updated for entry in lists[interval_index]
-                        )
+                for interval_index in np.flatnonzero(has_stale).tolist():
+                    self._refresh_walk(heads, interval_index, None, stale_stops=True)
+                    has_stale[interval_index] = not heads.updated[interval_index].all()
+            unscheduled = heads.validity.unscheduled
 
             # ---------------- selection phase (horizontal policy) ----------------
-            closed = [False] * num_intervals
+            closed = np.zeros(num_intervals, dtype=bool)
+            # Every interval's top is resolved at the start of a round; later
+            # only those whose top event was just scheduled elsewhere change.
+            resolve = np.ones(num_intervals, dtype=bool)
             selected_this_round = 0
             while len(schedule) < k:
-                best: Optional[AssignmentEntry] = None
-                best_interval = -1
-                for interval_index in range(num_intervals):
-                    if closed[interval_index]:
-                        continue
-                    entry = self._interval_top(interval_index, lists, schedule)
-                    if entry is None:
-                        continue
-                    counter.count_examined()
-                    if best is None or entry.sort_key() < best.sort_key():
-                        best = entry
-                        best_interval = interval_index
-                if best is None:
+                open_intervals = ~closed
+                for interval_index in np.flatnonzero(open_intervals & resolve).tolist():
+                    self._interval_top(heads, interval_index, top_score, top_event)
+                # A top resolved earlier this round is still the list head, exact
+                # and valid, with no stale entry in its noise window: looking it
+                # up again examines one entry.
+                has_top = open_intervals & (top_event >= 0)
+                counter.count_examined(int(np.count_nonzero(has_top & ~resolve)))
+                counter.count_examined(int(np.count_nonzero(has_top)))
+                best = best_index(top_score, top_event, has_top)
+                if best < 0:
                     break
-                self._select_assignment(schedule, best.event_index, best_interval, best.score)
-                closed[best_interval] = True
+                event_index = int(top_event[best])
+                self._select_assignment(schedule, event_index, best, float(top_score[best]))
+                heads.validity.commit(event_index, best)
+                closed[best] = True
                 selected_this_round += 1
                 # The interval's remaining scores now predate its new state.
-                remaining = [
-                    entry
-                    for entry in lists[best_interval]
-                    if entry.event_index != best.event_index
-                ]
-                for entry in remaining:
-                    entry.updated = False
-                lists[best_interval] = remaining
-                has_stale[best_interval] = bool(remaining)
+                heads.drop_event(best, event_index)
+                has_stale[best] = heads.size(best) > 0
+                resolve = (top_event >= 0) & ~unscheduled[top_event]
 
             if selected_this_round == 0:
                 break
@@ -128,255 +132,212 @@ class HorIScheduler(BaseScheduler):
     # ------------------------------------------------------------------ #
     # Internal helpers
     # ------------------------------------------------------------------ #
-    def _refresh_interval(
-        self,
-        interval_index: int,
-        lists: List[List[AssignmentEntry]],
-        schedule: Schedule,
-    ) -> None:
-        """Round-start incremental refresh of one stale interval (Algorithm 3, lines 9–20).
-
-        Walks the score-sorted list keeping a running bound Φ (the best exact
-        score recomputed so far).  A stale entry is recomputed only while its
-        stale score is at least Φ minus the engine's per-score floating-point
-        noise bound (stale scores over-estimate true scores only up to
-        rounding); the walk stops at the first stale entry below that cut.
-
-        Under the batch backend the stale prefix the walk can reach is
-        resolved through the bulk refresh API in blocks; the fetcher counts
-        exactly the scores the walk consumes.
-        """
-        counter = self.counter
-        checker = self.checker
-        tolerance = self.engine.score_noise_tolerance(interval_index)
-        entries = lists[interval_index]
-        fetch = self._stale_score_fetcher(
-            interval_index, self._stale_prefix(interval_index, entries, schedule)
-        )
-        kept: List[AssignmentEntry] = []
-        phi: Optional[float] = None
-        stop_index = len(entries)
-
-        for position, entry in enumerate(entries):
-            counter.count_examined()
-            if not entry.updated and phi is not None and entry.score < phi - tolerance:
-                stop_index = position
-                break
-            if schedule.is_scheduled(entry.event_index) or not checker.is_feasible(
-                entry.event_index, interval_index
-            ):
-                continue  # drop invalid entries met in the refreshed prefix
-            if not entry.updated:
-                entry.score = fetch(entry.event_index)
-                entry.updated = True
-            if phi is None or entry.score > phi:
-                phi = entry.score
-            kept.append(entry)
-
-        kept.extend(entries[stop_index:])
-        kept.sort(key=AssignmentEntry.sort_key)
-        lists[interval_index] = kept
-
-    def _stale_prefix(
-        self,
-        interval_index: int,
-        entries: List[AssignmentEntry],
-        schedule: Schedule,
-    ) -> List[int]:
-        """Stale, valid events the refresh walk can reach, in walk order.
-
-        The collection keeps a *known* bound — the best exact score among the
-        already-updated valid entries seen so far — and stops at the first
-        stale entry below it.  The walk's actual Φ also absorbs freshly
-        recomputed scores, so it is at least the known bound and the walk
-        stops at or before the collected prefix: the collection is a superset
-        of what the walk can consume.  Pure bookkeeping — no counter side
-        effects.  Skipped under the scalar backend.
-        """
-        if not self.engine.is_bulk:
-            return []
-        checker = self.checker
-        tolerance = self.engine.score_noise_tolerance(interval_index)
-        known_bound: Optional[float] = None
-        pending: List[int] = []
-        for entry in entries:
-            if (
-                not entry.updated
-                and known_bound is not None
-                and entry.score < known_bound - tolerance
-            ):
-                break
-            if schedule.is_scheduled(entry.event_index) or not checker.is_feasible(
-                entry.event_index, interval_index
-            ):
-                continue
-            if entry.updated:
-                if known_bound is None or entry.score > known_bound:
-                    known_bound = entry.score
-            else:
-                pending.append(entry.event_index)
-        return pending
-
     def _interval_top(
         self,
+        heads: IntervalHeads,
         interval_index: int,
-        lists: List[List[AssignmentEntry]],
-        schedule: Schedule,
-    ) -> Optional[AssignmentEntry]:
+        top_score: np.ndarray,
+        top_event: np.ndarray,
+    ) -> None:
         """Exact, valid top assignment of one interval, resolving stale heads lazily.
 
         Invalid heads (event already scheduled, or no longer feasible) are
-        dropped; a stale head is recomputed and competes at its exact score.
-        Because stale scores are upper bounds, once the head is exact and
-        valid it is guaranteed to be the interval's true top — up to the
-        floating-point noise of a score: a deeper stale entry whose stale
-        score is within the engine's noise bound of the head could still beat
-        it once resolved, so such entries are resolved (and compete through
-        the heap) before the head is trusted.
+        dropped; a stale head is recomputed and competes at its exact score
+        against the deeper entries.  Because stale scores are upper bounds,
+        once the head is exact and valid it is guaranteed to be the
+        interval's true top — up to the floating-point noise of a score: a
+        deeper stale entry whose stale score is within the engine's noise
+        bound of the head could still beat it once resolved, so such entries
+        are resolved (and compete) before the head is trusted.
 
-        The head of the interval is the better of the sorted list's cursor
-        position and the top of a heap holding the entries resolved during
-        this call — dropping a head advances the cursor (O(1)) and resolving
-        one pushes onto the heap (O(log r)), instead of the former
-        ``pop(0)`` + ``bisect.insort`` pair that shifted the whole list per
-        head and went quadratic over a run of stale or invalid heads.  The
-        heap and the list tail are merged back once, on exit.  Runs of stale
-        heads are recomputed in speculative blocks via the bulk refresh API;
-        consumed scores are counted one by one, so every counter total
-        matches the scalar reference exactly.
+        The head is the better of the list's cursor position and the leader,
+        the best entry resolved during this call.  Runs of list heads that are
+        invalid or stale and that no resolved entry beats are processed as
+        one array window: the stale ones are fetched in one Φ-cut block (only
+        rows whose stale score reaches the leader's score minus the noise
+        bound can be consumed).  The head alone is fetched while
+        nothing has been resolved.  The step at a window's end — an exact
+        head, a tie with a resolved entry, a noise blocker — is taken one
+        entry at a time.  Every consumed score is counted as one update
+        computation and every looked-at entry as examined, as in the
+        one-entry-at-a-time walk.  Writes the result into
+        ``top_score``/``top_event`` (-1: no valid entry left) and merges the
+        resolved entries back into the list.
         """
+        scores = heads.scores[interval_index]
+        events = heads.events[interval_index]
+        updated = heads.updated[interval_index]
+        size = scores.size
         counter = self.counter
-        checker = self.checker
-        tolerance = self.engine.score_noise_tolerance(interval_index)
-        entries = lists[interval_index]
-        start = 0
-        resolved: List[Tuple[Tuple[float, int, int], AssignmentEntry]] = []
-        fetch = None
-        result: Optional[AssignmentEntry] = None
+        if not size:
+            top_event[interval_index] = -1
+            return
+        valid = heads.valid(interval_index)
+        # Every list head before the first valid entry is dropped unresolved.
+        cursor = int(valid.argmax())
+        if not valid[cursor]:
+            counter.count_examined(size)
+            top_event[interval_index] = -1
+            heads.drop_front(interval_index, size)
+            return
+        if updated[cursor] and self._noise_blocker(
+            heads, interval_index, valid, cursor + 1, scores[cursor]
+        ) < 0:
+            # The first valid entry is exact and nothing can beat it.
+            counter.count_examined(cursor + 1)
+            top_score[interval_index] = scores[cursor]
+            top_event[interval_index] = events[cursor]
+            heads.drop_front(interval_index, cursor)
+            return
 
-        while start < len(entries) or resolved:
-            head: Optional[AssignmentEntry] = entries[start] if start < len(entries) else None
-            if resolved and (head is None or resolved[0][0] < head.sort_key()):
-                head = resolved[0][1]
-                from_heap = True
+        tolerance = self.engine.score_noise_tolerance(interval_index)
+        exact = scores.copy()
+        fetched = updated.copy()
+        resolved = np.zeros(size, dtype=bool)
+        # Entries still in the list: blockers resolved out of order leave it.
+        listed = np.ones(size, dtype=bool)
+        keys = -scores
+        leader = -1  # position of the best entry resolved so far
+        limit = FIRST_REFRESH_BLOCK
+        examined = cursor
+        result = -1
+
+        def fetch(positions: np.ndarray) -> None:
+            positions = positions[~fetched[positions]]
+            if positions.size:
+                exact[positions] = self._fetch_scores(interval_index, events[positions])
+                fetched[positions] = True
+
+        def resolve(position: int) -> None:
+            nonlocal leader
+            fetch(np.array([position]))
+            resolved[position] = True
+            if leader < 0 or beats(position, leader):
+                leader = position
+
+        def beats(first: int, second: int) -> bool:
+            """Whether resolved entry ``first`` precedes ``second`` in key order."""
+            return exact[first] > exact[second] or (
+                exact[first] == exact[second] and events[first] < events[second]
+            )
+
+        while True:
+            while cursor < size and not listed[cursor]:
+                cursor += 1
+            # Window: list heads before the first exact valid entry (which
+            # ends any run) and, once something is resolved, above the Φ cut.
+            exact_valid = np.flatnonzero(valid[cursor:] & updated[cursor:] & listed[cursor:])
+            end = cursor + int(exact_valid[0]) if exact_valid.size else size
+            window = slice(cursor, end)
+            stale = cursor + np.flatnonzero(~updated[window] & valid[window] & listed[window])
+            if leader < 0:
+                # Nothing resolved yet, so no bound: fetch the head alone.
+                if stale.size:
+                    stale = stale[:1]
+                    end = int(stale[0]) + 1
             else:
-                from_heap = False
-            counter.count_examined()
-            if schedule.is_scheduled(head.event_index) or not checker.is_feasible(
-                head.event_index, interval_index
-            ):
-                if from_heap:
-                    heapq.heappop(resolved)
-                else:
-                    start += 1
+                end = min(end, int(keys.searchsorted(tolerance - exact[leader], side="right")))
+                stale = stale[stale < end]
+                if stale.size > limit:
+                    stale = stale[:limit]
+                    end = int(stale[-1]) + 1
+                if stale.size:
+                    limit = min(2 * limit, REFRESH_BLOCK_SIZE)
+            fetch(stale)
+            if end > cursor:
+                # Entries of the window processed in bulk: a list head is
+                # taken while the best resolved score stays strictly below its
+                # stale score (equal scores go to the one-entry step).
+                window = slice(cursor, end)
+                in_window = listed[window]
+                resolvable = in_window & valid[window] & ~updated[window]
+                fresh = np.where(resolvable, exact[window], -np.inf)
+                first = exact[leader] if leader >= 0 else -np.inf
+                best_before = np.maximum.accumulate(np.concatenate(([first], fresh[:-1])))
+                taken = np.flatnonzero(best_before >= scores[window])
+                reach = cursor + (int(taken[0]) if taken.size else end - cursor)
+                if reach > cursor:
+                    run = slice(cursor, reach)
+                    examined += int(np.count_nonzero(listed[run]))
+                    run_stale = cursor + np.flatnonzero(listed[run] & valid[run] & ~updated[run])
+                    if run_stale.size:
+                        resolved[run_stale] = True
+                        best = int(run_stale[best_index(exact[run_stale], events[run_stale])])
+                        if leader < 0 or beats(best, leader):
+                            leader = best
+                    cursor = reach
+                    continue
+            # One entry at a time: exact key comparison of the list head with
+            # the leader, then the per-head rules.
+            list_head = cursor < size
+            if not list_head and leader < 0:
+                break
+            from_leader = leader >= 0 and (
+                not list_head
+                or exact[leader] > scores[cursor]
+                or (exact[leader] == scores[cursor] and events[leader] < events[cursor])
+            )
+            examined += 1
+            if not from_leader and not valid[cursor]:
+                cursor += 1
                 continue
-            if head.updated:
-                # Noise guard: a deeper stale, valid entry whose stale score
-                # is within the per-score rounding bound of the head's exact
-                # score could still beat it once resolved.  Resolve the first
-                # such entry and re-compete instead of trusting the head.
-                blocker_position = self._noise_blocker(
-                    entries,
-                    start if from_heap else start + 1,
-                    head.score - tolerance,
+            if from_leader or updated[cursor]:
+                head = leader if from_leader else cursor
+                blocker = self._noise_blocker(
+                    heads,
                     interval_index,
-                    schedule,
+                    valid & listed,
+                    cursor if from_leader else cursor + 1,
+                    exact[head],
                 )
-                if blocker_position is not None:
-                    blocker = entries[blocker_position]
-                    counter.count_examined()
-                    if fetch is None:
-                        fetch = self._stale_score_fetcher(
-                            interval_index,
-                            self._stale_run(interval_index, entries, schedule, start),
-                        )
-                    blocker.score = fetch(blocker.event_index)
-                    blocker.updated = True
-                    del entries[blocker_position]
-                    heapq.heappush(resolved, (blocker.sort_key(), blocker))
+                if blocker >= 0:
+                    # Noise guard: a deeper stale, valid entry whose stale
+                    # score is within the per-score rounding bound of the
+                    # head's exact score could still beat it once resolved.
+                    examined += 1
+                    listed[blocker] = False
+                    resolve(blocker)
                     continue
                 result = head
                 break
-            # Stale, valid list head: resolve it from the speculative block
-            # cache (built lazily, at most once per call) and let it compete
-            # at its exact score via the heap.
-            if fetch is None:
-                fetch = self._stale_score_fetcher(
-                    interval_index, self._stale_run(interval_index, entries, schedule, start)
-                )
-            head.score = fetch(head.event_index)
-            head.updated = True
-            start += 1
-            heapq.heappush(resolved, (head.sort_key(), head))
+            resolve(cursor)
+            cursor += 1
 
-        if resolved:
-            exact = [item[1] for item in sorted(resolved, key=lambda item: item[0])]
-            lists[interval_index] = list(
-                heapq.merge(exact, entries[start:], key=AssignmentEntry.sort_key)
-            )
-        elif start:
-            del entries[:start]
-        return result
+        consumed = int(np.count_nonzero(resolved))
+        if consumed:
+            counter.count_scores(consumed, initial=False)
+        counter.count_examined(examined)
+        if result < 0:
+            top_event[interval_index] = -1
+        else:
+            top_score[interval_index] = exact[result]
+            top_event[interval_index] = events[result]
+        # Entries the cursor passed without resolving them were invalid: dropped.
+        keep = resolved | (np.arange(size) >= cursor)
+        fresh_scores = np.where(resolved, exact, scores)
+        heads.keep(interval_index, keep, fresh_scores, updated | resolved, reorder=consumed > 0)
 
     def _noise_blocker(
         self,
-        entries: List[AssignmentEntry],
-        position: int,
-        cut: float,
+        heads: IntervalHeads,
         interval_index: int,
-        schedule: Schedule,
-    ) -> Optional[int]:
-        """Index of the first stale, valid entry at/after ``position`` scoring ≥ ``cut``.
+        valid: np.ndarray,
+        position: int,
+        score: float,
+    ) -> int:
+        """Position of the first stale, valid entry at/after ``position`` scoring ≥ ``cut``.
 
-        ``cut`` is the exact head score minus the per-score noise bound:
+        ``cut`` is the exact head ``score`` minus the per-score noise bound:
         entries below it cannot beat the head even after resolution, and
         updated entries in the window are exact and sorted behind the head,
-        so they cannot either.  Returns ``None`` when the head is safe.  Pure
+        so they cannot either.  Returns -1 when the head is safe.  Pure
         bookkeeping — no counter side effects.
         """
-        checker = self.checker
-        for index in range(position, len(entries)):
-            entry = entries[index]
-            if entry.score < cut:
-                return None
-            if entry.updated:
-                continue
-            if schedule.is_scheduled(entry.event_index) or not checker.is_feasible(
-                entry.event_index, interval_index
-            ):
-                continue
-            return index
-        return None
-
-    def _stale_run(
-        self,
-        interval_index: int,
-        entries: List[AssignmentEntry],
-        schedule: Schedule,
-        start: int,
-    ) -> List[int]:
-        """The run of stale, valid events from ``start`` that head resolution can reach.
-
-        Invalid entries are skipped (the cursor drops them without a score);
-        the run ends at the first updated valid entry — once it surfaces as
-        the list head it is returned before any deeper stale entry could be
-        examined *by the normal walk*.  The noise-blocker guard of
-        :meth:`_interval_top` can reach past that entry (a stale entry within
-        the rounding window of an exact head); such resolutions miss this
-        speculative cache and fall back to a per-pair score, which the
-        fetcher computes and counts identically.  Pure bookkeeping — no
-        counter side effects.  Skipped under the scalar backend.
-        """
-        if not self.engine.is_bulk:
-            return []
-        checker = self.checker
-        pending: List[int] = []
-        for entry in entries[start:]:
-            if schedule.is_scheduled(entry.event_index) or not checker.is_feasible(
-                entry.event_index, interval_index
-            ):
-                continue
-            if entry.updated:
-                break
-            pending.append(entry.event_index)
-        return pending
+        scores = heads.scores[interval_index]
+        cut = score - self.engine.score_noise_tolerance(interval_index)
+        if position >= scores.size or scores[position] < cut:
+            return -1
+        end = int(np.searchsorted(-scores, -cut, side="right"))
+        window = slice(position, end)
+        blockers = np.flatnonzero(valid[window] & ~heads.updated[interval_index][window])
+        return position + int(blockers[0]) if blockers.size else -1

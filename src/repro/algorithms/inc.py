@@ -22,14 +22,18 @@ fewer assignments.  It rests on two ideas:
 The tie-break (score, then event index, then interval index) is shared with
 ALG so the two algorithms select identical assignments even under ties.
 
-Under the batch scoring backend the incremental refresh itself is batched:
-:meth:`IncScheduler._update_interval` collects the stale prefix that could
-beat Φ (stale scores only over-estimate, so the prefix under the entry bound
-is a superset of what the walk can recompute) and resolves it through the
-engine's bulk :meth:`~repro.core.scoring.ScoringEngine.refresh_scores` API in
-blocks, counting one update computation per score the walk actually consumes
-— schedules, utilities and counters stay bit-identical to the scalar
-reference (see :meth:`~repro.algorithms.base.BaseScheduler._stale_score_fetcher`).
+The per-interval lists are array-backed
+(:class:`~repro.algorithms.base.IntervalHeads`): each interval holds its
+scores, events and updated flags in ``(−score, event)`` order, validity is
+one lookup in a shared mask, and ``M_t`` is the first updated, valid entry
+found with one ``argmax``.  The refresh walk
+(:meth:`~repro.algorithms.base.BaseScheduler._refresh_walk`) fetches the
+stale rows above the running Φ through the engine's bulk
+:meth:`~repro.core.scoring.ScoringEngine.refresh_scores` API in Φ-cut
+blocks and finds the walk's stop with a running maximum; it counts one
+update computation per consumed score and derives the examined entries from
+the stop position, so schedules, utilities and counters stay identical to
+the one-entry-at-a-time walk under every backend.
 
 On top of the paper's stale-score bound, the engine offers a *structural*
 per-interval upper bound
@@ -48,9 +52,17 @@ check (the benchmark baseline).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.algorithms.base import AssignmentEntry, BaseScheduler, better_candidate
+import numpy as np
+
+from repro.algorithms.base import (
+    BaseScheduler,
+    IntervalHeads,
+    best_index,
+    better_candidate,
+    first_hit,
+)
 from repro.core.schedule import Schedule
 
 Candidate = Tuple[float, int, int]
@@ -70,44 +82,47 @@ class IncScheduler(BaseScheduler):
 
     def _run(self, k: int) -> Schedule:
         instance = self.instance
+        engine = self.engine
         counter = self.counter
         schedule = self._start_schedule()
 
         num_intervals = instance.num_intervals
 
         # ------------------------------------------------------------------
-        # Initialisation: generate all assignments (one batched evaluation per
-        # interval), grouped and sorted per interval.
+        # Initialisation: generate all assignments (one bulk score matrix),
+        # grouped and sorted per interval.
         # ------------------------------------------------------------------
-        lists = self._generate_all_entries(initial=True)
+        heads = self._interval_heads(schedule)
 
         # has_stale[i] — interval i contains at least one not-updated assignment.
-        has_stale = [False] * num_intervals
-        # tops[i] — best *updated and valid* candidate of interval i (M_t in the paper).
-        tops: List[Optional[Candidate]] = [
-            self._find_top_updated_valid(lists[i], schedule) for i in range(num_intervals)
-        ]
+        has_stale = np.zeros(num_intervals, dtype=bool)
+        # top_score/top_event[i] — best *updated and valid* candidate of
+        # interval i (M_t in the paper); top_event -1 means none.
+        top_score = np.zeros(num_intervals)
+        top_event = np.full(num_intervals, -1, dtype=np.intp)
+        for interval_index in range(num_intervals):
+            self._find_top_updated_valid(heads, interval_index, top_score, top_event)
+        interval_range = np.arange(num_intervals)
 
         iterations = 0
         while len(schedule) < k:
             iterations += 1
 
             # Bound Φ: the best exact, valid candidate currently known.
-            phi: Optional[Candidate] = None
-            for candidate in tops:
-                counter.count_examined()
-                phi = better_candidate(phi, candidate)
+            counter.count_examined(num_intervals)
+            best = best_index(top_score, top_event, top_event >= 0)
+            phi: Optional[Candidate] = (
+                None if best < 0 else (float(top_score[best]), int(top_event[best]), best)
+            )
 
             # Incremental updates: only stale assignments that could beat Φ.
-            for interval_index in range(num_intervals):
-                if not has_stale[interval_index]:
-                    continue
-                entries = lists[interval_index]
-                if not entries:
+            for interval_index in np.flatnonzero(has_stale).tolist():
+                if not heads.size(interval_index):
                     has_stale[interval_index] = False
                     continue
                 counter.count_examined()  # peek at the interval head (M_t check)
-                if phi is not None and entries[0].score < phi[0] - self.engine.score_noise_tolerance(interval_index):
+                tolerance = engine.score_noise_tolerance(interval_index)
+                if phi is not None and heads.scores[interval_index][0] < phi[0] - tolerance:
                     # Every stale score in this interval is below Φ by more
                     # than the floating-point noise of a score, hence so is
                     # every true score (Proposition 1): skip the interval.
@@ -115,8 +130,7 @@ class IncScheduler(BaseScheduler):
                 if (
                     phi is not None
                     and self._use_interval_bounds
-                    and self.engine.interval_score_bound(interval_index)
-                    < phi[0] - 4.0 * self.engine.score_noise_tolerance(interval_index)
+                    and engine.interval_score_bound(interval_index) < phi[0] - 4.0 * tolerance
                 ):
                     # Second chance: the structural bound caps every fresh
                     # score in this interval, so even after recomputation no
@@ -126,38 +140,36 @@ class IncScheduler(BaseScheduler):
                     # the schedule — identical.
                     counter.bump("phi_bound_interval_skips")
                     continue
-                phi = self._update_interval(
-                    interval_index, lists, tops, schedule, phi
+                walked = self._refresh_walk(
+                    heads, interval_index, None if phi is None else phi[0], stale_stops=False
                 )
-                has_stale[interval_index] = any(not entry.updated for entry in lists[interval_index])
+                if walked is not None:
+                    candidate: Candidate = (walked[0], walked[1], interval_index)
+                    top: Optional[Candidate] = None
+                    if top_event[interval_index] >= 0:
+                        top = (top_score[interval_index], top_event[interval_index], interval_index)
+                    top = better_candidate(top, candidate)
+                    top_score[interval_index], top_event[interval_index] = top[0], top[1]
+                    phi = better_candidate(phi, candidate)
+                has_stale[interval_index] = not heads.updated[interval_index].all()
 
             if phi is None:
                 break  # No valid assignment remains anywhere.
 
             score, event_index, interval_index = phi
             self._select_assignment(schedule, event_index, interval_index, score)
+            heads.validity.commit(event_index, interval_index)
 
             # The selected interval's scores all become stale.
-            selected_entries = lists[interval_index]
-            lists[interval_index] = [
-                entry for entry in selected_entries if entry.event_index != event_index
-            ]
-            for entry in lists[interval_index]:
-                entry.updated = False
-            has_stale[interval_index] = bool(lists[interval_index])
-            tops[interval_index] = None
+            heads.drop_event(interval_index, event_index)
+            has_stale[interval_index] = heads.size(interval_index) > 0
+            top_event[interval_index] = -1
 
             # Other intervals: the selected event's assignments become invalid.
             # Only the interval tops that referenced it must be recomputed now;
             # the list entries themselves are dropped lazily.
-            for other_interval in range(num_intervals):
-                if other_interval == interval_index:
-                    continue
-                top = tops[other_interval]
-                if top is not None and top[1] == event_index:
-                    tops[other_interval] = self._find_top_updated_valid(
-                        lists[other_interval], schedule
-                    )
+            for other_interval in interval_range[top_event == event_index].tolist():
+                self._find_top_updated_valid(heads, other_interval, top_score, top_event)
 
         self.note("iterations", iterations)
         return schedule
@@ -165,108 +177,24 @@ class IncScheduler(BaseScheduler):
     # ------------------------------------------------------------------ #
     # Internal helpers
     # ------------------------------------------------------------------ #
-    def _update_interval(
-        self,
-        interval_index: int,
-        lists: List[List[AssignmentEntry]],
-        tops: List[Optional[Candidate]],
-        schedule: Schedule,
-        phi: Optional[Candidate],
-    ) -> Optional[Candidate]:
-        """Refresh the stale assignments of one interval that could beat Φ.
-
-        Walks the interval's score-sorted list from the top; every stale entry
-        whose (stale) score is at least Φ (minus the engine's per-score
-        floating-point noise bound — stale scores are upper bounds only up to
-        rounding, see :meth:`~repro.core.scoring.ScoringEngine.score_noise_tolerance`)
-        is recomputed.  The walk stops at the first entry below that cut —
-        all deeper entries are below it as well.  Returns the possibly-improved
-        Φ.
-
-        Under the batch backend the stale prefix above the *incoming* Φ is
-        resolved through the bulk refresh API: Φ only rises during the walk,
-        so that prefix is a superset of what the walk can consume, and the
-        fetcher counts exactly the consumed scores.
-        """
-        counter = self.counter
-        checker = self.checker
-        tolerance = self.engine.score_noise_tolerance(interval_index)
-        entries = lists[interval_index]
-        fetch = self._stale_score_fetcher(
-            interval_index,
-            self._stale_prefix(interval_index, entries, schedule, phi),
-        )
-        kept: List[AssignmentEntry] = []
-        stop_index = len(entries)
-
-        for position, entry in enumerate(entries):
-            counter.count_examined()
-            if phi is not None and entry.score < phi[0] - tolerance:
-                stop_index = position
-                break
-            if schedule.is_scheduled(entry.event_index) or not checker.is_feasible(
-                entry.event_index, interval_index
-            ):
-                continue  # drop invalid entries encountered in the prefix
-            if not entry.updated:
-                entry.score = fetch(entry.event_index)
-                entry.updated = True
-            candidate: Candidate = (entry.score, entry.event_index, entry.interval_index)
-            tops[interval_index] = better_candidate(tops[interval_index], candidate)
-            phi = better_candidate(phi, candidate)
-            kept.append(entry)
-
-        kept.extend(entries[stop_index:])
-        kept.sort(key=AssignmentEntry.sort_key)
-        lists[interval_index] = kept
-        return phi
-
-    def _stale_prefix(
-        self,
-        interval_index: int,
-        entries: List[AssignmentEntry],
-        schedule: Schedule,
-        phi: Optional[Candidate],
-    ) -> List[int]:
-        """Stale, valid events in the prefix that could beat the incoming Φ.
-
-        A superset (in walk order) of the entries :meth:`_update_interval`
-        can recompute: the walk's Φ only ever rises, so it stops at or before
-        the first entry below the incoming bound.  Pure bookkeeping — no
-        counter side effects.  Skipped under the scalar backend, where the
-        fetcher computes pairs one at a time anyway.
-        """
-        if not self.engine.is_bulk:
-            return []
-        checker = self.checker
-        tolerance = self.engine.score_noise_tolerance(interval_index)
-        bound = None if phi is None else phi[0]
-        pending: List[int] = []
-        for entry in entries:
-            if bound is not None and entry.score < bound - tolerance:
-                break
-            if entry.updated:
-                continue
-            if schedule.is_scheduled(entry.event_index) or not checker.is_feasible(
-                entry.event_index, interval_index
-            ):
-                continue
-            pending.append(entry.event_index)
-        return pending
-
     def _find_top_updated_valid(
-        self, entries: List[AssignmentEntry], schedule: Schedule
-    ) -> Optional[Candidate]:
-        """First updated & valid entry of a score-sorted list (``getTopAssgn``)."""
-        counter = self.counter
-        checker = self.checker
-        for entry in entries:
-            counter.count_examined()
-            if not entry.updated:
-                continue
-            if schedule.is_scheduled(entry.event_index):
-                continue
-            if not checker.is_feasible(entry.event_index, entry.interval_index):
-                continue
-            return (entry.score, entry.event_index, entry.interval_index)
-        return None
+        self,
+        heads: IntervalHeads,
+        interval_index: int,
+        top_score: np.ndarray,
+        top_event: np.ndarray,
+    ) -> None:
+        """First updated & valid entry of a score-sorted list (``getTopAssgn``).
+
+        One mask over the list; the walk's examined count is the hit's
+        position plus one (the whole list when nothing qualifies).
+        """
+        position, examined = first_hit(
+            heads.updated[interval_index] & heads.valid(interval_index)
+        )
+        self.counter.count_examined(examined)
+        if position < 0:
+            top_event[interval_index] = -1
+        else:
+            top_score[interval_index] = heads.scores[interval_index][position]
+            top_event[interval_index] = heads.events[interval_index][position]

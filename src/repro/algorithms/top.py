@@ -10,8 +10,14 @@ the paper's plots (it tends to pile "popular" events onto a few intervals).
 
 from __future__ import annotations
 
-from repro.algorithms.base import AssignmentEntry, BaseScheduler
+import numpy as np
+
+from repro.algorithms.base import BaseScheduler, Validity
 from repro.core.schedule import Schedule
+
+#: Sorted assignments tested for validity per array pass of the selection
+#: scan; doubled after every pass without a valid one.
+SCAN_WINDOW = 256
 
 
 class TopScheduler(BaseScheduler):
@@ -20,28 +26,33 @@ class TopScheduler(BaseScheduler):
     name = "TOP"
 
     def _run(self, k: int) -> Schedule:
-        instance = self.instance
         checker = self.checker
         counter = self.counter
         schedule = self._start_schedule()
 
+        # Every assignment in (−score, event, interval) order: a stable sort of
+        # the event-major flattened grid.
         score_grid = self._initial_score_grid()
-        entries = [
-            AssignmentEntry(event_index, interval_index, float(score_grid[event_index, interval_index]))
-            for event_index in range(instance.num_events)
-            for interval_index in range(instance.num_intervals)
-        ]
-        entries.sort(key=AssignmentEntry.sort_key)
+        order = np.argsort(-np.asarray(score_grid).ravel(), kind="stable")
+        events, intervals = np.divmod(order, self.instance.num_intervals)
+        validity = Validity(checker, self.instance.num_intervals, schedule.scheduled_events())
 
-        for entry in entries:
-            if len(schedule) >= k:
-                break
-            counter.count_examined()
-            if schedule.is_scheduled(entry.event_index):
+        position = 0
+        span = SCAN_WINDOW
+        while len(schedule) < k and position < order.size:
+            window = slice(position, position + span)
+            hits = np.flatnonzero(validity.mask[intervals[window], events[window]])
+            if not hits.size:
+                counter.count_examined(int(order[window].size))
+                position += span
+                span *= 2
                 continue
-            if not checker.is_feasible(entry.event_index, entry.interval_index):
-                continue
-            schedule.add(entry.event_index, entry.interval_index)
-            checker.commit(entry.event_index, entry.interval_index)
+            position += int(hits[0])
+            counter.count_examined(int(hits[0]) + 1)
+            event_index, interval_index = int(events[position]), int(intervals[position])
+            schedule.add(event_index, interval_index)
+            checker.commit(event_index, interval_index)
+            validity.commit(event_index, interval_index)
             counter.count_selection()
+            position += 1
         return schedule

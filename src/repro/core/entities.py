@@ -186,6 +186,19 @@ def decode_capacity(value: object) -> Optional[int]:
     raise ValueError(f"capacity must be an integer or None, got {value!r}")
 
 
+def decode_id(value: object, what: str) -> str:
+    """An entity id (or an event location) read from a payload, without coercion.
+
+    Every writer emits ids as strings; anything else (``None``, a list, a
+    number) raises ``ValueError`` instead of being turned into the id
+    ``"None"``, ``"['e1']"`` or ``"3"``.  ``what`` names the field in the
+    message.
+    """
+    if isinstance(value, str):
+        return str(value)
+    raise ValueError(f"{what} must be a string, got {value!r}")
+
+
 def decode_real(value: object, what: str) -> float:
     """A real number read from a payload, without coercion.
 
@@ -229,13 +242,13 @@ def decode_tags(value: Iterable[str]) -> Tuple[str, ...]:
 def decode_event(item: Mapping[str, object]) -> Event:
     """An :class:`Event` read from its payload dict (instance files and ``add-event``).
 
-    ``id`` and ``location`` are read as strings; the numeric fields go
-    through :func:`decode_real`, so ``"0.5"`` or ``True`` is rejected rather
-    than coerced.
+    ``id`` and ``location`` go through :func:`decode_id` and the numeric
+    fields through :func:`decode_real`, so ``None``, ``"0.5"`` or ``True`` is
+    rejected rather than coerced.
     """
     return Event(
-        id=str(item["id"]),
-        location=str(item["location"]),
+        id=decode_id(item["id"], "event id"),
+        location=decode_id(item["location"], "location"),
         required_resources=decode_real(
             item.get("required_resources", 0.0), "required_resources"
         ),

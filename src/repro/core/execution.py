@@ -444,9 +444,8 @@ class ExecutionBackend:
         Table name (``"scalar"``, ``"batch"``, …).
     is_bulk:
         Whether the strategy's bulk entry points evaluate whole event blocks
-        at once (the incremental schedulers use this to decide whether
-        speculative bulk refresh pays off, and the engine uses it to decide
-        whether to precompute event-major rows).
+        at once (the engine uses it to decide whether to precompute
+        event-major rows).
     uses_cluster:
         Whether the strategy dispatches to remote workers over the network
         (drives the ``workers`` / ``workers_addr`` / ``cluster_key`` knobs'

@@ -33,6 +33,7 @@ from repro.core.entities import (
     User,
     decode_capacity,
     decode_event,
+    decode_id,
     decode_optional_real,
     decode_real,
     decode_tags,
@@ -411,7 +412,7 @@ class SESInstance:
         events = [decode_event(item) for item in payload["events"]]  # type: ignore[index]
         intervals = [
             TimeInterval(
-                id=str(item["id"]),
+                id=decode_id(item["id"], "interval id"),
                 label=str(item.get("label", "")),
                 start=decode_optional_real(item.get("start"), "interval start"),
                 end=decode_optional_real(item.get("end"), "interval end"),
@@ -421,14 +422,17 @@ class SESInstance:
         ]
         competing = [
             CompetingEvent(
-                id=str(item["id"]),
-                interval_id=str(item["interval_id"]),
+                id=decode_id(item["id"], "competing event id"),
+                interval_id=decode_id(item["interval_id"], "competing event interval_id"),
                 tags=decode_tags(item.get("tags", ())),
             )
             for item in payload["competing_events"]  # type: ignore[index]
         ]
         users = [
-            User(id=str(item["id"]), weight=decode_real(item.get("weight", 1.0), "user weight"))
+            User(
+                id=decode_id(item["id"], "user id"),
+                weight=decode_real(item.get("weight", 1.0), "user weight"),
+            )
             for item in payload["users"]  # type: ignore[index]
         ]
         num_users = len(users)

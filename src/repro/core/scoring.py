@@ -520,11 +520,11 @@ class ScoringEngine:
         count:
             When ``True`` each refreshed pair is recorded as one *update*
             computation.  The incremental schedulers (INC, HOR-I) pass
-            ``False`` because they fetch stale prefixes *speculatively*: they
-            count one update computation per score their walk actually
-            consumes, so the paper's metric stays bit-identical to the scalar
-            reference even when a speculative block is cut short by the Φ
-            bound.
+            ``False`` because they fetch stale rows in blocks cut at their
+            walk's current Φ: they count one update computation per score
+            the walk actually consumes, so the paper's metric stays
+            bit-identical to the scalar reference even when a rising Φ
+            leaves part of a block unused.
         """
         return self.interval_scores(interval_index, event_indices, initial=False, count=count)
 
@@ -805,7 +805,6 @@ class ScoringEngine:
         evaluate schedules without mutating the incremental state.
         """
         total = 0.0
-        cost = 0.0
         for interval_index in schedule.used_intervals():
             events_here = sorted(schedule.events_at(interval_index))
             interest_sum = np.zeros(self._instance.num_users, dtype=np.float64)
@@ -814,13 +813,24 @@ class ScoringEngine:
                 column = self._mu_column(event_index)
                 interest_sum += column
                 value_sum += self._values[event_index] * column
-                cost += self._costs[event_index]
                 if count:
                     self._counter.count_score()
             total += self._interval_utility_of(interval_index, interest_sum, value_sum)
         if include_costs:
-            total -= cost
+            total -= self.schedule_cost(schedule)
         return total
+
+    def schedule_cost(self, schedule: Schedule) -> float:
+        """Organisation cost of a schedule's events, summed in :meth:`evaluate_schedule`'s order.
+
+        ``evaluate_schedule(schedule, include_costs=True)`` equals
+        ``evaluate_schedule(schedule) - schedule_cost(schedule)`` bit for bit.
+        """
+        cost = 0.0
+        for interval_index in schedule.used_intervals():
+            for event_index in sorted(schedule.events_at(interval_index)):
+                cost += self._costs[event_index]
+        return cost
 
     def per_event_attendance(self, schedule: Schedule) -> Dict[int, float]:
         """Expected attendance ω of every scheduled event of an arbitrary schedule."""

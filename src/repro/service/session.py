@@ -59,6 +59,7 @@ from repro.core.entities import (
     TimeInterval,
     decode_capacity,
     decode_event,
+    decode_id,
     decode_real,
     decode_reals,
 )
@@ -176,18 +177,6 @@ def mutation_to_dict(mutation: Mutation) -> Dict[str, object]:
     raise MutationError(f"unknown mutation object: {mutation!r}")
 
 
-def _decode_id(value: object, what: str) -> str:
-    """An entity id read from a mutation payload, without coercion.
-
-    :func:`mutation_to_dict` always writes ids as strings; anything else
-    (``None``, a list, a number) raises ``ValueError`` instead of being
-    turned into the id ``"None"`` or ``"['e1']"``.
-    """
-    if isinstance(value, str):
-        return value
-    raise ValueError(f"{what} must be a string, got {value!r}")
-
-
 def mutation_from_dict(payload: Mapping[str, object]) -> Mutation:
     """Inverse of :func:`mutation_to_dict` (validating the ``op`` tag).
 
@@ -200,36 +189,33 @@ def mutation_from_dict(payload: Mapping[str, object]) -> Mutation:
     op = payload["op"]
     try:
         if op == "add-event":
-            event = payload["event"]
-            _decode_id(event["id"], "event id")
-            _decode_id(event["location"], "location")
             return AddEvent(
-                event=decode_event(event),
+                event=decode_event(payload["event"]),
                 interest=decode_reals(payload["interest"], "interest"),
             )
         if op == "remove-event":
-            return RemoveEvent(event_id=_decode_id(payload["event_id"], "event_id"))
+            return RemoveEvent(event_id=decode_id(payload["event_id"], "event_id"))
         if op == "update-interest":
             values = payload["values"]
             if not isinstance(values, Mapping):
                 raise ValueError(f"values must be a mapping of event ids, got {values!r}")
             return UpdateInterest(
-                user_id=_decode_id(payload["user_id"], "user_id"),
+                user_id=decode_id(payload["user_id"], "user_id"),
                 values={
-                    _decode_id(key, "event id"): decode_real(value, f"interest of {key!r}")
+                    decode_id(key, "event id"): decode_real(value, f"interest of {key!r}")
                     for key, value in values.items()
                 },
             )
         if op == "lock":
             return LockAssignment(
-                event_id=_decode_id(payload["event_id"], "event_id"),
-                interval_id=_decode_id(payload["interval_id"], "interval_id"),
+                event_id=decode_id(payload["event_id"], "event_id"),
+                interval_id=decode_id(payload["interval_id"], "interval_id"),
             )
         if op == "unlock":
-            return UnlockAssignment(event_id=_decode_id(payload["event_id"], "event_id"))
+            return UnlockAssignment(event_id=decode_id(payload["event_id"], "event_id"))
         if op == "set-capacity":
             return SetIntervalCapacity(
-                interval_id=_decode_id(payload["interval_id"], "interval_id"),
+                interval_id=decode_id(payload["interval_id"], "interval_id"),
                 capacity=decode_capacity(payload["capacity"]),
             )
     except (KeyError, TypeError, ValueError) as error:

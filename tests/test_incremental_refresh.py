@@ -2,7 +2,7 @@
 
 The backend test suites of PR 1 locked down the *generation* phase; these
 suites extend the guarantee to every later round.  Under the batched
-stale-refresh path (speculative prefix batching through
+stale-refresh path (Φ-cut block fetches through
 :meth:`~repro.core.scoring.ScoringEngine.refresh_scores`, one update
 computation counted per consumed score) INC must still produce exactly ALG's
 schedule and HOR-I exactly HOR's, and every counter total —
@@ -24,6 +24,7 @@ from repro.algorithms.registry import run_scheduler
 from repro.core.counters import ComputationCounter
 from repro.core.errors import SolverError
 from repro.core.execution import ExecutionConfig, available_backends
+from repro.core.instance import SESInstance
 from repro.core.scoring import (
     DEFAULT_CHUNK_ELEMENTS,
     ScoringEngine,
@@ -150,6 +151,64 @@ class TestRefreshScoresApi:
         engine = ScoringEngine(instance, counter=counter)
         engine.refresh_scores(0, [1, 2, 3], count=False)
         assert counter.snapshot() == ComputationCounter(num_users=instance.num_users).snapshot()
+
+
+def _cohort_instance(seed=1, num_events=120, num_intervals=10, num_users=200, cohorts=20):
+    """Users from a few interest cohorts, Zipf event popularity, decaying activity."""
+    rng = np.random.default_rng(seed)
+    popularity = (rng.permutation(num_events) + 1.0) ** -1.0
+    interested = rng.random((cohorts, num_events)) < 0.15
+    interest = np.where(interested, rng.random((cohorts, num_events)) * popularity, 0.0)
+    activity = rng.random((cohorts, num_intervals)) * np.geomspace(1.0, 0.05, num_intervals)
+    competing = rng.random((cohorts, 6))
+    members = rng.integers(0, cohorts, num_users)
+    return SESInstance.from_arrays(
+        interest=interest[members],
+        activity=activity[members],
+        competing_interest=competing[members],
+        competing_interval_indices=[index % num_intervals for index in range(6)],
+        name="cohort-fetches",
+    )
+
+
+class TestFetchWaste:
+    """Rows the walks fetch speculatively versus the update computations they consume.
+
+    On this cohort instance the walks that fetched whole stale prefixes in
+    fixed 64-row blocks requested 906 rows for HOR-I's 76 update
+    computations (11.9×) and 177 rows for INC's 172.  HOR-I's round-start
+    refresh had no bound to cut its first block; the Φ-cut blocks fetch the
+    head alone first.
+    """
+
+    @staticmethod
+    def _fetched(monkeypatch, algorithm, instance, k):
+        requested = []
+        refresh = ScoringEngine.refresh_scores
+
+        def counting(self, interval_index, event_indices, *, count=True):
+            if not count:
+                requested.append(len(event_indices))
+            return refresh(self, interval_index, event_indices, count=count)
+
+        monkeypatch.setattr(ScoringEngine, "refresh_scores", counting)
+        result = run_scheduler(algorithm, instance, k)
+        monkeypatch.undo()
+        return sum(requested), result.counters["update_computations"]
+
+    def test_hor_i_fetches_at_most_twice_what_it_consumes(self, monkeypatch):
+        instance = _cohort_instance()
+        k = 2 * instance.num_intervals
+        fetched, consumed = self._fetched(monkeypatch, "HOR-I", instance, k)
+        assert consumed == 76
+        assert fetched <= 2 * consumed
+
+    def test_inc_fetches_no_more_than_the_prefix_walk(self, monkeypatch):
+        instance = _cohort_instance()
+        k = 2 * instance.num_intervals
+        fetched, consumed = self._fetched(monkeypatch, "INC", instance, k)
+        assert consumed == 172
+        assert consumed <= fetched <= 177
 
 
 class TestChunking:

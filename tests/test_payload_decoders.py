@@ -9,9 +9,10 @@ organizer's resources) with :func:`repro.core.entities.decode_real`.  A
 float capacity is rejected rather than truncated, a boolean or a numeric
 string rather than converted, and a bare string of tags rather than split
 into characters; NumPy integers and floats, which pickled wire payloads
-carry, still decode.  The mutation decoder also takes ids only as strings
-and ``update-interest`` values only as a mapping.  Every service-side
-rejection leaves the session's ``status()`` unchanged.
+carry, still decode.  Both decoders take entity ids and event locations
+only as strings (:func:`repro.core.entities.decode_id`), and the mutation
+decoder takes ``update-interest`` values only as a mapping.  Every
+service-side rejection leaves the session's ``status()`` unchanged.
 """
 
 from __future__ import annotations
@@ -325,6 +326,41 @@ class TestMutationIdDecoder:
         event, interval = instance.events[0].id, instance.intervals[0].id
         mutation = mutation_from_dict({"op": "lock", "event_id": event, "interval_id": interval})
         assert (mutation.event_id, mutation.interval_id) == (event, interval)
+
+
+#: Every id field of an instance payload (and the event location), as ``entry.key``.
+INSTANCE_ID_FIELDS = [
+    "users.id",
+    "events.id",
+    "events.location",
+    "intervals.id",
+    "competing_events.id",
+    "competing_events.interval_id",
+]
+
+
+class TestInstanceIdDecoder:
+    @pytest.mark.parametrize("field", INSTANCE_ID_FIELDS)
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_non_string_id_is_rejected(self, instance, field, bad):
+        entry, key = field.split(".")
+        payload = instance.to_dict()
+        payload[entry][0][key] = bad
+        with pytest.raises(ValueError, match="must be a string"):
+            SESInstance.from_dict(payload)
+
+    def test_string_ids_round_trip(self, instance):
+        decoded = SESInstance.from_dict(instance.to_dict())
+        assert [user.id for user in decoded.users] == [user.id for user in instance.users]
+        assert [(event.id, event.location) for event in decoded.events] == [
+            (event.id, event.location) for event in instance.events
+        ]
+        assert [interval.id for interval in decoded.intervals] == [
+            interval.id for interval in instance.intervals
+        ]
+        assert [(item.id, item.interval_id) for item in decoded.competing_events] == [
+            (item.id, item.interval_id) for item in instance.competing_events
+        ]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,15 @@
 """Tests for the scheduler registry and the base scheduler plumbing."""
 
+import numpy as np
 import pytest
 
-from repro.algorithms.base import AssignmentEntry, better_candidate
+from repro.algorithms.base import (
+    IntervalHeads,
+    Validity,
+    best_index,
+    better_candidate,
+    key_order,
+)
 from repro.algorithms.registry import (
     CONTRIBUTED_METHODS,
     PAPER_METHODS,
@@ -10,6 +17,7 @@ from repro.algorithms.registry import (
     get_scheduler,
     run_scheduler,
 )
+from repro.core.constraints import ConstraintChecker
 from repro.core.counters import ComputationCounter
 from repro.core.errors import SolverError
 
@@ -73,13 +81,36 @@ class TestTieBreaking:
         assert better_candidate((1.0, 0, 0), None) == (1.0, 0, 0)
         assert better_candidate(None, None) is None
 
-    def test_assignment_entry_sort_key(self):
-        high = AssignmentEntry(3, 1, 0.9)
-        low = AssignmentEntry(0, 0, 0.1)
-        tie_a = AssignmentEntry(1, 0, 0.5)
-        tie_b = AssignmentEntry(2, 0, 0.5)
-        ordered = sorted([low, tie_b, high, tie_a], key=AssignmentEntry.sort_key)
-        assert ordered[0] is high
-        assert ordered[1] is tie_a
-        assert ordered[2] is tie_b
-        assert ordered[3] is low
+    def test_key_order_sorts_by_score_then_event(self):
+        scores = np.array([0.1, 0.5, 0.9, 0.5])
+        events = np.array([0, 2, 3, 1])
+        assert events[key_order(scores, events)].tolist() == [3, 1, 2, 0]
+
+    def test_key_order_keeps_ties_already_in_event_order(self):
+        scores = np.array([0.5, 0.7, 0.5])
+        events = np.array([1, 0, 4])
+        assert events[key_order(scores, events)].tolist() == [0, 1, 4]
+
+    def test_key_order_treats_signed_zeros_as_a_tie(self):
+        scores = np.array([0.0, -0.0, 0.3])
+        events = np.array([5, 2, 9])
+        assert events[key_order(scores, events)].tolist() == [9, 2, 5]
+
+    def test_best_index_breaks_ties_by_event_then_index(self):
+        scores = np.array([1.0, 2.0, 2.0, 2.0])
+        events = np.array([0, 4, 1, 1])
+        assert best_index(scores, events, np.ones(4, dtype=bool)) == 2
+        assert best_index(scores, events, np.array([True, True, False, True])) == 3
+        assert best_index(scores, events, np.zeros(4, dtype=bool)) == -1
+
+    def test_interval_heads_order_each_interval(self, small_instance):
+        checker = ConstraintChecker(small_instance)
+        heads = IntervalHeads(Validity(checker, small_instance.num_intervals, ()))
+        heads.fill(1, np.array([0, 1, 2, 3]), np.array([0.1, 0.5, 0.9, 0.5]))
+        assert heads.events[1].tolist() == [2, 1, 3, 0]
+        assert heads.scores[1].tolist() == [0.9, 0.5, 0.5, 0.1]
+        assert heads.updated[1].all()
+        heads.drop_event(1, 1)
+        assert heads.events[1].tolist() == [2, 3, 0]
+        assert not heads.updated[1].any()
+        assert heads.size(0) == 0
