@@ -10,7 +10,10 @@ latency with ``time.perf_counter``.
 Two numbers make "heavy traffic" concrete:
 
 * **p50/p99 re-solve latency** (via :func:`benchmarks._common.latency_summary`)
-  — what a client waits for a fresh schedule mid-traffic;
+  — what a client waits for a fresh schedule mid-traffic; mutate latency is
+  reported in aggregate and per :data:`MUTATION_KINDS` kind, since the kinds
+  cost differently (an interest refresh journals a few cells, an add
+  decodes and checks a |U|-long column);
 * **saved-work ratio** — the session's cumulative ``scores_saved`` over
   ``scores_recomputed``.  A ratio above 1 means the warm path reused more of
   the cached score grid than it recomputed, i.e. incremental re-solves beat
@@ -74,6 +77,16 @@ MUTATION_MIX = (
     ("add", 0.05),
     ("remove", 0.05),
 )
+
+#: Row label of each mutation type in the per-kind mutate latency rows.
+MUTATION_KINDS = {
+    UpdateInterest: "interest",
+    LockAssignment: "lock/unlock",
+    UnlockAssignment: "lock/unlock",
+    SetIntervalCapacity: "capacity",
+    AddEvent: "add",
+    RemoveEvent: "remove",
+}
 
 
 def build_instance(num_events: int, num_intervals: int, num_users: int) -> SESInstance:
@@ -157,6 +170,7 @@ def run_load(scale: str):
     rng = np.random.default_rng(23)
     trace = TraceGenerator(rng, num_events, num_intervals, num_users)
     resolve_latencies, mutate_latencies, query_latencies = [], [], []
+    mutate_by_kind = {kind: [] for kind in MUTATION_KINDS.values()}
     accepted, cold_ratios, twin_mismatches, twin_seconds = [], [], 0, 0.0
     rejected = 0
     handle = start_local_service("127.0.0.1", 0)
@@ -179,6 +193,7 @@ def run_load(scale: str):
                     trace.record(mutation)
                     accepted.append(mutation)
                 mutate_latencies.append(time.perf_counter() - begin)
+                mutate_by_kind[MUTATION_KINDS[type(mutation)]].append(mutate_latencies[-1])
                 if (step + 1) % period == 0:
                     begin = time.perf_counter()
                     warm = client.resolve(session_id, num_intervals)
@@ -216,6 +231,9 @@ def run_load(scale: str):
         "twin_mismatches": twin_mismatches,
         "resolve": latency_summary(resolve_latencies),
         "mutate": latency_summary(mutate_latencies),
+        "mutate_by_kind": {
+            kind: latency_summary(samples) for kind, samples in mutate_by_kind.items() if samples
+        },
         "query": latency_summary(query_latencies),
         "instance": {
             "num_events": num_events,
@@ -231,16 +249,22 @@ def test_serve_load(benchmark, bench_scale, results_dir):
     stats = outcome["stats"]
     min_applied = SERVE_SCALES[scale][5]
 
+    summaries = [
+        ("resolve", outcome["resolve"]),
+        ("mutate", outcome["mutate"]),
+        *((f"mutate:{kind}", summary) for kind, summary in outcome["mutate_by_kind"].items()),
+        ("query", outcome["query"]),
+    ]
     rows = [
         {
             "scale": scale,
             "operation": operation,
-            "count": int(outcome[operation]["count"]),
-            "p50_ms": round(outcome[operation]["p50"] * 1000, 3),
-            "p99_ms": round(outcome[operation]["p99"] * 1000, 3),
-            "max_ms": round(outcome[operation]["max"] * 1000, 3),
+            "count": int(summary["count"]),
+            "p50_ms": round(summary["p50"] * 1000, 3),
+            "p99_ms": round(summary["p99"] * 1000, 3),
+            "max_ms": round(summary["max"] * 1000, 3),
         }
-        for operation in ("resolve", "mutate", "query")
+        for operation, summary in summaries
     ]
     text = persist_rows("serve_load", rows, results_dir)
     print("\n" + text)

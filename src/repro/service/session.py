@@ -37,10 +37,18 @@ mutation                        invalidates
 :class:`SetIntervalCapacity`    nothing (capacity gates feasibility, not µ)
 ==============================  =============================================
 
-Batches are **atomic**: every mutation is validated and applied against
-scratch copies, and the session commits only if the whole batch succeeds —
-a :class:`MutationError` (unknown id, lock on a full interval, contradictory
-capacity) leaves the session untouched and queryable.
+Batches are **atomic**: every mutation is validated against scratch copies,
+and the session commits only if the whole batch succeeds — a
+:class:`MutationError` (unknown id, lock on a full interval, contradictory
+capacity, a µ value that is not a real number in ``[0, 1]``) leaves the
+session untouched and queryable.
+
+Interest-store rewrites are **journaled**, not applied: a mutation that
+changes µ records ``("entries", triples)``, ``("append", column)`` or
+``("remove", index)`` in O(size of the mutation), and the store is
+materialised once, in apply order, when a resolve or :meth:`instance` next
+needs it.  Everything a replay could reject is checked at apply time, so a
+committed batch always materialises.
 """
 
 from __future__ import annotations
@@ -63,9 +71,10 @@ from repro.core.entities import (
     decode_real,
     decode_reals,
 )
-from repro.core.errors import InstanceValidationError, SolverError
+from repro.core.errors import InstanceValidationError, SolverError, StorageCapacityError
 from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
+from repro.core.storage import DenseStore, ensure_dense_capacity, require_unit_interval
 from repro.service.stats import SessionStats
 
 
@@ -73,11 +82,12 @@ class MutationError(SolverError):
     """A mutation batch was rejected; the session state is unchanged.
 
     Raised for unknown entity ids, locks that violate the interval capacity /
-    location / resource constraints, removals of locked events, out-of-range
-    interest values and capacities contradicting existing locks.  Because
-    batches are applied to scratch state first, the error is a pure reject:
-    the session keeps serving status, schedule and resolve requests exactly
-    as before the batch.
+    location / resource constraints, removals of locked events, interest
+    values that are not real numbers in ``[0, 1]``, added events that would
+    push a dense interest store past its capacity, and capacities
+    contradicting existing locks.  Because batches are applied to scratch
+    state first, the error is a pure reject: the session keeps serving
+    status, schedule and resolve requests exactly as before the batch.
     """
 
 
@@ -224,18 +234,44 @@ def mutation_from_dict(payload: Mapping[str, object]) -> Mutation:
 
 
 # --------------------------------------------------------------------------- #
-# Scratch state of one atomic batch
+# Store journal and the scratch state of one atomic batch
 # --------------------------------------------------------------------------- #
+#: One interest-store rewrite: ``("entries", [(user, item, value), ...])``,
+#: ``("append", column)`` or ``("remove", item_index)``.  Item indices refer to
+#: the column layout left by the ops before it.
+StoreOp = Tuple[str, object]
+
+
+def _replay(interest, journal: Sequence[StoreOp]):
+    """``interest`` with the journaled rewrites applied in order.
+
+    Consecutive ``entries`` ops share one column layout, so they merge into a
+    single bulk :meth:`~repro.core.interest.InterestMatrix.with_entries` call;
+    an ``append`` or ``remove`` flushes them first.
+    """
+    pending: List[Tuple[int, int, float]] = []
+    for kind, payload in journal:
+        if kind == "entries":
+            pending.extend(payload)
+            continue
+        if pending:
+            interest = interest.with_entries(pending)
+            pending = []
+        if kind == "append":
+            interest = interest.with_appended_item(payload)
+        else:
+            interest = interest.without_item(payload)
+    return interest.with_entries(pending) if pending else interest
+
+
 @dataclass
 class _Scratch:
     """Working copies one batch mutates; committed only if the batch succeeds.
 
-    Interest triples accumulate in ``pending_interest`` and flush through a
-    **single** bulk :meth:`~repro.core.interest.InterestMatrix.with_entries`
-    call (at the end of the batch, or before a structural add/remove shifts
-    the column indices) — so a batch of per-user updates costs one store-level
-    update, never a dense round-trip per mutation.  ``row_ops`` replays the
-    structural edits against the cached score grid at commit time.
+    ``journal`` holds only this batch's store ops (the session extends its
+    own journal with them on commit, and a rejected batch just drops them),
+    so no mutation touches the interest store itself.  ``row_ops`` replays
+    the structural edits against the cached score grid at commit time.
     """
 
     events: List[Event]
@@ -243,21 +279,11 @@ class _Scratch:
     intervals: List[TimeInterval]
     interval_ids: Dict[str, int]
     locks: Dict[str, str]
-    interest: object  # InterestMatrix; functional updates replace it
     stale_events: set
     stale_intervals: set
-    pending_interest: List[Tuple[int, int, float]] = field(default_factory=list)
+    journal: List[StoreOp] = field(default_factory=list)
     row_ops: List[Tuple[str, int]] = field(default_factory=list)
     instance_dirty: bool = False
-
-    def flush_interest(self) -> None:
-        """Apply the accumulated interest triples in one bulk store update."""
-        if self.pending_interest:
-            try:
-                self.interest = self.interest.with_entries(self.pending_interest)
-            except InstanceValidationError as error:
-                raise MutationError(str(error)) from error
-            self.pending_interest = []
 
 
 class SchedulingSession:
@@ -301,6 +327,8 @@ class SchedulingSession:
         self._competing = list(instance.competing_events)
         self._users = list(instance.users)
         self._interest = instance.interest
+        #: Store ops committed since ``_interest`` was last materialised.
+        self._journal: List[StoreOp] = []
         self._competing_interest = instance.competing_interest
         self._activity = np.array(instance.activity, copy=True)
         self._organizer = instance.organizer
@@ -387,8 +415,11 @@ class SchedulingSession:
 
         Every mutation is validated against scratch copies first; the session
         commits only a fully valid batch and otherwise raises
-        :class:`MutationError` with the state untouched.  Returns a small
-        summary (mutations applied, staleness added) for the wire reply.
+        :class:`MutationError` with the state untouched.  µ changes are only
+        validated and journaled here (no store is rewritten), so a batch
+        costs the size of its mutations plus copies of the event, interval
+        and lock tables, never O(|U|·|E|).  Returns a small summary
+        (mutations applied, staleness added) for the wire reply.
         """
         batch = list(mutations)
         with self._lock:
@@ -398,13 +429,11 @@ class SchedulingSession:
                 intervals=list(self._intervals),
                 interval_ids=dict(self._interval_ids),
                 locks=dict(self._locks),
-                interest=self._interest,
                 stale_events=set(self._stale_events),
                 stale_intervals=set(self._stale_intervals),
             )
             for mutation in batch:
                 self._apply_one(scratch, mutation)
-            scratch.flush_interest()
             return self._commit(scratch, len(batch))
 
     def _apply_one(self, scratch: _Scratch, mutation: Mutation) -> None:
@@ -428,16 +457,24 @@ class SchedulingSession:
         event = mutation.event
         if event.id in scratch.event_ids:
             raise MutationError(f"event id {event.id!r} already exists")
-        # Structural change: flush pending interest triples first so their
-        # column indices refer to the pre-append layout they were built for.
-        scratch.flush_interest()
-        column = np.asarray(mutation.interest, dtype=np.float64)
         try:
-            scratch.interest = scratch.interest.with_appended_item(column)
-        except InstanceValidationError as error:
+            column = np.array(decode_reals(mutation.interest, "interest"), dtype=np.float64)
+        except (TypeError, ValueError) as error:
+            raise MutationError(f"malformed interest of event {event.id!r}: {error}") from error
+        if column.shape != (len(self._users),):
+            raise MutationError(
+                f"event {event.id!r} has {column.size} interest values, expected "
+                f"{len(self._users)} (one per user)"
+            )
+        try:
+            require_unit_interval(column, "interest values")
+            if self._interest.storage == DenseStore.name:
+                ensure_dense_capacity((len(self._users), len(scratch.events) + 1))
+        except (InstanceValidationError, StorageCapacityError) as error:
             raise MutationError(str(error)) from error
         scratch.event_ids[event.id] = len(scratch.events)
         scratch.events.append(event)
+        scratch.journal.append(("append", column))
         scratch.row_ops.append(("append", 0))
         scratch.stale_events.add(event.id)
         scratch.instance_dirty = True
@@ -451,13 +488,9 @@ class SchedulingSession:
                 f"event {mutation.event_id!r} is locked to interval "
                 f"{scratch.locks[mutation.event_id]!r}; unlock it before removing"
             )
-        scratch.flush_interest()
-        try:
-            scratch.interest = scratch.interest.without_item(index)
-        except InstanceValidationError as error:
-            raise MutationError(str(error)) from error
         del scratch.events[index]
         scratch.event_ids = {event.id: idx for idx, event in enumerate(scratch.events)}
+        scratch.journal.append(("remove", index))
         scratch.row_ops.append(("remove", index))
         scratch.stale_events.discard(mutation.event_id)
         scratch.instance_dirty = True
@@ -466,25 +499,34 @@ class SchedulingSession:
         user_index = self._user_ids.get(mutation.user_id)
         if user_index is None:
             raise MutationError(f"unknown user id: {mutation.user_id!r}")
+        if not isinstance(mutation.values, Mapping):
+            raise MutationError(
+                f"interest values must be a mapping of event ids, got {mutation.values!r}"
+            )
         if not mutation.values:
             return
+        triples = []
         for event_id, value in mutation.values.items():
             event_index = scratch.event_ids.get(event_id)
             if event_index is None:
                 raise MutationError(f"unknown event id: {event_id!r}")
-            value = float(value)
+            try:
+                value = decode_real(value, f"interest µ({mutation.user_id!r}, {event_id!r})")
+            except ValueError as error:
+                raise MutationError(str(error)) from error
             if not 0.0 <= value <= 1.0:
                 raise MutationError(
                     f"interest µ({mutation.user_id!r}, {event_id!r}) = {value} "
                     "outside [0, 1]"
                 )
-            scratch.pending_interest.append((user_index, event_index, value))
+            triples.append((user_index, event_index, value))
             scratch.stale_events.add(event_id)
             # A locked event's µ column feeds its interval's scheduled sums,
             # which every score in that column depends on.
             locked_interval = scratch.locks.get(event_id)
             if locked_interval is not None:
                 scratch.stale_intervals.add(locked_interval)
+        scratch.journal.append(("entries", triples))
         scratch.instance_dirty = True
 
     def _apply_lock(self, scratch: _Scratch, mutation: LockAssignment) -> None:
@@ -566,7 +608,7 @@ class SchedulingSession:
             self._intervals = scratch.intervals
             self._interval_ids = scratch.interval_ids
             self._locks = scratch.locks
-            self._interest = scratch.interest
+            self._journal.extend(scratch.journal)
             self._stale_events = scratch.stale_events
             self._stale_intervals = scratch.stale_intervals
             if self._baseline is not None:
@@ -590,8 +632,11 @@ class SchedulingSession:
     # Resolving
     # ------------------------------------------------------------------ #
     def _build_instance(self) -> SESInstance:
+        """The current instance, materialising the store journal if it is stale."""
         with self._lock:
             if self._instance is None:
+                self._interest = _replay(self._interest, self._journal)
+                self._journal = []
                 self._instance = SESInstance(
                     events=list(self._events),
                     intervals=list(self._intervals),

@@ -31,8 +31,9 @@ import pytest
 from repro.algorithms.registry import run_scheduler
 from repro.core.entities import Event
 from repro.core.execution import ExecutionConfig
+from repro.core.interest import InterestMatrix
 from repro.core.scoring import ScoringEngine
-from repro.core.storage import unit_values
+from repro.core.storage import DENSE_CAPACITY_ENV, unit_values
 from repro.ebsn.generator import EBSNConfig, generate_network, sample_event_topics
 from repro.ebsn.interest_model import derive_interest_matrix
 from repro.service import (
@@ -369,3 +370,196 @@ class TestAtomicityAndSavedWork:
         assert snapshot["warm_resolves"] == 1
         assert snapshot["scores_saved"] == second.service["scores_saved"]
         assert second.summary()["service"]["warm"] is True
+
+
+def journals_equal(left, right) -> bool:
+    """Whether two store journals hold the same ops (columns compared by value)."""
+    return len(left) == len(right) and all(
+        a_kind == b_kind and np.array_equal(np.asarray(a_load), np.asarray(b_load))
+        for (a_kind, a_load), (b_kind, b_load) in zip(left, right)
+    )
+
+
+class TestStoreJournal:
+    """Mutations journal µ rewrites; a resolve materialises them once, in order."""
+
+    def test_interest_batches_rewrite_no_store_until_resolve(
+        self, layout, execution, monkeypatch
+    ):
+        instance = layout.instance(seed=51, num_users=30, num_events=8, num_intervals=4)
+        session = SchedulingSession(instance, seed=51, execution=execution)
+        session.resolve(5)
+        calls = {"with_entries": 0, "with_appended_item": 0, "without_item": 0}
+        for name in calls:
+            original = getattr(InterestMatrix, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(InterestMatrix, name, counted)
+        users = [user.id for user in instance.users]
+        events = [event.id for event in instance.events]
+        for step in range(6):
+            session.apply(
+                [
+                    UpdateInterest(
+                        user_id=users[step], values={events[step]: 0.1 * step}
+                    ),
+                    UpdateInterest(user_id=users[step + 1], values={events[0]: 0.5}),
+                ]
+            )
+        assert calls == {"with_entries": 0, "with_appended_item": 0, "without_item": 0}
+        warm = session.resolve(5, algorithm="INC")
+        assert calls == {"with_entries": 1, "with_appended_item": 0, "without_item": 0}
+        cold = cold_solve(session, 5, "INC", 51, execution)
+        assert warm.schedule.as_dict() == cold.schedule.as_dict()
+        assert warm.utility == cold.utility
+        assert np.array_equal(session.baseline_grid(), cold_initial_grid(session, execution))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["same-cell-twice", "update-then-remove", "add-then-update", "remove-then-add"],
+    )
+    def test_cross_batch_order_matches_cold(self, case, layout, execution):
+        """Journaled ops from separate batches replay in apply order."""
+        instance = layout.instance(seed=61, num_users=40, num_events=8, num_intervals=4)
+        session = SchedulingSession(instance, seed=61, execution=execution)
+        session.resolve(5)
+        pool = interest_pool(40)
+        column = tuple(float(v) for v in pool[:, 4])
+        user = instance.users[3].id
+        events = [event.id for event in instance.events]
+        expected = np.array(instance.interest.values, copy=True)
+        new_event = Event(id="x0", location="loc1", required_resources=1.0)
+        if case == "same-cell-twice":
+            batches = [
+                [UpdateInterest(user_id=user, values={events[2]: 0.25})],
+                [UpdateInterest(user_id=user, values={events[2]: 0.75})],
+            ]
+            expected[3, 2] = 0.75
+        elif case == "update-then-remove":
+            batches = [
+                [UpdateInterest(user_id=user, values={events[2]: 0.9, events[5]: 0.1})],
+                [RemoveEvent(event_id=events[2])],
+            ]
+            expected[3, 5] = 0.1
+            expected = np.delete(expected, 2, axis=1)
+        elif case == "add-then-update":
+            batches = [
+                [AddEvent(event=new_event, interest=column)],
+                [UpdateInterest(user_id=user, values={"x0": 0.0, events[1]: 0.6})],
+            ]
+            expected = np.column_stack([expected, column])
+            expected[3, -1] = 0.0
+            expected[3, 1] = 0.6
+        else:
+            batches = [
+                [RemoveEvent(event_id=events[0])],
+                [AddEvent(event=new_event, interest=column)],
+                [UpdateInterest(user_id=user, values={events[1]: 0.3})],
+            ]
+            expected = np.column_stack([np.delete(expected, 0, axis=1), column])
+            expected[3, 0] = 0.3
+        for batch in batches:
+            session.apply(batch)
+        assert np.array_equal(session.instance().interest.values, expected)
+        for algorithm in ALGORITHMS:
+            assert_resolve_matches_cold(session, 5, algorithm, 61, execution)
+
+    def test_rejected_batch_between_commits_leaves_no_trace(self, layout, execution):
+        instance = layout.instance(seed=71, num_users=30, num_events=8, num_intervals=4)
+        pool = interest_pool(30)
+        users = [user.id for user in instance.users]
+        events = [event.id for event in instance.events]
+        first = [
+            UpdateInterest(user_id=users[0], values={events[1]: 0.4}),
+            AddEvent(
+                event=Event(id="x0", location="loc2", required_resources=1.0),
+                interest=tuple(float(v) for v in pool[:, 2]),
+            ),
+        ]
+        rejected = [
+            UpdateInterest(user_id=users[1], values={events[2]: 0.8}),
+            AddEvent(
+                event=Event(id="x1", location="loc0"),
+                interest=tuple(float(v) for v in pool[:, 3]),
+            ),
+            RemoveEvent(event_id=events[0]),
+            UpdateInterest(user_id=users[2], values={"x1": 2.0}),  # outside [0, 1]
+        ]
+        second = [
+            RemoveEvent(event_id=events[3]),
+            UpdateInterest(user_id=users[4], values={"x0": 0.1}),
+        ]
+        session = SchedulingSession(instance, seed=71, execution=execution)
+        twin = SchedulingSession(instance, seed=71, execution=execution)
+        for live in (session, twin):
+            live.resolve(5)
+            live.apply(first)
+        with pytest.raises(MutationError):
+            session.apply(rejected)
+        for live in (session, twin):
+            live.apply(second)
+        assert journals_equal(session._journal, twin._journal)
+        assert session.status() == twin.status()
+        result = assert_resolve_matches_cold(session, 5, "INC", 71, execution)
+        twin_result = twin.resolve(5)
+        assert result.schedule.as_dict() == twin_result.schedule.as_dict()
+        assert result.utility == twin_result.utility
+        assert result.counters == twin_result.counters
+        assert session.status() == twin.status()
+
+
+class TestApplyTimeValidation:
+    """Whatever a journal replay could reject is rejected by ``apply``."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"e0": "abc"}, {"e0": True}, {"e0": None}, {"e0": float("nan")}, None, [1]],
+        ids=["string", "bool", "none-value", "nan", "none", "list"],
+    )
+    def test_bad_interest_values_are_rejected(self, values, layout, execution):
+        instance = layout.instance(seed=81, num_users=20, num_events=6, num_intervals=3)
+        session = SchedulingSession(instance, seed=81, execution=execution)
+        session.apply([UpdateInterest(user_id="u0", values={"e1": 0.5})])
+        before = session.status()
+        journal = list(session._journal)
+        with pytest.raises(MutationError):
+            session.apply([UpdateInterest(user_id="u1", values=values)])
+        assert session.status() == before
+        assert journals_equal(session._journal, journal)
+        assert_resolve_matches_cold(session, 3, "INC", 81, execution)
+
+    @pytest.mark.parametrize(
+        "column",
+        [("0.5",) * 20, (True,) * 20, (0.5,) * 19, (0.5,) * 19 + (1.5,), None],
+        ids=["strings", "bools", "short", "out-of-range", "none"],
+    )
+    def test_bad_add_event_column_is_rejected(self, column, layout, execution):
+        instance = layout.instance(seed=82, num_users=20, num_events=6, num_intervals=3)
+        session = SchedulingSession(instance, seed=82, execution=execution)
+        before = session.status()
+        with pytest.raises(MutationError):
+            session.apply(
+                [AddEvent(event=Event(id="x0", location="loc0"), interest=column)]
+            )
+        assert session.status() == before
+        assert session._journal == []
+        assert_resolve_matches_cold(session, 3, "INC", 82, execution)
+
+    def test_add_event_past_dense_capacity_is_rejected(self, layout, execution, monkeypatch):
+        instance = layout.instance(seed=83, num_users=20, num_events=6, num_intervals=3)
+        session = SchedulingSession(instance, seed=83, execution=execution)
+        monkeypatch.setenv(DENSE_CAPACITY_ENV, str(20 * 6))
+        added = AddEvent(event=Event(id="x0", location="loc0"), interest=(0.5,) * 20)
+        before = session.status()
+        if layout.storage == "dense":
+            with pytest.raises(MutationError, match="capacity"):
+                session.apply([added])
+            assert session.status() == before
+            assert session._journal == []
+        else:
+            session.apply([added])  # sparse and mmap stores have no dense ceiling
+        monkeypatch.delenv(DENSE_CAPACITY_ENV)
+        assert_resolve_matches_cold(session, 3, "INC", 83, execution)
