@@ -480,17 +480,13 @@ def _command_worker(args: argparse.Namespace) -> int:
     # `worker_command` is required and 'serve' is its only action so far; the
     # sub-subparser keeps room for future actions (status, drain, …).
     from repro.core.distributed.cache import DEFAULT_CACHE_CAPACITY
-    from repro.core.distributed.worker import serve
+    from repro.core.distributed.worker import WorkerServer
 
     capacity = args.cache_capacity if args.cache_capacity is not None else DEFAULT_CACHE_CAPACITY
-    serve(
-        args.host,
-        args.port,
-        cluster_key=args.cluster_key,
-        capacity=capacity,
+    WorkerServer(args.host, args.port, cluster_key=args.cluster_key, capacity=capacity).run(
         announce=lambda address: print(
             f"ses-repro cluster worker listening on {address}", flush=True
-        ),
+        )
     )
     return 0
 
@@ -498,15 +494,12 @@ def _command_worker(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     # Imported lazily (like the worker machinery): the service package is
     # only needed by this long-running command.
-    from repro.service import serve
+    from repro.service import ServiceServer
 
-    serve(
-        args.host,
-        args.port,
-        cluster_key=args.cluster_key,
+    ServiceServer(args.host, args.port, cluster_key=args.cluster_key).run(
         announce=lambda address: print(
             f"ses-repro scheduling service listening on {address}", flush=True
-        ),
+        )
     )
     return 0
 

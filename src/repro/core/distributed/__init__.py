@@ -11,6 +11,9 @@ per batch rather than per column:
   fingerprints, addresses, authentication keys);
 * :mod:`~repro.core.distributed.cache` — the worker-side LRU of static
   instance matrices (shipped once per fingerprint);
+* :mod:`~repro.core.distributed.server` — :class:`WireServer`, the listener
+  and connection loop under the worker and the scheduling service
+  (``repro serve``), each run by :meth:`WireServer.run`;
 * :mod:`~repro.core.distributed.worker` — the worker server
   (``repro worker serve``) plus :func:`start_local_worker` for spawning
   localhost workers in tests/benchmarks/examples;
@@ -54,10 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis aliases
         instance_fingerprint,
         parse_worker_address,
     )
+    from repro.core.distributed.server import WireServer
     from repro.core.distributed.worker import (
         WorkerHandle,
         WorkerServer,
-        serve,
         start_local_worker,
     )
 
@@ -78,9 +81,9 @@ _EXPORTS = {
     "derive_task_batch": "repro.core.distributed.protocol",
     "instance_fingerprint": "repro.core.distributed.protocol",
     "parse_worker_address": "repro.core.distributed.protocol",
+    "WireServer": "repro.core.distributed.server",
     "WorkerHandle": "repro.core.distributed.worker",
     "WorkerServer": "repro.core.distributed.worker",
-    "serve": "repro.core.distributed.worker",
     "start_local_worker": "repro.core.distributed.worker",
 }
 

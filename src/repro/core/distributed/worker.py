@@ -15,22 +15,21 @@ client connection is served on its own thread, so a worker can also be shared
 by several clients; the per-connection selection cache keeps a client's
 subset-selected rows materialised once per ``score_matrix`` call.
 
-Lifecycle is deterministic: :data:`~repro.core.distributed.protocol.OP_SHUTDOWN`
-(or :meth:`WorkerServer.stop`) closes the listener and ends
-:meth:`WorkerServer.serve_forever`; :func:`start_local_worker` spawns a worker
-as a child process and returns a :class:`WorkerHandle` whose :meth:`~WorkerHandle.stop`
-performs that handshake (used by the tests, the benchmark and
-``examples/cluster_quickstart.py``).
+Listener, connection threads and lifecycle are the
+:class:`~repro.core.distributed.server.WireServer` base's; :class:`WorkerServer`
+adds the cache, the served-work counters and the cluster operations.
+:func:`start_local_worker` spawns a worker as a child process and returns a
+:class:`WorkerHandle` whose :meth:`~WorkerHandle.stop` sends
+:data:`~repro.core.distributed.protocol.OP_SHUTDOWN` (used by the tests, the
+benchmark and ``examples/cluster_quickstart.py``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import socket
-import threading
 import time
-from multiprocessing.connection import Client, Connection, Listener
+from multiprocessing.connection import Client
 from typing import Dict, Optional
 
 import numpy as np
@@ -53,10 +52,9 @@ from repro.core.distributed.protocol import (
     STATUS_OK,
     ColumnTask,
     authkey_bytes,
-    format_worker_address,
-    is_loopback_host,
     parse_worker_address,
 )
+from repro.core.distributed.server import WireServer
 from repro.core.errors import DatasetError, InstanceValidationError, SolverError
 
 #: Ops whose first argument is the instance fingerprint keying the cache.
@@ -166,25 +164,11 @@ def score_column(record: Dict[str, object], task: ColumnTask, rows) -> np.ndarra
     return scores
 
 
-class WorkerServer:
-    """One cluster worker: a TCP listener over an instance cache.
+class WorkerServer(WireServer):
+    """One cluster worker: a :class:`~repro.core.distributed.server.WireServer` over an
+    :class:`~repro.core.distributed.cache.InstanceCache` of ``capacity`` instances."""
 
-    Parameters
-    ----------
-    host, port:
-        Bind address.  ``port=0`` binds an ephemeral port; the actual address
-        is available as :attr:`address` once constructed.
-    cluster_key:
-        Shared secret of the connection handshake (``None`` selects
-        :data:`~repro.core.distributed.protocol.DEFAULT_CLUSTER_KEY`); clients
-        must present the same key.  Binding a **non-loopback** host with the
-        default key is refused: the key is public (it ships in this
-        repository) and an authenticated connection deserialises pickles, so
-        serving beyond loopback demands an explicit secret.
-    capacity:
-        Instances kept resident (see
-        :class:`~repro.core.distributed.cache.InstanceCache`).
-    """
+    kind = "cluster worker"
 
     def __init__(
         self,
@@ -194,116 +178,24 @@ class WorkerServer:
         cluster_key: Optional[str] = None,
         capacity: int = DEFAULT_CACHE_CAPACITY,
     ) -> None:
-        if cluster_key is None and not is_loopback_host(host):
-            raise SolverError(
-                f"refusing to bind cluster worker to non-loopback {host!r} with "
-                "the default (public) cluster key: authenticated peers can send "
-                "arbitrary pickles — pass an explicit secret via cluster_key "
-                "(CLI: --cluster-key) shared with your clients"
-            )
         self._cache = InstanceCache(capacity)
-        self._stop_event = threading.Event()
-        # Served-work counters behind OP_STATUS.  time.monotonic (not
-        # time.time): uptime is an elapsed-time metric, and the deterministic
-        # layers ban wall-clock reads.
-        self._started = time.monotonic()
-        self._lock = threading.Lock()
+        # Served-work counters behind OP_STATUS.
         self._tasks_served = 0
         self._bytes_served = 0
-        try:
-            self._listener = Listener((host, int(port)), authkey=authkey_bytes(cluster_key))
-        except OSError as error:
-            raise SolverError(f"cannot bind cluster worker to {host}:{port}: {error}") from None
-        bound_host, bound_port = self._listener.address  # type: ignore[misc]
-        self._address = format_worker_address(bound_host, bound_port)
-
-    @property
-    def address(self) -> str:
-        """The actual ``"host:port"`` the worker is listening on."""
-        return self._address
+        super().__init__(host, port, cluster_key=cluster_key)
 
     @property
     def cache(self) -> InstanceCache:
         """The worker's instance cache."""
         return self._cache
 
-    def serve_forever(self) -> None:
-        """Accept connections until a shutdown request (or :meth:`stop`)."""
-        while not self._stop_event.is_set():
-            try:
-                connection = self._listener.accept()
-            except (OSError, EOFError):
-                # Listener closed by stop()/shutdown, or a client failed the
-                # authentication handshake / dropped mid-accept — keep serving
-                # unless we were asked to stop.
-                if self._stop_event.is_set():
-                    break
-                continue
-            except multiprocessing.AuthenticationError:
-                continue
-            thread = threading.Thread(
-                target=self._serve_connection, args=(connection,), daemon=True
-            )
-            thread.start()
-        self.stop()
-
-    def stop(self) -> None:
-        """Stop accepting and close the listener (safe to call repeatedly)."""
-        first_stop = not self._stop_event.is_set()
-        self._stop_event.set()
-        if first_stop:
-            # Closing a listening socket does not interrupt a concurrent
-            # blocking accept() on Linux — wake it with a throwaway
-            # connection so serve_forever observes the stop flag.
-            host, port = parse_worker_address(self._address)
-            if host in ("0.0.0.0", "::"):  # wildcard binds are not connectable
-                host = "127.0.0.1"
-            try:
-                with socket.create_connection((host, port), timeout=1.0):
-                    pass
-            except OSError:
-                pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    # ------------------------------------------------------------------ #
-    # Connection handling
-    # ------------------------------------------------------------------ #
-    def _serve_connection(self, connection: Connection) -> None:
-        """Serve one client until it disconnects (one thread per connection)."""
-        # Per-connection cache of the last subset selection: one score_matrix
-        # call dispatches many tasks with the same token, so the fancy-indexed
-        # row copy happens once per call instead of once per task.
-        selection: Dict[str, object] = {"token": None, "rows": None}
-        try:
-            while not self._stop_event.is_set():
-                try:
-                    request = connection.recv()
-                except (EOFError, OSError):
-                    break
-                try:
-                    response, shutdown = self._dispatch(request, selection)
-                except Exception as error:  # staticcheck: allow(broad-except) -- serialised into the STATUS_ERROR reply below: the client raises it as SolverError, and letting it kill this connection thread would hide it instead
-                    response, shutdown = (
-                        (STATUS_ERROR, f"{type(error).__name__}: {error}"),
-                        False,
-                    )
-                try:
-                    connection.send(response)
-                except (OSError, BrokenPipeError):
-                    break
-                if shutdown:
-                    self.stop()
-                    break
-        finally:
-            connection.close()
-
     def _dispatch(self, request, selection: Dict[str, object]):
-        """Handle one request tuple; returns ``(response, shutdown)``."""
-        if not isinstance(request, tuple) or not request:
-            return (STATUS_ERROR, f"malformed request: {request!r}"), False
+        """Answer one cluster operation; returns ``(response, shutdown)``.
+
+        ``selection`` (the connection's scratch dict) caches the last subset
+        selection: one ``score_matrix`` call sends many tasks with the same
+        token, so the fancy-indexed row copy happens once per call.
+        """
         op = request[0]
         if op == OP_PING:
             payload = {"version": PROTOCOL_VERSION, "pid": os.getpid(),
@@ -361,9 +253,7 @@ class WorkerServer:
                 len(columns), sum(scores.nbytes for _, scores in columns)
             )
             return (STATUS_OK, tuple(columns)), False
-        if op == OP_SHUTDOWN:
-            return (STATUS_OK, True), True
-        return (STATUS_ERROR, f"unknown operation {op!r}"), False
+        return super()._dispatch(request, selection)
 
     def _count_served(self, tasks: int, nbytes: int) -> None:
         """Record served work (connection threads share the counters)."""
@@ -388,45 +278,18 @@ class WorkerServer:
         if task.selector is None:
             return rows
         if isinstance(task.selector, str) and task.selector == SELECTOR_CACHED:
-            if selection["token"] != task.token:
+            if selection.get("token") != task.token:
                 return None
-            return selection["rows"]
-        if selection["token"] != task.token:
+            return selection.get("rows")
+        if selection.get("token") != task.token:
             selection["token"] = task.token
             selection["rows"] = rows.select(task.selector)  # type: ignore[attr-defined]
         return selection["rows"]
 
 
-def serve(
-    host: str = DEFAULT_WORKER_HOST,
-    port: int = 0,
-    *,
-    cluster_key: Optional[str] = None,
-    capacity: int = DEFAULT_CACHE_CAPACITY,
-    announce=None,
-) -> str:
-    """Run a worker server in this process until it is shut down.
-
-    ``announce`` (when given) is called with the bound ``"host:port"`` before
-    serving — the CLI prints it so scripts can scrape the ephemeral port.
-    Returns the address after the server stops.
-    """
-    server = WorkerServer(host, port, cluster_key=cluster_key, capacity=capacity)
-    if announce is not None:
-        announce(server.address)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive use
-        server.stop()
-    return server.address
-
-
 def _local_worker_main(host, port, cluster_key, capacity, channel) -> None:
     """Child-process entry point of :func:`start_local_worker`."""
-    server = WorkerServer(host, port, cluster_key=cluster_key, capacity=capacity)
-    channel.send(server.address)
-    channel.close()
-    server.serve_forever()
+    WorkerServer(host, port, cluster_key=cluster_key, capacity=capacity).run(channel.send)
 
 
 class WorkerHandle:
@@ -514,6 +377,5 @@ __all__ = [
     "FileUnavailableError",
     "build_instance_record",
     "score_column",
-    "serve",
     "start_local_worker",
 ]

@@ -168,22 +168,24 @@ class Organizer:
         )
 
 
-def decode_capacity(value: object) -> Optional[int]:
-    """An interval capacity read from a payload, without coercion.
+def decode_int(value: object, what: str) -> int:
+    """An integer read from a payload, without coercion.
 
-    ``None`` stays ``None``; integers, NumPy integers included (pickled wire
-    payloads carry them), pass through :func:`operator.index`.  Booleans,
-    floats and strings raise ``ValueError`` instead of being truncated or
-    parsed.  The range (``≥ 1``) is :class:`TimeInterval`'s own check.
+    Integers, NumPy integers included (pickled wire payloads carry them),
+    pass through :func:`operator.index`; booleans, floats and strings raise
+    ``ValueError`` naming ``what``.  Range checks stay with the field's owner.
     """
-    if value is None:
-        return None
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"capacity must be an integer or None, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def decode_capacity(value: object) -> Optional[int]:
+    """``None`` or a :func:`decode_int` capacity; the range is :class:`TimeInterval`'s check."""
+    return None if value is None else decode_int(value, "capacity")
 
 
 def decode_id(value: object, what: str) -> str:

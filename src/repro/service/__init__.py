@@ -13,8 +13,9 @@ The package turns the one-shot solvers into a long-running service
   :class:`~repro.service.session.UnlockAssignment`,
   :class:`~repro.service.session.SetIntervalCapacity`);
 * :class:`~repro.service.server.ServiceServer` /
-  :class:`~repro.service.client.ServiceClient` — the wire endpoints, reusing
-  the cluster protocol's framing and HMAC handshake; and
+  :class:`~repro.service.client.ServiceClient` — the wire endpoints; the
+  server is a :class:`~repro.core.distributed.server.WireServer`, like the
+  cluster worker; and
 * :class:`~repro.service.stats.SessionStats` — the saved-work ledger behind
   ``session-status`` and ``SchedulerResult.summary()["service"]``.
 """
@@ -23,7 +24,6 @@ from repro.service.client import ServiceClient
 from repro.service.server import (
     ServiceHandle,
     ServiceServer,
-    serve,
     start_local_service,
 )
 from repro.service.session import (
@@ -57,6 +57,5 @@ __all__ = [
     "UpdateInterest",
     "mutation_from_dict",
     "mutation_to_dict",
-    "serve",
     "start_local_service",
 ]

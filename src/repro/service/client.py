@@ -116,7 +116,7 @@ class ServiceClient:
         self, session_id: str, k: int, *, algorithm: Optional[str] = None
     ) -> Dict[str, object]:
         """Re-solve a session; returns schedule, utilities and counters."""
-        return self._request(OP_RESOLVE, session_id, int(k), {"algorithm": algorithm})
+        return self._request(OP_RESOLVE, session_id, k, {"algorithm": algorithm})
 
     def get_schedule(self, session_id: str) -> Optional[Dict[str, str]]:
         """The session's latest schedule (``None`` before the first resolve)."""

@@ -68,6 +68,7 @@ from repro.core.entities import (
     decode_capacity,
     decode_event,
     decode_id,
+    decode_int,
     decode_real,
     decode_reals,
 )
@@ -231,6 +232,14 @@ def mutation_from_dict(payload: Mapping[str, object]) -> Mutation:
     except (KeyError, TypeError, ValueError) as error:
         raise MutationError(f"malformed {op!r} mutation: {error}") from error
     raise MutationError(f"unknown mutation op {op!r}")
+
+
+def _mutation_id(value: object, what: str) -> str:
+    """:func:`~repro.core.entities.decode_id` for in-process mutations (not from the wire)."""
+    try:
+        return decode_id(value, what)
+    except ValueError as error:
+        raise MutationError(str(error)) from error
 
 
 # --------------------------------------------------------------------------- #
@@ -455,7 +464,10 @@ class SchedulingSession:
 
     def _apply_add_event(self, scratch: _Scratch, mutation: AddEvent) -> None:
         event = mutation.event
-        if event.id in scratch.event_ids:
+        if not isinstance(event, Event):
+            raise MutationError(f"add-event needs an Event, got {event!r}")
+        _mutation_id(event.location, "event location")
+        if _mutation_id(event.id, "event id") in scratch.event_ids:
             raise MutationError(f"event id {event.id!r} already exists")
         try:
             column = np.array(decode_reals(mutation.interest, "interest"), dtype=np.float64)
@@ -480,7 +492,7 @@ class SchedulingSession:
         scratch.instance_dirty = True
 
     def _apply_remove_event(self, scratch: _Scratch, mutation: RemoveEvent) -> None:
-        index = scratch.event_ids.get(mutation.event_id)
+        index = scratch.event_ids.get(_mutation_id(mutation.event_id, "event_id"))
         if index is None:
             raise MutationError(f"unknown event id: {mutation.event_id!r}")
         if mutation.event_id in scratch.locks:
@@ -496,7 +508,7 @@ class SchedulingSession:
         scratch.instance_dirty = True
 
     def _apply_update_interest(self, scratch: _Scratch, mutation: UpdateInterest) -> None:
-        user_index = self._user_ids.get(mutation.user_id)
+        user_index = self._user_ids.get(_mutation_id(mutation.user_id, "user_id"))
         if user_index is None:
             raise MutationError(f"unknown user id: {mutation.user_id!r}")
         if not isinstance(mutation.values, Mapping):
@@ -507,7 +519,7 @@ class SchedulingSession:
             return
         triples = []
         for event_id, value in mutation.values.items():
-            event_index = scratch.event_ids.get(event_id)
+            event_index = scratch.event_ids.get(_mutation_id(event_id, "event id"))
             if event_index is None:
                 raise MutationError(f"unknown event id: {event_id!r}")
             try:
@@ -530,10 +542,10 @@ class SchedulingSession:
         scratch.instance_dirty = True
 
     def _apply_lock(self, scratch: _Scratch, mutation: LockAssignment) -> None:
-        event_index = scratch.event_ids.get(mutation.event_id)
+        event_index = scratch.event_ids.get(_mutation_id(mutation.event_id, "event_id"))
         if event_index is None:
             raise MutationError(f"unknown event id: {mutation.event_id!r}")
-        if mutation.interval_id not in scratch.interval_ids:
+        if _mutation_id(mutation.interval_id, "interval_id") not in scratch.interval_ids:
             raise MutationError(f"unknown interval id: {mutation.interval_id!r}")
         previous = scratch.locks.get(mutation.event_id)
         if previous == mutation.interval_id:
@@ -572,13 +584,13 @@ class SchedulingSession:
             scratch.stale_intervals.add(previous)
 
     def _apply_unlock(self, scratch: _Scratch, mutation: UnlockAssignment) -> None:
-        previous = scratch.locks.pop(mutation.event_id, None)
+        previous = scratch.locks.pop(_mutation_id(mutation.event_id, "event_id"), None)
         if previous is None:
             raise MutationError(f"event {mutation.event_id!r} is not locked")
         scratch.stale_intervals.add(previous)
 
     def _apply_set_capacity(self, scratch: _Scratch, mutation: SetIntervalCapacity) -> None:
-        index = scratch.interval_ids.get(mutation.interval_id)
+        index = scratch.interval_ids.get(_mutation_id(mutation.interval_id, "interval_id"))
         if index is None:
             raise MutationError(f"unknown interval id: {mutation.interval_id!r}")
         # TimeInterval validates the capacity's type and range, so a bad
@@ -659,8 +671,13 @@ class SchedulingSession:
         resolve's warm/recomputed/saved split plus the session totals.  The
         schedule, utilities and initial scores are bit-identical to a cold
         one-shot run of the same algorithm on the mutated instance with the
-        same locked assignments.
+        same locked assignments.  A ``k`` that is a bool, float or string
+        raises :class:`~repro.core.errors.SolverError` (no truncation).
         """
+        try:
+            k = decode_int(k, "k")
+        except ValueError as error:
+            raise SolverError(str(error)) from None
         with self._lock:
             name = algorithm if algorithm is not None else self._algorithm
             scheduler_cls = get_scheduler(name)
@@ -687,7 +704,7 @@ class SchedulingSession:
                 locked=locked_pairs,
                 warm_grid=provider,
             )
-            result = scheduler.schedule(int(k))
+            result = scheduler.schedule(k)
             if provider.captured is not None:
                 # The provider saw the post-lock engine state: its captured
                 # grid is the fresh baseline and the staleness is repaid.

@@ -43,9 +43,11 @@ from repro.core.distributed import (
 from repro.core.distributed import client as cluster_client
 from repro.core.distributed.protocol import (
     OP_HAS_INSTANCE,
+    OP_PING,
     OP_PUT_INSTANCE,
     OP_SCORE_COLUMNS,
     OP_SHUTDOWN,
+    PROTOCOL_VERSION,
     STATUS_ERROR,
     STATUS_OK,
     authkey_bytes,
@@ -693,13 +695,16 @@ class TestCliCluster:
         assert code == 2
         assert "--cluster" in capsys.readouterr().err
 
-    def test_worker_serve_subcommand_end_to_end(self):
-        """`repro worker serve` announces its address, serves, and shuts down."""
+    @pytest.mark.parametrize(
+        "command", [("worker", "serve"), ("serve",)], ids=["worker", "service"]
+    )
+    def test_serve_subcommand_end_to_end(self, command):
+        """`repro worker serve` / `repro serve` announce, answer a ping, and shut down."""
         src_dir = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "serve"],
+            [sys.executable, "-m", "repro", *command],
             stdout=subprocess.PIPE,
             text=True,
             env=env,
@@ -708,23 +713,28 @@ class TestCliCluster:
             line = process.stdout.readline().strip()
             assert "listening on" in line
             address = line.rsplit(" ", 1)[-1]
-            instance = make_random_instance(
-                seed=228, num_users=12, num_events=8, num_intervals=3
-            )
-            batch = ScoringEngine(instance, execution=ExecutionConfig(backend="batch"))
-            cluster = ScoringEngine(
-                instance,
-                execution=ExecutionConfig(backend="cluster", workers_addr=(address,)),
-            )
-            try:
-                assert np.array_equal(
-                    cluster.score_matrix(count=False), batch.score_matrix(count=False)
+            if command[0] == "worker":
+                instance = make_random_instance(
+                    seed=228, num_users=12, num_events=8, num_intervals=3
                 )
-            finally:
-                cluster.close()
+                batch = ScoringEngine(instance, execution=ExecutionConfig(backend="batch"))
+                cluster = ScoringEngine(
+                    instance,
+                    execution=ExecutionConfig(backend="cluster", workers_addr=(address,)),
+                )
+                try:
+                    assert np.array_equal(
+                        cluster.score_matrix(count=False), batch.score_matrix(count=False)
+                    )
+                finally:
+                    cluster.close()
             host, port = parse_worker_address(address)
             connection = Client((host, port), authkey=authkey_bytes(None))
             try:
+                connection.send((OP_PING,))
+                status, payload = connection.recv()
+                assert status == STATUS_OK
+                assert payload["version"] == PROTOCOL_VERSION
                 connection.send((OP_SHUTDOWN,))
                 status, _ = connection.recv()
                 assert status == STATUS_OK

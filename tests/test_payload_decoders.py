@@ -22,11 +22,18 @@ import functools
 import numpy as np
 import pytest
 
+from repro.core.entities import Event
+from repro.core.errors import SolverError
 from repro.core.instance import SESInstance
 from repro.service import (
+    AddEvent,
+    LockAssignment,
     MutationError,
+    RemoveEvent,
     SchedulingSession,
     SetIntervalCapacity,
+    UnlockAssignment,
+    UpdateInterest,
     mutation_from_dict,
 )
 
@@ -326,6 +333,48 @@ class TestMutationIdDecoder:
         event, interval = instance.events[0].id, instance.intervals[0].id
         mutation = mutation_from_dict({"op": "lock", "event_id": event, "interval_id": interval})
         assert (mutation.event_id, mutation.interval_id) == (event, interval)
+
+
+#: In-process mutation objects with a malformed id (or event), built without
+#: the wire decoder: ``apply`` must reject each as a MutationError.
+BAD_IN_PROCESS_MUTATIONS = [
+    pytest.param(UpdateInterest(user_id=["u0"], values={"e0": 0.5}), id="update-user-list"),
+    pytest.param(LockAssignment(event_id=["e0"], interval_id="t0"), id="lock-event-list"),
+    pytest.param(LockAssignment(event_id="e0", interval_id=["t0"]), id="lock-interval-list"),
+    pytest.param(RemoveEvent(event_id={"e0"}), id="remove-event-set"),
+    pytest.param(UnlockAssignment(event_id=["e0"]), id="unlock-event-list"),
+    pytest.param(SetIntervalCapacity(interval_id=["t0"], capacity=2), id="capacity-interval-list"),
+    pytest.param(AddEvent(event="x", interest=(0.5,) * 10), id="add-event-string"),
+    pytest.param(
+        AddEvent(event=Event(id=["x"], location="L0"), interest=(0.5,) * 10),
+        id="add-event-id-list",
+    ),
+    pytest.param(
+        AddEvent(event=Event(id="x", location=["L0"]), interest=(0.5,) * 10),
+        id="add-event-location-list",
+    ),
+]
+
+
+class TestInProcessMutationIds:
+    @pytest.mark.parametrize("mutation", BAD_IN_PROCESS_MUTATIONS)
+    def test_malformed_mutation_is_rejected(self, session, mutation):
+        before = session.status()
+        with pytest.raises(MutationError):
+            session.apply([mutation])
+        assert session.status() == before
+
+
+class TestResolveK:
+    @pytest.mark.parametrize("k", [2.9, True, "3"], ids=repr)
+    def test_coercible_k_is_rejected(self, session, k):
+        schedule = session.last_schedule()
+        with pytest.raises(SolverError, match="k must be an integer"):
+            session.resolve(k)
+        assert session.last_schedule() == schedule
+
+    def test_numpy_integer_k_resolves(self, session):
+        assert session.resolve(np.int64(2)).k == 2
 
 
 #: Every id field of an instance payload (and the event location), as ``entry.key``.

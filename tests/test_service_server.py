@@ -22,6 +22,7 @@ the same wiring ``repro serve`` uses.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 from multiprocessing.connection import Client
 
@@ -35,6 +36,7 @@ from repro.core.distributed.protocol import (
     authkey_bytes,
     parse_worker_address,
 )
+from repro.core.distributed.worker import WorkerServer
 from repro.core.entities import Event
 from repro.core.errors import SolverError
 from repro.service import (
@@ -57,6 +59,27 @@ def service():
     handle = start_local_service("127.0.0.1", 0)
     yield handle
     handle.stop()
+
+
+#: Both long-running servers share one ``WireServer`` lifecycle.
+SERVER_KINDS = {"service": ServiceServer, "worker": WorkerServer}
+
+
+def serve_on_thread(server):
+    """Run ``server.serve_forever`` on a daemon thread and return the thread."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.fixture(params=sorted(SERVER_KINDS))
+def wire_server(request):
+    """A thread-hosted server of either kind on an ephemeral loopback port."""
+    server = SERVER_KINDS[request.param]("127.0.0.1", 0)
+    thread = serve_on_thread(server)
+    yield server
+    server.stop()
+    thread.join(5.0)
 
 
 @pytest.fixture()
@@ -214,8 +237,18 @@ class TestRejectedBatches:
             status = client.session_status(session_id)
             assert status["locks"] == {first: "t1", second: "t1"}
 
-    def test_malformed_request_is_answered_not_fatal(self, service):
-        host, port = parse_worker_address(service.address)
+    @pytest.mark.parametrize("k", [2.9, True, "3"], ids=repr)
+    def test_coercible_k_is_rejected(self, service, instance, k):
+        with ServiceClient(service.address) as client:
+            session_id = client.load_instance(instance)
+            client.resolve(session_id, 5)
+            schedule = client.get_schedule(session_id)
+            with pytest.raises(SolverError, match="k must be an integer"):
+                client.resolve(session_id, k)
+            assert client.get_schedule(session_id) == schedule
+
+    def test_malformed_request_is_answered_not_fatal(self, wire_server):
+        host, port = parse_worker_address(wire_server.address)
         with Client((host, port), authkey=authkey_bytes(None)) as connection:
             connection.send("not a tuple")
             status, payload = connection.recv()
@@ -257,12 +290,28 @@ class TestDisconnects:
 
 
 class TestAuthAndShutdown:
-    def test_wrong_cluster_key_fails_handshake(self, service, instance):
+    def test_wrong_cluster_key_fails_handshake(self, wire_server, instance):
         with pytest.raises(multiprocessing.AuthenticationError):
-            ServiceClient(service.address, cluster_key="not-the-key")
+            ServiceClient(wire_server.address, cluster_key="not-the-key")
         # The failed handshake must not wedge the accept loop.
-        with ServiceClient(service.address) as client:
-            assert client.load_instance(instance).startswith("s")
+        with ServiceClient(wire_server.address) as client:
+            if isinstance(wire_server, ServiceServer):
+                assert client.load_instance(instance).startswith("s")
+            else:
+                assert client.ping()["version"] == PROTOCOL_VERSION
+
+    @pytest.mark.parametrize("kind", sorted(SERVER_KINDS))
+    def test_stop_ends_a_wildcard_bind(self, kind):
+        """stop() wakes accept() through 127.0.0.1 when the bind is ``0.0.0.0``."""
+        server = SERVER_KINDS[kind]("0.0.0.0", 0, cluster_key="wildcard-test-key")
+        thread = serve_on_thread(server)
+        _, port = parse_worker_address(server.address)
+        # One answered request proves the accept loop is running.
+        with ServiceClient(f"127.0.0.1:{port}", cluster_key="wildcard-test-key") as client:
+            assert client.ping()["version"] == PROTOCOL_VERSION
+        server.stop()
+        thread.join(5.0)
+        assert not thread.is_alive()
 
     def test_non_loopback_default_key_refused(self):
         for host in ("0.0.0.0", "127.example.com"):
