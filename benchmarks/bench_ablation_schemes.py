@@ -1,4 +1,4 @@
-"""Ablation: what each of INC's two schemes contributes (DESIGN.md ablation target).
+"""Ablation: what each of INC's two schemes contributes.
 
 INC = ALG + (1) incremental bound-pruned updates + (2) interval-based
 assignment organisation.  The ablation runs, on the same instances, ALG, the

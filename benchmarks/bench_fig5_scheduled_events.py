@@ -18,7 +18,7 @@ def test_fig5_varying_scheduled_events(benchmark, bench_scale, results_dir):
     text = persist_figure(figure, results_dir)
     print("\n" + text)
 
-    # Qualitative shape checks (the quantitative series are persisted for EXPERIMENTS.md).
+    # Qualitative shape checks (the quantitative series are persisted in benchmarks/results/).
     for dataset in figure.datasets:
         utility = figure.series(metric="utility", dataset=dataset)
         computations = figure.series(metric="user_computations", dataset=dataset)

@@ -40,6 +40,7 @@ from repro.core.errors import (
     ScheduleError,
 )
 from repro.core.execution import (
+    DEFAULT_BACKEND,
     ExecutionBackend,
     ExecutionConfig,
     ScoringPlan,
@@ -48,7 +49,7 @@ from repro.core.execution import (
 )
 from repro.core.instance import SESInstance
 from repro.core.schedule import Assignment, Schedule
-from repro.core.scoring import DEFAULT_BACKEND, ScoringEngine
+from repro.core.scoring import ScoringEngine
 from repro.algorithms.base import SchedulerResult
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.algorithms.alg import AlgScheduler

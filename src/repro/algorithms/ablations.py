@@ -8,8 +8,7 @@ INC combines two independent ideas on top of ALG:
    grouped per interval with per-interval tops (``M_t``), so whole intervals
    can be skipped when searching for the next selection.
 
-To quantify what each scheme contributes (the ablation DESIGN.md calls for),
-this module provides:
+To quantify what each scheme contributes, this module provides:
 
 * :class:`IncUpdatesOnlyScheduler` (``INC-U``) — incremental, bound-pruned
   updates but **no** interval organisation: every assignment is examined on

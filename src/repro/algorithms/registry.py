@@ -50,8 +50,12 @@ def available_schedulers() -> List[str]:
 def get_scheduler(name: str) -> Type[BaseScheduler]:
     """Return the scheduler class registered under ``name`` (case-insensitive).
 
-    ``"HORI"`` and ``"HOR_I"`` are accepted aliases for ``"HOR-I"``.
+    ``"HORI"`` and ``"HOR_I"`` are accepted aliases for ``"HOR-I"``.  A name
+    that is not a string (``None``, a number, a list) raises
+    :class:`~repro.core.errors.SolverError` instead of being looked up.
     """
+    if not isinstance(name, str):
+        raise SolverError(f"algorithm name must be a string, got {name!r}")
     canonical = name.strip().upper().replace("_", "-")
     if canonical == "HORI":
         canonical = "HOR-I"

@@ -59,16 +59,11 @@ import numpy as np
 
 from repro.core.counters import ComputationCounter
 from repro.core.errors import ScheduleError
-from repro.core.execution import (  # noqa: F401  (re-exported compatibility surface)
-    DEFAULT_BACKEND,
+from repro.core.execution import (
     DEFAULT_CHUNK_ELEMENTS,
     ExecutionBackend,
     ExecutionConfig,
     _guarded_divide,
-    resolve_backend,
-    resolve_chunk_size,
-    resolve_workers,
-    score_block_kernel,
 )
 from repro.core.instance import SESInstance
 from repro.core.patterns import InterestStructure, mine_structure

@@ -4,8 +4,8 @@ The paper evaluates on two real datasets — a Meetup dump and the Yahoo! Music
 ratings collection — and on synthetic interest matrices drawn from Uniform,
 Normal and Zipfian distributions.  The real datasets are not redistributable,
 so this package provides faithful *simulators* that produce SES instances
-with the same structural characteristics (see DESIGN.md for the substitution
-rationale):
+with the same structural characteristics (``docs/PAPER_MAPPING.md`` maps
+each dataset to its builder and tests):
 
 * :mod:`repro.datasets.synthetic` — Uniform / Normal / Zipfian generators
   driven by the Table 1 parameter grid.

@@ -10,8 +10,8 @@ Two grids are exposed:
   by this repository's benchmark harness so that every figure can be
   regenerated on a laptop in pure Python.  The scaling preserves every ratio
   the paper's analysis relies on (k vs |T|, |E| vs k, competing events per
-  interval, resources per event vs θ); EXPERIMENTS.md records the factor for
-  each experiment.
+  interval, resources per event vs θ); the absolute sizes of each run live in
+  the scale presets of :mod:`repro.experiments.figures`.
 """
 
 from __future__ import annotations

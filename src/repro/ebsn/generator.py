@@ -157,7 +157,7 @@ def generate_network(config: Optional[EBSNConfig] = None, **overrides: object) -
 
     # ---------------------------------------------------------------- RSVPs
     for event in network.events():
-        for member_id in network.members_of_group(event.group_id):
+        for member_id in sorted(network.members_of_group(event.group_id)):
             member_topics = set(network.member(member_id).topics)
             overlap = len(member_topics.intersection(event.topics))
             probability = min(1.0, config.rsvp_probability * (1.0 + overlap))

@@ -4,11 +4,11 @@
   time, score computations, assignments examined) and aggregation helpers.
 * :mod:`repro.experiments.harness` — run a set of algorithms on one instance
   and collect records.
-* :mod:`repro.experiments.figures` — one function per paper figure
-  (Fig. 5–10), each sweeping the corresponding parameter and returning a
-  :class:`~repro.experiments.figures.FigureResult`.
+* :mod:`repro.experiments.figures` — the experiment table (one
+  :class:`~repro.experiments.figures.ExperimentSpec` row per figure, Fig. 5–10)
+  and the one sweep loop that runs a row into a ``FigureResult``.
 * :mod:`repro.experiments.sweeps` — the §4.2.8 summary sweep (utility-equality
-  statistics and speed-up factors across many configurations).
+  statistics and speed-up factors), run by the same loop.
 * :mod:`repro.experiments.report` — ASCII tables for results.
 """
 

@@ -1,9 +1,14 @@
-"""One function per figure of the paper's experimental section (§4.2).
+"""The paper's experiments (§4.2) as one table, run by one sweep loop.
 
-Every function sweeps the figure's x-axis parameter, builds the appropriate
-dataset instances, runs the algorithms and returns a :class:`FigureResult`
-containing one :class:`~repro.experiments.metrics.MetricRecord` per
-(x-value, dataset, algorithm).  The benchmark harness prints these as tables;
+Every experiment varies one Table 1 parameter and holds the rest at their
+defaults.  :data:`EXPERIMENTS` holds one :class:`ExperimentSpec` row per
+figure with only what differs: title, x-axis, metrics, default datasets and
+algorithms, notes and a ``points(scale)`` function listing the sweep points.
+:func:`run_points` runs every point on every dataset; each row's generated
+runner (``fig5`` … ``ext_resources``) wraps the records in a
+:class:`FigureResult` holding one
+:class:`~repro.experiments.metrics.MetricRecord` per (x-value, dataset,
+algorithm).  The benchmark harness prints these as tables;
 ``docs/PAPER_MAPPING.md`` maps each figure to its entry point and benchmark.
 
 The paper ran with up to one million users and ``k`` up to 500 on a C++
@@ -16,7 +21,6 @@ about.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -77,8 +81,6 @@ SCALES: Dict[str, ExperimentScale] = {
         locations_values=(2, 4, 8),
         competing_range=(1, 4),
         num_locations=4,
-        available_resources=30.0,
-        required_resources_range=(1.0, 15.0),
     ),
     # Used by the benchmark harness: the documented reproduction scale.
     "default": ExperimentScale(
@@ -90,10 +92,6 @@ SCALES: Dict[str, ExperimentScale] = {
         events_values=(24, 72, 120, 240),
         users_values=(500, 2000, 5000),
         locations_values=(3, 6, 12, 24, 34),
-        competing_range=(1, 16),
-        num_locations=12,
-        available_resources=30.0,
-        required_resources_range=(1.0, 15.0),
     ),
     # A middle ground for quick interactive runs.
     "small": ExperimentScale(
@@ -107,8 +105,6 @@ SCALES: Dict[str, ExperimentScale] = {
         locations_values=(2, 4, 8, 12, 17),
         competing_range=(1, 8),
         num_locations=8,
-        available_resources=30.0,
-        required_resources_range=(1.0, 15.0),
     ),
 }
 
@@ -149,53 +145,71 @@ class FigureResult:
 
     def x_values(self) -> List[float]:
         """Distinct x-axis values present in the records."""
-        values = {
-            record.value(self.x_param) if self.x_param != "k" else float(record.k)
-            for record in self.records
-        }
-        return sorted(values)
+        return sorted({record.value(self.x_param) for record in self.records})
 
 
-def _dataset_overrides(
-    scale: ExperimentScale,
-    *,
-    num_events: int,
-    num_intervals: int,
-    num_users: Optional[int] = None,
-    num_locations: Optional[int] = None,
-    competing_range: Optional[Tuple[int, int]] = None,
-    available_resources: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> Dict[str, object]:
-    """Assemble the dataset-builder keyword arguments for one sweep point."""
-    return {
-        "num_users": num_users if num_users is not None else scale.num_users,
-        "num_events": num_events,
-        "num_intervals": num_intervals,
-        "num_locations": num_locations if num_locations is not None else scale.num_locations,
-        "competing_per_interval_range": competing_range
-        if competing_range is not None
-        else scale.competing_range,
-        "available_resources": available_resources
-        if available_resources is not None
-        else scale.available_resources,
+#: One sweep point: the ``k`` to schedule, the dataset-builder arguments that
+#: differ from the scale's Table 1 defaults, and the params stored on every
+#: record of the point (the figure's x-axis annotation).
+Point = Tuple[int, Dict[str, object], Dict[str, object]]
+
+
+def _dataset_overrides(scale: ExperimentScale, changes: Mapping[str, object]) -> Dict[str, object]:
+    """The dataset-builder arguments of one point: Table 1 defaults plus ``changes``."""
+    overrides: Dict[str, object] = {
+        "num_users": scale.num_users,
+        "num_events": scale.default_events,
+        "num_intervals": scale.default_intervals,
+        "num_locations": scale.num_locations,
+        "competing_per_interval_range": scale.competing_range,
+        "available_resources": scale.available_resources,
         "required_resources_range": scale.required_resources_range,
-        "seed": seed if seed is not None else scale.seed,
+        "seed": scale.seed,
     }
+    overrides.update(changes)
+    return overrides
 
 
-# --------------------------------------------------------------------------- #
-# Figure 5 — varying the number of scheduled events k
-# --------------------------------------------------------------------------- #
-def fig5(
-    scale: str | ExperimentScale = "default",
+def run_points(
+    experiment_id: str,
+    scale: ExperimentScale,
+    points: Sequence[Point],
     *,
-    datasets: Sequence[str] = ALL_DATASETS,
-    algorithms: Sequence[str] = tuple(PAPER_METHODS),
+    datasets: Sequence[str],
+    algorithms: Sequence[str],
     seed: int = 0,
     execution: Optional[ExecutionConfig] = None,
     storage: Optional[str] = None,
-) -> FigureResult:
+) -> List[MetricRecord]:
+    """Run the algorithms at every point on every dataset (datasets outermost)."""
+    records: List[MetricRecord] = []
+    for dataset in datasets:
+        for k, changes, params in points:
+            records.extend(
+                run_experiment_point(
+                    dataset,
+                    k=k,
+                    experiment_id=experiment_id,
+                    dataset_overrides=_dataset_overrides(scale, changes),
+                    algorithms=algorithms,
+                    params=params,
+                    seed=seed,
+                    execution=execution,
+                    storage=storage,
+                )
+            )
+    return records
+
+
+# --------------------------------------------------------------------------- #
+# Sweep points, one function per experiment (its docstring documents the runner)
+# --------------------------------------------------------------------------- #
+def _short_horizon(scale: ExperimentScale) -> int:
+    """|T| ≈ 0.65k, the k > |T| regime of Fig. 8b and Fig. 9."""
+    return max(1, int(round(0.65 * scale.default_k)))
+
+
+def _fig5_points(s: ExperimentScale) -> List[Point]:
     """Fig. 5: utility, computations and time as k grows.
 
     As in the paper, the other parameters stay at their Table 1 defaults
@@ -204,475 +218,272 @@ def fig5(
     catches up with HOR.  A k larger than |E| simply schedules every candidate
     event (the paper's k = 500 with |E| = 300 behaves the same way).
     """
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="fig5",
-        title="Varying the number of scheduled events k",
-        x_param="k",
-        metrics=("utility", "user_computations", "time_sec"),
-        datasets=tuple(datasets),
-        scale=resolved.name,
-    )
-    for dataset in datasets:
-        for k in resolved.k_values:
-            num_events = resolved.default_events
-            num_intervals = resolved.default_intervals
-            overrides = _dataset_overrides(
-                resolved, num_events=num_events, num_intervals=num_intervals
-            )
-            result.records.extend(
-                run_experiment_point(
-                    dataset,
-                    k=k,
-                    experiment_id="fig5",
-                    dataset_overrides=overrides,
-                    algorithms=algorithms,
-                    params={"k": k, "num_events": num_events, "num_intervals": num_intervals},
-                    seed=seed,
-                    execution=execution,
-                    storage=storage,
-                )
-            )
-    return result
+    params = {"num_events": s.default_events, "num_intervals": s.default_intervals}
+    return [(k, {}, {"k": k, **params}) for k in s.k_values]
 
 
-# --------------------------------------------------------------------------- #
-# Figure 6 — varying the number of time intervals |T|
-# --------------------------------------------------------------------------- #
-def fig6(
-    scale: str | ExperimentScale = "default",
-    *,
-    datasets: Sequence[str] = ALL_DATASETS,
-    algorithms: Sequence[str] = tuple(PAPER_METHODS),
-    seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
-    storage: Optional[str] = None,
-) -> FigureResult:
+def _fig6_points(s: ExperimentScale) -> List[Point]:
     """Fig. 6: utility and time as |T| grows (k and |E| at their defaults)."""
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="fig6",
-        title="Varying the number of time intervals |T|",
-        x_param="num_intervals",
-        metrics=("utility", "user_computations", "time_sec"),
-        datasets=tuple(datasets),
-        scale=resolved.name,
-    )
-    k = resolved.default_k
-    num_events = resolved.default_events
-    for dataset in datasets:
-        for num_intervals in resolved.intervals_values:
-            overrides = _dataset_overrides(
-                resolved, num_events=num_events, num_intervals=num_intervals
-            )
-            result.records.extend(
-                run_experiment_point(
-                    dataset,
-                    k=k,
-                    experiment_id="fig6",
-                    dataset_overrides=overrides,
-                    algorithms=algorithms,
-                    params={"k": k, "num_events": num_events, "num_intervals": num_intervals},
-                    seed=seed,
-                    execution=execution,
-                    storage=storage,
-                )
-            )
-    return result
+    k, num_events = s.default_k, s.default_events
+    return [
+        (k, {"num_intervals": t}, {"k": k, "num_events": num_events, "num_intervals": t})
+        for t in s.intervals_values
+    ]
 
 
-# --------------------------------------------------------------------------- #
-# Figure 7 — varying the number of candidate events |E|
-# --------------------------------------------------------------------------- #
-def fig7(
-    scale: str | ExperimentScale = "default",
-    *,
-    datasets: Sequence[str] = ("Concerts", "Unf"),
-    algorithms: Sequence[str] = tuple(PAPER_METHODS),
-    seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
-    storage: Optional[str] = None,
-) -> FigureResult:
-    """Fig. 7: utility and time as |E| grows (k < |T|, so HOR-I ≡ HOR)."""
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="fig7",
-        title="Varying the number of candidate events |E|",
-        x_param="num_events",
-        metrics=("utility", "user_computations", "time_sec"),
-        datasets=tuple(datasets),
-        scale=resolved.name,
-    )
-    k = resolved.default_k
-    num_intervals = resolved.default_intervals
-    for dataset in datasets:
-        for num_events in resolved.events_values:
-            if num_events < k:
-                continue
-            overrides = _dataset_overrides(
-                resolved, num_events=num_events, num_intervals=num_intervals
-            )
-            result.records.extend(
-                run_experiment_point(
-                    dataset,
-                    k=k,
-                    experiment_id="fig7",
-                    dataset_overrides=overrides,
-                    algorithms=algorithms,
-                    params={"k": k, "num_events": num_events, "num_intervals": num_intervals},
-                    seed=seed,
-                    execution=execution,
-                    storage=storage,
-                )
-            )
-    return result
+def _fig7_points(s: ExperimentScale) -> List[Point]:
+    """Fig. 7: utility and time as |E| grows (k < |T|, so HOR-I ≡ HOR); |E| < k is skipped."""
+    k, num_intervals = s.default_k, s.default_intervals
+    return [
+        (k, {"num_events": e}, {"k": k, "num_events": e, "num_intervals": num_intervals})
+        for e in s.events_values
+        if e >= k
+    ]
 
 
-# --------------------------------------------------------------------------- #
-# Figure 8 — varying the number of users |U|
-# --------------------------------------------------------------------------- #
-def fig8(
-    scale: str | ExperimentScale = "default",
-    *,
-    datasets: Sequence[str] = ("Unf",),
-    algorithms: Sequence[str] = tuple(PAPER_METHODS),
-    seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
-    storage: Optional[str] = None,
-) -> FigureResult:
+def _fig8_panels(s: ExperimentScale) -> Dict[str, int]:
+    """|T| of panel a (k < |T|, HOR-I ≡ HOR) and panel b (k > |T|, the paper's supplement)."""
+    return {"a": s.default_intervals, "b": _short_horizon(s)}
+
+
+def _fig8_points(s: ExperimentScale) -> List[Point]:
     """Fig. 8: time as |U| grows, for |T| = 3k/2 (panel a) and |T| ≈ 0.65k (panel b)."""
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="fig8",
-        title="Varying the number of users |U|",
-        x_param="num_users",
-        metrics=("utility", "user_computations", "time_sec"),
-        datasets=tuple(datasets),
-        scale=resolved.name,
-    )
-    k = resolved.default_k
-    num_events = resolved.default_events
-    panels = {
-        "a": resolved.default_intervals,             # k < |T| (HOR-I identical to HOR)
-        "b": max(1, int(round(0.65 * k))),           # k > |T| (the paper's supplementary panel)
-    }
-    for dataset in datasets:
-        for panel, num_intervals in panels.items():
-            for num_users in resolved.users_values:
-                overrides = _dataset_overrides(
-                    resolved,
-                    num_events=num_events,
-                    num_intervals=num_intervals,
-                    num_users=num_users,
-                )
-                result.records.extend(
-                    run_experiment_point(
-                        dataset,
-                        k=k,
-                        experiment_id="fig8",
-                        dataset_overrides=overrides,
-                        algorithms=algorithms,
-                        params={
-                            "k": k,
-                            "num_users": num_users,
-                            "num_intervals": num_intervals,
-                            "panel": panel,
-                        },
-                        seed=seed,
-                        execution=execution,
-                        storage=storage,
-                    )
-                )
-    result.notes["panels"] = panels
-    return result
+    k = s.default_k
+    return [
+        (
+            k,
+            {"num_intervals": t, "num_users": u},
+            {"k": k, "num_users": u, "num_intervals": t, "panel": panel},
+        )
+        for panel, t in _fig8_panels(s).items()
+        for u in s.users_values
+    ]
 
 
-# --------------------------------------------------------------------------- #
-# Figure 9 — varying the number of available locations
-# --------------------------------------------------------------------------- #
-def fig9(
-    scale: str | ExperimentScale = "default",
-    *,
-    datasets: Sequence[str] = ("Unf",),
-    algorithms: Sequence[str] = tuple(PAPER_METHODS),
-    seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
-    storage: Optional[str] = None,
-) -> FigureResult:
+def _fig9_points(s: ExperimentScale) -> List[Point]:
     """Fig. 9: utility and time as the number of event locations varies (|T| ≈ 0.65k)."""
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="fig9",
-        title="Varying the number of available locations",
-        x_param="num_locations",
-        metrics=("utility", "time_sec"),
-        datasets=tuple(datasets),
-        scale=resolved.name,
-    )
-    k = resolved.default_k
-    num_events = resolved.default_events
-    num_intervals = max(1, int(round(0.65 * k)))
-    for dataset in datasets:
-        for num_locations in resolved.locations_values:
-            overrides = _dataset_overrides(
-                resolved,
-                num_events=num_events,
-                num_intervals=num_intervals,
-                num_locations=num_locations,
-            )
-            result.records.extend(
-                run_experiment_point(
-                    dataset,
-                    k=k,
-                    experiment_id="fig9",
-                    dataset_overrides=overrides,
-                    algorithms=algorithms,
-                    params={
-                        "k": k,
-                        "num_locations": num_locations,
-                        "num_intervals": num_intervals,
-                    },
-                    seed=seed,
-                    execution=execution,
-                    storage=storage,
-                )
-            )
-    return result
+    k, t = s.default_k, _short_horizon(s)
+    return [
+        (
+            k,
+            {"num_intervals": t, "num_locations": n},
+            {"k": k, "num_locations": n, "num_intervals": t},
+        )
+        for n in s.locations_values
+    ]
 
 
-# --------------------------------------------------------------------------- #
-# Figure 10a — HOR / HOR-I worst case w.r.t. k and |T|
-# --------------------------------------------------------------------------- #
-def fig10a(
-    scale: str | ExperimentScale = "default",
-    *,
-    datasets: Sequence[str] = ALL_DATASETS,
-    algorithms: Sequence[str] = ("ALG", "INC", "HOR", "HOR-I", "TOP"),
-    seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
-    storage: Optional[str] = None,
-) -> FigureResult:
+def _fig10a_points(s: ExperimentScale) -> List[Point]:
     """Fig. 10a: execution time in the horizontal algorithms' worst case (k mod |T| = 1)."""
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="fig10a",
-        title="HOR & HOR-I worst case w.r.t. k and |T|",
-        x_param="num_intervals",
-        metrics=("utility", "user_computations", "time_sec"),
-        datasets=tuple(datasets),
-        scale=resolved.name,
-    )
-    k = resolved.default_k
-    num_intervals = max(1, k - 1)  # k mod |T| = 1, the worst case of Propositions 5 and 7
-    num_events = resolved.default_events
-    for dataset in datasets:
-        overrides = _dataset_overrides(
-            resolved, num_events=num_events, num_intervals=num_intervals
-        )
-        result.records.extend(
-            run_experiment_point(
-                dataset,
-                k=k,
-                experiment_id="fig10a",
-                dataset_overrides=overrides,
-                algorithms=algorithms,
-                params={"k": k, "num_intervals": num_intervals},
-                seed=seed,
-                execution=execution,
-                storage=storage,
-            )
-        )
-    return result
+    k = s.default_k
+    t = max(1, k - 1)  # k mod |T| = 1, the worst case of Propositions 5 and 7
+    return [(k, {"num_intervals": t}, {"k": k, "num_intervals": t})]
 
 
-# --------------------------------------------------------------------------- #
-# Figure 10b — search space (assignments examined) of ALG vs INC
-# --------------------------------------------------------------------------- #
-def fig10b(
-    scale: str | ExperimentScale = "default",
-    *,
-    datasets: Sequence[str] = ("Unf",),
-    algorithms: Sequence[str] = ("ALG", "INC"),
-    seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
-    storage: Optional[str] = None,
-) -> FigureResult:
+def _fig10b_points(s: ExperimentScale) -> List[Point]:
     """Fig. 10b: assignments examined by ALG vs INC while varying k, |T| and |E|."""
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="fig10b",
-        title="ALG & INC search space (assignments examined)",
-        x_param="point",
-        metrics=("assignments_examined",),
-        datasets=tuple(datasets),
-        scale=resolved.name,
+    k0, e0, t0 = s.default_k, s.default_events, s.default_intervals
+    sweep = (
+        [(f"k={k}", k, e0, t0) for k in (k0 // 2, k0, k0 * 2)]
+        + [(f"|T|={t}", k0, e0, t) for t in (t0, t0 * 2, t0 * 3)]
+        + [(f"|E|={e}", k0, e, t0) for e in s.events_values[1:]]
     )
-    base_k = resolved.default_k
-    base_events = resolved.default_events
-    base_intervals = resolved.default_intervals
-
-    sweep: List[Tuple[str, Dict[str, int]]] = []
-    for k in (base_k // 2, base_k, base_k * 2):
-        sweep.append((f"k={k}", {"k": k, "num_events": base_events, "num_intervals": base_intervals}))
-    for intervals in (base_intervals, base_intervals * 2, base_intervals * 3):
-        sweep.append(
-            (
-                f"|T|={intervals}",
-                {"k": base_k, "num_events": base_events, "num_intervals": intervals},
-            )
+    return [
+        (
+            k,
+            {"num_events": e, "num_intervals": t},
+            {"point": i, "label": label, "k": k, "num_events": e, "num_intervals": t},
         )
-    for events in resolved.events_values[1:]:
-        sweep.append(
-            (
-                f"|E|={events}",
-                {"k": base_k, "num_events": events, "num_intervals": base_intervals},
-            )
-        )
-
-    for dataset in datasets:
-        for position, (label, config) in enumerate(sweep):
-            overrides = _dataset_overrides(
-                resolved,
-                num_events=config["num_events"],
-                num_intervals=config["num_intervals"],
-            )
-            result.records.extend(
-                run_experiment_point(
-                    dataset,
-                    k=config["k"],
-                    experiment_id="fig10b",
-                    dataset_overrides=overrides,
-                    algorithms=algorithms,
-                    params={"point": position, "label": label, **config},
-                    seed=seed,
-                    execution=execution,
-                    storage=storage,
-                )
-            )
-    result.notes["sweep_labels"] = [label for label, _ in sweep]
-    return result
+        for i, (label, k, e, t) in enumerate(sweep)
+    ]
 
 
-# --------------------------------------------------------------------------- #
-# Extension experiments: parameters whose plots the paper omits for space
-# --------------------------------------------------------------------------- #
-def ext_competing(
-    scale: str | ExperimentScale = "default",
-    *,
-    datasets: Sequence[str] = ("Unf",),
-    algorithms: Sequence[str] = tuple(PAPER_METHODS),
-    seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
-    storage: Optional[str] = None,
-) -> FigureResult:
+def _ext_competing_points(s: ExperimentScale) -> List[Point]:
     """§4.1 (omitted plot): effect of the number of competing events per interval."""
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="ext_competing",
-        title="Varying the number of competing events per interval",
-        x_param="competing_high",
-        metrics=("utility", "time_sec"),
-        datasets=tuple(datasets),
-        scale=resolved.name,
-    )
-    k = resolved.default_k
-    for dataset in datasets:
-        for high in (4, 8, 16, 32, 64):
-            overrides = _dataset_overrides(
-                resolved,
-                num_events=resolved.default_events,
-                num_intervals=resolved.default_intervals,
-                competing_range=(1, high),
-            )
-            result.records.extend(
-                run_experiment_point(
-                    dataset,
-                    k=k,
-                    experiment_id="ext_competing",
-                    dataset_overrides=overrides,
-                    algorithms=algorithms,
-                    params={"k": k, "competing_high": high},
-                    seed=seed,
-                    execution=execution,
-                    storage=storage,
-                )
-            )
-    return result
+    k = s.default_k
+    return [
+        (k, {"competing_per_interval_range": (1, high)}, {"k": k, "competing_high": high})
+        for high in (4, 8, 16, 32, 64)
+    ]
 
 
-def ext_resources(
-    scale: str | ExperimentScale = "default",
-    *,
-    datasets: Sequence[str] = ("Unf",),
-    algorithms: Sequence[str] = tuple(PAPER_METHODS),
-    seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
-    storage: Optional[str] = None,
-) -> FigureResult:
+def _ext_resources_points(s: ExperimentScale) -> List[Point]:
     """§4.1 (omitted plot): effect of the organiser's available resources θ."""
-    resolved = get_scale(scale)
-    result = FigureResult(
-        figure_id="ext_resources",
-        title="Varying the available resources θ",
-        x_param="available_resources",
-        metrics=("utility", "time_sec"),
-        datasets=tuple(datasets),
-        scale=resolved.name,
-    )
-    k = resolved.default_k
-    for dataset in datasets:
-        for theta in (10, 20, 30, 50, 100):
-            overrides = _dataset_overrides(
-                resolved,
-                num_events=resolved.default_events,
-                num_intervals=resolved.default_intervals,
-                available_resources=float(theta),
-            )
-            result.records.extend(
-                run_experiment_point(
-                    dataset,
-                    k=k,
-                    experiment_id="ext_resources",
-                    dataset_overrides=overrides,
-                    algorithms=algorithms,
-                    params={"k": k, "available_resources": theta},
-                    seed=seed,
-                    execution=execution,
-                    storage=storage,
-                )
-            )
-    return result
+    k = s.default_k
+    return [
+        (k, {"available_resources": float(theta)}, {"k": k, "available_resources": theta})
+        for theta in (10, 20, 30, 50, 100)
+    ]
 
 
 # --------------------------------------------------------------------------- #
-# Registry
+# The experiment table
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Registry entry binding an experiment id to its function and provenance."""
+    """One row of the experiment table: everything that differs between experiments.
+
+    ``points(scale)`` lists the sweep points and ``notes(scale)``, if set, the
+    metadata stored on the :class:`FigureResult`.  ``runner`` is the row's
+    public entry point (``fig5`` … ``ext_resources``), generated from the row.
+    """
 
     experiment_id: str
     paper_reference: str
     description: str
-    runner: Callable[..., FigureResult]
+    title: str
+    x_param: str
+    points: Callable[[ExperimentScale], List[Point]]
+    metrics: Tuple[str, ...] = ("utility", "user_computations", "time_sec")
+    datasets: Tuple[str, ...] = ("Unf",)
+    algorithms: Tuple[str, ...] = tuple(PAPER_METHODS)
+    notes: Optional[Callable[[ExperimentScale], Dict[str, object]]] = None
+    runner: Callable[..., FigureResult] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "runner", _make_runner(self))
+
+
+def _make_runner(spec: ExperimentSpec) -> Callable[..., FigureResult]:
+    """The public function of one table row, with the row's default datasets and algorithms."""
+
+    def runner(
+        scale: str | ExperimentScale = "default",
+        *,
+        datasets: Sequence[str] = spec.datasets,
+        algorithms: Sequence[str] = spec.algorithms,
+        seed: int = 0,
+        execution: Optional[ExecutionConfig] = None,
+        storage: Optional[str] = None,
+    ) -> FigureResult:
+        resolved = get_scale(scale)
+        datasets = tuple(datasets)
+        return FigureResult(
+            figure_id=spec.experiment_id,
+            title=spec.title,
+            x_param=spec.x_param,
+            metrics=spec.metrics,
+            datasets=datasets,
+            scale=resolved.name,
+            records=run_points(
+                spec.experiment_id,
+                resolved,
+                spec.points(resolved),
+                datasets=datasets,
+                algorithms=algorithms,
+                seed=seed,
+                execution=execution,
+                storage=storage,
+            ),
+            notes=spec.notes(resolved) if spec.notes else {},
+        )
+
+    runner.__name__ = runner.__qualname__ = spec.experiment_id
+    runner.__doc__ = spec.points.__doc__
+    return runner
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
     spec.experiment_id: spec
     for spec in (
-        ExperimentSpec("fig5", "Figure 5", "Utility / computations / time vs k", fig5),
-        ExperimentSpec("fig6", "Figure 6", "Utility / time vs number of intervals", fig6),
-        ExperimentSpec("fig7", "Figure 7", "Utility / time vs number of candidate events", fig7),
-        ExperimentSpec("fig8", "Figure 8", "Time vs number of users (two |T| panels)", fig8),
-        ExperimentSpec("fig9", "Figure 9", "Utility / time vs number of locations", fig9),
-        ExperimentSpec("fig10a", "Figure 10a", "HOR/HOR-I worst case w.r.t. k and |T|", fig10a),
-        ExperimentSpec("fig10b", "Figure 10b", "ALG vs INC search space", fig10b),
         ExperimentSpec(
-            "ext_competing", "§4.1 (omitted)", "Effect of competing events per interval", ext_competing
+            "fig5",
+            "Figure 5",
+            "Utility / computations / time vs k",
+            title="Varying the number of scheduled events k",
+            x_param="k",
+            points=_fig5_points,
+            datasets=ALL_DATASETS,
         ),
-        ExperimentSpec("ext_resources", "§4.1 (omitted)", "Effect of available resources θ", ext_resources),
+        ExperimentSpec(
+            "fig6",
+            "Figure 6",
+            "Utility / time vs number of intervals",
+            title="Varying the number of time intervals |T|",
+            x_param="num_intervals",
+            points=_fig6_points,
+            datasets=ALL_DATASETS,
+        ),
+        ExperimentSpec(
+            "fig7",
+            "Figure 7",
+            "Utility / time vs number of candidate events",
+            title="Varying the number of candidate events |E|",
+            x_param="num_events",
+            points=_fig7_points,
+            datasets=("Concerts", "Unf"),
+        ),
+        ExperimentSpec(
+            "fig8",
+            "Figure 8",
+            "Time vs number of users (two |T| panels)",
+            title="Varying the number of users |U|",
+            x_param="num_users",
+            points=_fig8_points,
+            notes=lambda scale: {"panels": _fig8_panels(scale)},
+        ),
+        ExperimentSpec(
+            "fig9",
+            "Figure 9",
+            "Utility / time vs number of locations",
+            title="Varying the number of available locations",
+            x_param="num_locations",
+            points=_fig9_points,
+            metrics=("utility", "time_sec"),
+        ),
+        ExperimentSpec(
+            "fig10a",
+            "Figure 10a",
+            "HOR/HOR-I worst case w.r.t. k and |T|",
+            title="HOR & HOR-I worst case w.r.t. k and |T|",
+            x_param="num_intervals",
+            points=_fig10a_points,
+            datasets=ALL_DATASETS,
+            algorithms=("ALG", "INC", "HOR", "HOR-I", "TOP"),
+        ),
+        ExperimentSpec(
+            "fig10b",
+            "Figure 10b",
+            "ALG vs INC search space",
+            title="ALG & INC search space (assignments examined)",
+            x_param="point",
+            points=_fig10b_points,
+            metrics=("assignments_examined",),
+            algorithms=("ALG", "INC"),
+            notes=lambda scale: {
+                "sweep_labels": [params["label"] for _, _, params in _fig10b_points(scale)]
+            },
+        ),
+        ExperimentSpec(
+            "ext_competing",
+            "§4.1 (omitted)",
+            "Effect of competing events per interval",
+            title="Varying the number of competing events per interval",
+            x_param="competing_high",
+            points=_ext_competing_points,
+            metrics=("utility", "time_sec"),
+        ),
+        ExperimentSpec(
+            "ext_resources",
+            "§4.1 (omitted)",
+            "Effect of available resources θ",
+            title="Varying the available resources θ",
+            x_param="available_resources",
+            points=_ext_resources_points,
+            metrics=("utility", "time_sec"),
+        ),
     )
 }
+
+fig5 = EXPERIMENTS["fig5"].runner
+fig6 = EXPERIMENTS["fig6"].runner
+fig7 = EXPERIMENTS["fig7"].runner
+fig8 = EXPERIMENTS["fig8"].runner
+fig9 = EXPERIMENTS["fig9"].runner
+fig10a = EXPERIMENTS["fig10a"].runner
+fig10b = EXPERIMENTS["fig10b"].runner
+ext_competing = EXPERIMENTS["ext_competing"].runner
+ext_resources = EXPERIMENTS["ext_resources"].runner
 
 
 def available_experiments() -> List[str]:

@@ -137,8 +137,8 @@ def series_by_algorithm(
     """Pivot records into per-algorithm ``(x, y)`` series (one paper plot line each)."""
     series: Dict[str, List[Tuple[float, float]]] = {}
     for record in records:
-        x_value = record.value(x_param) if x_param != "k" else float(record.k)
-        series.setdefault(record.algorithm, []).append((x_value, record.value(metric)))
+        point = (record.value(x_param), record.value(metric))
+        series.setdefault(record.algorithm, []).append(point)
     for points in series.values():
         points.sort(key=lambda point: point[0])
     return series

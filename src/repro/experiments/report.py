@@ -3,7 +3,8 @@
 The benchmark harness prints the same series the paper plots; since the
 repository is plotting-library-free, the output is fixed-width ASCII tables —
 one row per (x-value, algorithm) with the utility / computations / time
-columns — which is enough to eyeball the shapes described in EXPERIMENTS.md.
+columns — which is enough to eyeball the shapes each ``benchmarks/bench_fig*.py``
+docstring describes.
 """
 
 from __future__ import annotations

@@ -9,27 +9,29 @@ The paper summarises its evaluation with a handful of aggregate claims:
   2–5× faster.
 
 :func:`summary_sweep` reruns a grid of configurations (datasets × several
-``k``/|T| combinations) and computes the same aggregates, so the reproduction
-can be checked against these claims directly (see EXPERIMENTS.md).
+``k``/|T| combinations) with the figures' sweep loop and computes the same
+aggregates, so the reproduction can be checked against these claims directly
+(``docs/PAPER_MAPPING.md`` lists its benchmark).
 
 The "ALG / X wall time" rows compare against this library's ALG, whose
 selection scan is vectorised (one masked ``argmax`` over the score grid per
 iteration) while its counters still follow the paper's per-entry cost model.
 The paper's speed claim therefore rests on the computation ratios, not on
 wall time: on the perfbench ``unf-dense`` solve (180 events × 90 intervals ×
-3,000 users, one core of a 2-vCPU box) INC takes about 0.60 s against ALG's
-0.39 s.
+3,000 users, one core of a 2-vCPU box) INC takes about 0.5 s against ALG's
+0.3 s: the ``solve_s.INC`` / ``solve_s.ALG`` medians of
+``python3 perfbench/run.py --workload unf-dense --seed 1 --seconds 55`` read
+0.48–0.57 s and 0.30–0.36 s over five runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.execution import ExecutionConfig
-from repro.experiments.figures import ALL_DATASETS, ExperimentScale, get_scale
-from repro.experiments.harness import run_experiment_point
+from repro.experiments.figures import ALL_DATASETS, ExperimentScale, get_scale, run_points
 from repro.experiments.metrics import MetricRecord, group_records
 
 
@@ -93,39 +95,22 @@ def summary_sweep(
     so the aggregates are unchanged).
     """
     resolved = get_scale(scale)
-    k = resolved.default_k
-    regimes: List[Tuple[str, int, int]] = [
-        ("k<|T|", k, resolved.default_intervals),
-        ("k=|T|", k, k),
-        ("k>|T|", 2 * k, resolved.default_intervals),
+    k, t = resolved.default_k, resolved.default_intervals
+    points = [
+        (k, {}, {"regime": "k<|T|", "num_intervals": t}),
+        (k, {"num_intervals": k}, {"regime": "k=|T|", "num_intervals": k}),
+        (2 * k, {}, {"regime": "k>|T|", "num_intervals": t}),
     ]
-
-    records: List[MetricRecord] = []
-    for dataset in datasets:
-        for label, point_k, num_intervals in regimes:
-            overrides = {
-                "num_users": resolved.num_users,
-                "num_events": 3 * k,
-                "num_intervals": num_intervals,
-                "num_locations": resolved.num_locations,
-                "competing_per_interval_range": resolved.competing_range,
-                "available_resources": resolved.available_resources,
-                "required_resources_range": resolved.required_resources_range,
-                "seed": resolved.seed,
-            }
-            records.extend(
-                run_experiment_point(
-                    dataset,
-                    k=point_k,
-                    experiment_id="summary",
-                    dataset_overrides=overrides,
-                    algorithms=("ALG", "INC", "HOR", "HOR-I", "TOP", "RAND"),
-                    params={"regime": label, "num_intervals": num_intervals},
-                    seed=seed,
-                    execution=execution,
-                    storage=storage,
-                )
-            )
+    records = run_points(
+        "summary",
+        resolved,
+        points,
+        datasets=datasets,
+        algorithms=("ALG", "INC", "HOR", "HOR-I", "TOP", "RAND"),
+        seed=seed,
+        execution=execution,
+        storage=storage,
+    )
     return summarize_records(records, utility_tolerance=utility_tolerance)
 
 
@@ -141,7 +126,6 @@ def summarize_records(
 
     gaps: List[float] = []
     equal_points = 0
-    considered_points = 0
     computation_ratios: Dict[str, List[float]] = {}
     speedups: Dict[str, List[float]] = {}
 
@@ -150,7 +134,7 @@ def summarize_records(
         alg = by_algorithm.get("ALG")
         if alg is None:
             continue
-        considered_points += 1
+        stats.num_points += 1
 
         hor = by_algorithm.get("HOR")
         if hor is not None:
@@ -183,7 +167,6 @@ def summarize_records(
             if member.time_sec > 0:
                 speedups.setdefault(name, []).append(alg.time_sec / member.time_sec)
 
-    stats.num_points = considered_points
     if gaps:
         stats.hor_equal_utility_fraction = equal_points / len(gaps)
         stats.hor_mean_relative_gap = sum(gaps) / len(gaps)

@@ -98,7 +98,7 @@ class ServiceServer(WireServer):
             instance = SESInstance.from_dict(payload)
             session = SchedulingSession(
                 instance,
-                algorithm=str(options.get("algorithm", "INC")),
+                algorithm=options.get("algorithm", "INC"),
                 seed=options.get("seed"),
                 execution=self._execution,
             )

@@ -295,6 +295,14 @@ class _Scratch:
     instance_dirty: bool = False
 
 
+def _decode_seed(seed: object) -> Optional[int]:
+    """``None`` or a :func:`~repro.core.entities.decode_int` seed, else :class:`SolverError`."""
+    try:
+        return None if seed is None else decode_int(seed, "seed")
+    except ValueError as error:
+        raise SolverError(str(error)) from None
+
+
 class SchedulingSession:
     """A live SES instance accepting mutations and incremental re-solves.
 
@@ -305,9 +313,11 @@ class SchedulingSession:
         its (immutable-by-convention) interest stores, so later mutations
         never touch the caller's object.
     algorithm:
-        Default scheduler name for :meth:`resolve` (any registry name).
+        Default scheduler name for :meth:`resolve` (any registry name; a
+        non-string raises :class:`~repro.core.errors.SolverError`).
     seed:
-        Default seed forwarded to the randomised schedulers.
+        Default seed forwarded to the randomised schedulers: ``None`` or an
+        integer (a bool, float or string raises ``SolverError``).
     execution:
         The :class:`~repro.core.execution.ExecutionConfig` every resolve runs
         under (``None`` selects the library defaults).  Bit-identity across
@@ -329,7 +339,7 @@ class SchedulingSession:
         get_scheduler(algorithm)  # fail fast on unknown names
         self._lock = threading.RLock()
         self._algorithm = algorithm
-        self._seed = seed
+        self._seed = _decode_seed(seed)
         self._execution = execution
         self._events: List[Event] = list(instance.events)
         self._intervals: List[TimeInterval] = list(instance.intervals)
@@ -671,13 +681,15 @@ class SchedulingSession:
         resolve's warm/recomputed/saved split plus the session totals.  The
         schedule, utilities and initial scores are bit-identical to a cold
         one-shot run of the same algorithm on the mutated instance with the
-        same locked assignments.  A ``k`` that is a bool, float or string
-        raises :class:`~repro.core.errors.SolverError` (no truncation).
+        same locked assignments.  A ``k`` or ``seed`` that is a bool, float or
+        string, or an ``algorithm`` that is not a string, raises
+        :class:`~repro.core.errors.SolverError` (no truncation or coercion).
         """
         try:
             k = decode_int(k, "k")
         except ValueError as error:
             raise SolverError(str(error)) from None
+        seed = _decode_seed(seed)
         with self._lock:
             name = algorithm if algorithm is not None else self._algorithm
             scheduler_cls = get_scheduler(name)

@@ -1,5 +1,7 @@
 """Tests for the experiment harness, figure registry and summary sweep."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.errors import ExperimentError
@@ -8,6 +10,8 @@ from repro.experiments.figures import (
     SCALES,
     available_experiments,
     fig5,
+    fig7,
+    fig8,
     fig10a,
     fig10b,
     get_experiment,
@@ -135,6 +139,204 @@ class TestFigureRuns:
         for record in figure.records:
             assert record.utility >= 0.0
             assert record.time_sec >= 0.0
+
+
+#: Dataset-builder arguments of a ``tiny`` point at the Table 1 defaults.
+TINY_DEFAULTS = {
+    "num_users": 120,
+    "num_events": 18,
+    "num_intervals": 9,
+    "num_locations": 4,
+    "competing_per_interval_range": (1, 4),
+    "available_resources": 30.0,
+    "required_resources_range": (1.0, 15.0),
+    "seed": 7,
+}
+ALL_FOUR = ("Meetup", "Concerts", "Unf", "Zip")
+SIX_METHODS = ("ALG", "INC", "HOR", "HOR-I", "TOP", "RAND")
+
+#: Every experiment's sweep at ``tiny``: (datasets, algorithms, points), one
+#: point per ``(k, builder arguments that differ from TINY_DEFAULTS, params)``
+#: in run order; every dataset runs every point.
+PINNED_SWEEPS = {
+    "fig5": (
+        ALL_FOUR,
+        SIX_METHODS,
+        [
+            (4, {}, {"k": 4, "num_events": 18, "num_intervals": 9}),
+            (6, {}, {"k": 6, "num_events": 18, "num_intervals": 9}),
+            (10, {}, {"k": 10, "num_events": 18, "num_intervals": 9}),
+        ],
+    ),
+    "fig6": (
+        ALL_FOUR,
+        SIX_METHODS,
+        [
+            (6, {"num_intervals": 3}, {"k": 6, "num_events": 18, "num_intervals": 3}),
+            (6, {"num_intervals": 6}, {"k": 6, "num_events": 18, "num_intervals": 6}),
+            (6, {}, {"k": 6, "num_events": 18, "num_intervals": 9}),
+            (6, {"num_intervals": 12}, {"k": 6, "num_events": 18, "num_intervals": 12}),
+        ],
+    ),
+    "fig7": (
+        ("Concerts", "Unf"),
+        SIX_METHODS,
+        [
+            (6, {"num_events": 6}, {"k": 6, "num_events": 6, "num_intervals": 9}),
+            (6, {}, {"k": 6, "num_events": 18, "num_intervals": 9}),
+            (6, {"num_events": 30}, {"k": 6, "num_events": 30, "num_intervals": 9}),
+        ],
+    ),
+    "fig8": (
+        ("Unf",),
+        SIX_METHODS,
+        [
+            (6, {"num_users": 60}, {"k": 6, "num_users": 60, "num_intervals": 9, "panel": "a"}),
+            (6, {}, {"k": 6, "num_users": 120, "num_intervals": 9, "panel": "a"}),
+            (6, {"num_users": 240}, {"k": 6, "num_users": 240, "num_intervals": 9, "panel": "a"}),
+            (
+                6,
+                {"num_users": 60, "num_intervals": 4},
+                {"k": 6, "num_users": 60, "num_intervals": 4, "panel": "b"},
+            ),
+            (6, {"num_intervals": 4}, {"k": 6, "num_users": 120, "num_intervals": 4, "panel": "b"}),
+            (
+                6,
+                {"num_users": 240, "num_intervals": 4},
+                {"k": 6, "num_users": 240, "num_intervals": 4, "panel": "b"},
+            ),
+        ],
+    ),
+    "fig9": (
+        ("Unf",),
+        SIX_METHODS,
+        [
+            (
+                6,
+                {"num_intervals": 4, "num_locations": 2},
+                {"k": 6, "num_locations": 2, "num_intervals": 4},
+            ),
+            (6, {"num_intervals": 4}, {"k": 6, "num_locations": 4, "num_intervals": 4}),
+            (
+                6,
+                {"num_intervals": 4, "num_locations": 8},
+                {"k": 6, "num_locations": 8, "num_intervals": 4},
+            ),
+        ],
+    ),
+    "fig10a": (
+        ALL_FOUR,
+        ("ALG", "INC", "HOR", "HOR-I", "TOP"),
+        [(6, {"num_intervals": 5}, {"k": 6, "num_intervals": 5})],
+    ),
+    "fig10b": (
+        ("Unf",),
+        ("ALG", "INC"),
+        [
+            (3, {}, {"point": 0, "label": "k=3", "k": 3, "num_events": 18, "num_intervals": 9}),
+            (6, {}, {"point": 1, "label": "k=6", "k": 6, "num_events": 18, "num_intervals": 9}),
+            (12, {}, {"point": 2, "label": "k=12", "k": 12, "num_events": 18, "num_intervals": 9}),
+            (6, {}, {"point": 3, "label": "|T|=9", "k": 6, "num_events": 18, "num_intervals": 9}),
+            (
+                6,
+                {"num_intervals": 18},
+                {"point": 4, "label": "|T|=18", "k": 6, "num_events": 18, "num_intervals": 18},
+            ),
+            (
+                6,
+                {"num_intervals": 27},
+                {"point": 5, "label": "|T|=27", "k": 6, "num_events": 18, "num_intervals": 27},
+            ),
+            (6, {}, {"point": 6, "label": "|E|=18", "k": 6, "num_events": 18, "num_intervals": 9}),
+            (
+                6,
+                {"num_events": 30},
+                {"point": 7, "label": "|E|=30", "k": 6, "num_events": 30, "num_intervals": 9},
+            ),
+        ],
+    ),
+    "ext_competing": (
+        ("Unf",),
+        SIX_METHODS,
+        [
+            (6, {}, {"k": 6, "competing_high": 4}),
+            (6, {"competing_per_interval_range": (1, 8)}, {"k": 6, "competing_high": 8}),
+            (6, {"competing_per_interval_range": (1, 16)}, {"k": 6, "competing_high": 16}),
+            (6, {"competing_per_interval_range": (1, 32)}, {"k": 6, "competing_high": 32}),
+            (6, {"competing_per_interval_range": (1, 64)}, {"k": 6, "competing_high": 64}),
+        ],
+    ),
+    "ext_resources": (
+        ("Unf",),
+        SIX_METHODS,
+        [
+            (6, {"available_resources": 10.0}, {"k": 6, "available_resources": 10}),
+            (6, {"available_resources": 20.0}, {"k": 6, "available_resources": 20}),
+            (6, {}, {"k": 6, "available_resources": 30}),
+            (6, {"available_resources": 50.0}, {"k": 6, "available_resources": 50}),
+            (6, {"available_resources": 100.0}, {"k": 6, "available_resources": 100}),
+        ],
+    ),
+    "summary": (
+        ALL_FOUR,
+        SIX_METHODS,
+        [
+            (6, {}, {"regime": "k<|T|", "num_intervals": 9}),
+            (6, {"num_intervals": 6}, {"regime": "k=|T|", "num_intervals": 6}),
+            (12, {}, {"regime": "k>|T|", "num_intervals": 9}),
+        ],
+    ),
+}
+
+
+@pytest.fixture
+def recorded_points(monkeypatch):
+    """Replace ``run_experiment_point`` with a recorder that solves nothing."""
+    from repro.experiments import figures, sweeps
+
+    calls = []
+
+    def record(dataset, *, k, experiment_id, dataset_overrides, algorithms, params, **options):
+        assert options == {"seed": 0, "execution": None, "storage": None}
+        assert list(dataset_overrides) == list(TINY_DEFAULTS)
+        changes = {
+            key: value for key, value in dataset_overrides.items() if value != TINY_DEFAULTS[key]
+        }
+        calls.append((experiment_id, dataset, k, changes, list(params.items()), tuple(algorithms)))
+        return []
+
+    monkeypatch.setattr(figures, "run_experiment_point", record)
+    monkeypatch.setattr(sweeps, "run_experiment_point", record, raising=False)
+    return calls
+
+
+class TestPinnedSweeps:
+    """The exact points every experiment visits, without solving anything."""
+
+    @pytest.mark.parametrize("experiment_id", list(PINNED_SWEEPS))
+    def test_tiny_sweep_points(self, recorded_points, experiment_id):
+        if experiment_id == "summary":
+            summary_sweep(scale="tiny")
+        else:
+            run_experiment(experiment_id, scale="tiny")
+        datasets, algorithms, points = PINNED_SWEEPS[experiment_id]
+        expected = [
+            (experiment_id, dataset, k, changes, list(params.items()), algorithms)
+            for dataset in datasets
+            for k, changes, params in points
+        ]
+        assert recorded_points == expected
+
+    def test_figure_notes(self, recorded_points):
+        assert fig8(scale="tiny").notes == {"panels": {"a": 9, "b": 4}}
+        assert fig10b(scale="tiny").notes == {
+            "sweep_labels": ["k=3", "k=6", "k=12", "|T|=9", "|T|=18", "|T|=27", "|E|=18", "|E|=30"]
+        }
+
+    def test_fig7_skips_fewer_events_than_k(self, recorded_points):
+        scale = dataclasses.replace(SCALES["tiny"], events_values=(3, 5, 6, 30))
+        fig7(scale=scale, datasets=("Unf",))
+        assert [dict(params)["num_events"] for *_, params, _ in recorded_points] == [6, 30]
 
 
 class TestSummarySweep:

@@ -23,13 +23,14 @@ import pytest
 from repro.algorithms.registry import run_scheduler
 from repro.core.counters import ComputationCounter
 from repro.core.errors import SolverError
-from repro.core.execution import ExecutionConfig, available_backends
-from repro.core.instance import SESInstance
-from repro.core.scoring import (
+from repro.core.execution import (
     DEFAULT_CHUNK_ELEMENTS,
-    ScoringEngine,
+    ExecutionConfig,
+    available_backends,
     resolve_chunk_size,
 )
+from repro.core.instance import SESInstance
+from repro.core.scoring import ScoringEngine
 from tests.conftest import execution_variants, make_random_instance
 
 

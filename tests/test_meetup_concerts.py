@@ -1,7 +1,15 @@
 """Tests for the Meetup and Concerts dataset substitutes."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.errors import DatasetError
 from repro.datasets.concerts import (
@@ -64,6 +72,35 @@ class TestMeetup:
         np.testing.assert_allclose(first.interest.values, second.interest.values)
         assert first.metadata["generator"] == "meetup-ebsn"
         assert first.metadata["network_summary"]["members"] == 60
+
+    def test_same_seed_same_instance_under_any_hash_seed(self):
+        """µ and competing µ do not depend on set iteration order (``PYTHONHASHSEED``)."""
+        script = textwrap.dedent(
+            """
+            import hashlib
+            import numpy as np
+            from repro.datasets.meetup import generate_meetup
+            instance = generate_meetup(
+                num_users=60, num_events=16, num_intervals=6,
+                competing_per_interval_range=(1, 3), num_groups=8, num_past_events=30, seed=13,
+            )
+            digest = hashlib.sha256()
+            for array in (instance.interest.values, instance.competing_interest.values,
+                          instance.activity):
+                digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+            print(digest.hexdigest())
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = set()
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert completed.returncode == 0, completed.stderr
+            digests.add(completed.stdout.strip())
+        assert len(digests) == 1, digests
 
     def test_config_validation(self):
         with pytest.raises(DatasetError):

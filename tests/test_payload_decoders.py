@@ -377,6 +377,51 @@ class TestResolveK:
         assert session.resolve(np.int64(2)).k == 2
 
 
+#: Session seeds that must be rejected instead of passed on to the schedulers.
+BAD_SEEDS = [
+    pytest.param("abc", id="string"),
+    pytest.param(2.5, id="float"),
+    pytest.param(True, id="bool"),
+]
+
+#: Scheduler names that are not strings.
+BAD_ALGORITHMS = [
+    pytest.param(None, id="none"),
+    pytest.param(3, id="int"),
+    pytest.param(["INC"], id="list"),
+]
+
+
+class TestSessionOptions:
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_seed_is_rejected_at_construction(self, instance, seed):
+        with pytest.raises(SolverError, match="seed must be an integer"):
+            SchedulingSession(instance, seed=seed)
+
+    @pytest.mark.parametrize("algorithm", BAD_ALGORITHMS)
+    def test_bad_algorithm_is_rejected_at_construction(self, instance, algorithm):
+        with pytest.raises(SolverError, match="algorithm name must be a string"):
+            SchedulingSession(instance, algorithm=algorithm)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_resolve_seed_is_rejected(self, session, seed):
+        schedule = session.last_schedule()
+        with pytest.raises(SolverError, match="seed must be an integer"):
+            session.resolve(2, seed=seed)
+        assert session.last_schedule() == schedule
+
+    @pytest.mark.parametrize("algorithm", BAD_ALGORITHMS[1:])
+    def test_bad_resolve_algorithm_is_rejected(self, session, algorithm):
+        schedule = session.last_schedule()
+        with pytest.raises(SolverError, match="algorithm name must be a string"):
+            session.resolve(2, algorithm=algorithm)
+        assert session.last_schedule() == schedule
+
+    def test_numpy_integer_seed_resolves(self, instance):
+        session = SchedulingSession(instance, algorithm="RAND", seed=np.int64(3))
+        assert session.resolve(2, seed=np.int64(4)).k == 2
+
+
 #: Every id field of an instance payload (and the event location), as ``entry.key``.
 INSTANCE_ID_FIELDS = [
     "users.id",

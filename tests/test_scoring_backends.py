@@ -27,8 +27,8 @@ import pytest
 from repro.algorithms.registry import run_scheduler
 from repro.core.errors import SolverError
 from repro.core.instance import SESInstance
-from repro.core.execution import ExecutionConfig, available_backends
-from repro.core.scoring import DEFAULT_BACKEND, ScoringEngine
+from repro.core.execution import DEFAULT_BACKEND, ExecutionConfig, available_backends
+from repro.core.scoring import ScoringEngine
 
 from tests.conftest import (
     BLOCK_VARIANTS,

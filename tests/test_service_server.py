@@ -247,6 +247,33 @@ class TestRejectedBatches:
                 client.resolve(session_id, k)
             assert client.get_schedule(session_id) == schedule
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"seed": "abc"}, "seed must be an integer"),
+            ({"seed": 2.5}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"algorithm": None}, "algorithm name must be a string"),
+            ({"algorithm": 3}, "algorithm name must be a string"),
+        ],
+        ids=repr,
+    )
+    def test_bad_load_option_creates_no_session(self, service, instance, options, message):
+        with ServiceClient(service.address) as client:
+            with pytest.raises(SolverError, match=message):
+                client.load_instance(instance, **options)
+            assert client.ping()["sessions"] == 0
+
+    @pytest.mark.parametrize("algorithm", [3, ["INC"]], ids=repr)
+    def test_non_string_resolve_algorithm_is_rejected(self, service, instance, algorithm):
+        with ServiceClient(service.address) as client:
+            session_id = client.load_instance(instance)
+            client.resolve(session_id, 5)
+            schedule = client.get_schedule(session_id)
+            with pytest.raises(SolverError, match="algorithm name must be a string"):
+                client.resolve(session_id, 5, algorithm=algorithm)
+            assert client.get_schedule(session_id) == schedule
+
     def test_malformed_request_is_answered_not_fatal(self, wire_server):
         host, port = parse_worker_address(wire_server.address)
         with Client((host, port), authkey=authkey_bytes(None)) as connection:
