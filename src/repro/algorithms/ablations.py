@@ -63,6 +63,8 @@ class IncUpdatesOnlyScheduler(BaseScheduler):
         scores = np.array(score_grid, dtype=np.float64).ravel()
         updated = np.ones(scores.size, dtype=bool)
         validity = Validity(self.checker, num_intervals, schedule.scheduled_events())
+        # INC's per-interval pruning margin (+inf with unequal event values).
+        tolerance = np.array([engine.score_noise_tolerance(t) for t in range(num_intervals)])
 
         while len(schedule) < k:
             # Pass 1 (full scan, like ALG): the best *exact* valid score is the bound Φ.
@@ -77,11 +79,12 @@ class IncUpdatesOnlyScheduler(BaseScheduler):
             )
 
             # Pass 2: refresh only the stale entries that could beat Φ (a
-            # stale score is an upper bound: one below Φ cannot beat it).
+            # stale score is an upper bound: one below Φ, by more than the
+            # noise margin, cannot beat it).
             stale = ~updated
             counter.count_examined(int(np.count_nonzero(stale)))
             if phi is not None:
-                stale &= ~(scores < phi[0])
+                stale &= ~(scores < phi[0] - tolerance[intervals])
             refreshed = np.flatnonzero(stale)
             for interval_index in np.unique(intervals[refreshed]).tolist():
                 rows = refreshed[intervals[refreshed] == interval_index]

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.constraints import ConstraintChecker
 from repro.core.counters import ComputationCounter
+from repro.core.entities import decode_int
 from repro.core.errors import SolverError
 from repro.core.execution import DEFAULT_BACKEND, DEFAULT_PLAN, ExecutionConfig
 from repro.core.instance import SESInstance
@@ -45,6 +46,19 @@ REFRESH_BLOCK_SIZE = 64
 #: and the next fresh scores raise it the most: its first blocks are the ones
 #: a rising Φ would cut short.
 FIRST_REFRESH_BLOCK = 8
+
+
+def _solver_int(value: object, what: str) -> int:
+    """:func:`~repro.core.entities.decode_int`, raising :class:`SolverError`."""
+    try:
+        return decode_int(value, what)
+    except ValueError as error:
+        raise SolverError(str(error)) from None
+
+
+def decode_seed(seed: object) -> Optional[int]:
+    """``None`` or an integer seed; a bool, float or string raises :class:`SolverError`."""
+    return None if seed is None else _solver_int(seed, "seed")
 
 
 @dataclass
@@ -411,7 +425,7 @@ class BaseScheduler(ABC):
         self._counter = counter if counter is not None else ComputationCounter()
         if self._counter.num_users == 0:
             self._counter.num_users = instance.num_users
-        self._seed = seed
+        self._seed = decode_seed(seed)
         self._execution = (execution or ExecutionConfig()).resolve(instance.num_users)
         self._locked = self._validate_locked(locked)
         self._warm_grid = warm_grid
@@ -483,9 +497,10 @@ class BaseScheduler(ABC):
         Raises
         ------
         SolverError
-            If ``k`` is not a positive integer.
+            If ``k`` is not a positive integer (NumPy integers included).
         """
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        k = _solver_int(k, "k")
+        if k < 1:
             raise SolverError(f"k must be a positive integer, got {k!r}")
         effective_k = min(k, self._instance.num_events)
         if len(self._locked) > effective_k:

@@ -11,7 +11,8 @@ incremental, bound-pruned updating scheme of INC:
   stale; at the start of the next round the interval is refreshed by walking
   its score-sorted list and recomputing only the entries whose stale score is
   at least the interval's running bound Φ (stale scores are upper bounds, so
-  everything below Φ cannot be the interval's top);
+  everything below Φ cannot be the interval's top — Proposition 1, which
+  holds when every event value is equal; otherwise every entry is refreshed);
 * during the round, when an interval's top must be replaced (its event was
   just scheduled for another interval), the replacement is found lazily: the
   head of the list is recomputed only if it is stale, repeatedly, until an

@@ -10,7 +10,9 @@ fewer assignments.  It rests on two ideas:
   (Proposition 1: adding events to an interval never increases the marginal
   gain of another event), so before the next selection only the stale
   assignments whose stale score is at least Φ — the best exact, valid score
-  currently known — need to be recomputed.
+  currently known — need to be recomputed.  Proposition 1 holds when every
+  event value is equal; otherwise every stale entry is refreshed (see
+  :meth:`~repro.core.scoring.ScoringEngine.score_noise_tolerance`).
 
 * **Interval-based assignment organisation** (§3.2.2).  Assignments are kept
   in per-interval lists sorted by (possibly stale) score, and each interval

@@ -353,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tools", "benchmarks", "perfbench"],
-        help="files/directories to scan (default: src tools benchmarks perfbench, "
-        "resolved from the current directory)",
+        default=["src", "tools", "benchmarks", "perfbench", "examples"],
+        help="files/directories to scan (default: src tools benchmarks perfbench "
+        "examples, resolved from the current directory)",
     )
     lint.add_argument(
         "--json",

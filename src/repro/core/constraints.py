@@ -16,10 +16,11 @@ event is not already scheduled.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.entities import Event
 from repro.core.errors import InfeasibleAssignmentError
 from repro.core.instance import SESInstance
 from repro.core.schedule import Schedule
@@ -138,6 +139,31 @@ class ConstraintChecker:
 # ---------------------------------------------------------------------- #
 # Schedule-level (stateless) checks
 # ---------------------------------------------------------------------- #
+def interval_violations(
+    events: Sequence[Event], capacity: Optional[int], theta: float
+) -> List[str]:
+    """Every constraint broken by ``events`` sharing one interval (empty: feasible).
+
+    One event per location, summed resources within θ (with the ``1e-12``
+    slack of :class:`ConstraintChecker`), at most ``capacity`` events
+    (``None``: uncapped).  Also the online service's lock and capacity check.
+    """
+    problems = []
+    first_at: Dict[str, str] = {}
+    for event in events:
+        first = first_at.setdefault(event.location, event.id)
+        if first != event.id:
+            problems.append(
+                f"events {first!r} and {event.id!r} share location {event.location!r}"
+            )
+    required = sum(event.required_resources for event in events)
+    if required > theta + 1e-12:
+        problems.append(f"required resources {required:g} exceed available θ = {theta:g}")
+    if capacity is not None and len(events) > capacity:
+        problems.append(f"interval is full: {len(events)} events exceed capacity {capacity}")
+    return problems
+
+
 def is_assignment_feasible(
     instance: SESInstance,
     schedule: Schedule,
@@ -145,17 +171,9 @@ def is_assignment_feasible(
     interval_index: int,
 ) -> bool:
     """Check feasibility of adding ``α_e^t`` to ``schedule`` (stateless)."""
-    locations = instance.event_locations()
-    event_location = locations[event_index]
+    events = [instance.events[e] for e in (*schedule.events_at(interval_index), event_index)]
     capacity = instance.intervals[interval_index].capacity
-    if capacity is not None and schedule.num_events_at(interval_index) >= capacity:
-        return False
-    total_resources = instance.events[event_index].required_resources
-    for other in schedule.events_at(interval_index):
-        if locations[other] == event_location:
-            return False
-        total_resources += instance.events[other].required_resources
-    return total_resources <= instance.available_resources + 1e-12
+    return not interval_violations(events, capacity, instance.available_resources)
 
 
 def is_assignment_valid(
@@ -177,33 +195,11 @@ def is_schedule_feasible(instance: SESInstance, schedule: Schedule) -> bool:
 
 def violations(instance: SESInstance, schedule: Schedule) -> Iterable[str]:
     """Yield human-readable descriptions of every constraint violation."""
-    locations = instance.event_locations()
-    theta = instance.available_resources
     for interval_index in sorted(schedule.used_intervals()):
-        events_here = sorted(schedule.events_at(interval_index))
-        seen_locations: dict[str, int] = {}
-        total_resources = 0.0
-        for event_index in events_here:
-            location = locations[event_index]
-            if location in seen_locations:
-                yield (
-                    f"interval {interval_index}: events {seen_locations[location]} and "
-                    f"{event_index} share location {location!r}"
-                )
-            else:
-                seen_locations[location] = event_index
-            total_resources += instance.events[event_index].required_resources
-        if total_resources > theta + 1e-12:
-            yield (
-                f"interval {interval_index}: required resources {total_resources:.3f} exceed "
-                f"available θ={theta:.3f}"
-            )
+        events = [instance.events[e] for e in sorted(schedule.events_at(interval_index))]
         capacity = instance.intervals[interval_index].capacity
-        if capacity is not None and len(events_here) > capacity:
-            yield (
-                f"interval {interval_index}: {len(events_here)} events exceed "
-                f"capacity {capacity}"
-            )
+        for problem in interval_violations(events, capacity, instance.available_resources):
+            yield f"interval {interval_index}: {problem}"
 
 
 def assert_schedule_feasible(instance: SESInstance, schedule: Schedule) -> None:

@@ -25,8 +25,33 @@ from repro.core.storage import (
     InterestStore,
     SparseStore,
     convert_store,
+    last_write_wins,
     require_unit_interval,
 )
+
+
+def _parse_triples(
+    entries: Iterable[Tuple[int, int, float]], shape: Tuple[int, int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """User, item and value arrays of ``(user_index, item_index, value)`` triples.
+
+    Indices outside ``shape`` raise :class:`InstanceValidationError` naming
+    the first offending triple.
+    """
+    triples = list(entries)
+    count = len(triples)
+    users = np.fromiter((t[0] for t in triples), dtype=np.int64, count=count)
+    items = np.fromiter((t[1] for t in triples), dtype=np.int64, count=count)
+    values = np.fromiter((t[2] for t in triples), dtype=np.float64, count=count)
+    num_users, num_items = shape
+    bad_users = (users < 0) | (users >= num_users)
+    bad_items = (items < 0) | (items >= num_items)
+    if bad_users.any() or bad_items.any():
+        first = int(np.argmax(bad_users | bad_items))
+        if bad_users[first]:
+            raise InstanceValidationError(f"user index {users[first]} outside [0, {num_users})")
+        raise InstanceValidationError(f"item index {items[first]} outside [0, {num_items})")
+    return users, items, values
 
 
 class InterestMatrix:
@@ -103,35 +128,14 @@ class InterestMatrix:
 
         Later entries for the same cell overwrite earlier ones.  The fill is
         vectorised: indices are validated in bulk (reporting the first
-        offending triple) and duplicates are resolved with an explicit
-        last-write-wins pass, so a million triples cost three NumPy calls,
-        not a Python loop.
+        offending triple) and duplicates are resolved with one
+        :func:`~repro.core.storage.last_write_wins` pass, so a million
+        triples cost a few NumPy calls, not a Python loop.
         """
-        triples = list(entries)
-        if not triples:
+        users, items, values = _parse_triples(entries, (num_users, num_items))
+        if not values.size:
             return cls.zeros(num_users, num_items, storage=storage, path=path)
-        count = len(triples)
-        users = np.fromiter((t[0] for t in triples), dtype=np.int64, count=count)
-        items = np.fromiter((t[1] for t in triples), dtype=np.int64, count=count)
-        values = np.fromiter((t[2] for t in triples), dtype=np.float64, count=count)
-        bad_users = (users < 0) | (users >= num_users)
-        bad_items = (items < 0) | (items >= num_items)
-        if bad_users.any() or bad_items.any():
-            first = int(np.argmax(bad_users | bad_items))
-            if bad_users[first]:
-                raise InstanceValidationError(
-                    f"user index {users[first]} outside [0, {num_users})"
-                )
-            raise InstanceValidationError(
-                f"item index {items[first]} outside [0, {num_items})"
-            )
-        # Last write wins: keep, for every (user, item) cell, the final
-        # occurrence.  np.unique over the reversed flattened keys returns the
-        # first occurrence in reversed order == the last in original order.
-        flat = users * np.int64(num_items) + items
-        _, keep_reversed = np.unique(flat[::-1], return_index=True)
-        keep = np.sort(count - 1 - keep_reversed)
-        users, items, values = users[keep], items[keep], values[keep]
+        users, items, values = last_write_wins(users, items, values, num_users=num_users)
         if storage == DenseStore.name:
             dense = DenseStore.zeros(num_users, num_items).values
             dense[users, items] = values
@@ -166,25 +170,9 @@ class InterestMatrix:
         :class:`~repro.core.errors.StorageCapacityError` at scale) — a mutated
         mmap matrix comes back as an in-memory sparse one.
         """
-        triples = list(entries)
-        if not triples:
+        users, items, values = _parse_triples(entries, self.shape)
+        if not values.size:
             return self
-        count = len(triples)
-        users = np.fromiter((t[0] for t in triples), dtype=np.int64, count=count)
-        items = np.fromiter((t[1] for t in triples), dtype=np.int64, count=count)
-        values = np.fromiter((t[2] for t in triples), dtype=np.float64, count=count)
-        num_users, num_items = self.shape
-        bad_users = (users < 0) | (users >= num_users)
-        bad_items = (items < 0) | (items >= num_items)
-        if bad_users.any() or bad_items.any():
-            first = int(np.argmax(bad_users | bad_items))
-            if bad_users[first]:
-                raise InstanceValidationError(
-                    f"user index {users[first]} outside [0, {num_users})"
-                )
-            raise InstanceValidationError(
-                f"item index {items[first]} outside [0, {num_items})"
-            )
         require_unit_interval(values, "interest values")
         return type(self).from_store(self._store.with_updates(users, items, values))
 

@@ -255,6 +255,9 @@ class ScoringEngine:
             * np.finfo(np.float64).eps
             * (1.0 + self._sigma.sum(axis=0) * max(1.0, value_scale))
         )
+        if np.unique(self._values).size > 1:
+            # Unequal values break Proposition 1 (see score_noise_tolerance).
+            self._score_noise_tol[:] = np.inf
 
         num_intervals = instance.num_intervals
         num_users = instance.num_users
@@ -592,8 +595,13 @@ class ScoringEngine:
         exact-tie instances.  The bound returned here (``1024·ε`` times the
         interval's largest possible utility magnitude, ``Σ_u σ_u ·
         max value``) safely exceeds that noise while staying far below any
-        meaningful score difference; INC and HOR-I prune stale entries only
-        when they are at least this far below Φ.
+        meaningful score difference; INC, HOR-I and INC-U prune stale
+        entries only when they are at least this far below Φ.
+
+        Proposition 1 needs equal event values: a gain is then, per user,
+        ``v·σ·µ·C / ((C + S)(C + S + µ))``, which falls as the scheduled sum
+        ``S`` grows.  A low-value event can raise another's gain, so with
+        unequal values the tolerance is ``+inf`` and every prune refreshes.
         """
         return float(self._score_noise_tol[interval_index])
 

@@ -92,7 +92,7 @@ def ensure_dense_capacity(shape: Tuple[int, int]) -> None:
         )
 
 
-def _last_write_wins(
+def last_write_wins(
     user_indices: np.ndarray,
     item_indices: np.ndarray,
     values: np.ndarray,
@@ -101,8 +101,11 @@ def _last_write_wins(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve duplicate ``(user, item)`` cells keeping the final occurrence.
 
-    Shared by every store's ``with_updates`` so duplicate resolution is
-    identical (and therefore bit-identical) across representations.
+    The one duplicate rule of every triple consumer (each store's
+    ``with_updates``, :meth:`SparseStore.from_coo` and
+    ``InterestMatrix.from_entries``), so duplicates resolve identically
+    across representations.  The surviving triples come in cell order, not
+    input order; every consumer ignores order.
     """
     flat = item_indices * np.int64(num_users) + user_indices
     _, keep_reversed = np.unique(flat[::-1], return_index=True)
@@ -302,7 +305,7 @@ class DenseStore(InterestStore):
         user_indices = np.asarray(user_indices, dtype=np.int64)
         item_indices = np.asarray(item_indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        user_indices, item_indices, values = _last_write_wins(
+        user_indices, item_indices, values = last_write_wins(
             user_indices, item_indices, values, num_users=self.num_users
         )
         out = np.array(self._values, copy=True)
@@ -448,13 +451,8 @@ class SparseStore(InterestStore):
         item_indices = np.asarray(item_indices, dtype=np.int64)
         data = np.asarray(data, dtype=np.float64)
         if not deduplicated:
-            flat = item_indices * np.int64(num_users) + user_indices
-            _, keep_rev = np.unique(flat[::-1], return_index=True)
-            keep = flat.shape[0] - 1 - keep_rev
-            user_indices, item_indices, data = (
-                user_indices[keep],
-                item_indices[keep],
-                data[keep],
+            user_indices, item_indices, data = last_write_wins(
+                user_indices, item_indices, data, num_users=num_users
             )
         order = np.lexsort((user_indices, item_indices))
         user_indices = user_indices[order]
@@ -545,7 +543,7 @@ class SparseStore(InterestStore):
         users = np.concatenate([base_users, np.asarray(user_indices, dtype=np.int64)])
         items = np.concatenate([base_items, np.asarray(item_indices, dtype=np.int64)])
         data = np.concatenate([base_data, np.asarray(values, dtype=np.float64)])
-        users, items, data = _last_write_wins(
+        users, items, data = last_write_wins(
             users, items, data, num_users=self._shape[0]
         )
         nonzero = data != 0.0
@@ -978,6 +976,7 @@ __all__ = [
     "dense_capacity_limit",
     "ensure_dense_capacity",
     "require_unit_interval",
+    "last_write_wins",
     "InterestStore",
     "DenseStore",
     "SparseStore",

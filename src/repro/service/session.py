@@ -60,7 +60,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.algorithms.base import decode_seed
 from repro.algorithms.registry import get_scheduler
+from repro.core.constraints import interval_violations
 from repro.core.counters import ComputationCounter
 from repro.core.entities import (
     Event,
@@ -68,7 +70,6 @@ from repro.core.entities import (
     decode_capacity,
     decode_event,
     decode_id,
-    decode_int,
     decode_real,
     decode_reals,
 )
@@ -295,23 +296,15 @@ class _Scratch:
     instance_dirty: bool = False
 
 
-def _decode_seed(seed: object) -> Optional[int]:
-    """``None`` or a :func:`~repro.core.entities.decode_int` seed, else :class:`SolverError`."""
-    try:
-        return None if seed is None else decode_int(seed, "seed")
-    except ValueError as error:
-        raise SolverError(str(error)) from None
-
-
 class SchedulingSession:
     """A live SES instance accepting mutations and incremental re-solves.
 
     Parameters
     ----------
     instance:
-        The initial instance; the session copies its entity lists and adopts
-        its (immutable-by-convention) interest stores, so later mutations
-        never touch the caller's object.
+        The initial instance; each rebuilt one is a ``dataclasses.replace``
+        of the previous one, so later mutations never touch the caller's
+        object.
     algorithm:
         Default scheduler name for :meth:`resolve` (any registry name; a
         non-string raises :class:`~repro.core.errors.SolverError`).
@@ -339,31 +332,23 @@ class SchedulingSession:
         get_scheduler(algorithm)  # fail fast on unknown names
         self._lock = threading.RLock()
         self._algorithm = algorithm
-        self._seed = _decode_seed(seed)
+        self._seed = decode_seed(seed)
         self._execution = execution
+        #: The latest built instance: the one home of the fields no mutation
+        #: changes (users, competing events, σ, θ) and of the last
+        #: materialised interest store.
+        self._instance = instance
+        #: Whether events, intervals or the journal moved past ``_instance``.
+        self._dirty = False
         self._events: List[Event] = list(instance.events)
         self._intervals: List[TimeInterval] = list(instance.intervals)
-        self._competing = list(instance.competing_events)
-        self._users = list(instance.users)
-        self._interest = instance.interest
-        #: Store ops committed since ``_interest`` was last materialised.
+        #: Store ops committed since ``_instance.interest`` was materialised.
         self._journal: List[StoreOp] = []
-        self._competing_interest = instance.competing_interest
-        self._activity = np.array(instance.activity, copy=True)
-        self._organizer = instance.organizer
-        self._name = instance.name
-        self._metadata = {
-            key: value
-            for key, value in instance.metadata.items()
-            if key != "unschedulable_events"
-        }
         self._event_ids = {event.id: idx for idx, event in enumerate(self._events)}
         self._interval_ids = {
             interval.id: idx for idx, interval in enumerate(self._intervals)
         }
-        self._user_ids = {user.id: idx for idx, user in enumerate(self._users)}
         self._locks: Dict[str, str] = {}
-        self._instance: Optional[SESInstance] = instance
         self._baseline: Optional[np.ndarray] = None
         self._stale_events: set = set()
         self._stale_intervals: set = set()
@@ -415,7 +400,7 @@ class SchedulingSession:
                 "algorithm": self._algorithm,
                 "num_events": len(self._events),
                 "num_intervals": len(self._intervals),
-                "num_users": len(self._users),
+                "num_users": self._instance.num_users,
                 "locks": dict(self._locks),
                 "stale_events": len(self._stale_events),
                 "stale_intervals": len(self._stale_intervals),
@@ -483,15 +468,16 @@ class SchedulingSession:
             column = np.array(decode_reals(mutation.interest, "interest"), dtype=np.float64)
         except (TypeError, ValueError) as error:
             raise MutationError(f"malformed interest of event {event.id!r}: {error}") from error
-        if column.shape != (len(self._users),):
+        num_users = self._instance.num_users
+        if column.shape != (num_users,):
             raise MutationError(
                 f"event {event.id!r} has {column.size} interest values, expected "
-                f"{len(self._users)} (one per user)"
+                f"{num_users} (one per user)"
             )
         try:
             require_unit_interval(column, "interest values")
-            if self._interest.storage == DenseStore.name:
-                ensure_dense_capacity((len(self._users), len(scratch.events) + 1))
+            if self._instance.storage == DenseStore.name:
+                ensure_dense_capacity((num_users, len(scratch.events) + 1))
         except (InstanceValidationError, StorageCapacityError) as error:
             raise MutationError(str(error)) from error
         scratch.event_ids[event.id] = len(scratch.events)
@@ -518,9 +504,10 @@ class SchedulingSession:
         scratch.instance_dirty = True
 
     def _apply_update_interest(self, scratch: _Scratch, mutation: UpdateInterest) -> None:
-        user_index = self._user_ids.get(_mutation_id(mutation.user_id, "user_id"))
-        if user_index is None:
-            raise MutationError(f"unknown user id: {mutation.user_id!r}")
+        try:
+            user_index = self._instance.user_index(_mutation_id(mutation.user_id, "user_id"))
+        except InstanceValidationError as error:
+            raise MutationError(str(error)) from None
         if not isinstance(mutation.values, Mapping):
             raise MutationError(
                 f"interest values must be a mapping of event ids, got {mutation.values!r}"
@@ -552,43 +539,19 @@ class SchedulingSession:
         scratch.instance_dirty = True
 
     def _apply_lock(self, scratch: _Scratch, mutation: LockAssignment) -> None:
-        event_index = scratch.event_ids.get(_mutation_id(mutation.event_id, "event_id"))
-        if event_index is None:
+        if _mutation_id(mutation.event_id, "event_id") not in scratch.event_ids:
             raise MutationError(f"unknown event id: {mutation.event_id!r}")
         if _mutation_id(mutation.interval_id, "interval_id") not in scratch.interval_ids:
             raise MutationError(f"unknown interval id: {mutation.interval_id!r}")
         previous = scratch.locks.get(mutation.event_id)
         if previous == mutation.interval_id:
             return  # already locked there; nothing to invalidate
-        interval = scratch.intervals[scratch.interval_ids[mutation.interval_id]]
-        siblings = [
-            event_id
-            for event_id, interval_id in scratch.locks.items()
-            if interval_id == mutation.interval_id and event_id != mutation.event_id
-        ]
-        if interval.capacity is not None and len(siblings) >= interval.capacity:
-            raise MutationError(
-                f"cannot lock {mutation.event_id!r} to {mutation.interval_id!r}: "
-                f"interval is full (capacity {interval.capacity})"
-            )
-        location = scratch.events[event_index].location
-        for sibling in siblings:
-            if scratch.events[scratch.event_ids[sibling]].location == location:
-                raise MutationError(
-                    f"cannot lock {mutation.event_id!r} to {mutation.interval_id!r}: "
-                    f"locked event {sibling!r} already occupies location {location!r}"
-                )
-        required = sum(
-            scratch.events[scratch.event_ids[event_id]].required_resources
-            for event_id in scratch.locks
-            if event_id != mutation.event_id
-        ) + scratch.events[event_index].required_resources
-        if required > self._organizer.available_resources:
-            raise MutationError(
-                f"cannot lock {mutation.event_id!r}: locked assignments would need "
-                f"{required} resources, exceeding θ = {self._organizer.available_resources}"
-            )
         scratch.locks[mutation.event_id] = mutation.interval_id
+        self._check_locks(
+            scratch,
+            mutation.interval_id,
+            f"cannot lock {mutation.event_id!r} to {mutation.interval_id!r}",
+        )
         scratch.stale_intervals.add(mutation.interval_id)
         if previous is not None:
             scratch.stale_intervals.add(previous)
@@ -604,21 +567,34 @@ class SchedulingSession:
         if index is None:
             raise MutationError(f"unknown interval id: {mutation.interval_id!r}")
         # TimeInterval validates the capacity's type and range, so a bad
-        # value is reported as such before the locked-count check reads it.
+        # value is reported as such before the lock check reads it.
         try:
-            interval = dataclasses.replace(scratch.intervals[index], capacity=mutation.capacity)
+            scratch.intervals[index] = dataclasses.replace(
+                scratch.intervals[index], capacity=mutation.capacity
+            )
         except ValueError as error:
             raise MutationError(str(error)) from error
-        locked_here = sum(
-            1 for interval_id in scratch.locks.values() if interval_id == mutation.interval_id
+        self._check_locks(
+            scratch,
+            mutation.interval_id,
+            f"cannot set capacity {mutation.capacity} on {mutation.interval_id!r} "
+            "with the events already locked there",
         )
-        if mutation.capacity is not None and locked_here > mutation.capacity:
-            raise MutationError(
-                f"cannot set capacity {mutation.capacity} on {mutation.interval_id!r}: "
-                f"{locked_here} events are already locked there"
-            )
-        scratch.intervals[index] = interval
         scratch.instance_dirty = True
+
+    def _check_locks(self, scratch: _Scratch, interval_id: str, context: str) -> None:
+        """Reject the batch unless the events locked at one interval are feasible there."""
+        problems = interval_violations(
+            [
+                scratch.events[scratch.event_ids[event_id]]
+                for event_id, locked_at in scratch.locks.items()
+                if locked_at == interval_id
+            ],
+            scratch.intervals[scratch.interval_ids[interval_id]].capacity,
+            self._instance.available_resources,
+        )
+        if problems:
+            raise MutationError(f"{context}: {'; '.join(problems)}")
 
     def _commit(self, scratch: _Scratch, batch_size: int) -> Dict[str, int]:
         """Promote a fully validated scratch state to the session state."""
@@ -641,8 +617,7 @@ class SchedulingSession:
                         self._baseline = np.vstack(
                             [self._baseline, np.zeros((1, self._baseline.shape[1]))]
                         )
-            if scratch.instance_dirty:
-                self._instance = None
+            self._dirty = self._dirty or scratch.instance_dirty
             self._stats.record_batch(batch_size, new_rows, new_columns)
             return {
                 "applied": batch_size,
@@ -656,21 +631,20 @@ class SchedulingSession:
     def _build_instance(self) -> SESInstance:
         """The current instance, materialising the store journal if it is stale."""
         with self._lock:
-            if self._instance is None:
-                self._interest = _replay(self._interest, self._journal)
-                self._journal = []
-                self._instance = SESInstance(
+            if self._dirty:
+                self._instance = dataclasses.replace(
+                    self._instance,
                     events=list(self._events),
                     intervals=list(self._intervals),
-                    competing_events=list(self._competing),
-                    users=list(self._users),
-                    interest=self._interest,
-                    competing_interest=self._competing_interest,
-                    activity=self._activity,
-                    organizer=self._organizer,
-                    name=self._name,
-                    metadata=dict(self._metadata),
+                    interest=_replay(self._instance.interest, self._journal),
+                    metadata={
+                        key: value
+                        for key, value in self._instance.metadata.items()
+                        if key != "unschedulable_events"
+                    },
                 )
+                self._journal = []
+                self._dirty = False
             return self._instance
 
     def resolve(self, k: int, *, algorithm: Optional[str] = None, seed: Optional[int] = None):
@@ -682,14 +656,10 @@ class SchedulingSession:
         schedule, utilities and initial scores are bit-identical to a cold
         one-shot run of the same algorithm on the mutated instance with the
         same locked assignments.  A ``k`` or ``seed`` that is a bool, float or
-        string, or an ``algorithm`` that is not a string, raises
-        :class:`~repro.core.errors.SolverError` (no truncation or coercion).
+        string (rejected by the scheduler itself), or an ``algorithm`` that is
+        not a string, raises :class:`~repro.core.errors.SolverError` (no
+        truncation or coercion) and leaves the session unchanged.
         """
-        try:
-            k = decode_int(k, "k")
-        except ValueError as error:
-            raise SolverError(str(error)) from None
-        seed = _decode_seed(seed)
         with self._lock:
             name = algorithm if algorithm is not None else self._algorithm
             scheduler_cls = get_scheduler(name)

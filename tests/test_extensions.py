@@ -9,11 +9,13 @@ that the extensions flow through the scoring engine and every scheduler.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.registry import run_scheduler
 from repro.core.instance import SESInstance
 from repro.core.scoring import utility_of_schedule
-from tests.conftest import make_random_instance
+from tests.conftest import AXIS_LAYOUTS, Layout, make_random_instance
 
 
 def weighted_pair(seed: int = 31):
@@ -111,3 +113,87 @@ class TestProfitOrientedEvents:
         hor_i = run_scheduler("HOR-I", instance, 6)
         assert alg.schedule == inc.schedule
         assert hor.schedule == hor_i.schedule
+
+
+@st.composite
+def mixed_value_cases(draw):
+    """``(interest, activity, competing, competing_intervals, values, k)`` of a tiny instance.
+
+    Event values come from {0, 0.5, 1, 2, 3}, so most instances mix them.
+    """
+    num_users = draw(st.integers(min_value=1, max_value=3))
+    num_events = draw(st.integers(min_value=3, max_value=6))
+    num_intervals = draw(st.integers(min_value=1, max_value=2))
+    num_competing = draw(st.integers(min_value=0, max_value=2))
+    values = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=num_events, max_size=num_events
+        )
+    )
+    k = draw(st.integers(min_value=1, max_value=num_events))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return (
+        rng.random((num_users, num_events)),
+        rng.random((num_users, num_intervals)),
+        rng.random((num_users, num_competing)) if num_competing else None,
+        list(rng.integers(0, num_intervals, num_competing)) if num_competing else None,
+        values,
+        k,
+    )
+
+
+#: One user, values (0.5, 1, 2, 2), one competing event in interval 0, k = 4:
+#: with stale-score pruning INC puts event 1 in interval 0 (utility 3.1),
+#: while ALG puts it in interval 1 (3.107…).
+PROPOSITION_1_COUNTEREXAMPLE = (
+    np.array([[0.1, 0.4, 0.9, 0.3]]),
+    np.ones((1, 2)),
+    np.array([[0.1]]),
+    [0],
+    [0.5, 1.0, 2.0, 2.0],
+    4,
+)
+
+
+class TestUnequalEventValues:
+    """Proposition 1 needs equal event values; the incremental schedulers must not rely on it.
+
+    Blocked layouts repeat every user twice, so the plan has classes to
+    compress; a repeated user doubles each score exactly and keeps the case.
+    """
+
+    @pytest.mark.parametrize("layout_name", AXIS_LAYOUTS)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=mixed_value_cases())
+    @example(case=PROPOSITION_1_COUNTEREXAMPLE)
+    def test_incremental_schedulers_match_their_eager_twins(
+        self, layout_name, tmp_path_factory, case
+    ):
+        interest, activity, competing, competing_intervals, values, k = case
+        layout = Layout(*layout_name.split("-"), tmp_path_factory)
+        copies = 2 if layout.plan == "blocked" else 1
+        instance = layout.convert(
+            SESInstance.from_arrays(
+                interest=np.repeat(interest, copies, axis=0),
+                activity=np.repeat(activity, copies, axis=0),
+                competing_interest=(
+                    None if competing is None else np.repeat(competing, copies, axis=0)
+                ),
+                competing_interval_indices=competing_intervals,
+                event_values=values,
+            )
+        )
+        results = {
+            name: run_scheduler(name, instance, k, execution=layout.execution())
+            for name in ("ALG", "INC", "INC-U", "HOR", "HOR-I")
+        }
+        for incremental, eager in (("INC", "ALG"), ("INC-U", "ALG"), ("HOR-I", "HOR")):
+            got, want = results[incremental], results[eager]
+            assert got.schedule == want.schedule, incremental
+            assert got.utility.hex() == want.utility.hex(), incremental
+            assert got.net_utility == want.net_utility, incremental

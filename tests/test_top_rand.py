@@ -1,11 +1,14 @@
 """Tests for the TOP and RAND baselines."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms.alg import AlgScheduler
 from repro.algorithms.rand import RandScheduler
+from repro.algorithms.registry import run_scheduler
 from repro.algorithms.top import TopScheduler
 from repro.core.constraints import is_schedule_feasible
+from repro.core.errors import SolverError
 from repro.core.scoring import utility_of_schedule
 from tests.conftest import make_random_instance
 
@@ -96,3 +99,21 @@ class TestRand:
         assert result.utility == pytest.approx(
             utility_of_schedule(medium_instance, result.schedule), rel=1e-9
         )
+
+
+class TestSeedAndKDecoding:
+    """Every scheduler decodes ``seed`` and ``k`` itself, without coercion."""
+
+    def test_numpy_integer_seed_equals_int_seed(self, medium_instance):
+        numpy_seeded = run_scheduler("RAND", medium_instance, 3, seed=np.int64(3))
+        assert numpy_seeded.schedule == run_scheduler("RAND", medium_instance, 3, seed=3).schedule
+
+    @pytest.mark.parametrize("seed", [2.5, "7", True], ids=repr)
+    def test_coercible_seed_is_rejected(self, medium_instance, seed):
+        with pytest.raises(SolverError, match="seed must be an integer"):
+            run_scheduler("RAND", medium_instance, 3, seed=seed)
+
+    def test_numpy_integer_k_equals_int_k(self, medium_instance):
+        result = run_scheduler("ALG", medium_instance, np.int64(3))
+        assert result.k == 3
+        assert result.schedule == run_scheduler("ALG", medium_instance, 3).schedule
