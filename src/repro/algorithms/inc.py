@@ -47,13 +47,16 @@ passes the stale-head check but its structural bound is still safely below
 skipped.  The bound is engine-side and identical across scoring backends,
 storage tiers and scoring plans, so schedules, utilities, scores and
 counter totals remain bit-identical across those axes — the bound only
-lowers the number of score recomputations performed.  Construct the
+lowers the number of score recomputations performed.  With unequal event
+values the score tolerance is infinite, no skip can fire, and the bound is
+never evaluated (nor the interest structure mined for it).  Construct the
 scheduler with ``use_interval_bounds=False`` to disable the structural
 check (the benchmark baseline).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -132,6 +135,7 @@ class IncScheduler(BaseScheduler):
                 if (
                     phi is not None
                     and self._use_interval_bounds
+                    and tolerance < math.inf
                     and engine.interval_score_bound(interval_index) < phi[0] - 4.0 * tolerance
                 ):
                     # Second chance: the structural bound caps every fresh
@@ -139,7 +143,9 @@ class IncScheduler(BaseScheduler):
                     # entry here can beat Φ.  The 4× noise margin guarantees
                     # no tie candidate (within one score's rounding of Φ) can
                     # hide behind the skip, keeping the tie-break — and hence
-                    # the schedule — identical.
+                    # the schedule — identical.  An infinite tolerance
+                    # (unequal event values) puts the cut at −inf, so the
+                    # bound is not even evaluated there.
                     counter.bump("phi_bound_interval_skips")
                     continue
                 walked = self._refresh_walk(

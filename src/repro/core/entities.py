@@ -23,7 +23,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 
 def _check_number(
@@ -239,6 +239,18 @@ def decode_tags(value: Iterable[str]) -> Tuple[str, ...]:
     if isinstance(value, str):
         raise ValueError(f"tags must be a list of strings, not the string {value!r}")
     return tuple(value)
+
+
+def encode_event(event: Event) -> Dict[str, object]:
+    """The payload dict of an :class:`Event`; :func:`decode_event` reads it back."""
+    return {
+        "id": event.id,
+        "location": event.location,
+        "required_resources": event.required_resources,
+        "value": event.value,
+        "cost": event.cost,
+        "tags": list(event.tags),
+    }
 
 
 def decode_event(item: Mapping[str, object]) -> Event:

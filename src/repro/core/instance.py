@@ -37,6 +37,7 @@ from repro.core.entities import (
     decode_optional_real,
     decode_real,
     decode_tags,
+    encode_event,
 )
 from repro.core.errors import InstanceValidationError
 from repro.core.interest import InterestMatrix
@@ -355,17 +356,7 @@ class SESInstance:
                 "name": self.organizer.name,
                 "available_resources": self.organizer.available_resources,
             },
-            "events": [
-                {
-                    "id": event.id,
-                    "location": event.location,
-                    "required_resources": event.required_resources,
-                    "value": event.value,
-                    "cost": event.cost,
-                    "tags": list(event.tags),
-                }
-                for event in self.events
-            ],
+            "events": [encode_event(event) for event in self.events],
             "intervals": [
                 {
                     "id": interval.id,

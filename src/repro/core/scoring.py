@@ -571,8 +571,8 @@ class ScoringEngine:
         current engine state (``event_indices`` defaults to all events).
         Counts one score computation per (event, interval) pair.  The active
         backend decides how the matrix is assembled — per pair, per vectorised
-        column, with event blocks sharded across threads or with the columns
-        sharded across remote workers — without changing a result bit.
+        column or with the columns sharded across remote workers — without
+        changing a result bit.
         """
         if event_indices is None:
             selector = None

@@ -15,8 +15,9 @@ each dataset to its builder and tests):
 * :mod:`repro.datasets.concerts` — a music-ratings simulator (genres, albums,
   user ratings) using the paper's exact interest-derivation formula, standing
   in for the Yahoo! "Concerts" dataset.
-* :mod:`repro.datasets.params` — the Table 1 parameter grid and the scaled
-  reproduction defaults.
+* :mod:`repro.datasets.params` — the Table 1 parameter grid, the scaled
+  reproduction defaults and :class:`~repro.datasets.params.Table1Config`,
+  the base of every builder's config.
 * :mod:`repro.datasets.loaders` — JSON/NPZ persistence for instances.
 """
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.core.errors import DatasetError
 from repro.core.instance import SESInstance
-from repro.datasets.concerts import ConcertsConfig, generate_concerts
-from repro.datasets.meetup import MeetupConfig, generate_meetup
-from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
+from repro.datasets.concerts import generate_concerts
+from repro.datasets.meetup import generate_meetup
+from repro.datasets.synthetic import generate_normal, generate_uniform, generate_zipfian
 
 #: Dataset names as used in the paper's figures.
 DATASET_NAMES = ("Meetup", "Concerts", "Unf", "Nrm", "Zip")
@@ -54,27 +54,21 @@ def _normalise(name: str) -> str:
         ) from None
 
 
+#: The builder behind each dataset name; Unf / Nrm / Zip are the synthetic
+#: shorthands, which set the interest distribution and the name.
+_BUILDERS: Dict[str, Callable[..., SESInstance]] = {
+    "Meetup": generate_meetup,
+    "Concerts": generate_concerts,
+    "Unf": generate_uniform,
+    "Nrm": generate_normal,
+    "Zip": generate_zipfian,
+}
+
+
 @lru_cache(maxsize=64)
 def _build_cached(name: str, frozen_overrides: str) -> SESInstance:
     overrides: Dict[str, object] = json.loads(frozen_overrides)
-    overrides = {key: _thaw(value) for key, value in overrides.items()}
-    if name == "Meetup":
-        return generate_meetup(MeetupConfig(**overrides))  # type: ignore[arg-type]
-    if name == "Concerts":
-        return generate_concerts(ConcertsConfig(**overrides))  # type: ignore[arg-type]
-    if name == "Unf":
-        overrides.setdefault("interest_distribution", "uniform")
-        overrides.setdefault("name", "Unf")
-        return generate_synthetic(SyntheticConfig(**overrides))  # type: ignore[arg-type]
-    if name == "Nrm":
-        overrides.setdefault("interest_distribution", "normal")
-        overrides.setdefault("name", "Nrm")
-        return generate_synthetic(SyntheticConfig(**overrides))  # type: ignore[arg-type]
-    if name == "Zip":
-        overrides.setdefault("interest_distribution", "zipfian")
-        overrides.setdefault("name", "Zip")
-        return generate_synthetic(SyntheticConfig(**overrides))  # type: ignore[arg-type]
-    raise DatasetError(f"unknown dataset {name!r}")
+    return _BUILDERS[name](**{key: _thaw(value) for key, value in overrides.items()})
 
 
 def _thaw(value: object) -> object:

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.errors import DatasetError
 from repro.core.instance import SESInstance
-from repro.datasets.params import REPRO_DEFAULTS
+from repro.datasets.params import Table1Config
 
 #: Genre taxonomy of the simulated ratings (a few broad, popular genres first).
 GENRES: Tuple[str, ...] = (
@@ -43,20 +43,9 @@ MISSING_POLICIES = ("missing_as_one", "missing_as_zero", "common_only")
 
 
 @dataclass
-class ConcertsConfig:
-    """Configuration of the Concerts-substitute dataset."""
+class ConcertsConfig(Table1Config):
+    """Configuration of the Concerts-substitute dataset (Table 1 fields plus the genre model)."""
 
-    num_users: int = int(REPRO_DEFAULTS["num_users"])
-    num_events: int = int(REPRO_DEFAULTS["num_candidate_events"])
-    num_intervals: int = int(REPRO_DEFAULTS["num_intervals"])
-    competing_per_interval_range: Tuple[int, int] = tuple(  # type: ignore[assignment]
-        REPRO_DEFAULTS["competing_per_interval_range"]
-    )
-    num_locations: int = int(REPRO_DEFAULTS["num_locations"])
-    available_resources: float = float(REPRO_DEFAULTS["available_resources"])
-    required_resources_range: Tuple[float, float] = tuple(  # type: ignore[assignment]
-        REPRO_DEFAULTS["required_resources_range"]
-    )
     genres_per_album_range: Tuple[int, int] = (1, 4)
     rated_genres_range: Tuple[int, int] = (10, 18)
     favourite_genres_per_user: int = 4
@@ -66,8 +55,7 @@ class ConcertsConfig:
     name: str = "Concerts"
 
     def __post_init__(self) -> None:
-        if self.num_users < 1 or self.num_events < 1 or self.num_intervals < 1:
-            raise DatasetError("num_users, num_events and num_intervals must be positive")
+        super().__post_init__()
         if self.missing_policy not in MISSING_POLICIES:
             raise DatasetError(
                 f"unknown missing_policy {self.missing_policy!r}; choose one of {MISSING_POLICIES}"
@@ -178,10 +166,7 @@ def generate_concerts(config: Optional[ConcertsConfig] = None, **overrides: obje
 
     Accepts a full :class:`ConcertsConfig` or keyword overrides of its fields.
     """
-    if config is None:
-        config = ConcertsConfig(**overrides)  # type: ignore[arg-type]
-    elif overrides:
-        raise DatasetError("pass either a config object or keyword overrides, not both")
+    config = ConcertsConfig.resolve(config, overrides)
 
     rng = np.random.default_rng(config.seed)
     num_genres = len(GENRES)
@@ -202,13 +187,7 @@ def generate_concerts(config: Optional[ConcertsConfig] = None, **overrides: obje
         return albums
 
     candidate_genres = draw_album_genres(config.num_events)
-    low, high = config.competing_per_interval_range
-    competing_counts = rng.integers(low, high + 1, size=config.num_intervals)
-    competing_interval_indices = [
-        interval_index
-        for interval_index, count in enumerate(competing_counts)
-        for _ in range(int(count))
-    ]
+    competing_interval_indices = config.draw_competing_intervals(rng)
     competing_genres = draw_album_genres(len(competing_interval_indices))
 
     interest = _album_interest_matrix(ratings, rated_mask, candidate_genres, config.missing_policy)
@@ -221,12 +200,6 @@ def generate_concerts(config: Optional[ConcertsConfig] = None, **overrides: obje
         rng.beta(2.2, 2.8, size=(config.num_users, config.num_intervals)), 0.0, 1.0
     )
 
-    locations = [
-        f"stage{int(value)}" for value in rng.integers(0, config.num_locations, config.num_events)
-    ]
-    res_low, res_high = config.required_resources_range
-    required = rng.uniform(res_low, res_high, config.num_events)
-
     metadata: Dict[str, object] = {
         "generator": "concerts-ratings",
         "num_genres": num_genres,
@@ -234,14 +207,12 @@ def generate_concerts(config: Optional[ConcertsConfig] = None, **overrides: obje
         "seed": config.seed,
         "candidate_genres": [[GENRES[genre] for genre in genres] for genres in candidate_genres],
     }
-    return SESInstance.from_arrays(
+    return config.assemble(
+        rng,
         interest=np.clip(interest, 0.0, 1.0),
         activity=activity,
         competing_interest=np.clip(competing_interest, 0.0, 1.0),
         competing_interval_indices=competing_interval_indices,
-        locations=locations,
-        required_resources=list(required),
-        available_resources=config.available_resources,
-        name=config.name,
         metadata=metadata,
+        location_prefix="stage",
     )

@@ -22,33 +22,21 @@ between the paper's "Meetup" curves and its Uniform synthetic curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.errors import DatasetError
 from repro.core.instance import SESInstance
-from repro.datasets.params import REPRO_DEFAULTS
+from repro.datasets.params import Table1Config
 from repro.ebsn.activity_model import derive_activity_matrix, weekly_slot_for_interval
 from repro.ebsn.generator import EBSNConfig, generate_network, sample_event_topics
 from repro.ebsn.interest_model import derive_interest_matrix
 
 
 @dataclass
-class MeetupConfig:
-    """Configuration of the Meetup-substitute dataset."""
+class MeetupConfig(Table1Config):
+    """Configuration of the Meetup-substitute dataset (Table 1 fields plus the EBSN's size)."""
 
-    num_users: int = int(REPRO_DEFAULTS["num_users"])
-    num_events: int = int(REPRO_DEFAULTS["num_candidate_events"])
-    num_intervals: int = int(REPRO_DEFAULTS["num_intervals"])
-    competing_per_interval_range: Tuple[int, int] = tuple(  # type: ignore[assignment]
-        REPRO_DEFAULTS["competing_per_interval_range"]
-    )
-    num_locations: int = int(REPRO_DEFAULTS["num_locations"])
-    available_resources: float = float(REPRO_DEFAULTS["available_resources"])
-    required_resources_range: Tuple[float, float] = tuple(  # type: ignore[assignment]
-        REPRO_DEFAULTS["required_resources_range"]
-    )
     num_groups: int = 60
     num_past_events: int = 300
     num_weekly_slots: int = 21
@@ -56,25 +44,13 @@ class MeetupConfig:
     name: str = "Meetup"
     ebsn_overrides: Dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.num_users < 1 or self.num_events < 1 or self.num_intervals < 1:
-            raise DatasetError("num_users, num_events and num_intervals must be positive")
-        low, high = self.competing_per_interval_range
-        if low < 0 or high < low:
-            raise DatasetError(
-                f"invalid competing_per_interval_range {self.competing_per_interval_range}"
-            )
-
 
 def generate_meetup(config: Optional[MeetupConfig] = None, **overrides: object) -> SESInstance:
     """Build the Meetup-substitute SES instance.
 
     Accepts a full :class:`MeetupConfig` or keyword overrides of its fields.
     """
-    if config is None:
-        config = MeetupConfig(**overrides)  # type: ignore[arg-type]
-    elif overrides:
-        raise DatasetError("pass either a config object or keyword overrides, not both")
+    config = MeetupConfig.resolve(config, overrides)
 
     rng = np.random.default_rng(config.seed)
 
@@ -90,13 +66,7 @@ def generate_meetup(config: Optional[MeetupConfig] = None, **overrides: object) 
 
     # Candidate and competing event topics.
     candidate_topics = sample_event_topics(rng, config.num_events)
-    low, high = config.competing_per_interval_range
-    competing_counts = rng.integers(low, high + 1, size=config.num_intervals)
-    competing_interval_indices = [
-        interval_index
-        for interval_index, count in enumerate(competing_counts)
-        for _ in range(int(count))
-    ]
+    competing_interval_indices = config.draw_competing_intervals(rng)
     competing_topics = sample_event_topics(rng, len(competing_interval_indices))
 
     # Derived matrices.
@@ -108,12 +78,6 @@ def generate_meetup(config: Optional[MeetupConfig] = None, **overrides: object) 
     ]
     activity = derive_activity_matrix(network, interval_slots, rng=rng)
 
-    locations = [
-        f"loc{int(value)}" for value in rng.integers(0, config.num_locations, config.num_events)
-    ]
-    res_low, res_high = config.required_resources_range
-    required = rng.uniform(res_low, res_high, config.num_events)
-
     metadata: Dict[str, object] = {
         "generator": "meetup-ebsn",
         "network_summary": network.summary(),
@@ -121,14 +85,11 @@ def generate_meetup(config: Optional[MeetupConfig] = None, **overrides: object) 
         "seed": config.seed,
         "candidate_topics": [list(topics) for topics in candidate_topics],
     }
-    return SESInstance.from_arrays(
+    return config.assemble(
+        rng,
         interest=interest,
         activity=activity,
         competing_interest=competing_interest,
         competing_interval_indices=competing_interval_indices,
-        locations=locations,
-        required_resources=list(required),
-        available_resources=config.available_resources,
-        name=config.name,
         metadata=metadata,
     )

@@ -12,14 +12,19 @@ Two grids are exposed:
   the paper's analysis relies on (k vs |T|, |E| vs k, competing events per
   interval, resources per event vs θ); the absolute sizes of each run live in
   the scale presets of :mod:`repro.experiments.figures`.
+
+:class:`Table1Config` is the base of every dataset builder's config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
 
-from repro.core.errors import ExperimentError
+import numpy as np
+
+from repro.core.errors import DatasetError, ExperimentError
+from repro.core.instance import SESInstance
 
 
 @dataclass(frozen=True)
@@ -178,3 +183,92 @@ def mean_of_range(bounds: Sequence[int]) -> float:
     """Mean of a uniform integer range given as ``(low, high)`` (inclusive)."""
     low, high = bounds
     return (float(low) + float(high)) / 2.0
+
+
+ConfigT = TypeVar("ConfigT", bound="Table1Config")
+
+
+@dataclass
+class Table1Config:
+    """The Table 1 fields, their validation and the draws every dataset builder shares.
+
+    Subclasses (the synthetic, Meetup and Concerts configs) add their own
+    fields after these seven, including ``name`` and ``seed``.
+    """
+
+    num_users: int = int(REPRO_DEFAULTS["num_users"])
+    num_events: int = int(REPRO_DEFAULTS["num_candidate_events"])
+    num_intervals: int = int(REPRO_DEFAULTS["num_intervals"])
+    competing_per_interval_range: Tuple[int, int] = tuple(  # type: ignore[assignment]
+        REPRO_DEFAULTS["competing_per_interval_range"]
+    )
+    num_locations: int = int(REPRO_DEFAULTS["num_locations"])
+    available_resources: float = float(REPRO_DEFAULTS["available_resources"])
+    required_resources_range: Tuple[float, float] = tuple(  # type: ignore[assignment]
+        REPRO_DEFAULTS["required_resources_range"]
+    )
+
+    def __post_init__(self) -> None:
+        if self.num_users < 1 or self.num_events < 1 or self.num_intervals < 1:
+            raise DatasetError("num_users, num_events and num_intervals must be positive")
+        if self.num_locations < 1:
+            raise DatasetError("num_locations must be positive")
+        low, high = self.competing_per_interval_range
+        if low < 0 or high < low:
+            raise DatasetError(
+                f"invalid competing_per_interval_range {self.competing_per_interval_range}"
+            )
+        res_low, res_high = self.required_resources_range
+        if res_low < 0 or res_high < res_low:
+            raise DatasetError(
+                f"invalid required_resources_range {self.required_resources_range}"
+            )
+        if self.available_resources < 0:
+            raise DatasetError("available_resources must be non-negative")
+
+    @classmethod
+    def resolve(
+        cls: Type[ConfigT], config: Optional[ConfigT], overrides: Mapping[str, object]
+    ) -> ConfigT:
+        """The builder's config: ``config`` itself, or one built from ``overrides``."""
+        if config is None:
+            return cls(**overrides)  # type: ignore[arg-type]
+        if overrides:
+            raise DatasetError("pass either a config object or keyword overrides, not both")
+        return config
+
+    def draw_competing_intervals(self, rng: np.random.Generator) -> List[int]:
+        """Interval index of each competing event: a uniform count per interval."""
+        low, high = self.competing_per_interval_range
+        counts = rng.integers(low, high + 1, size=self.num_intervals)
+        return [interval for interval, count in enumerate(counts) for _ in range(int(count))]
+
+    def assemble(
+        self,
+        rng: np.random.Generator,
+        *,
+        interest: np.ndarray,
+        activity: np.ndarray,
+        competing_interest: np.ndarray,
+        competing_interval_indices: Sequence[int],
+        metadata: Dict[str, object],
+        location_prefix: str = "loc",
+    ) -> SESInstance:
+        """Draw each event's location, then its required resources ξ, and build the instance."""
+        locations = [
+            f"{location_prefix}{int(value)}"
+            for value in rng.integers(0, self.num_locations, self.num_events)
+        ]
+        res_low, res_high = self.required_resources_range
+        required = rng.uniform(res_low, res_high, self.num_events)
+        return SESInstance.from_arrays(
+            interest=interest,
+            activity=activity,
+            competing_interest=competing_interest,
+            competing_interval_indices=competing_interval_indices,
+            locations=locations,
+            required_resources=list(required),
+            available_resources=self.available_resources,
+            name=self.name,  # type: ignore[attr-defined]
+            metadata=metadata,
+        )

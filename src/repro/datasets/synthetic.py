@@ -20,14 +20,14 @@ popularity ∝ rank^(−s) that multiplies per-user uniform noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import DatasetError
 from repro.core.instance import SESInstance
-from repro.datasets.params import REPRO_DEFAULTS
+from repro.datasets.params import REPRO_DEFAULTS, Table1Config
 
 #: Interest / activity distribution names accepted by the generator.
 INTEREST_DISTRIBUTIONS = ("uniform", "normal", "zipfian")
@@ -35,24 +35,9 @@ ACTIVITY_DISTRIBUTIONS = ("uniform", "normal")
 
 
 @dataclass
-class SyntheticConfig:
-    """Configuration of one synthetic SES instance (Table 1 parameters).
+class SyntheticConfig(Table1Config):
+    """Configuration of one synthetic SES instance (Table 1 fields plus the distributions)."""
 
-    All counts follow the scaled reproduction defaults
-    (:data:`repro.datasets.params.REPRO_DEFAULTS`) unless overridden.
-    """
-
-    num_users: int = int(REPRO_DEFAULTS["num_users"])
-    num_events: int = int(REPRO_DEFAULTS["num_candidate_events"])
-    num_intervals: int = int(REPRO_DEFAULTS["num_intervals"])
-    competing_per_interval_range: Tuple[int, int] = tuple(  # type: ignore[assignment]
-        REPRO_DEFAULTS["competing_per_interval_range"]
-    )
-    num_locations: int = int(REPRO_DEFAULTS["num_locations"])
-    available_resources: float = float(REPRO_DEFAULTS["available_resources"])
-    required_resources_range: Tuple[float, float] = tuple(  # type: ignore[assignment]
-        REPRO_DEFAULTS["required_resources_range"]
-    )
     interest_distribution: str = str(REPRO_DEFAULTS["interest_distribution"])
     zipf_exponent: float = float(REPRO_DEFAULTS["zipf_exponent"])
     activity_distribution: str = str(REPRO_DEFAULTS["activity_distribution"])
@@ -60,10 +45,7 @@ class SyntheticConfig:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.num_users < 1 or self.num_events < 1 or self.num_intervals < 1:
-            raise DatasetError("num_users, num_events and num_intervals must be positive")
-        if self.num_locations < 1:
-            raise DatasetError("num_locations must be positive")
+        super().__post_init__()
         if self.interest_distribution not in INTEREST_DISTRIBUTIONS:
             raise DatasetError(
                 f"unknown interest distribution {self.interest_distribution!r}; "
@@ -74,36 +56,17 @@ class SyntheticConfig:
                 f"unknown activity distribution {self.activity_distribution!r}; "
                 f"choose one of {ACTIVITY_DISTRIBUTIONS}"
             )
-        low, high = self.competing_per_interval_range
-        if low < 0 or high < low:
-            raise DatasetError(
-                f"invalid competing_per_interval_range {self.competing_per_interval_range}"
-            )
-        res_low, res_high = self.required_resources_range
-        if res_low < 0 or res_high < res_low:
-            raise DatasetError(
-                f"invalid required_resources_range {self.required_resources_range}"
-            )
-        if self.available_resources < 0:
-            raise DatasetError("available_resources must be non-negative")
         if not self.name:
             self.name = f"synthetic-{self.interest_distribution}"
 
     def describe(self) -> Dict[str, object]:
         """Flat dict of the configuration (stored in the instance metadata)."""
-        return {
-            "num_users": self.num_users,
-            "num_events": self.num_events,
-            "num_intervals": self.num_intervals,
-            "competing_per_interval_range": list(self.competing_per_interval_range),
-            "num_locations": self.num_locations,
-            "available_resources": self.available_resources,
-            "required_resources_range": list(self.required_resources_range),
-            "interest_distribution": self.interest_distribution,
-            "zipf_exponent": self.zipf_exponent,
-            "activity_distribution": self.activity_distribution,
-            "seed": self.seed,
+        description = {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
         }
+        del description["name"]
+        return description
 
 
 def _draw_probability_matrix(
@@ -134,10 +97,7 @@ def generate_synthetic(config: Optional[SyntheticConfig] = None, **overrides: ob
 
         instance = generate_synthetic(interest_distribution="zipfian", num_users=500)
     """
-    if config is None:
-        config = SyntheticConfig(**overrides)  # type: ignore[arg-type]
-    elif overrides:
-        raise DatasetError("pass either a config object or keyword overrides, not both")
+    config = SyntheticConfig.resolve(config, overrides)
 
     # One independent stream per component, so that sweeping one parameter
     # (e.g. the number of candidate events in Fig. 7) does not implicitly
@@ -160,40 +120,21 @@ def generate_synthetic(config: Optional[SyntheticConfig] = None, **overrides: ob
         config.zipf_exponent,
     )
 
-    # Competing events: a uniform number per interval within the configured range.
-    low, high = config.competing_per_interval_range
-    competing_counts = competing_rng.integers(low, high + 1, size=config.num_intervals)
-    competing_interval_indices = [
-        interval_index
-        for interval_index, count in enumerate(competing_counts)
-        for _ in range(int(count))
-    ]
-    num_competing = len(competing_interval_indices)
+    competing_interval_indices = config.draw_competing_intervals(competing_rng)
     competing_interest = _draw_probability_matrix(
         competing_rng,
-        (config.num_users, num_competing),
+        (config.num_users, len(competing_interval_indices)),
         config.interest_distribution,
         config.zipf_exponent,
     )
 
-    locations = [
-        f"loc{int(value)}"
-        for value in layout_rng.integers(0, config.num_locations, config.num_events)
-    ]
-    res_low, res_high = config.required_resources_range
-    required = layout_rng.uniform(res_low, res_high, config.num_events)
-
-    metadata: Dict[str, object] = {"generator": "synthetic", "config": config.describe()}
-    return SESInstance.from_arrays(
+    return config.assemble(
+        layout_rng,
         interest=interest,
         activity=activity,
         competing_interest=competing_interest,
         competing_interval_indices=competing_interval_indices,
-        locations=locations,
-        required_resources=list(required),
-        available_resources=config.available_resources,
-        name=config.name,
-        metadata=metadata,
+        metadata={"generator": "synthetic", "config": config.describe()},
     )
 
 

@@ -72,6 +72,7 @@ from repro.core.entities import (
     decode_id,
     decode_real,
     decode_reals,
+    encode_event,
 )
 from repro.core.errors import InstanceValidationError, SolverError, StorageCapacityError
 from repro.core.execution import ExecutionConfig
@@ -155,17 +156,9 @@ Mutation = Union[
 def mutation_to_dict(mutation: Mutation) -> Dict[str, object]:
     """Serialise one mutation to the wire dict of the ``mutate`` operation."""
     if isinstance(mutation, AddEvent):
-        event = mutation.event
         return {
             "op": "add-event",
-            "event": {
-                "id": event.id,
-                "location": event.location,
-                "required_resources": event.required_resources,
-                "value": event.value,
-                "cost": event.cost,
-                "tags": list(event.tags),
-            },
+            "event": encode_event(mutation.event),
             "interest": [float(value) for value in mutation.interest],
         }
     if isinstance(mutation, RemoveEvent):

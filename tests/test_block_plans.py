@@ -473,6 +473,29 @@ class TestStructuralBound:
         assert result.counters.get("extra.phi_bound_evaluations", 0) == 0
         assert result.counters.get("extra.phi_bound_interval_skips", 0) == 0
 
+    def test_inc_skips_the_bound_when_it_cannot_prune(self, monkeypatch):
+        """Unequal event values make the score tolerance infinite, so no skip can fire."""
+        instance = make_random_instance(
+            num_users=120,
+            num_events=30,
+            num_intervals=6,
+            seed=3,
+            event_values=np.linspace(0.5, 2.0, 30),
+        )
+        k = 2 * instance.num_intervals + 1
+        reference = run_scheduler("ALG", instance, k, execution=execution_for("direct"))
+        assert instance._interest_structure is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("INC consulted a structural Φ bound that cannot prune")
+
+        monkeypatch.setattr(ScoringEngine, "interval_score_bound", refuse)
+        monkeypatch.setattr(scoring, "mine_structure", refuse)
+        result = run_scheduler("INC", instance, k, execution=execution_for("direct"))
+        assert result.schedule.as_dict() == reference.schedule.as_dict()
+        assert result.utility.hex() == reference.utility.hex()
+        assert result.counters.get("extra.phi_bound_evaluations", 0) == 0
+
     def test_bound_actually_prunes_on_skewed_instance(self):
         instance = duplicate_heavy_instance(num_users=900, num_patterns=40)
         result = IncScheduler(

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, User
+from repro.core.entities import (
+    CompetingEvent,
+    Event,
+    Organizer,
+    TimeInterval,
+    User,
+    decode_event,
+    encode_event,
+)
 from repro.core.instance import SESInstance
 
 NAN = float("nan")
@@ -47,6 +55,13 @@ class TestEvent:
     def test_equality_by_value(self):
         assert Event(id="e1", location="stage") == Event(id="e1", location="stage")
         assert Event(id="e1", location="stage") != Event(id="e1", location="hall")
+
+    def test_encode_event_round_trips_through_decode_event(self):
+        event = Event(
+            id="e1", location="stage", required_resources=2.5, value=1.75, cost=0.5,
+            tags=("rock", "live"),
+        )
+        assert decode_event(encode_event(event)) == event
 
 
 class TestTimeInterval:
