@@ -41,7 +41,10 @@ On top of the paper's stale-score bound, the engine offers a *structural*
 per-interval upper bound
 (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`): a sound
 cap on any fresh marginal score in the interval, derived from the interest
-structure rather than from previously computed scores.  When an interval
+structure rather than from previously computed scores.  It is evaluated in
+class space — one gemv of the ``(|E|, P)`` pattern matrix against a
+per-class slope, corrected over the few classes whose gain cap an event can
+reach — so an evaluation costs O(|E|·P) and no per-user pass.  When an interval
 passes the stale-head check but its structural bound is still safely below
 Φ, no entry in it can become the argmax and the whole refresh walk is
 skipped.  The bound is engine-side and identical across scoring backends,

@@ -176,16 +176,16 @@ class InterestMatrix:
         require_unit_interval(values, "interest values")
         return type(self).from_store(self._store.with_updates(users, items, values))
 
-    def with_appended_item(self, column: np.ndarray) -> "InterestMatrix":
-        """A new matrix with one item column appended (add-event mutation)."""
-        column = np.asarray(column, dtype=np.float64).reshape(-1)
-        if column.shape[0] != self.num_users:
+    def with_appended_items(self, columns: np.ndarray) -> "InterestMatrix":
+        """A new matrix with the ``(|U|, m)`` block's columns appended as items (add-event mutations)."""
+        columns = np.asarray(columns, dtype=np.float64)
+        if columns.ndim != 2 or columns.shape[0] != self.num_users:
             raise InstanceValidationError(
-                f"appended column has {column.shape[0]} entries, expected "
-                f"{self.num_users} (one per user)"
+                f"appended block has shape {columns.shape}, expected "
+                f"({self.num_users}, m) (one row per user)"
             )
-        require_unit_interval(column, "interest values")
-        return type(self).from_store(self._store.with_appended_item(column))
+        require_unit_interval(columns, "interest values")
+        return type(self).from_store(self._store.with_appended_items(columns))
 
     def without_item(self, item_index: int) -> "InterestMatrix":
         """A new matrix with one item column removed (remove-event mutation)."""

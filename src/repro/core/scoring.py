@@ -175,6 +175,10 @@ def build_pattern_matrix(
     num_events = event_rows.num_rows
     if structure.num_classes * num_events > DEFAULT_CHUNK_ELEMENTS:
         return None
+    if structure.num_classes == structure.num_users:
+        # All users distinct: the representatives are 0..|U|-1 in order, so
+        # the matrix is the µ rows themselves (a view of a dense source).
+        return event_rows.block(0, num_events)[0]
     pattern_mu = np.empty((num_events, structure.num_classes), dtype=np.float64)
     step = max(1, chunk_size)
     for start in range(0, num_events, step):
@@ -280,8 +284,12 @@ class ScoringEngine:
         self._bound_ready = False
         self._bound_max_value: Optional[np.ndarray] = None
         self._bound_max_value_mu: Optional[np.ndarray] = None
+        self._bound_class_comp: Optional[np.ndarray] = None
+        self._bound_class_weights: Optional[np.ndarray] = None
+        self._bound_class_max_value: Optional[np.ndarray] = None
+        self._bound_class_peak_mu: Optional[np.ndarray] = None
         self._bound_structure: Optional[InterestStructure] = None
-        self._bound_pattern_mu: Optional[np.ndarray] = None
+        self._bound_class_mu: Optional[np.ndarray] = None
         self._bound_cache: Dict[int, float] = {}
 
         # The scoring plan decides how the in-process bulk kernel traverses
@@ -608,25 +616,32 @@ class ScoringEngine:
     def _ensure_bound_statics(self) -> None:
         """Static inputs of :meth:`interval_score_bound` (at most one streamed pass, lazy).
 
-        Per-user statics: ``max_value[u] = max {value_e : µ_{u,e} > 0}`` caps
-        the per-user attendance value outright; the per-user fallback tier
-        also needs ``max_value_mu[u] = max_e value_e · µ_{u,e}``, the
-        value-weighted interest any single candidate event can add for user
-        ``u``.  Both are exact maxima (max is rounding free), so they are
-        identical across backends, storages and chunkings.
+        Structural statics (the pattern-matrix tier): the instance's
+        interest-pattern equivalence classes (:func:`instance_structure`,
+        mined at most once per instance) and the ``(|E|, P)`` pattern matrix
+        ``M`` of representative µ columns (:func:`build_pattern_matrix`),
+        reused from the active plan when it already has one and held
+        class-major (``M.T``), so the clip of an evaluation gathers whole
+        rows.  Beside it sit ``(|T|, P)`` interval-major copies of the
+        representatives' competing sums and of the class weights ``n·σ``,
+        and two length-``P`` class vectors: ``class_peak_mu[p] = max_e M[e,
+        p]``, which tells an evaluation the few classes whose gain cap some
+        event can reach, and — on the first evaluation that meets a
+        zero-denominator class — ``class_max_value[p] = max {value_e : M[e,
+        p] > 0}``, the largest value any event can give class ``p``'s users.
+        Equivalent users share their µ, σ and competing rows, so nothing
+        here — or in an evaluation — touches a per-user array.
 
-        Structural statics: the instance's interest-pattern equivalence
-        classes (:func:`instance_structure`, mined at most once per
-        instance) and the ``(|E|, P)`` pattern matrix of representative µ
-        columns (:func:`build_pattern_matrix`), reused from the active plan
-        when it already has one.  The matrix turns the bound's per-user event
-        maximum into a *per-event* sum over patterns — far tighter (see
-        :meth:`interval_score_bound`) — and yields ``max_value`` without a
-        store pass: equivalent users share their µ row, so the per-pattern
-        maximum expanded by class label is the per-user one.  Past the
-        matrix's memory budget the bound falls back to the per-user cap,
-        streamed over the store; the rule depends only on instance shape, so
-        bound values never depend on backend, storage or plan.
+        Per-user statics (the fallback tier, when ``M`` is over its memory
+        budget), streamed over the store: ``max_value[u] = max {value_e :
+        µ_{u,e} > 0}`` and ``max_value_mu[u] = max_e value_e · µ_{u,e}``,
+        the value-weighted interest any single candidate event can add for
+        user ``u``.
+
+        Every static is an exact maximum (max is rounding free), so it is
+        identical across backends, storages and chunkings, and the tier
+        rule depends only on instance shape: bound values never depend on
+        backend, storage or plan.
         """
         if self._bound_ready:
             return
@@ -640,10 +655,17 @@ class ScoringEngine:
         pattern_mu = self._plan_impl.pattern_matrix()
         if pattern_mu is None:
             pattern_mu = build_pattern_matrix(source, structure, chunk_size)
-        max_value_mu: Optional[np.ndarray] = None
+        class_mu: Optional[np.ndarray] = None
         if pattern_mu is not None:
-            pattern_values = np.where(pattern_mu > 0.0, self._values[:, np.newaxis], 0.0)
-            max_value = pattern_values.max(axis=0, initial=0.0)[structure.labels]
+            # (P, |E|), class-major: the bound's clip gathers whole rows.
+            class_mu = np.ascontiguousarray(pattern_mu.T)
+            representatives = structure.representatives
+            # (|T|, P), interval-major: one contiguous row per evaluation.
+            self._bound_class_comp = np.ascontiguousarray(self._comp[representatives].T)
+            self._bound_class_weights = np.ascontiguousarray(
+                (structure.counts[:, np.newaxis] * self._sigma[representatives]).T
+            )
+            self._bound_class_peak_mu = class_mu.max(axis=1, initial=0.0)
         else:
             num_users = self._instance.num_users
             num_events = self._instance.num_events
@@ -658,10 +680,10 @@ class ScoringEngine:
                     mu_rows > 0.0, self._values[start:stop, np.newaxis], 0.0
                 )
                 np.maximum(max_value, block_values.max(axis=0), out=max_value)
-        self._bound_max_value_mu = max_value_mu
-        self._bound_max_value = max_value
+            self._bound_max_value_mu = max_value_mu
+            self._bound_max_value = max_value
         self._bound_structure = structure
-        self._bound_pattern_mu = pattern_mu
+        self._bound_class_mu = class_mu
         self._bound_ready = True
 
     def interval_score_bound(self, interval_index: int) -> float:
@@ -669,27 +691,42 @@ class ScoringEngine:
 
         For every candidate event ``e`` and user ``u`` the fresh per-user
         attendance term is ``σ·(SV + v_e·µ)/(C + S + µ)`` with ``C`` the
-        competing sum and ``S``/``SV`` the interval's scheduled sums.  It is
-        bounded (in exact arithmetic) by ``σ·SV/(C+S)`` plus a gain cap:
+        competing sum, ``S``/``SV`` the interval's scheduled sums and ``d =
+        C + S``.  Its gain over the current term ``σ·SV/d`` rewrites (in
+        exact arithmetic) to ``σ·(µ/(d+µ))·(v_e − SV/d)``:
 
-        * **Structural bound** (the block-decomposition tier, used while the
-          ``(|E|, P)`` pattern matrix fits the memory budget): the exact
-          per-user gain rewrites to ``σ·(µ/(C+S+µ))·(v_e − SV/(C+S))`` and
-          is bounded by ``σ·min(µ/(C+S), 1)·max(0, v_e − SV/(C+S))`` — one
-          term per *pattern class* scaled by its multiplicity, maximised
-          over the not-yet-scheduled events.  Tight: the only slack is
-          ``(C+S+µ)/(C+S)`` per user, so on lightly-interested users the
-          bound hugs the best event's true gain, and saturated users
-          (``SV/(C+S) ≥ v_e``) contribute nothing.
+        * **Structural bound** (the pattern-matrix tier, used while the
+          ``(|E|, P)`` pattern matrix ``M`` fits the memory budget): each
+          user's gain is at most ``σ·min(µ/d, 1)·max(0, v_max − SV/d)``,
+          with ``v_max`` the largest event value, and users of one pattern
+          class ``p`` (representative ``r``, multiplicity ``n``) share it.
+          The bound works in class space only: with ``d_p``, the headroom
+          ``h_p = max(0, v_max − SV[r]/d_p)``, the cap ``c_p = n·σ[r]·h_p``
+          and the slope ``g_p = c_p/d_p``, an event's gain is
+          ``Σ_p min(M[e, p]·g_p, c_p) = (M @ g)_e − Σ_{p∈K} g_p·max(0,
+          M[e, p] − d_p)`` (as ``c_p = g_p·d_p``) — one gemv, corrected over
+          the few classes ``K`` whose largest µ exceeds ``d_p``
+          (``class_peak_mu``) with one ``(|K|, |E|)`` temporary.  The
+          bound is the largest gain over the not-yet-scheduled events.
+          Tight: the only slack is ``(d+µ)/d`` per user, so on
+          lightly-interested users the bound hugs the best event's true
+          gain, and saturated classes (``SV/d ≥ v_max``) contribute nothing.
+          With equal event values ``v_max`` is every event's value; with
+          unequal ones the ``v_max`` headroom is looser but still sound (and
+          INC never asks then: its score tolerance is ``+inf``).
         * **Per-user fallback** (pattern matrix over budget):
-          ``σ·min(max_value, max_value_mu/(C+S))`` per user, which replaces
-          the event maximum of a sum by a sum of per-user maxima (looser,
-          but |U|-cheap and memory free).
+          ``σ·min(max_value, max_value_mu/d)`` per user, which replaces the
+          event maximum of a sum by a sum of per-user maxima (looser, but
+          |U|-cheap and memory free), plus ``Σ_u σ·SV/d`` minus the interval
+          utility.
 
-        Users with ``C+S = 0`` have zero scheduled sums and contribute at
-        most ``σ·max_value`` under either tier.  Summing and subtracting the
-        interval utility bounds every fresh score at this interval, however
-        the schedule got here.
+        That last difference is 0 in exact arithmetic — the interval utility
+        is the telescoped sum of the applied scores, ``Σ_u σ·SV/d`` — so the
+        structural tier leaves it out and never touches a per-user array.
+        Users with ``d = 0`` have zero scheduled sums and contribute at most
+        ``σ·max_value`` under either tier (summed per class in the
+        structural one).  The result bounds every fresh score at this
+        interval, however the schedule got here.
 
         Unlike the stale scores the incremental schedulers prune against
         (frozen at computation time), this bound *tightens* as the interval's
@@ -708,41 +745,44 @@ class ScoringEngine:
             return cached
         self._ensure_bound_statics()
         self._counter.bump("phi_bound_evaluations")
-        sigma = self._sigma[:, interval_index]
-        denominator = self._comp[:, interval_index] + self._scheduled_interest[interval_index]
-        scheduled_term = _guarded_divide(
-            sigma * self._scheduled_value_interest[interval_index], denominator
-        )
-        if self._bound_pattern_mu is not None:
-            structure = self._bound_structure
-            representatives = structure.representatives
-            class_denominator = denominator[representatives]
-            inverse_denominator = _guarded_divide(
-                np.ones_like(class_denominator), class_denominator
+        class_mu = self._bound_class_mu
+        if class_mu is not None:
+            representatives = self._bound_structure.representatives
+            denominator = (
+                self._bound_class_comp[interval_index]
+                + self._scheduled_interest[interval_index][representatives]
             )
-            # (|E|, P): min(µ/(C+S), 1) per class — zero-denominator classes
-            # drop out here and are covered by the max_value term below.
-            ratios = np.minimum(self._bound_pattern_mu * inverse_denominator, 1.0)
-            # (|E|, P): max(0, v_e − SV/(C+S)) — the headroom the interval's
-            # current schedule leaves a new event for this class's users.
-            headroom = np.maximum(
-                self._values[:, np.newaxis]
-                - _guarded_divide(
-                    self._scheduled_value_interest[interval_index][representatives],
-                    class_denominator,
-                ),
-                0.0,
-            )
-            weights = structure.counts * sigma[representatives]
-            per_event = (ratios * headroom) @ weights
+            inverse = _guarded_divide(np.ones_like(denominator), denominator)
+            scheduled_value = self._scheduled_value_interest[interval_index][representatives]
+            headroom = np.maximum(self._values.max(initial=0.0) - scheduled_value * inverse, 0.0)
+            weights = self._bound_class_weights[interval_index]
+            # Slope g = c/d with cap c = n·σ·h; zero-denominator classes drop out.
+            slope = weights * headroom * inverse
+            per_event = slope @ class_mu
+            # Classes some event's µ pushes past d: there µ·g − c = g·(µ − d),
+            # so the clip is one (|K|, |E|) temporary and a second gemv.
+            capped = np.flatnonzero(self._bound_class_peak_mu * inverse > 1.0)
+            if capped.size:
+                excess = class_mu[capped]
+                excess -= denominator[capped, np.newaxis]
+                np.maximum(excess, 0.0, out=excess)
+                per_event -= slope[capped] @ excess
             if self._events_applied:
                 per_event[list(self._events_applied)] = -np.inf
-            peak = float(per_event.max()) if per_event.size else float("-inf")
+            bound = float(per_event.max()) if per_event.size else float("-inf")
             zero_denominator = denominator <= 0.0
-            gain_total = peak + float(
-                (sigma * self._bound_max_value)[zero_denominator].sum()
-            )
+            if zero_denominator.any():
+                if self._bound_class_max_value is None:
+                    self._bound_class_max_value = np.where(
+                        class_mu > 0.0, self._values, 0.0
+                    ).max(axis=1, initial=0.0)
+                bound += float((weights * self._bound_class_max_value)[zero_denominator].sum())
         else:
+            sigma = self._sigma[:, interval_index]
+            denominator = self._comp[:, interval_index] + self._scheduled_interest[interval_index]
+            scheduled_term = _guarded_divide(
+                sigma * self._scheduled_value_interest[interval_index], denominator
+            )
             gain_cap = _guarded_divide(self._bound_max_value_mu, denominator)
             gain = np.where(
                 denominator > 0.0,
@@ -750,9 +790,9 @@ class ScoringEngine:
                 self._bound_max_value,
             )
             gain_total = float((sigma * gain).sum())
-        bound = float(
-            scheduled_term.sum() + gain_total - self._interval_utility[interval_index]
-        )
+            bound = float(
+                scheduled_term.sum() + gain_total - self._interval_utility[interval_index]
+            )
         self._bound_cache[interval_index] = bound
         return bound
 

@@ -188,8 +188,12 @@ class InterestStore:
         """
         raise NotImplementedError
 
-    def with_appended_item(self, column: np.ndarray) -> "InterestStore":
-        """A new store with one item column appended (for add-event mutations)."""
+    def with_appended_items(self, columns: np.ndarray) -> "InterestStore":
+        """A new store with the ``(|U|, m)`` block's columns appended as items, in order.
+
+        One rewrite of the store however many columns the block holds (a
+        run of add-event mutations appends in one call).
+        """
         raise NotImplementedError
 
     def without_item(self, item_index: int) -> "InterestStore":
@@ -312,9 +316,9 @@ class DenseStore(InterestStore):
         out[user_indices, item_indices] = values
         return DenseStore(out)
 
-    def with_appended_item(self, column: np.ndarray) -> "DenseStore":
-        column = np.asarray(column, dtype=np.float64).reshape(self.num_users, 1)
-        return DenseStore(np.concatenate([self._values, column], axis=1))
+    def with_appended_items(self, columns: np.ndarray) -> "DenseStore":
+        columns = np.asarray(columns, dtype=np.float64)
+        return DenseStore(np.concatenate([self._values, columns], axis=1))
 
     def without_item(self, item_index: int) -> "DenseStore":
         return DenseStore(np.delete(self._values, item_index, axis=1))
@@ -555,17 +559,21 @@ class SparseStore(InterestStore):
             data[nonzero],
         )
 
-    def with_appended_item(self, column: np.ndarray) -> "SparseStore":
-        column = np.asarray(column, dtype=np.float64).reshape(-1)
-        stored = np.nonzero(column)[0].astype(np.int64)
+    def with_appended_items(self, columns: np.ndarray) -> "SparseStore":
+        # One row per new item: nonzero() walks it item-major, users ascending.
+        rows = np.asarray(columns, dtype=np.float64).T
+        items, users = np.nonzero(rows)
         indptr = np.asarray(self._indptr, dtype=np.int64)
-        new_indptr = np.concatenate([indptr, [indptr[-1] + stored.shape[0]]])
-        new_indices = np.concatenate([np.array(self._indices, dtype=np.int64), stored])
+        counts = np.bincount(items, minlength=rows.shape[0])
+        new_indptr = np.concatenate([indptr, indptr[-1] + np.cumsum(counts)])
+        new_indices = np.concatenate(
+            [np.array(self._indices, dtype=np.int64), users.astype(np.int64)]
+        )
         new_data = np.concatenate(
-            [np.array(self._data, dtype=np.float64), column[stored]]
+            [np.array(self._data, dtype=np.float64), rows[items, users]]
         )
         return SparseStore(
-            (self._shape[0], self._shape[1] + 1),
+            (self._shape[0], self._shape[1] + rows.shape[0]),
             new_indptr.astype(np.int64),
             new_indices,
             new_data,

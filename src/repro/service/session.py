@@ -54,6 +54,8 @@ committed batch always materialises.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -248,23 +250,25 @@ StoreOp = Tuple[str, object]
 def _replay(interest, journal: Sequence[StoreOp]):
     """``interest`` with the journaled rewrites applied in order.
 
-    Consecutive ``entries`` ops share one column layout, so they merge into a
-    single bulk :meth:`~repro.core.interest.InterestMatrix.with_entries` call;
-    an ``append`` or ``remove`` flushes them first.
+    Each run of consecutive ops of one kind is one store rewrite where it can
+    be: ``entries`` ops share one column layout, so a run merges into a
+    single bulk :meth:`~repro.core.interest.InterestMatrix.with_entries`
+    call, and a run of ``append`` ops stacks its columns into one
+    :meth:`~repro.core.interest.InterestMatrix.with_appended_items` call.
+    Each ``remove`` is its own rewrite.
     """
-    pending: List[Tuple[int, int, float]] = []
-    for kind, payload in journal:
+    for kind, run in itertools.groupby(journal, key=operator.itemgetter(0)):
+        payloads = [payload for _, payload in run]
         if kind == "entries":
-            pending.extend(payload)
-            continue
-        if pending:
-            interest = interest.with_entries(pending)
-            pending = []
-        if kind == "append":
-            interest = interest.with_appended_item(payload)
+            entries = [entry for payload in payloads for entry in payload]
+            if entries:
+                interest = interest.with_entries(entries)
+        elif kind == "append":
+            interest = interest.with_appended_items(np.stack(payloads, axis=1))
         else:
-            interest = interest.without_item(payload)
-    return interest.with_entries(pending) if pending else interest
+            for item_index in payloads:
+                interest = interest.without_item(item_index)
+    return interest
 
 
 @dataclass

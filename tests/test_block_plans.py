@@ -409,6 +409,50 @@ class TestBlockedPlanExactness:
 # --------------------------------------------------------------------------- #
 # Structural Φ bound
 # --------------------------------------------------------------------------- #
+#: case -> (make_random_instance overrides, reference branches it must reach).
+BOUND_CASES = {
+    "competing": ({"seed": 5}, set()),
+    # One or two competing events: small competing sums, so an event's µ
+    # exceeds C + S and its classes hit the gain cap.
+    "cap": ({"seed": 6, "num_competing": 2}, {"capped"}),
+    # No competing events: every class starts with a zero denominator.
+    "no-competing": ({"seed": 7, "num_competing": 0}, {"capped", "zero"}),
+}
+
+
+def reference_bound(instance: SESInstance, applied: dict, interval_index: int):
+    """The structural Φ bound computed per user, straight from its docstring.
+
+    ``Σ_u σ·min(µ/d, 1)·max(0, v_max − SV/d)`` over users with ``d = C + S >
+    0``, maximised over the unapplied events, plus ``Σ σ·max_value`` over the
+    users with ``d = 0``.  Also returns which branches were reached:
+    ``"capped"`` (some user's µ exceeds its positive ``d``) and ``"zero"``.
+    """
+    mu = np.asarray(instance.interest.values, dtype=np.float64)
+    comp, sigma, values, _ = build_static_arrays(instance)
+    here = [event for event, interval in applied.items() if interval == interval_index]
+    scheduled = mu[:, here].sum(axis=1)
+    scheduled_value = (mu[:, here] * values[here]).sum(axis=1)
+    denominator = comp[:, interval_index] + scheduled
+    positive = denominator > 0.0
+    safe = np.where(positive, denominator, 1.0)
+    headroom = np.where(positive, np.maximum(0.0, values.max() - scheduled_value / safe), 0.0)
+    weight = sigma[:, interval_index]
+    gains = [
+        float((weight * np.minimum(mu[:, event] / safe, 1.0) * headroom).sum())
+        for event in range(instance.num_events)
+        if event not in applied
+    ]
+    max_value = np.where(mu > 0.0, values, 0.0).max(axis=1)
+    bound = max(gains) + float((weight * max_value)[~positive].sum())
+    flags = set()
+    if (mu[positive] > denominator[positive, np.newaxis]).any():
+        flags.add("capped")
+    if not positive.all():
+        flags.add("zero")
+    return bound, flags
+
+
 class TestStructuralBound:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_bound_is_sound_fresh_and_after_assignments(self, seed):
@@ -431,6 +475,58 @@ class TestStructuralBound:
             # interval's cached bound, so the next round re-derives it
             # against the new scheduled sums.
             engine.apply(best_event, 0)
+
+    @pytest.mark.parametrize("case", sorted(BOUND_CASES))
+    def test_bound_matches_the_per_user_reference(self, layout, case):
+        """The class-space bound equals the docstring's per-user form after 0–3 applies."""
+        config, expect = BOUND_CASES[case]
+        instance = layout.instance(num_users=48, num_events=12, num_intervals=4, **config)
+        applied = {}
+        seen = set()
+        for target in (None, 0, 0, 1):
+            # A fresh engine per state: a cached bound outlives applies at
+            # other intervals (still sound, but over a stale event set).
+            engine = ScoringEngine(instance, execution=layout.execution())
+            for event_index, interval_index in applied.items():
+                engine.apply(event_index, interval_index)
+            if target is not None:
+                scores = engine.interval_scores(target, count=False)
+                scores[list(applied)] = -np.inf
+                best = int(np.argmax(scores))
+                engine.apply(best, target)
+                applied[best] = target
+            for interval_index in range(instance.num_intervals):
+                expected, flags = reference_bound(instance, applied, interval_index)
+                seen |= flags
+                scale = engine.instance.activity[:, interval_index].sum()
+                assert engine.interval_score_bound(interval_index) == pytest.approx(
+                    expected, rel=1e-12, abs=1e-12 * scale
+                ), (case, applied, interval_index)
+        assert expect <= seen, f"{case} never reached {expect - seen}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bound_is_sound_with_unequal_event_values(self, seed):
+        """The v_max headroom still caps every fresh score when values differ."""
+        instance = make_random_instance(
+            num_users=60,
+            num_events=14,
+            num_intervals=4,
+            seed=seed,
+            users_per_pattern=3,
+            event_values=np.linspace(0.25, 3.0, 14),
+        )
+        engine = ScoringEngine(instance, execution=execution_for("direct"))
+        _, sigma, values, _ = build_static_arrays(instance)
+        for round_index in range(4):
+            matrix = engine.score_matrix(count=False)
+            matrix[list(engine.applied_assignments())] = -np.inf
+            for interval_index in range(instance.num_intervals):
+                slack = 1e-9 * (1.0 + sigma[:, interval_index].sum() * values.max())
+                assert engine.interval_score_bound(interval_index) >= (
+                    matrix[:, interval_index].max() - slack
+                ), (seed, round_index, interval_index)
+            target = round_index % 2
+            engine.apply(int(np.argmax(matrix[:, target])), target)
 
     def test_bounds_do_not_change_schedules(self):
         instance = duplicate_heavy_instance()

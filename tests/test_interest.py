@@ -41,7 +41,7 @@ class TestConstruction:
         with pytest.raises(InstanceValidationError, match=r"\[0, 1\]"):
             matrix.with_entries([(0, 1, 0.4), (1, 0, np.nan)])
         with pytest.raises(InstanceValidationError, match=r"\[0, 1\]"):
-            matrix.with_appended_item(np.array([0.5, np.nan]))
+            matrix.with_appended_items(np.array([[0.5], [np.nan]]))
 
     def test_rejects_wrong_dimensionality(self):
         with pytest.raises(InstanceValidationError, match="2-dimensional"):

@@ -19,6 +19,12 @@ head resolution both run:
 
 Every case runs under all six storage × plan layouts and the ``scalar`` and
 ``batch`` backends: the pinned values are the same everywhere.
+
+One more case pins INC alone on all-distinct users (one class per user, the
+shape of perfbench's ``unf-dense``), where the structural Φ bound works on
+an ``(|E|, |U|)`` pattern matrix: competing events, ``k > |T|`` and 17
+interval walks skipped by the bound.  The blocked plan refuses such users,
+so it runs under the three ``direct`` layouts.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.registry import run_scheduler
-from tests.conftest import LAYOUTS, make_random_instance
+from tests.conftest import AXIS_LAYOUTS, LAYOUTS, make_random_instance
 
 ALGORITHMS = ("INC", "HOR-I", "HOR", "INC-U", "ALG-O")
 
@@ -171,3 +177,28 @@ def test_walks_match_the_pinned_counters(layout, case, backend):
         assert sorted(result.schedule.as_dict().items()) == schedule, algorithm
         assert result.utility.hex() == utility, algorithm
         assert result.counters == snapshot, algorithm
+
+
+#: INC on all-distinct users: (instance factory, k, pinned result).
+UNSTRUCTURED = (
+    lambda: make_random_instance(seed=89, num_users=60, num_events=16, num_intervals=4),
+    10,
+    (
+        [(0, 3), (1, 0), (2, 0), (3, 2), (5, 1), (9, 2), (10, 2), (11, 1), (12, 0), (14, 1)],
+        "0x1.40acdc7e7fb8ap+6",
+        counters(60, 64, 44, 145, 64, 10, phi_bound_evaluations=9, phi_bound_interval_skips=17),
+    ),
+)
+
+
+@pytest.mark.parametrize("backend", ["scalar", "batch"])
+@pytest.mark.parametrize(
+    "layout", [name for name in AXIS_LAYOUTS if name.endswith("-direct")], indirect=True
+)
+def test_inc_on_unstructured_users_matches_the_pinned_counters(layout, backend):
+    factory, k, (schedule, utility, snapshot) = UNSTRUCTURED
+    instance = layout.convert(factory())
+    result = run_scheduler("INC", instance, k, execution=layout.execution(backend=backend))
+    assert sorted(result.schedule.as_dict().items()) == schedule
+    assert result.utility.hex() == utility
+    assert result.counters == snapshot

@@ -33,7 +33,7 @@ from repro.core.entities import Event
 from repro.core.execution import ExecutionConfig
 from repro.core.interest import InterestMatrix
 from repro.core.scoring import ScoringEngine
-from repro.core.storage import DENSE_CAPACITY_ENV, unit_values
+from repro.core.storage import DENSE_CAPACITY_ENV, DenseStore, SparseStore, unit_values
 from repro.ebsn.generator import EBSNConfig, generate_network, sample_event_topics
 from repro.ebsn.interest_model import derive_interest_matrix
 from repro.service import (
@@ -389,7 +389,7 @@ class TestStoreJournal:
         instance = layout.instance(seed=51, num_users=30, num_events=8, num_intervals=4)
         session = SchedulingSession(instance, seed=51, execution=execution)
         session.resolve(5)
-        calls = {"with_entries": 0, "with_appended_item": 0, "without_item": 0}
+        calls = {"with_entries": 0, "with_appended_items": 0, "without_item": 0}
         for name in calls:
             original = getattr(InterestMatrix, name)
 
@@ -409,13 +409,42 @@ class TestStoreJournal:
                     UpdateInterest(user_id=users[step + 1], values={events[0]: 0.5}),
                 ]
             )
-        assert calls == {"with_entries": 0, "with_appended_item": 0, "without_item": 0}
+        assert calls == {"with_entries": 0, "with_appended_items": 0, "without_item": 0}
         warm = session.resolve(5, algorithm="INC")
-        assert calls == {"with_entries": 1, "with_appended_item": 0, "without_item": 0}
+        assert calls == {"with_entries": 1, "with_appended_items": 0, "without_item": 0}
         cold = cold_solve(session, 5, "INC", 51, execution)
         assert warm.schedule.as_dict() == cold.schedule.as_dict()
         assert warm.utility == cold.utility
         assert np.array_equal(session.baseline_grid(), cold_initial_grid(session, execution))
+
+    def test_a_run_of_appends_is_one_store_rewrite(self, layout, execution, monkeypatch):
+        """A 100-add journal appends one block, equal to one-at-a-time appends."""
+        instance = layout.instance(seed=71, num_users=30, num_events=8, num_intervals=4)
+        session = SchedulingSession(instance, seed=71, execution=execution)
+        rng = np.random.default_rng(71)
+        columns = rng.random((30, 100))
+        columns[rng.random(columns.shape) < 0.5] = 0.0
+        expected = instance.interest
+        for index in range(columns.shape[1]):
+            expected = expected.with_appended_items(columns[:, index : index + 1])
+        calls = []
+        for store in (DenseStore, SparseStore):
+
+            def counted(self, block, _original=store.with_appended_items):
+                calls.append(np.shape(block))
+                return _original(self, block)
+
+            monkeypatch.setattr(store, "with_appended_items", counted)
+        for index in range(columns.shape[1]):
+            event = Event(id=f"x{index}", location="loc1", required_resources=1.0)
+            session.apply([AddEvent(event=event, interest=tuple(columns[:, index]))])
+        replayed = session.instance().interest
+        assert calls == [(30, 100)]
+        assert type(replayed.store) is type(expected.store)
+        assert np.array_equal(replayed.values, expected.values)
+        if isinstance(expected.store, SparseStore):
+            for left, right in zip(replayed.store.csr_arrays, expected.store.csr_arrays):
+                assert np.array_equal(left, right)
 
     @pytest.mark.parametrize(
         "case",
