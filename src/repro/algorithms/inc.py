@@ -43,7 +43,7 @@ per-interval upper bound
 cap on any fresh marginal score in the interval, derived from the interest
 structure rather than from previously computed scores.  It is evaluated in
 class space — one gemv of the ``(|E|, P)`` pattern matrix against a
-per-class slope, corrected over the few classes whose gain cap an event can
+per-class slope, plus a clip of the few classes whose gain cap an event can
 reach — so an evaluation costs O(|E|·P) and no per-user pass.  When an interval
 passes the stale-head check but its structural bound is still safely below
 Φ, no entry in it can become the argmax and the whole refresh walk is

@@ -175,10 +175,6 @@ def build_pattern_matrix(
     num_events = event_rows.num_rows
     if structure.num_classes * num_events > DEFAULT_CHUNK_ELEMENTS:
         return None
-    if structure.num_classes == structure.num_users:
-        # All users distinct: the representatives are 0..|U|-1 in order, so
-        # the matrix is the µ rows themselves (a view of a dense source).
-        return event_rows.block(0, num_events)[0]
     pattern_mu = np.empty((num_events, structure.num_classes), dtype=np.float64)
     step = max(1, chunk_size)
     for start in range(0, num_events, step):
@@ -289,7 +285,7 @@ class ScoringEngine:
         self._bound_class_max_value: Optional[np.ndarray] = None
         self._bound_class_peak_mu: Optional[np.ndarray] = None
         self._bound_structure: Optional[InterestStructure] = None
-        self._bound_class_mu: Optional[np.ndarray] = None
+        self._bound_pattern_mu: Optional[np.ndarray] = None
         self._bound_cache: Dict[int, float] = {}
 
         # The scoring plan decides how the in-process bulk kernel traverses
@@ -620,15 +616,13 @@ class ScoringEngine:
         interest-pattern equivalence classes (:func:`instance_structure`,
         mined at most once per instance) and the ``(|E|, P)`` pattern matrix
         ``M`` of representative µ columns (:func:`build_pattern_matrix`),
-        reused from the active plan when it already has one and held
-        class-major (``M.T``), so the clip of an evaluation gathers whole
-        rows.  Beside it sit ``(|T|, P)`` interval-major copies of the
-        representatives' competing sums and of the class weights ``n·σ``,
-        and two length-``P`` class vectors: ``class_peak_mu[p] = max_e M[e,
-        p]``, which tells an evaluation the few classes whose gain cap some
-        event can reach, and — on the first evaluation that meets a
-        zero-denominator class — ``class_max_value[p] = max {value_e : M[e,
-        p] > 0}``, the largest value any event can give class ``p``'s users.
+        reused from the active plan when it already has one.  Beside it sit
+        ``(|T|, P)`` interval-major copies of the representatives' competing
+        sums and of the class weights ``n·σ``, and two length-``P`` class
+        vectors: ``class_peak_mu[p] = max_e M[e, p]``, which tells an
+        evaluation the few classes whose gain cap some event can reach, and
+        ``class_max_value[p] = max {value_e : M[e, p] > 0}``, the largest
+        value any event can give class ``p``'s users.
         Equivalent users share their µ, σ and competing rows, so nothing
         here — or in an evaluation — touches a per-user array.
 
@@ -655,17 +649,16 @@ class ScoringEngine:
         pattern_mu = self._plan_impl.pattern_matrix()
         if pattern_mu is None:
             pattern_mu = build_pattern_matrix(source, structure, chunk_size)
-        class_mu: Optional[np.ndarray] = None
         if pattern_mu is not None:
-            # (P, |E|), class-major: the bound's clip gathers whole rows.
-            class_mu = np.ascontiguousarray(pattern_mu.T)
             representatives = structure.representatives
             # (|T|, P), interval-major: one contiguous row per evaluation.
             self._bound_class_comp = np.ascontiguousarray(self._comp[representatives].T)
             self._bound_class_weights = np.ascontiguousarray(
                 (structure.counts[:, np.newaxis] * self._sigma[representatives]).T
             )
-            self._bound_class_peak_mu = class_mu.max(axis=1, initial=0.0)
+            self._bound_class_peak_mu = pattern_mu.max(axis=0, initial=0.0)
+            pattern_values = np.where(pattern_mu > 0.0, self._values[:, np.newaxis], 0.0)
+            self._bound_class_max_value = pattern_values.max(axis=0, initial=0.0)
         else:
             num_users = self._instance.num_users
             num_events = self._instance.num_events
@@ -683,7 +676,7 @@ class ScoringEngine:
             self._bound_max_value_mu = max_value_mu
             self._bound_max_value = max_value
         self._bound_structure = structure
-        self._bound_class_mu = class_mu
+        self._bound_pattern_mu = pattern_mu
         self._bound_ready = True
 
     def interval_score_bound(self, interval_index: int) -> float:
@@ -702,12 +695,13 @@ class ScoringEngine:
           class ``p`` (representative ``r``, multiplicity ``n``) share it.
           The bound works in class space only: with ``d_p``, the headroom
           ``h_p = max(0, v_max − SV[r]/d_p)``, the cap ``c_p = n·σ[r]·h_p``
-          and the slope ``g_p = c_p/d_p``, an event's gain is
-          ``Σ_p min(M[e, p]·g_p, c_p) = (M @ g)_e − Σ_{p∈K} g_p·max(0,
-          M[e, p] − d_p)`` (as ``c_p = g_p·d_p``) — one gemv, corrected over
-          the few classes ``K`` whose largest µ exceeds ``d_p``
-          (``class_peak_mu``) with one ``(|K|, |E|)`` temporary.  The
-          bound is the largest gain over the not-yet-scheduled events.
+          and the slope ``g_p = c_p/d_p``, an event's gain is ``Σ_p
+          min(M[e, p]·g_p, c_p)``.  Only the few classes ``K`` whose largest
+          µ exceeds ``d_p`` (``class_peak_mu``) can reach their cap; they
+          add ``g_p·min(M[e, p], d_p)`` through one ``(|E|, |K|)``
+          temporary, and every other class adds ``M[e, p]·g_p`` through one
+          gemv.  The bound is the largest gain over the not-yet-scheduled
+          events.
           Tight: the only slack is ``(d+µ)/d`` per user, so on
           lightly-interested users the bound hugs the best event's true
           gain, and saturated classes (``SV/d ≥ v_max``) contribute nothing.
@@ -745,8 +739,8 @@ class ScoringEngine:
             return cached
         self._ensure_bound_statics()
         self._counter.bump("phi_bound_evaluations")
-        class_mu = self._bound_class_mu
-        if class_mu is not None:
+        pattern_mu = self._bound_pattern_mu
+        if pattern_mu is not None:
             representatives = self._bound_structure.representatives
             denominator = (
                 self._bound_class_comp[interval_index]
@@ -758,24 +752,20 @@ class ScoringEngine:
             weights = self._bound_class_weights[interval_index]
             # Slope g = c/d with cap c = n·σ·h; zero-denominator classes drop out.
             slope = weights * headroom * inverse
-            per_event = slope @ class_mu
-            # Classes some event's µ pushes past d: there µ·g − c = g·(µ − d),
-            # so the clip is one (|K|, |E|) temporary and a second gemv.
+            # min(µ·g, c) = g·min(µ, d).  The few classes some event's µ
+            # pushes past d clip µ in one (|E|, |K|) temporary; the rest share
+            # one gemv.  Nothing is subtracted, so a tiny d cannot cancel.
             capped = np.flatnonzero(self._bound_class_peak_mu * inverse > 1.0)
-            if capped.size:
-                excess = class_mu[capped]
-                excess -= denominator[capped, np.newaxis]
-                np.maximum(excess, 0.0, out=excess)
-                per_event -= slope[capped] @ excess
+            clipped = pattern_mu[:, capped]
+            np.minimum(clipped, denominator[capped], out=clipped)
+            per_event = clipped @ slope[capped]
+            slope[capped] = 0.0
+            per_event += pattern_mu @ slope
             if self._events_applied:
                 per_event[list(self._events_applied)] = -np.inf
             bound = float(per_event.max()) if per_event.size else float("-inf")
             zero_denominator = denominator <= 0.0
             if zero_denominator.any():
-                if self._bound_class_max_value is None:
-                    self._bound_class_max_value = np.where(
-                        class_mu > 0.0, self._values, 0.0
-                    ).max(axis=1, initial=0.0)
                 bound += float((weights * self._bound_class_max_value)[zero_denominator].sum())
         else:
             sigma = self._sigma[:, interval_index]

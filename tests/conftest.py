@@ -92,6 +92,7 @@ def make_random_instance(
     resource_high: float = 5.0,
     seed: int = 0,
     interest_scale: float = 1.0,
+    competing_scale: float = 1.0,
     interest_levels: int = 0,
     users_per_pattern: int = 1,
     capacities=None,
@@ -103,6 +104,8 @@ def make_random_instance(
 
     ``interest_levels > 0`` quantises interest to that many evenly spaced
     values, so equal event columns (and exact score ties) become likely.
+    ``interest_scale`` / ``competing_scale`` multiply the drawn µ and
+    competing interests.
     ``users_per_pattern > 1`` makes the users duplicate-heavy: every user
     copies the rows (µ, σ, comp and weight) of one of the first
     ``|U| // users_per_pattern`` users, the structure the ``blocked`` plan
@@ -115,7 +118,7 @@ def make_random_instance(
         interest = np.floor(interest * interest_levels) / interest_levels
     interest = interest * interest_scale
     activity = rng.random((num_users, num_intervals))
-    competing = rng.random((num_users, num_competing))
+    competing = rng.random((num_users, num_competing)) * competing_scale
     competing_intervals = rng.integers(0, num_intervals, num_competing)
     locations = [f"loc{index % num_locations}" for index in range(num_events)]
     required = rng.uniform(1.0, resource_high, num_events)

@@ -417,6 +417,12 @@ BOUND_CASES = {
     "cap": ({"seed": 6, "num_competing": 2}, {"capped"}),
     # No competing events: every class starts with a zero denominator.
     "no-competing": ({"seed": 7, "num_competing": 0}, {"capped", "zero"}),
+    # Competing interests around 1e-12: positive denominators so small that
+    # µ/d is ~1e12, where a cap subtracted from µ·g would cancel.
+    "tiny-competing": (
+        {"seed": 8, "num_competing": 2, "competing_scale": 1e-12},
+        {"capped", "tiny"},
+    ),
 }
 
 
@@ -426,7 +432,8 @@ def reference_bound(instance: SESInstance, applied: dict, interval_index: int):
     ``Σ_u σ·min(µ/d, 1)·max(0, v_max − SV/d)`` over users with ``d = C + S >
     0``, maximised over the unapplied events, plus ``Σ σ·max_value`` over the
     users with ``d = 0``.  Also returns which branches were reached:
-    ``"capped"`` (some user's µ exceeds its positive ``d``) and ``"zero"``.
+    ``"capped"`` (some user's µ exceeds its positive ``d``), ``"tiny"``
+    (some positive ``d`` is below 1e-9) and ``"zero"``.
     """
     mu = np.asarray(instance.interest.values, dtype=np.float64)
     comp, sigma, values, _ = build_static_arrays(instance)
@@ -448,6 +455,8 @@ def reference_bound(instance: SESInstance, applied: dict, interval_index: int):
     flags = set()
     if (mu[positive] > denominator[positive, np.newaxis]).any():
         flags.add("capped")
+    if (denominator[positive] < 1e-9).any():
+        flags.add("tiny")
     if not positive.all():
         flags.add("zero")
     return bound, flags
