@@ -70,9 +70,8 @@ def main() -> None:
 
     # Schedulers accept an ExecutionConfig selecting the execution backend:
     # "batch" (the default) evaluates all of an interval's candidate events in
-    # one vectorised NumPy pass, "scalar" scores one (event, interval) pair at
-    # a time and "cluster" shards the score matrix across remote workers.
-    # All produce identical schedules, utilities and computation counts — only
+    # one vectorised NumPy pass and "scalar" scores one (event, interval) pair
+    # at a time.  Both produce identical schedules, utilities and computation counts — only
     # the speed differs (the CLI exposes the same choice as
     # `ses-repro solve --backend ...`; see `ses-repro backends`).
     scheduler = get_scheduler("HOR-I")(

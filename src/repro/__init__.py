@@ -12,9 +12,8 @@ Top-level re-exports cover the public API most users need:
 * :class:`~repro.core.schedule.Schedule` — an event-to-interval assignment set.
 * :class:`~repro.core.scoring.ScoringEngine` — the Luce-choice attendance model.
 * :class:`~repro.core.execution.ExecutionConfig` — the execution layer: one
-  config object selecting a backend strategy (``scalar``, ``batch``,
-  ``cluster``), a scoring plan (``direct``, ``blocked``) and
-  their knobs; :func:`~repro.core.execution.available_backends` and
+  config object selecting a backend strategy (``scalar``, ``batch``), a
+  scoring plan (``direct``, ``blocked``) and the chunk size; :func:`~repro.core.execution.available_backends` and
   :func:`~repro.core.execution.available_plans` list the fixed tables.
 * :func:`~repro.algorithms.registry.get_scheduler` and the scheduler classes
   (:class:`~repro.algorithms.alg.AlgScheduler`, :class:`~repro.algorithms.inc.IncScheduler`,

@@ -86,28 +86,15 @@ class SchedulerResult:
     extras:
         Algorithm-specific diagnostics (e.g. number of rounds for HOR).
     backend:
-        Name of the execution backend the run used (``"scalar"``,
-        ``"batch"``, ``"cluster"``) — recorded so harness
-        tables can tell backend rows apart.
+        Name of the execution backend the run used (``"scalar"`` or
+        ``"batch"``) — recorded so harness tables can tell backend rows
+        apart.
     storage:
         Registry name of the instance's interest-matrix storage the run used
         (``"dense"``, ``"sparse"``, ``"mmap"``, …) — recorded so harness
         tables can tell storage rows apart.  Every storage produces
         bit-identical schedules and counters; only footprint and speed
         differ.
-    workers:
-        The resolved worker count of the run's engine: the dispatch lanes
-        of a cluster run with worker addresses, 1 for every serial run.
-    cluster:
-        The remote worker addresses of a ``cluster``-backend run (the empty
-        tuple for in-process runs) — recorded so harness tables can tell a
-        distributed row from a degraded local one.
-    cluster_stats:
-        The cluster backend's dispatch counters
-        (:meth:`~repro.core.execution.ExecutionBackend.stats`): per-address
-        tasks / batches / round-trips / bytes, plus the locally-computed
-        column count and the wire batch size of the last dispatch.  Empty for
-        in-process runs.
     plan:
         Registry name of the scoring plan the run used (``"direct"``,
         ``"blocked"``, …) — recorded so harness tables can tell plan rows
@@ -129,9 +116,6 @@ class SchedulerResult:
     counters: Dict[str, int]
     extras: Dict[str, object] = field(default_factory=dict)
     backend: str = DEFAULT_BACKEND
-    workers: int = 1
-    cluster: Tuple[str, ...] = ()
-    cluster_stats: Dict[str, object] = field(default_factory=dict)
     storage: str = DEFAULT_STORAGE
     plan: str = DEFAULT_PLAN
     service: Dict[str, object] = field(default_factory=dict)
@@ -156,31 +140,6 @@ class SchedulerResult:
         """The paper's Fig. 10b search-space metric."""
         return int(self.counters.get("assignments_examined", 0))
 
-    def _cluster_summary(self) -> object:
-        """The ``cluster`` summary cell: dispatch counters for cluster runs.
-
-        In-process runs report ``"-"``.  Cluster runs report a mapping with
-        the worker addresses plus the per-run dispatch totals (tasks served
-        remotely, wire batches, round-trips, bytes each way, columns computed
-        locally, the wire batch size the run used), so harness tables and the
-        benchmark JSON expose shipping overhead next to compute time.
-        """
-        if not self.cluster:
-            return "-"
-        cell: Dict[str, object] = {"workers": ",".join(self.cluster)}
-        for key in (
-            "tasks",
-            "batches",
-            "round_trips",
-            "bytes_sent",
-            "bytes_received",
-            "local_columns",
-            "task_batch",
-        ):
-            if key in self.cluster_stats:
-                cell[key] = self.cluster_stats[key]
-        return cell
-
     def summary(self) -> Dict[str, object]:
         """Flat dictionary used by the experiment harness and reports."""
         return {
@@ -188,8 +147,6 @@ class SchedulerResult:
             "backend": self.backend,
             "storage": self.storage,
             "plan": self.plan,
-            "workers": self.workers,
-            "cluster": self._cluster_summary(),
             "k": self.k,
             "scheduled": self.num_scheduled,
             "utility": self.utility,
@@ -486,11 +443,6 @@ class BaseScheduler(ABC):
         """Events per vectorised pass of the engine's bulk evaluations."""
         return self._execution.chunk_size
 
-    @property
-    def workers(self) -> int:
-        """Dispatch lanes of a cluster run (1 for every serial run)."""
-        return self._execution.workers
-
     def schedule(self, k: int) -> SchedulerResult:
         """Produce a feasible schedule of (up to) ``k`` events.
 
@@ -516,22 +468,12 @@ class BaseScheduler(ABC):
         self._checker = ConstraintChecker(self._instance)
         self._extras: Dict[str, object] = {}
 
-        try:
-            started = time.perf_counter()
-            schedule = self._run(effective_k)
-            elapsed = time.perf_counter() - started
+        started = time.perf_counter()
+        schedule = self._run(effective_k)
+        elapsed = time.perf_counter() - started
 
-            utility = self._engine.evaluate_schedule(schedule)
-            net_utility = utility - self._engine.schedule_cost(schedule)
-            # Snapshot the backend's dispatch counters before close() — the
-            # cluster backend keys them by worker address (not link objects),
-            # so the snapshot stays valid after the connections are gone.
-            backend_stats = self._engine.execution_backend.stats()
-        finally:
-            # Release the cluster backend's connections deterministically —
-            # the engine stays usable (a later bulk call reconnects), but
-            # cleanup must not depend on GC reaching __del__.
-            self._engine.close()
+        utility = self._engine.evaluate_schedule(schedule)
+        net_utility = utility - self._engine.schedule_cost(schedule)
         return SchedulerResult(
             algorithm=self.name,
             k=k,
@@ -542,9 +484,6 @@ class BaseScheduler(ABC):
             counters=self._counter.snapshot(),
             extras=dict(self._extras),
             backend=self._execution.backend,
-            workers=self._execution.workers,
-            cluster=self._execution.workers_addr or (),
-            cluster_stats=backend_stats if self._execution.workers_addr else {},
             storage=self._instance.storage,
             plan=self._execution.plan,
         )
@@ -607,9 +546,9 @@ class BaseScheduler(ABC):
         """The full |E|×|T| score matrix, counted as generated assignments.
 
         One :meth:`~repro.core.scoring.ScoringEngine.score_matrix` call under
-        the active backend (the cluster backend shards its columns across
-        remote workers); every (event, interval) pair is recorded as one generated
-        assignment and one score computation, as in per-pair generation.
+        the active backend; every (event, interval) pair is recorded as one
+        generated assignment and one score computation, as in per-pair
+        generation.
 
         When a warm-grid provider was supplied it is consulted first (for the
         initial generation only): a provided grid holds exactly the values a
@@ -637,8 +576,7 @@ class BaseScheduler(ABC):
 
         Scores are obtained from the engine's bulk API: the full-grid default
         goes through one :meth:`~repro.core.scoring.ScoringEngine.score_matrix`
-        call (which the cluster backend shards per-interval across its workers),
-        while the restricted per-round case makes one
+        call, while the restricted per-round case makes one
         :meth:`~repro.core.scoring.ScoringEngine.interval_scores` call per
         interval.  Either way the counter records one score computation per
         generated (event, interval) pair, and the scores are identical —

@@ -3,7 +3,7 @@
 A stdlib-only (``ast`` + ``tokenize``) static-analysis pass that proves the
 ROADMAP's source-level invariants *before* any test runs: determinism of the
 core layers, the stdlib+NumPy dependency policy, lock discipline in the
-distributed layer, counter discipline, and docstring/registry sync.  The
+scheduling service, counter discipline, and docstring/registry sync.  The
 design follows the execution layer:
 
 * :class:`~repro.analysis.staticcheck.registry.Rule` +

@@ -6,7 +6,7 @@ suites can only catch *after* it breaks something:
 * ``no-nondeterminism`` — the deterministic layers must stay deterministic;
 * ``imports-policy`` — the stack is stdlib+NumPy only, layered bottom-up;
 * ``broad-except`` — no silent error swallowing without a documented reason;
-* ``lock-discipline`` — shared state in the distributed layer is mutated
+* ``lock-discipline`` — shared state in the scheduling service is mutated
   under its lock, everywhere;
 * ``counter-discipline`` — the paper's computation counters advance only
   through the canonical ``count_*`` helpers, so totals stay backend-exact;
@@ -363,7 +363,7 @@ _MUTATOR_METHODS = frozenset(
 
 @register_rule
 class LockDisciplineRule(Rule):
-    """Lock discipline of the distributed layer's shared mutable state.
+    """Lock discipline of the scheduling service's shared mutable state.
 
     Within a class, any ``self.<attr>`` that is mutated under a
     ``with self.lock:`` / ``with self._lock:`` block is *lock-guarded*:
@@ -375,11 +375,11 @@ class LockDisciplineRule(Rule):
 
     id = "lock-discipline"
     summary = (
-        "in core/distributed/ and service/, attributes mutated under "
+        "in service/, attributes mutated under "
         "`with self.lock` / `self._lock` are mutated nowhere else without "
         "the lock"
     )
-    path_prefixes = ("src/repro/core/distributed/", "src/repro/service/")
+    path_prefixes = ("src/repro/service/",)
 
     LOCK_ATTRS = ("lock", "_lock")
 

@@ -14,19 +14,10 @@ Sub-commands
 ``backends``
     List the execution backends with their resolved defaults on this
     machine, then the scoring plans.
-``worker``
-    Cluster worker management: ``worker serve`` runs one scoring worker of
-    the distributed ``cluster`` backend on this machine (point clients at it
-    with ``--cluster host:port``).
 ``serve``
     Run the online scheduling service: long-lived mutable sessions with
-    incremental re-solves over the same wire protocol the cluster uses
-    (connect with :class:`repro.service.ServiceClient`).
-``cluster``
-    Cluster fleet management: ``cluster health`` probes each configured
-    worker address (reachable / authenticated / protocol version / served
-    work) and prints one table, exiting non-zero when any worker is
-    unhealthy.
+    incremental re-solves over TCP (connect with
+    :class:`repro.service.ServiceClient`).
 ``lint``
     Statically check the project invariants (AST-based rules from
     ``repro.analysis.staticcheck``); exits non-zero on findings, ``--json``
@@ -48,15 +39,13 @@ from typing import List, Optional, Sequence
 from repro._version import __version__
 from repro.algorithms.base import SchedulerResult
 from repro.algorithms.registry import PAPER_METHODS, available_schedulers
-from repro.core.errors import DatasetError, ReproError, SolverError
+from repro.core.errors import DatasetError, ReproError
 from repro.core.instance import SESInstance
 from repro.core.execution import (
-    DEFAULT_BACKEND,
     ExecutionConfig,
     available_backends,
     available_plans,
     backend_catalog,
-    get_backend,
     get_plan,
     plan_catalog,
     resolve_backend,
@@ -82,9 +71,8 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         help="execution backend: 'batch' (the default) evaluates whole "
-        "intervals in vectorised NumPy passes, 'cluster' shards "
-        "score-matrix columns across remote workers (see --cluster), "
-        "'scalar' scores one (event, interval) pair at a time (identical "
+        "intervals in vectorised NumPy passes, 'scalar' scores one "
+        "(event, interval) pair at a time (identical "
         "results, different speed); recorded in the output rows.  "
         f"Registered backends: {', '.join(available_backends())} "
         "(see the 'backends' sub-command)",
@@ -119,28 +107,6 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         help="events per vectorised pass of the bulk backends (memory guard; "
         "default bounds one block at ~64 MB regardless of instance size)",
     )
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="cap on the cluster backend's concurrent dispatch lanes "
-        "(default and maximum: the number of --cluster addresses; a run "
-        "without addresses, and every other backend, records 1)",
-    )
-    subparser.add_argument(
-        "--cluster",
-        metavar="ADDR[,ADDR...]",
-        default=None,
-        help="comma-separated 'host:port' addresses of running cluster "
-        "workers (start them with 'worker serve'); implies "
-        "--backend cluster and shards score-matrix columns across them",
-    )
-    subparser.add_argument(
-        "--cluster-key",
-        default=None,
-        help="shared authentication secret of the cluster connections "
-        "(must match the workers'; default: the library key)",
-    )
 
 
 def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
@@ -148,34 +114,13 @@ def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
 
     The backend name is validated here so a typo fails fast (with the
     available-names list) before any dataset is generated or loaded; the
-    remaining knobs are validated on resolution downstream.  ``--cluster``
-    implies ``--backend cluster`` (and combining it with any *other* explicit
-    backend is a contradiction, reported as such).
+    chunk size is validated on resolution downstream.
     """
-    backend = args.backend
-    cluster = getattr(args, "cluster", None)
-    if cluster:
-        if backend is None:
-            backend = "cluster"
-        elif not get_backend(resolve_backend(backend)).uses_cluster:
-            raise SolverError(
-                f"--cluster shards across remote workers, but --backend "
-                f"{backend!r} runs in-process; drop one of the two flags"
-            )
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    resolve_backend(backend)
+    backend = resolve_backend(args.backend)
     plan = getattr(args, "plan", None)
     if plan is not None:
         get_plan(plan)  # fail fast on a typo, with the available names
-    return ExecutionConfig(
-        backend=backend,
-        plan=plan,
-        chunk_size=args.chunk_size,
-        workers=args.workers,
-        workers_addr=cluster,
-        cluster_key=getattr(args, "cluster_key", None),
-    )
+    return ExecutionConfig(backend=backend, plan=plan, chunk_size=args.chunk_size)
 
 
 def _storage_from_args(args: argparse.Namespace) -> Optional[str]:
@@ -268,35 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered execution backends and their resolved defaults",
     )
 
-    worker = subparsers.add_parser(
-        "worker", help="cluster worker management (see the 'cluster' backend)"
-    )
-    worker_commands = worker.add_subparsers(dest="worker_command", required=True)
-    serve = worker_commands.add_parser(
-        "serve",
-        help="run one scoring worker on this machine until shut down "
-        "(prints the bound 'host:port' first — pass it to --cluster)",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="address to bind (default: loopback; bind a LAN address to "
-        "serve remote clients)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=0,
-        help="port to bind (default: 0 = an ephemeral port, printed on start)",
-    )
-    serve.add_argument(
-        "--cluster-key", default=None,
-        help="shared authentication secret clients must present "
-        "(default: the library key)",
-    )
-    serve.add_argument(
-        "--cache-capacity", type=int, default=None,
-        help="instances kept resident in the worker's fingerprint cache "
-        "(default: 4)",
-    )
-
     service = subparsers.add_parser(
         "serve",
         help="run the online scheduling service until shut down: sessions "
@@ -313,37 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="port to bind (default: 0 = an ephemeral port, printed on start)",
     )
     service.add_argument(
-        "--cluster-key", default=None,
+        "--authkey", default=None,
         help="shared authentication secret clients must present "
-        "(default: the library key)",
-    )
-
-    cluster = subparsers.add_parser(
-        "cluster", help="cluster fleet management (see the 'cluster' backend)"
-    )
-    cluster_commands = cluster.add_subparsers(dest="cluster_command", required=True)
-    health = cluster_commands.add_parser(
-        "health",
-        help="probe each configured worker address (reachable / authenticated "
-        "/ protocol version / served-work counters) and print one table; "
-        "exits non-zero when any worker is unhealthy",
-    )
-    health.add_argument(
-        "--cluster",
-        metavar="ADDR[,ADDR...]",
-        required=True,
-        help="comma-separated 'host:port' addresses of the workers to probe",
-    )
-    health.add_argument(
-        "--cluster-key",
-        default=None,
-        help="shared authentication secret of the probe connections "
-        "(must match the workers'; default: the library key)",
-    )
-    health.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the health rows as JSON instead of a table",
+        "(default: the library key, refused on a non-loopback --host)",
     )
 
     lint = subparsers.add_parser(
@@ -476,27 +364,12 @@ def _command_backends(_: argparse.Namespace) -> int:
     return 0
 
 
-def _command_worker(args: argparse.Namespace) -> int:
-    # `worker_command` is required and 'serve' is its only action so far; the
-    # sub-subparser keeps room for future actions (status, drain, …).
-    from repro.core.distributed.cache import DEFAULT_CACHE_CAPACITY
-    from repro.core.distributed.worker import WorkerServer
-
-    capacity = args.cache_capacity if args.cache_capacity is not None else DEFAULT_CACHE_CAPACITY
-    WorkerServer(args.host, args.port, cluster_key=args.cluster_key, capacity=capacity).run(
-        announce=lambda address: print(
-            f"ses-repro cluster worker listening on {address}", flush=True
-        )
-    )
-    return 0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
-    # Imported lazily (like the worker machinery): the service package is
-    # only needed by this long-running command.
+    # Imported lazily: the service package (and its networking) is only
+    # needed by this long-running command.
     from repro.service import ServiceServer
 
-    ServiceServer(args.host, args.port, cluster_key=args.cluster_key).run(
+    ServiceServer(args.host, args.port, authkey=args.authkey).run(
         announce=lambda address: print(
             f"ses-repro scheduling service listening on {address}", flush=True
         )
@@ -504,26 +377,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_cluster(args: argparse.Namespace) -> int:
-    # `cluster_command` is required and 'health' is its only action so far;
-    # the sub-subparser keeps room for future actions (drain, evict, …).
-    from repro.core.distributed.health import HEALTH_COLUMNS, fleet_health
-
-    addresses = [
-        address.strip() for address in args.cluster.split(",") if address.strip()
-    ]
-    if not addresses:
-        raise SolverError("--cluster names no worker address")
-    rows = fleet_health(addresses, cluster_key=args.cluster_key)
-    if args.json:
-        print(json.dumps(rows, indent=2))
-    else:
-        print(format_table(rows, columns=list(HEALTH_COLUMNS)))
-    return 0 if all(row["healthy"] for row in rows) else 1
-
-
 def _command_lint(args: argparse.Namespace) -> int:
-    # Imported lazily (like the worker machinery): the lint framework pulls
+    # Imported lazily (like the service): the lint framework pulls
     # in the rule registry, which ordinary CLI commands never need.
     from repro.analysis.staticcheck import (
         format_report,
@@ -569,9 +424,7 @@ _COMMANDS = {
     "solve": _command_solve,
     "experiment": _command_experiment,
     "backends": _command_backends,
-    "worker": _command_worker,
     "serve": _command_serve,
-    "cluster": _command_cluster,
     "lint": _command_lint,
     "list": _command_list,
     "info": _command_info,

@@ -15,7 +15,7 @@ reference across every backend × storage combination.
 The plan reads its kernel inputs in pattern space too.  At bind time each
 engine's plan builds one ``(|E|, P)`` matrix of representative µ columns
 (cached while ``|E| · P`` fits the chunk memory budget) and serves the
-in-process bulk path's event rows from it (:class:`PatternEventRows`), so
+bulk path's event rows from it (:class:`PatternEventRows`), so
 after engine construction no score pass densifies a ``(block, |U|)`` store
 block again; the engine's Φ bound shares the same matrix.  The matrix (up
 to the full chunk budget in size) stays per engine; only the O(|U|)
@@ -114,7 +114,7 @@ class BlockedPlan(ScoringPlan):
     ``(|E|, P)`` pattern matrix of representative µ columns
     (:func:`~repro.core.scoring.build_pattern_matrix`; cached only while
     ``|E| · P`` fits the chunk memory budget).  The plan supplies the
-    in-process bulk path's event rows (:class:`PatternEventRows`), so
+    bulk path's event rows (:class:`PatternEventRows`), so
     :meth:`batch_block` receives ``(block, P)`` pattern rows — served from
     the cached matrix, or streamed from the store and gathered per block
     past the budget — runs the reference arithmetic on them and expands the
@@ -175,7 +175,7 @@ class BlockedPlan(ScoringPlan):
         return self._pattern_mu
 
     def event_rows(self) -> Optional[PatternEventRows]:
-        """Pattern-space rows for the in-process bulk path (``None`` when degenerate)."""
+        """Pattern-space rows for the bulk path (``None`` when degenerate)."""
         return self._rows
 
     def batch_block(

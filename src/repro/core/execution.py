@@ -11,28 +11,21 @@ are computed (never *what* they are):
   - ``"scalar"`` (:class:`ScalarBackend`) — the reference implementation, one
     pass over the users per (event, interval) pair;
   - ``"batch"`` (:class:`BatchBackend`, the default) — whole candidate blocks
-    per vectorised NumPy pass, chunked along the event axis;
-  - ``"cluster"`` (:class:`~repro.core.distributed.client.ClusterBackend`) —
-    :meth:`ScoringEngine.score_matrix`'s per-interval columns sharded across
-    **remote** worker processes over TCP (``repro worker serve``), with the
-    static matrices shipped once per instance fingerprint and cached
-    worker-side.
+    per vectorised NumPy pass, chunked along the event axis.
 
 * ``chunk_size`` — events per vectorised pass (the ~64 MB memory guard);
-* ``workers`` — the cluster backend's cap on concurrent dispatch lanes;
-* ``workers_addr`` / ``cluster_key`` — the cluster backend's remote worker
-  addresses and shared authentication secret.
+* ``plan`` — how the bulk kernel traverses one event block
+  (:class:`ScoringPlan`).
 
 The backends and the scoring plans are fixed name tables built at the bottom
 of this module; adding one is an edit to its table.  Everything else —
 engine, schedulers, harness, figures, CLI — talks to the layer only through
 :class:`ExecutionConfig` and the strategy interface.
 
-**The invariant every backend must keep:** sharding splits only the event axis
-(or dispatches whole per-interval columns), and every event row's per-user
-reduction is independent of the others, so schedules, utilities, scores and
-counter totals are bit-identical across backends — serial or remote,
-whatever the split.
+**The invariant every backend must keep:** chunking splits only the event
+axis, and every event row's per-user reduction is independent of the others,
+so schedules, utilities, scores and counter totals are bit-identical across
+backends, whatever the split.
 """
 
 from __future__ import annotations
@@ -43,11 +36,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.core.distributed.protocol import (
-    DEFAULT_CLUSTER_KEY,
-    format_worker_address,
-    parse_worker_address,
-)
 from repro.core.errors import SolverError
 from repro.core.storage import EventRowSource
 
@@ -87,13 +75,12 @@ def score_block_kernel(
 ) -> np.ndarray:
     """Assignment scores of one block of event rows at one interval (Eq. 4).
 
-    This is the **single** bit-identity-critical kernel of the library: the
-    engine's in-process batch path and the cluster backend's workers both call
-    it, so the scoring arithmetic cannot diverge between them.  The
-    per-element operation order matches the scalar reference exactly (µ added
-    to the scheduled sums first, competing sums last; value·µ added to the
-    value sums before the σ product), and each row's per-user reduction is
-    independent of every other row's.
+    This is the **single** bit-identity-critical kernel of the library: every
+    bulk plan reaches it, so the scoring arithmetic cannot diverge between
+    them.  The per-element operation order matches the scalar reference
+    exactly (µ added to the scheduled sums first, competing sums last; value·µ
+    added to the value sums before the σ product), and each row's per-user
+    reduction is independent of every other row's.
 
     Two structural facts, passed as ``None`` rather than inspected per call,
     let the kernel skip arithmetic whose result it already has, bit for bit:
@@ -248,65 +235,13 @@ def resolve_chunk_size(chunk_size: Optional[int], num_users: int) -> int:
     return chunk_size
 
 
-def resolve_workers(
-    workers: Optional[int],
-    backend: Optional[str] = None,
-    workers_addr: Optional[Tuple[str, ...]] = None,
-) -> int:
-    """Validate the cluster backend's dispatch-lane count (``None`` means auto).
-
-    A cluster run with configured worker addresses runs one dispatch lane per
-    remote worker at most, so the count resolves to ``len(workers_addr)``,
-    or to an explicit value below that.  Every other run is serial and
-    resolves to 1: the in-process backends (``backend`` given and not
-    :attr:`ExecutionBackend.uses_cluster`) and a run without worker
-    addresses.  An explicit value must be a positive integer, whether or
-    not it applies; the resolved count is what the run records, so it never
-    exceeds the lanes that actually run.
-    """
-    if workers is not None and (
-        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
-    ):
-        raise SolverError(f"workers must be a positive integer or None, got {workers!r}")
-    lanes = len(workers_addr or ())
-    if lanes == 0 or (
-        backend is not None and not get_backend(resolve_backend(backend)).uses_cluster
-    ):
-        return 1
-    return lanes if workers is None else min(workers, lanes)
-
-
-def resolve_workers_addr(
-    workers_addr, backend: Optional[str] = None
-) -> Tuple[str, ...]:
-    """Validate and normalise the cluster backend's worker addresses.
-
-    Accepts ``None`` (no cluster configured), a single ``"host:port[,...]"``
-    string, or an iterable of ``"host:port"`` strings; every entry is
-    validated by :func:`~repro.core.distributed.protocol.parse_worker_address`
-    and returned in canonical form.  Backends that are not distributed
-    (:attr:`ExecutionBackend.uses_cluster` is false) resolve to the empty
-    tuple — the knob does not apply to them.
-    """
-    if workers_addr is None:
-        addresses: Tuple[str, ...] = ()
-    elif isinstance(workers_addr, str):
-        addresses = tuple(part.strip() for part in workers_addr.split(",") if part.strip())
-    else:
-        addresses = tuple(workers_addr)
-    normalized = tuple(format_worker_address(*parse_worker_address(a)) for a in addresses)
-    if backend is not None and not get_backend(resolve_backend(backend)).uses_cluster:
-        return ()
-    return normalized
-
-
 def resolve_plan(plan: Optional[str], backend: Optional[str] = None) -> str:
     """Validate a scoring-plan name (``None`` means :data:`DEFAULT_PLAN`).
 
-    A plan decides how the in-process bulk kernel traverses one event block
+    A plan decides how the bulk kernel traverses one event block
     (see :class:`ScoringPlan`) — never what the scores are: every exact
     plan is bit-identical to the ``direct`` reference.  Backends whose
-    evaluations never run the in-process block kernel
+    evaluations never run the block kernel
     (:attr:`ExecutionBackend.is_bulk` is false) pin the plan to ``"direct"``
     — the knob does not apply to them.
     """
@@ -319,26 +254,6 @@ def resolve_plan(plan: Optional[str], backend: Optional[str] = None) -> str:
     if backend is not None and not get_backend(resolve_backend(backend)).is_bulk:
         return "direct"
     return plan
-
-
-def resolve_cluster_key(
-    cluster_key: Optional[str], backend: Optional[str] = None
-) -> Optional[str]:
-    """Validate the cluster backend's shared authentication secret.
-
-    ``None`` selects :data:`~repro.core.distributed.protocol.DEFAULT_CLUSTER_KEY`
-    for cluster backends (and stays ``None`` for every other backend — the
-    knob does not apply to them).  Client and workers must share the key:
-    ``multiprocessing.connection`` uses it for an HMAC challenge–response
-    handshake on every connection.
-    """
-    if cluster_key is not None and (not isinstance(cluster_key, str) or not cluster_key):
-        raise SolverError(
-            f"cluster_key must be a non-empty string or None, got {cluster_key!r}"
-        )
-    if backend is not None and not get_backend(resolve_backend(backend)).uses_cluster:
-        return None
-    return cluster_key if cluster_key is not None else DEFAULT_CLUSTER_KEY
 
 
 # --------------------------------------------------------------------------- #
@@ -362,25 +277,9 @@ class ExecutionConfig:
     chunk_size:
         Events per vectorised pass of the bulk backends (the memory guard);
         ``None`` derives ``max(1, DEFAULT_CHUNK_ELEMENTS // |U|)``.
-    workers:
-        Cap on the ``"cluster"`` backend's concurrent dispatch lanes;
-        ``None`` selects one lane per remote worker.  Clamped to
-        ``len(workers_addr)`` and pinned to 1 for every serial run.
-    workers_addr:
-        Remote worker addresses of the ``"cluster"`` backend — an iterable of
-        ``"host:port"`` strings (or one comma-separated string); start the
-        workers with ``repro worker serve``.  ``None``/empty makes the cluster
-        backend degrade to the serial in-process ``"batch"`` strategy (and
-        pins ``workers`` to 1); resolves to the empty tuple for every
-        non-distributed backend.
-    cluster_key:
-        Shared secret of the cluster connections' HMAC handshake; ``None``
-        selects :data:`~repro.core.distributed.protocol.DEFAULT_CLUSTER_KEY`
-        for cluster backends (``None`` for every other backend).  Client and
-        workers must agree on it.
     plan:
         Scoring-plan name (see :func:`available_plans`); ``None`` selects
-        :data:`DEFAULT_PLAN`.  A plan decides how the in-process bulk kernel
+        :data:`DEFAULT_PLAN`.  A plan decides how the bulk kernel
         traverses one event block — e.g. the ``blocked`` plan of
         :mod:`repro.core.blocked` computes each distinct interest pattern
         once and expands by multiplicity.  Exact plans never change a result
@@ -390,9 +289,6 @@ class ExecutionConfig:
 
     backend: Optional[str] = None
     chunk_size: Optional[int] = None
-    workers: Optional[int] = None
-    workers_addr: Optional[Tuple[str, ...]] = None
-    cluster_key: Optional[str] = None
     plan: Optional[str] = None
 
     def resolve(self, num_users: int) -> "ExecutionConfig":
@@ -402,13 +298,9 @@ class ExecutionConfig:
         an equal config.
         """
         backend = resolve_backend(self.backend)
-        workers_addr = resolve_workers_addr(self.workers_addr, backend)
         return ExecutionConfig(
             backend=backend,
             chunk_size=resolve_chunk_size(self.chunk_size, num_users),
-            workers=resolve_workers(self.workers, backend, workers_addr),
-            workers_addr=workers_addr,
-            cluster_key=resolve_cluster_key(self.cluster_key, backend),
             plan=resolve_plan(self.plan, backend),
         )
 
@@ -434,9 +326,9 @@ class ExecutionBackend:
 
     Subclasses implement :meth:`interval_scores` and :meth:`score_matrix` in
     terms of the engine's kernels (:meth:`ScoringEngine._pair_score`,
-    :meth:`ScoringEngine._batch_block`) and state.  They decide *where* and in
-    *what blocks* scores are computed — never the values: every strategy must
-    be bit-identical to the serial reference (see the module docstring).
+    :meth:`ScoringEngine._batch_block`) and state.  They decide in *what
+    blocks* scores are computed — never the values: every strategy must be
+    bit-identical to the reference (see the module docstring).
 
     Class attributes
     ----------------
@@ -446,15 +338,10 @@ class ExecutionBackend:
         Whether the strategy's bulk entry points evaluate whole event blocks
         at once (the engine uses it to decide whether to precompute
         event-major rows).
-    uses_cluster:
-        Whether the strategy dispatches to remote workers over the network
-        (drives the ``workers`` / ``workers_addr`` / ``cluster_key`` knobs'
-        resolution).
     """
 
     name: str = "abstract"
     is_bulk: bool = False
-    uses_cluster: bool = False
 
     def __init__(self, config: ExecutionConfig) -> None:
         self._config = config
@@ -465,8 +352,7 @@ class ExecutionBackend:
 
         The reference is weak — the engine owns the backend, not the other
         way round — so dropping the last engine reference frees it promptly
-        (its ``__del__`` closes this backend's connections) instead of
-        waiting for the cycle collector.
+        instead of waiting for the cycle collector.
         """
         self._engine_ref = weakref.ref(engine)
         return self
@@ -487,22 +373,6 @@ class ExecutionBackend:
     def score_matrix(self, selector: Optional[np.ndarray]) -> np.ndarray:
         """The ``(|selection|, |T|)`` score matrix against the current state."""
         raise NotImplementedError
-
-    # -- observability ---------------------------------------------------- #
-    def stats(self) -> Dict[str, object]:
-        """Execution counters accumulated since this backend was created.
-
-        The in-process strategies have nothing to report (empty dict); the
-        cluster backend returns its per-link dispatch counters (tasks,
-        batches, round-trips, bytes shipped) so results and benchmarks can
-        report shipping overhead vs. compute.  The returned mapping is a
-        snapshot — it stays valid after :meth:`close`.
-        """
-        return {}
-
-    # -- lifecycle -------------------------------------------------------- #
-    def close(self) -> None:
-        """Release connections / shared resources (safe to call repeatedly)."""
 
     @classmethod
     def describe(cls) -> str:
@@ -602,8 +472,7 @@ def get_backend(name: str) -> Type[ExecutionBackend]:
 def backend_catalog() -> List[Dict[str, object]]:
     """One row per backend with its resolved defaults.
 
-    Used by the CLI's ``backends`` sub-command; the ``workers`` column shows
-    what ``None`` resolves to.
+    Used by the CLI's ``backends`` sub-command.
     """
     rows: List[Dict[str, object]] = []
     for name, cls in _BACKEND_REGISTRY.items():
@@ -611,8 +480,6 @@ def backend_catalog() -> List[Dict[str, object]]:
             {
                 "backend": name + (" (default)" if name == DEFAULT_BACKEND else ""),
                 "bulk": "yes" if cls.is_bulk else "no",
-                "pool": "remote workers" if cls.uses_cluster else "-",
-                "workers": "len(workers_addr)" if cls.uses_cluster else 1,
                 "chunk_size": f"auto ({DEFAULT_CHUNK_ELEMENTS:,} elements / |U|)"
                 if cls.is_bulk
                 else "-",
@@ -626,11 +493,11 @@ def backend_catalog() -> List[Dict[str, object]]:
 # Scoring plans
 # --------------------------------------------------------------------------- #
 class ScoringPlan:
-    """One traversal strategy of the in-process block kernel, bound to an engine.
+    """One traversal strategy of the block kernel, bound to an engine.
 
-    Where an :class:`ExecutionBackend` decides *where* blocks are evaluated
-    (serially in process or on remote workers), a plan decides *how* the
-    in-process kernel traverses one block — e.g. the ``blocked`` plan of
+    Where an :class:`ExecutionBackend` decides *in what blocks* scores are
+    evaluated (per pair or per event block), a plan decides *how* the
+    kernel traverses one block — e.g. the ``blocked`` plan of
     :mod:`repro.core.blocked` computes each distinct user interest pattern
     once and expands the per-pattern contributions by multiplicity.  Every
     exact plan must produce scores bit-identical to the ``direct`` reference:
@@ -639,7 +506,7 @@ class ScoringPlan:
     Subclasses implement :meth:`batch_block` against the engine's static and
     scheduled state; :meth:`prepare` runs once at bind time for per-engine
     precomputation (the ``blocked`` plan's pattern matrix).  A plan may also
-    supply the event-row source the in-process bulk path iterates
+    supply the event-row source the bulk path iterates
     (:meth:`event_rows`), in which case :meth:`batch_block` receives that
     source's blocks.  Engines reach
     the plan through :meth:`ScoringEngine._select_event_rows` and
@@ -695,11 +562,10 @@ class ScoringPlan:
         return None
 
     def event_rows(self) -> Optional[EventRowSource]:
-        """The event-row source of the in-process bulk path (``None``: the engine's).
+        """The event-row source of the bulk path (``None``: the engine's).
 
-        The cluster backend's remote workers always read the engine's full
-        rows; only in-process block evaluations — which run
-        :meth:`batch_block` — iterate the source returned here.
+        Block evaluations — which run :meth:`batch_block` — iterate the
+        source returned here.
         """
         return None
 
@@ -747,17 +613,14 @@ def plan_catalog() -> List[Dict[str, object]]:
     ]
 
 
-# The cluster strategy and the blocked plan live in their own modules but are
-# listed here with the other built-ins.  Both imports are deferred to the
-# bottom of this module: ClusterBackend subclasses BatchBackend, and the
+# The blocked plan lives in its own module but is listed here with the other
+# built-ins.  The import is deferred to the bottom of this module: the
 # blocked plan imports repro.core.scoring, which imports names from here.
-from repro.core.distributed.client import ClusterBackend  # noqa: E402
 from repro.core.blocked import BlockedPlan  # noqa: E402
 
 _BACKEND_REGISTRY: Dict[str, Type[ExecutionBackend]] = {
     ScalarBackend.name: ScalarBackend,
     BatchBackend.name: BatchBackend,
-    ClusterBackend.name: ClusterBackend,
 }
 
 _PLAN_REGISTRY: Dict[str, Type[ScoringPlan]] = {
@@ -775,7 +638,6 @@ __all__ = [
     "ExecutionConfig",
     "ScalarBackend",
     "BatchBackend",
-    "ClusterBackend",
     "ScoringPlan",
     "DirectPlan",
     "BlockedPlan",
@@ -787,10 +649,7 @@ __all__ = [
     "plan_catalog",
     "resolve_backend",
     "resolve_chunk_size",
-    "resolve_cluster_key",
     "resolve_plan",
-    "resolve_workers",
-    "resolve_workers_addr",
     "direct_block_scores",
     "score_block_kernel",
 ]

@@ -17,8 +17,9 @@ CSR members are then ``np.memmap`` views straight into the file and the
 matrices stream from disk without ever materialising (the ``"mmap"``
 storage).
 
-It lives in the core layer (not ``datasets``) so the distributed layer can
-rebuild instances from shipped backing files without importing upward;
+It lives in the core layer (not ``datasets``) so
+:meth:`~repro.core.instance.SESInstance.with_storage` can spill an instance
+to the ``"mmap"`` storage without importing upward;
 :mod:`repro.datasets.loaders` re-exports the public API for callers that
 think in dataset terms.
 """

@@ -22,11 +22,9 @@ exactly.
 *How* bulk evaluations run is delegated to the execution layer
 (:mod:`repro.core.execution`): an :class:`~repro.core.execution.ExecutionConfig`
 selects one of the :class:`~repro.core.execution.ExecutionBackend`
-strategies — ``"scalar"`` (the per-pair reference), ``"batch"`` (the default:
-whole candidate blocks per vectorised NumPy pass) or ``"cluster"`` (the
-score matrix's per-interval columns batched and sharded across remote TCP
-workers) — plus the ``chunk_size`` / ``workers`` / ``workers_addr`` /
-``cluster_key`` knobs.  All backends perform the same elementary operations
+strategies — ``"scalar"`` (the per-pair reference) or ``"batch"`` (the
+default: whole candidate blocks per vectorised NumPy pass) — plus the
+``chunk_size`` and ``plan`` knobs.  All backends perform the same elementary operations
 in the same order per (user, event) element, so their scores agree
 bit-for-bit among the bulk strategies (and to machine precision with the
 scalar reference), and all report one score computation (``|U|`` user
@@ -61,7 +59,6 @@ from repro.core.counters import ComputationCounter
 from repro.core.errors import ScheduleError
 from repro.core.execution import (
     DEFAULT_CHUNK_ELEMENTS,
-    ExecutionBackend,
     ExecutionConfig,
     _guarded_divide,
 )
@@ -84,9 +81,9 @@ def build_static_arrays(instance: SESInstance):
 
     ``comp`` are the per-interval competing-interest sums, ``sigma`` the
     weight-scaled activity probabilities, ``values`` / ``costs`` the per-event
-    multipliers.  Factored out of the engine so the distributed worker's
-    file-rebuild path derives bit-identical arrays from a shipped instance
-    file: both sides run exactly this code on exactly the same inputs.
+    multipliers.  Factored out of the engine so the structure analysis
+    (:mod:`repro.analysis.blocks`) derives bit-identical arrays: both run
+    exactly this code on exactly the same inputs.
     """
     comp = instance.competing_sums
     sigma = instance.activity * instance.user_weights[:, np.newaxis]
@@ -288,7 +285,7 @@ class ScoringEngine:
         self._bound_pattern_mu: Optional[np.ndarray] = None
         self._bound_cache: Dict[int, float] = {}
 
-        # The scoring plan decides how the in-process bulk kernel traverses
+        # The scoring plan decides how the bulk kernel traverses
         # one event block (see ScoringPlan); bound last so its prepare() hook
         # can mine structure from the fully-initialised engine.
         self._plan_impl = self._execution.create_plan().bind(self)
@@ -312,15 +309,10 @@ class ScoringEngine:
         return self._execution
 
     @property
-    def execution_backend(self) -> ExecutionBackend:
-        """The live execution-backend strategy instance."""
-        return self._backend_impl
-
-    @property
     def backend(self) -> str:
         """Name of the active execution backend.
 
-        One of ``"scalar"``, ``"batch"`` or ``"cluster"``
+        One of ``"scalar"`` or ``"batch"``
         (:func:`~repro.core.execution.available_backends`).
         """
         return self._execution.backend
@@ -344,21 +336,6 @@ class ScoringEngine:
     def chunk_size(self) -> int:
         """Events evaluated per vectorised pass (the bulk memory guard)."""
         return self._execution.chunk_size
-
-    @property
-    def workers(self) -> int:
-        """Dispatch lanes of a cluster run (1 for every serial run)."""
-        return self._execution.workers
-
-    def close(self) -> None:
-        """Release the backend's connections (safe to call repeatedly)."""
-        self._backend_impl.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:  # staticcheck: allow(broad-except) -- __del__ during interpreter teardown: modules may be half-gone and there is no caller to report to; close() is retried nowhere
-            pass
 
     # ------------------------------------------------------------------ #
     # State management
@@ -551,8 +528,8 @@ class ScoringEngine:
         Rows are events, columns users.  Delegates to the active scoring plan
         (:class:`~repro.core.execution.ScoringPlan`): the ``direct`` reference
         runs the library's single bit-identity-critical kernel
-        (:func:`~repro.core.execution.score_block_kernel` — also run by the
-        cluster backend's workers) over every user column, whose per-element
+        (:func:`~repro.core.execution.score_block_kernel`) over every user
+        column, whose per-element
         operation order matches :meth:`_pair_score` exactly; the ``blocked``
         plan of :mod:`repro.core.blocked` computes each distinct interest
         pattern once and expands by multiplicity before the same per-row
@@ -574,9 +551,8 @@ class ScoringEngine:
         is the assignment score of ``(event_indices[i], t)`` against the
         current engine state (``event_indices`` defaults to all events).
         Counts one score computation per (event, interval) pair.  The active
-        backend decides how the matrix is assembled — per pair, per vectorised
-        column or with the columns sharded across remote workers — without
-        changing a result bit.
+        backend decides how the matrix is assembled — per pair or per
+        vectorised column — without changing a result bit.
         """
         if event_indices is None:
             selector = None

@@ -156,11 +156,6 @@ class InterestStore:
         raise NotImplementedError
 
     @property
-    def is_file_backed(self) -> bool:
-        """Whether the store streams from a file on disk."""
-        return False
-
-    @property
     def path(self) -> Optional[str]:
         """Backing file of a file-backed store, ``None`` otherwise."""
         return None
@@ -705,10 +700,6 @@ class MmapStore(SparseStore):
         self._prefix = str(prefix)
 
     @property
-    def is_file_backed(self) -> bool:
-        return True
-
-    @property
     def path(self) -> Optional[str]:
         return self._path
 
@@ -906,11 +897,6 @@ class DenseEventRows(EventRowSource):
     @property
     def unit_values(self) -> bool:
         return self._value_mu_rows is self._mu_rows
-
-    @property
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The full backing pair ``(mu_rows, value_mu_rows)``."""
-        return self._mu_rows, self._value_mu_rows
 
     def block(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
         mu_rows = self._mu_rows[start:stop]

@@ -11,9 +11,9 @@ Two formats are supported:
   ``load_npz(..., mmap=True)`` able to memory-map the matrices in place
   instead of reading them into RAM (the ``"mmap"`` storage).
 
-The NPZ schema itself lives in :mod:`repro.core.instance_io` (so the
-distributed layer can rebuild instances from shipped files without importing
-the dataset layer); this module re-exports it next to the JSON format behind
+The NPZ schema itself lives in :mod:`repro.core.instance_io` (so the core
+layer can spill instances to the ``"mmap"`` storage without importing the
+dataset layer); this module re-exports it next to the JSON format behind
 one suffix-dispatching ``save_instance`` / ``load_instance`` pair.
 """
 

@@ -47,20 +47,14 @@ class MetricRecord:
 
         The scoring backend the run used is recorded under
         ``params["backend"]``, the instance's interest-matrix storage under
-        ``params["storage"]`` and the resolved worker count under
-        ``params["plan"]`` and ``params["workers"]`` (unless the caller
-        already set them), so rows of different backends / storages / scoring
-        plans / fan-outs can be grouped and compared in figure tables.  A
-        distributed run additionally records its remote worker addresses
-        under ``params["cluster"]`` (in-process runs omit the key).
+        ``params["storage"]`` and the scoring plan under ``params["plan"]``
+        (unless the caller already set them), so rows of different backends /
+        storages / scoring plans can be grouped and compared in figure tables.
         """
         merged_params = dict(params or {})
         merged_params.setdefault("backend", result.backend)
         merged_params.setdefault("storage", result.storage)
         merged_params.setdefault("plan", result.plan)
-        merged_params.setdefault("workers", result.workers)
-        if result.cluster:
-            merged_params.setdefault("cluster", ",".join(result.cluster))
         return cls(
             experiment_id=experiment_id,
             dataset=dataset,

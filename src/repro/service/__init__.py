@@ -13,9 +13,9 @@ The package turns the one-shot solvers into a long-running service
   :class:`~repro.service.session.UnlockAssignment`,
   :class:`~repro.service.session.SetIntervalCapacity`);
 * :class:`~repro.service.server.ServiceServer` /
-  :class:`~repro.service.client.ServiceClient` — the wire endpoints; the
-  server is a :class:`~repro.core.distributed.server.WireServer`, like the
-  cluster worker; and
+  :class:`~repro.service.client.ServiceClient` — the wire endpoints, over
+  the operations, handshake key and :class:`~repro.service.wire.WireServer`
+  of :mod:`repro.service.wire`; and
 * :class:`~repro.service.stats.SessionStats` — the saved-work ledger behind
   ``session-status`` and ``SchedulerResult.summary()["service"]``.
 """

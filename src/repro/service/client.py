@@ -1,8 +1,8 @@
 """Client of the online scheduling service (``repro serve``).
 
-A thin, connection-per-client wrapper over the cluster wire layer: every
+A thin, connection-per-client wrapper over :mod:`repro.service.wire`: every
 method sends one ``(op, *payload)`` request and raises the server's
-:data:`~repro.core.distributed.protocol.STATUS_ERROR` replies as
+:data:`~repro.service.wire.STATUS_ERROR` replies as
 :class:`~repro.core.errors.SolverError` — so a rejected mutation batch
 surfaces as an exception client-side while the session server-side stays
 exactly as it was.  Mutations may be passed as the dataclasses of
@@ -16,7 +16,10 @@ from __future__ import annotations
 from multiprocessing.connection import Client
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.distributed.protocol import (
+from repro.core.errors import SolverError
+from repro.core.instance import SESInstance
+from repro.service.session import Mutation, mutation_to_dict
+from repro.service.wire import (
     OP_GET_SCHEDULE,
     OP_LOAD_INSTANCE,
     OP_MUTATE,
@@ -26,11 +29,8 @@ from repro.core.distributed.protocol import (
     OP_SHUTDOWN,
     STATUS_OK,
     authkey_bytes,
-    parse_worker_address,
+    parse_address,
 )
-from repro.core.errors import SolverError
-from repro.core.instance import SESInstance
-from repro.service.session import Mutation, mutation_to_dict
 
 
 class ServiceClient:
@@ -40,17 +40,18 @@ class ServiceClient:
     ----------
     address:
         The service's ``"host:port"`` address.
-    cluster_key:
+    authkey:
         Shared secret of the connection handshake; must match the server's
-        (``None`` selects the library default).  A mismatch fails the HMAC
+        (``None`` selects the library default; an empty key is a
+        :class:`~repro.core.errors.SolverError`).  A mismatch fails the HMAC
         handshake at connect time.
 
     Usable as a context manager; :meth:`close` is idempotent.
     """
 
-    def __init__(self, address: str, *, cluster_key: Optional[str] = None) -> None:
-        host, port = parse_worker_address(address)
-        self._connection = Client((host, port), authkey=authkey_bytes(cluster_key))
+    def __init__(self, address: str, *, authkey: Optional[str] = None) -> None:
+        host, port = parse_address(address)
+        self._connection = Client((host, port), authkey=authkey_bytes(authkey))
 
     def __enter__(self) -> "ServiceClient":
         return self

@@ -1,25 +1,20 @@
 """The online scheduling service server (``repro serve``).
 
 One process holds a set of named :class:`~repro.service.session.SchedulingSession`
-objects over the cluster wire layer: :class:`ServiceServer` is a
-:class:`~repro.core.distributed.server.WireServer` like the cluster worker,
-adding only the session table and the service's own operations —
-:data:`~repro.core.distributed.protocol.OP_LOAD_INSTANCE` creates a session
-from a serialised instance, :data:`~repro.core.distributed.protocol.OP_MUTATE`
-applies an atomic mutation batch,
-:data:`~repro.core.distributed.protocol.OP_RESOLVE` re-solves incrementally,
-and :data:`~repro.core.distributed.protocol.OP_GET_SCHEDULE` /
-:data:`~repro.core.distributed.protocol.OP_SESSION_STATUS` query without
-solving.
+objects: :class:`ServiceServer` is a :class:`~repro.service.wire.WireServer`
+adding only the session table and the service's operations —
+:data:`~repro.service.wire.OP_LOAD_INSTANCE` creates a session from a
+serialised instance, :data:`~repro.service.wire.OP_MUTATE` applies an atomic
+mutation batch, :data:`~repro.service.wire.OP_RESOLVE` re-solves
+incrementally, and :data:`~repro.service.wire.OP_GET_SCHEDULE` /
+:data:`~repro.service.wire.OP_SESSION_STATUS` query without solving.
 
 The failure contract mirrors the session's: a malformed or contradictory
-batch is answered as a :data:`~repro.core.distributed.protocol.STATUS_ERROR`
-reply (the client raises it as a
+batch is answered as a :data:`~repro.service.wire.STATUS_ERROR` reply (the client raises it as a
 :class:`~repro.core.errors.SolverError`) with the session untouched, and a
 client that disconnects mid-conversation only ends its own connection thread
 — sessions live in the server, so the next connection finds them intact.
-As for every wire server, binding a non-loopback host with the default
-(public) cluster key is refused.
+Binding a non-loopback host with the default (public) authkey is refused.
 """
 
 from __future__ import annotations
@@ -29,8 +24,12 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.core.distributed.protocol import (
-    DEFAULT_WORKER_HOST,
+from repro.core.errors import SolverError
+from repro.core.execution import ExecutionConfig
+from repro.core.instance import SESInstance
+from repro.service.session import SchedulingSession, mutation_from_dict
+from repro.service.wire import (
+    DEFAULT_HOST,
     OP_GET_SCHEDULE,
     OP_LOAD_INSTANCE,
     OP_MUTATE,
@@ -39,35 +38,29 @@ from repro.core.distributed.protocol import (
     OP_SESSION_STATUS,
     PROTOCOL_VERSION,
     STATUS_OK,
+    WireServer,
 )
-from repro.core.distributed.server import WireServer
-from repro.core.errors import SolverError
-from repro.core.execution import ExecutionConfig
-from repro.core.instance import SESInstance
-from repro.service.session import SchedulingSession, mutation_from_dict
 
 
 class ServiceServer(WireServer):
-    """A :class:`~repro.core.distributed.server.WireServer` over live scheduling sessions.
+    """A :class:`~repro.service.wire.WireServer` over live scheduling sessions.
 
     Every session resolves under ``execution`` (``None``: library defaults).
     """
 
-    kind = "scheduling service"
-
     def __init__(
         self,
-        host: str = DEFAULT_WORKER_HOST,
+        host: str = DEFAULT_HOST,
         port: int = 0,
         *,
-        cluster_key: Optional[str] = None,
+        authkey: Optional[str] = None,
         execution: Optional[ExecutionConfig] = None,
     ) -> None:
         self._execution = execution
         self._sessions: Dict[str, SchedulingSession] = {}
         self._session_counter = 0
         self._requests_served = 0
-        super().__init__(host, port, cluster_key=cluster_key)
+        super().__init__(host, port, authkey=authkey)
 
     def _session(self, session_id) -> SchedulingSession:
         with self._lock:
@@ -76,7 +69,7 @@ class ServiceServer(WireServer):
             raise SolverError(f"unknown session id: {session_id!r}")
         return session
 
-    def _dispatch(self, request, scratch):
+    def _dispatch(self, request):
         """Answer one service operation; returns ``(response, shutdown)``."""
         with self._lock:
             self._requests_served += 1
@@ -143,15 +136,14 @@ class ServiceServer(WireServer):
             status = self._session(session_id).status()
             status["session"] = session_id
             return (STATUS_OK, status), False
-        return super()._dispatch(request, scratch)
+        return super()._dispatch(request)
 
 
 class ServiceHandle:
     """A service server running on a background thread of this process.
 
-    Sessions hold live NumPy state, so (unlike the cluster workers, which are
-    compute processes) the tests and the load benchmark run the service
-    in-process: same wire protocol, no spawn cost.
+    Sessions hold live NumPy state, so the tests and the load benchmark run
+    the service in-process: same wire protocol, no spawn cost.
     """
 
     def __init__(self, server: ServiceServer, thread: threading.Thread) -> None:
@@ -170,14 +162,14 @@ class ServiceHandle:
 
 
 def start_local_service(
-    host: str = DEFAULT_WORKER_HOST,
+    host: str = DEFAULT_HOST,
     port: int = 0,
     *,
-    cluster_key: Optional[str] = None,
+    authkey: Optional[str] = None,
     execution: Optional[ExecutionConfig] = None,
 ) -> ServiceHandle:
     """Start a service server on a daemon thread and return its handle."""
-    server = ServiceServer(host, port, cluster_key=cluster_key, execution=execution)
+    server = ServiceServer(host, port, authkey=authkey, execution=execution)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return ServiceHandle(server, thread)

@@ -7,8 +7,7 @@ ledger: every mutation batch records how much of the grid it invalidated, and
 every re-solve records how many initial score computations ran versus how
 many the warm grid supplied for free.  The snapshot is surfaced through
 ``session-status`` replies and through
-``SchedulerResult.summary()["service"]``, mirroring how the cluster worker
-surfaces its served-work counters through ``repro cluster health``.
+``SchedulerResult.summary()["service"]``.
 
 Like :class:`~repro.core.counters.ComputationCounter`, the fields are bumped
 only through the ``record_*`` helpers (the counter-discipline lint rule

@@ -21,14 +21,8 @@ from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
 from repro.core.scoring import ScoringEngine
 
-#: Fanned-out runs, checked by the backend-invariance suites next to every
-#: registered backend name.  By name alone ``cluster`` does not fan out:
-#: without ``workers_addr`` it runs serial batch in-process.  ``cluster-2``
-#: dispatches to the two live localhost workers of the ``local_cluster``
-#: fixture.
-FANOUT_VARIANTS = ("cluster-2",)
-
-#: Serial ``batch`` runs at a forced block size, checked by the same suites.
+#: ``batch`` runs at a forced block size, checked by the backend-invariance
+#: suites next to every registered backend name.
 #: The default ``chunk_size`` fits the suites' small instances in one block,
 #: so without these no invariance suite would walk the event axis in more
 #: than one block: ``batch-chunk1`` gives every event row its own block and
@@ -37,34 +31,18 @@ BLOCK_VARIANTS = {"batch-chunk1": 1, "batch-chunk3": 3}
 
 
 def execution_variants() -> Tuple[str, ...]:
-    """Every registered backend name, the :data:`BLOCK_VARIANTS`, then the
-    :data:`FANOUT_VARIANTS`."""
-    return available_backends() + tuple(BLOCK_VARIANTS) + FANOUT_VARIANTS
-
-
-@pytest.fixture(scope="session")
-def local_cluster():
-    """Addresses of two localhost cluster workers shared by the whole run."""
-    from repro.core.distributed import start_local_worker
-
-    handles = [start_local_worker(), start_local_worker()]
-    yield tuple(handle.address for handle in handles)
-    for handle in handles:
-        handle.stop()
+    """Every registered backend name, then the :data:`BLOCK_VARIANTS`."""
+    return available_backends() + tuple(BLOCK_VARIANTS)
 
 
 @pytest.fixture
-def execution_for(request):
+def execution_for():
     """Build the :class:`ExecutionConfig` of an :func:`execution_variants` name.
 
-    Extra keyword knobs (``chunk_size``, ...) are passed through.  The cluster
-    workers are only started by the first test that asks for ``cluster-2``.
+    Extra keyword knobs (``plan``, ...) are passed through.
     """
 
     def build(variant: str, **knobs) -> ExecutionConfig:
-        if variant == "cluster-2":
-            addresses = request.getfixturevalue("local_cluster")
-            return ExecutionConfig(backend="cluster", workers_addr=addresses, **knobs)
         if variant in BLOCK_VARIANTS:
             return ExecutionConfig(backend="batch", chunk_size=BLOCK_VARIANTS[variant], **knobs)
         return ExecutionConfig(backend=variant, **knobs)
@@ -220,11 +198,8 @@ class Layout:
         converted = convert_storage(instance, self.storage, directory)
         if self.plan == "blocked":
             engine = ScoringEngine(converted, execution=self.execution())
-            try:
-                engine.interval_scores(0, count=False)
-                assert engine.scoring_plan.stats()["blocks_evaluated"] > 0
-            finally:
-                engine.close()
+            engine.interval_scores(0, count=False)
+            assert engine.scoring_plan.stats()["blocks_evaluated"] > 0
         return converted
 
     def instance(self, **config) -> SESInstance:

@@ -3,7 +3,7 @@
 
 
 def dispatch(engine):
-    """Shard the matrix like the 'cluster' backend, falling back to
-    backend="batch" when no worker is reachable; prose mentioning a custom
+    """Score pair by pair like the 'scalar' backend, or with
+    backend="batch" for whole blocks; prose mentioning a custom
     backend without quoting a name is also fine."""
     return engine

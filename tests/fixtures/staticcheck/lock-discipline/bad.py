@@ -1,4 +1,4 @@
-# lintpath: src/repro/core/distributed/fixture_bad.py
+# lintpath: src/repro/service/fixture_bad.py
 """Bad: attributes guarded by the lock in one method, mutated bare in another."""
 
 import threading

@@ -1,4 +1,4 @@
-# lintpath: src/repro/core/distributed/fixture_good.py
+# lintpath: src/repro/service/fixture_good.py
 """Good: every post-``__init__`` mutation of guarded state holds the lock."""
 
 import threading

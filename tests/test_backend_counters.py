@@ -41,7 +41,7 @@ def test_counters_identical_across_backends(algorithm, config, layout):
     snapshots = {}
     for backend in available_backends():
         result = run_scheduler(
-            algorithm, instance, k, execution=layout.execution(backend=backend, workers=2)
+            algorithm, instance, k, execution=layout.execution(backend=backend)
         )
         snapshots[backend] = result.counters
     for backend in available_backends()[1:]:
@@ -80,7 +80,7 @@ def test_initial_vs_update_split_is_backend_invariant(layout):
     splits = {}
     for backend in available_backends():
         result = run_scheduler(
-            "INC", instance, 6, execution=layout.execution(backend=backend, workers=2)
+            "INC", instance, 6, execution=layout.execution(backend=backend)
         )
         splits[backend] = (
             result.counters["initial_computations"],

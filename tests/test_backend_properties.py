@@ -1,8 +1,8 @@
 """The paper's equivalence propositions, checked under every scoring backend.
 
-Each registered backend runs by name, ``batch`` also runs at forced block
-sizes (the ``batch-chunk1`` and ``batch-chunk3`` variants of ``conftest.py``)
-and the cluster backend also runs genuinely fanned out (``cluster-2``).
+Each registered backend runs by name, and ``batch`` also runs at forced
+block sizes (the ``batch-chunk1`` and ``batch-chunk3`` variants of
+``conftest.py``).
 
 Proposition 3: INC selects exactly the assignments ALG selects (same schedule,
 same utility).  Proposition 6: HOR-I returns exactly HOR's schedule.  Both

@@ -15,8 +15,7 @@ the code *defines*.  Concretely:
   in the README's command reference (and vice versa), and the shared
   execution flags named there must all exist on the parser (and vice versa);
 * the wire-protocol op table in ``docs/ARCHITECTURE.md`` must list exactly
-  the ``OP_*`` constants of ``repro.core.distributed.protocol``, and the
-  documented batch-sizing formula must quote the live constants;
+  the ``OP_*`` constants of ``repro.service.wire``;
 * the rule table in ``docs/STATIC_ANALYSIS.md`` must name exactly the rules
   in the live ``repro.analysis.staticcheck`` registry, in registration order;
 * every test-suite path cited in ``docs/PAPER_MAPPING.md`` must exist.
@@ -166,10 +165,7 @@ class TestCliReference:
         parser options, and every ``_add_backend_arguments`` flag is named."""
         section = _section(README.read_text(encoding="utf-8"), "## CLI command reference")
         documented = set(re.findall(r"`(--[\w-]+)`", section))
-        execution_flags = {
-            "--backend", "--plan", "--storage", "--chunk-size", "--workers",
-            "--cluster", "--cluster-key",
-        }
+        execution_flags = {"--backend", "--plan", "--storage", "--chunk-size"}
         parser_flags = set(_backend_flags())
         missing_from_parser = execution_flags - parser_flags
         assert not missing_from_parser, (
@@ -182,39 +178,24 @@ class TestCliReference:
 
 
 class TestWireProtocolTable:
-    def test_architecture_op_table_matches_protocol_module(self):
-        """The op table documents exactly the OP_* constants of protocol.py."""
-        from repro.core.distributed import protocol
+    def test_architecture_op_table_matches_wire_module(self):
+        """The op table documents exactly the OP_* constants of service/wire.py."""
+        from repro.service import wire
 
         section = _section(
             ARCHITECTURE.read_text(encoding="utf-8"),
-            "## Data flow: the wire protocol (`cluster`)",
+            "## Data flow: the service wire protocol",
         )
         documented = _table_names(section)
         assert documented, "docs/ARCHITECTURE.md lost its wire-protocol op table"
         ops = sorted(
             value
-            for name, value in vars(protocol).items()
+            for name, value in vars(wire).items()
             if name.startswith("OP_")
         )
         assert sorted(documented) == ops, (
-            "docs/ARCHITECTURE.md op table drifted from protocol.py's OP_* "
+            "docs/ARCHITECTURE.md op table drifted from service/wire.py's OP_* "
             f"constants: documented={sorted(documented)}, actual={ops}"
-        )
-
-    def test_architecture_documents_the_batch_sizing_rule(self):
-        """The documented formula names the live constants' values."""
-        from repro.core.distributed.protocol import MAX_TASK_BATCH, TASK_OVERSUBSCRIBE
-
-        section = _section(
-            ARCHITECTURE.read_text(encoding="utf-8"),
-            "## Data flow: the wire protocol (`cluster`)",
-        )
-        assert f"lanes × {TASK_OVERSUBSCRIBE}" in section, (
-            "ARCHITECTURE.md batch-sizing formula drifted from TASK_OVERSUBSCRIBE"
-        )
-        assert str(MAX_TASK_BATCH) in section, (
-            "ARCHITECTURE.md batch-sizing clamp drifted from MAX_TASK_BATCH"
         )
 
 

@@ -9,7 +9,11 @@ takes.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +26,6 @@ from repro.core.execution import (
     available_backends,
     backend_catalog,
     get_backend,
-    resolve_workers,
 )
 from repro.core.scoring import ScoringEngine
 from repro.experiments import figures
@@ -71,12 +74,13 @@ class TestConfigResolution:
         resolved = ExecutionConfig().resolve(num_users=100)
         assert resolved.backend == DEFAULT_BACKEND
         assert resolved.chunk_size >= 1
-        assert resolved.workers == 1  # batch never fans out
+
+    def test_fields_are_backend_chunk_size_and_plan(self):
+        names = [field.name for field in dataclasses.fields(ExecutionConfig)]
+        assert names == ["backend", "chunk_size", "plan"]
 
     def test_resolution_is_idempotent(self):
-        config = ExecutionConfig(
-            backend="cluster", chunk_size=7, workers=3, workers_addr=("h:1", "h:2")
-        )
+        config = ExecutionConfig(backend="batch", chunk_size=7, plan="blocked")
         once = config.resolve(num_users=50)
         assert once.resolve(num_users=50) == once
 
@@ -90,14 +94,11 @@ class TestConfigResolution:
     def test_is_bulk(self):
         assert not ExecutionConfig(backend="scalar").is_bulk
         assert ExecutionConfig(backend="batch").is_bulk
-        assert ExecutionConfig(backend="cluster").is_bulk
         assert ExecutionConfig().is_bulk  # the default is a bulk backend
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(SolverError):
             ExecutionConfig(chunk_size=0).resolve(num_users=10)
-        with pytest.raises(SolverError):
-            ExecutionConfig(workers=-1).resolve(num_users=10)
 
     def test_engine_exposes_resolved_config(self):
         instance = make_random_instance(seed=130, num_users=10, num_events=6, num_intervals=2)
@@ -106,70 +107,25 @@ class TestConfigResolution:
         assert engine.execution.chunk_size == 3
         assert engine.backend == "batch"
         assert engine.chunk_size == 3
-        assert engine.workers == 1
 
 
 class TestRegistry:
     def test_builtins_registered_in_order(self):
-        assert available_backends() == ("scalar", "batch", "cluster")
+        assert available_backends() == ("scalar", "batch")
         bulk = tuple(name for name in available_backends() if get_backend(name).is_bulk)
-        assert bulk == ("batch", "cluster")
+        assert bulk == ("batch",)
 
     def test_get_backend_unknown_is_friendly(self):
         with pytest.raises(SolverError) as excinfo:
             get_backend("nope")
         assert "batch" in str(excinfo.value)
 
-    def test_retired_thread_backend_is_unknown(self):
+    @pytest.mark.parametrize("retired", ["parallel", "cluster"])
+    def test_retired_backends_are_unknown(self, retired):
         with pytest.raises(SolverError) as excinfo:
-            ExecutionConfig(backend="parallel").resolve(num_users=10)
-        assert "available: scalar, batch, cluster" in str(excinfo.value)
+            ExecutionConfig(backend=retired).resolve(num_users=10)
+        assert "available: scalar, batch" in str(excinfo.value)
 
-
-class TestWorkersKnob:
-    """``workers`` caps the cluster's dispatch lanes; every serial run records 1."""
-
-    def test_serial_runs_record_one_worker(self):
-        """Serial runs record workers=1 whatever was asked, so identical runs
-        look identical in the harness tables."""
-        assert resolve_workers(None) == 1
-        assert resolve_workers(8) == 1  # no worker addresses: nothing fans out
-        assert resolve_workers(None, "batch") == 1
-        assert resolve_workers(8, "scalar") == 1
-        assert resolve_workers(8, "batch", ("h:1", "h:2")) == 1
-        with pytest.raises(SolverError):
-            resolve_workers(0, "batch")  # validation still applies when pinned
-        instance = make_random_instance(seed=101, num_users=8, num_events=4, num_intervals=2)
-        for backend in available_backends():
-            result = run_scheduler(
-                "TOP", instance, 2, execution=ExecutionConfig(backend=backend, workers=8)
-            )
-            assert result.workers == 1, backend
-            assert result.summary()["workers"] == 1, backend
-
-    @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "four"])
-    def test_resolve_rejects_non_positive(self, bad):
-        with pytest.raises(SolverError):
-            resolve_workers(bad)
-        for backend in available_backends():
-            with pytest.raises(SolverError, match="workers"):
-                ExecutionConfig(backend=backend, workers=bad).resolve(num_users=10)
-
-    def test_invalid_workers_rejected_by_scheduler(self):
-        instance = make_random_instance(seed=94, num_users=8, num_events=4, num_intervals=2)
-        with pytest.raises(SolverError, match="workers"):
-            run_scheduler("TOP", instance, 2, execution=ExecutionConfig(workers=0))
-
-    def test_cli_reports_invalid_workers(self, capsys):
-        code = main(
-            [
-                "solve", "--dataset", "Unf", "-k", "2",
-                "--users", "10", "--events", "5", "--intervals", "2",
-                "--algorithms", "TOP", "--workers", "0",
-            ]
-        )
-        assert code == 2
-        assert "workers" in capsys.readouterr().err
 
 class TestCatalogue:
     def test_catalog_covers_every_backend(self):
@@ -179,6 +135,7 @@ class TestCatalogue:
         default_rows = [row for row in rows if "(default)" in str(row["backend"])]
         assert len(default_rows) == 1 and DEFAULT_BACKEND in str(default_rows[0]["backend"])
         for row in rows:
+            assert set(row) == {"backend", "bulk", "chunk_size", "description"}
             assert row["description"]
 
     def test_cli_backends_subcommand(self, capsys):
@@ -190,3 +147,23 @@ class TestCatalogue:
     def test_cli_list_includes_backends_line(self, capsys):
         assert main(["list"]) == 0
         assert "backends:" in capsys.readouterr().out
+
+
+class TestLayering:
+    def test_solving_imports_no_networking(self):
+        """The solver stack never loads the service's wire layer."""
+        probe = (
+            "import sys\n"
+            "import repro.algorithms.registry, repro.core.scoring\n"
+            "loaded = [name for name in ('multiprocessing.connection', 'repro.service')\n"
+            "          if name in sys.modules]\n"
+            "print(','.join(loaded))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert completed.stdout.strip() == ""

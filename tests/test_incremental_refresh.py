@@ -98,7 +98,7 @@ class TestRoundLevelEquivalence:
     def test_counters_identical_across_backends(self, case, algorithm):
         scalar = _run_pair(algorithm, case, backend="scalar")
         for backend in available_backends()[1:]:
-            bulk = _run_pair(algorithm, case, backend=backend, workers=2)
+            bulk = _run_pair(algorithm, case, backend=backend)
             assert bulk.schedule.as_dict() == scalar.schedule.as_dict(), backend
             assert bulk.utility == scalar.utility, backend
             assert bulk.counters == scalar.counters, backend

@@ -44,7 +44,6 @@ class TestMetricRecord:
             "backend": result.backend,
             "storage": result.storage,
             "plan": result.plan,
-            "workers": result.workers,
         }
         assert record.seed == 1
 

@@ -190,21 +190,21 @@ def test_zero_denominators_are_zeroed_next_to_a_positive_interval(
 # --------------------------------------------------------------------------- #
 def test_unit_values_hold_one_matrix_and_one_scheduled_sum():
     engine = ScoringEngine(make_random_instance(seed=12, num_events=6))
-    mu_rows, value_mu_rows = engine._event_rows.arrays
+    mu_rows, value_mu_rows = engine._event_rows.block(0, engine._event_rows.num_rows)
     assert value_mu_rows is mu_rows
     assert engine._event_rows.unit_values
     assert engine._scheduled_value_interest is engine._scheduled_interest
     # A selection copies the one matrix once and stays unit-valued.
     selected = engine._event_rows.select(np.array([4, 1]))
     assert selected.unit_values
-    assert np.array_equal(selected.arrays[0], mu_rows[[4, 1]])
+    assert np.array_equal(selected.block(0, 2)[0], mu_rows[[4, 1]])
 
 
 def test_a_single_event_value_turns_both_off():
     values = [1.0] * 6
     values[3] = 2.0
     engine = ScoringEngine(make_random_instance(seed=12, num_events=6, event_values=values))
-    mu_rows, value_mu_rows = engine._event_rows.arrays
+    mu_rows, value_mu_rows = engine._event_rows.block(0, engine._event_rows.num_rows)
     assert value_mu_rows is not mu_rows
     assert not engine._event_rows.unit_values
     assert np.array_equal(value_mu_rows, np.asarray(values)[:, np.newaxis] * mu_rows)

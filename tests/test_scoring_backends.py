@@ -30,12 +30,7 @@ from repro.core.instance import SESInstance
 from repro.core.execution import DEFAULT_BACKEND, ExecutionConfig, available_backends
 from repro.core.scoring import ScoringEngine
 
-from tests.conftest import (
-    BLOCK_VARIANTS,
-    FANOUT_VARIANTS,
-    execution_variants,
-    make_random_instance,
-)
+from tests.conftest import BLOCK_VARIANTS, execution_variants, make_random_instance
 
 TOLERANCE = 1e-12
 
@@ -165,7 +160,7 @@ def test_schedulers_identical_across_backends(algorithm, config, layout):
     k = min(instance.num_events, instance.num_intervals + 2)
     results = {
         backend: run_scheduler(
-            algorithm, instance, k, execution=layout.execution(backend=backend, workers=2)
+            algorithm, instance, k, execution=layout.execution(backend=backend)
         )
         for backend in available_backends()
     }
@@ -181,7 +176,7 @@ def test_backend_selection_surface():
     instance = make_random_instance(seed=40, num_users=10, num_events=5, num_intervals=2)
     assert ScoringEngine(instance).backend == DEFAULT_BACKEND
     assert ScoringEngine(instance, execution=ExecutionConfig(backend="scalar")).backend == "scalar"
-    assert ScoringEngine(instance, execution=ExecutionConfig(backend="cluster")).backend == "cluster"
+    assert ScoringEngine(instance, execution=ExecutionConfig(backend="batch")).backend == "batch"
     with pytest.raises(SolverError):
         ScoringEngine(instance, execution=ExecutionConfig(backend="gpu"))
     with pytest.raises(SolverError):
@@ -199,22 +194,6 @@ def test_score_matrix_counts_one_score_per_pair(layout):
         assert counter.user_computations == pairs * instance.num_users
         assert counter.initial_computations == pairs
         assert counter.update_computations == 0
-
-
-@pytest.mark.parametrize("variant", FANOUT_VARIANTS)
-def test_fanout_variants_really_fan_out(variant, execution_for):
-    """The suites' fan-out variants must shard work over two lanes, or their
-    bit-identity checks would only re-run the serial batch path."""
-    instance = make_random_instance(seed=42, num_users=12, num_events=6, num_intervals=4)
-    engine = ScoringEngine(instance, execution=execution_for(variant))
-    try:
-        assert engine.execution.workers == 2
-        engine.score_matrix(count=False)
-        stats = engine.execution_backend.stats()
-        assert len(stats["workers"]) == 2
-        assert stats["tasks"] == instance.num_intervals
-    finally:
-        engine.close()
 
 
 @pytest.mark.parametrize("variant", tuple(BLOCK_VARIANTS))

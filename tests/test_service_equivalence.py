@@ -17,8 +17,8 @@ property-testing way:
   solve plus a fresh :class:`~repro.core.scoring.ScoringEngine` grid.
 
 Every test runs once per :data:`CONFIGURATIONS` entry — a storage × plan
-``layout`` (``tests/conftest.py``) plus the backend knobs the session and
-the cold reference share.
+``layout`` (``tests/conftest.py``) on the default ``batch`` backend, shared
+by the session and the cold reference.
 """
 
 from __future__ import annotations
@@ -47,29 +47,22 @@ from repro.service import (
     UpdateInterest,
 )
 
-#: ``(layout, backend knobs)`` the whole suite runs under: the library
-#: default, the cluster backend on two localhost workers, sparse storage, and
-#: mmap storage on the blocked plan (whose instances get duplicate-heavy users).
+#: Layouts the whole suite runs under: the library default, sparse storage,
+#: and mmap storage on the blocked plan (whose instances get duplicate-heavy
+#: users).
 CONFIGURATIONS = [
-    pytest.param("dense-direct", {}, id="dense-direct-batch"),
-    pytest.param("dense-direct", {"backend": "cluster"}, id="dense-direct-cluster2"),
-    pytest.param("sparse-direct", {}, id="sparse-direct-batch"),
-    pytest.param("mmap-blocked", {}, id="mmap-blocked-batch"),
+    pytest.param("dense-direct", id="dense-direct-batch"),
+    pytest.param("sparse-direct", id="sparse-direct-batch"),
+    pytest.param("mmap-blocked", id="mmap-blocked-batch"),
 ]
 
-pytestmark = pytest.mark.parametrize("layout, knobs", CONFIGURATIONS, indirect=["layout"])
+pytestmark = pytest.mark.parametrize("layout", CONFIGURATIONS, indirect=True)
 
 
 @pytest.fixture
-def execution(request, layout, knobs) -> ExecutionConfig:
-    """The execution config of both the session and the cold reference.
-
-    A ``cluster`` configuration dispatches to the suite's two live
-    localhost workers (the ``local_cluster`` fixture).
-    """
-    if knobs.get("backend") == "cluster":
-        knobs = {**knobs, "workers_addr": request.getfixturevalue("local_cluster")}
-    return layout.execution(**knobs)
+def execution(layout) -> ExecutionConfig:
+    """The execution config of both the session and the cold reference."""
+    return layout.execution()
 
 
 #: Algorithms the replay rotates through (every grid-consuming scheduler).
@@ -114,14 +107,9 @@ def cold_initial_grid(session: SchedulingSession, execution) -> np.ndarray:
     """The initial |E| × |T| grid a fresh engine computes after the locks."""
     instance = session.instance()
     engine = ScoringEngine(instance, execution=execution)
-    try:
-        for event_id, interval_id in sorted(session.locks().items()):
-            engine.apply(
-                instance.event_index(event_id), instance.interval_index(interval_id)
-            )
-        return engine.score_matrix(initial=True, count=False)
-    finally:
-        engine.close()
+    for event_id, interval_id in sorted(session.locks().items()):
+        engine.apply(instance.event_index(event_id), instance.interval_index(interval_id))
+    return engine.score_matrix(initial=True, count=False)
 
 
 def assert_resolve_matches_cold(session, k, algorithm, seed, execution):

@@ -11,9 +11,10 @@ nothing a client does can corrupt a session:
 * a client that disconnects mid-conversation (even between a mutate request
   and its reply) only ends its own connection thread — the next connection
   finds every session intact;
-* a client with the wrong cluster key fails the HMAC handshake before any
+* a client with the wrong authkey fails the HMAC handshake before any
   request is read, and binding a non-loopback host with the default (public)
-  key is refused outright.
+  key — or with an empty one — is refused outright, as is an out-of-range
+  port.
 
 Everything runs against an in-process server on an ephemeral loopback port,
 the same wiring ``repro serve`` uses.
@@ -22,21 +23,16 @@ the same wiring ``repro serve`` uses.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
 from multiprocessing.connection import Client
 
 import pytest
 
-from repro.core.distributed.protocol import (
-    OP_MUTATE,
-    OP_PING,
-    PROTOCOL_VERSION,
-    STATUS_ERROR,
-    authkey_bytes,
-    parse_worker_address,
-)
-from repro.core.distributed.worker import WorkerServer
+from repro.cli import main
 from repro.core.entities import Event
 from repro.core.errors import SolverError
 from repro.service import (
@@ -51,6 +47,17 @@ from repro.service.session import (
     SetIntervalCapacity,
     UpdateInterest,
 )
+from repro.service.wire import (
+    OP_MUTATE,
+    OP_PING,
+    OP_SHUTDOWN,
+    PROTOCOL_VERSION,
+    STATUS_ERROR,
+    STATUS_OK,
+    authkey_bytes,
+    is_loopback_host,
+    parse_address,
+)
 from tests.conftest import make_random_instance
 
 
@@ -61,25 +68,11 @@ def service():
     handle.stop()
 
 
-#: Both long-running servers share one ``WireServer`` lifecycle.
-SERVER_KINDS = {"service": ServiceServer, "worker": WorkerServer}
-
-
 def serve_on_thread(server):
     """Run ``server.serve_forever`` on a daemon thread and return the thread."""
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return thread
-
-
-@pytest.fixture(params=sorted(SERVER_KINDS))
-def wire_server(request):
-    """A thread-hosted server of either kind on an ephemeral loopback port."""
-    server = SERVER_KINDS[request.param]("127.0.0.1", 0)
-    thread = serve_on_thread(server)
-    yield server
-    server.stop()
-    thread.join(5.0)
 
 
 @pytest.fixture()
@@ -101,7 +94,7 @@ class TestRoundTrip:
     def test_ping_reports_protocol_version(self, service):
         with ServiceClient(service.address) as client:
             reply = client.ping()
-        assert reply["version"] == PROTOCOL_VERSION
+        assert reply["version"] == PROTOCOL_VERSION == 3
         assert reply["sessions"] == 0
         assert reply["requests_served"] >= 1
 
@@ -274,8 +267,8 @@ class TestRejectedBatches:
                 client.resolve(session_id, 5, algorithm=algorithm)
             assert client.get_schedule(session_id) == schedule
 
-    def test_malformed_request_is_answered_not_fatal(self, wire_server):
-        host, port = parse_worker_address(wire_server.address)
+    def test_malformed_request_is_answered_not_fatal(self, service):
+        host, port = parse_address(service.address)
         with Client((host, port), authkey=authkey_bytes(None)) as connection:
             connection.send("not a tuple")
             status, payload = connection.recv()
@@ -295,7 +288,7 @@ class TestDisconnects:
         with ServiceClient(service.address) as client:
             session_id = client.load_instance(instance)
             client.resolve(session_id, 5)
-        host, port = parse_worker_address(service.address)
+        host, port = parse_address(service.address)
         batch = [mutation_to_dict(UpdateInterest(user_id="u0", values={"e0": 0.3}))]
         rude = Client((host, port), authkey=authkey_bytes(None))
         rude.send((OP_MUTATE, session_id, batch))
@@ -310,40 +303,65 @@ class TestDisconnects:
             assert result["service"]["warm"] is True
 
     def test_connect_then_vanish_without_request(self, service):
-        host, port = parse_worker_address(service.address)
+        host, port = parse_address(service.address)
         Client((host, port), authkey=authkey_bytes(None)).close()
         with ServiceClient(service.address) as client:
             assert client.ping()["version"] == PROTOCOL_VERSION
 
 
 class TestAuthAndShutdown:
-    def test_wrong_cluster_key_fails_handshake(self, wire_server, instance):
+    def test_wrong_authkey_fails_handshake(self, service, instance):
         with pytest.raises(multiprocessing.AuthenticationError):
-            ServiceClient(wire_server.address, cluster_key="not-the-key")
+            ServiceClient(service.address, authkey="not-the-key")
         # The failed handshake must not wedge the accept loop.
-        with ServiceClient(wire_server.address) as client:
-            if isinstance(wire_server, ServiceServer):
-                assert client.load_instance(instance).startswith("s")
-            else:
-                assert client.ping()["version"] == PROTOCOL_VERSION
+        with ServiceClient(service.address) as client:
+            assert client.load_instance(instance).startswith("s")
 
-    @pytest.mark.parametrize("kind", sorted(SERVER_KINDS))
-    def test_stop_ends_a_wildcard_bind(self, kind):
+    def test_stop_ends_a_wildcard_bind(self):
         """stop() wakes accept() through 127.0.0.1 when the bind is ``0.0.0.0``."""
-        server = SERVER_KINDS[kind]("0.0.0.0", 0, cluster_key="wildcard-test-key")
+        server = ServiceServer("0.0.0.0", 0, authkey="wildcard-test-key")
         thread = serve_on_thread(server)
-        _, port = parse_worker_address(server.address)
+        _, port = parse_address(server.address)
         # One answered request proves the accept loop is running.
-        with ServiceClient(f"127.0.0.1:{port}", cluster_key="wildcard-test-key") as client:
+        with ServiceClient(f"127.0.0.1:{port}", authkey="wildcard-test-key") as client:
             assert client.ping()["version"] == PROTOCOL_VERSION
         server.stop()
         thread.join(5.0)
         assert not thread.is_alive()
 
-    def test_non_loopback_default_key_refused(self):
+    @pytest.mark.parametrize("authkey", [None, ""], ids=["default", "empty"])
+    def test_non_loopback_default_key_refused(self, authkey):
         for host in ("0.0.0.0", "127.example.com"):
-            with pytest.raises(SolverError, match="refusing to bind"):
-                ServiceServer(host, 0)
+            with pytest.raises(SolverError, match="refusing to bind|non-empty"):
+                ServiceServer(host, 0, authkey=authkey)
+
+    @pytest.mark.parametrize("authkey", ["", b"bytes-key", 7], ids=repr)
+    def test_empty_or_non_string_authkey_rejected(self, service, authkey):
+        with pytest.raises(SolverError, match="authkey"):
+            ServiceServer("127.0.0.1", 0, authkey=authkey)
+        with pytest.raises(SolverError, match="authkey"):
+            ServiceClient(service.address, authkey=authkey)
+
+    @pytest.mark.parametrize("port", [70000, -1, 65536])
+    def test_out_of_range_port_refused(self, port):
+        with pytest.raises(SolverError, match="0..65535"):
+            ServiceServer("127.0.0.1", port)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-1"],
+            ["serve", "--host", "0.0.0.0", "--authkey", ""],
+            ["serve", "--host", "0.0.0.0"],
+        ],
+        ids=["port-70000", "port-minus-1", "wildcard-empty-key", "wildcard-default-key"],
+    )
+    def test_cli_serve_refuses_before_listening(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "listening" not in captured.out
+        assert captured.err.startswith("error: ")
 
     def test_closed_client_raises_cleanly(self, service):
         client = ServiceClient(service.address)
@@ -359,6 +377,55 @@ class TestAuthAndShutdown:
             client.shutdown_server()
         handle.thread.join(5.0)
         assert not handle.thread.is_alive()
-        host, port = parse_worker_address(handle.address)
+        host, port = parse_address(handle.address)
         with pytest.raises((OSError, EOFError)):
             Client((host, port), authkey=authkey_bytes(None))
+
+
+class TestAddresses:
+    @pytest.mark.parametrize(
+        "host, loopback",
+        [
+            ("localhost", True),
+            ("127.0.0.1", True),
+            ("127.0.0.2", True),
+            ("::1", True),
+            ("127.example.com", False),
+            ("0.0.0.0", False),
+            ("10.0.0.5", False),
+        ],
+    )
+    def test_loopback_host_check(self, host, loopback):
+        assert is_loopback_host(host) is loopback
+
+    @pytest.mark.parametrize("bad", ["nohost", "host:", "host:notaport", "host:0", "h:1:2"])
+    def test_invalid_addresses_rejected(self, bad):
+        with pytest.raises(SolverError):
+            parse_address(bad)
+
+
+def test_serve_subcommand_end_to_end():
+    """`repro serve` announces its address, answers a ping, and shuts down."""
+    src_dir = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve"], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        line = process.stdout.readline().strip()
+        assert "listening on" in line
+        host, port = parse_address(line.rsplit(" ", 1)[-1])
+        with Client((host, port), authkey=authkey_bytes(None)) as connection:
+            connection.send((OP_PING,))
+            status, payload = connection.recv()
+            assert status == STATUS_OK
+            assert payload["version"] == PROTOCOL_VERSION
+            connection.send((OP_SHUTDOWN,))
+            status, _ = connection.recv()
+            assert status == STATUS_OK
+        assert process.wait(timeout=10) == 0
+    finally:
+        if process.poll() is None:  # pragma: no cover - cleanup on failure
+            process.kill()
+            process.wait()

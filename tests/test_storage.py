@@ -177,10 +177,8 @@ class TestAccessorEquality:
 
     def test_file_backing_flags(self, stores, tmp_path):
         _, by_name = stores
-        assert not by_name["dense"].is_file_backed
         assert by_name["dense"].path is None
-        assert not by_name["sparse"].is_file_backed
-        assert by_name["mmap"].is_file_backed
+        assert by_name["sparse"].path is None
         assert by_name["mmap"].path == str(tmp_path / "store.npz")
         assert by_name["mmap"].prefix == "interest"
 
@@ -499,7 +497,7 @@ class TestFromEntries:
             4, 3, [(0, 0, 0.5), (3, 2, 0.25)], storage="mmap", path=path
         )
         assert matrix.storage == "mmap"
-        assert matrix.store.is_file_backed
+        assert matrix.store.path == path
         assert matrix.value(3, 2) == 0.25
 
     def test_empty_entries_build_zeros(self):

@@ -147,7 +147,7 @@ class TestMmapReopen:
         backing = mmapped.backing_file
         assert backing is not None
         # Rebuild purely from the backing file, as a separate process (or a
-        # later session, or a cluster worker) would.
+        # later session) would.
         reopened = load_npz(backing, mmap=True)
         assert reopened.storage == "mmap"
         np.testing.assert_array_equal(ScoringEngine(reopened).score_matrix(), reference)
