@@ -178,7 +178,7 @@ class TestCliReference:
 
 
 class TestWireProtocolTable:
-    def test_architecture_op_table_matches_wire_module(self):
+    def test_architecture_op_table_matches_protocol_module(self):
         """The op table documents exactly the OP_* constants of service/wire.py."""
         from repro.service import wire
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.algorithms.registry import get_scheduler, run_scheduler
 from repro.cli import main
 from repro.core.errors import SolverError
@@ -120,11 +123,71 @@ class TestRegistry:
             get_backend("nope")
         assert "batch" in str(excinfo.value)
 
-    @pytest.mark.parametrize("retired", ["parallel", "cluster"])
-    def test_retired_backends_are_unknown(self, retired):
+    def test_retired_thread_backend_is_unknown(self):
         with pytest.raises(SolverError) as excinfo:
-            ExecutionConfig(backend=retired).resolve(num_users=10)
+            ExecutionConfig(backend="parallel").resolve(num_users=10)
         assert "available: scalar, batch" in str(excinfo.value)
+
+    def test_retired_cluster_backend_is_unknown(self):
+        with pytest.raises(SolverError) as excinfo:
+            ExecutionConfig(backend="cluster").resolve(num_users=10)
+        assert "available: scalar, batch" in str(excinfo.value)
+
+
+#: Commands that run as given, to which each retired flag is appended.
+VALID_COMMANDS = {
+    "solve": [
+        "solve", "--dataset", "Unf", "-k", "2", "--users", "10", "--events", "5",
+        "--intervals", "2", "--algorithms", "TOP",
+    ],
+    "experiment": ["experiment", "fig5", "--scale", "tiny"],
+    "serve": ["serve", "--port", "0"],
+}
+
+#: The cluster's flags, each with a value it once accepted.
+RETIRED_FLAGS = [
+    ("--workers", "2"),
+    ("--cluster", "127.0.0.1:7077"),
+    ("--cluster-key", "secret"),
+]
+
+
+class TestRetiredClusterSurface:
+    """Every solve runs in one process: the cluster's knobs, result fields and
+    commands are gone rather than silently ignored."""
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("workers", 2), ("workers_addr", ("127.0.0.1:7077",)), ("cluster_key", "secret")],
+        ids=["workers", "workers_addr", "cluster_key"],
+    )
+    def test_execution_config_rejects_retired_knob(self, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            ExecutionConfig(**{knob: value})
+
+    @pytest.mark.parametrize("field", ["workers", "cluster", "cluster_stats"])
+    def test_results_and_records_carry_no_cluster_fields(self, field):
+        instance = make_random_instance(seed=101, num_users=8, num_events=4, num_intervals=2)
+        result = run_scheduler("TOP", instance, 2)
+        assert not hasattr(result, field)
+        assert field not in result.summary()
+        (record,) = run_algorithms(instance, 2, algorithms=["TOP"])
+        assert field not in record.params
+
+    @pytest.mark.parametrize("flag, value", RETIRED_FLAGS, ids=[flag for flag, _ in RETIRED_FLAGS])
+    @pytest.mark.parametrize("command", sorted(VALID_COMMANDS))
+    def test_cli_rejects_retired_flags(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*VALID_COMMANDS[command], flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["worker", "serve"], ["cluster", "health"]], ids=" ".join)
+    def test_cli_rejects_retired_commands(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
 class TestCatalogue:
@@ -149,6 +212,56 @@ class TestCatalogue:
         assert "backends:" in capsys.readouterr().out
 
 
+#: What only the scheduling service may load: the stdlib's socket
+#: transport and the service package (with its wire layer).
+NETWORKING_MODULES = ("multiprocessing.connection", "repro.service")
+
+
+def _non_service_modules():
+    """Every ``repro`` module outside the service package, sorted.
+
+    ``repro.__main__`` is left out: importing it runs the CLI.
+    """
+    return sorted(
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name != "repro.__main__"
+        and info.name != "repro.service"
+        and not info.name.startswith("repro.service.")
+    )
+
+
+#: Imports each module named on the command line in turn and prints, as JSON,
+#: which of the networking modules were loaded after each import.
+_IMPORT_PROBE = """
+import importlib, json, sys
+forbidden = json.loads(sys.argv[1])
+loaded = {}
+for name in sys.argv[2:]:
+    importlib.import_module(name)
+    loaded[name] = [module for module in forbidden if module in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def _probe_imports(modules):
+    """Run :data:`_IMPORT_PROBE` over ``modules`` in a fresh interpreter."""
+    completed = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(NETWORKING_MODULES), *modules],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    return json.loads(completed.stdout)
+
+
+@pytest.fixture(scope="module")
+def cumulative_imports():
+    """The probe over every non-service module, imported one after another."""
+    return _probe_imports(_non_service_modules())
+
+
 class TestLayering:
     def test_solving_imports_no_networking(self):
         """The solver stack never loads the service's wire layer."""
@@ -167,3 +280,18 @@ class TestLayering:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert completed.stdout.strip() == ""
+
+    def test_probe_sees_the_service_load_networking(self):
+        """The probe detects a module that does load the wire layer."""
+        assert _probe_imports(["repro.service"]) == {"repro.service": list(NETWORKING_MODULES)}
+
+    @pytest.mark.parametrize("module", _non_service_modules())
+    def test_module_imports_no_networking(self, module, cumulative_imports):
+        """Importing ``module`` loads neither the socket transport nor the service.
+
+        One interpreter imports every module in turn, so a clean entry clears
+        that module; a dirty one is re-probed alone, in a fresh interpreter,
+        to tell the culprit from the modules imported after it.
+        """
+        if cumulative_imports[module]:
+            assert _probe_imports([module]) == {module: []}

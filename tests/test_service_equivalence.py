@@ -17,8 +17,8 @@ property-testing way:
   solve plus a fresh :class:`~repro.core.scoring.ScoringEngine` grid.
 
 Every test runs once per :data:`CONFIGURATIONS` entry — a storage × plan
-``layout`` (``tests/conftest.py``) on the default ``batch`` backend, shared
-by the session and the cold reference.
+``layout`` (``tests/conftest.py``) plus the backend knobs the session and
+the cold reference share.
 """
 
 from __future__ import annotations
@@ -47,22 +47,28 @@ from repro.service import (
     UpdateInterest,
 )
 
-#: Layouts the whole suite runs under: the library default, sparse storage,
-#: and mmap storage on the blocked plan (whose instances get duplicate-heavy
-#: users).
+#: ``(layout, backend knobs)`` the whole suite runs under: the library
+#: default; the per-pair ``scalar`` reference backend; ``batch`` walking the
+#: event axis in ragged blocks of three; every storage on the direct plan;
+#: and the blocked plan on dense and on mmap storage (blocked instances get
+#: duplicate-heavy users).
 CONFIGURATIONS = [
-    pytest.param("dense-direct", id="dense-direct-batch"),
-    pytest.param("sparse-direct", id="sparse-direct-batch"),
-    pytest.param("mmap-blocked", id="mmap-blocked-batch"),
+    pytest.param("dense-direct", {}, id="dense-direct-batch"),
+    pytest.param("dense-direct", {"backend": "scalar"}, id="dense-direct-scalar"),
+    pytest.param("dense-direct", {"chunk_size": 3}, id="dense-direct-batch-chunk3"),
+    pytest.param("sparse-direct", {}, id="sparse-direct-batch"),
+    pytest.param("mmap-direct", {}, id="mmap-direct-batch"),
+    pytest.param("dense-blocked", {}, id="dense-blocked-batch"),
+    pytest.param("mmap-blocked", {}, id="mmap-blocked-batch"),
 ]
 
-pytestmark = pytest.mark.parametrize("layout", CONFIGURATIONS, indirect=True)
+pytestmark = pytest.mark.parametrize("layout, knobs", CONFIGURATIONS, indirect=["layout"])
 
 
 @pytest.fixture
-def execution(layout) -> ExecutionConfig:
+def execution(layout, knobs) -> ExecutionConfig:
     """The execution config of both the session and the cold reference."""
-    return layout.execution()
+    return layout.execution(**knobs)
 
 
 #: Algorithms the replay rotates through (every grid-consuming scheduler).
@@ -173,6 +179,18 @@ def random_mutation(rng, session, pool, fresh_ids):
         interval_id=str(rng.choice(interval_ids)),
         capacity=None if capacity is None else int(capacity),
     )
+
+
+class TestConfiguration:
+    def test_resolve_runs_on_the_configured_layout(self, layout, execution):
+        """A resolve records the configured backend, plan and storage: no
+        configuration silently falls back to the library default."""
+        instance = layout.instance(seed=81, num_users=30, num_events=9, num_intervals=3)
+        session = SchedulingSession(instance, seed=81, execution=execution)
+        result = session.resolve(4)
+        resolved = execution.resolve(num_users=instance.num_users)
+        assert result.backend == resolved.backend
+        assert (result.storage, result.plan) == (layout.storage, layout.plan)
 
 
 class TestRandomizedReplay:

@@ -48,8 +48,13 @@ from repro.service.session import (
     UpdateInterest,
 )
 from repro.service.wire import (
+    DEFAULT_AUTHKEY,
+    OP_GET_SCHEDULE,
+    OP_LOAD_INSTANCE,
     OP_MUTATE,
     OP_PING,
+    OP_RESOLVE,
+    OP_SESSION_STATUS,
     OP_SHUTDOWN,
     PROTOCOL_VERSION,
     STATUS_ERROR,
@@ -347,6 +352,11 @@ class TestAuthAndShutdown:
         with pytest.raises(SolverError, match="0..65535"):
             ServiceServer("127.0.0.1", port)
 
+    @pytest.mark.parametrize("port", [True, "7077", 7077.0, None], ids=repr)
+    def test_non_integer_port_refused(self, port):
+        with pytest.raises(SolverError, match="0..65535"):
+            ServiceServer("127.0.0.1", port)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -390,18 +400,104 @@ class TestAddresses:
             ("127.0.0.1", True),
             ("127.0.0.2", True),
             ("::1", True),
+            ("127.255.255.254", True),
             ("127.example.com", False),
             ("0.0.0.0", False),
+            ("::", False),
             ("10.0.0.5", False),
+            ("", False),
         ],
     )
     def test_loopback_host_check(self, host, loopback):
         assert is_loopback_host(host) is loopback
 
-    @pytest.mark.parametrize("bad", ["nohost", "host:", "host:notaport", "host:0", "h:1:2"])
+    @pytest.mark.parametrize(
+        "address, expected",
+        [
+            ("127.0.0.1:7077", ("127.0.0.1", 7077)),
+            ("localhost:1", ("localhost", 1)),
+            ("example.org:65535", ("example.org", 65535)),
+            (" host :80", ("host", 80)),
+        ],
+    )
+    def test_valid_addresses_parse(self, address, expected):
+        assert parse_address(address) == expected
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "nohost", "host:", "host:notaport", "host:0", "h:1:2",
+            "", ":", ":7077", "host:65536", "host:-1", "[::1]:7077", 7077, None,
+        ],
+    )
     def test_invalid_addresses_rejected(self, bad):
         with pytest.raises(SolverError):
             parse_address(bad)
+
+    @pytest.mark.parametrize(
+        "authkey, expected",
+        [
+            (None, DEFAULT_AUTHKEY.encode("utf-8")),
+            ("secret", b"secret"),
+            ("clé", "clé".encode("utf-8")),
+        ],
+        ids=["default", "ascii", "non-ascii"],
+    )
+    def test_authkey_bytes(self, authkey, expected):
+        assert authkey_bytes(authkey) == expected
+
+    @pytest.mark.parametrize("authkey", ["", b"secret", 7, ["secret"]], ids=repr)
+    def test_authkey_bytes_rejects_empty_or_non_string(self, authkey):
+        with pytest.raises(SolverError, match="non-empty string"):
+            authkey_bytes(authkey)
+
+
+#: Stands for the id of the live session in :data:`MALFORMED_REQUESTS`.
+LIVE = "<live session>"
+
+#: Requests the service must answer with an error, one per way each op's
+#: payload can be wrong.
+MALFORMED_REQUESTS = [
+    pytest.param((OP_LOAD_INSTANCE,), id="load-instance-missing-payload"),
+    pytest.param((OP_LOAD_INSTANCE, "not a dict"), id="load-instance-non-mapping"),
+    pytest.param((OP_LOAD_INSTANCE, {}), id="load-instance-empty-mapping"),
+    pytest.param((OP_MUTATE, "s999", []), id="mutate-unknown-session"),
+    pytest.param((OP_MUTATE, LIVE), id="mutate-missing-batch"),
+    pytest.param((OP_MUTATE, LIVE, [{"op": "no-such-mutation"}]), id="mutate-unknown-mutation"),
+    pytest.param((OP_MUTATE, LIVE, "not a list"), id="mutate-non-list-batch"),
+    pytest.param((OP_RESOLVE, "s999", 3), id="resolve-unknown-session"),
+    pytest.param((OP_RESOLVE, LIVE), id="resolve-missing-k"),
+    pytest.param((OP_RESOLVE, LIVE, 3, {"algorithm": "NOPE"}), id="resolve-unknown-algorithm"),
+    pytest.param((OP_GET_SCHEDULE, "s999"), id="get-schedule-unknown-session"),
+    pytest.param((OP_GET_SCHEDULE,), id="get-schedule-missing-session"),
+    pytest.param((OP_SESSION_STATUS, "s999"), id="session-status-unknown-session"),
+    pytest.param((OP_SESSION_STATUS, LIVE, "extra"), id="session-status-extra-argument"),
+    pytest.param((42,), id="non-string-op"),
+    pytest.param((), id="empty-request"),
+]
+
+
+class TestMalformedOps:
+    @pytest.mark.parametrize("request_", MALFORMED_REQUESTS)
+    def test_answered_with_an_error_leaving_sessions_intact(self, service, instance, request_):
+        """A malformed request gets an error reply; the connection keeps
+        serving and the live session keeps its schedule."""
+        host, port = parse_address(service.address)
+        with ServiceClient(service.address) as client:
+            session_id = client.load_instance(instance)
+            client.resolve(session_id, 5)
+            schedule = client.get_schedule(session_id)
+            request_ = tuple(session_id if part == LIVE else part for part in request_)
+            with Client((host, port), authkey=authkey_bytes(None)) as connection:
+                connection.send(request_)
+                status, payload = connection.recv()
+                assert status == STATUS_ERROR
+                assert isinstance(payload, str) and payload
+                connection.send((OP_PING,))
+                status, reply = connection.recv()
+                assert status == STATUS_OK
+                assert reply["sessions"] == 1
+            assert client.get_schedule(session_id) == schedule
 
 
 def test_serve_subcommand_end_to_end():
