@@ -1,11 +1,13 @@
-"""Execution backends against their reference: ``batch`` over ``scalar``.
+"""The engine's bulk scoring path against its reference: ``batch`` over ``oracle``.
 
-The ``scalar-batch`` case times HOR with ``k = |T|`` (a full run *is* the
+The ``oracle-batch`` case times HOR with ``k = |T|`` (a full run *is* the
 initial round, pure score-evaluation throughput) on a random unconstrained
-instance (every pair feasible, the worst case) under the per-pair ``scalar``
-reference and the vectorised ``batch`` backend.  It checks that both legs'
-raw score matrices are bit-identical and that their schedules, utilities and
-counters agree, and asserts ``batch``'s wall-clock speedup.
+instance (every pair feasible, the worst case) under the per-pair oracle of
+the test suite (``tests/oracle.py``, patched into the engine for the leg)
+and on the engine's vectorised bulk path (``batch``).  It checks that both
+legs' raw score matrices are bit-identical and that their schedules,
+utilities and counters agree, and asserts the bulk path's wall-clock
+speedup.  Run it from the repository root, so ``tests.oracle`` imports.
 
 Scales (``REPRO_BENCH_SCALE``; events × intervals × users, minimum speedup):
 
@@ -30,11 +32,13 @@ from repro.core.instance import SESInstance
 from repro.core.scoring import ScoringEngine
 
 from benchmarks.conftest import persist_rows, run_once
+from tests.oracle import ORACLE, SCORING_PATHS
 
 
 @dataclass(frozen=True)
-class BackendCase:
-    """One candidate backend timed against its baseline backend."""
+class PathCase:
+    """One candidate scoring path timed against its baseline path
+    (names of :data:`tests.oracle.SCORING_PATHS`)."""
 
     baseline: str
     candidate: str
@@ -45,9 +49,9 @@ class BackendCase:
     scales: Dict[str, Tuple[int, int, int, float]]
 
 
-CASES: Dict[str, BackendCase] = {
-    "scalar-batch": BackendCase(
-        "scalar", "batch", HorScheduler, seed=7,
+CASES: Dict[str, PathCase] = {
+    "oracle-batch": PathCase(
+        ORACLE, "batch", HorScheduler, seed=7,
         scales={
             "tiny": (120, 12, 60, 2.0),
             "small": (500, 50, 200, 3.0),
@@ -68,23 +72,29 @@ def build_instance(
     )
 
 
-def time_run(case: BackendCase, instance: SESInstance, backend: str, repetitions=1):
+def time_run(case: PathCase, instance: SESInstance, path: str, repetitions=1):
     """Best-of-N timing of one ``k = |T|`` run; returns ``(seconds, result)``.
 
     The minimum over repetitions is the standard robust estimator on noisy
     shared machines — every source of interference only ever adds time.
     """
-    execution = ExecutionConfig(backend=backend)
     best_elapsed, result = float("inf"), None
-    for _ in range(repetitions):
-        scheduler = case.scheduler(instance, execution=execution)
-        started = time.perf_counter()
-        result = scheduler.schedule(instance.num_intervals)
-        best_elapsed = min(best_elapsed, time.perf_counter() - started)
+    with SCORING_PATHS[path]():
+        for _ in range(repetitions):
+            scheduler = case.scheduler(instance, execution=ExecutionConfig())
+            started = time.perf_counter()
+            result = scheduler.schedule(instance.num_intervals)
+            best_elapsed = min(best_elapsed, time.perf_counter() - started)
     return best_elapsed, result
 
 
-def compare_backends(case_id: str, scale: str):
+def score_matrix(instance: SESInstance, path: str) -> np.ndarray:
+    """The raw score matrix of a fresh engine on ``path``."""
+    with SCORING_PATHS[path]():
+        return ScoringEngine(instance).score_matrix(count=False)
+
+
+def compare_paths(case_id: str, scale: str):
     case = CASES[case_id]
     num_events, num_intervals, num_users, _ = case.scales[scale]
     legs = (case.baseline, case.candidate)
@@ -103,7 +113,7 @@ def compare_backends(case_id: str, scale: str):
             {
                 "scale": scale,
                 "case": case_id,
-                "backend": leg,
+                "path": leg,
                 "events": num_events,
                 "intervals": num_intervals,
                 "users": num_users,
@@ -115,24 +125,21 @@ def compare_backends(case_id: str, scale: str):
     # Ratios come from the raw timings — rounding is for display only.
     for row in rows:
         row[f"speedup_vs_{case.baseline}"] = round(
-            timings[case.baseline] / max(timings[row["backend"]], 1e-9), 2
+            timings[case.baseline] / max(timings[row["path"]], 1e-9), 2
         )
     speedup = timings[case.baseline] / max(timings[case.candidate], 1e-9)
 
     # Bit-identity of the raw score matrices, on the benchmark instance itself.
-    baseline_matrix, candidate_matrix = (
-        ScoringEngine(instance, execution=ExecutionConfig(backend=leg)).score_matrix(count=False)
-        for leg in legs
-    )
+    baseline_matrix, candidate_matrix = (score_matrix(instance, leg) for leg in legs)
     identical = np.array_equal(baseline_matrix, candidate_matrix)
     return rows, results, speedup, identical
 
 
 @pytest.mark.parametrize("case_id", list(CASES))
-def test_backend_speedup(benchmark, bench_scale, results_dir, case_id):
+def test_bulk_path_speedup(benchmark, bench_scale, results_dir, case_id):
     case = CASES[case_id]
     scale = bench_scale if bench_scale in case.scales else "small"
-    rows, results, speedup, identical = run_once(benchmark, compare_backends, case_id, scale)
+    rows, results, speedup, identical = run_once(benchmark, compare_paths, case_id, scale)
     text = persist_rows(f"backends_{case_id}", rows, results_dir)
     print("\n" + text)
     print(f"{case.candidate} speedup over {case.baseline}: {speedup:.2f}x")

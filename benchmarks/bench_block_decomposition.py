@@ -114,7 +114,7 @@ def build_duplicate_heavy_instance(
 
 
 def execution_for(plan: str) -> ExecutionConfig:
-    return ExecutionConfig(backend="batch", plan=plan, chunk_size=CHUNK_SIZE)
+    return ExecutionConfig(plan=plan, chunk_size=CHUNK_SIZE)
 
 
 def time_top_run(instance: SESInstance, plan: str):

@@ -1,19 +1,21 @@
-"""Scalar vs. batch backends on INC/HOR-I *beyond-first-round* work.
+"""The per-pair oracle vs. the bulk path on INC/HOR-I *beyond-first-round* work.
 
-PR 1's backend benchmark measures generation throughput (HOR's initial
-round).  This one measures what the batched incremental refresh adds on top:
+``bench_backends.py`` measures generation throughput (HOR's initial round).
+This one measures what the batched incremental refresh adds on top:
 the later-round work of the two incremental algorithms — INC's per-selection
 stale-prefix updates and HOR-I's round-start refreshes plus lazy head
 resolution.
 
-The later-round cost is isolated by differencing two runs per backend:
+The later-round cost is isolated by differencing two runs per scoring path
+(the test suite's per-pair oracle, ``tests/oracle.py``, and the engine's
+bulk path, ``batch``):
 
 * INC: a full ``k = |T|`` run minus a ``k = 1`` run (generation plus one
   selection, no updates);
 * HOR-I: a two-round ``k = 2·|T|`` run minus a one-round ``k = |T|`` run
   (whose refresh paths never fire).
 
-Both backends must produce identical schedules, utilities and counters —
+Both paths must produce identical schedules, utilities and counters —
 the benchmark asserts it — so the ratio of the differences is a pure
 wall-clock comparison of the refresh implementation.
 
@@ -27,6 +29,8 @@ Scales (``REPRO_BENCH_SCALE``):
 * ``small`` — 500 events × 50 intervals × 200 users (the acceptance-criteria
   size, default);
 * ``default`` — 900 events × 90 intervals × 400 users.
+
+Run it from the repository root, so ``tests.oracle`` imports.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
 
 from benchmarks.conftest import persist_rows, run_once
+from tests.oracle import ORACLE, SCORING_PATHS
+
+#: The timed scoring paths: the baseline first.
+PATHS = (ORACLE, "batch")
 
 #: Scheduler options per algorithm: INC's structural bound is off so that
 #: its refresh walks run (the bound skips all of them on this instance).
@@ -62,16 +70,17 @@ def build_instance(num_events: int, num_intervals: int, num_users: int) -> SESIn
     )
 
 
-def time_run(algorithm: str, instance: SESInstance, k: int, backend: str, repetitions: int = 3):
+def time_run(algorithm: str, instance: SESInstance, k: int, path: str, repetitions: int = 3):
     """Best-of-N timing of one scheduler run (min is robust to interference)."""
     best_elapsed, result = float("inf"), None
-    for _ in range(repetitions):
-        scheduler = get_scheduler(algorithm)(
-            instance, execution=ExecutionConfig(backend=backend), **OPTIONS[algorithm]
-        )
-        started = time.perf_counter()
-        result = scheduler.schedule(k)
-        best_elapsed = min(best_elapsed, time.perf_counter() - started)
+    with SCORING_PATHS[path]():
+        for _ in range(repetitions):
+            scheduler = get_scheduler(algorithm)(
+                instance, execution=ExecutionConfig(), **OPTIONS[algorithm]
+            )
+            started = time.perf_counter()
+            result = scheduler.schedule(k)
+            best_elapsed = min(best_elapsed, time.perf_counter() - started)
     return best_elapsed, result
 
 
@@ -79,9 +88,9 @@ def compare_refresh(scale: str):
     num_events, num_intervals, num_users, _ = REFRESH_SCALES[scale]
     # Warm-up so lazy imports / allocator effects don't pollute the first run.
     warmup = build_instance(10, 3, 8)
-    for backend in ("scalar", "batch"):
-        time_run("INC", warmup, 3, backend, repetitions=1)
-        time_run("HOR-I", warmup, 6, backend, repetitions=1)
+    for path in PATHS:
+        time_run("INC", warmup, 3, path, repetitions=1)
+        time_run("HOR-I", warmup, 6, path, repetitions=1)
 
     instance = build_instance(num_events, num_intervals, num_users)
     #: algorithm -> (baseline k with no refresh work, full k with refresh work).
@@ -92,27 +101,27 @@ def compare_refresh(scale: str):
     rows, speedups, results = [], {}, {}
     for algorithm, (base_k, full_k) in plans.items():
         beyond = {}
-        for backend in ("scalar", "batch"):
-            base_time, _ = time_run(algorithm, instance, base_k, backend)
-            full_time, result = time_run(algorithm, instance, full_k, backend)
-            beyond[backend] = max(full_time - base_time, 0.0)
-            results[(algorithm, backend)] = result
+        for path in PATHS:
+            base_time, _ = time_run(algorithm, instance, base_k, path)
+            full_time, result = time_run(algorithm, instance, full_k, path)
+            beyond[path] = max(full_time - base_time, 0.0)
+            results[(algorithm, path)] = result
             rows.append(
                 {
                     "scale": scale,
                     "algorithm": algorithm,
-                    "backend": backend,
+                    "path": path,
                     "events": num_events,
                     "intervals": num_intervals,
                     "users": num_users,
                     "k": full_k,
                     "full_time_sec": round(full_time, 4),
-                    "beyond_first_round_sec": round(beyond[backend], 4),
+                    "beyond_first_round_sec": round(beyond[path], 4),
                     "utility": round(result.utility, 4),
                     "update_computations": result.counters["update_computations"],
                 }
             )
-        speedups[algorithm] = beyond["scalar"] / max(beyond["batch"], 1e-9)
+        speedups[algorithm] = beyond[ORACLE] / max(beyond["batch"], 1e-9)
     for row in rows:
         row["refresh_speedup"] = round(speedups[row["algorithm"]], 2)
     return rows, results, speedups
@@ -126,13 +135,13 @@ def test_incremental_refresh_speedup(benchmark, bench_scale, results_dir):
     for algorithm, speedup in speedups.items():
         print(f"{algorithm} beyond-first-round refresh speedup: {speedup:.2f}x")
 
-    # The backends must be observationally identical on the full runs …
+    # The paths must be observationally identical on the full runs …
     for algorithm in ("INC", "HOR-I"):
-        scalar = results[(algorithm, "scalar")]
+        oracle = results[(algorithm, ORACLE)]
         batch = results[(algorithm, "batch")]
-        assert scalar.schedule.as_dict() == batch.schedule.as_dict()
-        assert scalar.utility == batch.utility
-        assert scalar.counters == batch.counters
+        assert oracle.schedule.as_dict() == batch.schedule.as_dict()
+        assert oracle.utility == batch.utility
+        assert oracle.counters == batch.counters
         # … with real refresh work on the table (otherwise the ratio is noise).
         assert batch.counters["update_computations"] > 0
 

@@ -140,7 +140,7 @@ def test_million_users_mmap_end_to_end(benchmark, results_dir, tmp_path):
             instance.with_storage("dense")
 
         chunk_size = max(1, BLOCK_ELEMENT_BUDGET // num_users)
-        execution = ExecutionConfig(backend="batch", chunk_size=chunk_size)
+        execution = ExecutionConfig(chunk_size=chunk_size)
 
         def solve():
             started = time.perf_counter()

@@ -68,14 +68,15 @@ def main() -> None:
     print(f"Instance: {instance.name} — {instance.num_events} candidate events, "
           f"{instance.num_intervals} intervals, {instance.num_users} users")
 
-    # Schedulers accept an ExecutionConfig selecting the execution backend:
-    # "batch" (the default) evaluates all of an interval's candidate events in
-    # one vectorised NumPy pass and "scalar" scores one (event, interval) pair
-    # at a time.  Both produce identical schedules, utilities and computation counts — only
-    # the speed differs (the CLI exposes the same choice as
-    # `ses-repro solve --backend ...`; see `ses-repro backends`).
+    # Schedulers accept an ExecutionConfig holding the scoring knobs: the
+    # engine evaluates an interval's candidate events in vectorised NumPy
+    # passes of at most `chunk_size` events, and the scoring `plan` decides how
+    # one pass traverses the users ("direct", or "blocked" for duplicate-heavy
+    # users).  Every config produces identical schedules, utilities and
+    # computation counts — only the speed and memory differ (the CLI exposes
+    # the same knobs as `ses-repro solve --plan ... --chunk-size ...`).
     scheduler = get_scheduler("HOR-I")(
-        instance, execution=ExecutionConfig(backend="batch")
+        instance, execution=ExecutionConfig(plan="direct")
     )
     result = scheduler.schedule(k=3)
 

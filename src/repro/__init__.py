@@ -12,9 +12,9 @@ Top-level re-exports cover the public API most users need:
 * :class:`~repro.core.schedule.Schedule` — an event-to-interval assignment set.
 * :class:`~repro.core.scoring.ScoringEngine` — the Luce-choice attendance model.
 * :class:`~repro.core.execution.ExecutionConfig` — the execution layer: one
-  config object selecting a backend strategy (``scalar``, ``batch``), a
-  scoring plan (``direct``, ``blocked``) and the chunk size; :func:`~repro.core.execution.available_backends` and
-  :func:`~repro.core.execution.available_plans` list the fixed tables.
+  config object selecting a scoring plan (``direct``, ``blocked``) and the
+  chunk size of the bulk path; :func:`~repro.core.execution.available_plans`
+  lists the fixed plan table.
 * :func:`~repro.algorithms.registry.get_scheduler` and the scheduler classes
   (:class:`~repro.algorithms.alg.AlgScheduler`, :class:`~repro.algorithms.inc.IncScheduler`,
   :class:`~repro.algorithms.hor.HorScheduler`, :class:`~repro.algorithms.hor_i.HorIScheduler`,
@@ -22,8 +22,8 @@ Top-level re-exports cover the public API most users need:
 * Dataset builders in :mod:`repro.datasets`.
 * The experiment harness in :mod:`repro.experiments`.
 
-``docs/ARCHITECTURE.md`` has the layer diagram and the backend decision
-table; ``docs/PAPER_MAPPING.md`` maps each paper concept to its module,
+``docs/ARCHITECTURE.md`` has the layer diagram and the plan / storage
+decision tables; ``docs/PAPER_MAPPING.md`` maps each paper concept to its module,
 entry point and locking test suite.
 """
 
@@ -39,11 +39,8 @@ from repro.core.errors import (
     ScheduleError,
 )
 from repro.core.execution import (
-    DEFAULT_BACKEND,
-    ExecutionBackend,
     ExecutionConfig,
     ScoringPlan,
-    available_backends,
     available_plans,
 )
 from repro.core.instance import SESInstance
@@ -75,12 +72,9 @@ __all__ = [
     "Assignment",
     "Schedule",
     "ScoringEngine",
-    "ExecutionBackend",
     "ExecutionConfig",
     "ScoringPlan",
-    "available_backends",
     "available_plans",
-    "DEFAULT_BACKEND",
     "SchedulerResult",
     "available_schedulers",
     "get_scheduler",

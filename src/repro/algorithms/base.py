@@ -26,7 +26,7 @@ from repro.core.constraints import ConstraintChecker
 from repro.core.counters import ComputationCounter
 from repro.core.entities import decode_int
 from repro.core.errors import SolverError
-from repro.core.execution import DEFAULT_BACKEND, DEFAULT_PLAN, ExecutionConfig
+from repro.core.execution import DEFAULT_PLAN, ExecutionConfig
 from repro.core.instance import SESInstance
 from repro.core.schedule import Schedule
 from repro.core.storage import DEFAULT_STORAGE
@@ -85,10 +85,6 @@ class SchedulerResult:
         Snapshot of the :class:`~repro.core.counters.ComputationCounter`.
     extras:
         Algorithm-specific diagnostics (e.g. number of rounds for HOR).
-    backend:
-        Name of the execution backend the run used (``"scalar"`` or
-        ``"batch"``) — recorded so harness tables can tell backend rows
-        apart.
     storage:
         Registry name of the instance's interest-matrix storage the run used
         (``"dense"``, ``"sparse"``, ``"mmap"``, …) — recorded so harness
@@ -115,7 +111,6 @@ class SchedulerResult:
     elapsed_seconds: float
     counters: Dict[str, int]
     extras: Dict[str, object] = field(default_factory=dict)
-    backend: str = DEFAULT_BACKEND
     storage: str = DEFAULT_STORAGE
     plan: str = DEFAULT_PLAN
     service: Dict[str, object] = field(default_factory=dict)
@@ -144,7 +139,6 @@ class SchedulerResult:
         """Flat dictionary used by the experiment harness and reports."""
         return {
             "algorithm": self.algorithm,
-            "backend": self.backend,
             "storage": self.storage,
             "plan": self.plan,
             "k": self.k,
@@ -343,10 +337,10 @@ class BaseScheduler(ABC):
     seed:
         Seed for the randomised schedulers (ignored by the deterministic ones).
     execution:
-        The :class:`~repro.core.execution.ExecutionConfig` selecting the
-        scoring engine's execution backend and its knobs (``None`` selects
-        the library defaults).  Every backend produces identical schedules,
-        utilities and counter totals — the config only decides how fast.
+        The :class:`~repro.core.execution.ExecutionConfig` holding the
+        scoring engine's bulk-path knobs (``None`` selects the library
+        defaults).  Every config produces identical schedules, utilities and
+        counter totals — it only decides how fast.
     locked:
         Assignments ``(event_index, interval_index)`` pinned into the
         schedule before the algorithm runs (the online service's lock
@@ -434,11 +428,6 @@ class BaseScheduler(ABC):
         return self._execution
 
     @property
-    def backend(self) -> str:
-        """Name of the execution backend the scheduler's engine will use."""
-        return self._execution.backend
-
-    @property
     def chunk_size(self) -> int:
         """Events per vectorised pass of the engine's bulk evaluations."""
         return self._execution.chunk_size
@@ -483,7 +472,6 @@ class BaseScheduler(ABC):
             elapsed_seconds=elapsed,
             counters=self._counter.snapshot(),
             extras=dict(self._extras),
-            backend=self._execution.backend,
             storage=self._instance.storage,
             plan=self._execution.plan,
         )
@@ -545,8 +533,8 @@ class BaseScheduler(ABC):
     def _initial_score_grid(self, *, initial: bool = True):
         """The full |E|×|T| score matrix, counted as generated assignments.
 
-        One :meth:`~repro.core.scoring.ScoringEngine.score_matrix` call under
-        the active backend; every (event, interval) pair is recorded as one
+        One :meth:`~repro.core.scoring.ScoringEngine.score_matrix` call;
+        every (event, interval) pair is recorded as one
         generated assignment and one score computation, as in per-pair
         generation.
 
@@ -580,7 +568,7 @@ class BaseScheduler(ABC):
         :meth:`~repro.core.scoring.ScoringEngine.interval_scores` call per
         interval.  Either way the counter records one score computation per
         generated (event, interval) pair, and the scores are identical —
-        both paths run the same per-interval kernel of the active backend.
+        both paths run the same per-interval kernel.
         Each interval's list is ordered by one stable sort of its column.
         """
         num_intervals = self._instance.num_intervals

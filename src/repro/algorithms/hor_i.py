@@ -33,7 +33,7 @@ The lazy head resolution of :meth:`HorIScheduler._interval_top` skips
 invalid heads with one ``argmax`` and fetches runs of stale heads the same
 way, cut at the best score resolved so far.  Both count one update
 computation per score consumed, so schedules, utilities and counters stay
-identical to the one-entry-at-a-time walk under every backend.  Within a
+identical to the one-entry-at-a-time walk under every layout.  Within a
 round an open interval's top changes only when its event is scheduled
 elsewhere, so the selection sweep resolves only those tops again.
 

@@ -35,7 +35,7 @@ stale rows above the running Φ through the engine's bulk
 blocks and finds the walk's stop with a running maximum; it counts one
 update computation per consumed score and derives the examined entries from
 the stop position, so schedules, utilities and counters stay identical to
-the one-entry-at-a-time walk under every backend.
+the one-entry-at-a-time walk under every storage, plan and chunk size.
 
 On top of the paper's stale-score bound, the engine offers a *structural*
 per-interval upper bound
@@ -47,8 +47,8 @@ per-class slope, plus a clip of the few classes whose gain cap an event can
 reach — so an evaluation costs O(|E|·P) and no per-user pass.  When an interval
 passes the stale-head check but its structural bound is still safely below
 Φ, no entry in it can become the argmax and the whole refresh walk is
-skipped.  The bound is engine-side and identical across scoring backends,
-storage tiers and scoring plans, so schedules, utilities, scores and
+skipped.  The bound is engine-side and identical across storage tiers,
+scoring plans and chunk sizes, so schedules, utilities, scores and
 counter totals remain bit-identical across those axes — the bound only
 lowers the number of score recomputations performed.  With unequal event
 values the score tolerance is infinite, no skip can fire, and the bound is

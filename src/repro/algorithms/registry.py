@@ -79,7 +79,7 @@ def run_scheduler(
 ) -> SchedulerResult:
     """Instantiate and run a scheduler by name (one-call convenience helper).
 
-    ``execution`` selects the scoring engine's execution backend and knobs
+    ``execution`` holds the scoring engine's bulk-path knobs
     (:class:`~repro.core.execution.ExecutionConfig`; ``None`` uses the library
     defaults).  ``locked`` pins assignments ``(event_index, interval_index)``
     into the schedule before the algorithm runs (see

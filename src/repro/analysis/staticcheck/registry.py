@@ -150,9 +150,8 @@ def resolve_rules(rule_ids: Iterable[str] | None = None) -> List[Rule]:
 def rule_catalog() -> List[Dict[str, str]]:
     """One row per registered rule: id, scope, severity, summary.
 
-    The shape mirrors :func:`repro.core.execution.backend_catalog` so the CLI
-    renders it with the same table formatter, and the docs table is checked
-    against it.
+    The CLI renders it with the shared table formatter, and the docs table
+    is checked against it.
     """
     rows = []
     for cls in _RULE_REGISTRY.values():

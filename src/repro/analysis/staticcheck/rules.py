@@ -9,12 +9,12 @@ suites can only catch *after* it breaks something:
 * ``lock-discipline`` — shared state in the scheduling service is mutated
   under its lock, everywhere;
 * ``counter-discipline`` — the paper's computation counters advance only
-  through the canonical ``count_*`` helpers, so totals stay backend-exact;
+  through the canonical ``count_*`` helpers, so bulk and per-pair totals
+  stay exact;
 * ``no-mutable-default`` — the classic shared-default-object trap;
-* ``docstring-backend-sync`` / ``docstring-storage-sync`` /
-  ``docstring-plan-sync`` — names quoted in docstrings must exist in the
-  matching fixed name table (``available_backends()`` /
-  ``available_stores()`` / ``available_plans()``), all three
+* ``docstring-storage-sync`` / ``docstring-plan-sync`` — names quoted in
+  docstrings must exist in the matching fixed name table
+  (``available_stores()`` / ``available_plans()``), both
   parameterisations of one :class:`RegistrySyncRule` scan;
 * ``waiver-discipline`` — every waiver names a registered rule and carries a
   justification.
@@ -76,7 +76,7 @@ class NoNondeterminismRule(Rule):
     """Determinism hazards in the deterministic layers.
 
     ``core/`` and ``algorithms/`` promise bit-identical results across
-    backends and runs; wall-clock reads, unseeded randomness and
+    layouts and runs; wall-clock reads, unseeded randomness and
     set-iteration order all break that silently.  The seeded RAND baseline
     (``algorithms/rand.py``) is the one sanctioned randomness site.
     """
@@ -469,7 +469,8 @@ class LockDisciplineRule(Rule):
 class CounterDisciplineRule(Rule):
     """Counter totals advance only through the canonical helpers.
 
-    The paper's computation counters must be bit-identical across backends;
+    The paper's computation counters must be bit-identical between the bulk
+    and the per-pair path;
     a raw ``counter.score_computations += n`` bypasses the user-weighting
     and initial/update bookkeeping of
     :meth:`~repro.core.counters.ComputationCounter.count_scores` and breaks
@@ -547,7 +548,7 @@ class CounterDisciplineRule(Rule):
                             context,
                             node,
                             f"raw mutation of the {target.attr!r} counter field; "
-                            f"use {helper} so totals stay backend-exact",
+                            f"use {helper} so totals stay exact",
                         )
                     elif (
                         isinstance(target, ast.Subscript)
@@ -606,7 +607,7 @@ class RegistrySyncRule(Rule):
     """Shared scan of the docstring↔registry sync rules (not itself registered).
 
     One parameterised invariant: a name quoted next to an axis noun in a
-    docstring (``\\`\\`batch\\`\\` backend``, ``storage="sparse"``,
+    docstring (``\\`\\`sparse\\`\\` storage``, ``storage="sparse"``,
     ``plan 'blocked'``) must exist in that axis's live in-process registry —
     a renamed entry would otherwise linger in prose forever.  A subclass
     names the axis (:attr:`entity` / :attr:`registry_entity`), gives the
@@ -619,15 +620,15 @@ class RegistrySyncRule(Rule):
     path_prefixes = ("src/repro/",)
 
     #: Noun of the axis as it appears before/around a quoted name in prose
-    #: ("backend"), used in finding messages.
+    #: ("storage"), used in finding messages.
     entity: str = ""
-    #: Noun of the registry entry ("backend", "store", "plan") — may differ
+    #: Noun of the registry entry ("store", "plan") — may differ
     #: from :attr:`entity` ("storage" vs the store table's "store").
     registry_entity: str = ""
     #: Regex fragment matching the axis noun *after* a quoted name
-    #: (``\`\`name\`\` backend``); defaults to :attr:`keyword`.
+    #: (``\`\`name\`\` plan``); defaults to :attr:`keyword`.
     noun_pattern: str = ""
-    #: Keyword spelling of the axis (``backend="batch"`` / ``backend 'batch'``).
+    #: Keyword spelling of the axis (``plan="blocked"`` / ``plan 'blocked'``).
     keyword: str = ""
 
     def registered_names(self) -> Set[str]:
@@ -675,38 +676,13 @@ class RegistrySyncRule(Rule):
 
 
 @register_rule
-class DocstringBackendSyncRule(RegistrySyncRule):
-    """Backend names quoted in docstrings must exist in the live registry.
-
-    The docs subsystem drift-checks the README/ARCHITECTURE backend tables;
-    this closes the same loop for the docstrings, where a renamed backend
-    would otherwise linger forever (exactly the stale-docstring class PR 4
-    fixed by hand in ``ScoringEngine.backend``).
-    """
-
-    id = "docstring-backend-sync"
-    summary = (
-        "backend names mentioned in docstrings exist in the "
-        "available_backends() table"
-    )
-    entity = "backend"
-    registry_entity = "backend"
-    keyword = "backend"
-
-    def registered_names(self) -> Set[str]:
-        from repro.core.execution import available_backends
-
-        return set(available_backends())
-
-
-@register_rule
 class DocstringStorageSyncRule(RegistrySyncRule):
     """Storage names quoted in docstrings must exist in the live registry.
 
-    The sibling of :class:`DocstringBackendSyncRule` for the instance-storage
-    axis: the docs subsystem drift-checks the ARCHITECTURE storage table, and
-    this rule closes the same loop for docstrings that name a store-table
-    entry — a renamed store would otherwise linger in prose forever.
+    The instance-storage axis of :class:`RegistrySyncRule`: the docs
+    subsystem drift-checks the ARCHITECTURE storage table, and this rule
+    closes the same loop for docstrings that name a store-table entry — a
+    renamed store would otherwise linger in prose forever.
     """
 
     id = "docstring-storage-sync"
@@ -729,10 +705,10 @@ class DocstringStorageSyncRule(RegistrySyncRule):
 class DocstringPlanSyncRule(RegistrySyncRule):
     """Scoring-plan names quoted in docstrings must exist in the live registry.
 
-    The third axis of the same invariant: docstrings naming a
+    The scoring-plan axis of the same invariant: docstrings naming a
     plan-table entry (``\\`\\`blocked\\`\\` plan``, ``plan="direct"``)
-    must track the live plan registry, mirroring the backend and storage
-    sync rules above.
+    must track the live plan registry, mirroring the storage sync rule
+    above.
     """
 
     id = "docstring-plan-sync"
@@ -794,7 +770,6 @@ class WaiverDisciplineRule(Rule):
 __all__ = [
     "BroadExceptRule",
     "CounterDisciplineRule",
-    "DocstringBackendSyncRule",
     "DocstringPlanSyncRule",
     "DocstringStorageSyncRule",
     "RegistrySyncRule",

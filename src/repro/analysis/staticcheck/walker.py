@@ -224,8 +224,7 @@ def run_lint(
     rule_ids:
         Rule ids to run (default: the whole registry, in registration order).
     """
-    # Importing the rules module populates the registry (mirrors how the
-    # execution backends self-register at import).
+    # Importing the rules module populates the registry.
     from repro.analysis.staticcheck import rules as _rules  # noqa: F401
     from repro.analysis.staticcheck.registry import resolve_rules
 

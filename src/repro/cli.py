@@ -11,9 +11,6 @@ Sub-commands
 ``experiment``
     Regenerate one of the paper's figures at a chosen scale and print its
     tables.
-``backends``
-    List the execution backends with their resolved defaults on this
-    machine, then the scoring plans.
 ``serve``
     Run the online scheduling service: long-lived mutable sessions with
     incremental re-solves over TCP (connect with
@@ -41,15 +38,7 @@ from repro.algorithms.base import SchedulerResult
 from repro.algorithms.registry import PAPER_METHODS, available_schedulers
 from repro.core.errors import DatasetError, ReproError
 from repro.core.instance import SESInstance
-from repro.core.execution import (
-    ExecutionConfig,
-    available_backends,
-    available_plans,
-    backend_catalog,
-    get_plan,
-    plan_catalog,
-    resolve_backend,
-)
+from repro.core.execution import ExecutionConfig, available_plans, get_plan
 from repro.core.storage import available_stores, get_store
 from repro.core.validation import instance_report
 from repro.datasets.builders import build_dataset, dataset_names
@@ -60,23 +49,14 @@ from repro.experiments.harness import apply_storage, run_algorithms
 from repro.experiments.sweeps import summary_sweep
 
 
-def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Attach the execution-backend flags shared by ``solve`` and ``experiment``.
+def _add_execution_arguments(subparser: argparse.ArgumentParser) -> None:
+    """Attach the execution flags shared by ``solve`` and ``experiment``.
 
-    ``--backend`` deliberately has no argparse ``choices``: validation happens
-    in the execution layer, so an unknown backend fails with the same
-    message, naming the available backends, from the CLI as from the library.
+    ``--storage`` and ``--plan`` deliberately have no argparse ``choices``:
+    validation happens in the library's name tables, so an unknown name fails
+    with the same message, naming the available entries, from the CLI as
+    from the library.
     """
-    subparser.add_argument(
-        "--backend",
-        default=None,
-        help="execution backend: 'batch' (the default) evaluates whole "
-        "intervals in vectorised NumPy passes, 'scalar' scores one "
-        "(event, interval) pair at a time (identical "
-        "results, different speed); recorded in the output rows.  "
-        f"Registered backends: {', '.join(available_backends())} "
-        "(see the 'backends' sub-command)",
-    )
     subparser.add_argument(
         "--storage",
         default=None,
@@ -92,41 +72,40 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--plan",
         default=None,
-        help="scoring plan of the bulk backends: 'direct' (the default) runs "
+        help="scoring plan of the bulk path: 'direct' (the default) runs "
         "the reference kernel over every user row, 'blocked' mines the "
         "instance's interest-pattern equivalence classes once and scores "
         "one representative per class (identical results, faster on "
-        "duplicate-heavy instances); non-bulk backends pin to 'direct'; "
-        "recorded in the output rows.  Registered plans: "
+        "duplicate-heavy instances); recorded in the output rows.  "
+        "Registered plans: "
         f"{', '.join(available_plans())}",
     )
     subparser.add_argument(
         "--chunk-size",
         type=int,
         default=None,
-        help="events per vectorised pass of the bulk backends (memory guard; "
+        help="events per vectorised pass of the bulk path (memory guard; "
         "default bounds one block at ~64 MB regardless of instance size)",
     )
 
 
 def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
-    """One ExecutionConfig from the shared backend flags.
+    """One ExecutionConfig from the shared execution flags.
 
-    The backend name is validated here so a typo fails fast (with the
+    The plan name is validated here so a typo fails fast (with the
     available-names list) before any dataset is generated or loaded; the
     chunk size is validated on resolution downstream.
     """
-    backend = resolve_backend(args.backend)
     plan = getattr(args, "plan", None)
     if plan is not None:
         get_plan(plan)  # fail fast on a typo, with the available names
-    return ExecutionConfig(backend=backend, plan=plan, chunk_size=args.chunk_size)
+    return ExecutionConfig(plan=plan, chunk_size=args.chunk_size)
 
 
 def _storage_from_args(args: argparse.Namespace) -> Optional[str]:
     """The validated ``--storage`` name (``None`` keeps each instance's own).
 
-    Like ``--backend``, the name is checked against the store table here so a
+    Like ``--plan``, the name is checked against the store table here so a
     typo fails fast — before any dataset is generated or loaded —
     with the currently-available names in the message.
     """
@@ -192,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--events", type=int, default=None, help="events when generating on the fly")
     solve.add_argument("--intervals", type=int, default=None, help="intervals when generating on the fly")
     solve.add_argument("--seed", type=int, default=0, help="seed for randomised schedulers")
-    _add_backend_arguments(solve)
+    _add_execution_arguments(solve)
     solve.add_argument("--show-schedule", action="store_true", help="print the assignments")
 
     experiment = subparsers.add_parser("experiment", help="regenerate a paper figure")
@@ -206,12 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--json", action="store_true", help="emit JSON rows instead of tables")
-    _add_backend_arguments(experiment)
-
-    subparsers.add_parser(
-        "backends",
-        help="list the registered execution backends and their resolved defaults",
-    )
+    _add_execution_arguments(experiment)
 
     service = subparsers.add_parser(
         "serve",
@@ -301,7 +275,7 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_solve(args: argparse.Namespace) -> int:
-    # Validate the backend and storage names before the (possibly expensive)
+    # Validate the plan and storage names before the (possibly expensive)
     # instance is generated or loaded, so a typo fails fast.
     execution = _execution_from_args(args)
     storage = _storage_from_args(args)
@@ -357,13 +331,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_backends(_: argparse.Namespace) -> int:
-    print(format_table(backend_catalog()))
-    print()
-    print(format_table(plan_catalog()))
-    return 0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     # Imported lazily: the service package (and its networking) is only
     # needed by this long-running command.
@@ -405,7 +372,6 @@ def _command_lint(args: argparse.Namespace) -> int:
 def _command_list(_: argparse.Namespace) -> int:
     print("datasets:    " + ", ".join(dataset_names()))
     print("algorithms:  " + ", ".join(available_schedulers()))
-    print("backends:    " + ", ".join(available_backends()))
     print("plans:       " + ", ".join(available_plans()))
     print("storages:    " + ", ".join(available_stores()))
     print("experiments: " + ", ".join(available_experiments() + ["summary"]))
@@ -423,7 +389,6 @@ _COMMANDS = {
     "generate": _command_generate,
     "solve": _command_solve,
     "experiment": _command_experiment,
-    "backends": _command_backends,
     "serve": _command_serve,
     "lint": _command_lint,
     "list": _command_list,

@@ -4,14 +4,14 @@ The subpackage contains the problem entities (:mod:`repro.core.entities`),
 the instance container (:mod:`repro.core.instance`), schedules and feasibility
 constraints (:mod:`repro.core.schedule`, :mod:`repro.core.constraints`), the
 attendance model and scoring engine (:mod:`repro.core.scoring`), the
-execution-backend layer deciding how bulk scoring runs
+execution layer deciding how bulk scoring runs
 (:mod:`repro.core.execution`) and the instrumentation counters used by the
 paper's evaluation (:mod:`repro.core.counters`).
 """
 
 from repro.core.counters import ComputationCounter
 from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, User
-from repro.core.execution import ExecutionBackend, ExecutionConfig
+from repro.core.execution import ExecutionConfig
 from repro.core.errors import (
     InfeasibleAssignmentError,
     InstanceValidationError,
@@ -39,6 +39,5 @@ __all__ = [
     "Assignment",
     "Schedule",
     "ScoringEngine",
-    "ExecutionBackend",
     "ExecutionConfig",
 ]

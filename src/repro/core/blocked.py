@@ -10,7 +10,7 @@ per-row reduction.  The expansion reproduces the direct kernel's
 runs over the same axis of an equally-shaped C-contiguous array, so NumPy's
 pairwise summation adds the same values in the same order — scores,
 schedules, utilities and counters stay bit-identical to the ``direct``
-reference across every backend × storage combination.
+reference across every storage and chunk size.
 
 The plan reads its kernel inputs in pattern space too.  At bind time each
 engine's plan builds one ``(|E|, P)`` matrix of representative µ columns

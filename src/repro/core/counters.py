@@ -72,10 +72,11 @@ class ComputationCounter:
     ) -> None:
         """Record ``amount`` assignment-score evaluations in one call.
 
-        Used by the batched scoring backend, which evaluates many assignments
-        in a single vectorised pass but must report exactly the same totals as
+        Used by the engine's bulk path, which evaluates many assignments in a
+        single vectorised pass but must report exactly the same totals as
         ``amount`` individual :meth:`count_score` calls, so the paper's
-        "number of computations" metric is backend-independent.
+        "number of computations" metric does not depend on how scores are
+        evaluated.
         """
         users = self.num_users if num_users is None else num_users
         self.score_computations += amount

@@ -1,38 +1,32 @@
-"""The execution-backend layer of the scoring engine.
+"""The execution knobs of the scoring engine's bulk path.
 
 Every bulk evaluation of the scoring engine — :meth:`ScoringEngine.interval_scores`,
-:meth:`ScoringEngine.score_matrix`, :meth:`ScoringEngine.refresh_scores` — runs
-through an :class:`ExecutionBackend` strategy selected by an
-:class:`ExecutionConfig`.  The layer owns every knob that decides *how* scores
-are computed (never *what* they are):
-
-* ``backend`` — the strategy name.  Built in:
-
-  - ``"scalar"`` (:class:`ScalarBackend`) — the reference implementation, one
-    pass over the users per (event, interval) pair;
-  - ``"batch"`` (:class:`BatchBackend`, the default) — whole candidate blocks
-    per vectorised NumPy pass, chunked along the event axis.
+:meth:`ScoringEngine.score_matrix`, :meth:`ScoringEngine.refresh_scores` —
+scores whole event blocks per vectorised NumPy pass through
+:func:`score_block_kernel`.  An :class:`ExecutionConfig` holds the knobs that
+decide *how* those blocks are cut and traversed (never *what* the scores are):
 
 * ``chunk_size`` — events per vectorised pass (the ~64 MB memory guard);
 * ``plan`` — how the bulk kernel traverses one event block
   (:class:`ScoringPlan`).
 
-The backends and the scoring plans are fixed name tables built at the bottom
-of this module; adding one is an edit to its table.  Everything else —
-engine, schedulers, harness, figures, CLI — talks to the layer only through
-:class:`ExecutionConfig` and the strategy interface.
+The scoring plans are a fixed name table built at the bottom of this module;
+adding one is an edit to its table.  Everything else — engine, schedulers,
+harness, figures, CLI — talks to the layer only through
+:class:`ExecutionConfig`.
 
-**The invariant every backend must keep:** chunking splits only the event
-axis, and every event row's per-user reduction is independent of the others,
-so schedules, utilities, scores and counter totals are bit-identical across
-backends, whatever the split.
+**The invariant every knob must keep:** chunking splits only the event axis,
+and every event row's per-user reduction is independent of the others, so
+schedules, utilities, scores and counter totals are bit-identical to the
+per-pair reference (:meth:`ScoringEngine.assignment_score`), whatever the
+split or plan.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -41,9 +35,6 @@ from repro.core.storage import EventRowSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scoring imports us)
     from repro.core.scoring import ScoringEngine
-
-#: Backend used when none is requested explicitly.
-DEFAULT_BACKEND: str = "batch"
 
 #: Memory budget of one bulk evaluation, in matrix *elements* (events × users).
 #: The default chunk size is this budget divided by ``|U|``: it bounds the
@@ -77,7 +68,7 @@ def score_block_kernel(
 
     This is the **single** bit-identity-critical kernel of the library: every
     bulk plan reaches it, so the scoring arithmetic cannot diverge between
-    them.  The per-element operation order matches the scalar reference
+    them.  The per-element operation order matches the per-pair reference
     exactly (µ added to the scheduled sums first, competing sums last; value·µ
     added to the value sums before the σ product), and each row's per-user
     reduction is independent of every other row's.
@@ -208,18 +199,6 @@ def _guarded_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarra
 # --------------------------------------------------------------------------- #
 # Knob resolution
 # --------------------------------------------------------------------------- #
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate a backend name (``None`` means :data:`DEFAULT_BACKEND`)."""
-    if backend is None:
-        return DEFAULT_BACKEND
-    if backend not in _BACKEND_REGISTRY:
-        raise SolverError(
-            f"unknown scoring backend {backend!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
-    return backend
-
-
 def resolve_chunk_size(chunk_size: Optional[int], num_users: int) -> int:
     """Validate the event-axis chunk size (``None`` derives it from the memory budget).
 
@@ -235,15 +214,12 @@ def resolve_chunk_size(chunk_size: Optional[int], num_users: int) -> int:
     return chunk_size
 
 
-def resolve_plan(plan: Optional[str], backend: Optional[str] = None) -> str:
+def resolve_plan(plan: Optional[str]) -> str:
     """Validate a scoring-plan name (``None`` means :data:`DEFAULT_PLAN`).
 
     A plan decides how the bulk kernel traverses one event block
     (see :class:`ScoringPlan`) — never what the scores are: every exact
-    plan is bit-identical to the ``direct`` reference.  Backends whose
-    evaluations never run the block kernel
-    (:attr:`ExecutionBackend.is_bulk` is false) pin the plan to ``"direct"``
-    — the knob does not apply to them.
+    plan is bit-identical to the ``direct`` reference.
     """
     if plan is None:
         plan = DEFAULT_PLAN
@@ -251,8 +227,6 @@ def resolve_plan(plan: Optional[str], backend: Optional[str] = None) -> str:
         raise SolverError(
             f"unknown scoring plan {plan!r}; available: {', '.join(available_plans())}"
         )
-    if backend is not None and not get_backend(resolve_backend(backend)).is_bulk:
-        return "direct"
     return plan
 
 
@@ -261,7 +235,7 @@ def resolve_plan(plan: Optional[str], backend: Optional[str] = None) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Every knob of one scoring-engine execution strategy, in one object.
+    """Every knob of the scoring engine's bulk path, in one object.
 
     The config travels as a single value through schedulers, the registry, the
     experiment harness, the figures and the CLI — a new knob is a field here
@@ -271,11 +245,8 @@ class ExecutionConfig:
 
     Parameters
     ----------
-    backend:
-        Strategy name (see :func:`available_backends`); ``None`` selects
-        :data:`DEFAULT_BACKEND`.  Never changes a result bit — only the speed.
     chunk_size:
-        Events per vectorised pass of the bulk backends (the memory guard);
+        Events per vectorised pass (the memory guard);
         ``None`` derives ``max(1, DEFAULT_CHUNK_ELEMENTS // |U|)``.
     plan:
         Scoring-plan name (see :func:`available_plans`); ``None`` selects
@@ -283,11 +254,9 @@ class ExecutionConfig:
         traverses one event block — e.g. the ``blocked`` plan of
         :mod:`repro.core.blocked` computes each distinct interest pattern
         once and expands by multiplicity.  Exact plans never change a result
-        bit — only the arithmetic's traversal.  Pinned to ``"direct"`` for
-        non-bulk backends.
+        bit — only the arithmetic's traversal.
     """
 
-    backend: Optional[str] = None
     chunk_size: Optional[int] = None
     plan: Optional[str] = None
 
@@ -297,196 +266,14 @@ class ExecutionConfig:
         Resolution is idempotent: resolving an already-resolved config returns
         an equal config.
         """
-        backend = resolve_backend(self.backend)
         return ExecutionConfig(
-            backend=backend,
             chunk_size=resolve_chunk_size(self.chunk_size, num_users),
-            plan=resolve_plan(self.plan, backend),
+            plan=resolve_plan(self.plan),
         )
-
-    @property
-    def is_bulk(self) -> bool:
-        """Whether the selected strategy evaluates whole event blocks at once."""
-        return get_backend(resolve_backend(self.backend)).is_bulk
-
-    def create_backend(self) -> "ExecutionBackend":
-        """Instantiate the selected strategy (expects a resolved config)."""
-        return get_backend(resolve_backend(self.backend))(self)
 
     def create_plan(self) -> "ScoringPlan":
         """Instantiate the selected scoring plan (expects a resolved config)."""
-        return get_plan(resolve_plan(self.plan, self.backend))()
-
-
-# --------------------------------------------------------------------------- #
-# Strategy hierarchy
-# --------------------------------------------------------------------------- #
-class ExecutionBackend:
-    """One scoring-execution strategy, bound to a :class:`ScoringEngine`.
-
-    Subclasses implement :meth:`interval_scores` and :meth:`score_matrix` in
-    terms of the engine's kernels (:meth:`ScoringEngine._pair_score`,
-    :meth:`ScoringEngine._batch_block`) and state.  They decide in *what
-    blocks* scores are computed — never the values: every strategy must be
-    bit-identical to the reference (see the module docstring).
-
-    Class attributes
-    ----------------
-    name:
-        Table name (``"scalar"``, ``"batch"``, …).
-    is_bulk:
-        Whether the strategy's bulk entry points evaluate whole event blocks
-        at once (the engine uses it to decide whether to precompute
-        event-major rows).
-    """
-
-    name: str = "abstract"
-    is_bulk: bool = False
-
-    def __init__(self, config: ExecutionConfig) -> None:
-        self._config = config
-        self._engine_ref: Optional["weakref.ref[ScoringEngine]"] = None
-
-    def bind(self, engine: "ScoringEngine") -> "ExecutionBackend":
-        """Attach the engine whose state this strategy evaluates against.
-
-        The reference is weak — the engine owns the backend, not the other
-        way round — so dropping the last engine reference frees it promptly
-        instead of waiting for the cycle collector.
-        """
-        self._engine_ref = weakref.ref(engine)
-        return self
-
-    @property
-    def engine(self) -> "ScoringEngine":
-        """The bound scoring engine."""
-        engine = self._engine_ref() if self._engine_ref is not None else None
-        if engine is None:  # pragma: no cover - defensive
-            raise SolverError(f"backend {self.name!r} is not bound to a live engine")
-        return engine
-
-    # -- evaluation ------------------------------------------------------- #
-    def interval_scores(self, interval_index: int, selector: Optional[np.ndarray]) -> np.ndarray:
-        """Scores of the selected events (``None`` = all) at one interval."""
-        raise NotImplementedError
-
-    def score_matrix(self, selector: Optional[np.ndarray]) -> np.ndarray:
-        """The ``(|selection|, |T|)`` score matrix against the current state."""
-        raise NotImplementedError
-
-    @classmethod
-    def describe(cls) -> str:
-        """One-line description used by the CLI's backend listing."""
-        doc = (cls.__doc__ or "").strip()
-        return doc.splitlines()[0] if doc else cls.name
-
-
-class ScalarBackend(ExecutionBackend):
-    """Reference strategy: one pass over the users per (event, interval) pair."""
-
-    name = "scalar"
-    is_bulk = False
-
-    def interval_scores(self, interval_index: int, selector: Optional[np.ndarray]) -> np.ndarray:
-        engine = self.engine
-        if selector is None:
-            selector = np.arange(engine.instance.num_events, dtype=np.intp)
-        return np.array(
-            [engine._pair_score(int(event), interval_index) for event in selector],
-            dtype=np.float64,
-        )
-
-    def score_matrix(self, selector: Optional[np.ndarray]) -> np.ndarray:
-        engine = self.engine
-        num_rows = engine.instance.num_events if selector is None else int(selector.size)
-        num_intervals = engine.instance.num_intervals
-        matrix = np.empty((num_rows, num_intervals), dtype=np.float64)
-        for interval_index in range(num_intervals):
-            matrix[:, interval_index] = self.interval_scores(interval_index, selector)
-        return matrix
-
-
-class BatchBackend(ExecutionBackend):
-    """Vectorised strategy: whole event blocks per NumPy pass, chunked along the event axis."""
-
-    name = "batch"
-    is_bulk = True
-
-    def interval_scores(self, interval_index: int, selector: Optional[np.ndarray]) -> np.ndarray:
-        source = self.engine._select_event_rows(selector)
-        return self._sharded_scores(interval_index, source)
-
-    def score_matrix(self, selector: Optional[np.ndarray]) -> np.ndarray:
-        # Hoist the event-row selection out of the per-interval loop: the
-        # selection is state-independent, so one row source serves every
-        # column (a dense source materialises the selection once; sparse and
-        # mmap sources re-densify per block, keeping memory bounded).
-        engine = self.engine
-        source = engine._select_event_rows(selector)
-        num_intervals = engine.instance.num_intervals
-        matrix = np.empty((source.num_rows, num_intervals), dtype=np.float64)
-        for interval_index in range(num_intervals):
-            matrix[:, interval_index] = self._sharded_scores(interval_index, source)
-        return matrix
-
-    def _sharded_scores(self, interval_index: int, source: EventRowSource) -> np.ndarray:
-        """One interval's scores, computed block by block.
-
-        The event axis is processed in blocks of at most ``chunk_size`` rows,
-        so the temporaries stay bounded on huge instances — for sparse and
-        memory-mapped storages each block is densified on demand and dropped
-        after its pass.  Each row's reduction is independent of the others,
-        so any block decomposition, whatever the split or storage, produces
-        bit-identical scores.
-        """
-        engine = self.engine
-        num_rows = source.num_rows
-        step = self._config.chunk_size
-        if num_rows <= step:
-            return engine._batch_block(interval_index, *source.block(0, num_rows))
-        scores = np.empty(num_rows, dtype=np.float64)
-        for start in range(0, num_rows, step):
-            stop = min(start + step, num_rows)
-            scores[start:stop] = engine._batch_block(interval_index, *source.block(start, stop))
-        return scores
-
-
-# --------------------------------------------------------------------------- #
-# Backend table (``_BACKEND_REGISTRY`` is built at the bottom of the module)
-# --------------------------------------------------------------------------- #
-def available_backends() -> Tuple[str, ...]:
-    """Names of every backend, in table order."""
-    return tuple(_BACKEND_REGISTRY)
-
-
-def get_backend(name: str) -> Type[ExecutionBackend]:
-    """Return the strategy class named ``name``."""
-    try:
-        return _BACKEND_REGISTRY[name]
-    except KeyError:
-        raise SolverError(
-            f"unknown scoring backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
-
-
-def backend_catalog() -> List[Dict[str, object]]:
-    """One row per backend with its resolved defaults.
-
-    Used by the CLI's ``backends`` sub-command.
-    """
-    rows: List[Dict[str, object]] = []
-    for name, cls in _BACKEND_REGISTRY.items():
-        rows.append(
-            {
-                "backend": name + (" (default)" if name == DEFAULT_BACKEND else ""),
-                "bulk": "yes" if cls.is_bulk else "no",
-                "chunk_size": f"auto ({DEFAULT_CHUNK_ELEMENTS:,} elements / |U|)"
-                if cls.is_bulk
-                else "-",
-                "description": cls.describe(),
-            }
-        )
-    return rows
+        return get_plan(resolve_plan(self.plan))()
 
 
 # --------------------------------------------------------------------------- #
@@ -495,13 +282,13 @@ def backend_catalog() -> List[Dict[str, object]]:
 class ScoringPlan:
     """One traversal strategy of the block kernel, bound to an engine.
 
-    Where an :class:`ExecutionBackend` decides *in what blocks* scores are
-    evaluated (per pair or per event block), a plan decides *how* the
-    kernel traverses one block — e.g. the ``blocked`` plan of
-    :mod:`repro.core.blocked` computes each distinct user interest pattern
-    once and expands the per-pattern contributions by multiplicity.  Every
-    exact plan must produce scores bit-identical to the ``direct`` reference:
-    the per-user contributions and their reduction order may not change.
+    Where ``chunk_size`` decides *in what blocks* the engine's bulk path
+    evaluates scores, a plan decides *how* the kernel traverses one block —
+    e.g. the ``blocked`` plan of :mod:`repro.core.blocked` computes each
+    distinct user interest pattern once and expands the per-pattern
+    contributions by multiplicity.  Every exact plan must produce scores
+    bit-identical to the ``direct`` reference: the per-user contributions and
+    their reduction order may not change.
 
     Subclasses implement :meth:`batch_block` against the engine's static and
     scheduled state; :meth:`prepare` runs once at bind time for per-engine
@@ -510,8 +297,7 @@ class ScoringPlan:
     (:meth:`event_rows`), in which case :meth:`batch_block` receives that
     source's blocks.  Engines reach
     the plan through :meth:`ScoringEngine._select_event_rows` and
-    :meth:`ScoringEngine._batch_block`, so the backends need no plan
-    awareness at all.
+    :meth:`ScoringEngine._batch_block`.
     """
 
     name: str = "abstract"
@@ -520,7 +306,12 @@ class ScoringPlan:
         self._engine_ref: Optional["weakref.ref[ScoringEngine]"] = None
 
     def bind(self, engine: "ScoringEngine") -> "ScoringPlan":
-        """Attach the engine and run :meth:`prepare` (weak ref, like backends)."""
+        """Attach the engine and run :meth:`prepare`.
+
+        The reference is weak — the engine owns the plan, not the other way
+        round — so dropping the last engine reference frees it promptly
+        instead of waiting for the cycle collector.
+        """
         self._engine_ref = weakref.ref(engine)
         self.prepare(engine)
         return self
@@ -569,12 +360,6 @@ class ScoringPlan:
         """
         return None
 
-    @classmethod
-    def describe(cls) -> str:
-        """One-line description used by catalogue listings."""
-        doc = (cls.__doc__ or "").strip()
-        return doc.splitlines()[0] if doc else cls.name
-
 
 class DirectPlan(ScoringPlan):
     """Reference plan: the block kernel over every user column, unchanged."""
@@ -602,26 +387,10 @@ def get_plan(name: str) -> Type[ScoringPlan]:
         ) from None
 
 
-def plan_catalog() -> List[Dict[str, object]]:
-    """One row per scoring plan (CLI / docs listings)."""
-    return [
-        {
-            "plan": name + (" (default)" if name == DEFAULT_PLAN else ""),
-            "description": cls.describe(),
-        }
-        for name, cls in _PLAN_REGISTRY.items()
-    ]
-
-
 # The blocked plan lives in its own module but is listed here with the other
 # built-ins.  The import is deferred to the bottom of this module: the
 # blocked plan imports repro.core.scoring, which imports names from here.
 from repro.core.blocked import BlockedPlan  # noqa: E402
-
-_BACKEND_REGISTRY: Dict[str, Type[ExecutionBackend]] = {
-    ScalarBackend.name: ScalarBackend,
-    BatchBackend.name: BatchBackend,
-}
 
 _PLAN_REGISTRY: Dict[str, Type[ScoringPlan]] = {
     DirectPlan.name: DirectPlan,
@@ -630,24 +399,15 @@ _PLAN_REGISTRY: Dict[str, Type[ScoringPlan]] = {
 
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "DEFAULT_CHUNK_ELEMENTS",
     "KERNEL_TILE_ELEMENTS",
     "DEFAULT_PLAN",
-    "ExecutionBackend",
     "ExecutionConfig",
-    "ScalarBackend",
-    "BatchBackend",
     "ScoringPlan",
     "DirectPlan",
     "BlockedPlan",
-    "available_backends",
     "available_plans",
-    "backend_catalog",
-    "get_backend",
     "get_plan",
-    "plan_catalog",
-    "resolve_backend",
     "resolve_chunk_size",
     "resolve_plan",
     "direct_block_scores",

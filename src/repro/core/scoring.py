@@ -19,16 +19,15 @@ evaluation to a :class:`~repro.core.counters.ComputationCounter` so that the
 paper's "number of computations" metric (``|U|`` per score) can be reproduced
 exactly.
 
-*How* bulk evaluations run is delegated to the execution layer
-(:mod:`repro.core.execution`): an :class:`~repro.core.execution.ExecutionConfig`
-selects one of the :class:`~repro.core.execution.ExecutionBackend`
-strategies — ``"scalar"`` (the per-pair reference) or ``"batch"`` (the
-default: whole candidate blocks per vectorised NumPy pass) — plus the
-``chunk_size`` and ``plan`` knobs.  All backends perform the same elementary operations
-in the same order per (user, event) element, so their scores agree
-bit-for-bit among the bulk strategies (and to machine precision with the
-scalar reference), and all report one score computation (``|U|`` user
-computations) per (event, interval) pair to the counter — the paper's metric is backend-independent by construction.
+:meth:`ScoringEngine.assignment_score` is the per-pair reference of Eq. 4.
+The bulk entry points (:meth:`~ScoringEngine.interval_scores`,
+:meth:`~ScoringEngine.score_matrix`, :meth:`~ScoringEngine.refresh_scores`)
+score whole candidate blocks per vectorised NumPy pass, cut and traversed as
+the :class:`~repro.core.execution.ExecutionConfig` knobs ``chunk_size`` and
+``plan`` say.  Both paths perform the same elementary operations in the same
+order per (user, event) element, so their scores are bit-identical, and both
+report one score computation (``|U|`` user computations) per (event,
+interval) pair to the counter.
 
 Two facilities support the incremental schedulers and large instances:
 
@@ -37,7 +36,7 @@ Two facilities support the incremental schedulers and large instances:
   interval (the update-phase counterpart of the generation-phase bulk calls).
   INC and HOR-I use it to resolve whole prefixes of stale assignments in a
   few vectorised passes instead of one ``assignment_score`` call per pair.
-* The bulk strategies *chunk the event axis*: bulk evaluations never
+* The bulk path *chunks the event axis*: bulk evaluations never
   materialise more than ``chunk_size × |U|`` temporary elements at once
   (``chunk_size`` defaults to :data:`~repro.core.execution.DEFAULT_CHUNK_ELEMENTS`
   divided by ``|U|``), so million-user instances stay within a bounded memory
@@ -93,7 +92,7 @@ def build_static_arrays(instance: SESInstance):
 
 
 def build_event_rows(store: InterestStore, values: np.ndarray) -> EventRowSource:
-    """The event-major row source the bulk strategies iterate.
+    """The event-major row source the bulk path iterates.
 
     A dense store precomputes the contiguous ``µ.T`` matrix once, with
     ``-0.0`` folded into ``0.0`` in the same copy, plus ``value·µ.T`` unless
@@ -102,8 +101,8 @@ def build_event_rows(store: InterestStore, values: np.ndarray) -> EventRowSource
     zero-copy views.  Sparse and mmap stores densify one event block at a
     time through
     :class:`~repro.core.storage.StoreEventRows`, computing ``value·µ`` per
-    block — elementwise-identical to the dense precompute, so every backend
-    stays bit-identical across storages.
+    block — elementwise-identical to the dense precompute, so the scores
+    stay bit-identical across storages.
     """
     if isinstance(store, DenseStore):
         dense = store.to_dense()
@@ -167,7 +166,7 @@ def build_pattern_matrix(
     only materialised while ``|E| · P`` fits
     :data:`~repro.core.execution.DEFAULT_CHUNK_ELEMENTS` — the library's one
     memory rule for it, a function of instance shape alone, so whether it
-    exists never depends on backend, storage or plan.
+    exists never depends on storage or plan.
     """
     num_events = event_rows.num_rows
     if structure.num_classes * num_events > DEFAULT_CHUNK_ELEMENTS:
@@ -199,17 +198,17 @@ class ScoringEngine:
     Every call to :meth:`assignment_score` costs one pass over the users and
     is counted as one score computation (``|U|`` user computations), matching
     the paper's metric.  :meth:`interval_scores` and :meth:`score_matrix`
-    evaluate many assignments at once (how is decided by the execution
-    backend) and count one score computation per evaluated pair, so counter
-    totals are identical across backends.
+    evaluate many assignments at once, in event blocks of at most
+    ``chunk_size`` rows, and count one score computation per evaluated pair,
+    so counter totals are identical to per-pair evaluation.
 
     Parameters
     ----------
     execution:
-        The :class:`~repro.core.execution.ExecutionConfig` selecting the
-        execution backend and its knobs (``None`` selects the library
-        defaults).  Only affects how :meth:`interval_scores` /
-        :meth:`score_matrix` compute their results — never the values.
+        The :class:`~repro.core.execution.ExecutionConfig` holding the bulk
+        path's knobs (``None`` selects the library defaults).  Only affects
+        how :meth:`interval_scores` / :meth:`score_matrix` compute their
+        results — never the values.
     """
 
     def __init__(
@@ -224,23 +223,17 @@ class ScoringEngine:
         if self._counter.num_users == 0:
             self._counter.num_users = instance.num_users
         self._execution = (execution or ExecutionConfig()).resolve(instance.num_users)
-        self._backend_impl = self._execution.create_backend().bind(self)
 
         self._store = instance.interest.store
         self._comp, self._sigma, self._values, self._costs = build_static_arrays(instance)
 
-        if self._backend_impl.is_bulk:
-            # Event-major rows of µ and value·µ: each row is one event's
-            # per-user column, contiguous so that the per-row reductions of
-            # the bulk strategies use the same pairwise summation as the
-            # scalar path's 1-D sums (keeping the backends bit-identical).
-            # Dense stores precompute both matrices once; sparse/mmap stores
-            # densify per block so memory stays bounded by the chunk size.
-            self._event_rows: Optional[EventRowSource] = build_event_rows(
-                self._store, self._values
-            )
-        else:
-            self._event_rows = None
+        # Event-major rows of µ and value·µ: each row is one event's per-user
+        # column, contiguous so that the per-row reductions of the bulk path
+        # use the same pairwise summation as the per-pair path's 1-D sums
+        # (keeping the two bit-identical).  Dense stores precompute both
+        # matrices once; sparse/mmap stores densify per block so memory stays
+        # bounded by the chunk size.
+        self._event_rows: EventRowSource = build_event_rows(self._store, self._values)
 
         # Per-interval upper bound on the floating-point noise of one
         # assignment score (see score_noise_tolerance): every per-user
@@ -309,15 +302,6 @@ class ScoringEngine:
         return self._execution
 
     @property
-    def backend(self) -> str:
-        """Name of the active execution backend.
-
-        One of ``"scalar"`` or ``"batch"``
-        (:func:`~repro.core.execution.available_backends`).
-        """
-        return self._execution.backend
-
-    @property
     def plan(self) -> str:
         """Name of the active scoring plan (``"direct"`` unless selected otherwise)."""
         return self._execution.plan
@@ -326,11 +310,6 @@ class ScoringEngine:
     def scoring_plan(self):
         """The live :class:`~repro.core.execution.ScoringPlan` instance."""
         return self._plan_impl
-
-    @property
-    def is_bulk(self) -> bool:
-        """Whether the active backend evaluates whole event blocks at once."""
-        return self._backend_impl.is_bulk
 
     @property
     def chunk_size(self) -> int:
@@ -433,7 +412,7 @@ class ScoringEngine:
         return self._store.column(event_index)
 
     def _pair_score(self, event_index: int, interval_index: int) -> float:
-        """The scalar (reference) score computation of one (event, interval) pair."""
+        """The per-pair (reference) score computation of one (event, interval) pair."""
         column = self._mu_column(event_index)
         new_interest = self._scheduled_interest[interval_index] + column
         new_value_interest = (
@@ -469,8 +448,8 @@ class ScoringEngine:
             ``(event_indices[i], interval_index)`` against the current state.
         """
         if event_indices is None:
-            # Passing None lets the bulk strategies score their precomputed
-            # full event set without materialising an index copy.
+            # Passing None lets the bulk path score its precomputed full
+            # event set without materialising an index copy.
             selector = None
             num_selected = self._instance.num_events
         else:
@@ -478,7 +457,7 @@ class ScoringEngine:
             num_selected = int(selector.size)
         if count and num_selected:
             self._counter.count_scores(num_selected, initial=initial)
-        return self._backend_impl.interval_scores(interval_index, selector)
+        return self._bulk_interval_scores(interval_index, selector)
 
     def refresh_scores(
         self,
@@ -491,8 +470,8 @@ class ScoringEngine:
 
         This is the update-phase counterpart of the generation-phase bulk
         calls — semantically identical to one :meth:`assignment_score` per
-        (event, interval) pair against the current state, evaluated under the
-        active backend (vectorised and chunked under the bulk strategies).
+        (event, interval) pair against the current state, evaluated
+        vectorised and chunked like :meth:`interval_scores`.
 
         Parameters
         ----------
@@ -502,7 +481,7 @@ class ScoringEngine:
             ``False`` because they fetch stale rows in blocks cut at their
             walk's current Φ: they count one update computation per score
             the walk actually consumes, so the paper's metric stays
-            bit-identical to the scalar reference even when a rising Φ
+            bit-identical to the per-pair reference even when a rising Φ
             leaves part of a block unused.
         """
         return self.interval_scores(interval_index, event_indices, initial=False, count=count)
@@ -534,7 +513,7 @@ class ScoringEngine:
         plan of :mod:`repro.core.blocked` computes each distinct interest
         pattern once and expands by multiplicity before the same per-row
         reduction, so each element — and the reduction order — stays
-        bit-identical to the scalar path under every plan.
+        bit-identical to the per-pair path under every plan.
         """
         return self._plan_impl.batch_block(interval_index, mu_rows, value_mu_rows)
 
@@ -550,9 +529,7 @@ class ScoringEngine:
         Returns an ``(len(event_indices), |T|)`` array whose ``[i, t]`` entry
         is the assignment score of ``(event_indices[i], t)`` against the
         current engine state (``event_indices`` defaults to all events).
-        Counts one score computation per (event, interval) pair.  The active
-        backend decides how the matrix is assembled — per pair or per
-        vectorised column — without changing a result bit.
+        Counts one score computation per (event, interval) pair.
         """
         if event_indices is None:
             selector = None
@@ -563,7 +540,50 @@ class ScoringEngine:
         num_intervals = self._instance.num_intervals
         if count and num_selected and num_intervals:
             self._counter.count_scores(num_selected * num_intervals, initial=initial)
-        return self._backend_impl.score_matrix(selector)
+        return self._bulk_score_matrix(selector)
+
+    # The bulk pair below runs under the counting of interval_scores /
+    # score_matrix: it computes the scores, never counts them.
+    def _bulk_interval_scores(
+        self, interval_index: int, selector: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Scores of the selected events (``None`` = all) at one interval."""
+        return self._chunked_scores(interval_index, self._select_event_rows(selector))
+
+    def _bulk_score_matrix(self, selector: Optional[np.ndarray]) -> np.ndarray:
+        """The ``(|selection|, |T|)`` score matrix against the current state.
+
+        The event-row selection is state-independent, so it is hoisted out of
+        the per-interval loop: one row source serves every column (a dense
+        source materialises the selection once; sparse and mmap sources
+        re-densify per block, keeping memory bounded).
+        """
+        source = self._select_event_rows(selector)
+        num_intervals = self._instance.num_intervals
+        matrix = np.empty((source.num_rows, num_intervals), dtype=np.float64)
+        for interval_index in range(num_intervals):
+            matrix[:, interval_index] = self._chunked_scores(interval_index, source)
+        return matrix
+
+    def _chunked_scores(self, interval_index: int, source: EventRowSource) -> np.ndarray:
+        """One interval's scores over ``source``, computed block by block.
+
+        The event axis is processed in blocks of at most ``chunk_size`` rows,
+        so the temporaries stay bounded on huge instances — for sparse and
+        memory-mapped storages each block is densified on demand and dropped
+        after its pass.  Each row's reduction is independent of the others,
+        so any block decomposition, whatever the split or storage, produces
+        bit-identical scores.
+        """
+        num_rows = source.num_rows
+        step = self._execution.chunk_size
+        if num_rows <= step:
+            return self._batch_block(interval_index, *source.block(0, num_rows))
+        scores = np.empty(num_rows, dtype=np.float64)
+        for start in range(0, num_rows, step):
+            stop = min(start + step, num_rows)
+            scores[start:stop] = self._batch_block(interval_index, *source.block(start, stop))
+        return scores
 
     def score_noise_tolerance(self, interval_index: int) -> float:
         """Floating-point noise bound of one assignment score at this interval.
@@ -609,16 +629,14 @@ class ScoringEngine:
         user ``u``.
 
         Every static is an exact maximum (max is rounding free), so it is
-        identical across backends, storages and chunkings, and the tier
-        rule depends only on instance shape: bound values never depend on
-        backend, storage or plan.
+        identical across storages and chunkings, and the tier rule depends
+        only on instance shape: bound values never depend on storage, plan
+        or chunk size.
         """
         if self._bound_ready:
             return
         chunk_size = self._execution.chunk_size
         source = self._event_rows
-        if source is None:
-            source = build_event_rows(self._store, self._values)
         structure = instance_structure(
             self._instance, source, self._sigma, self._comp, chunk_size
         )
@@ -703,8 +721,8 @@ class ScoringEngine:
         schedule grows — INC uses it to skip entire interval walks whose
         ceiling is already below Φ.  The bound depends only on engine
         state and the deterministic mined structure, so skip decisions — and
-        therefore counter totals — are identical across backends, storages
-        and plans.  Callers must leave a floating-point margin (a few
+        therefore counter totals — are identical across storages, plans and
+        chunk sizes.  Callers must leave a floating-point margin (a few
         :meth:`score_noise_tolerance`) between the bound and Φ.  Cached per
         interval until :meth:`apply` touches the interval; each fresh
         evaluation is recorded under the ``phi_bound_evaluations`` extra

@@ -72,10 +72,10 @@ def run_algorithms(
     execution:
         Execution configuration forwarded to every scheduler
         (:class:`~repro.core.execution.ExecutionConfig`; ``None`` uses the
-        library defaults).  The backends are metric-equivalent, so records
-        only differ in wall-clock time; the backend and worker count actually
+        library defaults).  Every config is metric-equivalent, so records
+        only differ in wall-clock time; the storage and scoring plan actually
         used are recorded in every record's params, so figure runs can
-        compare backends.
+        compare them.
     results:
         Optional sink: when given, the full :class:`SchedulerResult` of every
         run is appended to it (same order as the returned records).  The CLI

@@ -45,14 +45,12 @@ class MetricRecord:
     ) -> "MetricRecord":
         """Build a record from a :class:`~repro.algorithms.base.SchedulerResult`.
 
-        The scoring backend the run used is recorded under
-        ``params["backend"]``, the instance's interest-matrix storage under
+        The instance's interest-matrix storage the run used is recorded under
         ``params["storage"]`` and the scoring plan under ``params["plan"]``
-        (unless the caller already set them), so rows of different backends /
-        storages / scoring plans can be grouped and compared in figure tables.
+        (unless the caller already set them), so rows of different storages
+        / scoring plans can be grouped and compared in figure tables.
         """
         merged_params = dict(params or {})
-        merged_params.setdefault("backend", result.backend)
         merged_params.setdefault("storage", result.storage)
         merged_params.setdefault("plan", result.plan)
         return cls(

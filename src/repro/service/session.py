@@ -12,7 +12,7 @@ The design contract (and what ``tests/test_service_equivalence.py`` proves)
 is **bit-identity**: a warm :meth:`SchedulingSession.resolve` returns exactly
 the schedule, utilities and initial scores of a cold
 :func:`~repro.algorithms.registry.run_scheduler` call on the mutated
-instance, across every backend × storage × plan.  Two properties make that
+instance, across every storage × plan.  Two properties make that
 possible:
 
 * the initial |E| × |T| score grid depends only on the instance data and the
@@ -311,7 +311,7 @@ class SchedulingSession:
     execution:
         The :class:`~repro.core.execution.ExecutionConfig` every resolve runs
         under (``None`` selects the library defaults).  Bit-identity across
-        backends, storages and plans is inherited from the one-shot path.
+        storages and plans is inherited from the one-shot path.
 
     All public methods are safe to call from concurrent server threads: state
     is guarded by one re-entrant lock, batches are atomic, and a rejected

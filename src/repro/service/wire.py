@@ -79,9 +79,10 @@ def parse_address(address: str) -> Tuple[str, int]:
 def is_loopback_host(host: str) -> bool:
     """Whether a bind host stays on this machine.
 
-    Only ``localhost`` and IP literals in a loopback range (``127.0.0.0/8``,
-    ``::1``) qualify.  Any other name is refused, even one that merely starts
-    with ``127.`` (``127.example.com`` resolves wherever its DNS says).
+    Only ``localhost`` and IP literals in a loopback range (``127.0.0.0/8``
+    for the IPv4 hosts :class:`WireServer` binds) qualify.  Any other name is
+    refused, even one that merely starts with ``127.`` (``127.example.com``
+    resolves wherever its DNS says).
     """
     if host == "localhost":
         return True
@@ -112,13 +113,20 @@ class WireServer:
     binding a **non-loopback** host with that public key is refused, because
     an authenticated connection deserialises pickles.  Subclasses override
     :meth:`_dispatch` and may share :attr:`_lock` and :attr:`_started` for
-    their counters.
+    their counters.  The listener is IPv4 only (``multiprocessing.connection``
+    binds every ``(host, port)`` pair as ``AF_INET``), so an IPv6 literal is
+    refused before binding.
     """
 
     def __init__(self, host: str = DEFAULT_HOST, port: int = 0, *,
                  authkey: Optional[str] = None) -> None:
         if not isinstance(port, int) or isinstance(port, bool) or not 0 <= port <= 65535:
             raise SolverError(f"port must be an integer in 0..65535, got {port!r}")
+        if isinstance(host, str) and ":" in host:
+            raise SolverError(
+                f"cannot bind the scheduling service to {host!r}: it binds IPv4 "
+                "hosts only (use 127.0.0.1, 0.0.0.0 or an IPv4 address)"
+            )
         key = authkey_bytes(authkey)
         if authkey is None and not is_loopback_host(host):
             raise SolverError(
@@ -187,7 +195,7 @@ class WireServer:
             # blocking accept() on Linux — wake it with a throwaway
             # connection so serve_forever observes the stop flag.
             host, port = parse_address(self._address)
-            if host in ("0.0.0.0", "::"):  # wildcard binds are not connectable
+            if host == "0.0.0.0":  # a wildcard bind is not connectable
                 host = "127.0.0.1"
             with contextlib.suppress(OSError), socket.create_connection((host, port), 1.0):
                 pass

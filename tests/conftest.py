@@ -9,6 +9,7 @@ algorithms' selections.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import Dict, Tuple
 
@@ -16,13 +17,15 @@ import numpy as np
 import pytest
 
 from repro.core.entities import CompetingEvent, Event, Organizer, TimeInterval, User
-from repro.core.execution import ExecutionConfig, available_backends
+from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
 from repro.core.scoring import ScoringEngine
 
-#: ``batch`` runs at a forced block size, checked by the backend-invariance
-#: suites next to every registered backend name.
+from tests.oracle import ORACLE, per_pair_scoring
+
+#: The bulk path at a forced block size, checked by the invariance suites
+#: next to the per-pair oracle and the default bulk path (``batch``).
 #: The default ``chunk_size`` fits the suites' small instances in one block,
 #: so without these no invariance suite would walk the event axis in more
 #: than one block: ``batch-chunk1`` gives every event row its own block and
@@ -31,23 +34,29 @@ BLOCK_VARIANTS = {"batch-chunk1": 1, "batch-chunk3": 3}
 
 
 def execution_variants() -> Tuple[str, ...]:
-    """Every registered backend name, then the :data:`BLOCK_VARIANTS`."""
-    return available_backends() + tuple(BLOCK_VARIANTS)
+    """The per-pair oracle, the default bulk path, then the :data:`BLOCK_VARIANTS`."""
+    return (ORACLE, "batch") + tuple(BLOCK_VARIANTS)
 
 
 @pytest.fixture
 def execution_for():
     """Build the :class:`ExecutionConfig` of an :func:`execution_variants` name.
 
-    Extra keyword knobs (``plan``, ...) are passed through.
+    Extra keyword knobs (``plan``, ...) are passed through.  The ``oracle``
+    variant returns the default config and switches every engine to per-pair
+    scoring (:func:`tests.oracle.per_pair_scoring`) for the rest of the test,
+    so a bulk reference must be computed before asking for it.
     """
+    with contextlib.ExitStack() as stack:
 
-    def build(variant: str, **knobs) -> ExecutionConfig:
-        if variant in BLOCK_VARIANTS:
-            return ExecutionConfig(backend="batch", chunk_size=BLOCK_VARIANTS[variant], **knobs)
-        return ExecutionConfig(backend=variant, **knobs)
+        def build(variant: str, **knobs) -> ExecutionConfig:
+            if variant == ORACLE:
+                stack.enter_context(per_pair_scoring())
+            elif variant in BLOCK_VARIANTS:
+                knobs["chunk_size"] = BLOCK_VARIANTS[variant]
+            return ExecutionConfig(**knobs)
 
-    return build
+        yield build
 
 
 def with_capacities(instance: SESInstance, capacities) -> SESInstance:
@@ -163,7 +172,7 @@ LAYOUTS = (
 
 #: Each axis value once: every storage on the direct plan, then the blocked
 #: plan on dense storage.  The default of the ``layout`` fixture, for suites
-#: that multiply every case by the backends; the storage-equivalence suite
+#: that multiply every case by the execution variants; the storage-equivalence suite
 #: crosses all of :data:`LAYOUTS` against the dense, direct reference.
 AXIS_LAYOUTS = ("dense-direct", "sparse-direct", "mmap-direct", "dense-blocked")
 

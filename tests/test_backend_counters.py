@@ -1,12 +1,13 @@
-"""Counter invariance between the scalar and batch scoring backends.
+"""Counter invariance between the engine's bulk path and the per-pair oracle.
 
 The paper's evaluation metrics — score computations (``|U|`` user computations
 each), generated/updated assignments, assignments examined — are counted
 per (event, interval) pair regardless of how the scores are physically
 computed.  These tests assert that every counter ``ComputationCounter``
-snapshot is *exactly* identical between backends for ALG, INC, HOR and HOR-I
-(plus the TOP baseline and the two ablations that ride on the same bulk API),
-so the Fig. 10 reproductions are backend-independent.  Each check runs once
+snapshot is *exactly* identical between the bulk path and the per-pair oracle
+(``tests/oracle.py``) for ALG, INC, HOR and HOR-I (plus the TOP baseline and
+the two ablations that ride on the same bulk API), so the Fig. 10
+reproductions do not depend on how scores are evaluated.  Each check runs once
 per ``layout`` fixture value: every storage on the direct plan, and the
 blocked plan (see ``tests/conftest.py``).
 """
@@ -17,10 +18,10 @@ import pytest
 
 from repro.algorithms.registry import run_scheduler
 from repro.core.counters import ComputationCounter
-from repro.core.execution import available_backends
 from repro.core.scoring import ScoringEngine
 
 from tests.conftest import execution_variants
+from tests.oracle import per_pair_scoring
 
 COUNTER_ALGORITHMS = ["ALG", "INC", "HOR", "HOR-I", "TOP", "INC-U", "ALG-O"]
 
@@ -35,23 +36,17 @@ INSTANCE_CONFIGS = [
 
 @pytest.mark.parametrize("algorithm", COUNTER_ALGORITHMS)
 @pytest.mark.parametrize("config", INSTANCE_CONFIGS, ids=lambda c: f"seed{c['seed']}")
-def test_counters_identical_across_backends(algorithm, config, layout):
+def test_counters_match_oracle(algorithm, config, layout):
     instance = layout.instance(**config)
     k = min(instance.num_events, 2 * instance.num_intervals)  # multi-round for HOR
-    snapshots = {}
-    for backend in available_backends():
-        result = run_scheduler(
-            algorithm, instance, k, execution=layout.execution(backend=backend)
-        )
-        snapshots[backend] = result.counters
-    for backend in available_backends()[1:]:
-        assert snapshots["scalar"] == snapshots[backend], backend
+    bulk = run_scheduler(algorithm, instance, k, execution=layout.execution()).counters
+    with per_pair_scoring():
+        oracle = run_scheduler(algorithm, instance, k, execution=layout.execution()).counters
+    assert oracle == bulk
     # The counters must actually have recorded work, or the comparison is vacuous.
-    assert snapshots["batch"]["score_computations"] > 0
-    assert snapshots["batch"]["user_computations"] == (
-        snapshots["batch"]["score_computations"] * instance.num_users
-    )
-    assert snapshots["batch"]["assignments_generated"] > 0
+    assert bulk["score_computations"] > 0
+    assert bulk["user_computations"] == bulk["score_computations"] * instance.num_users
+    assert bulk["assignments_generated"] > 0
 
 
 @pytest.mark.parametrize("variant", execution_variants())
@@ -75,18 +70,14 @@ def test_bulk_counting_matches_per_pair_counting(variant, execution_for, layout)
     assert bulk.snapshot() == per_pair.snapshot()
 
 
-def test_initial_vs_update_split_is_backend_invariant(layout):
+def test_initial_vs_update_split_matches_oracle(layout):
     instance = layout.instance(seed=55, num_users=25, num_events=12, num_intervals=4)
-    splits = {}
-    for backend in available_backends():
-        result = run_scheduler(
-            "INC", instance, 6, execution=layout.execution(backend=backend)
-        )
-        splits[backend] = (
-            result.counters["initial_computations"],
-            result.counters["update_computations"],
-        )
-    for backend in available_backends()[1:]:
-        assert splits["scalar"] == splits[backend], backend
-    initial, _ = splits["batch"]
-    assert initial == instance.num_events * instance.num_intervals
+
+    def split() -> tuple:
+        counters = run_scheduler("INC", instance, 6, execution=layout.execution()).counters
+        return counters["initial_computations"], counters["update_computations"]
+
+    bulk = split()
+    with per_pair_scoring():
+        assert split() == bulk
+    assert bulk[0] == instance.num_events * instance.num_intervals

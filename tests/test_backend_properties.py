@@ -1,7 +1,8 @@
-"""The paper's equivalence propositions, checked under every scoring backend.
+"""The paper's equivalence propositions, checked under every execution variant.
 
-Each registered backend runs by name, and ``batch`` also runs at forced
-block sizes (the ``batch-chunk1`` and ``batch-chunk3`` variants of
+Each proposition runs on the per-pair oracle (``tests/oracle.py``), on the
+engine's default bulk path (``batch``) and on the bulk path at forced block
+sizes (the ``batch-chunk1`` and ``batch-chunk3`` variants of
 ``conftest.py``).
 
 Proposition 3: INC selects exactly the assignments ALG selects (same schedule,
@@ -10,7 +11,7 @@ rest on the deterministic total order over assignments (score, then event
 index, then interval index) implemented in ``algorithms/base.py`` — so the
 tests include tie-heavy interest matrices (quantised interests and duplicated
 event columns) that produce many exactly-equal scores and exercise the
-tie-break on every backend.
+tie-break on both scoring paths.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import pytest
 
 from repro.algorithms.registry import run_scheduler
 from repro.core.instance import SESInstance
-from repro.core.execution import ExecutionConfig, available_backends
 
 from tests.conftest import execution_variants, make_random_instance
-
-TOLERANCE = 1e-12
+from tests.oracle import per_pair_scoring
 
 EQUIVALENT_PAIRS = [("ALG", "INC"), ("HOR", "HOR-I")]
 
@@ -59,7 +58,7 @@ def test_proposition_equivalences_on_random_instances(variant, pair, seed, execu
     result_first = run_scheduler(first, instance, k, execution=execution_for(variant))
     result_second = run_scheduler(second, instance, k, execution=execution_for(variant))
     assert result_first.schedule.as_dict() == result_second.schedule.as_dict()
-    assert abs(result_first.utility - result_second.utility) <= TOLERANCE
+    assert result_first.utility == result_second.utility
 
 
 @pytest.mark.parametrize("variant", execution_variants())
@@ -72,20 +71,17 @@ def test_proposition_equivalences_on_tie_heavy_instances(variant, pair, seed, ex
     result_first = run_scheduler(first, instance, k, execution=execution_for(variant))
     result_second = run_scheduler(second, instance, k, execution=execution_for(variant))
     assert result_first.schedule.as_dict() == result_second.schedule.as_dict()
-    assert abs(result_first.utility - result_second.utility) <= TOLERANCE
+    assert result_first.utility == result_second.utility
 
 
 @pytest.mark.parametrize("seed", TIE_SEEDS)
-def test_tie_breaks_are_backend_invariant(seed):
-    """On tie-heavy instances the two backends must still pick identical pairs."""
+def test_tie_breaks_match_oracle(seed):
+    """On tie-heavy instances the oracle and the bulk path must pick identical pairs."""
     instance = _tie_heavy_instance(seed)
     k = min(instance.num_events, instance.num_intervals + 2)
     for algorithm in ("ALG", "INC", "HOR", "HOR-I", "TOP"):
-        results = {
-            backend: run_scheduler(algorithm, instance, k, execution=ExecutionConfig(backend=backend))
-            for backend in available_backends()
-        }
-        assert (
-            results["scalar"].schedule.as_dict() == results["batch"].schedule.as_dict()
-        ), algorithm
-        assert results["scalar"].counters == results["batch"].counters, algorithm
+        bulk = run_scheduler(algorithm, instance, k)
+        with per_pair_scoring():
+            oracle = run_scheduler(algorithm, instance, k)
+        assert oracle.schedule.as_dict() == bulk.schedule.as_dict(), algorithm
+        assert oracle.counters == bulk.counters, algorithm

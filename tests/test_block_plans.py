@@ -21,8 +21,7 @@ Five contracts of the structure-exploiting scoring work:
   five schedulers of one instance share one mine (only INC mines under
   ``direct``), copies mine their own, and the mined-from arrays turn
   read-only;
-* **The plan table behaves like the backend table** — fixed names in
-  order, lookup, catalogue and non-bulk pinning.
+* **The plan table is fixed** — names in order, lookup and defaults.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.core.execution import (
     ExecutionConfig,
     available_plans,
     get_plan,
-    plan_catalog,
     resolve_plan,
 )
 from repro.core import scoring
@@ -728,20 +726,11 @@ class TestPlanRegistry:
         with pytest.raises(SolverError, match="unknown scoring plan 'nope'"):
             get_plan("nope")
 
-    def test_resolve_plan_defaults_and_pinning(self):
+    def test_resolve_plan_defaults(self):
         assert resolve_plan(None) == "direct"
         assert resolve_plan("blocked") == "blocked"
-        # Non-bulk backends never run the in-process block kernel.
-        assert resolve_plan("blocked", backend="scalar") == "direct"
-        assert resolve_plan("blocked", backend="batch") == "blocked"
         with pytest.raises(SolverError, match="unknown scoring plan"):
             resolve_plan("nope")
-
-    def test_plan_catalog_marks_the_default(self):
-        catalog = plan_catalog()
-        names = [row["plan"] for row in catalog]
-        assert any(name.endswith("(default)") for name in names)
-        assert all(row["description"] for row in catalog)
 
     def test_core_resolves_blocked_plan_without_analysis(self):
         """``repro.core`` owns the ``blocked`` plan: no import of ``repro.analysis`` needed."""

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.execution import available_backends
+from repro.core.execution import available_plans
+
+from tests.oracle import per_pair_scoring
 
 
 class TestParser:
@@ -128,19 +130,28 @@ class TestSolveCommand:
         assert "TOP:" in output and "ALG:" in output
 
 
-class TestSolveBackendFlags:
-    def test_solve_with_scalar_backend_and_chunk(self, capsys):
-        code = main(
-            [
-                "solve", "--dataset", "Unf", "-k", "3",
-                "--users", "15", "--events", "8", "--intervals", "3",
-                "--algorithms", "INC", "HOR-I",
-                "--backend", "scalar", "--chunk-size", "2",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "INC" in output and "HOR-I" in output
+class TestSolveExecutionFlags:
+    def test_solve_with_chunk_matches_oracle(self, capsys):
+        """A chunked solve prints the oracle's schedules and counters."""
+        argv = [
+            "solve", "--dataset", "Unf", "-k", "3",
+            "--users", "15", "--events", "8", "--intervals", "3",
+            "--algorithms", "INC", "HOR-I", "--show-schedule",
+        ]
+
+        def table_and_schedules() -> list:
+            lines = capsys.readouterr().out.splitlines()
+            # Drop the wall-clock column, the one field that may differ.
+            return [line.split()[:6] + line.split()[7:] for line in lines]
+
+        assert main([*argv, "--chunk-size", "2"]) == 0
+        chunked = table_and_schedules()
+        with per_pair_scoring():
+            assert main(argv) == 0
+        oracle = table_and_schedules()
+        assert chunked == oracle
+        assert any(line[:1] == ["INC:"] for line in oracle)
+        assert any(line[:1] == ["HOR-I:"] for line in oracle)
 
     def test_invalid_chunk_size_reports_error(self, capsys):
         code = main(
@@ -153,19 +164,19 @@ class TestSolveBackendFlags:
         assert code == 2
         assert "chunk_size" in capsys.readouterr().err
 
-    def test_unknown_backend_reports_available_names(self, capsys):
+    def test_unknown_plan_reports_available_names(self, capsys):
         code = main(
             [
                 "solve", "--dataset", "Unf", "-k", "2",
                 "--users", "10", "--events", "5", "--intervals", "2",
                 "--algorithms", "TOP",
-                "--backend", "warp-drive",
+                "--plan", "warp-drive",
             ]
         )
         assert code == 2
         err = capsys.readouterr().err
         assert "warp-drive" in err
-        for name in available_backends():
+        for name in available_plans():
             assert name in err
 
 
@@ -177,13 +188,14 @@ class TestExperimentCommand:
         assert "fig10a" in output
         assert "HOR-I" in output
 
-    def test_experiment_backend_recorded_in_json(self, capsys):
+    def test_experiment_plan_recorded_in_json(self, capsys):
         code = main(
-            ["experiment", "fig9", "--scale", "tiny", "--json", "--backend", "scalar"]
+            ["experiment", "fig9", "--scale", "tiny", "--json", "--plan", "blocked"]
         )
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
-        assert rows and all(row["param.backend"] == "scalar" for row in rows)
+        assert rows and all(row["param.plan"] == "blocked" for row in rows)
+        assert not any("param.backend" in row for row in rows)
 
     def test_experiment_json(self, capsys):
         code = main(["experiment", "fig9", "--scale", "tiny", "--json"])

@@ -4,9 +4,8 @@ The docs subsystem promises the same reproducibility discipline as the
 equivalence suites: what the documentation *lists* is checked against what
 the code *defines*.  Concretely:
 
-* the backend tables in ``README.md`` and ``docs/ARCHITECTURE.md`` must name
-  **exactly** the backends of ``available_backends()`` — no missing backend,
-  no phantom row;
+* no doc names a retired backend surface (the ``--backend`` flag, the
+  ``backends`` command, the backend table);
 * the instance-storage table in ``docs/ARCHITECTURE.md`` must name exactly
   the stores of ``available_stores()``, in table order;
 * the scoring-plan tables in ``README.md`` and ``docs/ARCHITECTURE.md`` must
@@ -33,7 +32,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
-from repro.core.execution import available_backends
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = REPO_ROOT / "README.md"
@@ -70,34 +68,25 @@ def _cli_subcommands() -> list:
     return list(action.choices)
 
 
-class TestBackendTables:
-    def test_readme_backend_table_matches_registry(self):
-        section = _section(README.read_text(encoding="utf-8"), "## Execution backends")
-        names = _table_names(section)
-        assert names, "README's execution-backends section lost its table"
-        assert sorted(names) == sorted(available_backends()), (
-            "README backend table drifted from available_backends()"
-        )
+#: Spellings of the retired backend axis that no doc may carry.
+RETIRED_BACKEND_SURFACE = (
+    "--backend",
+    "repro backends",
+    "available_backends",
+    "ExecutionConfig(backend",
+    "## Execution backends",
+    "## Backend decision table",
+)
 
-    def test_architecture_decision_table_matches_registry(self):
-        section = _section(
-            ARCHITECTURE.read_text(encoding="utf-8"), "## Backend decision table"
-        )
-        names = _table_names(section)
-        assert names, "docs/ARCHITECTURE.md lost its backend decision table"
-        assert sorted(names) == sorted(available_backends()), (
-            "docs/ARCHITECTURE.md decision table drifted from the registry"
-        )
 
-    def test_tables_preserve_registration_order(self):
-        """The docs list backends in the registry's (registration) order."""
-        expected = list(available_backends())
-        for path, heading in (
-            (README, "## Execution backends"),
-            (ARCHITECTURE, "## Backend decision table"),
-        ):
-            names = _table_names(_section(path.read_text(encoding="utf-8"), heading))
-            assert names == expected, f"{path.name} lists backends out of order"
+class TestRetiredBackendSurface:
+    @pytest.mark.parametrize(
+        "path", [README, ARCHITECTURE, PAPER_MAPPING, STATIC_ANALYSIS], ids=lambda p: p.name
+    )
+    def test_docs_name_no_retired_backend_surface(self, path):
+        text = path.read_text(encoding="utf-8")
+        found = [spelling for spelling in RETIRED_BACKEND_SURFACE if spelling in text]
+        assert not found, f"{path.name} still documents {found}"
 
 
 class TestStorageTable:
@@ -136,8 +125,8 @@ class TestPlanTables:
             )
 
 
-def _backend_flags() -> list:
-    """The long option strings attached by ``_add_backend_arguments``."""
+def _execution_flags() -> list:
+    """The long option strings of the ``solve`` sub-command."""
     parser = build_parser()
     action = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
@@ -162,11 +151,11 @@ class TestCliReference:
 
     def test_every_execution_flag_is_documented(self):
         """The shared execution flags named below the command table are real
-        parser options, and every ``_add_backend_arguments`` flag is named."""
+        parser options, and every ``_add_execution_arguments`` flag is named."""
         section = _section(README.read_text(encoding="utf-8"), "## CLI command reference")
         documented = set(re.findall(r"`(--[\w-]+)`", section))
-        execution_flags = {"--backend", "--plan", "--storage", "--chunk-size"}
-        parser_flags = set(_backend_flags())
+        execution_flags = {"--plan", "--storage", "--chunk-size"}
+        parser_flags = set(_execution_flags())
         missing_from_parser = execution_flags - parser_flags
         assert not missing_from_parser, (
             f"README documents execution flags the parser lost: {sorted(missing_from_parser)}"

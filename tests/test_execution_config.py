@@ -1,10 +1,9 @@
-"""The execution layer itself: config resolution, the backend table, the catalogue.
+"""The execution layer itself: config resolution and the retired surface.
 
-The backend strategies' numerical behaviour is locked down by the equivalence
-suites; these tests cover the layer's *surface* — ``ExecutionConfig``
-resolution rules, the fixed name→class backend table, the CLI-facing
-catalogue, and the single ``execution=`` entry path every public runner
-takes.
+The bulk path's numerical behaviour is locked down by the equivalence suites;
+these tests cover the layer's *surface* — ``ExecutionConfig`` resolution
+rules, the single ``execution=`` entry path every public runner takes, and
+the knobs, flags and commands that are gone.
 """
 
 from __future__ import annotations
@@ -22,14 +21,9 @@ import pytest
 import repro
 from repro.algorithms.registry import get_scheduler, run_scheduler
 from repro.cli import main
+from repro.core import execution
 from repro.core.errors import SolverError
-from repro.core.execution import (
-    DEFAULT_BACKEND,
-    ExecutionConfig,
-    available_backends,
-    backend_catalog,
-    get_backend,
-)
+from repro.core.execution import DEFAULT_PLAN, ExecutionConfig, available_plans
 from repro.core.scoring import ScoringEngine
 from repro.experiments import figures
 from repro.experiments.harness import run_algorithms, run_experiment_point
@@ -75,29 +69,24 @@ def test_entry_point_takes_execution_config_only(name):
 class TestConfigResolution:
     def test_defaults_resolve(self):
         resolved = ExecutionConfig().resolve(num_users=100)
-        assert resolved.backend == DEFAULT_BACKEND
+        assert resolved.plan == DEFAULT_PLAN
         assert resolved.chunk_size >= 1
 
-    def test_fields_are_backend_chunk_size_and_plan(self):
+    def test_fields_are_chunk_size_and_plan(self):
         names = [field.name for field in dataclasses.fields(ExecutionConfig)]
-        assert names == ["backend", "chunk_size", "plan"]
+        assert names == ["chunk_size", "plan"]
 
     def test_resolution_is_idempotent(self):
-        config = ExecutionConfig(backend="batch", chunk_size=7, plan="blocked")
+        config = ExecutionConfig(chunk_size=7, plan="blocked")
         once = config.resolve(num_users=50)
         assert once.resolve(num_users=50) == once
 
-    def test_unknown_backend_lists_names(self):
+    def test_unknown_plan_lists_names(self):
         with pytest.raises(SolverError) as excinfo:
-            ExecutionConfig(backend="gpu").resolve(num_users=10)
+            ExecutionConfig(plan="gpu").resolve(num_users=10)
         message = str(excinfo.value)
-        for name in available_backends():
+        for name in available_plans():
             assert name in message
-
-    def test_is_bulk(self):
-        assert not ExecutionConfig(backend="scalar").is_bulk
-        assert ExecutionConfig(backend="batch").is_bulk
-        assert ExecutionConfig().is_bulk  # the default is a bulk backend
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(SolverError):
@@ -105,33 +94,10 @@ class TestConfigResolution:
 
     def test_engine_exposes_resolved_config(self):
         instance = make_random_instance(seed=130, num_users=10, num_events=6, num_intervals=2)
-        engine = ScoringEngine(instance, execution=ExecutionConfig(backend="batch", chunk_size=3))
-        assert engine.execution.backend == "batch"
+        engine = ScoringEngine(instance, execution=ExecutionConfig(chunk_size=3))
         assert engine.execution.chunk_size == 3
-        assert engine.backend == "batch"
+        assert engine.execution.plan == DEFAULT_PLAN
         assert engine.chunk_size == 3
-
-
-class TestRegistry:
-    def test_builtins_registered_in_order(self):
-        assert available_backends() == ("scalar", "batch")
-        bulk = tuple(name for name in available_backends() if get_backend(name).is_bulk)
-        assert bulk == ("batch",)
-
-    def test_get_backend_unknown_is_friendly(self):
-        with pytest.raises(SolverError) as excinfo:
-            get_backend("nope")
-        assert "batch" in str(excinfo.value)
-
-    def test_retired_thread_backend_is_unknown(self):
-        with pytest.raises(SolverError) as excinfo:
-            ExecutionConfig(backend="parallel").resolve(num_users=10)
-        assert "available: scalar, batch" in str(excinfo.value)
-
-    def test_retired_cluster_backend_is_unknown(self):
-        with pytest.raises(SolverError) as excinfo:
-            ExecutionConfig(backend="cluster").resolve(num_users=10)
-        assert "available: scalar, batch" in str(excinfo.value)
 
 
 #: Commands that run as given, to which each retired flag is appended.
@@ -144,28 +110,36 @@ VALID_COMMANDS = {
     "serve": ["serve", "--port", "0"],
 }
 
-#: The cluster's flags, each with a value it once accepted.
+#: The cluster's and the backend axis's flags, each with a value it once
+#: accepted.
 RETIRED_FLAGS = [
     ("--workers", "2"),
     ("--cluster", "127.0.0.1:7077"),
     ("--cluster-key", "secret"),
+    ("--backend", "scalar"),
 ]
 
 
 class TestRetiredClusterSurface:
-    """Every solve runs in one process: the cluster's knobs, result fields and
-    commands are gone rather than silently ignored."""
+    """Every solve runs in one process on the one bulk scoring path: the
+    cluster's and the backend axis's knobs, result fields and commands are
+    gone rather than silently ignored."""
 
     @pytest.mark.parametrize(
         "knob, value",
-        [("workers", 2), ("workers_addr", ("127.0.0.1:7077",)), ("cluster_key", "secret")],
-        ids=["workers", "workers_addr", "cluster_key"],
+        [
+            ("workers", 2),
+            ("workers_addr", ("127.0.0.1:7077",)),
+            ("cluster_key", "secret"),
+            ("backend", "batch"),
+        ],
+        ids=["workers", "workers_addr", "cluster_key", "backend"],
     )
     def test_execution_config_rejects_retired_knob(self, knob, value):
         with pytest.raises(TypeError, match=knob):
             ExecutionConfig(**{knob: value})
 
-    @pytest.mark.parametrize("field", ["workers", "cluster", "cluster_stats"])
+    @pytest.mark.parametrize("field", ["workers", "cluster", "cluster_stats", "backend"])
     def test_results_and_records_carry_no_cluster_fields(self, field):
         instance = make_random_instance(seed=101, num_users=8, num_events=4, num_intervals=2)
         result = run_scheduler("TOP", instance, 2)
@@ -182,7 +156,9 @@ class TestRetiredClusterSurface:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["worker", "serve"], ["cluster", "health"]], ids=" ".join)
+    @pytest.mark.parametrize(
+        "argv", [["worker", "serve"], ["cluster", "health"], ["backends"]], ids=" ".join
+    )
     def test_cli_rejects_retired_commands(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -190,26 +166,15 @@ class TestRetiredClusterSurface:
         assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
-class TestCatalogue:
-    def test_catalog_covers_every_backend(self):
-        rows = backend_catalog()
-        names = [str(row["backend"]).split(" ")[0] for row in rows]
-        assert names == list(available_backends())
-        default_rows = [row for row in rows if "(default)" in str(row["backend"])]
-        assert len(default_rows) == 1 and DEFAULT_BACKEND in str(default_rows[0]["backend"])
-        for row in rows:
-            assert set(row) == {"backend", "bulk", "chunk_size", "description"}
-            assert row["description"]
+    def test_execution_module_defines_no_backend(self):
+        names = [name for name in vars(execution) if "backend" in name.lower()]
+        assert names == []
 
-    def test_cli_backends_subcommand(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in available_backends():
-            assert name in out
-
-    def test_cli_list_includes_backends_line(self, capsys):
+    def test_cli_list_has_no_backends_line(self, capsys):
         assert main(["list"]) == 0
-        assert "backends:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "backends:" not in out
+        assert "plans:" in out
 
 
 #: What only the scheduling service may load: the stdlib's socket

@@ -1,6 +1,6 @@
 """Round-level equivalence of the batched incremental refresh (INC / HOR-I).
 
-The backend test suites of PR 1 locked down the *generation* phase; these
+The scoring equivalence suites lock down the *generation* phase; these
 suites extend the guarantee to every later round.  Under the batched
 stale-refresh path (Φ-cut block fetches through
 :meth:`~repro.core.scoring.ScoringEngine.refresh_scores`, one update
@@ -8,8 +8,8 @@ computation counted per consumed score) INC must still produce exactly ALG's
 schedule and HOR-I exactly HOR's, and every counter total —
 ``assignments_examined``, ``score_computations``, ``user_computations``,
 ``initial_computations``/``update_computations`` — must be *identical*
-between the scalar reference and the batch backend, with and without
-event-axis chunking.
+between the per-pair oracle (``tests/oracle.py``) and the engine's bulk
+path, with and without event-axis chunking.
 
 The case grid deliberately includes score ties, zero-interest users, tight
 resource/location constraints and ``k > |T|`` (multi-round HOR-I refreshes).
@@ -26,12 +26,12 @@ from repro.core.errors import SolverError
 from repro.core.execution import (
     DEFAULT_CHUNK_ELEMENTS,
     ExecutionConfig,
-    available_backends,
     resolve_chunk_size,
 )
 from repro.core.instance import SESInstance
 from repro.core.scoring import ScoringEngine
 from tests.conftest import execution_variants, make_random_instance
+from tests.oracle import per_pair_scoring
 
 
 def _zero_interest_instance():
@@ -75,7 +75,7 @@ def _run_pair(algorithm, case, execution=None, **execution_kwargs):
 
 
 class TestRoundLevelEquivalence:
-    """INC ≡ ALG and HOR-I ≡ HOR under every backend, counters backend-invariant."""
+    """INC ≡ ALG and HOR-I ≡ HOR on every execution variant, counters equal to the oracle's."""
 
     @pytest.mark.parametrize("case", CASE_IDS)
     @pytest.mark.parametrize("variant", execution_variants())
@@ -95,20 +95,21 @@ class TestRoundLevelEquivalence:
 
     @pytest.mark.parametrize("case", CASE_IDS)
     @pytest.mark.parametrize("algorithm", ["INC", "HOR-I"])
-    def test_counters_identical_across_backends(self, case, algorithm):
-        scalar = _run_pair(algorithm, case, backend="scalar")
-        for backend in available_backends()[1:]:
-            bulk = _run_pair(algorithm, case, backend=backend)
-            assert bulk.schedule.as_dict() == scalar.schedule.as_dict(), backend
-            assert bulk.utility == scalar.utility, backend
-            assert bulk.counters == scalar.counters, backend
+    def test_counters_match_oracle(self, case, algorithm):
+        bulk = _run_pair(algorithm, case)
+        with per_pair_scoring():
+            oracle = _run_pair(algorithm, case)
+        assert bulk.schedule.as_dict() == oracle.schedule.as_dict()
+        assert bulk.utility == oracle.utility
+        assert bulk.counters == oracle.counters
 
     @pytest.mark.parametrize("case", CASE_IDS)
     @pytest.mark.parametrize("algorithm", ["INC", "HOR-I"])
     @pytest.mark.parametrize("chunk_size", [1, 2, 5, None])
     def test_chunking_changes_nothing(self, case, algorithm, chunk_size):
-        reference = _run_pair(algorithm, case, backend="scalar")
-        chunked = _run_pair(algorithm, case, backend="batch", chunk_size=chunk_size)
+        with per_pair_scoring():
+            reference = _run_pair(algorithm, case)
+        chunked = _run_pair(algorithm, case, chunk_size=chunk_size)
         assert chunked.schedule.as_dict() == reference.schedule.as_dict()
         assert chunked.utility == reference.utility
         assert chunked.counters == reference.counters
@@ -117,9 +118,9 @@ class TestRoundLevelEquivalence:
     def test_update_phase_is_exercised(self, algorithm):
         """The multi-round case must actually hit the refresh paths, or the
         equivalence assertions above are vacuous."""
-        for backend in available_backends():
-            result = _run_pair(algorithm, "multi_round", backend=backend)
-            assert result.counters["update_computations"] > 0
+        assert _run_pair(algorithm, "multi_round").counters["update_computations"] > 0
+        with per_pair_scoring():
+            assert _run_pair(algorithm, "multi_round").counters["update_computations"] > 0
 
 
 class TestRefreshScoresApi:
@@ -213,13 +214,13 @@ class TestFetchWaste:
 
 
 class TestChunking:
-    """The event-axis memory guard of the batch backend."""
+    """The event-axis memory guard of the bulk path."""
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 7, 1000])
     def test_interval_scores_bit_identical(self, chunk_size):
         instance = make_random_instance(seed=83, num_events=23, num_intervals=4)
-        whole = ScoringEngine(instance, execution=ExecutionConfig(backend="batch", chunk_size=10_000))
-        chunked = ScoringEngine(instance, execution=ExecutionConfig(backend="batch", chunk_size=chunk_size))
+        whole = ScoringEngine(instance, execution=ExecutionConfig(chunk_size=10_000))
+        chunked = ScoringEngine(instance, execution=ExecutionConfig(chunk_size=chunk_size))
         for interval in range(instance.num_intervals):
             a = whole.interval_scores(interval, count=False)
             b = chunked.interval_scores(interval, count=False)
@@ -228,15 +229,15 @@ class TestChunking:
     @pytest.mark.parametrize("chunk_size", [1, 4, 50])
     def test_score_matrix_bit_identical(self, chunk_size):
         instance = make_random_instance(seed=84, num_events=17, num_intervals=5)
-        whole = ScoringEngine(instance, execution=ExecutionConfig(backend="batch", chunk_size=10_000))
-        chunked = ScoringEngine(instance, execution=ExecutionConfig(backend="batch", chunk_size=chunk_size))
+        whole = ScoringEngine(instance, execution=ExecutionConfig(chunk_size=10_000))
+        chunked = ScoringEngine(instance, execution=ExecutionConfig(chunk_size=chunk_size))
         assert np.array_equal(
             whole.score_matrix(count=False), chunked.score_matrix(count=False)
         )
 
     def test_default_chunk_bounds_memory(self):
         instance = make_random_instance(seed=85, num_users=40)
-        engine = ScoringEngine(instance, execution=ExecutionConfig(backend="batch"))
+        engine = ScoringEngine(instance, execution=ExecutionConfig())
         assert engine.chunk_size == DEFAULT_CHUNK_ELEMENTS // 40
 
     def test_resolve_chunk_size_validation(self):
@@ -249,23 +250,23 @@ class TestChunking:
 
 
 class TestResultPlumbing:
-    """Backend provenance on results and records (the harness satellites)."""
+    """Plan provenance on results and records (the harness satellites)."""
 
-    def test_summary_includes_backend(self, small_instance):
-        for backend in available_backends():
-            result = run_scheduler("TOP", small_instance, 3, execution=ExecutionConfig(backend=backend))
-            assert result.backend == backend
-            assert result.summary()["backend"] == backend
+    def test_summary_includes_plan(self, small_instance):
+        for plan in ("direct", "blocked"):
+            result = run_scheduler("TOP", small_instance, 3, execution=ExecutionConfig(plan=plan))
+            assert result.plan == plan
+            assert result.summary()["plan"] == plan
 
-    def test_metric_record_params_include_backend(self, small_instance):
+    def test_metric_record_params_include_plan(self, small_instance):
         from repro.experiments.harness import run_algorithms
 
         records = run_algorithms(
             small_instance,
             3,
             algorithms=["ALG", "TOP"],
-            execution=ExecutionConfig(backend="scalar"),
+            execution=ExecutionConfig(plan="blocked"),
         )
-        assert all(record.params["backend"] == "scalar" for record in records)
+        assert all(record.params["plan"] == "blocked" for record in records)
         rows = [record.to_row() for record in records]
-        assert all(row["param.backend"] == "scalar" for row in rows)
+        assert all(row["param.plan"] == "blocked" for row in rows)

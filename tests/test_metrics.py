@@ -41,7 +41,6 @@ class TestMetricRecord:
         assert record.score_computations == result.score_computations
         assert record.params == {
             "k": 3,
-            "backend": result.backend,
             "storage": result.storage,
             "plan": result.plan,
         }

@@ -17,8 +17,9 @@ head resolution both run:
 * ``lock-filled`` — a lock fills a capacity-1 interval and a second lock sits
   in a capacity-2 one.
 
-Every case runs under all six storage × plan layouts and the ``scalar`` and
-``batch`` backends: the pinned values are the same everywhere.
+Every case runs under all six storage × plan layouts, on the engine's bulk
+path (``batch``) and on the per-pair oracle (``oracle``, ``tests/oracle.py``):
+the pinned values are the same everywhere.
 
 One more case pins INC alone on all-distinct users (one class per user, the
 shape of perfbench's ``unf-dense``), where the structural Φ bound works on
@@ -33,6 +34,7 @@ import pytest
 
 from repro.algorithms.registry import run_scheduler
 from tests.conftest import AXIS_LAYOUTS, LAYOUTS, make_random_instance
+from tests.oracle import SCORING_PATHS
 
 ALGORITHMS = ("INC", "HOR-I", "HOR", "INC-U", "ALG-O")
 
@@ -163,16 +165,17 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("backend", ["scalar", "batch"])
+@pytest.mark.parametrize("path", sorted(SCORING_PATHS))
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
-def test_walks_match_the_pinned_counters(layout, case, backend):
+def test_walks_match_the_pinned_counters(layout, case, path):
     factory, k, locked = CASES[case]
     instance = layout.convert(factory())
     for algorithm in ALGORITHMS:
-        result = run_scheduler(
-            algorithm, instance, k, execution=layout.execution(backend=backend), locked=locked
-        )
+        with SCORING_PATHS[path]():
+            result = run_scheduler(
+                algorithm, instance, k, execution=layout.execution(), locked=locked
+            )
         schedule, utility, snapshot = PINNED[case, algorithm]
         assert sorted(result.schedule.as_dict().items()) == schedule, algorithm
         assert result.utility.hex() == utility, algorithm
@@ -191,14 +194,15 @@ UNSTRUCTURED = (
 )
 
 
-@pytest.mark.parametrize("backend", ["scalar", "batch"])
+@pytest.mark.parametrize("path", sorted(SCORING_PATHS))
 @pytest.mark.parametrize(
     "layout", [name for name in AXIS_LAYOUTS if name.endswith("-direct")], indirect=True
 )
-def test_inc_on_unstructured_users_matches_the_pinned_counters(layout, backend):
+def test_inc_on_unstructured_users_matches_the_pinned_counters(layout, path):
     factory, k, (schedule, utility, snapshot) = UNSTRUCTURED
     instance = layout.convert(factory())
-    result = run_scheduler("INC", instance, k, execution=layout.execution(backend=backend))
+    with SCORING_PATHS[path]():
+        result = run_scheduler("INC", instance, k, execution=layout.execution())
     assert sorted(result.schedule.as_dict().items()) == schedule
     assert result.utility.hex() == utility
     assert result.counters == snapshot

@@ -1,15 +1,15 @@
-"""Equivalence suite locking the batch scoring backend to the scalar reference.
+"""Equivalence suite locking the engine's bulk scoring path to the per-pair reference.
 
-The batch backend evaluates whole intervals (and the full ``|E| × |T|``
-matrix) in vectorised NumPy passes; these tests pin it to the scalar per-pair
-path on ~20 randomized instances spanning different ``|U|``, ``|E|``, ``|T|``,
-``|C|``, user weights, event values and costs:
+The bulk path evaluates whole intervals (and the full ``|E| × |T|`` matrix)
+in vectorised NumPy passes; these tests pin it to the per-pair Eq. 4 path
+(:meth:`~repro.core.scoring.ScoringEngine.assignment_score`, and the
+``tests/oracle.py`` copy of it that whole runs score through) on ~20
+randomized instances spanning different ``|U|``, ``|E|``, ``|T|``, ``|C|``,
+user weights, event values and costs:
 
-* every batch score equals the scalar score to within 1e-12 (in practice the
-  two are bit-identical, because they perform the same elementary operations
-  in the same order);
-* every scheduler produces the identical schedule and utility under both
-  backends;
+* every bulk score is bit-identical to the per-pair score, because both
+  perform the same elementary operations in the same order;
+* every scheduler produces the identical schedule and utility on both paths;
 * the shared division guard zeroes users whose competing + scheduled interest
   sums to zero on both paths (the regression for the formerly inlined,
   per-call-site guard).
@@ -25,13 +25,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import run_scheduler
-from repro.core.errors import SolverError
 from repro.core.instance import SESInstance
-from repro.core.execution import DEFAULT_BACKEND, ExecutionConfig, available_backends
 from repro.core.scoring import ScoringEngine
 
 from tests.conftest import BLOCK_VARIANTS, execution_variants, make_random_instance
+from tests.oracle import SCORING_PATHS, per_pair_scoring
 
+#: Only for the hand-written Eq. 2 sum below, which adds in another order.
 TOLERANCE = 1e-12
 
 #: The schedulers rewired onto the bulk scoring API.
@@ -89,8 +89,8 @@ def _extended_configs() -> list:
 ALL_CONFIGS = RANDOM_CONFIGS + _extended_configs()
 
 
-def _scalar_reference_matrix(engine: ScoringEngine) -> np.ndarray:
-    """The per-pair scalar scores of every (event, interval) assignment."""
+def _per_pair_reference_matrix(engine: ScoringEngine) -> np.ndarray:
+    """The per-pair scores of every (event, interval) assignment."""
     instance = engine.instance
     return np.array(
         [
@@ -115,78 +115,82 @@ def _apply_prefix(instance: SESInstance, engines, seed: int) -> None:
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: f"seed{c['seed']}")
-def test_score_matrix_matches_scalar_reference(config, layout):
+def test_score_matrix_matches_per_pair_reference(config, layout):
     instance = layout.instance(**config)
-    scalar = ScoringEngine(instance, execution=layout.execution(backend="scalar"))
-    batch = ScoringEngine(instance, execution=layout.execution(backend="batch"))
-    chunked = ScoringEngine(instance, execution=layout.execution(backend="batch", chunk_size=3))
+    bulk = ScoringEngine(instance, execution=layout.execution())
+    chunked = ScoringEngine(instance, execution=layout.execution(chunk_size=3))
 
-    reference = _scalar_reference_matrix(scalar)
-    assert np.allclose(batch.score_matrix(count=False), reference, atol=TOLERANCE, rtol=0.0)
-    # The scalar backend's bulk API is the reference path itself, and the
-    # batch kernel run block-by-block is bit-identical to one whole pass.
-    assert np.array_equal(scalar.score_matrix(count=False), reference)
-    assert np.array_equal(chunked.score_matrix(count=False), batch.score_matrix(count=False))
+    reference = _per_pair_reference_matrix(bulk)
+    assert np.array_equal(bulk.score_matrix(count=False), reference)
+    # The oracle's bulk API is the reference path itself, and the bulk
+    # kernel run block-by-block is bit-identical to one whole pass.
+    with per_pair_scoring():
+        assert np.array_equal(bulk.score_matrix(count=False), reference)
+    assert np.array_equal(chunked.score_matrix(count=False), bulk.score_matrix(count=False))
 
     # The equivalence must hold against a non-empty schedule state too.
-    _apply_prefix(instance, (scalar, batch, chunked), seed=config["seed"] + 1000)
-    reference = _scalar_reference_matrix(scalar)
-    assert np.allclose(batch.score_matrix(count=False), reference, atol=TOLERANCE, rtol=0.0)
-    assert np.array_equal(chunked.score_matrix(count=False), batch.score_matrix(count=False))
+    _apply_prefix(instance, (bulk, chunked), seed=config["seed"] + 1000)
+    reference = _per_pair_reference_matrix(bulk)
+    assert np.array_equal(bulk.score_matrix(count=False), reference)
+    assert np.array_equal(chunked.score_matrix(count=False), bulk.score_matrix(count=False))
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS[:6], ids=lambda c: f"seed{c['seed']}")
-def test_interval_scores_subset_matches_scalar(config, layout):
+def test_interval_scores_subset_matches_oracle(config, layout):
     instance = layout.instance(**config)
-    scalar = ScoringEngine(instance, execution=layout.execution(backend="scalar"))
-    batch = ScoringEngine(instance, execution=layout.execution(backend="batch"))
+    engine = ScoringEngine(instance, execution=layout.execution())
     rng = np.random.default_rng(config["seed"])
     subset = list(
         rng.choice(instance.num_events, size=max(1, instance.num_events // 2), replace=False)
     )
     for interval_index in range(instance.num_intervals):
-        expected = scalar.interval_scores(interval_index, subset, count=False)
-        actual = batch.interval_scores(interval_index, subset, count=False)
-        assert np.allclose(actual, expected, atol=TOLERANCE, rtol=0.0)
+        with per_pair_scoring():
+            expected = engine.interval_scores(interval_index, subset, count=False)
+        actual = engine.interval_scores(interval_index, subset, count=False)
+        assert np.array_equal(actual, expected)
         for position, event_index in enumerate(subset):
-            pair = scalar.assignment_score(int(event_index), interval_index, count=False)
-            assert abs(actual[position] - pair) <= TOLERANCE
+            pair = engine.assignment_score(int(event_index), interval_index, count=False)
+            assert actual[position] == pair
 
 
 @pytest.mark.parametrize("algorithm", BATCHED_SCHEDULERS)
 @pytest.mark.parametrize("config", ALL_CONFIGS[::2], ids=lambda c: f"seed{c['seed']}")
-def test_schedulers_identical_across_backends(algorithm, config, layout):
+def test_schedulers_match_oracle(algorithm, config, layout):
     instance = layout.instance(**config)
     k = min(instance.num_events, instance.num_intervals + 2)
-    results = {
-        backend: run_scheduler(
-            algorithm, instance, k, execution=layout.execution(backend=backend)
-        )
-        for backend in available_backends()
-    }
-    scalar = results["scalar"]
-    for backend in available_backends()[1:]:
-        other = results[backend]
-        assert scalar.schedule.as_dict() == other.schedule.as_dict(), backend
-        assert abs(scalar.utility - other.utility) <= TOLERANCE, backend
-        assert abs(scalar.net_utility - other.net_utility) <= TOLERANCE, backend
+    bulk = run_scheduler(algorithm, instance, k, execution=layout.execution())
+    with per_pair_scoring():
+        oracle = run_scheduler(algorithm, instance, k, execution=layout.execution())
+    assert oracle.schedule.as_dict() == bulk.schedule.as_dict()
+    assert oracle.utility == bulk.utility
+    assert oracle.net_utility == bulk.net_utility
 
 
-def test_backend_selection_surface():
-    instance = make_random_instance(seed=40, num_users=10, num_events=5, num_intervals=2)
-    assert ScoringEngine(instance).backend == DEFAULT_BACKEND
-    assert ScoringEngine(instance, execution=ExecutionConfig(backend="scalar")).backend == "scalar"
-    assert ScoringEngine(instance, execution=ExecutionConfig(backend="batch")).backend == "batch"
-    with pytest.raises(SolverError):
-        ScoringEngine(instance, execution=ExecutionConfig(backend="gpu"))
-    with pytest.raises(SolverError):
-        run_scheduler("HOR", instance, 2, execution=ExecutionConfig(backend="nope"))
+@pytest.mark.parametrize("variant", tuple(BLOCK_VARIANTS))
+@pytest.mark.parametrize("algorithm", BATCHED_SCHEDULERS)
+@pytest.mark.parametrize(
+    "config", [RANDOM_CONFIGS[5], _extended_configs()[0]], ids=lambda c: f"seed{c['seed']}"
+)
+def test_block_variants_match_oracle(config, algorithm, variant, layout):
+    """Every scheduler, walking each column in several blocks, matches the oracle."""
+    instance = layout.instance(**config)
+    k = min(instance.num_events, 2 * instance.num_intervals)  # multi-round for HOR
+    chunked = run_scheduler(
+        algorithm, instance, k, execution=layout.execution(chunk_size=BLOCK_VARIANTS[variant])
+    )
+    with per_pair_scoring():
+        oracle = run_scheduler(algorithm, instance, k, execution=layout.execution())
+    assert chunked.schedule.as_dict() == oracle.schedule.as_dict()
+    assert chunked.utility == oracle.utility
+    assert chunked.net_utility == oracle.net_utility
+    assert chunked.counters == oracle.counters
 
 
-def test_score_matrix_counts_one_score_per_pair(layout):
+@pytest.mark.parametrize("path", sorted(SCORING_PATHS))
+def test_score_matrix_counts_one_score_per_pair(layout, path):
     instance = layout.instance(seed=41, num_users=12, num_events=6, num_intervals=3)
-    for backend in available_backends():
-        engine = ScoringEngine(instance, execution=layout.execution(backend=backend))
+    with SCORING_PATHS[path]():
+        engine = ScoringEngine(instance, execution=layout.execution())
         engine.score_matrix(initial=True)
         counter = engine.counter
         pairs = instance.num_events * instance.num_intervals
@@ -194,6 +198,33 @@ def test_score_matrix_counts_one_score_per_pair(layout):
         assert counter.user_computations == pairs * instance.num_users
         assert counter.initial_computations == pairs
         assert counter.update_computations == 0
+
+
+def test_oracle_scores_pair_by_pair(monkeypatch):
+    """Under the oracle the bulk entry points never reach the block kernel."""
+    instance = make_random_instance(seed=43, num_users=12, num_events=5, num_intervals=3)
+    engine = ScoringEngine(instance)
+    calls = {"pair": 0, "block": 0}
+    run_pair, run_block = engine._pair_score, engine._batch_block
+
+    def counting_pair(*args):
+        calls["pair"] += 1
+        return run_pair(*args)
+
+    def counting_block(*args):
+        calls["block"] += 1
+        return run_block(*args)
+
+    monkeypatch.setattr(engine, "_pair_score", counting_pair)
+    monkeypatch.setattr(engine, "_batch_block", counting_block)
+    with per_pair_scoring():
+        engine.score_matrix()
+        engine.interval_scores(1, [0, 2])
+        engine.refresh_scores(2, [4])
+    assert calls == {"pair": 5 * 3 + 2 + 1, "block": 0}
+    assert engine.counter.score_computations == 5 * 3 + 2 + 1
+    engine.score_matrix(count=False)
+    assert calls["block"] == 3
 
 
 @pytest.mark.parametrize("variant", tuple(BLOCK_VARIANTS))
@@ -222,7 +253,7 @@ def test_block_variants_really_split(variant, execution_for):
 
 # --------------------------------------------------------------------------- #
 # Division-guard regression: users whose competing + scheduled interest is
-# zero must contribute exactly 0.0 — identically on both backends.
+# zero must contribute exactly 0.0 — identically on both paths.
 # --------------------------------------------------------------------------- #
 #: Users of the zero-denominator instance, as indices into its three
 #: distinct rows: user 0 is the zero-interest user, and the repeats give the
@@ -279,11 +310,9 @@ def test_zero_denominator_users_contribute_zero(variant, execution_for, layout):
     # denominator (its µ column is all zeros) and must stay silently zeroed.
     engine.apply(0, 0)
     follow_up = engine.interval_scores(0, count=False)
-    scalar_engine = ScoringEngine(instance, execution=ExecutionConfig(backend="scalar"))
-    scalar_engine.apply(0, 0)
     for event_index in range(instance.num_events):
-        pair = scalar_engine.assignment_score(event_index, 0, count=False)
-        assert abs(follow_up[event_index] - pair) <= TOLERANCE
+        pair = engine.assignment_score(event_index, 0, count=False)
+        assert follow_up[event_index] == pair
     assert np.all(np.isfinite(follow_up))
 
 
@@ -294,11 +323,8 @@ def interest_of(instance: SESInstance, user: int, event: int) -> float:
 @pytest.mark.parametrize("algorithm", ["ALG", "INC", "HOR", "HOR-I", "TOP"])
 def test_zero_denominator_instance_schedules_identically(algorithm, layout):
     instance = layout.convert(_zero_denominator_instance())
-    results = {
-        backend: run_scheduler(
-            algorithm, instance, 2, execution=layout.execution(backend=backend)
-        )
-        for backend in available_backends()
-    }
-    assert results["scalar"].schedule.as_dict() == results["batch"].schedule.as_dict()
-    assert abs(results["scalar"].utility - results["batch"].utility) <= TOLERANCE
+    bulk = run_scheduler(algorithm, instance, 2, execution=layout.execution())
+    with per_pair_scoring():
+        oracle = run_scheduler(algorithm, instance, 2, execution=layout.execution())
+    assert oracle.schedule.as_dict() == bulk.schedule.as_dict()
+    assert oracle.utility == bulk.utility

@@ -17,13 +17,16 @@ property-testing way:
   solve plus a fresh :class:`~repro.core.scoring.ScoringEngine` grid.
 
 Every test runs once per :data:`CONFIGURATIONS` entry — a storage × plan
-``layout`` (``tests/conftest.py``) plus the backend knobs the session and
-the cold reference share.
+``layout`` (``tests/conftest.py``), a scoring path and the execution knobs
+the session and the cold reference share.  The cold references always score
+on the engine's bulk path, so the ``oracle`` entry, whose session scores
+pair by pair (``tests/oracle.py``), checks the per-pair path against it.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -47,28 +50,36 @@ from repro.service import (
     UpdateInterest,
 )
 
-#: ``(layout, backend knobs)`` the whole suite runs under: the library
-#: default; the per-pair ``scalar`` reference backend; ``batch`` walking the
-#: event axis in ragged blocks of three; every storage on the direct plan;
-#: and the blocked plan on dense and on mmap storage (blocked instances get
+from tests.oracle import ORACLE, SCORING_PATHS, bulk_scoring
+
+#: ``(layout, scoring path, execution knobs)`` the whole suite runs under:
+#: the library default; the per-pair oracle; the bulk path walking the event
+#: axis in ragged blocks of three; every storage on the direct plan; and the
+#: blocked plan on dense and on mmap storage (blocked instances get
 #: duplicate-heavy users).
 CONFIGURATIONS = [
-    pytest.param("dense-direct", {}, id="dense-direct-batch"),
-    pytest.param("dense-direct", {"backend": "scalar"}, id="dense-direct-scalar"),
-    pytest.param("dense-direct", {"chunk_size": 3}, id="dense-direct-batch-chunk3"),
-    pytest.param("sparse-direct", {}, id="sparse-direct-batch"),
-    pytest.param("mmap-direct", {}, id="mmap-direct-batch"),
-    pytest.param("dense-blocked", {}, id="dense-blocked-batch"),
-    pytest.param("mmap-blocked", {}, id="mmap-blocked-batch"),
+    pytest.param("dense-direct", "batch", {}, id="dense-direct-batch"),
+    pytest.param("dense-direct", ORACLE, {}, id="dense-direct-oracle"),
+    pytest.param("dense-direct", "batch", {"chunk_size": 3}, id="dense-direct-batch-chunk3"),
+    pytest.param("sparse-direct", "batch", {}, id="sparse-direct-batch"),
+    pytest.param("mmap-direct", "batch", {}, id="mmap-direct-batch"),
+    pytest.param("dense-blocked", "batch", {}, id="dense-blocked-batch"),
+    pytest.param("mmap-blocked", "batch", {}, id="mmap-blocked-batch"),
 ]
 
-pytestmark = pytest.mark.parametrize("layout, knobs", CONFIGURATIONS, indirect=["layout"])
+pytestmark = pytest.mark.parametrize(
+    "layout, path, knobs", CONFIGURATIONS, indirect=["layout"]
+)
 
 
 @pytest.fixture
-def execution(layout, knobs) -> ExecutionConfig:
-    """The execution config of both the session and the cold reference."""
-    return layout.execution(**knobs)
+def execution(layout, path, knobs) -> Iterator[ExecutionConfig]:
+    """The execution config of both the session and the cold reference.
+
+    The test runs on the entry's scoring path throughout.
+    """
+    with SCORING_PATHS[path]():
+        yield layout.execution(**knobs)
 
 
 #: Algorithms the replay rotates through (every grid-consuming scheduler).
@@ -104,9 +115,10 @@ def cold_solve(session: SchedulingSession, k: int, algorithm: str, seed: int, ex
         (instance.event_index(event_id), instance.interval_index(interval_id))
         for event_id, interval_id in session.locks().items()
     )
-    return run_scheduler(
-        algorithm, instance, k, seed=seed, execution=execution, locked=locked
-    )
+    with bulk_scoring():
+        return run_scheduler(
+            algorithm, instance, k, seed=seed, execution=execution, locked=locked
+        )
 
 
 def cold_initial_grid(session: SchedulingSession, execution) -> np.ndarray:
@@ -115,7 +127,8 @@ def cold_initial_grid(session: SchedulingSession, execution) -> np.ndarray:
     engine = ScoringEngine(instance, execution=execution)
     for event_id, interval_id in sorted(session.locks().items()):
         engine.apply(instance.event_index(event_id), instance.interval_index(interval_id))
-    return engine.score_matrix(initial=True, count=False)
+    with bulk_scoring():
+        return engine.score_matrix(initial=True, count=False)
 
 
 def assert_resolve_matches_cold(session, k, algorithm, seed, execution):
@@ -183,13 +196,11 @@ def random_mutation(rng, session, pool, fresh_ids):
 
 class TestConfiguration:
     def test_resolve_runs_on_the_configured_layout(self, layout, execution):
-        """A resolve records the configured backend, plan and storage: no
+        """A resolve records the configured plan and storage: no
         configuration silently falls back to the library default."""
         instance = layout.instance(seed=81, num_users=30, num_events=9, num_intervals=3)
         session = SchedulingSession(instance, seed=81, execution=execution)
         result = session.resolve(4)
-        resolved = execution.resolve(num_users=instance.num_users)
-        assert result.backend == resolved.backend
         assert (result.storage, result.plan) == (layout.storage, layout.plan)
 
 

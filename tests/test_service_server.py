@@ -340,6 +340,21 @@ class TestAuthAndShutdown:
             with pytest.raises(SolverError, match="refusing to bind|non-empty"):
                 ServiceServer(host, 0, authkey=authkey)
 
+    @pytest.mark.parametrize(
+        "host, authkey", [("::1", None), ("::", "k")], ids=["loopback", "wildcard-keyed"]
+    )
+    def test_ipv6_host_refused_before_binding(self, host, authkey, monkeypatch):
+        """The listener binds IPv4 only: an IPv6 literal fails with a clear
+        error before any listener is built."""
+        from repro.service import wire
+
+        def no_listener(*args, **kwargs):
+            raise AssertionError("a listener was built for an IPv6 host")
+
+        monkeypatch.setattr(wire, "Listener", no_listener)
+        with pytest.raises(SolverError, match="binds IPv4 hosts only"):
+            ServiceServer(host, 0, authkey=authkey)
+
     @pytest.mark.parametrize("authkey", ["", b"bytes-key", 7], ids=repr)
     def test_empty_or_non_string_authkey_rejected(self, service, authkey):
         with pytest.raises(SolverError, match="authkey"):
@@ -364,8 +379,12 @@ class TestAuthAndShutdown:
             ["serve", "--port", "-1"],
             ["serve", "--host", "0.0.0.0", "--authkey", ""],
             ["serve", "--host", "0.0.0.0"],
+            ["serve", "--host", "::1"],
         ],
-        ids=["port-70000", "port-minus-1", "wildcard-empty-key", "wildcard-default-key"],
+        ids=[
+            "port-70000", "port-minus-1", "wildcard-empty-key", "wildcard-default-key",
+            "ipv6-loopback",
+        ],
     )
     def test_cli_serve_refuses_before_listening(self, argv, capsys):
         assert main(argv) == 2

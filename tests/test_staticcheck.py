@@ -46,7 +46,6 @@ EXPECTED_RULES = (
     "lock-discipline",
     "counter-discipline",
     "no-mutable-default",
-    "docstring-backend-sync",
     "docstring-storage-sync",
     "docstring-plan-sync",
     "waiver-discipline",

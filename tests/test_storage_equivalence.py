@@ -3,17 +3,17 @@
 The storage layer re-represents the interest matrices without changing a
 single value, and every bulk plan runs the same ``score_block_kernel`` over
 the same event-axis chunks — so scores, utilities, schedules and counters
-must be **bit-identical** across storages and across backends.  These tests
+must be **bit-identical** across storages and to the per-pair oracle.  These tests
 pin that down:
 
 * engine-level ``score_matrix`` / ``interval_scores`` equality under every
   storage × plan layout (including against a mutated schedule state);
 * scheduler-level equality (schedule, utility, counters) with the dense,
-  direct reference under every layout and backend, with the storage and plan
+  direct reference under every layout, with the storage and plan
   recorded on the result — on adversarial corners too: a single user,
   all-zero µ, exact score ties, a capacity-1 interval filled by a lock and
-  §2.1 event values (the valued corner also runs under every backend and
-  block variant).
+  §2.1 event values (the valued corner also runs on the per-pair oracle
+  and every block variant).
 
 The ``layout`` fixture (``tests/conftest.py``) enumerates the storage × plan
 layouts; every blocked layout runs on duplicate-heavy users and asserts the
@@ -156,7 +156,7 @@ class TestEngineEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Scheduler-level equality across storage x plan x backend
+# Scheduler-level equality across storage x plan x execution variant
 # --------------------------------------------------------------------------- #
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -194,13 +194,20 @@ class TestSchedulerEquivalence:
 
     @pytest.mark.parametrize("variant", execution_variants())
     @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
-    def test_event_values_corner_under_every_backend(self, layout, variant, execution_for):
-        """The valued kernel path under every layout × backend, fan-out included."""
+    def test_event_values_corner_under_every_variant(self, layout, variant, execution_for):
+        """The valued kernel path under every layout × execution variant.
+
+        The dense references run on the default bulk path, before the
+        variant (the oracle included) is switched on.
+        """
         config, locked = CORNERS["event-values"]
         instance = layout.instance(**config)
+        schedulers = ("ALG", "HOR-I")
+        references = [
+            run_scheduler(scheduler, instance.with_storage("dense"), 6) for scheduler in schedulers
+        ]
         execution = execution_for(variant, plan=layout.plan)
-        for scheduler in ("ALG", "HOR-I"):
-            reference = run_scheduler(scheduler, instance.with_storage("dense"), 6)
+        for scheduler, reference in zip(schedulers, references):
             result = run_scheduler(scheduler, instance, 6, execution=execution)
             assert result.schedule.as_dict() == reference.schedule.as_dict()
             assert result.utility == reference.utility
