@@ -16,7 +16,7 @@ Two measurements:
   representative user column per class and expands by class membership,
   so the per-block arithmetic shrinks from ``|U|`` columns to
   ``num_classes`` columns; on mmap it also reads its ``(|E|, P)`` pattern
-  rows from a matrix cached at bind time instead of densifying every store
+  rows from a matrix cached at engine construction instead of densifying every store
   block.  Each timed repetition runs on a fresh ``dataclasses.replace``
   copy of the instance, whose structure memo starts empty, so the timing
   includes mining like a first solve; ``time_memo_sec`` reports the same

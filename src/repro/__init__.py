@@ -14,7 +14,7 @@ Top-level re-exports cover the public API most users need:
 * :class:`~repro.core.execution.ExecutionConfig` — the execution layer: one
   config object selecting a scoring plan (``direct``, ``blocked``) and the
   chunk size of the bulk path; :func:`~repro.core.execution.available_plans`
-  lists the fixed plan table.
+  lists the plan names.
 * :func:`~repro.algorithms.registry.get_scheduler` and the scheduler classes
   (:class:`~repro.algorithms.alg.AlgScheduler`, :class:`~repro.algorithms.inc.IncScheduler`,
   :class:`~repro.algorithms.hor.HorScheduler`, :class:`~repro.algorithms.hor_i.HorIScheduler`,
@@ -38,11 +38,7 @@ from repro.core.errors import (
     ReproError,
     ScheduleError,
 )
-from repro.core.execution import (
-    ExecutionConfig,
-    ScoringPlan,
-    available_plans,
-)
+from repro.core.execution import ExecutionConfig, available_plans
 from repro.core.instance import SESInstance
 from repro.core.schedule import Assignment, Schedule
 from repro.core.scoring import ScoringEngine
@@ -73,7 +69,6 @@ __all__ = [
     "Schedule",
     "ScoringEngine",
     "ExecutionConfig",
-    "ScoringPlan",
     "available_plans",
     "SchedulerResult",
     "available_schedulers",

@@ -15,8 +15,8 @@ via the chunked lexsort partition refinement of :mod:`repro.core.patterns`
 (re-exported here).  Equivalent users receive identical per-user terms from
 every kernel under *every* schedule: identical µ rows imply identical
 scheduled sums forever, so the classes never need re-mining as the schedule
-grows.  :func:`mine_interest_structure` always mines afresh; the engine and
-the ``blocked`` plan read the classes through
+grows.  :func:`mine_interest_structure` always mines afresh; the engine
+reads the classes (for the ``blocked`` plan and its Φ bound) through
 :func:`repro.core.scoring.instance_structure`, which mines each instance at
 most once and keeps the result on the instance, so the schedulers of one
 instance share a single mine.

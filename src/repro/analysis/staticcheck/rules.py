@@ -703,11 +703,11 @@ class DocstringStorageSyncRule(RegistrySyncRule):
 
 @register_rule
 class DocstringPlanSyncRule(RegistrySyncRule):
-    """Scoring-plan names quoted in docstrings must exist in the live registry.
+    """Scoring-plan names quoted in docstrings must be plan names.
 
     The scoring-plan axis of the same invariant: docstrings naming a
-    plan-table entry (``\\`\\`blocked\\`\\` plan``, ``plan="direct"``)
-    must track the live plan registry, mirroring the storage sync rule
+    plan (``\\`\\`blocked\\`\\` plan``, ``plan="direct"``) must track
+    :data:`~repro.core.execution.PLANS`, mirroring the storage sync rule
     above.
     """
 

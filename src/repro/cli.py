@@ -38,7 +38,7 @@ from repro.algorithms.base import SchedulerResult
 from repro.algorithms.registry import PAPER_METHODS, available_schedulers
 from repro.core.errors import DatasetError, ReproError
 from repro.core.instance import SESInstance
-from repro.core.execution import ExecutionConfig, available_plans, get_plan
+from repro.core.execution import ExecutionConfig, available_plans, resolve_plan
 from repro.core.storage import available_stores, get_store
 from repro.core.validation import instance_report
 from repro.datasets.builders import build_dataset, dataset_names
@@ -77,7 +77,7 @@ def _add_execution_arguments(subparser: argparse.ArgumentParser) -> None:
         "instance's interest-pattern equivalence classes once and scores "
         "one representative per class (identical results, faster on "
         "duplicate-heavy instances); recorded in the output rows.  "
-        "Registered plans: "
+        "Plans: "
         f"{', '.join(available_plans())}",
     )
     subparser.add_argument(
@@ -98,7 +98,7 @@ def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
     """
     plan = getattr(args, "plan", None)
     if plan is not None:
-        get_plan(plan)  # fail fast on a typo, with the available names
+        resolve_plan(plan)  # fail fast on a typo, with the available names
     return ExecutionConfig(plan=plan, chunk_size=args.chunk_size)
 
 

@@ -7,11 +7,13 @@ scores whole event blocks per vectorised NumPy pass through
 decide *how* those blocks are cut and traversed (never *what* the scores are):
 
 * ``chunk_size`` — events per vectorised pass (the ~64 MB memory guard);
-* ``plan`` — how the bulk kernel traverses one event block
-  (:class:`ScoringPlan`).
+* ``plan`` — how the bulk kernel traverses one event block: ``direct``
+  scores every user column (:func:`direct_block_scores`), ``blocked`` one
+  column per class of identical users
+  (:class:`~repro.core.blocked.BlockedPlan`).
 
-The scoring plans are a fixed name table built at the bottom of this module;
-adding one is an edit to its table.  Everything else — engine, schedulers,
+The plan names are the constant :data:`PLANS`; the engine reads the
+resolved name and builds what the plan needs.  Everything else — schedulers,
 harness, figures, CLI — talks to the layer only through
 :class:`ExecutionConfig`.
 
@@ -24,14 +26,12 @@ split or plan.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import SolverError
-from repro.core.storage import EventRowSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scoring imports us)
     from repro.core.scoring import ScoringEngine
@@ -51,7 +51,10 @@ DEFAULT_CHUNK_ELEMENTS: int = 8_000_000
 #: a block into the fewest tiles.
 KERNEL_TILE_ELEMENTS: int = 1 << 16
 
-#: Scoring plan used when none is requested explicitly (see :class:`ScoringPlan`).
+#: Every scoring plan name.
+PLANS: Tuple[str, ...] = ("direct", "blocked")
+
+#: Scoring plan used when none is requested explicitly.
 DEFAULT_PLAN: str = "direct"
 
 
@@ -66,12 +69,14 @@ def score_block_kernel(
 ) -> np.ndarray:
     """Assignment scores of one block of event rows at one interval (Eq. 4).
 
-    This is the **single** bit-identity-critical kernel of the library: every
-    bulk plan reaches it, so the scoring arithmetic cannot diverge between
-    them.  The per-element operation order matches the per-pair reference
-    exactly (µ added to the scheduled sums first, competing sums last; value·µ
-    added to the value sums before the σ product), and each row's per-user
-    reduction is independent of every other row's.
+    The ``direct`` plan scores every block here.  The per-element operation
+    order matches the per-pair reference exactly (µ added to the scheduled
+    sums first, competing sums last; value·µ added to the value sums before
+    the σ product), and each row's per-user reduction is independent of
+    every other row's.  The ``blocked`` plan
+    (:meth:`~repro.core.blocked.BlockedPlan.batch_block`) does not call this
+    kernel: it runs the same per-element order on its pattern columns, and
+    reduces a contribution matrix equal to this kernel's element for element.
 
     Two structural facts, passed as ``None`` rather than inspected per call,
     let the kernel skip arithmetic whose result it already has, bit for bit:
@@ -199,6 +204,11 @@ def _guarded_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarra
 # --------------------------------------------------------------------------- #
 # Knob resolution
 # --------------------------------------------------------------------------- #
+def available_plans() -> Tuple[str, ...]:
+    """Names of every scoring plan (:data:`PLANS`)."""
+    return PLANS
+
+
 def resolve_chunk_size(chunk_size: Optional[int], num_users: int) -> int:
     """Validate the event-axis chunk size (``None`` derives it from the memory budget).
 
@@ -217,13 +227,13 @@ def resolve_chunk_size(chunk_size: Optional[int], num_users: int) -> int:
 def resolve_plan(plan: Optional[str]) -> str:
     """Validate a scoring-plan name (``None`` means :data:`DEFAULT_PLAN`).
 
-    A plan decides how the bulk kernel traverses one event block
-    (see :class:`ScoringPlan`) — never what the scores are: every exact
-    plan is bit-identical to the ``direct`` reference.
+    A plan decides how the bulk kernel traverses one event block — never
+    what the scores are: the ``blocked`` plan is bit-identical to the
+    ``direct`` reference.
     """
     if plan is None:
         plan = DEFAULT_PLAN
-    if plan not in _PLAN_REGISTRY:
+    if plan not in PLANS:
         raise SolverError(
             f"unknown scoring plan {plan!r}; available: {', '.join(available_plans())}"
         )
@@ -253,7 +263,7 @@ class ExecutionConfig:
         :data:`DEFAULT_PLAN`.  A plan decides how the bulk kernel
         traverses one event block — e.g. the ``blocked`` plan of
         :mod:`repro.core.blocked` computes each distinct interest pattern
-        once and expands by multiplicity.  Exact plans never change a result
+        once and expands by multiplicity.  A plan never changes a result
         bit — only the arithmetic's traversal.
     """
 
@@ -271,143 +281,14 @@ class ExecutionConfig:
             plan=resolve_plan(self.plan),
         )
 
-    def create_plan(self) -> "ScoringPlan":
-        """Instantiate the selected scoring plan (expects a resolved config)."""
-        return get_plan(resolve_plan(self.plan))()
-
-
-# --------------------------------------------------------------------------- #
-# Scoring plans
-# --------------------------------------------------------------------------- #
-class ScoringPlan:
-    """One traversal strategy of the block kernel, bound to an engine.
-
-    Where ``chunk_size`` decides *in what blocks* the engine's bulk path
-    evaluates scores, a plan decides *how* the kernel traverses one block —
-    e.g. the ``blocked`` plan of :mod:`repro.core.blocked` computes each
-    distinct user interest pattern once and expands the per-pattern
-    contributions by multiplicity.  Every exact plan must produce scores
-    bit-identical to the ``direct`` reference: the per-user contributions and
-    their reduction order may not change.
-
-    Subclasses implement :meth:`batch_block` against the engine's static and
-    scheduled state; :meth:`prepare` runs once at bind time for per-engine
-    precomputation (the ``blocked`` plan's pattern matrix).  A plan may also
-    supply the event-row source the bulk path iterates
-    (:meth:`event_rows`), in which case :meth:`batch_block` receives that
-    source's blocks.  Engines reach
-    the plan through :meth:`ScoringEngine._select_event_rows` and
-    :meth:`ScoringEngine._batch_block`.
-    """
-
-    name: str = "abstract"
-
-    def __init__(self) -> None:
-        self._engine_ref: Optional["weakref.ref[ScoringEngine]"] = None
-
-    def bind(self, engine: "ScoringEngine") -> "ScoringPlan":
-        """Attach the engine and run :meth:`prepare`.
-
-        The reference is weak — the engine owns the plan, not the other way
-        round — so dropping the last engine reference frees it promptly
-        instead of waiting for the cycle collector.
-        """
-        self._engine_ref = weakref.ref(engine)
-        self.prepare(engine)
-        return self
-
-    @property
-    def engine(self) -> "ScoringEngine":
-        """The bound scoring engine."""
-        engine = self._engine_ref() if self._engine_ref is not None else None
-        if engine is None:  # pragma: no cover - defensive
-            raise SolverError(f"plan {self.name!r} is not bound to a live engine")
-        return engine
-
-    def prepare(self, engine: "ScoringEngine") -> None:
-        """Per-instance precomputation hook (default: nothing)."""
-
-    def batch_block(
-        self, interval_index: int, mu_rows: np.ndarray, value_mu_rows: np.ndarray
-    ) -> np.ndarray:
-        """Scores of one block of event rows at one interval (Eq. 4).
-
-        ``value_mu_rows`` is ``mu_rows`` itself under unit event values (see
-        :class:`~repro.core.storage.EventRowSource`).
-        """
-        raise NotImplementedError
-
-    def stats(self) -> Dict[str, object]:
-        """Structure counters of this plan (empty for the direct reference)."""
-        return {}
-
-    def pattern_matrix(self) -> Optional[np.ndarray]:
-        """The plan's cached ``(|E|, P)`` representative µ matrix, if any.
-
-        Shared with the engine's structural Φ bound
-        (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`):
-        the engine takes it instead of gathering its own copy in a store
-        pass.  ``None`` (the default) makes the engine build it lazily under
-        the same memory rule.
-        """
-        return None
-
-    def event_rows(self) -> Optional[EventRowSource]:
-        """The event-row source of the bulk path (``None``: the engine's).
-
-        Block evaluations — which run :meth:`batch_block` — iterate the
-        source returned here.
-        """
-        return None
-
-
-class DirectPlan(ScoringPlan):
-    """Reference plan: the block kernel over every user column, unchanged."""
-
-    name = "direct"
-
-    def batch_block(
-        self, interval_index: int, mu_rows: np.ndarray, value_mu_rows: np.ndarray
-    ) -> np.ndarray:
-        return direct_block_scores(self.engine, interval_index, mu_rows, value_mu_rows)
-
-
-def available_plans() -> Tuple[str, ...]:
-    """Names of every scoring plan, in table order."""
-    return tuple(_PLAN_REGISTRY)
-
-
-def get_plan(name: str) -> Type[ScoringPlan]:
-    """Return the plan class named ``name``."""
-    try:
-        return _PLAN_REGISTRY[name]
-    except KeyError:
-        raise SolverError(
-            f"unknown scoring plan {name!r}; available: {', '.join(available_plans())}"
-        ) from None
-
-
-# The blocked plan lives in its own module but is listed here with the other
-# built-ins.  The import is deferred to the bottom of this module: the
-# blocked plan imports repro.core.scoring, which imports names from here.
-from repro.core.blocked import BlockedPlan  # noqa: E402
-
-_PLAN_REGISTRY: Dict[str, Type[ScoringPlan]] = {
-    DirectPlan.name: DirectPlan,
-    BlockedPlan.name: BlockedPlan,
-}
-
 
 __all__ = [
     "DEFAULT_CHUNK_ELEMENTS",
     "KERNEL_TILE_ELEMENTS",
     "DEFAULT_PLAN",
+    "PLANS",
     "ExecutionConfig",
-    "ScoringPlan",
-    "DirectPlan",
-    "BlockedPlan",
     "available_plans",
-    "get_plan",
     "resolve_chunk_size",
     "resolve_plan",
     "direct_block_scores",

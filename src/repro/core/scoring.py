@@ -54,12 +54,14 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.core.blocked import BlockedPlan, PatternEventRows
 from repro.core.counters import ComputationCounter
 from repro.core.errors import ScheduleError
 from repro.core.execution import (
     DEFAULT_CHUNK_ELEMENTS,
     ExecutionConfig,
     _guarded_divide,
+    direct_block_scores,
 )
 from repro.core.instance import SESInstance
 from repro.core.patterns import InterestStructure, mine_structure
@@ -264,6 +266,13 @@ class ScoringEngine:
         self._applied_cost = 0.0
         self._events_applied: Dict[int, int] = {}
 
+        # The instance's interest structure and the (|E|, P) pattern matrix,
+        # both built lazily (_interest_structure, _pattern_matrix) and shared
+        # by the blocked plan and the Φ bound.
+        self._structure: Optional[InterestStructure] = None
+        self._pattern_built = False
+        self._pattern_mu: Optional[np.ndarray] = None
+
         # Statics of the per-interval fresh-score upper bound (computed once,
         # lazily, by _ensure_bound_statics) and the per-interval bound cache
         # (invalidated by apply()/reset() for the touched interval).
@@ -274,14 +283,24 @@ class ScoringEngine:
         self._bound_class_weights: Optional[np.ndarray] = None
         self._bound_class_max_value: Optional[np.ndarray] = None
         self._bound_class_peak_mu: Optional[np.ndarray] = None
-        self._bound_structure: Optional[InterestStructure] = None
-        self._bound_pattern_mu: Optional[np.ndarray] = None
         self._bound_cache: Dict[int, float] = {}
 
-        # The scoring plan decides how the bulk kernel traverses
-        # one event block (see ScoringPlan); bound last so its prepare() hook
-        # can mine structure from the fully-initialised engine.
-        self._plan_impl = self._execution.create_plan().bind(self)
+        # The blocked plan scores one column per class of identical users;
+        # without such a class (P = |U|) it would only permute the columns,
+        # so the engine scores on the direct path instead.
+        self._blocked_plan: Optional[BlockedPlan] = None
+        if self._execution.plan == "blocked":
+            structure = self._interest_structure()
+            if structure.num_classes < structure.num_users:
+                self._blocked_plan = BlockedPlan(
+                    structure,
+                    PatternEventRows(
+                        self._pattern_matrix(),
+                        self._event_rows,
+                        structure.representatives,
+                        self._values,
+                    ),
+                )
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -305,11 +324,6 @@ class ScoringEngine:
     def plan(self) -> str:
         """Name of the active scoring plan (``"direct"`` unless selected otherwise)."""
         return self._execution.plan
-
-    @property
-    def scoring_plan(self):
-        """The live :class:`~repro.core.execution.ScoringPlan` instance."""
-        return self._plan_impl
 
     @property
     def chunk_size(self) -> int:
@@ -486,15 +500,35 @@ class ScoringEngine:
         """
         return self.interval_scores(interval_index, event_indices, initial=False, count=count)
 
+    def _interest_structure(self) -> InterestStructure:
+        """The instance's equivalence classes (:func:`instance_structure`, lazy)."""
+        if self._structure is None:
+            self._structure = instance_structure(
+                self._instance, self._event_rows, self._sigma, self._comp, self.chunk_size
+            )
+        return self._structure
+
+    def _pattern_matrix(self) -> Optional[np.ndarray]:
+        """The ``(|E|, P)`` pattern matrix (:func:`build_pattern_matrix`, lazy).
+
+        ``None`` past its memory budget.  One matrix per engine serves both
+        the blocked plan's rows and the Φ bound.
+        """
+        if not self._pattern_built:
+            self._pattern_mu = build_pattern_matrix(
+                self._event_rows, self._interest_structure(), self.chunk_size
+            )
+            self._pattern_built = True
+        return self._pattern_mu
+
     def _select_event_rows(self, events: Optional[np.ndarray]) -> EventRowSource:
         """The event-major row source for a selection (``None`` = all events).
 
-        The active plan's source when it supplies one (the ``blocked`` plan's
-        pattern-space rows), otherwise the engine's full rows.
+        The blocked plan's pattern-space rows when the engine has one,
+        otherwise the engine's full rows.
         """
-        source = self._plan_impl.event_rows()
-        if source is None:
-            source = self._event_rows
+        plan = self._blocked_plan
+        source = self._event_rows if plan is None else plan.rows
         if events is None:
             return source
         return source.select(events)
@@ -504,18 +538,20 @@ class ScoringEngine:
     ) -> np.ndarray:
         """One vectorised pass over a block of event rows.
 
-        Rows are events, columns users.  Delegates to the active scoring plan
-        (:class:`~repro.core.execution.ScoringPlan`): the ``direct`` reference
-        runs the library's single bit-identity-critical kernel
-        (:func:`~repro.core.execution.score_block_kernel`) over every user
-        column, whose per-element
-        operation order matches :meth:`_pair_score` exactly; the ``blocked``
-        plan of :mod:`repro.core.blocked` computes each distinct interest
-        pattern once and expands by multiplicity before the same per-row
-        reduction, so each element — and the reduction order — stays
-        bit-identical to the per-pair path under every plan.
+        Rows are events, columns users, or pattern columns under the
+        blocked plan.  The ``direct`` path runs
+        :func:`~repro.core.execution.score_block_kernel` over every user
+        column, whose per-element operation order matches :meth:`_pair_score`
+        exactly; the blocked plan (:class:`~repro.core.blocked.BlockedPlan`)
+        computes each distinct interest pattern once and expands by
+        multiplicity before the same per-row reduction, so each element — and
+        the reduction order — stays bit-identical to the per-pair path under
+        either plan.
         """
-        return self._plan_impl.batch_block(interval_index, mu_rows, value_mu_rows)
+        plan = self._blocked_plan
+        if plan is None:
+            return direct_block_scores(self, interval_index, mu_rows, value_mu_rows)
+        return plan.batch_block(self, interval_index, mu_rows, value_mu_rows)
 
     def score_matrix(
         self,
@@ -612,7 +648,7 @@ class ScoringEngine:
         interest-pattern equivalence classes (:func:`instance_structure`,
         mined at most once per instance) and the ``(|E|, P)`` pattern matrix
         ``M`` of representative µ columns (:func:`build_pattern_matrix`),
-        reused from the active plan when it already has one.  Beside it sit
+        the same matrix the blocked plan's rows serve.  Beside it sit
         ``(|T|, P)`` interval-major copies of the representatives' competing
         sums and of the class weights ``n·σ``, and two length-``P`` class
         vectors: ``class_peak_mu[p] = max_e M[e, p]``, which tells an
@@ -635,14 +671,8 @@ class ScoringEngine:
         """
         if self._bound_ready:
             return
-        chunk_size = self._execution.chunk_size
-        source = self._event_rows
-        structure = instance_structure(
-            self._instance, source, self._sigma, self._comp, chunk_size
-        )
-        pattern_mu = self._plan_impl.pattern_matrix()
-        if pattern_mu is None:
-            pattern_mu = build_pattern_matrix(source, structure, chunk_size)
+        structure = self._interest_structure()
+        pattern_mu = self._pattern_matrix()
         if pattern_mu is not None:
             representatives = structure.representatives
             # (|T|, P), interval-major: one contiguous row per evaluation.
@@ -658,10 +688,10 @@ class ScoringEngine:
             num_events = self._instance.num_events
             max_value_mu = np.zeros(num_users, dtype=np.float64)
             max_value = np.zeros(num_users, dtype=np.float64)
-            step = max(1, chunk_size)
+            step = max(1, self.chunk_size)
             for start in range(0, num_events, step):
                 stop = min(start + step, num_events)
-                mu_rows, value_mu_rows = source.block(start, stop)
+                mu_rows, value_mu_rows = self._event_rows.block(start, stop)
                 np.maximum(max_value_mu, value_mu_rows.max(axis=0), out=max_value_mu)
                 block_values = np.where(
                     mu_rows > 0.0, self._values[start:stop, np.newaxis], 0.0
@@ -669,8 +699,6 @@ class ScoringEngine:
                 np.maximum(max_value, block_values.max(axis=0), out=max_value)
             self._bound_max_value_mu = max_value_mu
             self._bound_max_value = max_value
-        self._bound_structure = structure
-        self._bound_pattern_mu = pattern_mu
         self._bound_ready = True
 
     def interval_score_bound(self, interval_index: int) -> float:
@@ -733,9 +761,9 @@ class ScoringEngine:
             return cached
         self._ensure_bound_statics()
         self._counter.bump("phi_bound_evaluations")
-        pattern_mu = self._bound_pattern_mu
+        pattern_mu = self._pattern_mu
         if pattern_mu is not None:
-            representatives = self._bound_structure.representatives
+            representatives = self._structure.representatives
             denominator = (
                 self._bound_class_comp[interval_index]
                 + self._scheduled_interest[interval_index][representatives]

@@ -128,8 +128,6 @@ class InterestStore:
 
     #: Registry name of the storage (e.g. ``"dense"``); set by subclasses.
     name: str = ""
-    #: One-line description shown by catalogs and docs.
-    description: str = ""
 
     # -- shape ---------------------------------------------------------- #
     @property
@@ -246,7 +244,6 @@ class DenseStore(InterestStore):
     """The in-memory 2-D array representation (the ``"dense"`` storage)."""
 
     name = "dense"
-    description = "in-memory 2-D float64 array (the default)"
 
     __slots__ = ("_values",)
 
@@ -396,7 +393,6 @@ class SparseStore(InterestStore):
     """
 
     name = "sparse"
-    description = "event-major CSR (indptr/indices/data) held in memory"
 
     __slots__ = ("_shape", "_indptr", "_indices", "_data")
 
@@ -675,7 +671,6 @@ class MmapStore(SparseStore):
     """
 
     name = "mmap"
-    description = "event-major CSR memory-mapped from an uncompressed .npz"
 
     __slots__ = ("_path", "_prefix")
 
@@ -787,11 +782,6 @@ def get_store(name: str) -> Type[InterestStore]:
         raise SolverError(f"unknown storage {name!r}; available: {known}") from None
 
 
-def store_catalog() -> Dict[str, str]:
-    """``{name: description}`` for every storage."""
-    return {name: cls.description for name, cls in _STORE_REGISTRY.items()}
-
-
 def convert_store(
     store: InterestStore, storage: str, *, path: Optional[str] = None
 ) -> InterestStore:
@@ -854,9 +844,6 @@ class EventRowSource:
     peak memory is bounded by the chunk size regardless of the instance size.
     """
 
-    #: Whether blocks are zero-copy views over precomputed dense arrays.
-    is_dense = False
-
     @property
     def num_rows(self) -> int:
         raise NotImplementedError
@@ -883,8 +870,6 @@ class DenseEventRows(EventRowSource):
     """
 
     __slots__ = ("_mu_rows", "_value_mu_rows")
-
-    is_dense = True
 
     def __init__(self, mu_rows: np.ndarray, value_mu_rows: np.ndarray) -> None:
         self._mu_rows = mu_rows
@@ -980,7 +965,6 @@ __all__ = [
     "map_npz_member",
     "available_stores",
     "get_store",
-    "store_catalog",
     "convert_store",
     "unit_values",
     "EventRowSource",

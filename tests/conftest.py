@@ -9,9 +9,8 @@ algorithms' selections.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import Dict, Tuple
+from typing import ContextManager, Dict, Tuple
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
 from repro.core.scoring import ScoringEngine
 
-from tests.oracle import ORACLE, per_pair_scoring
+from tests.oracle import ORACLE, SCORING_PATHS
 
 #: The bulk path at a forced block size, checked by the invariance suites
 #: next to the per-pair oracle and the default bulk path (``batch``).
@@ -38,25 +37,27 @@ def execution_variants() -> Tuple[str, ...]:
     return (ORACLE, "batch") + tuple(BLOCK_VARIANTS)
 
 
-@pytest.fixture
-def execution_for():
-    """Build the :class:`ExecutionConfig` of an :func:`execution_variants` name.
+def execution_for(variant: str, **knobs) -> ExecutionConfig:
+    """The :class:`ExecutionConfig` of an :func:`execution_variants` name.
 
-    Extra keyword knobs (``plan``, ...) are passed through.  The ``oracle``
-    variant returns the default config and switches every engine to per-pair
-    scoring (:func:`tests.oracle.per_pair_scoring`) for the rest of the test,
-    so a bulk reference must be computed before asking for it.
+    Extra keyword knobs (``plan``, ...) are passed through; the ``oracle``
+    variant takes the default config.  The config never selects the scoring
+    path: run the tested code inside :func:`scoring_path`.
     """
-    with contextlib.ExitStack() as stack:
+    if variant in BLOCK_VARIANTS:
+        knobs["chunk_size"] = BLOCK_VARIANTS[variant]
+    return ExecutionConfig(**knobs)
 
-        def build(variant: str, **knobs) -> ExecutionConfig:
-            if variant == ORACLE:
-                stack.enter_context(per_pair_scoring())
-            elif variant in BLOCK_VARIANTS:
-                knobs["chunk_size"] = BLOCK_VARIANTS[variant]
-            return ExecutionConfig(**knobs)
 
-        yield build
+def scoring_path(variant: str) -> ContextManager[None]:
+    """The scoring path of an :func:`execution_variants` name, as a context.
+
+    :data:`tests.oracle.SCORING_PATHS` by variant: per pair for the
+    ``oracle``, the bulk path for every other variant.  Suites enter it
+    around the run they test and compute references outside it, so a
+    reference is a bulk run wherever it sits in the test.
+    """
+    return SCORING_PATHS[ORACLE if variant == ORACLE else "batch"]()
 
 
 def with_capacities(instance: SESInstance, capacities) -> SESInstance:
@@ -199,16 +200,16 @@ class Layout:
     def convert(self, instance: SESInstance) -> SESInstance:
         """``instance`` under this layout's storage.
 
-        Under the blocked plan this fails unless the plan really evaluates
-        class blocks: on all-distinct users it falls back to the direct
-        layout, and a blocked case would silently compare direct to itself.
+        Under the blocked plan this fails unless the engine builds the plan,
+        which then scores every block: on all-distinct users it scores on the
+        direct path, and a blocked case would silently compare direct to
+        itself.
         """
         directory = self.tmp_path_factory.mktemp("mmap") if self.storage == "mmap" else None
         converted = convert_storage(instance, self.storage, directory)
         if self.plan == "blocked":
             engine = ScoringEngine(converted, execution=self.execution())
-            engine.interval_scores(0, count=False)
-            assert engine.scoring_plan.stats()["blocks_evaluated"] > 0
+            assert engine._blocked_plan is not None
         return converted
 
     def instance(self, **config) -> SESInstance:

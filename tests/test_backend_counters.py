@@ -20,7 +20,7 @@ from repro.algorithms.registry import run_scheduler
 from repro.core.counters import ComputationCounter
 from repro.core.scoring import ScoringEngine
 
-from tests.conftest import execution_variants
+from tests.conftest import execution_for, execution_variants, scoring_path
 from tests.oracle import per_pair_scoring
 
 COUNTER_ALGORITHMS = ["ALG", "INC", "HOR", "HOR-I", "TOP", "INC-U", "ALG-O"]
@@ -50,7 +50,7 @@ def test_counters_match_oracle(algorithm, config, layout):
 
 
 @pytest.mark.parametrize("variant", execution_variants())
-def test_bulk_counting_matches_per_pair_counting(variant, execution_for, layout):
+def test_bulk_counting_matches_per_pair_counting(variant, layout):
     """count_scores(n) must equal n count_score() calls, byte for byte."""
     instance = layout.instance(seed=54, num_users=20, num_events=8, num_intervals=3)
     bulk = ComputationCounter(num_users=instance.num_users)
@@ -59,8 +59,9 @@ def test_bulk_counting_matches_per_pair_counting(variant, execution_for, layout)
     engine = ScoringEngine(
         instance, counter=bulk, execution=execution_for(variant, plan=layout.plan)
     )
-    engine.interval_scores(0, initial=True)
-    engine.interval_scores(1, initial=False)
+    with scoring_path(variant):
+        engine.interval_scores(0, initial=True)
+        engine.interval_scores(1, initial=False)
 
     for _ in range(instance.num_events):
         per_pair.count_score(initial=True)

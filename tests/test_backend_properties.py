@@ -22,7 +22,12 @@ import pytest
 from repro.algorithms.registry import run_scheduler
 from repro.core.instance import SESInstance
 
-from tests.conftest import execution_variants, make_random_instance
+from tests.conftest import (
+    execution_for,
+    execution_variants,
+    make_random_instance,
+    scoring_path,
+)
 from tests.oracle import per_pair_scoring
 
 EQUIVALENT_PAIRS = [("ALG", "INC"), ("HOR", "HOR-I")]
@@ -49,14 +54,15 @@ TIE_SEEDS = [70, 71, 72, 73, 74]
 @pytest.mark.parametrize("variant", execution_variants())
 @pytest.mark.parametrize("pair", EQUIVALENT_PAIRS, ids=lambda p: f"{p[0]}≡{p[1]}")
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
-def test_proposition_equivalences_on_random_instances(variant, pair, seed, execution_for):
+def test_proposition_equivalences_on_random_instances(variant, pair, seed):
     first, second = pair
     instance = make_random_instance(
         seed=seed, num_users=40, num_events=14, num_intervals=5, num_competing=6
     )
     k = min(instance.num_events, instance.num_intervals + 3)
-    result_first = run_scheduler(first, instance, k, execution=execution_for(variant))
-    result_second = run_scheduler(second, instance, k, execution=execution_for(variant))
+    with scoring_path(variant):
+        result_first = run_scheduler(first, instance, k, execution=execution_for(variant))
+        result_second = run_scheduler(second, instance, k, execution=execution_for(variant))
     assert result_first.schedule.as_dict() == result_second.schedule.as_dict()
     assert result_first.utility == result_second.utility
 
@@ -64,12 +70,13 @@ def test_proposition_equivalences_on_random_instances(variant, pair, seed, execu
 @pytest.mark.parametrize("variant", execution_variants())
 @pytest.mark.parametrize("pair", EQUIVALENT_PAIRS, ids=lambda p: f"{p[0]}≡{p[1]}")
 @pytest.mark.parametrize("seed", TIE_SEEDS)
-def test_proposition_equivalences_on_tie_heavy_instances(variant, pair, seed, execution_for):
+def test_proposition_equivalences_on_tie_heavy_instances(variant, pair, seed):
     first, second = pair
     instance = _tie_heavy_instance(seed)
     k = min(instance.num_events, instance.num_intervals + 2)
-    result_first = run_scheduler(first, instance, k, execution=execution_for(variant))
-    result_second = run_scheduler(second, instance, k, execution=execution_for(variant))
+    with scoring_path(variant):
+        result_first = run_scheduler(first, instance, k, execution=execution_for(variant))
+        result_second = run_scheduler(second, instance, k, execution=execution_for(variant))
     assert result_first.schedule.as_dict() == result_second.schedule.as_dict()
     assert result_first.utility == result_second.utility
 

@@ -11,7 +11,9 @@ Five contracts of the structure-exploiting scoring work:
   large enough that NumPy's pairwise-summation tree would expose a
   wrong-layout expansion (the regression behind the ``take()`` gather), on
   every storage, and with the pattern matrix cached or streamed; once the
-  engine is built it densifies no store block;
+  engine is built it densifies no store block, the Φ bound reads the
+  plan's own pattern matrix, and the plan's kernel runs exactly when some
+  users share a class;
 * **The structural Φ bound is sound** — it never under-estimates the best
   score of its interval, under a fresh engine and after assignments, so
   INC's interval skips cannot change one scheduled assignment; HOR-I never
@@ -21,7 +23,7 @@ Five contracts of the structure-exploiting scoring work:
   five schedulers of one instance share one mine (only INC mines under
   ``direct``), copies mine their own, and the mined-from arrays turn
   read-only;
-* **The plan table is fixed** — names in order, lookup and defaults.
+* **The plan names are fixed** — names in order and defaults.
 """
 
 from __future__ import annotations
@@ -49,12 +51,7 @@ from repro.algorithms.inc import IncScheduler
 from repro.algorithms.registry import run_scheduler
 from repro.analysis.blocks import BlockedPlan, PatternEventRows, mine_interest_structure
 from repro.core.errors import SolverError
-from repro.core.execution import (
-    ExecutionConfig,
-    available_plans,
-    get_plan,
-    resolve_plan,
-)
+from repro.core.execution import ExecutionConfig, available_plans, resolve_plan
 from repro.core import scoring
 from repro.core.instance import SESInstance
 from repro.core.patterns import mine_structure
@@ -298,9 +295,8 @@ class TestBlockedPlanExactness:
         )
         converted = convert_storage(instance, storage, tmp_path)
         engine = ScoringEngine(converted, execution=execution_for("blocked"))
-        plan = engine.scoring_plan
-        assert plan.pattern_matrix() is None
-        assert plan.event_rows() is not None
+        assert engine._pattern_matrix() is None
+        assert engine._blocked_plan is not None
         direct = ScoringEngine(instance, execution=execution_for("direct"))
         assert np.array_equal(
             engine.score_matrix(count=False), direct.score_matrix(count=False)
@@ -342,6 +338,54 @@ class TestBlockedPlanExactness:
         engine.refresh_scores(0, [7, 2], count=False)
         assert densified == []
 
+    def test_bound_and_rows_share_one_pattern_matrix_on_dense(self, monkeypatch):
+        """One (|E|, P) matrix per engine serves the plan's rows and the Φ bound."""
+        instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
+        built = []
+        original = scoring.build_pattern_matrix
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(scoring, "build_pattern_matrix", recording)
+        engine = ScoringEngine(instance, execution=execution_for("blocked"))
+        engine.interval_score_bound(0)
+        engine.apply(3, 0)
+        engine.interval_score_bound(0)
+        (matrix,) = built
+        plan = engine._blocked_plan
+        assert matrix.shape == (instance.num_events, plan.structure.num_classes)
+        assert plan.structure.num_classes < instance.num_users
+        assert plan.rows._pattern_mu is matrix
+        assert engine._pattern_matrix() is matrix
+
+    @pytest.mark.parametrize("users", ["duplicate-heavy", "all-distinct"])
+    def test_plan_kernel_runs_exactly_when_users_share_classes(self, users, monkeypatch):
+        """The engine calls ``BlockedPlan.batch_block`` through the class on every
+        block (a patch after construction still sees each call), and only
+        when some class holds two users or more."""
+        if users == "duplicate-heavy":
+            instance = duplicate_heavy_instance(num_users=120, num_patterns=8)
+        else:
+            instance = make_random_instance(seed=3)
+        engine = ScoringEngine(instance, execution=execution_for("blocked"))
+        calls = []
+        original = BlockedPlan.__dict__["batch_block"]
+
+        def counting(self, *args):
+            calls.append(args[1])
+            return original(self, *args)
+
+        monkeypatch.setattr(BlockedPlan, "batch_block", counting)
+        engine.score_matrix(count=False)
+        for scheduler in SCHEDULERS:
+            run_scheduler(scheduler, instance, 4, execution=execution_for("blocked"))
+        if users == "duplicate-heavy":
+            assert len(calls) >= instance.num_intervals
+        else:
+            assert calls == []
+
     def test_pattern_rows_match_full_rows_representative_columns(self, tmp_path):
         """Cached and streamed pattern rows hold the full rows' elements."""
         instance = duplicate_heavy_instance(num_users=200, num_patterns=10)
@@ -369,11 +413,10 @@ class TestBlockedPlanExactness:
                 assert np.array_equal(value_mu_rows, full_value_mu[:, reps])
 
     def test_degenerate_structure_falls_back_to_direct(self):
-        """All-distinct users: the plan detects the identity decomposition."""
+        """All-distinct users: the engine builds no plan and scores directly."""
         instance = make_random_instance(seed=3)
         engine = ScoringEngine(instance, execution=execution_for("blocked"))
-        assert isinstance(engine._plan_impl, BlockedPlan)
-        assert engine._plan_impl._degenerate
+        assert engine._blocked_plan is None
         direct = ScoringEngine(instance, execution=execution_for("direct"))
         assert np.array_equal(
             engine.score_matrix(count=False), direct.score_matrix(count=False)
@@ -393,15 +436,6 @@ class TestBlockedPlanExactness:
         )
         assert result.plan == "blocked"
         assert result.summary()["plan"] == "blocked"
-
-    def test_blocked_plan_stats_report_savings(self):
-        instance = duplicate_heavy_instance(num_users=120, num_patterns=8)
-        engine = ScoringEngine(instance, execution=execution_for("blocked"))
-        engine.score_matrix(count=False)
-        stats = engine._plan_impl.stats()
-        assert stats["num_classes"] <= 8
-        assert stats["blocks_evaluated"] > 0
-        assert stats["columns_saved"] > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -722,10 +756,6 @@ class TestPlanRegistry:
     def test_builtin_plans_are_registered_in_order(self):
         assert available_plans()[:2] == ("direct", "blocked")
 
-    def test_get_plan_unknown_name(self):
-        with pytest.raises(SolverError, match="unknown scoring plan 'nope'"):
-            get_plan("nope")
-
     def test_resolve_plan_defaults(self):
         assert resolve_plan(None) == "direct"
         assert resolve_plan("blocked") == "blocked"
@@ -754,7 +784,7 @@ class TestPlanRegistry:
             engine = ScoringEngine(instance, execution=ExecutionConfig(plan="blocked"))
             assert engine.plan == "blocked"
             assert engine.score_matrix().shape == (6, 3)
-            assert engine.scoring_plan.stats()["num_classes"] == 4
+            assert engine._blocked_plan.structure.num_classes == 4
             assert "repro.analysis.blocks" not in sys.modules, "repro.analysis.blocks was loaded"
             """
         )
@@ -764,5 +794,5 @@ class TestPlanRegistry:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert completed.returncode == 0, completed.stderr
-        # The analysis module re-exports the very class the core table holds.
-        assert BlockedPlan is get_plan("blocked")
+        # The analysis module re-exports the very class the engine builds.
+        assert BlockedPlan is repro.core.blocked.BlockedPlan

@@ -177,6 +177,42 @@ class TestRetiredClusterSurface:
         assert "plans:" in out
 
 
+#: The scoring-plan strategy layer: ``(owner, attribute)`` of each retired name.
+RETIRED_PLAN_NAMES = [
+    (repro, "ScoringPlan"),
+    (execution, "ScoringPlan"),
+    (execution, "DirectPlan"),
+    (execution, "get_plan"),
+    (execution, "_PLAN_REGISTRY"),
+    (ExecutionConfig, "create_plan"),
+    (ScoringEngine, "scoring_plan"),
+]
+
+
+class TestRetiredPlanSurface:
+    """The plan names are one constant and the engine builds the blocked
+    plan itself: the strategy classes, their name table and their lookup
+    are gone, while an unknown plan still fails with the available names."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        RETIRED_PLAN_NAMES,
+        ids=[f"{getattr(owner, '__name__', owner)}.{name}" for owner, name in RETIRED_PLAN_NAMES],
+    )
+    def test_retired_name_is_gone(self, owner, name):
+        assert not hasattr(owner, name)
+
+    def test_available_plans_is_the_constant(self):
+        assert execution.PLANS == ("direct", "blocked")
+        assert available_plans() is execution.PLANS
+
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_cli_unknown_plan_exits_2_with_the_names(self, command, capsys):
+        assert main([*VALID_COMMANDS[command], "--plan", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown scoring plan 'nope'; available: direct, blocked" in err
+
+
 #: What only the scheduling service may load: the stdlib's socket
 #: transport and the service package (with its wire layer).
 NETWORKING_MODULES = ("multiprocessing.connection", "repro.service")

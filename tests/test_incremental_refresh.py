@@ -30,7 +30,12 @@ from repro.core.execution import (
 )
 from repro.core.instance import SESInstance
 from repro.core.scoring import ScoringEngine
-from tests.conftest import execution_variants, make_random_instance
+from tests.conftest import (
+    execution_for,
+    execution_variants,
+    make_random_instance,
+    scoring_path,
+)
 from tests.oracle import per_pair_scoring
 
 
@@ -79,17 +84,19 @@ class TestRoundLevelEquivalence:
 
     @pytest.mark.parametrize("case", CASE_IDS)
     @pytest.mark.parametrize("variant", execution_variants())
-    def test_inc_matches_alg(self, case, variant, execution_for):
-        alg = _run_pair("ALG", case, execution_for(variant))
-        inc = _run_pair("INC", case, execution_for(variant))
+    def test_inc_matches_alg(self, case, variant):
+        with scoring_path(variant):
+            alg = _run_pair("ALG", case, execution_for(variant))
+            inc = _run_pair("INC", case, execution_for(variant))
         assert inc.schedule.as_dict() == alg.schedule.as_dict()
         assert inc.utility == alg.utility
 
     @pytest.mark.parametrize("case", CASE_IDS)
     @pytest.mark.parametrize("variant", execution_variants())
-    def test_hor_i_matches_hor(self, case, variant, execution_for):
-        hor = _run_pair("HOR", case, execution_for(variant))
-        hor_i = _run_pair("HOR-I", case, execution_for(variant))
+    def test_hor_i_matches_hor(self, case, variant):
+        with scoring_path(variant):
+            hor = _run_pair("HOR", case, execution_for(variant))
+            hor_i = _run_pair("HOR-I", case, execution_for(variant))
         assert hor_i.schedule.as_dict() == hor.schedule.as_dict()
         assert hor_i.utility == hor.utility
 
@@ -127,13 +134,14 @@ class TestRefreshScoresApi:
     """The engine's bulk stale-refresh entry point."""
 
     @pytest.mark.parametrize("variant", execution_variants())
-    def test_matches_per_pair_scores(self, variant, execution_for):
+    def test_matches_per_pair_scores(self, variant):
         instance = make_random_instance(seed=80, num_events=12, num_intervals=4)
         engine = ScoringEngine(instance, execution=execution_for(variant))
         engine.apply(0, 1)
         engine.apply(3, 1)
         events = [1, 2, 5, 9, 11]
-        bulk = engine.refresh_scores(1, events, count=False)
+        with scoring_path(variant):
+            bulk = engine.refresh_scores(1, events, count=False)
         for event, score in zip(events, bulk):
             assert float(score) == engine.assignment_score(event, 1, count=False)
 

@@ -28,7 +28,13 @@ from repro.algorithms.registry import run_scheduler
 from repro.core.instance import SESInstance
 from repro.core.scoring import ScoringEngine
 
-from tests.conftest import BLOCK_VARIANTS, execution_variants, make_random_instance
+from tests.conftest import (
+    BLOCK_VARIANTS,
+    execution_for,
+    execution_variants,
+    make_random_instance,
+    scoring_path,
+)
 from tests.oracle import SCORING_PATHS, per_pair_scoring
 
 #: Only for the hand-written Eq. 2 sum below, which adds in another order.
@@ -228,7 +234,7 @@ def test_oracle_scores_pair_by_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", tuple(BLOCK_VARIANTS))
-def test_block_variants_really_split(variant, execution_for):
+def test_block_variants_really_split(variant):
     """The suites' block variants must walk each column in several blocks of
     at most ``chunk_size`` rows, or they would only re-run the one-block path."""
     instance = make_random_instance(seed=42, num_users=12, num_events=7, num_intervals=4)
@@ -288,11 +294,12 @@ def _zero_denominator_instance() -> SESInstance:
 
 
 @pytest.mark.parametrize("variant", execution_variants())
-def test_zero_denominator_users_contribute_zero(variant, execution_for, layout):
+def test_zero_denominator_users_contribute_zero(variant, layout):
     instance = layout.convert(_zero_denominator_instance())
     engine = ScoringEngine(instance, execution=execution_for(variant, plan=layout.plan))
 
-    matrix = engine.score_matrix(count=False)
+    with scoring_path(variant):
+        matrix = engine.score_matrix(count=False)
     assert np.all(np.isfinite(matrix))
     # Zero-interest users contribute nothing, so each initial score is the
     # sum over the other users of σ_u^t (µ/µ cancels against an empty
@@ -309,7 +316,8 @@ def test_zero_denominator_users_contribute_zero(variant, execution_for, layout):
     # After scheduling an event the zero-interest user still has a zero
     # denominator (its µ column is all zeros) and must stay silently zeroed.
     engine.apply(0, 0)
-    follow_up = engine.interval_scores(0, count=False)
+    with scoring_path(variant):
+        follow_up = engine.interval_scores(0, count=False)
     for event_index in range(instance.num_events):
         pair = engine.assignment_score(event_index, 0, count=False)
         assert follow_up[event_index] == pair

@@ -43,7 +43,6 @@ from repro.core.storage import (
     ensure_dense_capacity,
     get_store,
     map_npz_member,
-    store_catalog,
     unit_values,
 )
 from repro.core.scoring import build_event_rows
@@ -326,11 +325,6 @@ class TestStoreRegistry:
         assert get_store("sparse") is SparseStore
         assert get_store("mmap") is MmapStore
 
-    def test_catalog_has_descriptions(self):
-        catalog = store_catalog()
-        assert list(catalog) == available_stores()
-        assert all(description for description in catalog.values())
-
     def test_unknown_store_is_a_friendly_error(self):
         with pytest.raises(
             SolverError, match="unknown storage 'bogus'; available: dense, sparse, mmap"
@@ -385,10 +379,9 @@ class TestEventRowSources:
         event_values = np.linspace(0.25, 2.0, values.shape[1])
         mu_rows, value_mu_rows = self.reference_rows(values, event_values)
         dense_rows = DenseEventRows(mu_rows, value_mu_rows)
-        assert dense_rows.is_dense and dense_rows.num_rows == values.shape[1]
+        assert dense_rows.num_rows == values.shape[1]
         for store in all_stores(values, tmp_path).values():
             rows = StoreEventRows(store, event_values)
-            assert not rows.is_dense
             assert rows.num_rows == values.shape[1]
             for start, stop in ((0, 11), (3, 7), (10, 11), (4, 4)):
                 expect_mu, expect_value = dense_rows.block(start, stop)

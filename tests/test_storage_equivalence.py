@@ -28,7 +28,13 @@ import pytest
 from repro.algorithms.registry import run_scheduler
 from repro.core.execution import ExecutionConfig
 from repro.core.scoring import ScoringEngine
-from tests.conftest import LAYOUTS, execution_variants, make_random_instance
+from tests.conftest import (
+    LAYOUTS,
+    execution_for,
+    execution_variants,
+    make_random_instance,
+    scoring_path,
+)
 
 SCHEDULERS = ["ALG", "INC", "HOR", "TOP"]
 
@@ -194,11 +200,11 @@ class TestSchedulerEquivalence:
 
     @pytest.mark.parametrize("variant", execution_variants())
     @pytest.mark.parametrize("layout", LAYOUTS, indirect=True)
-    def test_event_values_corner_under_every_variant(self, layout, variant, execution_for):
+    def test_event_values_corner_under_every_variant(self, layout, variant):
         """The valued kernel path under every layout × execution variant.
 
-        The dense references run on the default bulk path, before the
-        variant (the oracle included) is switched on.
+        Only the tested runs enter the variant's scoring path (the oracle
+        included); the dense references run on the default bulk path.
         """
         config, locked = CORNERS["event-values"]
         instance = layout.instance(**config)
@@ -208,7 +214,8 @@ class TestSchedulerEquivalence:
         ]
         execution = execution_for(variant, plan=layout.plan)
         for scheduler, reference in zip(schedulers, references):
-            result = run_scheduler(scheduler, instance, 6, execution=execution)
+            with scoring_path(variant):
+                result = run_scheduler(scheduler, instance, 6, execution=execution)
             assert result.schedule.as_dict() == reference.schedule.as_dict()
             assert result.utility == reference.utility
             assert result.net_utility == reference.net_utility
