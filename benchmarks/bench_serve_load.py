@@ -18,6 +18,11 @@ Two numbers make "heavy traffic" concrete:
   ``scores_recomputed``.  A ratio above 1 means the warm path reused more of
   the cached score grid than it recomputed, i.e. incremental re-solves beat
   cold solves on aggregate score work (the benchmark asserts it);
+* **structure mines per resolve** — how many of the main session's
+  resolves mined the interest structure afresh (calls of
+  ``repro.core.scoring.mine_structure``) instead of carrying it through the
+  journal: one for the first resolve plus one per resolve after an
+  accepted remove (reported, not asserted);
 * **wall-clock ratio** — the same comparison in seconds.  At every
   :data:`COLD_EVERY`-th resolve (the first included) a *cold twin* session
   loads the starting instance, receives every mutation the main session
@@ -40,6 +45,7 @@ import time
 
 import numpy as np
 
+from repro.core import scoring
 from repro.core.errors import SolverError
 from repro.core.instance import SESInstance
 from repro.service import ServiceClient, start_local_service
@@ -173,12 +179,29 @@ def run_load(scale: str):
     mutate_by_kind = {kind: [] for kind in MUTATION_KINDS.values()}
     accepted, cold_ratios, twin_mismatches, twin_seconds = [], [], 0, 0.0
     rejected = 0
+    # The in-process server mines through scoring.mine_structure; count the
+    # calls the main session's resolves make.
+    mines, session_mines = [], 0
+    original_mine = scoring.mine_structure
+
+    def counting_mine(*args, **kwargs):
+        mines.append(1)
+        return original_mine(*args, **kwargs)
+
+    def resolve_main(client, session_id):
+        nonlocal session_mines
+        before = len(mines)
+        reply = client.resolve(session_id, num_intervals)
+        session_mines += len(mines) - before
+        return reply
+
+    scoring.mine_structure = counting_mine
     handle = start_local_service("127.0.0.1", 0)
     started = time.perf_counter()
     try:
         with ServiceClient(handle.address) as client:
             session_id = client.load_instance(instance, algorithm="INC", seed=17)
-            client.resolve(session_id, num_intervals)  # cold anchor for the warm path
+            resolve_main(client, session_id)  # cold anchor for the warm path
             for step in range(steps):
                 mutation = trace.next_mutation()
                 begin = time.perf_counter()
@@ -196,7 +219,7 @@ def run_load(scale: str):
                 mutate_by_kind[MUTATION_KINDS[type(mutation)]].append(mutate_latencies[-1])
                 if (step + 1) % period == 0:
                     begin = time.perf_counter()
-                    warm = client.resolve(session_id, num_intervals)
+                    warm = resolve_main(client, session_id)
                     resolve_latencies.append(time.perf_counter() - begin)
                     begin = time.perf_counter()
                     client.get_schedule(session_id)
@@ -216,9 +239,11 @@ def run_load(scale: str):
             status = client.session_status(session_id)
     finally:
         handle.stop()
+        scoring.mine_structure = original_mine
     elapsed = time.perf_counter() - started - twin_seconds
     stats = status["stats"]
     saved_ratio = stats["scores_saved"] / max(stats["scores_recomputed"], 1)
+    removes = sum(isinstance(mutation, RemoveEvent) for mutation in accepted)
     return {
         "scale": scale,
         "steps": steps,
@@ -226,6 +251,8 @@ def run_load(scale: str):
         "elapsed": elapsed,
         "stats": stats,
         "saved_ratio": saved_ratio,
+        "mines_per_resolve": session_mines / max(stats["resolves_total"], 1),
+        "accepted_removes": removes,
         "wall_clock_ratio": float(np.median(cold_ratios)),
         "cold_samples": len(cold_ratios),
         "twin_mismatches": twin_mismatches,
@@ -272,6 +299,8 @@ def test_serve_load(benchmark, bench_scale, results_dir):
         f"applied {stats['mutations_applied']} mutations "
         f"({outcome['rejected']} rejected), {stats['resolves_total']} resolves "
         f"({stats['warm_resolves']} warm), saved-work ratio {outcome['saved_ratio']:.2f}, "
+        f"structure mines per resolve {outcome['mines_per_resolve']:.3f} "
+        f"({outcome['accepted_removes']} accepted removes), "
         f"cold/warm resolve wall-clock ratio {outcome['wall_clock_ratio']:.2f} "
         f"(median of {outcome['cold_samples']} pairs)"
     )
@@ -289,6 +318,7 @@ def test_serve_load(benchmark, bench_scale, results_dir):
         rows=rows,
         extra={
             "saved_work_ratio": outcome["saved_ratio"],
+            "structure_mines_per_resolve": outcome["mines_per_resolve"],
             "wall_clock_ratio": outcome["wall_clock_ratio"],
             "cold_samples": outcome["cold_samples"],
             "rejected": outcome["rejected"],

@@ -19,7 +19,8 @@ grows.  :func:`mine_interest_structure` always mines afresh; the engine
 reads the classes (for the ``blocked`` plan and its Φ bound) through
 :func:`repro.core.scoring.instance_structure`, which mines each instance at
 most once and keeps the result on the instance, so the schedulers of one
-instance share a single mine.
+instance share a single mine (and a service session carries it from one
+rebuilt instance to the next, :func:`repro.core.patterns.update_structure`).
 
 The structure feeds two consumers: the engine's structural per-interval Φ
 bound (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`, one

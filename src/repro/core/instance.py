@@ -91,7 +91,11 @@ class SESInstance:
     in-place write after that raises :class:`ValueError` instead of mixing
     fresh values with stale classes; edit the arrays before solving, or
     build a new instance (``dataclasses.replace``, :meth:`with_storage` and
-    every constructor start with no structure).
+    every constructor start with no structure).  A service session's rebuild
+    is the one exception: it starts with the previous instance's structure,
+    carried exactly through the µ rewrites it replays
+    (:func:`repro.core.patterns.update_structure`), unless an event was
+    removed.
     """
 
     events: List[Event]

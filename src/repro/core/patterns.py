@@ -7,7 +7,11 @@ attendance terms of equivalent users coincide element for element.  Mining
 the classes once per instance therefore yields a decomposition that never
 needs refreshing as the schedule grows — and the scoring engine keeps it on
 the instance (:func:`repro.core.scoring.instance_structure`), so every
-engine and scheduler run on one instance shares a single mine.
+engine and scheduler run on one instance shares a single mine.  Only a change
+of µ moves the classes: :func:`update_structure` carries a structure through
+a journal of µ rewrites (changed cells, appended event columns) exactly, so
+a service session mines its instance once and again only after an event is
+removed, never on every resolve.
 
 This module is the storage-agnostic, uncached mining primitive: chunked
 partition refinement by one byte-wise row sort per event-major row block
@@ -20,18 +24,18 @@ memoised result:
   genuine term per pattern instead of one per user;
 * the ``blocked`` scoring plan of :mod:`repro.core.blocked`.
 
-:mod:`repro.analysis.blocks` re-exports this module's public names as part
-of the block-decomposition subsystem.
+:mod:`repro.analysis.blocks` re-exports :class:`InterestStructure` and
+:func:`mine_structure` as part of the block-decomposition subsystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.storage import EventRowSource
+from repro.core.storage import EventRowSource, InterestStore
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,8 @@ class InterestStructure:
 
     Users belong to the same class iff their µ rows, σ rows and
     competing-interest rows are all identical — a property preserved under
-    every schedule, so the decomposition is mined once per instance.
+    every schedule, so the decomposition is mined once per instance (and
+    carried through µ rewrites by :func:`update_structure`).
 
     Attributes
     ----------
@@ -118,16 +123,23 @@ def _refine_labels(labels: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _canonicalise(labels: np.ndarray) -> InterestStructure:
-    """Renumber classes by first occurrence and derive the class tables."""
+    """Renumber classes by first occurrence and derive the class tables.
+
+    ``labels`` may leave gaps (label values no user carries, as
+    :func:`update_structure` does when it empties a class); they are
+    compacted away, so the classes are always numbered ``0 .. P - 1``.
+    """
     num_users = labels.size
     if num_users == 0:
         empty = np.empty(0, dtype=np.intp)
         return InterestStructure(labels=empty, representatives=empty.copy(), counts=empty.copy())
-    num_classes = int(labels.max()) + 1
-    first_seen = np.full(num_classes, num_users, dtype=np.intp)
+    num_labels = int(labels.max()) + 1
+    first_seen = np.full(num_labels, num_users, dtype=np.intp)
     np.minimum.at(first_seen, labels, np.arange(num_users, dtype=np.intp))
-    order = np.argsort(first_seen, kind="stable")
-    rank = np.empty(num_classes, dtype=np.intp)
+    # Unused labels keep first_seen == |U| and sort last; they get no rank.
+    num_classes = int(np.count_nonzero(first_seen < num_users))
+    order = np.argsort(first_seen, kind="stable")[:num_classes]
+    rank = np.empty(num_labels, dtype=np.intp)
     rank[order] = np.arange(num_classes, dtype=np.intp)
     canonical = rank[labels]
     return InterestStructure(
@@ -135,6 +147,101 @@ def _canonicalise(labels: np.ndarray) -> InterestStructure:
         representatives=first_seen[order],
         counts=np.bincount(canonical, minlength=num_classes).astype(np.intp),
     )
+
+
+def user_groups(sigma: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """Group users by their σ and competing-interest rows alone (µ ignored).
+
+    ``sigma`` and ``comp`` are the ``(|U|, |T|)`` static arrays of
+    :func:`~repro.core.scoring.build_static_arrays`.  Every class of
+    :func:`mine_structure` lies inside one group, so the groups bound where
+    :func:`update_structure` looks for a re-placed user's class.  The labels
+    are uncanonicalised (only equality between them means anything).
+    """
+    labels = np.zeros(sigma.shape[0], dtype=np.intp)
+    labels = _refine_labels(labels, np.ascontiguousarray(sigma.T))
+    return _refine_labels(labels, np.ascontiguousarray(comp.T))
+
+
+def update_structure(
+    structure: InterestStructure,
+    journal: Sequence[Tuple[str, object]],
+    store: InterestStore,
+    groups: np.ndarray,
+) -> InterestStructure:
+    """The structure after a journal of µ rewrites, updated instead of re-mined.
+
+    ``structure`` is the exact structure of the matrix the journal started
+    from; ``store`` is the matrix after it, and ``groups`` the
+    :func:`user_groups` of the (unchanged) σ and competing rows.  The
+    journal holds ``("entries", [(user, item, value), ...])`` and
+    ``("append", column)`` ops; a ``("remove", item)`` op raises
+    :class:`ValueError`, because dropping a column can merge classes and
+    only a fresh :func:`mine_structure` finds the merges.  The result equals
+    ``mine_structure`` on the new matrix:
+
+    * appended columns refine the old labels with one
+      :func:`_refine_labels` call, exactly as the miner's next event block
+      would;
+    * every user an ``entries`` op touched leaves its class and is put back
+      by exact µ-row equality (the miner's byte equality with ``-0.0``
+      folded into ``0.0``) against one member of each untouched class of
+      its group and against the other touched users of its group, or else
+      starts a class of its own.  Untouched users keep their rows, so
+      their classes stay exact;
+    * the labels are compacted and renumbered by first occurrence.
+
+    Only the touched users' rows and their groups' class members are read,
+    so on all-distinct users (every group one user) no row is read at all.
+    An empty journal returns ``structure`` itself.
+    """
+    if any(kind == "remove" for kind, _ in journal):
+        raise ValueError("a removed column can merge classes: mine the new matrix instead")
+    labels = structure.labels
+    num_appended = sum(kind == "append" for kind, _ in journal)
+    if num_appended:
+        num_items = store.num_items
+        labels = _refine_labels(labels, store.item_rows(num_items - num_appended, num_items))
+    touched = np.unique(
+        np.array(
+            [user for kind, triples in journal if kind == "entries" for user, _, _ in triples],
+            dtype=np.intp,
+        )
+    )
+    if touched.size:
+        labels = _replace_users(labels, touched, store, groups)
+    elif not num_appended:
+        return structure
+    return _canonicalise(labels)
+
+
+def _replace_users(
+    labels: np.ndarray, touched: np.ndarray, store: InterestStore, groups: np.ndarray
+) -> np.ndarray:
+    """``labels`` with each touched user moved to the class its new µ row belongs to.
+
+    The untouched users' labels are exact; one member of each of their
+    classes in a touched user's group is a candidate.  The candidates and
+    the touched users are refined together, keyed by group and µ row: a
+    touched user that lands with a candidate takes its label, and the other
+    touched users get one fresh label per refined class.  Two candidates
+    never share a refined class (their classes differ in group or µ row).
+    """
+    untouched = np.ones(labels.size, dtype=bool)
+    untouched[touched] = False
+    pool = np.flatnonzero(untouched & np.isin(groups, groups[touched]))
+    _, first = np.unique(labels[pool], return_index=True)
+    candidates = pool[first]
+    subset = np.concatenate([candidates, touched])
+    refined = groups[subset]
+    if np.unique(refined).size < subset.size:
+        refined = _refine_labels(refined, store.user_rows(subset).T)
+    # Refined class -> its candidate's label, else a label no user has yet.
+    target = np.arange(int(refined.max()) + 1, dtype=np.intp) + int(labels.max()) + 1
+    target[refined[: candidates.size]] = labels[candidates]
+    updated = np.array(labels, copy=True)
+    updated[touched] = target[refined[candidates.size :]]
+    return updated
 
 
 def mine_structure(
@@ -167,4 +274,4 @@ def mine_structure(
     return _canonicalise(labels)
 
 
-__all__ = ["InterestStructure", "mine_structure"]
+__all__ = ["InterestStructure", "mine_structure", "update_structure", "user_groups"]

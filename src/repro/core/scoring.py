@@ -127,34 +127,47 @@ def instance_structure(
 
     The first call mines ``event_rows`` / ``sigma`` / ``comp`` (the
     instance's own kernel inputs) with :func:`mine_structure` and keeps the
-    result on the instance; later calls — every engine of every scheduler
-    run on the same instance — return it unmined.  Labels do not depend on
-    ``chunk_size``, so one memo serves every execution config.  Filling the
-    memo marks the arrays the structure was mined from, and the structure's
-    own arrays, read-only (the contract documented on
-    :class:`~repro.core.instance.SESInstance`), so an in-place edit cannot
-    leave the memo stale.  A new instance (``dataclasses.replace``,
-    ``with_storage``, a service rebuild) starts with an empty memo.
+    result on the instance (:func:`remember_structure`); later calls — every
+    engine of every scheduler run on the same instance — return it unmined.
+    Labels do not depend on ``chunk_size``, so one memo serves every
+    execution config.  A new instance (``dataclasses.replace``,
+    ``with_storage``) starts with an empty memo; a service rebuild starts
+    with the previous instance's structure carried through the mutation
+    journal (:func:`~repro.core.patterns.update_structure`) and mines only
+    after a removed event.
     """
     structure = instance._interest_structure
     if structure is None:
-        structure = mine_structure(event_rows, sigma, comp, chunk_size)
-        frozen = [
-            instance.activity,
-            instance.user_weights,
-            instance.competing_sums,
-            structure.labels,
-            structure.representatives,
-            structure.counts,
-        ]
-        store = instance.interest.store
-        if isinstance(store, DenseStore):
-            frozen.append(store.values)
-        elif isinstance(store, SparseStore):
-            frozen.extend(store.csr_arrays)
-        for array in frozen:
-            array.setflags(write=False)
-        instance._interest_structure = structure
+        structure = remember_structure(
+            instance, mine_structure(event_rows, sigma, comp, chunk_size)
+        )
+    return structure
+
+
+def remember_structure(instance: SESInstance, structure: InterestStructure) -> InterestStructure:
+    """Keep ``structure`` as the instance's memo and return it.
+
+    The one way the memo is filled, mined or carried: it marks the arrays
+    the structure describes, and the structure's own arrays, read-only (the
+    contract documented on :class:`~repro.core.instance.SESInstance`), so an
+    in-place edit cannot leave the memo stale.
+    """
+    frozen = [
+        instance.activity,
+        instance.user_weights,
+        instance.competing_sums,
+        structure.labels,
+        structure.representatives,
+        structure.counts,
+    ]
+    store = instance.interest.store
+    if isinstance(store, DenseStore):
+        frozen.append(store.values)
+    elif isinstance(store, SparseStore):
+        frozen.extend(store.csr_arrays)
+    for array in frozen:
+        array.setflags(write=False)
+    instance._interest_structure = structure
     return structure
 
 

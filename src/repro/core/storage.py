@@ -218,6 +218,10 @@ class InterestStore:
         """Dense ``(num_items,)`` row of one user."""
         raise NotImplementedError
 
+    def user_rows(self, user_indices: Sequence[int]) -> np.ndarray:
+        """Dense user-major gather ``µ[user_indices]``, ``(k, num_items)`` (a new array)."""
+        raise NotImplementedError
+
     def value(self, user_index: int, item_index: int) -> float:
         """A single ``µ(u, i)`` entry."""
         raise NotImplementedError
@@ -288,6 +292,9 @@ class DenseStore(InterestStore):
 
     def row(self, user_index: int) -> np.ndarray:
         return self._values[user_index, :]
+
+    def user_rows(self, user_indices: Sequence[int]) -> np.ndarray:
+        return self._values[np.asarray(user_indices, dtype=np.int64)]
 
     def value(self, user_index: int, item_index: int) -> float:
         return float(self._values[user_index, item_index])
@@ -503,10 +510,20 @@ class SparseStore(InterestStore):
         return out
 
     def row(self, user_index: int) -> np.ndarray:
-        out = np.zeros(self._shape[1], dtype=np.float64)
-        for item_index in range(self._shape[1]):
-            out[item_index] = self.value(user_index, item_index)
-        return out
+        return self.user_rows([user_index])[0]
+
+    def user_rows(self, user_indices: Sequence[int]) -> np.ndarray:
+        # One pass over the stored entries: keep those of the wanted users
+        # and find each kept entry's item from its CSR position.
+        wanted, inverse = np.unique(np.asarray(user_indices, dtype=np.int64), return_inverse=True)
+        position = np.full(self._shape[0], -1, dtype=np.int64)
+        position[wanted] = np.arange(wanted.shape[0])
+        rows = position[np.asarray(self._indices)]
+        kept = np.flatnonzero(rows >= 0)
+        items = np.searchsorted(np.asarray(self._indptr), kept, side="right") - 1
+        out = np.zeros((wanted.shape[0], self._shape[1]), dtype=np.float64)
+        out[rows[kept], items] = np.asarray(self._data)[kept]
+        return out[inverse]
 
     def value(self, user_index: int, item_index: int) -> float:
         lo, hi = int(self._indptr[item_index]), int(self._indptr[item_index + 1])

@@ -48,7 +48,10 @@ changes µ records ``("entries", triples)``, ``("append", column)`` or
 ``("remove", index)`` in O(size of the mutation), and the store is
 materialised once, in apply order, when a resolve or :meth:`instance` next
 needs it.  Everything a replay could reject is checked at apply time, so a
-committed batch always materialises.
+committed batch always materialises.  The replay also carries the previous
+instance's interest structure through the journal instead of re-mining it
+(:func:`~repro.core.patterns.update_structure`); only a removed event makes
+the next resolve mine again.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ from repro.core.entities import (
 from repro.core.errors import InstanceValidationError, SolverError, StorageCapacityError
 from repro.core.execution import ExecutionConfig
 from repro.core.instance import SESInstance
+from repro.core.patterns import update_structure, user_groups
+from repro.core.scoring import build_static_arrays, remember_structure
 from repro.core.storage import DenseStore, ensure_dense_capacity, require_unit_interval
 from repro.service.stats import SessionStats
 
@@ -341,6 +346,9 @@ class SchedulingSession:
         self._intervals: List[TimeInterval] = list(instance.intervals)
         #: Store ops committed since ``_instance.interest`` was materialised.
         self._journal: List[StoreOp] = []
+        #: :func:`~repro.core.patterns.user_groups` of the σ and competing
+        #: rows (no mutation changes them), computed at the first carry.
+        self._user_groups: Optional[np.ndarray] = None
         self._event_ids = {event.id: idx for idx, event in enumerate(self._events)}
         self._interval_ids = {
             interval.id: idx for idx, interval in enumerate(self._intervals)
@@ -626,20 +634,37 @@ class SchedulingSession:
     # Resolving
     # ------------------------------------------------------------------ #
     def _build_instance(self) -> SESInstance:
-        """The current instance, materialising the store journal if it is stale."""
+        """The current instance, materialising the store journal if it is stale.
+
+        A rebuilt instance inherits the previous one's interest structure,
+        carried through the journal it replays
+        (:func:`~repro.core.patterns.update_structure`), so it is not mined
+        again.  A journal that removes an event leaves the new instance
+        without one: its first engine mines afresh.
+        """
         with self._lock:
             if self._dirty:
+                previous = self._instance
                 self._instance = dataclasses.replace(
-                    self._instance,
+                    previous,
                     events=list(self._events),
                     intervals=list(self._intervals),
-                    interest=_replay(self._instance.interest, self._journal),
+                    interest=_replay(previous.interest, self._journal),
                     metadata={
                         key: value
-                        for key, value in self._instance.metadata.items()
+                        for key, value in previous.metadata.items()
                         if key != "unschedulable_events"
                     },
                 )
+                structure = previous._interest_structure
+                if structure is not None and all(kind != "remove" for kind, _ in self._journal):
+                    if self._user_groups is None:
+                        comp, sigma, _, _ = build_static_arrays(previous)
+                        self._user_groups = user_groups(sigma, comp)
+                    carried = update_structure(
+                        structure, self._journal, self._instance.interest.store, self._user_groups
+                    )
+                    remember_structure(self._instance, carried)
                 self._journal = []
                 self._dirty = False
             return self._instance

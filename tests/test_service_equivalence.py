@@ -25,6 +25,8 @@ pair by pair (``tests/oracle.py``), checks the per-pair path against it.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 from typing import Iterator
 
@@ -32,10 +34,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import run_scheduler
+from repro.core import scoring
 from repro.core.entities import Event
 from repro.core.execution import ExecutionConfig
+from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
-from repro.core.scoring import ScoringEngine
+from repro.core.patterns import mine_structure, user_groups
+from repro.core.scoring import ScoringEngine, build_event_rows, build_static_arrays
 from repro.core.storage import DENSE_CAPACITY_ENV, DenseStore, SparseStore, unit_values
 from repro.ebsn.generator import EBSNConfig, generate_network, sample_event_topics
 from repro.ebsn.interest_model import derive_interest_matrix
@@ -108,14 +113,28 @@ def interest_pool(num_users: int) -> np.ndarray:
     return derive_interest_matrix(network, topics, rng=rng)
 
 
+@contextlib.contextmanager
+def cold_instance(session: SchedulingSession) -> Iterator[SESInstance]:
+    """A copy of the session's current instance that mines its own structure.
+
+    The session carries its interest structure from resolve to resolve; a
+    reference solved on the session's own instance would share that memo
+    and could not catch a wrong one.
+    """
+    instance = dataclasses.replace(session.instance())
+    assert instance._interest_structure is None
+    yield instance
+    mined = instance._interest_structure
+    assert mined is None or mined is not session.instance()._interest_structure
+
+
 def cold_solve(session: SchedulingSession, k: int, algorithm: str, seed: int, execution):
     """A cold one-shot solve of the session's current instance and locks."""
-    instance = session.instance()
-    locked = sorted(
-        (instance.event_index(event_id), instance.interval_index(interval_id))
-        for event_id, interval_id in session.locks().items()
-    )
-    with bulk_scoring():
+    with cold_instance(session) as instance, bulk_scoring():
+        locked = sorted(
+            (instance.event_index(event_id), instance.interval_index(interval_id))
+            for event_id, interval_id in session.locks().items()
+        )
         return run_scheduler(
             algorithm, instance, k, seed=seed, execution=execution, locked=locked
         )
@@ -123,17 +142,30 @@ def cold_solve(session: SchedulingSession, k: int, algorithm: str, seed: int, ex
 
 def cold_initial_grid(session: SchedulingSession, execution) -> np.ndarray:
     """The initial |E| × |T| grid a fresh engine computes after the locks."""
-    instance = session.instance()
-    engine = ScoringEngine(instance, execution=execution)
-    for event_id, interval_id in sorted(session.locks().items()):
-        engine.apply(instance.event_index(event_id), instance.interval_index(interval_id))
-    with bulk_scoring():
+    with cold_instance(session) as instance, bulk_scoring():
+        engine = ScoringEngine(instance, execution=execution)
+        for event_id, interval_id in sorted(session.locks().items()):
+            engine.apply(instance.event_index(event_id), instance.interval_index(interval_id))
         return engine.score_matrix(initial=True, count=False)
+
+
+def assert_structure_is_fresh(session: SchedulingSession) -> None:
+    """The session instance's structure, if it has one, equals a fresh mine."""
+    instance = session.instance()
+    carried = instance._interest_structure
+    if carried is None:
+        return
+    comp, sigma, values, _ = build_static_arrays(instance)
+    fresh = mine_structure(build_event_rows(instance.interest.store, values), sigma, comp, 3)
+    assert np.array_equal(carried.labels, fresh.labels)
+    assert np.array_equal(carried.representatives, fresh.representatives)
+    assert np.array_equal(carried.counts, fresh.counts)
 
 
 def assert_resolve_matches_cold(session, k, algorithm, seed, execution):
     """One warm resolve must be bit-identical to one cold solve."""
     warm = session.resolve(k, algorithm=algorithm)
+    assert_structure_is_fresh(session)
     cold = cold_solve(session, k, algorithm, seed, execution)
     assert warm.schedule.as_dict() == cold.schedule.as_dict()
     assert warm.utility == cold.utility
@@ -246,6 +278,7 @@ class TestRandomizedReplay:
         session = SchedulingSession(instance, seed=5, execution=execution)
         pool = interest_pool(30)
         session.resolve(5)
+        assert_structure_is_fresh(session)
         events = [event.id for event in instance.events]
         users = [user.id for user in instance.users]
         session.apply(
@@ -268,6 +301,7 @@ class TestStructuralMutations:
         session = SchedulingSession(instance, seed=21, execution=execution)
         pool = interest_pool(40)
         session.resolve(5)
+        assert_structure_is_fresh(session)
         session.apply(
             [
                 AddEvent(
@@ -285,6 +319,7 @@ class TestStructuralMutations:
         session = SchedulingSession(instance, seed=22, execution=execution)
         pool = interest_pool(40)
         original = session.resolve(5)
+        assert_structure_is_fresh(session)
         session.apply(
             [
                 AddEvent(
@@ -294,6 +329,7 @@ class TestStructuralMutations:
             ]
         )
         session.resolve(5)
+        assert_structure_is_fresh(session)
         session.apply([RemoveEvent(event_id="x0")])
         roundtrip = assert_resolve_matches_cold(session, 5, "INC", 22, execution)
         assert roundtrip.schedule.as_dict() == original.schedule.as_dict()
@@ -406,6 +442,7 @@ class TestStoreJournal:
         instance = layout.instance(seed=51, num_users=30, num_events=8, num_intervals=4)
         session = SchedulingSession(instance, seed=51, execution=execution)
         session.resolve(5)
+        assert_structure_is_fresh(session)
         calls = {"with_entries": 0, "with_appended_items": 0, "without_item": 0}
         for name in calls:
             original = getattr(InterestMatrix, name)
@@ -429,6 +466,7 @@ class TestStoreJournal:
         assert calls == {"with_entries": 0, "with_appended_items": 0, "without_item": 0}
         warm = session.resolve(5, algorithm="INC")
         assert calls == {"with_entries": 1, "with_appended_items": 0, "without_item": 0}
+        assert_structure_is_fresh(session)
         cold = cold_solve(session, 5, "INC", 51, execution)
         assert warm.schedule.as_dict() == cold.schedule.as_dict()
         assert warm.utility == cold.utility
@@ -472,6 +510,7 @@ class TestStoreJournal:
         instance = layout.instance(seed=61, num_users=40, num_events=8, num_intervals=4)
         session = SchedulingSession(instance, seed=61, execution=execution)
         session.resolve(5)
+        assert_structure_is_fresh(session)
         pool = interest_pool(40)
         column = tuple(float(v) for v in pool[:, 4])
         user = instance.users[3].id
@@ -542,6 +581,7 @@ class TestStoreJournal:
         twin = SchedulingSession(instance, seed=71, execution=execution)
         for live in (session, twin):
             live.resolve(5)
+            assert_structure_is_fresh(live)
             live.apply(first)
         with pytest.raises(MutationError):
             session.apply(rejected)
@@ -551,10 +591,97 @@ class TestStoreJournal:
         assert session.status() == twin.status()
         result = assert_resolve_matches_cold(session, 5, "INC", 71, execution)
         twin_result = twin.resolve(5)
+        assert_structure_is_fresh(twin)
         assert result.schedule.as_dict() == twin_result.schedule.as_dict()
         assert result.utility == twin_result.utility
         assert result.counters == twin_result.counters
         assert session.status() == twin.status()
+
+
+class TestCarriedStructure:
+    """A resolve carries the previous instance's structure instead of re-mining it."""
+
+    def test_mixed_trace_mines_once_plus_once_per_remove(self, layout, execution, monkeypatch):
+        mines = []
+        original = scoring.mine_structure
+
+        def counting(*args, **kwargs):
+            mines.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "mine_structure", counting)
+        instance = layout.instance(seed=91, num_users=40, num_events=9, num_intervals=4)
+        session = SchedulingSession(instance, algorithm="INC", seed=91, execution=execution)
+        session.resolve(5)
+        assert len(mines) == 1
+        pool = interest_pool(40)
+        users = [user.id for user in instance.users]
+        events = [event.id for event in instance.events]
+
+        def added(name: str, column: int) -> AddEvent:
+            return AddEvent(
+                event=Event(id=name, location="loc1", required_resources=1.0),
+                interest=tuple(float(v) for v in pool[:, column]),
+            )
+
+        # A pair of users with equal σ and competing rows, if the instance has
+        # one (duplicate-heavy blocked instances do): the first leaves its
+        # class, then copies the second's µ row and must land in its class.
+        comp, sigma, _, _ = build_static_arrays(instance)
+        groups = user_groups(sigma, comp)
+        pair = next(
+            ((a, b) for a in range(len(users)) for b in range(a + 1, len(users))
+             if groups[a] == groups[b]),
+            (4, 6),
+        )
+
+        def copy_row(target: int, source: int) -> UpdateInterest:
+            """``users[target]`` takes ``users[source]``'s current µ row."""
+            current = session.instance()
+            row = current.interest.values[source]
+            values = {event.id: float(row[i]) for i, event in enumerate(current.events)}
+            return UpdateInterest(user_id=users[target], values=values)
+
+        expected = 1
+
+        def apply_and_resolve(batch, removes: bool) -> None:
+            nonlocal expected
+            session.apply(batch)
+            session.resolve(5)
+            expected += removes
+            assert len(mines) == expected
+            assert session.instance()._interest_structure is not None
+            assert_structure_is_fresh(session)
+
+        leave = {events[0]: 0.5, events[3]: 0.0}
+        for batch, removes in [
+            ([SetIntervalCapacity(interval_id="t0", capacity=3)], False),
+            ([LockAssignment(event_id=events[1], interval_id="t2")], False),
+            ([UpdateInterest(user_id=users[pair[0]], values=leave)], False),
+            ([added("x0", 1)], False),
+            ([UnlockAssignment(event_id=events[1])], False),
+            ([RemoveEvent(event_id=events[2])], True),
+            ([UpdateInterest(user_id=users[7], values={"x0": 0.25}), added("x1", 2)], False),
+            ([added("x2", 3), RemoveEvent(event_id="x1")], True),
+            ([SetIntervalCapacity(interval_id="t0", capacity=None)], False),
+        ]:
+            apply_and_resolve(batch, removes)
+        apply_and_resolve([copy_row(*pair)], False)
+        labels = session.instance()._interest_structure.labels
+        assert (labels[pair[0]] == labels[pair[1]]) == (groups[pair[0]] == groups[pair[1]])
+
+    def test_only_an_existing_structure_is_carried(self, layout, execution):
+        """ALG on the direct plan never mines, and no rebuild invents a structure."""
+        instance = layout.instance(seed=92, num_users=30, num_events=8, num_intervals=4)
+        session = SchedulingSession(instance, algorithm="ALG", seed=92, execution=execution)
+        users = [user.id for user in instance.users]
+        events = [event.id for event in instance.events]
+        for step in range(3):
+            session.apply([UpdateInterest(user_id=users[step], values={events[step]: 0.5})])
+            session.resolve(4)
+            carried = session.instance()._interest_structure
+            assert (carried is not None) == (layout.plan == "blocked")
+            assert_structure_is_fresh(session)
 
 
 class TestApplyTimeValidation:

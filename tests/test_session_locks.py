@@ -120,7 +120,8 @@ class TestLockAcceptance:
             locked = sorted(lock_schedule(rebuilt, session.locks()).as_dict().items())
             k = min(rebuilt.num_events, len(locked) + 2)
             warm = session.resolve(k)
-            cold = run_scheduler(session.algorithm, rebuilt, k, locked=locked)
+            # A copy mines its own structure instead of sharing the session's.
+            cold = run_scheduler(session.algorithm, dataclasses.replace(rebuilt), k, locked=locked)
             assert warm.schedule == cold.schedule
             assert warm.utility.hex() == cold.utility.hex()
 
@@ -137,7 +138,7 @@ class TestLockAcceptance:
         session = SchedulingSession(instance, algorithm="ALG")
         session.apply([LockAssignment("e0", "t0")])
         session.apply([LockAssignment("e1", "t1")])
-        expected = run_scheduler("ALG", instance, 2, locked=[(0, 0), (1, 1)])
+        expected = run_scheduler("ALG", dataclasses.replace(instance), 2, locked=[(0, 0), (1, 1)])
         result = session.resolve(2)
         assert result.schedule == expected.schedule
         assert result.schedule.as_dict() == {0: 0, 1: 1}

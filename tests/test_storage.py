@@ -153,6 +153,16 @@ class TestAccessorEquality:
             picked = np.array([8, 1, 1, 5])
             assert np.array_equal(store.item_rows_at(picked), transposed[picked])
 
+    def test_user_row_gathers(self, tmp_path):
+        """Repeated users, an empty gather, and items with no stored entry."""
+        values = reference_matrix()
+        values[:, [0, 4, 8]] = 0.0
+        for store in all_stores(values, tmp_path).values():
+            for picked in ([3, 0, 3, 5], [values.shape[0] - 1], []):
+                gathered = store.user_rows(picked)
+                assert gathered.shape == (len(picked), values.shape[1])
+                assert np.array_equal(gathered, values[np.array(picked, dtype=np.int64)])
+
     def test_statistics(self, stores):
         values, by_name = stores
         for store in by_name.values():
